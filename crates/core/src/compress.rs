@@ -294,23 +294,8 @@ pub fn encode_packet_delta(chunks: &[Chunk]) -> Vec<u8> {
 ///
 /// Payloads are **copied** out of `buf`: a plain `&[u8]` borrow has no
 /// refcounted backing a `Bytes` slice could share, so owning is the only
-/// sound option here. When the frame already lives in a [`Bytes`], use
-/// [`decode_packet_delta_bytes`] — its payloads borrow the frame.
+/// sound option here.
 pub fn decode_packet_delta(buf: &[u8]) -> Result<Vec<Chunk>, CoreError> {
-    // Must own: the borrow ends when this call returns.
-    decode_packet_delta_inner(buf, |b, at, n| Bytes::copy_from_slice(&b[at..at + n]))
-}
-
-/// Zero-copy twin of [`decode_packet_delta`]: every chunk payload is an
-/// O(1) slice of `frame`'s shared buffer — no payload bytes move.
-pub fn decode_packet_delta_bytes(frame: &Bytes) -> Result<Vec<Chunk>, CoreError> {
-    decode_packet_delta_inner(frame, |_, at, n| frame.slice(at..at + n))
-}
-
-fn decode_packet_delta_inner(
-    buf: &[u8],
-    payload_at: impl Fn(&[u8], usize, usize) -> Bytes,
-) -> Result<Vec<Chunk>, CoreError> {
     if buf.len() < 2 {
         return Err(CoreError::Truncated);
     }
@@ -371,11 +356,8 @@ fn decode_packet_delta_inner(
         h.tpdu.st = flags & 2 != 0;
         h.ext.st = flags & 4 != 0;
         h.validate()?;
-        let plen = h.payload_len();
-        // Bounds-check through `take`, then let the caller decide whether
-        // the payload borrows (Bytes frame) or must own (plain slice).
-        take(buf, &mut at, plen)?;
-        let payload = payload_at(buf, at - plen, plen);
+        // Must own: the borrow ends when this call returns.
+        let payload = Bytes::copy_from_slice(take(buf, &mut at, h.payload_len())?);
         prev = h;
         chunks.push(Chunk { header: h, payload });
     }
@@ -587,27 +569,6 @@ mod tests {
             let (h, used) = decode_header_form(&buf, form, &ctx).unwrap();
             assert_eq!(used, buf.len());
             assert_eq!(h, c.header, "{form:?}");
-        }
-    }
-
-    #[test]
-    fn delta_decode_bytes_matches_owned_and_borrows_the_frame() {
-        // The zero-copy delta decode agrees with the owned one bit for bit,
-        // and its payloads point into the frame's buffer.
-        let whole = sample();
-        let (a, b) = split(&whole, 3).unwrap();
-        let encoded = encode_packet_delta(&[a, b]);
-        let owned = decode_packet_delta(&encoded).unwrap();
-        let frame = Bytes::from(encoded);
-        let borrowed = decode_packet_delta_bytes(&frame).unwrap();
-        assert_eq!(borrowed, owned);
-        let range = frame.as_ptr_range();
-        for c in &borrowed {
-            let p = c.payload.as_ptr_range();
-            assert!(
-                p.start >= range.start && p.end <= range.end,
-                "payload must borrow the frame"
-            );
         }
     }
 

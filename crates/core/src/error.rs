@@ -107,7 +107,7 @@ impl fmt::Display for CoreError {
 
 impl CoreError {
     /// A short stable kebab-case tag for the error, suitable as the
-    /// `reason` of a [`chunks_obs::Event::ChunkRejected`] trace event.
+    /// `reason` of a `ChunkRejected` trace event.
     pub fn kind(&self) -> &'static str {
         match self {
             CoreError::PayloadSizeMismatch { .. } => "payload-size-mismatch",

@@ -8,14 +8,11 @@
 //! disordering, *how* chunks are placed in packets is irrelevant.
 
 use bytes::Bytes;
-use chunks_obs::ObsSink;
 
 use crate::chunk::Chunk;
 use crate::error::CoreError;
 use crate::frag::split;
-use crate::wire::{
-    decode_chunk, decode_chunk_observed, encode_chunk, MAX_DECODE_PAYLOAD, WIRE_HEADER_LEN,
-};
+use crate::wire::{decode_chunk, decode_header, encode_chunk, validated_len, WIRE_HEADER_LEN};
 
 /// A packet: the atomic physical unit exchanged between protocol processors.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -145,11 +142,16 @@ pub fn pack(chunks: Vec<Chunk>, mtu: usize) -> Result<Vec<Packet>, CoreError> {
     Ok(packets)
 }
 
-/// Extracts the chunks from a packet.
+/// Extracts the chunks from a packet, **copying** every payload.
 ///
 /// Parsing stops at a `LEN = 0` end marker or at end-of-bytes; remaining
 /// bytes after a marker must be zero padding. Trailing space smaller than a
 /// header is accepted only when all zero.
+///
+/// This is the owned reference decode: senders, routers and examples use it
+/// where chunks must outlive the packet, and the tests compare the
+/// production walk ([`validate`] → [`spans`] →
+/// [`decode_chunk_at`](crate::wire::decode_chunk_at)) against it.
 pub fn unpack(packet: &Packet) -> Result<Vec<Chunk>, CoreError> {
     let mut chunks = Vec::new();
     let mut rest: &[u8] = &packet.bytes;
@@ -160,7 +162,7 @@ pub fn unpack(packet: &Packet) -> Result<Vec<Chunk>, CoreError> {
             }
             return Err(CoreError::Truncated);
         }
-        let header = crate::wire::decode_header(rest)?;
+        let header = decode_header(rest)?;
         if header.len == 0 {
             // End marker: everything after it must be padding.
             if rest[WIRE_HEADER_LEN..].iter().any(|&b| b != 0) {
@@ -175,137 +177,54 @@ pub fn unpack(packet: &Packet) -> Result<Vec<Chunk>, CoreError> {
     Ok(chunks)
 }
 
-/// [`unpack`] with per-chunk decode instrumentation (see
-/// [`decode_chunk_observed`]): identical accept/reject behaviour, plus one
-/// `ChunkDecoded`/`ChunkRejected` event and wire counter per chunk.
-pub fn unpack_observed(
-    packet: &Packet,
-    now: u64,
-    sink: &dyn ObsSink,
-) -> Result<Vec<Chunk>, CoreError> {
-    let mut chunks = Vec::new();
-    let mut rest: &[u8] = &packet.bytes;
-    while !rest.is_empty() {
-        if rest.len() < WIRE_HEADER_LEN {
-            if rest.iter().all(|&b| b == 0) {
-                break;
-            }
-            return Err(CoreError::Truncated);
+/// One step of the production framing walk: the byte offset one past the
+/// chunk that starts at `at`, or `None` at the end of the valid chunks (an
+/// all-zero tail shorter than a header, or a `LEN = 0` end marker followed
+/// only by zero padding). The rules are [`unpack`]'s, restated once here for
+/// [`validate`] and [`Spans`] and compared against that owned reference by
+/// the tests.
+#[inline]
+fn step(bytes: &[u8], at: usize) -> Result<Option<usize>, CoreError> {
+    let rest = &bytes[at..];
+    if rest.len() < WIRE_HEADER_LEN {
+        if rest.iter().all(|&b| b == 0) {
+            return Ok(None);
         }
-        let header = crate::wire::decode_header(rest)?;
-        if header.len == 0 {
-            if rest[WIRE_HEADER_LEN..].iter().any(|&b| b != 0) {
-                return Err(CoreError::TrailingGarbage);
-            }
-            break;
-        }
-        let (chunk, used) = decode_chunk_observed(rest, now, sink)?;
-        chunks.push(chunk);
-        rest = &rest[used..];
+        return Err(CoreError::Truncated);
     }
-    Ok(chunks)
-}
-
-/// Scans a packet's encoded chunks without materialising payloads, returning
-/// the byte span `[start, end)` of each chunk in placement order.
-///
-/// Validation is identical to [`unpack`]: the same end-marker, padding,
-/// truncation, oversize and header rules apply, so a packet is either
-/// accepted by both functions with the same chunk boundaries or rejected by
-/// both. A sharded dispatcher uses this to route cheap [`bytes::Bytes`]
-/// sub-slices of the packet to workers without touching a single payload
-/// byte on the dispatch stage.
-pub fn chunk_spans(packet: &Packet) -> Result<Vec<(usize, usize)>, CoreError> {
-    let bytes: &[u8] = &packet.bytes;
-    let mut spans = Vec::new();
-    let mut at = 0usize;
-    while at < bytes.len() {
-        let rest = &bytes[at..];
-        if rest.len() < WIRE_HEADER_LEN {
-            if rest.iter().all(|&b| b == 0) {
-                break;
-            }
-            return Err(CoreError::Truncated);
+    let header = decode_header(rest)?;
+    if header.len == 0 {
+        if rest[WIRE_HEADER_LEN..].iter().any(|&b| b != 0) {
+            return Err(CoreError::TrailingGarbage);
         }
-        let header = crate::wire::decode_header(rest)?;
-        if header.len == 0 {
-            if rest[WIRE_HEADER_LEN..].iter().any(|&b| b != 0) {
-                return Err(CoreError::TrailingGarbage);
-            }
-            break;
-        }
-        header.validate()?;
-        // Same widened bound check as `decode_chunk` (the claim approaches
-        // 2^48 and must not touch usize arithmetic first).
-        let claimed = header.size as u64 * header.len as u64;
-        if claimed > MAX_DECODE_PAYLOAD as u64 {
-            return Err(CoreError::OversizedLen {
-                claimed,
-                max: MAX_DECODE_PAYLOAD as u64,
-            });
-        }
-        let total = WIRE_HEADER_LEN + claimed as usize;
-        if rest.len() < total {
-            return Err(CoreError::Truncated);
-        }
-        spans.push((at, at + total));
-        at += total;
+        return Ok(None);
     }
-    Ok(spans)
+    Ok(Some(at + validated_len(&header, rest.len())?))
 }
 
 /// Validates a packet's framing without allocating, returning the number of
 /// chunks it carries.
 ///
-/// This is the allocation-free twin of [`chunk_spans`]: the same end-marker,
-/// padding, truncation, oversize and header rules apply, so a packet is
-/// accepted by `validate` exactly when `chunk_spans`/[`unpack`] accept it,
-/// with the same error otherwise. The zero-copy receive path runs this scan
-/// first — preserving `unpack`'s whole-packet reject semantics — and then
-/// walks the (now known-good) spans with [`spans`], decoding each chunk in
-/// place without a `Vec` of spans or a `Vec` of chunks.
+/// A packet is accepted exactly when the owned reference [`unpack`] accepts
+/// it, with the same error otherwise. The zero-copy receive path runs this
+/// scan first — so a malformed chunk rejects the whole packet — and then
+/// walks [`spans`], decoding each chunk in place without a `Vec` of spans or
+/// a `Vec` of chunks.
 pub fn validate(packet: &Packet) -> Result<usize, CoreError> {
-    let bytes: &[u8] = &packet.bytes;
     let mut count = 0usize;
     let mut at = 0usize;
-    while at < bytes.len() {
-        let rest = &bytes[at..];
-        if rest.len() < WIRE_HEADER_LEN {
-            if rest.iter().all(|&b| b == 0) {
-                break;
-            }
-            return Err(CoreError::Truncated);
-        }
-        let header = crate::wire::decode_header(rest)?;
-        if header.len == 0 {
-            if rest[WIRE_HEADER_LEN..].iter().any(|&b| b != 0) {
-                return Err(CoreError::TrailingGarbage);
-            }
-            break;
-        }
-        header.validate()?;
-        let claimed = header.size as u64 * header.len as u64;
-        if claimed > MAX_DECODE_PAYLOAD as u64 {
-            return Err(CoreError::OversizedLen {
-                claimed,
-                max: MAX_DECODE_PAYLOAD as u64,
-            });
-        }
-        let total = WIRE_HEADER_LEN + claimed as usize;
-        if rest.len() < total {
-            return Err(CoreError::Truncated);
-        }
+    while let Some(end) = step(&packet.bytes, at)? {
         count += 1;
-        at += total;
+        at = end;
     }
     Ok(count)
 }
 
-/// Iterates the chunk byte spans of an **already-validated** packet without
-/// allocating. On a packet [`validate`] accepted, this yields exactly the
-/// spans [`chunk_spans`] would collect; on anything else it simply stops at
-/// the first inconsistency (it cannot report errors — run [`validate`]
-/// first).
+/// Iterates the byte span `[start, end)` of each chunk in placement order
+/// without allocating. The walk stops at the end of the valid chunks or at
+/// the first chunk [`validate`] would refuse, so every span it yields
+/// decodes; it cannot report the refusal — run [`validate`] first when a
+/// malformed chunk must reject the whole packet.
 pub fn spans(packet: &Packet) -> Spans<'_> {
     Spans {
         bytes: &packet.bytes,
@@ -313,7 +232,7 @@ pub fn spans(packet: &Packet) -> Spans<'_> {
     }
 }
 
-/// Iterator over chunk spans of a validated packet. See [`spans`].
+/// Iterator over the chunk spans of a packet. See [`spans`].
 #[derive(Debug)]
 pub struct Spans<'a> {
     bytes: &'a [u8],
@@ -324,27 +243,9 @@ impl Iterator for Spans<'_> {
     type Item = (usize, usize);
 
     fn next(&mut self) -> Option<(usize, usize)> {
-        if self.at >= self.bytes.len() {
-            return None;
-        }
-        let rest = &self.bytes[self.at..];
-        if rest.len() < WIRE_HEADER_LEN {
-            return None;
-        }
-        let header = crate::wire::decode_header(rest).ok()?;
-        if header.len == 0 {
-            return None;
-        }
-        let claimed = header.size as u64 * header.len as u64;
-        if claimed > MAX_DECODE_PAYLOAD as u64 {
-            return None;
-        }
-        let total = WIRE_HEADER_LEN + claimed as usize;
-        if rest.len() < total {
-            return None;
-        }
-        let span = (self.at, self.at + total);
-        self.at += total;
+        let end = step(self.bytes, self.at).ok().flatten()?;
+        let span = (self.at, end);
+        self.at = end;
         Some(span)
     }
 }
@@ -484,43 +385,38 @@ mod tests {
         assert!(pack(vec![], 1500).unwrap().is_empty());
     }
 
-    /// `chunk_spans` and `unpack` must agree chunk-for-chunk on accepted
-    /// packets and error-for-error on rejected ones — the property a
-    /// zero-copy dispatch stage depends on.
+    /// The production walk (`validate` + `spans` + `decode_chunk_at`) and the
+    /// owned reference `unpack` must agree chunk-for-chunk on accepted
+    /// packets and error-for-error on rejected ones.
     fn assert_spans_agree(p: &Packet) {
-        match (chunk_spans(p), unpack(p)) {
-            (Ok(spans), Ok(chunks)) => {
+        let spans: Vec<(usize, usize)> = spans(p).collect();
+        // Accepted or not, every span the walk yields decodes in place.
+        for &(lo, hi) in &spans {
+            let (_, used) = crate::wire::decode_chunk_at(&p.bytes, lo).unwrap();
+            assert_eq!(used, hi - lo);
+        }
+        match (validate(p), unpack(p)) {
+            (Ok(count), Ok(chunks)) => {
+                assert_eq!(count, chunks.len());
                 assert_eq!(spans.len(), chunks.len());
                 for ((lo, hi), chunk) in spans.iter().zip(&chunks) {
                     let (decoded, used) = decode_chunk(&p.bytes[*lo..*hi]).unwrap();
                     assert_eq!(used, hi - lo);
                     assert_eq!(&decoded, chunk);
-                }
-                // The allocation-free scan agrees too, span for span.
-                assert_eq!(validate(p).unwrap(), spans.len());
-                let streamed: Vec<(usize, usize)> = super::spans(p).collect();
-                assert_eq!(streamed, spans);
-                // And the zero-copy decode sees the same chunks, sharing the
-                // packet's buffer instead of copying out of it.
-                for ((lo, hi), chunk) in spans.iter().zip(&chunks) {
-                    let (zc, used) = crate::wire::decode_chunk_at(&p.bytes, *lo).unwrap();
-                    assert_eq!(used, hi - lo);
+                    // The zero-copy decode sees the same chunk, sharing the
+                    // packet's buffer instead of copying out of it.
+                    let (zc, _) = crate::wire::decode_chunk_at(&p.bytes, *lo).unwrap();
                     assert_eq!(&zc, chunk);
-                    let range = p.bytes.as_ptr_range();
                     if !zc.payload.is_empty() {
-                        let pp = zc.payload.as_ptr();
                         assert!(
-                            range.contains(&pp),
+                            p.bytes.as_ptr_range().contains(&zc.payload.as_ptr()),
                             "zero-copy payload must borrow the packet buffer"
                         );
                     }
                 }
             }
-            (Err(a), Err(b)) => {
-                assert_eq!(a, b);
-                assert_eq!(validate(p).unwrap_err(), a);
-            }
-            (a, b) => panic!("span scan {a:?} disagrees with unpack {b:?}"),
+            (Err(a), Err(b)) => assert_eq!(a, b),
+            (a, b) => panic!("validate {a:?} disagrees with unpack {b:?}"),
         }
     }
 

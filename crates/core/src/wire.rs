@@ -18,7 +18,6 @@
 //! [`crate::compress`].
 
 use bytes::Bytes;
-use chunks_obs::{Event, Labels, ObsSink};
 
 use crate::chunk::{Chunk, ChunkHeader};
 use crate::error::CoreError;
@@ -124,12 +123,11 @@ impl ChunkRef<'_> {
     }
 }
 
-/// Shared validation core: decodes and validates the header at the front of
-/// `buf` and returns `(header, total wire length)` without touching the
-/// payload bytes.
+/// Validates a decoded header against the `avail` bytes that start at it
+/// and returns the chunk's total wire length (header + payload), without
+/// touching the payload bytes.
 #[inline]
-fn decode_validated(buf: &[u8]) -> Result<(ChunkHeader, usize), CoreError> {
-    let header = decode_header(buf)?;
+pub(crate) fn validated_len(header: &ChunkHeader, avail: usize) -> Result<usize, CoreError> {
     header.validate()?;
     // Widen before multiplying: `SIZE * LEN` approaches 2^48, which on a
     // 32-bit target would wrap a `usize` product *before* the bound check
@@ -142,16 +140,25 @@ fn decode_validated(buf: &[u8]) -> Result<(ChunkHeader, usize), CoreError> {
         });
     }
     let total = WIRE_HEADER_LEN + claimed as usize;
-    if buf.len() < total {
+    if avail < total {
         return Err(CoreError::Truncated);
     }
+    Ok(total)
+}
+
+/// Shared validation core: decodes and validates the header at the front of
+/// `buf` and returns `(header, total wire length)`.
+#[inline]
+fn decode_validated(buf: &[u8]) -> Result<(ChunkHeader, usize), CoreError> {
+    let header = decode_header(buf)?;
+    let total = validated_len(&header, buf.len())?;
     Ok((header, total))
 }
 
 /// Decodes one chunk from the front of `buf`, returning it together with the
 /// number of bytes consumed. The payload is **copied** out of the buffer —
-/// this is the owned decode the zero-copy path is differentially tested
-/// against; hot paths use [`decode_chunk_at`] instead.
+/// this is the owned reference the zero-copy decode is tested against; the
+/// receive path uses [`decode_chunk_at`] instead.
 pub fn decode_chunk(buf: &[u8]) -> Result<(Chunk, usize), CoreError> {
     let (header, total) = decode_validated(buf)?;
     let payload = Bytes::copy_from_slice(&buf[WIRE_HEADER_LEN..total]);
@@ -184,54 +191,6 @@ pub fn decode_chunk_at(bytes: &Bytes, at: usize) -> Result<(Chunk, usize), CoreE
     let (header, total) = decode_validated(&bytes[at..])?;
     let payload = bytes.slice(at + WIRE_HEADER_LEN..at + total);
     Ok((Chunk { header, payload }, total))
-}
-
-/// The observability label triple `(C.ID, T.SN, X.SN)` of a header.
-pub fn labels_of(h: &ChunkHeader) -> Labels {
-    Labels::new(h.conn.id, h.tpdu.sn, h.ext.sn)
-}
-
-/// [`decode_chunk`] with accept/reject instrumentation: an accepted chunk
-/// records a `core.wire.chunks_decoded` count and a
-/// [`Event::ChunkDecoded`] trace event; a refusal records
-/// `core.wire.decode_rejects` and [`Event::ChunkRejected`] (with whatever
-/// label context a best-effort header decode could recover).
-///
-/// Callers gate on a cached `sink.enabled()` and use plain [`decode_chunk`]
-/// when observability is off, so the hot path never pays the virtual calls.
-pub fn decode_chunk_observed(
-    buf: &[u8],
-    now: u64,
-    sink: &dyn ObsSink,
-) -> Result<(Chunk, usize), CoreError> {
-    match decode_chunk(buf) {
-        Ok((chunk, used)) => {
-            sink.counter("core.wire.chunks_decoded", 1);
-            sink.event(
-                now,
-                Event::ChunkDecoded {
-                    labels: labels_of(&chunk.header),
-                    ty: chunk.header.ty.to_u8(),
-                    bytes: chunk.payload.len() as u32,
-                },
-            );
-            Ok((chunk, used))
-        }
-        Err(e) => {
-            sink.counter("core.wire.decode_rejects", 1);
-            let labels = decode_header(buf)
-                .map(|h| labels_of(&h))
-                .unwrap_or_default();
-            sink.event(
-                now,
-                Event::ChunkRejected {
-                    labels,
-                    reason: e.kind(),
-                },
-            );
-            Err(e)
-        }
-    }
 }
 
 #[cfg(test)]

@@ -55,12 +55,12 @@ pub const CATALOGUE: &[Spec] = &[
     counter(
         "core.wire.chunks_decoded",
         "chunks",
-        "core::wire::decode_chunk_observed accepted a chunk off the wire",
+        "the receive walk decoded a chunk off the wire (verbose tier, emitted by transport)",
     ),
     counter(
         "core.wire.decode_rejects",
         "chunks",
-        "core::wire::decode_chunk_observed refused a malformed chunk",
+        "the receive walk refused a malformed chunk (verbose tier, emitted by transport)",
     ),
     counter(
         "netsim.byzantine.mutations",

@@ -64,8 +64,8 @@ pub trait ObsSink: Send + Sync + std::fmt::Debug {
     }
 
     /// True when the sink wants the *expensive* instrumentation too:
-    /// observed decode (which materialises payload copies), per-chunk
-    /// dispatch events and per-chunk lifecycle spans. A debugging
+    /// per-chunk decode events, per-chunk dispatch events and per-chunk
+    /// lifecycle spans. A debugging
     /// [`RecordingSink`] says yes; the production [`AlwaysOnSink`] says no,
     /// keeping the obs-on hot path allocation-free. Callers cache
     /// `enabled() && verbose()` next to their cached `enabled()`.
@@ -281,7 +281,7 @@ impl ObsSink for RecordingSink {
 /// pipeline barriers via [`ObsSink::flush`], folded live by
 /// [`AlwaysOnSink::snapshot`]). Rare events land in a fixed flight ring;
 /// the first degradation trigger captures a byte-stable postmortem
-/// [`FlightDump`]. Per-chunk verbose instrumentation (observed decode,
+/// [`FlightDump`]. Per-chunk verbose instrumentation (decode events,
 /// dispatch events, lifecycle spans) is refused via `verbose() == false`,
 /// which is what keeps the obs-on hot path allocation-free.
 #[derive(Debug)]

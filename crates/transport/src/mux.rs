@@ -17,13 +17,12 @@ use std::sync::Arc;
 use chunks_core::chunk::Chunk;
 use chunks_core::error::CoreError;
 use chunks_core::label::ChunkType;
-use chunks_core::packet::{pack, spans, unpack, validate, Packet};
-use chunks_core::wire::decode_chunk_at;
+use chunks_core::packet::{pack, Packet};
 use chunks_obs::{ObsSink, ShardSink};
 
 use crate::ack::AckInfo;
 use crate::conn::Signal;
-use crate::receiver::{Receiver, RxEvent};
+use crate::receiver::{wire_chunks, Receiver, RxEvent};
 use crate::table::{ConnTable, TableConfig};
 
 /// Collects chunks from any number of sources — data from several
@@ -113,7 +112,7 @@ pub struct ConnectionDemux {
     /// Chunks routed, by wire type byte (index = `ChunkType::to_u8`).
     pub routed: [u64; 5],
     /// Reused per-chunk event staging — keeps the steady state of
-    /// [`Self::handle_packet_into`] allocation-free.
+    /// [`Self::ingest`] allocation-free.
     scratch: Vec<RxEvent>,
 }
 
@@ -178,41 +177,30 @@ impl ConnectionDemux {
     /// chunk routed to a live receiver bumps that connection's LRU touch.
     pub fn handle_packet(&mut self, packet: &Packet, now: u64) -> Vec<DemuxEvent> {
         let mut events = Vec::new();
-        self.handle_packet_into(packet, now, &mut events);
+        self.ingest(packet, now, &mut events);
         events
     }
 
     /// Like [`Self::handle_packet`], appending into a caller-owned buffer.
     pub fn handle_packet_into(&mut self, packet: &Packet, now: u64, events: &mut Vec<DemuxEvent>) {
-        let chunks = match unpack(packet) {
-            Ok(c) => c,
-            Err(_) => return,
+        self.ingest(packet, now, events);
+    }
+
+    /// Zero-copy packet ingest: one validation scan, then a streaming span
+    /// walk whose decoded payloads borrow the packet's `Bytes` — the serial
+    /// twin of [`ParallelReceiver::ingest`](crate::parallel::ParallelReceiver::ingest)
+    /// and the entry the million-connection scale harness drives. A
+    /// malformed chunk rejects the whole packet.
+    pub fn ingest(&mut self, packet: &Packet, now: u64, events: &mut Vec<DemuxEvent>) {
+        let Ok(chunks) = wire_chunks(packet) else {
+            return;
         };
         for chunk in chunks {
             self.route_chunk(chunk, now, events);
         }
     }
 
-    /// Zero-copy packet ingest: one validation scan, then a streaming span
-    /// walk whose decoded payloads borrow the packet's `Bytes` — the serial
-    /// twin of [`ParallelReceiver::ingest`](crate::parallel::ParallelReceiver::ingest)
-    /// and the entry the million-connection scale harness drives. Identical
-    /// routing to [`Self::handle_packet`]; a malformed chunk rejects the
-    /// whole packet, exactly like `unpack`.
-    pub fn ingest(&mut self, packet: &Packet, now: u64, events: &mut Vec<DemuxEvent>) {
-        if validate(packet).is_err() {
-            return;
-        }
-        for (at, _end) in spans(packet) {
-            // The validation scan already vetted this span.
-            let Ok((chunk, _)) = decode_chunk_at(&packet.bytes, at) else {
-                continue;
-            };
-            self.route_chunk(chunk, now, events);
-        }
-    }
-
-    /// Routes one decoded chunk — shared tail of both decode paths.
+    /// Routes one decoded chunk by `TYPE` and `C.ID`.
     fn route_chunk(&mut self, chunk: Chunk, now: u64, events: &mut Vec<DemuxEvent>) {
         self.routed[chunk.header.ty.to_u8() as usize] += 1;
         match chunk.header.ty {
@@ -254,6 +242,7 @@ mod tests {
     use crate::conn::ConnectionParams;
     use crate::receiver::DeliveryMode;
     use crate::sender::{Sender, SenderConfig};
+    use chunks_core::packet::unpack;
     use chunks_wsc::InvariantLayout;
 
     fn params(conn_id: u32) -> ConnectionParams {

@@ -46,7 +46,7 @@ use std::time::Instant;
 use bytes::Bytes;
 use chunks_core::label::ChunkType;
 use chunks_core::packet::{spans, validate, Packet};
-use chunks_core::wire::{decode_chunk_at, decode_chunk_observed, labels_of};
+use chunks_core::wire::{decode_chunk_at, decode_header};
 use chunks_obs::{Event, HotCounter, Labels, ObsSink, ShardSink, SpanId, Stage};
 use chunks_vreasm::OverlapPolicy;
 use chunks_wsc::{InvariantLayout, Wsc2Stream};
@@ -54,7 +54,7 @@ use chunks_wsc::{InvariantLayout, Wsc2Stream};
 use crate::ack::AckInfo;
 use crate::budget::ResourceBudget;
 use crate::conn::{ConnectionParams, Signal};
-use crate::receiver::{DeliveryMode, Receiver, RxEvent};
+use crate::receiver::{labels_of, observe_decoded, DeliveryMode, Receiver, RxEvent};
 use crate::table::{ConnSet, ConnTable, TableConfig};
 
 /// Depth of each worker's bounded work queue (threads engine). Ingest blocks
@@ -327,8 +327,8 @@ struct Shard {
     /// the worker's private [`ShardSink`] facade: counters are plain
     /// owner-writes, folded into the root at flush barriers.
     obs: Arc<dyn ObsSink>,
-    /// Cached `obs.enabled() && obs.verbose()`: gates the observed decode
-    /// path, whose per-chunk trace events materialise payload copies.
+    /// Cached `obs.enabled() && obs.verbose()`: gates the per-chunk decode
+    /// trace events.
     obs_verbose: bool,
 }
 
@@ -357,19 +357,18 @@ impl Shard {
         let started = Instant::now();
         match work {
             Work::Chunk { raw, now } => {
-                // The zero-copy decode slices the chunk's payload straight
-                // out of the dispatched span (itself a slice of the arriving
-                // packet); only the observed decode still materialises a
-                // copy, in exchange for its per-chunk trace events — so a
-                // non-verbose (always-on) sink keeps the zero-copy path.
-                let decoded = if self.obs_verbose {
-                    decode_chunk_observed(&raw, now, &*self.obs)
-                } else {
-                    decode_chunk_at(&raw, 0)
-                };
-                let chunk = match decoded {
-                    Ok((c, _)) => c,
+                // The decode slices the chunk's payload straight out of the
+                // dispatched span (itself a slice of the arriving packet).
+                let chunk = match decode_chunk_at(&raw, 0) {
+                    Ok((c, _)) => {
+                        if self.obs_verbose {
+                            observe_decoded(&*self.obs, now, &c.header, c.payload.len());
+                        }
+                        c
+                    }
                     Err(_) => {
+                        // Unreachable through `ingest`: dispatch only sends
+                        // spans of a validated packet.
                         self.decode_errors += 1;
                         return;
                     }
@@ -770,7 +769,7 @@ impl ParallelReceiver {
         }
         for (at, end) in spans(packet) {
             // The validation scan already vetted this header.
-            let Ok(header) = chunks_core::wire::decode_header(&packet.bytes[at..]) else {
+            let Ok(header) = decode_header(&packet.bytes[at..]) else {
                 continue;
             };
             let stamp = self.stamp;

@@ -26,10 +26,11 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use chunks_core::chunk::Chunk;
+use chunks_core::chunk::{Chunk, ChunkHeader};
+use chunks_core::error::CoreError;
 use chunks_core::label::ChunkType;
-use chunks_core::packet::{spans, unpack, unpack_observed, validate, Packet};
-use chunks_core::wire::decode_chunk_at;
+use chunks_core::packet::{spans, validate, Packet};
+use chunks_core::wire::{decode_chunk_at, decode_header};
 use chunks_obs::{Event, HotCounter, Labels, ObsSink, SpanId, Stage};
 use chunks_vreasm::{OverlapPolicy, PduTracker, Reassembly, Resolution, TrackEvent};
 use chunks_wsc::{InvariantLayout, TpduInvariant};
@@ -227,11 +228,6 @@ pub struct Receiver {
     /// Verified-and-delivered TPDU starts (drives acks).
     delivered: Vec<u64>,
     closed: bool,
-    /// Differential-test oracle: when set, `handle_packet` decodes through
-    /// the pre-refactor owned path (`unpack`, one payload copy per chunk)
-    /// instead of the zero-copy span walk. Behaviour must be identical —
-    /// `tests/parallel_differential.rs` replays every scenario both ways.
-    legacy_owned: bool,
     /// Accumulated statistics.
     pub stats: RxStats,
     /// Observability sink; [`chunks_obs::NullSink`] unless
@@ -240,9 +236,9 @@ pub struct Receiver {
     /// Cached `obs.enabled()`: the disabled hot path is this one branch.
     obs_on: bool,
     /// Cached `obs.enabled() && obs.verbose()`: gates the *expensive*
-    /// instrumentation (observed decode with its payload copies, per-chunk
-    /// events) that the always-on production sink refuses so the obs-on hot
-    /// path stays allocation-free.
+    /// instrumentation (the per-packet decode pre-pass, per-chunk events)
+    /// that the always-on production sink refuses so the obs-on hot path
+    /// stays allocation-free.
     obs_verbose: bool,
     /// Last virtual-clock time seen by `handle_chunk`/`handle_packet`;
     /// stamps trace events emitted from call paths without a `now`.
@@ -287,6 +283,68 @@ impl HotRxCounters {
     }
 }
 
+/// The observability label triple `(C.ID, T.SN, X.SN)` of a header.
+pub(crate) fn labels_of(h: &ChunkHeader) -> Labels {
+    Labels::new(h.conn.id, h.tpdu.sn, h.ext.sn)
+}
+
+/// The one route from wire bytes to chunks in this crate: an allocation-free
+/// validation scan, so a malformed chunk rejects the whole packet, then each
+/// chunk decoded in place with its payload borrowing the packet's `Bytes`.
+pub(crate) fn wire_chunks(packet: &Packet) -> Result<impl Iterator<Item = Chunk> + '_, CoreError> {
+    validate(packet)?;
+    Ok(spans(packet).filter_map(|(at, _)| {
+        let decoded = decode_chunk_at(&packet.bytes, at);
+        debug_assert!(decoded.is_ok(), "a yielded span must decode");
+        decoded.ok().map(|(chunk, _)| chunk)
+    }))
+}
+
+/// Verbose-tier record of one accepted wire chunk: the
+/// `core.wire.chunks_decoded` counter and a [`Event::ChunkDecoded`] event.
+pub(crate) fn observe_decoded(sink: &dyn ObsSink, now: u64, h: &ChunkHeader, payload_len: usize) {
+    sink.counter("core.wire.chunks_decoded", 1);
+    sink.event(
+        now,
+        Event::ChunkDecoded {
+            labels: labels_of(h),
+            ty: h.ty.to_u8(),
+            bytes: payload_len as u32,
+        },
+    );
+}
+
+/// Verbose-only pre-pass over a packet, run before any of its chunks is
+/// handled so the trace lists a packet's decode verdicts ahead of their
+/// consequences: one `ChunkDecoded` per chunk the walk yields, then — when
+/// `refused` is the packet's [`validate`] error — one `ChunkRejected` for
+/// the chunk that stopped it. A bad short tail, garbage after the end marker
+/// and a header [`decode_header`] itself refuses stop the packet without a
+/// per-chunk event: there is no chunk to attribute them to.
+fn observe_packet(sink: &dyn ObsSink, packet: &Packet, now: u64, refused: Option<&CoreError>) {
+    let mut at = 0;
+    for (lo, hi) in spans(packet) {
+        if let Ok(h) = decode_header(&packet.bytes[lo..]) {
+            observe_decoded(sink, now, &h, hi - lo - chunks_core::WIRE_HEADER_LEN);
+        }
+        at = hi;
+    }
+    let Some(why) = refused else { return };
+    match decode_header(&packet.bytes[at..]) {
+        Ok(h) if h.len != 0 => {
+            sink.counter("core.wire.decode_rejects", 1);
+            sink.event(
+                now,
+                Event::ChunkRejected {
+                    labels: labels_of(&h),
+                    reason: why.kind(),
+                },
+            );
+        }
+        _ => {}
+    }
+}
+
 impl Receiver {
     /// Creates a receiver for a connection, able to hold `capacity_elements`
     /// of application data.
@@ -311,7 +369,6 @@ impl Receiver {
             pool: Vec::new(),
             delivered: Vec::new(),
             closed: false,
-            legacy_owned: false,
             stats: RxStats::default(),
             obs: chunks_obs::null(),
             obs_on: false,
@@ -374,19 +431,6 @@ impl Receiver {
         self.mode
     }
 
-    /// Routes `handle_packet` through the pre-refactor owned decode path
-    /// (builder form). This is the differential-test oracle: identical
-    /// events, stats, and delivered bytes are required of both paths.
-    pub fn with_legacy_owned(mut self, on: bool) -> Self {
-        self.set_legacy_owned(on);
-        self
-    }
-
-    /// See [`Self::with_legacy_owned`].
-    pub fn set_legacy_owned(&mut self, on: bool) {
-        self.legacy_owned = on;
-    }
-
     /// Pre-sizes every growth point on the receive path for `tpdus` more
     /// TPDUs fragmenting into at most `fragments` disjoint runs, so a
     /// steady-state window stays allocation-free (amortised `Vec`/map
@@ -441,15 +485,6 @@ impl Receiver {
     /// `verify` and `deliver` spans key on `(C.ID, start, 0)`.
     fn group_labels(&self, start: u64) -> Labels {
         Labels::new(self.params.conn_id, start as u32, 0)
-    }
-
-    /// Chunk-level span labels, straight off the header.
-    fn chunk_labels(chunk: &Chunk) -> Labels {
-        Labels::new(
-            chunk.header.conn.id,
-            chunk.header.tpdu.sn,
-            chunk.header.ext.sn,
-        )
     }
 
     /// Fetches or creates the group at `start`. A group's first arrival —
@@ -513,10 +548,10 @@ impl Receiver {
     }
 
     /// Handles a batch of packets arriving at the same virtual time. The
-    /// per-call bookkeeping — the `now` stamp, the decode-path selection,
-    /// the caller's event buffer — is paid once per batch instead of once
-    /// per packet, and the deferred WSC folds inside each group's
-    /// `Wsc2Stream` amortise across the whole batch of absorbed chunks.
+    /// per-call bookkeeping — the `now` stamp, the caller's event buffer —
+    /// is paid once per batch instead of once per packet, and the deferred
+    /// WSC folds inside each group's `Wsc2Stream` amortise across the whole
+    /// batch of absorbed chunks.
     pub fn ingest_batch(&mut self, packets: &[Packet], now: u64, out: &mut Vec<RxEvent>) {
         self.last_now = now;
         for packet in packets {
@@ -525,46 +560,22 @@ impl Receiver {
     }
 
     fn packet_inner(&mut self, packet: &Packet, now: u64, out: &mut Vec<RxEvent>) {
-        if self.obs_verbose || self.legacy_owned {
-            // Observed decode keeps per-chunk trace events in wire order
-            // (verbose sinks only — it copies each payload); the
-            // legacy-owned oracle keeps the pre-refactor copying decode.
-            let parsed = if self.obs_verbose {
-                unpack_observed(packet, now, &*self.obs)
-            } else {
-                unpack(packet)
-            };
-            match parsed {
-                Ok(chunks) => {
-                    for chunk in chunks {
-                        self.chunk_inner(chunk, now, out);
-                    }
-                }
-                Err(_) => {
-                    self.stats.bad_packets += 1;
-                    if self.obs_on {
-                        self.obs.counter("transport.rx.bad_packets", 1);
-                    }
+        let walk = wire_chunks(packet);
+        if self.obs_verbose {
+            observe_packet(&*self.obs, packet, now, walk.as_ref().err());
+        }
+        match walk {
+            Ok(chunks) => {
+                for chunk in chunks {
+                    self.chunk_inner(chunk, now, out);
                 }
             }
-            return;
-        }
-        // Zero-copy hot path: one allocation-free validation scan preserves
-        // `unpack`'s whole-packet reject semantics, then each chunk decodes
-        // in place with its payload borrowing the packet's `Bytes`.
-        if validate(packet).is_err() {
-            self.stats.bad_packets += 1;
-            if self.obs_on {
-                self.obs.counter("transport.rx.bad_packets", 1);
+            Err(_) => {
+                self.stats.bad_packets += 1;
+                if self.obs_on {
+                    self.obs.counter("transport.rx.bad_packets", 1);
+                }
             }
-            return;
-        }
-        for (at, _) in spans(packet) {
-            let Ok((chunk, _)) = decode_chunk_at(&packet.bytes, at) else {
-                debug_assert!(false, "validated packet must decode");
-                continue;
-            };
-            self.chunk_inner(chunk, now, out);
         }
     }
 
@@ -747,7 +758,7 @@ impl Receiver {
                         self.obs.event(
                             now,
                             Event::OverlapConflict {
-                                labels: Self::chunk_labels(&chunk),
+                                labels: labels_of(&chunk.header),
                                 policy: self.policy.as_str(),
                                 start: (c.start * esize as u64) as u32,
                                 bytes: (c.len() * esize as u64) as u32,
@@ -816,7 +827,7 @@ impl Receiver {
                     self.stats.data_touches += chunk.payload.len() as u64;
                     if self.obs_on {
                         self.obs
-                            .span_open(now, SpanId::new(Self::chunk_labels(&chunk), Stage::Hold));
+                            .span_open(now, SpanId::new(labels_of(&chunk.header), Stage::Hold));
                     }
                     self.reorder_q.insert(first, (chunk.clone(), now));
                 }
@@ -826,7 +837,7 @@ impl Receiver {
                 self.stats.data_touches += chunk.payload.len() as u64;
                 if self.obs_on {
                     self.obs
-                        .span_open(now, SpanId::new(Self::chunk_labels(&chunk), Stage::Hold));
+                        .span_open(now, SpanId::new(labels_of(&chunk.header), Stage::Hold));
                 }
                 let group = self.groups.get_mut(&start).expect("present");
                 group.held.push((chunk.clone(), now));
@@ -985,7 +996,7 @@ impl Receiver {
                 self.obs.event(
                     now,
                     Event::OverlapConflict {
-                        labels: Self::chunk_labels(chunk),
+                        labels: labels_of(&chunk.header),
                         policy: self.policy.as_str(),
                         start: ((start + lo) * esize as u64) as u32,
                         bytes: ((hi - lo) * esize as u64) as u32,
@@ -1182,7 +1193,7 @@ impl Receiver {
             if self.obs_on {
                 self.obs.counter("transport.rx.holding_delay_ns", waited);
                 self.obs
-                    .span_close(now, SpanId::new(Self::chunk_labels(&chunk), Stage::Hold));
+                    .span_close(now, SpanId::new(labels_of(&chunk.header), Stage::Hold));
             }
             self.place(self.in_order, &chunk.payload);
             self.in_order += len;
@@ -1268,7 +1279,7 @@ impl Receiver {
             if self.obs_on {
                 self.obs.counter("transport.rx.holding_delay_ns", waited);
                 self.obs
-                    .span_close(now, SpanId::new(Self::chunk_labels(&chunk), Stage::Hold));
+                    .span_close(now, SpanId::new(labels_of(&chunk.header), Stage::Hold));
             }
             self.place(first, &chunk.payload);
         }
@@ -1854,5 +1865,62 @@ mod tests {
                 ..
             }
         )));
+    }
+
+    /// The decode events of a packet a recording sink saw, as short tags.
+    fn decode_trace(frame: Vec<u8>) -> (Vec<&'static str>, RxStats) {
+        let sink = chunks_obs::RecordingSink::shared();
+        let mut r = rx(DeliveryMode::Immediate).with_obs(sink.clone());
+        r.handle_packet(
+            &Packet {
+                bytes: frame.into(),
+            },
+            0,
+        );
+        let tags = sink
+            .events()
+            .iter()
+            .filter_map(|e| match e.event {
+                Event::ChunkDecoded { .. } => Some("decoded"),
+                Event::ChunkRejected { reason, .. } => Some(reason),
+                _ => None,
+            })
+            .collect();
+        (tags, r.stats)
+    }
+
+    #[test]
+    fn verbose_pre_pass_lists_decode_verdicts_before_any_chunk_is_handled() {
+        // One TPDU: data chunk + ED chunk in a single frame.
+        let tpdus = framed(b"abcdefgh");
+        let frame = pack(tpdus[0].all_chunks(), 1500).unwrap()[0].bytes.to_vec();
+        let (tags, stats) = decode_trace(frame.clone());
+        assert_eq!(tags, ["decoded", "decoded"]);
+        assert_eq!((stats.bad_packets, stats.chunks_accepted), (0, 1));
+
+        // Cut inside the second chunk: its predecessor is still listed,
+        // the cut chunk is the one rejection, and nothing is handled.
+        let (tags, stats) = decode_trace(frame[..frame.len() - 1].to_vec());
+        assert_eq!(tags, ["decoded", "truncated"]);
+        assert_eq!((stats.bad_packets, stats.chunks_accepted), (1, 0));
+
+        // Failures with no chunk to attribute them to reject the packet
+        // without a per-chunk event: garbage after the end marker...
+        let mut padded = frame.clone();
+        padded.extend_from_slice(&[0; 40]);
+        *padded.last_mut().unwrap() = 9;
+        let (tags, stats) = decode_trace(padded);
+        assert_eq!(tags, ["decoded", "decoded"]);
+        assert_eq!((stats.bad_packets, stats.chunks_accepted), (1, 0));
+        // ...a nonzero tail shorter than a header...
+        let mut tail = frame.clone();
+        tail.extend_from_slice(&[0, 0, 7]);
+        assert_eq!(decode_trace(tail).0, ["decoded", "decoded"]);
+        // ...and a TYPE byte `decode_header` itself refuses.
+        let mut bad_type = frame;
+        bad_type[0] = 0x7F;
+        let (tags, stats) = decode_trace(bad_type);
+        assert!(tags.is_empty());
+        assert_eq!(stats.bad_packets, 1);
     }
 }

@@ -214,12 +214,6 @@ impl Session {
         self
     }
 
-    /// Routes the inbound receiver through the pre-refactor owned decode
-    /// path (the differential oracle). Zero-copy is the default.
-    pub fn set_legacy_owned(&mut self, legacy: bool) {
-        self.rx.set_legacy_owned(legacy);
-    }
-
     /// Pre-sizes the inbound receiver for an expected load so the steady
     /// state stays allocation-free (see [`Receiver::reserve`]).
     pub fn reserve_rx(&mut self, tpdus: usize, fragments: usize) {

@@ -18,12 +18,12 @@ use std::collections::HashMap;
 
 use chunks_core::chunk::Chunk;
 use chunks_core::label::ChunkType;
-use chunks_core::packet::{unpack, Packet};
+use chunks_core::packet::Packet;
 use chunks_vreasm::{PduTracker, TrackEvent};
 use chunks_wsc::{InvariantLayout, TpduInvariant};
 
 use crate::conn::ConnectionParams;
-use crate::receiver::FailureReason;
+use crate::receiver::{wire_chunks, FailureReason};
 
 /// Statistics kept by a [`StreamReceiver`].
 #[derive(Clone, Copy, Debug, Default)]
@@ -124,7 +124,7 @@ impl StreamReceiver {
     /// Feeds a packet; verified in-order bytes accumulate in the outbox
     /// (fetch with [`Self::poll_delivered`]).
     pub fn handle_packet(&mut self, packet: &Packet, now: u64) {
-        if let Ok(chunks) = unpack(packet) {
+        if let Ok(chunks) = wire_chunks(packet) {
             for c in chunks {
                 self.handle_chunk(c, now);
             }

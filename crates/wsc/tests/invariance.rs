@@ -9,6 +9,13 @@ use chunks_core::label::FramingTuple;
 use chunks_gf::Backend;
 use chunks_wsc::{InvariantLayout, TpduInvariant, Wsc2, Wsc2Stream};
 use proptest::prelude::*;
+use std::sync::Mutex;
+
+/// `Backend::force` is process-global and the tests of this binary run
+/// concurrently: a test that forces backends holds this from its first
+/// `force(Some(_))` to its `force(None)`, so "every backend" cannot
+/// silently measure one backend twice.
+static FORCE: Mutex<()> = Mutex::new(());
 
 /// A whole TPDU as a single chunk with randomized labels and ST bits.
 fn whole_tpdu() -> impl Strategy<Value = Chunk> {
@@ -241,11 +248,14 @@ proptest! {
         let base = digest_of(std::slice::from_ref(&whole));
         let pieces = fragment(whole, &cuts);
         let mut digests = Vec::new();
+        let forcing = FORCE.lock().expect("a backend-forcing test panicked");
         for backend in Backend::supported() {
             Backend::force(Some(backend));
+            assert_eq!(Backend::active(), backend);
             digests.push((backend, digest_of(&pieces)));
         }
         Backend::force(None);
+        drop(forcing);
         for (backend, d) in digests {
             prop_assert_eq!(d, base, "backend {:?} diverged", backend);
         }
@@ -276,8 +286,10 @@ proptest! {
         bounds.dedup();
 
         let mut outcomes = Vec::new();
+        let forcing = FORCE.lock().expect("a backend-forcing test panicked");
         for backend in Backend::supported() {
             Backend::force(Some(backend));
+            assert_eq!(Backend::active(), backend);
             // One-shot batched Horner over the whole run.
             let mut batched = Wsc2::new();
             batched.add_bytes(0, &data);
@@ -304,6 +316,7 @@ proptest! {
             outcomes.push((backend, batched, acc.finish()));
         }
         Backend::force(None);
+        drop(forcing);
         for (backend, batched, folded) in outcomes {
             prop_assert_eq!(batched, oracle, "batched vs oracle, backend {:?}", backend);
             prop_assert_eq!(folded, oracle, "stream fold vs oracle, backend {:?}", backend);

@@ -3,11 +3,13 @@
 # Each recipe is a plain cargo command, so `just` itself is optional.
 
 # Full lint gate: formatting, clippy, rustdoc — all warnings denied —
-# plus the release-mode test suite, the parallel-equivalence gate, the
-# zero-allocation hot-path gate, the connection-table scale gate, the
+# plus the release-mode test suite, the whole-workspace test suite (the
+# root package's tier-1 run covers no member crate, e.g. chunks-ledger's
+# smoke test), the parallel-equivalence gate, the zero-allocation
+# hot-path gate, the connection-table scale gate, the
 # BENCH regression gate, the reliability soak, the adversarial overlap
 # sweep, the lineage sweep, and the deterministic-trace replay.
-lint: check test-release test-parallel test-hotpath test-scale bench-check soak soak-overlap lineage trace obs-overhead health
+lint: check test-release test-workspace test-parallel test-hotpath test-scale bench-check soak soak-overlap lineage trace obs-overhead health
 
 # Static gate only: formatting, clippy, rustdoc.
 check: fmt clippy doc
@@ -33,6 +35,10 @@ test:
 test-release:
     cargo test -q --release
 
+# Every workspace member's tests, not only the root package's.
+test-workspace:
+    cargo test -q --workspace
+
 # Reliability soak: the full fault matrix under two seeds, deterministic,
 # release mode, well under 60 s. Rewrites BENCH_soak.json at the repo root.
 soak:
@@ -54,9 +60,9 @@ test-parallel:
 bench-parallel:
     cargo run --release --bin experiments parallel --describe "$(git describe --always --dirty 2>/dev/null || echo unknown)"
 
-# Zero-allocation hot-path gate: a counting global allocator proves the
-# steady-state receive windows (serial and parallel) allocate exactly
-# nothing per chunk, release mode.
+# Zero-allocation hot-path gate: a counting global allocator with
+# per-thread counters proves the steady-state receive windows (serial and
+# parallel) allocate exactly nothing per chunk, release mode.
 test-hotpath:
     cargo test -q --release --test hotpath_allocs
 
@@ -74,12 +80,6 @@ test-scale:
 # eviction accounting, bounded memory and replay determinism.
 scale:
     cargo run --release --bin experiments scale --describe "$(git describe --always --dirty 2>/dev/null || echo unknown)"
-
-# Regenerate the BENCH_hotpath.json receive-path sweep at the repo root:
-# chunks/s, MiB/s and allocs/chunk for the zero-copy, legacy-owned and
-# parallel legs (digest-compared; ≥ 96 MiB/s and 0 allocs/chunk gates).
-bench-hotpath:
-    cargo run --release --bin experiments hotpath --describe "$(git describe --always --dirty 2>/dev/null || echo unknown)"
 
 # Regenerate the BENCH_wsc.json backend × batch-width snapshot at the
 # repo root (sweeps every GF(2^32) backend this CPU supports).

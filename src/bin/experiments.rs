@@ -2,7 +2,7 @@
 //! quantified claims of the paper.
 //!
 //! ```text
-//! experiments [--describe REV] [fig1|...|fig7|table1|b1|...|b8|soak|parallel|hotpath|lineage|scale|obs-overhead|health|trace [SCENARIO] [--json]|bench-check|all]
+//! experiments [--describe REV] [fig1|...|fig7|table1|b1|...|b8|soak|parallel|lineage|scale|obs-overhead|health|trace [SCENARIO] [--json]|bench-check|all]
 //! ```
 //!
 //! With no argument (or `all`) every experiment runs. Output is the content
@@ -21,9 +21,9 @@ use chunks::experiments::{
     overlap, parallel, scale, soak, table1, trace, SEED, SEED2,
 };
 
-// The hotpath sweep reports allocations-per-chunk on the receive path; the
-// counting allocator forwards to `System` and costs one relaxed atomic add
-// per allocation, negligible for every other experiment.
+// `obs-overhead` and `scale` report steady-state allocations on the receive
+// path; the counting allocator forwards to `System` and costs one
+// thread-local bump per allocation, negligible for every other experiment.
 #[global_allocator]
 static ALLOC: hotpath::alloc_count::CountingAlloc = hotpath::alloc_count::CountingAlloc;
 
@@ -113,15 +113,6 @@ fn run_one(job: &Job, describe: &str) -> bool {
                 eprintln!("could not write BENCH_soak.json: {e}");
             }
             deterministic && r1.passes() && r2.passes()
-        }
-        "hotpath" => {
-            let r = hotpath::run(SEED);
-            println!("{r}");
-            if let Err(e) = std::fs::write("BENCH_hotpath.json", hotpath::bench_json(&r, describe))
-            {
-                eprintln!("could not write BENCH_hotpath.json: {e}");
-            }
-            r.passes()
         }
         "parallel" => {
             let r = parallel::run(SEED);
@@ -253,7 +244,6 @@ fn main() {
         "b8",
         "soak",
         "parallel",
-        "hotpath",
         "overlap",
         "lineage",
         "scale",

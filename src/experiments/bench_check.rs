@@ -9,11 +9,10 @@
 //!   committed `meta.describe` and diffs byte for byte. Tolerance is zero:
 //!   any drift means either the code's behaviour changed (commit the
 //!   regenerated file deliberately) or determinism broke (fix it).
-//! * **Structural** (`BENCH_parallel.json`, `BENCH_hotpath.json`,
-//!   `BENCH_scale.json`, `BENCH_wsc.json`, `BENCH_obs.json`) — the
-//!   numbers are host wall-clock, so the gate only validates shape: the
-//!   file parses, opens with a complete `meta` block, and carries a
-//!   non-empty `results` array. (`BENCH_obs.json` additionally has its
+//! * **Structural** (`BENCH_parallel.json`, `BENCH_scale.json`,
+//!   `BENCH_wsc.json`, `BENCH_obs.json`) — the numbers are host
+//!   wall-clock, so the gate only validates shape: the file parses, opens
+//!   with a complete `meta` block, and carries a non-empty `results` array. (`BENCH_obs.json` additionally has its
 //!   committed on-null rows value-gated — ≤ 5% overhead, zero steady
 //!   allocations — by `tests/bench_schema.rs`.)
 //!
@@ -205,7 +204,6 @@ pub fn run() -> BenchCheckResult {
                 overlap::bench_json(&overlap::run(SEED), describe)
             }),
             check_file("BENCH_parallel.json", false, |_| String::new()),
-            check_file("BENCH_hotpath.json", false, |_| String::new()),
             check_file("BENCH_scale.json", false, |_| String::new()),
             check_file("BENCH_wsc.json", false, |_| String::new()),
             check_file("BENCH_obs.json", false, |_| String::new()),

@@ -9,8 +9,8 @@
 //!   (owner-writes, no lock-prefix RMW on the hot path), the flight
 //!   recorder armed, per-chunk trace events declined (`verbose() = false`).
 //!   This is the production configuration the ≤5% gate reads.
-//! * **on-recording** — a [`RecordingSink`]: full per-chunk events, spans
-//!   and the observed decode path (which materialises payload copies).
+//! * **on-recording** — a [`RecordingSink`]: full per-chunk events (decode
+//!   verdicts included) and spans.
 //!   Reported for contrast; this is the debug configuration.
 //!
 //! Three legs per mode: the **serial** zero-copy receiver, the **parallel**
@@ -226,7 +226,6 @@ fn run_demux(
         wall_ns,
         steady_allocs,
         delivered_bytes,
-        digests: Vec::new(),
     }
 }
 
@@ -260,7 +259,7 @@ pub fn run(seed: u64) -> ObsOverheadResult {
             for (mi, mode) in MODES.iter().enumerate() {
                 let (sink, on_null) = mode_sink(mode);
                 let outcome = match *leg {
-                    "serial" => hotpath::run_serial_with(&serial_stream, serial_warm, false, sink),
+                    "serial" => hotpath::run_serial_with(&serial_stream, serial_warm, sink),
                     "parallel" => hotpath::run_parallel_with(&streams, par_warm, sink),
                     "demux" => run_demux(&streams, par_warm, sink),
                     other => unreachable!("unknown leg {other}"),

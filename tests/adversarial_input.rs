@@ -271,14 +271,27 @@ fn decoder_survives_systematic_mangling_of_all_valid_headers() {
 #[test]
 fn packet_unpack_survives_systematic_mangling() {
     use chunks::core::error::CoreError;
-    use chunks::core::packet::unpack;
+    use chunks::core::packet::{spans, unpack, validate};
 
     let frame: Vec<u8> = valid_exemplars().concat();
     for at in 0..frame.len() {
         for bit in 0..8 {
             let mut buf = frame.clone();
             buf[at] ^= 1u8 << bit;
-            let _ = unpack(&Packet { bytes: buf.into() });
+            let p = Packet { bytes: buf.into() };
+            // The production scan and the owned reference agree on the
+            // verdict, the error kind and the chunk count.
+            assert_eq!(
+                validate(&p).map_err(|e| e.kind()),
+                unpack(&p).map(|c| c.len()).map_err(|e| e.kind()),
+                "byte {at} bit {bit}"
+            );
+            // Even unvalidated, the walk yields only spans that decode.
+            for (lo, hi) in spans(&p) {
+                let (_, used) = wire::decode_chunk_at(&p.bytes, lo)
+                    .unwrap_or_else(|e| panic!("byte {at} bit {bit}: span {lo}..{hi}: {e}"));
+                assert_eq!(used, hi - lo, "byte {at} bit {bit}");
+            }
         }
     }
     // Hostile length claim: SIZE = 0xFFFF, LEN = 0xFFFF_FFFF.

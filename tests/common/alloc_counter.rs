@@ -1,93 +1,19 @@
-//! A counting global allocator for the hot-path allocation tests.
-//!
-//! The wrapper delegates every call to the [`System`] allocator and bumps
-//! relaxed atomic counters. A test binary opts in with
+//! [`assert_no_alloc!`] over the workspace's one counting allocator,
+//! `chunks::experiments::hotpath::alloc_count`. A test binary opts in with
 //!
 //! ```ignore
 //! #[global_allocator]
-//! static ALLOC: common::alloc_counter::CountingAllocator = CountingAllocator;
+//! static ALLOC: alloc_count::CountingAlloc = alloc_count::CountingAlloc;
 //! ```
 //!
-//! and then brackets the code under test with [`assert_no_alloc!`] (or takes
-//! manual [`snapshot`]s for allocs-per-chunk arithmetic). Counters are
-//! process-wide, so tests that measure must run single-threaded or accept
-//! other threads' traffic; the hot-path tests use the virtual parallel
-//! engine precisely so the measured window has exactly one thread running.
+//! The allocation counter is per-thread, so a window measures only the
+//! thread that runs it — tests in one binary may run concurrently. The
+//! hot-path tests use the virtual parallel engine so the work they measure
+//! happens on the measuring thread.
 
-#![allow(dead_code)]
-// The workspace denies `unsafe_code`; a `GlobalAlloc` impl is the one place
-// the allocation tests cannot avoid it. The impl only forwards to `System`
-// and bumps atomics — no pointer arithmetic of its own.
-#![allow(unsafe_code)]
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Heap allocations observed since process start (alloc + realloc +
-/// alloc_zeroed).
-pub static ALLOCS: AtomicU64 = AtomicU64::new(0);
-/// Heap frees observed since process start.
-pub static FREES: AtomicU64 = AtomicU64::new(0);
-/// Bytes requested across all allocations.
-pub static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
-
-/// `System`, with every entry point counted.
-pub struct CountingAllocator;
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        // A grow-in-place still counts: the steady state must not even ask.
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        FREES.fetch_add(1, Ordering::Relaxed);
-        System.dealloc(ptr, layout)
-    }
-}
-
-/// A point-in-time reading of the counters.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Snapshot {
-    /// Allocation count at the snapshot.
-    pub allocs: u64,
-    /// Free count at the snapshot.
-    pub frees: u64,
-    /// Allocated bytes at the snapshot.
-    pub bytes: u64,
-}
-
-/// Reads the counters.
-pub fn snapshot() -> Snapshot {
-    Snapshot {
-        allocs: ALLOCS.load(Ordering::Relaxed),
-        frees: FREES.load(Ordering::Relaxed),
-        bytes: ALLOC_BYTES.load(Ordering::Relaxed),
-    }
-}
-
-/// Allocations (and bytes) between two snapshots.
-pub fn delta(before: Snapshot, after: Snapshot) -> (u64, u64) {
-    (after.allocs - before.allocs, after.bytes - before.bytes)
-}
-
-/// Runs a block and asserts it performed **zero** heap allocations,
-/// returning the block's value. The optional trailing arguments format a
-/// context message on failure.
+/// Runs a block and asserts the calling thread performed **zero** heap
+/// allocations inside it, returning the block's value. The optional
+/// trailing arguments format a context message on failure.
 ///
 /// ```ignore
 /// let acked = assert_no_alloc!(rx.ingest_batch(&packets, now, &mut out));
@@ -99,17 +25,15 @@ macro_rules! assert_no_alloc {
         $crate::assert_no_alloc!($body, "steady state must not allocate")
     };
     ($body:expr, $($ctx:tt)+) => {{
-        let before = $crate::common::alloc_counter::snapshot();
+        let before = chunks::experiments::hotpath::alloc_count::allocs();
         let value = $body;
-        let after = $crate::common::alloc_counter::snapshot();
-        let (allocs, bytes) = $crate::common::alloc_counter::delta(before, after);
+        let allocs = chunks::experiments::hotpath::alloc_count::allocs() - before;
         assert_eq!(
             allocs,
             0,
-            "{}: {} heap allocations ({} bytes) inside a no-alloc scope",
+            "{}: {} heap allocations inside a no-alloc scope",
             format_args!($($ctx)+),
-            allocs,
-            bytes
+            allocs
         );
         value
     }};

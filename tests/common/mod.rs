@@ -328,26 +328,12 @@ pub struct SerialReplay {
     pub transcript_digest: [u8; 8],
 }
 
-/// Replays a recorded trace through a fresh serial [`ConnectionDemux`]
-/// using the zero-copy borrow path (the default).
+/// Replays a recorded trace through a fresh serial [`ConnectionDemux`].
 pub fn replay_serial(scenario: &Scenario, trace: &[TraceOp]) -> SerialReplay {
-    replay_serial_inner(scenario, trace, false)
-}
-
-/// Replays a recorded trace through the pre-refactor owned decode path
-/// (`Receiver::set_legacy_owned`) — the oracle leg of the borrow-vs-owned
-/// differential in `tests/parallel_differential.rs`.
-pub fn replay_serial_legacy(scenario: &Scenario, trace: &[TraceOp]) -> SerialReplay {
-    replay_serial_inner(scenario, trace, true)
-}
-
-fn replay_serial_inner(scenario: &Scenario, trace: &[TraceOp], legacy_owned: bool) -> SerialReplay {
     let ids = scenario.conn_ids();
     let mut demux = ConnectionDemux::new();
     for &id in &ids {
-        let mut rx = scenario.receiver(id);
-        rx.set_legacy_owned(legacy_owned);
-        demux.register(id, rx);
+        demux.register(id, scenario.receiver(id));
     }
     let mut per_conn: BTreeMap<u32, Vec<RxEvent>> =
         ids.iter().map(|&id| (id, Vec::new())).collect();

@@ -5,11 +5,13 @@
 //! pool, slab, map and buffer reaches working size (plus an explicit
 //! `reserve` for the load that follows), then the measured phase replays the
 //! rest of the stream under [`assert_no_alloc!`]. The counting allocator
-//! wraps `System` process-wide; the parallel leg runs the *virtual* engine
-//! so exactly one thread executes inside the measured window.
+//! wraps `System` and counts per thread, so the binary's tests may run
+//! concurrently; the parallel leg runs the *virtual* engine so its work
+//! happens on the measuring thread.
 
 mod common;
 
+use chunks::experiments::hotpath::alloc_count::{self, CountingAlloc};
 use chunks::transport::{
     ConnSpec, ConnectionParams, DeliveryMode, Engine, ParallelReceiver, Receiver, Schedule, Sender,
     SenderConfig,
@@ -17,10 +19,9 @@ use chunks::transport::{
 use chunks::wsc::InvariantLayout;
 use chunks_core::packet::Packet;
 use chunks_obs::{AlwaysOnSink, ShardSink};
-use common::alloc_counter::{self, CountingAllocator};
 
 #[global_allocator]
-static ALLOC: CountingAllocator = CountingAllocator;
+static ALLOC: CountingAlloc = CountingAlloc;
 
 const ELEM_SIZE: u16 = 1;
 const TPDU_ELEMENTS: u32 = 64;
@@ -94,15 +95,14 @@ fn serial_receive_steady_state_is_allocation_free() {
     // Steady state: every remaining batch must touch the heap zero times.
     let measured = &packets[warmup..];
     let measured_chunks = chunk_count(measured);
-    let before = alloc_counter::snapshot();
+    let before = alloc_count::allocs();
     for (i, batch) in measured.chunks(BATCH).enumerate() {
         assert_no_alloc!(
             rx.ingest_batch(batch, (warmup + i) as u64, &mut out),
             "serial batch {i}"
         );
     }
-    let after = alloc_counter::snapshot();
-    let (allocs, _) = alloc_counter::delta(before, after);
+    let allocs = alloc_count::allocs() - before;
     assert_eq!(allocs, 0, "allocs/chunk must be 0/{measured_chunks}");
     assert!(measured_chunks > 100, "measured window too small to matter");
 
@@ -141,15 +141,14 @@ fn serial_receive_with_always_on_obs_is_allocation_free() {
 
     let measured = &packets[warmup..];
     let measured_chunks = chunk_count(measured);
-    let before = alloc_counter::snapshot();
+    let before = alloc_count::allocs();
     for (i, batch) in measured.chunks(BATCH).enumerate() {
         assert_no_alloc!(
             rx.ingest_batch(batch, (warmup + i) as u64, &mut out),
             "serial obs-on batch {i}"
         );
     }
-    let after = alloc_counter::snapshot();
-    let (allocs, _) = alloc_counter::delta(before, after);
+    let allocs = alloc_count::allocs() - before;
     assert_eq!(allocs, 0, "obs-on allocs/chunk must be 0/{measured_chunks}");
 
     // The telemetry was really on: the shard block saw the hot path.
@@ -205,7 +204,7 @@ fn parallel_receive_steady_state_is_allocation_free() {
 
     let measured = &packets[warmup..];
     let measured_chunks = chunk_count(measured);
-    let before = alloc_counter::snapshot();
+    let before = alloc_count::allocs();
     for (i, batch) in measured.chunks(BATCH).enumerate() {
         assert_no_alloc!(
             {
@@ -215,8 +214,7 @@ fn parallel_receive_steady_state_is_allocation_free() {
             "parallel batch {i}"
         );
     }
-    let after = alloc_counter::snapshot();
-    let (allocs, _) = alloc_counter::delta(before, after);
+    let allocs = alloc_count::allocs() - before;
     assert_eq!(allocs, 0, "allocs/chunk must be 0/{measured_chunks}");
     assert!(measured_chunks > 100, "measured window too small to matter");
 
@@ -268,7 +266,7 @@ fn parallel_receive_with_always_on_obs_is_allocation_free() {
 
     let measured = &packets[warmup..];
     let measured_chunks = chunk_count(measured);
-    let before = alloc_counter::snapshot();
+    let before = alloc_count::allocs();
     for (i, batch) in measured.chunks(BATCH).enumerate() {
         assert_no_alloc!(
             {
@@ -278,8 +276,7 @@ fn parallel_receive_with_always_on_obs_is_allocation_free() {
             "parallel obs-on batch {i}"
         );
     }
-    let after = alloc_counter::snapshot();
-    let (allocs, _) = alloc_counter::delta(before, after);
+    let allocs = alloc_count::allocs() - before;
     assert_eq!(allocs, 0, "obs-on allocs/chunk must be 0/{measured_chunks}");
 
     let out = pr.finish();

@@ -16,7 +16,7 @@
 mod common;
 
 use chunks::transport::{Engine, Schedule};
-use common::{replay_parallel, replay_serial, replay_serial_legacy, scenario_count, scenarios};
+use common::{replay_parallel, replay_serial, scenario_count, scenarios};
 
 #[test]
 fn parallel_pipeline_equals_serial_path() {
@@ -69,103 +69,6 @@ fn parallel_pipeline_equals_serial_path() {
         failed_total > 0,
         "no scenario rejected a TPDU — corruption profiles not biting"
     );
-}
-
-#[test]
-fn zero_copy_path_equals_legacy_owned_oracle() {
-    // The borrow-vs-owned differential: every seeded scenario goes through
-    // the pre-refactor owned decode path (`set_legacy_owned`, the oracle)
-    // and the zero-copy borrow path. Deliveries must be byte-identical and
-    // every observable — digests, verdicts, stats, acks, event streams —
-    // must match exactly.
-    let all = scenarios(scenario_count());
-    for scenario in &all {
-        let trace = scenario.generate_trace();
-        let owned = replay_serial_legacy(scenario, &trace);
-        let borrowed = replay_serial(scenario, &trace);
-        assert_eq!(
-            borrowed,
-            owned,
-            "{}: zero-copy path diverged from the owned oracle",
-            scenario.label()
-        );
-    }
-}
-
-#[test]
-fn session_reliability_identical_across_decode_paths() {
-    // Full closed-loop sessions (timers, acks, repair) with the inbound
-    // receiver on each decode path: delivered bytes and the complete
-    // `ReliabilityStats` snapshot must be identical.
-    use chunks::transport::{
-        ConnectionParams, DeliveryMode, ReliabilityStats, SenderConfig, Session,
-    };
-    use chunks::wsc::InvariantLayout;
-
-    let endpoint = |local: u32, remote: u32, legacy: bool| {
-        let params = |conn_id: u32| ConnectionParams {
-            conn_id,
-            elem_size: 1,
-            initial_csn: 0,
-            tpdu_elements: 32,
-        };
-        let layout = InvariantLayout::with_data_symbols(2048);
-        let mut s = Session::new(
-            SenderConfig {
-                params: params(local),
-                layout,
-                mtu: 256,
-                min_tpdu_elements: 4,
-                max_tpdu_elements: 256,
-            },
-            params(remote),
-            layout,
-            DeliveryMode::Immediate,
-            1 << 12,
-        );
-        s.set_legacy_owned(legacy);
-        s
-    };
-
-    let converse = |legacy: bool| -> (Vec<u8>, Vec<u8>, ReliabilityStats, ReliabilityStats) {
-        let mut a = endpoint(1, 2, legacy);
-        let mut b = endpoint(2, 1, legacy);
-        let msg_a: Vec<u8> = (0..700).map(|i| i as u8).collect();
-        let msg_b: Vec<u8> = (0..500).map(|i| (i * 7) as u8).collect();
-        a.send(&msg_a, 0xA, false);
-        b.send(&msg_b, 0xB, false);
-        // Deterministic ~20% loss, identical for both runs.
-        let mut state = 0x5EEDu64;
-        let mut lose = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            (state >> 33).is_multiple_of(5)
-        };
-        for round in 0..64u64 {
-            let now = round * 1_000_000;
-            let a_out = a.pump(now).unwrap();
-            let survivors: Vec<_> = a_out.into_iter().filter(|_| !lose()).collect();
-            b.handle_packets(&survivors, now);
-            let b_out = b.pump(now).unwrap();
-            let survivors: Vec<_> = b_out.into_iter().filter(|_| !lose()).collect();
-            a.handle_packets(&survivors, now);
-            if a.outbound_done() && b.outbound_done() {
-                break;
-            }
-        }
-        (
-            a.received().to_vec(),
-            b.received().to_vec(),
-            a.reliability(),
-            b.reliability(),
-        )
-    };
-
-    let (a_owned, b_owned, ra_owned, rb_owned) = converse(true);
-    let (a_zc, b_zc, ra_zc, rb_zc) = converse(false);
-    assert_eq!(a_zc, a_owned, "A-side deliveries diverged");
-    assert_eq!(b_zc, b_owned, "B-side deliveries diverged");
-    assert_eq!(ra_zc, ra_owned, "A-side ReliabilityStats diverged");
-    assert_eq!(rb_zc, rb_owned, "B-side ReliabilityStats diverged");
 }
 
 #[test]
