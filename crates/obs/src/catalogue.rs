@@ -85,12 +85,12 @@ pub const CATALOGUE: &[Spec] = &[
     counter(
         "obs.flight.dumps",
         "dumps",
-        "AlwaysOnSink captured a flight-recorder postmortem (first trigger only)",
+        "Recorder captured a flight-recorder postmortem (first trigger only, either tier)",
     ),
     counter(
         "obs.flight.triggers",
         "triggers",
-        "a degradation trigger fired against an always-on or recording sink",
+        "a degradation trigger fired against a recorder (either tier)",
     ),
     counter(
         "obs.span.links",
@@ -100,7 +100,7 @@ pub const CATALOGUE: &[Spec] = &[
     counter(
         "obs.span.opened",
         "spans",
-        "a lifecycle span was opened against the recording sink",
+        "a lifecycle span was opened against a verbose-tier recorder",
     ),
     counter(
         "obs.span.orphan_closes",

@@ -1,80 +1,18 @@
-//! The flight recorder: a fixed-size, allocation-free ring of recent
-//! labelled events, always armed, that yields a byte-stable JSON-lines
-//! postmortem when a degradation trigger fires.
+//! The flight recorder's postmortem: when a degradation trigger first
+//! fires, the recorder captures its event ring into a byte-stable
+//! JSON-lines [`FlightDump`].
 //!
-//! The ring reuses the [`crate::trace::TimedEvent`] vocabulary — the same
+//! The dump is a copy of the one [`TraceRing`] — the same
 //! `(C.ID, T.SN, X.SN)` labels, the same per-line `{"t": N, "ev": ...}`
 //! JSON shape — so a postmortem dump and an `experiments trace --json`
-//! export read identically. Storage is reserved once at construction;
-//! steady-state pushes overwrite the oldest slot and never touch the heap.
+//! export read identically.
 
-use crate::event::Event;
-use crate::trace::TimedEvent;
+use crate::trace::{TimedEvent, TraceRing};
 
-/// Default flight-ring capacity: enough recent context to diagnose a
-/// degradation without unbounded memory.
+/// Ring capacity of the always-on tier: enough recent context to diagnose a
+/// degradation without unbounded memory, and small enough that the ring's
+/// storage is reserved once at construction (see [`TraceRing`]).
 pub const DEFAULT_FLIGHT_CAPACITY: usize = 1024;
-
-/// Fixed-capacity overwrite-oldest event ring. All storage is reserved at
-/// construction; `push` never allocates.
-#[derive(Debug)]
-pub struct FlightRing {
-    buf: Vec<TimedEvent>,
-    cap: usize,
-    /// Index of the oldest element once the ring has wrapped.
-    head: usize,
-    /// Events overwritten since construction.
-    overwritten: u64,
-}
-
-impl FlightRing {
-    /// Creates a ring holding at most `capacity` events (min 1).
-    pub fn new(capacity: usize) -> Self {
-        let cap = capacity.max(1);
-        FlightRing {
-            buf: Vec::with_capacity(cap),
-            cap,
-            head: 0,
-            overwritten: 0,
-        }
-    }
-
-    /// Records one event, overwriting the oldest when full. Allocation-free
-    /// after construction.
-    pub fn push(&mut self, at_ns: u64, event: Event) {
-        let te = TimedEvent { at_ns, event };
-        if self.buf.len() < self.cap {
-            self.buf.push(te);
-        } else {
-            self.buf[self.head] = te;
-            self.head = (self.head + 1) % self.cap;
-            self.overwritten += 1;
-        }
-    }
-
-    /// Events currently held.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True when nothing has been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Events overwritten (lost) since construction.
-    pub fn overwritten(&self) -> u64 {
-        self.overwritten
-    }
-
-    /// The held events, oldest first.
-    pub fn events(&self) -> Vec<TimedEvent> {
-        let mut out = Vec::with_capacity(self.buf.len());
-        out.extend_from_slice(&self.buf[self.head..]);
-        out.extend_from_slice(&self.buf[..self.head]);
-        out
-    }
-}
 
 /// A captured postmortem: the trigger that fired and the ring contents at
 /// that moment. Plain data — comparable, cloneable, byte-stable to export.
@@ -86,7 +24,7 @@ pub struct FlightDump {
     pub conn_id: u32,
     /// Virtual-clock time of the trigger.
     pub at_ns: u64,
-    /// Events the ring had overwritten before the capture (context lost).
+    /// Events the ring had dropped before the capture (context lost).
     pub overwritten: u64,
     /// The ring contents at capture time, oldest first.
     pub events: Vec<TimedEvent>,
@@ -94,12 +32,12 @@ pub struct FlightDump {
 
 impl FlightDump {
     /// Captures a dump from `ring` at trigger time.
-    pub fn capture(trigger: &'static str, conn_id: u32, at_ns: u64, ring: &FlightRing) -> Self {
+    pub fn capture(trigger: &'static str, conn_id: u32, at_ns: u64, ring: &TraceRing) -> Self {
         FlightDump {
             trigger,
             conn_id,
             at_ns,
-            overwritten: ring.overwritten(),
+            overwritten: ring.dropped(),
             events: ring.events(),
         }
     }
@@ -121,9 +59,7 @@ impl FlightDump {
             self.overwritten,
         );
         for te in &self.events {
-            let _ = write!(out, "{{\"t\": {}, ", te.at_ns);
-            te.event.json_fields(&mut out);
-            out.push_str("}\n");
+            te.json_line(&mut out);
         }
         out
     }
@@ -132,42 +68,11 @@ impl FlightDump {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::Labels;
-
-    fn ev(x: u32) -> Event {
-        Event::GroupDelivered {
-            conn_id: 1,
-            start: x,
-            bytes: 64,
-        }
-    }
-
-    #[test]
-    fn ring_overwrites_oldest_and_reports_in_order() {
-        let mut r = FlightRing::new(3);
-        for i in 0..5u32 {
-            r.push(i as u64 * 10, ev(i));
-        }
-        assert_eq!(r.len(), 3);
-        assert_eq!(r.overwritten(), 2);
-        let times: Vec<u64> = r.events().iter().map(|t| t.at_ns).collect();
-        assert_eq!(times, vec![20, 30, 40]);
-    }
-
-    #[test]
-    fn ring_push_is_allocation_free_once_full() {
-        // Indirect check: capacity never grows past the constructor reserve.
-        let mut r = FlightRing::new(4);
-        let cap = r.buf.capacity();
-        for i in 0..64u32 {
-            r.push(i as u64, ev(i));
-        }
-        assert_eq!(r.buf.capacity(), cap);
-    }
+    use crate::event::{Event, Labels};
 
     #[test]
     fn dump_shares_the_trace_line_shape() {
-        let mut r = FlightRing::new(8);
+        let mut r = TraceRing::new(8);
         r.push(
             7,
             Event::ChunkRejected {

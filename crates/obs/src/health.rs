@@ -263,7 +263,7 @@ impl Watchdog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sink::RecordingSink;
+    use crate::sink::Recorder;
 
     fn report(at_ns: u64) -> HealthReport {
         HealthReport {
@@ -281,7 +281,7 @@ mod tests {
         });
         assert!(w.due(0));
         let mut w = w;
-        let sink = RecordingSink::shared();
+        let sink = Recorder::shared();
         w.tick(&report(0), &*sink);
         assert!(!w.due(50));
         assert!(w.due(100));
@@ -294,7 +294,7 @@ mod tests {
             livelock_fires: 3,
             ..WatchdogConfig::default()
         });
-        let sink = RecordingSink::shared();
+        let sink = Recorder::shared();
         w.tick(&report(0), &*sink);
         // Fires with deliveries: healthy retransmission, no event.
         let mut r = report(10);
@@ -324,7 +324,7 @@ mod tests {
             storm_evictions: 4,
             ..WatchdogConfig::default()
         });
-        let sink = RecordingSink::shared();
+        let sink = Recorder::shared();
         w.tick(&report(0), &*sink);
         let mut r = report(10);
         r.evictions = 6;
@@ -346,7 +346,7 @@ mod tests {
             stuck_reports: 2,
             ..WatchdogConfig::default()
         });
-        let sink = RecordingSink::shared();
+        let sink = Recorder::shared();
         let mut pressured = report(0);
         pressured.under_pressure = true;
         assert!(w.tick(&pressured, &*sink).is_empty());

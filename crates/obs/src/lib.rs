@@ -20,12 +20,20 @@
 //!   `docs/OBSERVABILITY.md` documents exactly that list and a test keeps
 //!   the two in sync.
 //!
+//! One mechanism per job: one recording sink ([`Recorder`]) over one event
+//! ring ([`TraceRing`]). Its always-on tier ([`Recorder::shared`]) is the
+//! allocation-free production sink; its verbose tier
+//! ([`Recorder::verbose_tier`]) adds per-chunk events and lifecycle spans
+//! for tests and debugging and carries no cost bound.
+//!
 //! # Example
 //!
 //! ```
-//! use chunks_obs::{Event, Labels, ObsSink, RecordingSink};
+//! use chunks_obs::{Event, Labels, ObsSink, Recorder};
 //!
-//! let sink = RecordingSink::shared();
+//! // The always-on tier; `Recorder::verbose_tier(cap)` adds per-chunk
+//! // events and lifecycle spans for tests and debugging.
+//! let sink = Recorder::shared();
 //! // A layer records against the trait object...
 //! sink.counter("transport.rx.chunks_accepted", 1);
 //! sink.observe("vreasm.tracker.fragments", 3);
@@ -54,12 +62,10 @@ pub mod trace;
 
 pub use catalogue::{Kind, Spec, CATALOGUE};
 pub use event::{Event, Labels};
-pub use flight::{FlightDump, FlightRing, DEFAULT_FLIGHT_CAPACITY};
+pub use flight::{FlightDump, DEFAULT_FLIGHT_CAPACITY};
 pub use health::{HealthEvent, HealthReport, Watchdog, WatchdogConfig};
 pub use lineage::{ChunkLineage, Lineage, StageEntry};
-pub use metrics::{
-    AtomicMetrics, HistogramSnapshot, HotCounter, LocalMetrics, Metrics, ShardMetrics, Snapshot,
-};
-pub use sink::{null, AlwaysOnSink, NullSink, ObsSink, RecordingSink, ShardSink};
+pub use metrics::{AtomicMetrics, HistogramSnapshot, HotCounter, Metrics, ShardMetrics, Snapshot};
+pub use sink::{null, AlwaysOnSink, NullSink, ObsSink, Recorder, ShardSink};
 pub use span::{SpanId, SpanLink, SpanRecord, SpanStore, Stage};
 pub use trace::{TimedEvent, TraceRing, DEFAULT_TRACE_CAPACITY};

@@ -1,19 +1,18 @@
 //! The metrics registry: counters and fixed-bucket histograms over a flat
-//! cell array, with an atomic backend for cross-thread recording and a
-//! `Cell`-based backend for single-threaded use.
+//! cell array, with an atomic backend for the shared root (any thread may
+//! write) and an owner-writes backend for single-owner shard blocks.
 //!
 //! Layout is fixed at construction from the [`crate::catalogue::CATALOGUE`]:
 //! a counter owns one cell; a histogram owns [`BUCKETS`] bucket cells plus a
-//! count cell and a sum cell. All updates are relaxed atomic adds (or plain
-//! adds on the local backend) — there is no locking, no allocation after
-//! construction, and no clock access, so a registry driven by a
+//! count cell and a sum cell. All updates are relaxed atomic adds (or a plain
+//! load + store on the shard backend) — there is no locking, no allocation
+//! after construction, and no clock access, so a registry driven by a
 //! deterministic workload snapshots identically on every run.
 
-use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::catalogue::{self, Kind, Spec, CATALOGUE};
+use crate::catalogue::{self, Kind, CATALOGUE};
 
 /// Bucket count of every histogram: value `v` falls into bucket
 /// `min(63 - leading_zeros(max(v, 1)), BUCKETS - 1)`, i.e. power-of-two
@@ -28,19 +27,6 @@ pub trait Cells {
     fn add(&self, slot: usize, delta: u64);
     /// Reads cell `slot`.
     fn get(&self, slot: usize) -> u64;
-    /// Reads cell `slot` and resets it to zero (the drain primitive).
-    fn take(&self, slot: usize) -> u64;
-    /// Visits every nonzero cell in `0..len`, zeroing as it goes. The
-    /// default walks each cell; backends that track occupancy override it
-    /// to skip untouched cells wholesale (the barrier-drain fast path).
-    fn drain_each(&self, len: usize, f: &mut dyn FnMut(usize, u64)) {
-        for slot in 0..len {
-            let v = self.take(slot);
-            if v != 0 {
-                f(slot, v);
-            }
-        }
-    }
 }
 
 /// Lock-free backend: relaxed atomic adds, shareable across threads.
@@ -59,40 +45,13 @@ impl Cells for AtomicCells {
     fn get(&self, slot: usize) -> u64 {
         self.0[slot].load(Ordering::Relaxed)
     }
-
-    fn take(&self, slot: usize) -> u64 {
-        self.0[slot].swap(0, Ordering::Relaxed)
-    }
-}
-
-/// Single-threaded backend: plain `Cell` adds, `!Sync` by construction.
-#[derive(Debug)]
-pub struct LocalCells(Box<[Cell<u64>]>);
-
-impl Cells for LocalCells {
-    fn alloc(len: usize) -> Self {
-        LocalCells((0..len).map(|_| Cell::new(0)).collect())
-    }
-
-    fn add(&self, slot: usize, delta: u64) {
-        let c = &self.0[slot];
-        c.set(c.get().wrapping_add(delta));
-    }
-
-    fn get(&self, slot: usize) -> u64 {
-        self.0[slot].get()
-    }
-
-    fn take(&self, slot: usize) -> u64 {
-        self.0[slot].replace(0)
-    }
 }
 
 /// Sharded hot-path backend: `AtomicU64` storage for `Sync`/`Send`, but
 /// **owner-writes** updates — `add` is a plain load + store (no lock-prefix
 /// read-modify-write), so a single writer pays scalar-add cost while any
 /// thread may read. Exactly one thread may call `add` at a time (the shard's
-/// owner); `take`/`drain_each` are only safe at barriers where the owner is
+/// owner); `drain_each` is only safe at barriers where the owner is
 /// quiescent, which is when [`crate::ObsSink::flush`] runs.
 ///
 /// Alongside the cells the shard keeps a dirty-word bitmap (one bit per
@@ -130,20 +89,13 @@ impl Cells for ShardCells {
     fn get(&self, slot: usize) -> u64 {
         self.cells[slot].load(Ordering::Relaxed)
     }
+}
 
-    fn take(&self, slot: usize) -> u64 {
-        let v = self.cells[slot].load(Ordering::Relaxed);
-        // Almost every cell is zero almost every time — skipping the store
-        // keeps a cold take at one load. The dirty bit stays set until the
-        // next drain_each, which clears whole words; a stale bit costs that
-        // drain one extra cell load, never correctness.
-        if v != 0 {
-            self.cells[slot].store(0, Ordering::Relaxed);
-        }
-        v
-    }
-
-    fn drain_each(&self, len: usize, f: &mut dyn FnMut(usize, u64)) {
+impl ShardCells {
+    /// Visits every nonzero cell, zeroing as it goes; the dirty bitmap
+    /// skips untouched cells wholesale (the barrier-drain fast path). A
+    /// dirty bit is only ever set by `add` on a valid slot.
+    fn drain_each(&self, mut f: impl FnMut(usize, u64)) {
         for (wi, word) in self.dirty.iter().enumerate() {
             let mut bits = word.load(Ordering::Relaxed);
             if bits == 0 {
@@ -153,9 +105,6 @@ impl Cells for ShardCells {
             while bits != 0 {
                 let slot = (wi << 6) + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                if slot >= len {
-                    break;
-                }
                 let v = self.cells[slot].swap(0, Ordering::Relaxed);
                 if v != 0 {
                     f(slot, v);
@@ -168,19 +117,15 @@ impl Cells for ShardCells {
 /// A registry of every catalogued metric over backend `C`.
 #[derive(Debug)]
 pub struct Metrics<C: Cells> {
-    specs: &'static [Spec],
-    /// Cell offset of each spec, parallel to `specs`.
+    /// Cell offset of each spec, parallel to [`CATALOGUE`].
     base: Vec<usize>,
     /// Total number of cells (the layout length), fixed at construction.
     total_cells: usize,
     cells: C,
 }
 
-/// The cross-thread registry used by the recording sink.
+/// The cross-thread registry: the recorder's shared root.
 pub type AtomicMetrics = Metrics<AtomicCells>;
-
-/// The single-threaded registry.
-pub type LocalMetrics = Metrics<LocalCells>;
 
 /// A per-worker/per-receiver counter block: owner-writes cells over the
 /// full catalogue, drained into a root registry at pipeline barriers.
@@ -194,14 +139,9 @@ fn bucket_of(value: u64) -> usize {
 impl<C: Cells> Metrics<C> {
     /// Creates a registry over the full [`CATALOGUE`].
     pub fn new() -> Self {
-        Self::with_specs(CATALOGUE)
-    }
-
-    /// Creates a registry over an explicit (sorted) spec list.
-    pub fn with_specs(specs: &'static [Spec]) -> Self {
-        let mut base = Vec::with_capacity(specs.len());
+        let mut base = Vec::with_capacity(CATALOGUE.len());
         let mut at = 0;
-        for s in specs {
+        for s in CATALOGUE {
             base.push(at);
             at += match s.kind {
                 Kind::Counter => 1,
@@ -209,34 +149,15 @@ impl<C: Cells> Metrics<C> {
             };
         }
         Metrics {
-            specs,
             base,
             total_cells: at,
             cells: C::alloc(at),
         }
     }
 
-    /// Moves every cell of this registry into `dst` (same spec list
-    /// required), zeroing this one. Allocation-free. Only safe when no other
-    /// thread is concurrently writing this registry — the caller provides
-    /// the barrier (the sharded backend's `add` is not atomic against a
-    /// concurrent `take`).
-    pub fn drain_into<D: Cells>(&self, dst: &Metrics<D>) {
-        assert!(
-            std::ptr::eq(self.specs, dst.specs),
-            "drain_into requires registries over the same spec list"
-        );
-        self.cells
-            .drain_each(self.total_cells, &mut |slot, v| dst.cells.add(slot, v));
-    }
-
     /// Adds every cell of this registry into `dst` without zeroing (the
     /// live-read fold used by snapshots).
     pub fn fold_into<D: Cells>(&self, dst: &Metrics<D>) {
-        assert!(
-            std::ptr::eq(self.specs, dst.specs),
-            "fold_into requires registries over the same spec list"
-        );
         for slot in 0..self.total_cells {
             let v = self.cells.get(slot);
             if v != 0 {
@@ -245,18 +166,10 @@ impl<C: Cells> Metrics<C> {
         }
     }
 
-    fn slot(&self, name: &str) -> Option<usize> {
-        if std::ptr::eq(self.specs, CATALOGUE) {
-            catalogue::lookup(name)
-        } else {
-            self.specs.binary_search_by(|s| s.name.cmp(name)).ok()
-        }
-    }
-
     /// The cell index of counter `name`, for pre-resolved hot handles.
     pub(crate) fn counter_base(&self, name: &str) -> Option<usize> {
-        let i = self.slot(name)?;
-        (self.specs[i].kind == Kind::Counter).then(|| self.base[i])
+        let i = catalogue::lookup(name)?;
+        (CATALOGUE[i].kind == Kind::Counter).then(|| self.base[i])
     }
 
     /// Adds `delta` straight to an already-resolved cell (see
@@ -269,8 +182,8 @@ impl<C: Cells> Metrics<C> {
     /// catalogue is the contract; a typo shows up in the doc-sync test, not
     /// as a panic on the hot path).
     pub fn add(&self, name: &str, delta: u64) {
-        if let Some(i) = self.slot(name) {
-            if self.specs[i].kind == Kind::Counter {
+        if let Some(i) = catalogue::lookup(name) {
+            if CATALOGUE[i].kind == Kind::Counter {
                 self.cells.add(self.base[i], delta);
             }
         }
@@ -278,8 +191,8 @@ impl<C: Cells> Metrics<C> {
 
     /// Records `value` into the histogram `name`. Unknown names are ignored.
     pub fn observe(&self, name: &str, value: u64) {
-        if let Some(i) = self.slot(name) {
-            if self.specs[i].kind == Kind::Histogram {
+        if let Some(i) = catalogue::lookup(name) {
+            if CATALOGUE[i].kind == Kind::Histogram {
                 let b = self.base[i];
                 self.cells.add(b + bucket_of(value), 1);
                 self.cells.add(b + BUCKETS, 1); // count
@@ -288,20 +201,12 @@ impl<C: Cells> Metrics<C> {
         }
     }
 
-    /// Reads a counter's current value (0 for unknown or histogram names).
-    pub fn counter(&self, name: &str) -> u64 {
-        match self.slot(name) {
-            Some(i) if self.specs[i].kind == Kind::Counter => self.cells.get(self.base[i]),
-            _ => 0,
-        }
-    }
-
     /// Snapshots every metric. The snapshot is plain data: comparable,
     /// renderable, and detached from the live cells.
     pub fn snapshot(&self) -> Snapshot {
         let mut counters = Vec::new();
         let mut histograms = Vec::new();
-        for (i, s) in self.specs.iter().enumerate() {
+        for (i, s) in CATALOGUE.iter().enumerate() {
             let b = self.base[i];
             match s.kind {
                 Kind::Counter => counters.push((s.name.to_string(), self.cells.get(b))),
@@ -320,6 +225,16 @@ impl<C: Cells> Metrics<C> {
             counters,
             histograms,
         }
+    }
+}
+
+impl ShardMetrics {
+    /// Moves every cell of this shard block into `dst`, zeroing this one.
+    /// Allocation-free. Only safe when the shard's owner is not
+    /// concurrently writing — the caller provides the barrier (the
+    /// owner-writes `add` is not atomic against a concurrent drain).
+    pub fn drain_into<D: Cells>(&self, dst: &Metrics<D>) {
+        self.cells.drain_each(|slot, v| dst.cells.add(slot, v));
     }
 }
 
@@ -477,29 +392,17 @@ impl Snapshot {
 /// call — identical semantics either way.
 #[derive(Debug, Clone)]
 pub struct HotCounter {
-    name: &'static str,
-    cell: Option<(Arc<ShardMetrics>, usize)>,
+    pub(crate) name: &'static str,
+    /// The owner's shard block and the bound cell in it, once resolved.
+    pub(crate) cell: Option<(Arc<ShardMetrics>, usize)>,
 }
 
 impl HotCounter {
     /// A handle that resolves nothing and always falls back to the
-    /// name-based sink call. What [`crate::ObsSink::hot_counter`]'s default
-    /// returns, and the right initial value before a sink is installed.
+    /// name-based sink call: what [`crate::ObsSink::hot_counter`]'s default
+    /// returns.
     pub fn unresolved(name: &'static str) -> Self {
         HotCounter { name, cell: None }
-    }
-
-    /// A handle bound to `cell` of `block` (the resolver's side).
-    pub(crate) fn resolved(name: &'static str, block: Arc<ShardMetrics>, cell: usize) -> Self {
-        HotCounter {
-            name,
-            cell: Some((block, cell)),
-        }
-    }
-
-    /// The catalogued name this handle stands for.
-    pub fn name(&self) -> &'static str {
-        self.name
     }
 
     /// True when `add` hits a pre-resolved shard cell rather than the
@@ -537,7 +440,7 @@ mod tests {
 
     #[test]
     fn quantiles_report_bucket_upper_bounds() {
-        let m = LocalMetrics::new();
+        let m = AtomicMetrics::new();
         // 100 observations: 50 land in bucket 6 ([64,128)), 40 in bucket 9
         // ([512,1024)), 10 in bucket 13 ([8192,16384)).
         for _ in 0..50 {
@@ -573,7 +476,7 @@ mod tests {
         assert_eq!(empty.p99(), 0);
 
         // A single observation answers every quantile.
-        let m = LocalMetrics::new();
+        let m = AtomicMetrics::new();
         m.observe("span.delay.verify_ns", 5);
         let s = m.snapshot();
         let h = s.histogram("span.delay.verify_ns").unwrap();
@@ -581,7 +484,7 @@ mod tests {
 
         // Bucket-boundary values: 1 is bucket 0 (bound 1), 2 is bucket 1
         // (bound 3).
-        let m = LocalMetrics::new();
+        let m = AtomicMetrics::new();
         m.observe("span.delay.holding_ns", 1);
         m.observe("span.delay.holding_ns", 2);
         let s = m.snapshot();
@@ -590,30 +493,10 @@ mod tests {
         assert_eq!(h.p99(), 3);
 
         // The tail bucket is unbounded.
-        let m = LocalMetrics::new();
+        let m = AtomicMetrics::new();
         m.observe("span.delay.repair_ns", u64::MAX);
         let s = m.snapshot();
         assert_eq!(s.histogram("span.delay.repair_ns").unwrap().p50(), u64::MAX);
-    }
-
-    #[test]
-    fn atomic_and_local_backends_agree() {
-        let a = AtomicMetrics::new();
-        let l = LocalMetrics::new();
-        for (name, v) in [
-            ("transport.rx.chunks_accepted", 3),
-            ("transport.rx.data_touches", 4096),
-            ("wsc.verify_pass", 1),
-        ] {
-            a.add(name, v);
-            l.add(name, v);
-        }
-        for (name, v) in [("vreasm.tracker.fragments", 5), ("wsc.runs_per_tpdu", 130)] {
-            a.observe(name, v);
-            l.observe(name, v);
-        }
-        assert_eq!(a.snapshot(), l.snapshot());
-        assert_eq!(a.counter("transport.rx.chunks_accepted"), 3);
     }
 
     #[test]
@@ -627,15 +510,16 @@ mod tests {
         // fold_into reads without zeroing.
         let fold = AtomicMetrics::new();
         shard.fold_into(&fold);
-        assert_eq!(fold.counter("transport.rx.chunks_accepted"), 5);
-        assert_eq!(shard.counter("transport.rx.chunks_accepted"), 5);
+        let accepted = |s: Snapshot| s.counter("transport.rx.chunks_accepted");
+        assert_eq!(accepted(fold.snapshot()), 5);
+        assert_eq!(accepted(shard.snapshot()), 5);
 
         // drain_into moves and zeroes; a second drain is a no-op.
         shard.drain_into(&root);
-        assert_eq!(root.counter("transport.rx.chunks_accepted"), 5);
-        assert_eq!(shard.counter("transport.rx.chunks_accepted"), 0);
+        assert_eq!(accepted(root.snapshot()), 5);
+        assert_eq!(accepted(shard.snapshot()), 0);
         shard.drain_into(&root);
-        assert_eq!(root.counter("transport.rx.chunks_accepted"), 5);
+        assert_eq!(accepted(root.snapshot()), 5);
         let h = root.snapshot();
         let h = h.histogram("wsc.runs_per_tpdu").unwrap();
         assert_eq!((h.count, h.sum), (2, 264));
@@ -651,7 +535,7 @@ mod tests {
 
     #[test]
     fn unknown_and_miskinded_names_are_ignored() {
-        let m = LocalMetrics::new();
+        let m = AtomicMetrics::new();
         m.add("no.such.metric", 7);
         m.add("wsc.runs_per_tpdu", 7); // histogram via counter API
         m.observe("wsc.verify_pass", 7); // counter via histogram API
@@ -662,7 +546,7 @@ mod tests {
 
     #[test]
     fn snapshot_json_and_text_render_nonzero_only() {
-        let m = LocalMetrics::new();
+        let m = AtomicMetrics::new();
         m.add("core.wire.chunks_decoded", 2);
         m.observe("transport.rx.buffered_bytes", 100);
         m.observe("transport.rx.buffered_bytes", 300);

@@ -1,22 +1,23 @@
 //! The `ObsSink` trait the instrumented layers talk to, its no-op default,
-//! and the recording implementation.
+//! the one recording implementation and the per-owner shard facade.
 //!
 //! Layers hold an `Arc<dyn ObsSink>` and cache `enabled()` once at
 //! construction, so the disabled hot path is a single branch on a local
 //! bool — no virtual call, no atomic, no allocation. The [`NullSink`]
 //! default keeps every existing byte-identical differential test green; a
-//! [`RecordingSink`] swaps in a full [`AtomicMetrics`] registry plus a
-//! mutex-guarded [`TraceRing`] without the instrumented code changing.
+//! [`Recorder`] swaps in an [`AtomicMetrics`] root, owner-writes shard
+//! blocks and a mutex-guarded [`TraceRing`] without the instrumented code
+//! changing.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::event::{Event, Labels};
-use crate::flight::{FlightDump, FlightRing, DEFAULT_FLIGHT_CAPACITY};
+use crate::flight::{FlightDump, DEFAULT_FLIGHT_CAPACITY};
 use crate::lineage::Lineage;
 use crate::metrics::{AtomicMetrics, HotCounter, ShardMetrics, Snapshot};
 use crate::span::{SpanId, SpanLink, SpanRecord, SpanStore};
-use crate::trace::{TimedEvent, TraceRing, DEFAULT_TRACE_CAPACITY};
+use crate::trace::{TimedEvent, TraceRing};
 
 /// Where instrumented layers send counters, histogram observations and
 /// trace events. All methods take `&self`; implementations must be
@@ -65,9 +66,9 @@ pub trait ObsSink: Send + Sync + std::fmt::Debug {
 
     /// True when the sink wants the *expensive* instrumentation too:
     /// per-chunk decode events, per-chunk dispatch events and per-chunk
-    /// lifecycle spans. A debugging
-    /// [`RecordingSink`] says yes; the production [`AlwaysOnSink`] says no,
-    /// keeping the obs-on hot path allocation-free. Callers cache
+    /// lifecycle spans. A verbose-tier [`Recorder`] says yes; the
+    /// always-on tier says no, keeping the obs-on hot path
+    /// allocation-free. Callers cache
     /// `enabled() && verbose()` next to their cached `enabled()`.
     fn verbose(&self) -> bool {
         true
@@ -99,9 +100,8 @@ pub trait ObsSink: Send + Sync + std::fmt::Debug {
 
     /// A degradation trigger fired (`"peer-unreachable"`,
     /// `"budget-exhausted"`, `"verify-failure"`, `"pressure-crossing"`,
-    /// `"eviction-storm"`). The always-on sink marks the flight ring and
-    /// captures its postmortem dump on the first trigger; the recording
-    /// sink traces it.
+    /// `"eviction-storm"`). The [`Recorder`] marks its ring and captures
+    /// the postmortem dump on the first trigger.
     fn degraded(&self, at_ns: u64, trigger: &'static str, conn_id: u32) {
         let _ = (at_ns, trigger, conn_id);
     }
@@ -132,185 +132,75 @@ pub fn null() -> Arc<dyn ObsSink> {
     Arc::new(NullSink)
 }
 
-/// A sink that records everything: counters and histograms in a lock-free
-/// [`AtomicMetrics`] registry, events in a mutex-guarded [`TraceRing`].
+/// The one recording sink, in two tiers that differ in *data*, not in code.
 ///
-/// Hold the concrete `Arc<RecordingSink>` to read the data back after the
-/// run; hand clones (coerced to `Arc<dyn ObsSink>`) to the layers.
-#[derive(Debug)]
-pub struct RecordingSink {
-    metrics: AtomicMetrics,
-    trace: Mutex<TraceRing>,
-    spans: Mutex<SpanStore>,
-    clock: AtomicU64,
-}
-
-impl RecordingSink {
-    /// Creates a shared recording sink with the default trace capacity.
-    pub fn shared() -> Arc<Self> {
-        Self::with_capacity(DEFAULT_TRACE_CAPACITY)
-    }
-
-    /// Creates a shared recording sink holding at most `cap` trace events.
-    pub fn with_capacity(cap: usize) -> Arc<Self> {
-        Arc::new(RecordingSink {
-            metrics: AtomicMetrics::new(),
-            trace: Mutex::new(TraceRing::new(cap)),
-            spans: Mutex::new(SpanStore::new()),
-            clock: AtomicU64::new(0),
-        })
-    }
-
-    /// Snapshots the metrics registry.
-    pub fn snapshot(&self) -> Snapshot {
-        self.metrics.snapshot()
-    }
-
-    /// Copies the recorded events out, oldest first.
-    pub fn events(&self) -> Vec<TimedEvent> {
-        self.trace.lock().expect("trace lock").events()
-    }
-
-    /// Exports the recorded trace as JSON lines (see
-    /// [`TraceRing::to_json_lines`]).
-    pub fn trace_json_lines(&self) -> String {
-        self.trace.lock().expect("trace lock").to_json_lines()
-    }
-
-    /// Renders the recorded trace as human-readable lines.
-    pub fn trace_text(&self) -> String {
-        self.trace.lock().expect("trace lock").render_text()
-    }
-
-    /// Events evicted from the ring so far.
-    pub fn trace_dropped(&self) -> u64 {
-        self.trace.lock().expect("trace lock").dropped()
-    }
-
-    /// Copies the recorded spans out, in open order.
-    pub fn span_records(&self) -> Vec<SpanRecord> {
-        self.spans.lock().expect("span lock").records().to_vec()
-    }
-
-    /// Copies the recorded parent→child fragmentation links out.
-    pub fn span_links(&self) -> Vec<SpanLink> {
-        self.spans.lock().expect("span lock").links().to_vec()
-    }
-
-    /// Span closes that matched no open span.
-    pub fn span_orphan_closes(&self) -> u64 {
-        self.spans.lock().expect("span lock").orphan_closes()
-    }
-
-    /// Exports the span store as JSON lines (see
-    /// [`SpanStore::to_json_lines`]).
-    pub fn span_json_lines(&self) -> String {
-        self.spans.lock().expect("span lock").to_json_lines()
-    }
-
-    /// Assembles the per-chunk lineage view from the recorded spans.
-    pub fn lineage(&self) -> Lineage {
-        Lineage::from_store(&self.spans.lock().expect("span lock"))
-    }
-}
-
-impl ObsSink for RecordingSink {
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    fn counter(&self, name: &'static str, delta: u64) {
-        self.metrics.add(name, delta);
-    }
-
-    fn observe(&self, name: &'static str, value: u64) {
-        self.metrics.observe(name, value);
-    }
-
-    fn event(&self, at_ns: u64, event: Event) {
-        self.trace.lock().expect("trace lock").push(at_ns, event);
-    }
-
-    fn span_open(&self, at_ns: u64, id: SpanId) {
-        self.metrics.add("obs.span.opened", 1);
-        self.spans.lock().expect("span lock").open(at_ns, id);
-    }
-
-    fn span_close(&self, at_ns: u64, id: SpanId) {
-        let closed = self.spans.lock().expect("span lock").close(at_ns, id);
-        match closed {
-            Some(duration) => {
-                if let Some(metric) = id.stage.delay_metric() {
-                    self.metrics.observe(metric, duration);
-                }
-            }
-            None => self.metrics.add("obs.span.orphan_closes", 1),
-        }
-    }
-
-    fn span_link(&self, at_ns: u64, parent: Labels, child: Labels) {
-        self.metrics.add("obs.span.links", 1);
-        self.spans
-            .lock()
-            .expect("span lock")
-            .link(at_ns, parent, child);
-    }
-
-    fn degraded(&self, at_ns: u64, trigger: &'static str, conn_id: u32) {
-        self.metrics.add("obs.flight.triggers", 1);
-        self.trace
-            .lock()
-            .expect("trace lock")
-            .push(at_ns, Event::Degraded { conn_id, trigger });
-    }
-
-    fn clock_advance(&self, at_ns: u64) {
-        self.clock.fetch_max(at_ns, Ordering::Relaxed);
-    }
-
-    fn clock(&self) -> u64 {
-        self.clock.load(Ordering::Relaxed)
-    }
-}
-
-/// The production sink: always on, never verbose.
+/// Counters and histograms land in the lock-free root registry or in
+/// per-owner [`ShardMetrics`] blocks ([`ObsSink::worker_shard`]: drained
+/// into the root at barriers by [`ObsSink::flush`], folded live by
+/// [`Recorder::snapshot`]). Events land in one bounded [`TraceRing`]; the
+/// first degradation trigger captures a byte-stable [`FlightDump`] of it.
 ///
-/// Counters and histograms land either in the lock-free root registry or in
-/// per-worker [`ShardMetrics`] blocks handed out by
-/// [`ObsSink::worker_shard`] (owner-writes cells, drained into the root at
-/// pipeline barriers via [`ObsSink::flush`], folded live by
-/// [`AlwaysOnSink::snapshot`]). Rare events land in a fixed flight ring;
-/// the first degradation trigger captures a byte-stable postmortem
-/// [`FlightDump`]. Per-chunk verbose instrumentation (decode events,
-/// dispatch events, lifecycle spans) is refused via `verbose() == false`,
-/// which is what keeps the obs-on hot path allocation-free.
+/// * The **always-on** tier ([`Recorder::shared`]) is the production sink:
+///   a [`DEFAULT_FLIGHT_CAPACITY`]-slot ring reserved up front and no span
+///   store, so it is never `verbose()`, refuses per-chunk instrumentation,
+///   and keeps the obs-on hot path allocation-free.
+/// * The **verbose** tier ([`Recorder::verbose_tier`]) is for tests and
+///   debugging and carries no cost bound: a caller-sized ring plus a
+///   [`SpanStore`] — having one *is* `verbose()`.
+///
+/// Hold the concrete `Arc<Recorder>` to read the data back after the run;
+/// hand clones (coerced to `Arc<dyn ObsSink>`) to the layers.
 #[derive(Debug)]
-pub struct AlwaysOnSink {
+pub struct Recorder {
     root: AtomicMetrics,
     shards: Mutex<Vec<Arc<ShardMetrics>>>,
-    flight: Mutex<FlightRing>,
+    ring: Mutex<TraceRing>,
     dump: Mutex<Option<FlightDump>>,
+    /// Present on the verbose tier only; its presence *is* the tier.
+    spans: Option<Mutex<SpanStore>>,
     clock: AtomicU64,
 }
 
-impl AlwaysOnSink {
-    /// Creates a shared always-on sink with the default flight capacity.
+/// The always-on tier's name at its call sites in the frozen benchmark
+/// crate; kept only until `crates/ledger` is next editable.
+pub type AlwaysOnSink = Recorder;
+
+impl Recorder {
+    /// Creates a shared always-on recorder: fixed flight-sized ring, no
+    /// span store.
     pub fn shared() -> Arc<Self> {
-        Self::with_flight_capacity(DEFAULT_FLIGHT_CAPACITY)
+        Self::build(DEFAULT_FLIGHT_CAPACITY, None)
     }
 
-    /// Creates a shared always-on sink whose flight ring holds `cap` events.
-    pub fn with_flight_capacity(cap: usize) -> Arc<Self> {
-        Arc::new(AlwaysOnSink {
+    /// Creates a shared verbose recorder whose ring holds at most `cap`
+    /// events ([`DEFAULT_TRACE_CAPACITY`](crate::DEFAULT_TRACE_CAPACITY) is
+    /// the usual choice) and which keeps every lifecycle span.
+    pub fn verbose_tier(cap: usize) -> Arc<Self> {
+        Self::build(cap, Some(Mutex::new(SpanStore::new())))
+    }
+
+    fn build(cap: usize, spans: Option<Mutex<SpanStore>>) -> Arc<Self> {
+        Arc::new(Recorder {
             root: AtomicMetrics::new(),
             shards: Mutex::new(Vec::new()),
-            flight: Mutex::new(FlightRing::new(cap)),
+            ring: Mutex::new(TraceRing::new(cap)),
             dump: Mutex::new(None),
+            spans,
             clock: AtomicU64::new(0),
         })
     }
 
-    /// Snapshots the folded registry: root plus every live worker shard
+    fn ring(&self) -> MutexGuard<'_, TraceRing> {
+        self.ring.lock().expect("ring lock")
+    }
+
+    /// Reads the span store; `None` on the always-on tier, which has none.
+    fn spans<R>(&self, read: impl FnOnce(&SpanStore) -> R) -> Option<R> {
+        let spans = self.spans.as_ref()?;
+        Some(read(&spans.lock().expect("span lock")))
+    }
+
+    /// Snapshots the folded registry: root plus every live shard block
     /// (read without zeroing, so a mid-run snapshot is safe at any time
     /// and `flush` remains the only mutation point).
     pub fn snapshot(&self) -> Snapshot {
@@ -322,14 +212,29 @@ impl AlwaysOnSink {
         agg.snapshot()
     }
 
-    /// Worker shard blocks handed out so far.
+    /// Shard blocks handed out so far.
     pub fn shard_count(&self) -> usize {
         self.shards.lock().expect("shard lock").len()
     }
 
-    /// The flight ring's current contents, oldest first.
-    pub fn flight_events(&self) -> Vec<TimedEvent> {
-        self.flight.lock().expect("flight lock").events()
+    /// Copies the ring's current contents out, oldest first.
+    pub fn events(&self) -> Vec<TimedEvent> {
+        self.ring().events()
+    }
+
+    /// Exports the ring as JSON lines (see [`TraceRing::to_json_lines`]).
+    pub fn trace_json_lines(&self) -> String {
+        self.ring().to_json_lines()
+    }
+
+    /// Renders the ring as human-readable lines.
+    pub fn trace_text(&self) -> String {
+        self.ring().render_text()
+    }
+
+    /// Events evicted from the ring so far.
+    pub fn trace_dropped(&self) -> u64 {
+        self.ring().dropped()
     }
 
     /// The postmortem captured by the first degradation trigger, if any.
@@ -341,15 +246,42 @@ impl AlwaysOnSink {
     pub fn dump_json_lines(&self) -> Option<String> {
         self.flight_dump().map(|d| d.to_json_lines())
     }
+
+    /// Copies the recorded spans out, in open order (verbose tier only).
+    pub fn span_records(&self) -> Vec<SpanRecord> {
+        self.spans(|s| s.records().to_vec()).unwrap_or_default()
+    }
+
+    /// Copies the recorded parent→child fragmentation links out (verbose
+    /// tier only).
+    pub fn span_links(&self) -> Vec<SpanLink> {
+        self.spans(|s| s.links().to_vec()).unwrap_or_default()
+    }
+
+    /// Span closes that matched no open span.
+    pub fn span_orphan_closes(&self) -> u64 {
+        self.spans(SpanStore::orphan_closes).unwrap_or_default()
+    }
+
+    /// Exports the span store as JSON lines (see
+    /// [`SpanStore::to_json_lines`]).
+    pub fn span_json_lines(&self) -> String {
+        self.spans(SpanStore::to_json_lines).unwrap_or_default()
+    }
+
+    /// Assembles the per-chunk lineage view from the recorded spans.
+    pub fn lineage(&self) -> Lineage {
+        self.spans(Lineage::from_store).unwrap_or_default()
+    }
 }
 
-impl ObsSink for AlwaysOnSink {
+impl ObsSink for Recorder {
     fn enabled(&self) -> bool {
         true
     }
 
     fn verbose(&self) -> bool {
-        false
+        self.spans.is_some()
     }
 
     fn counter(&self, name: &'static str, delta: u64) {
@@ -361,7 +293,34 @@ impl ObsSink for AlwaysOnSink {
     }
 
     fn event(&self, at_ns: u64, event: Event) {
-        self.flight.lock().expect("flight lock").push(at_ns, event);
+        self.ring().push(at_ns, event);
+    }
+
+    fn span_open(&self, at_ns: u64, id: SpanId) {
+        if let Some(spans) = &self.spans {
+            self.root.add("obs.span.opened", 1);
+            spans.lock().expect("span lock").open(at_ns, id);
+        }
+    }
+
+    fn span_close(&self, at_ns: u64, id: SpanId) {
+        let Some(spans) = &self.spans else { return };
+        let closed = spans.lock().expect("span lock").close(at_ns, id);
+        match closed {
+            Some(duration) => {
+                if let Some(metric) = id.stage.delay_metric() {
+                    self.root.observe(metric, duration);
+                }
+            }
+            None => self.root.add("obs.span.orphan_closes", 1),
+        }
+    }
+
+    fn span_link(&self, at_ns: u64, parent: Labels, child: Labels) {
+        if let Some(spans) = &self.spans {
+            self.root.add("obs.span.links", 1);
+            spans.lock().expect("span lock").link(at_ns, parent, child);
+        }
     }
 
     fn worker_shard(&self) -> Option<Arc<ShardMetrics>> {
@@ -381,7 +340,7 @@ impl ObsSink for AlwaysOnSink {
 
     fn degraded(&self, at_ns: u64, trigger: &'static str, conn_id: u32) {
         self.root.add("obs.flight.triggers", 1);
-        let mut ring = self.flight.lock().expect("flight lock");
+        let mut ring = self.ring();
         ring.push(at_ns, Event::Degraded { conn_id, trigger });
         let mut dump = self.dump.lock().expect("dump lock");
         if dump.is_none() {
@@ -411,23 +370,17 @@ pub struct ShardSink {
 }
 
 impl ShardSink {
-    /// Builds the facade over an already-registered shard block.
-    pub fn new(local: Arc<ShardMetrics>, parent: Arc<dyn ObsSink>) -> Self {
-        let parent_verbose = parent.verbose();
-        ShardSink {
-            local,
-            parent,
-            parent_verbose,
-        }
-    }
-
     /// Wraps `parent` in a fresh per-owner shard facade when the parent
     /// shards ([`ObsSink::worker_shard`] returns a block); hands `parent`
     /// back unchanged otherwise. The single registration point every
     /// shard owner (parallel worker, demux, serial bench leg) goes through.
     pub fn wrap(parent: Arc<dyn ObsSink>) -> Arc<dyn ObsSink> {
         match parent.worker_shard() {
-            Some(local) => Arc::new(ShardSink::new(local, parent)),
+            Some(local) => Arc::new(ShardSink {
+                local,
+                parent_verbose: parent.verbose(),
+                parent,
+            }),
             None => parent,
         }
     }
@@ -471,9 +424,10 @@ impl ObsSink for ShardSink {
     }
 
     fn hot_counter(&self, name: &'static str) -> HotCounter {
-        match self.local.counter_base(name) {
-            Some(cell) => HotCounter::resolved(name, Arc::clone(&self.local), cell),
-            None => HotCounter::unresolved(name),
+        let cell = self.local.counter_base(name);
+        HotCounter {
+            name,
+            cell: cell.map(|cell| (Arc::clone(&self.local), cell)),
         }
     }
 
@@ -498,6 +452,7 @@ impl ObsSink for ShardSink {
 mod tests {
     use super::*;
     use crate::event::Labels;
+    use crate::trace::DEFAULT_TRACE_CAPACITY;
 
     #[test]
     fn null_sink_is_disabled_and_inert() {
@@ -515,8 +470,8 @@ mod tests {
 
     #[test]
     fn recording_sink_round_trips() {
-        let s = RecordingSink::with_capacity(8);
-        assert!(s.enabled());
+        let s = Recorder::verbose_tier(8);
+        assert!(s.enabled() && s.verbose());
         let dyn_sink: Arc<dyn ObsSink> = s.clone();
         dyn_sink.counter("wsc.verify_pass", 2);
         dyn_sink.observe("wsc.runs_per_tpdu", 4);
@@ -562,7 +517,7 @@ mod tests {
 
     #[test]
     fn always_on_sink_captures_the_first_dump_only() {
-        let s = AlwaysOnSink::with_flight_capacity(16);
+        let s = Recorder::shared();
         let dyn_sink: Arc<dyn ObsSink> = s.clone();
         dyn_sink.event(
             5,
@@ -587,12 +542,12 @@ mod tests {
             .unwrap()
             .starts_with("{\"dump\": \"flight\", \"trigger\": \"budget-exhausted\""));
         // Both triggers are in the ring even though only one dumped.
-        assert_eq!(s.flight_events().len(), 3);
+        assert_eq!(s.events().len(), 3);
     }
 
     #[test]
     fn sink_clock_is_monotonic_and_shared_through_the_shard_facade() {
-        let s = RecordingSink::shared();
+        let s = Recorder::verbose_tier(DEFAULT_TRACE_CAPACITY);
         let dyn_sink: Arc<dyn ObsSink> = s.clone();
         let worker = ShardSink::wrap(dyn_sink.clone());
         dyn_sink.clock_advance(50);
@@ -600,33 +555,41 @@ mod tests {
         assert_eq!(worker.clock(), 50);
         worker.clock_advance(80);
         assert_eq!(dyn_sink.clock(), 80);
-        // RecordingSink does not shard: wrap() hands the parent back, so
-        // counters keep landing in the shared registry.
+        // The verbose tier shards like the always-on tier: the wrapped
+        // counter lands in the worker's block, pre-resolved handles bind to
+        // it, and the snapshot folds it back in.
+        assert_eq!(s.shard_count(), 1);
+        assert!(worker.verbose());
+        assert!(worker.hot_counter("wsc.verify_pass").is_resolved());
         worker.counter("wsc.verify_pass", 1);
         assert_eq!(s.snapshot().counter("wsc.verify_pass"), 1);
     }
 
     #[test]
     fn recording_sink_traces_degradation_triggers() {
-        let s = RecordingSink::shared();
+        let s = Recorder::verbose_tier(DEFAULT_TRACE_CAPACITY);
         let dyn_sink: Arc<dyn ObsSink> = s.clone();
         dyn_sink.degraded(42, "verify-failure", 7);
         assert_eq!(s.snapshot().counter("obs.flight.triggers"), 1);
         let events = s.events();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].event.name(), "Degraded");
+        // One `degraded` body for both tiers: the verbose tier dumps too.
+        assert_eq!(s.flight_dump().expect("first trigger captured").at_ns, 42);
+        assert_eq!(s.snapshot().counter("obs.flight.dumps"), 1);
     }
 
     #[test]
     fn recording_sink_records_spans_and_attributes_delay() {
         use crate::span::{SpanId, Stage};
-        let s = RecordingSink::with_capacity(8);
-        let dyn_sink: Arc<dyn ObsSink> = s.clone();
+        let (s, always_on) = (Recorder::verbose_tier(8), Recorder::shared());
         let id = SpanId::new(Labels::new(1, 0, 0), Stage::Hop);
-        dyn_sink.span_open(100, id);
-        dyn_sink.span_close(160, id);
-        dyn_sink.span_link(160, Labels::new(1, 0, 0), Labels::new(1, 0, 4));
-        dyn_sink.span_close(200, id); // no open span left: orphan
+        for sink in [&s, &always_on] {
+            sink.span_open(100, id);
+            sink.span_close(160, id);
+            sink.span_link(160, Labels::new(1, 0, 0), Labels::new(1, 0, 4));
+            sink.span_close(200, id); // no open span left: orphan
+        }
         let snap = s.snapshot();
         assert_eq!(snap.counter("obs.span.opened"), 1);
         assert_eq!(snap.counter("obs.span.links"), 1);
@@ -638,5 +601,10 @@ mod tests {
         assert_eq!(s.span_orphan_closes(), 1);
         assert_eq!(s.lineage().chunks.len(), 1);
         assert!(s.span_json_lines().contains("\"span\": \"hop\""));
+        // The always-on tier has no span store: it keeps and counts nothing.
+        let snap = always_on.snapshot();
+        assert!(snap.nonzero_counters().is_empty());
+        assert!(snap.histograms.iter().all(|h| h.count == 0));
+        assert!(always_on.span_records().is_empty() && always_on.lineage().chunks.is_empty());
     }
 }

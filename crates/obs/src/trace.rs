@@ -1,5 +1,6 @@
-//! Bounded event-trace ring buffer with JSON-lines export and a compact
-//! text renderer.
+//! The one event ring: bounded, overwrite-oldest, counting what it lost,
+//! with JSON-lines export and a compact text renderer. Both recorder tiers
+//! push into it and [`crate::FlightDump::capture`] reads it.
 //!
 //! Timestamps are whatever virtual clock the caller passes in — the ring
 //! never reads a wall clock, which is what makes two runs of the same seeded
@@ -21,9 +22,24 @@ pub struct TimedEvent {
     pub event: Event,
 }
 
+impl TimedEvent {
+    /// Appends this event's `{"t": ns, "ev": ..., ...}` JSON line — the one
+    /// line shape traces and flight dumps share.
+    pub(crate) fn json_line(&self, out: &mut String) {
+        out.push_str(&format!("{{\"t\": {}, ", self.at_ns));
+        self.event.json_fields(out);
+        out.push_str("}\n");
+    }
+}
+
 /// A bounded ring of [`TimedEvent`]s: pushing past capacity drops the oldest
 /// event and counts the loss, so a long run keeps its tail (where verdicts
 /// live) and reports exactly how much head it shed.
+///
+/// Storage for `min(cap, DEFAULT_TRACE_CAPACITY)` events is reserved at
+/// construction, so a ring no larger than that (the always-on tier's
+/// 1024-slot ring) never touches the heap again; a larger ring grows on
+/// demand up to `cap`, then overwrites.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct TraceRing {
     cap: usize,
@@ -36,8 +52,6 @@ impl TraceRing {
     pub fn new(cap: usize) -> Self {
         TraceRing {
             cap: cap.max(1),
-            // Pre-allocate at most the default capacity; larger rings grow
-            // on demand rather than reserving their full bound up front.
             events: VecDeque::with_capacity(cap.clamp(1, DEFAULT_TRACE_CAPACITY)),
             dropped: 0,
         }
@@ -52,24 +66,9 @@ impl TraceRing {
         self.events.push_back(TimedEvent { at_ns, event });
     }
 
-    /// Number of events currently held.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// True when no event has been recorded (and none dropped).
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty() && self.dropped == 0
-    }
-
     /// Events evicted to make room (0 until the ring wraps).
     pub fn dropped(&self) -> u64 {
         self.dropped
-    }
-
-    /// Iterates the held events, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &TimedEvent> {
-        self.events.iter()
     }
 
     /// Copies the held events out, oldest first.
@@ -83,9 +82,7 @@ impl TraceRing {
     pub fn to_json_lines(&self) -> String {
         let mut out = String::new();
         for te in &self.events {
-            out.push_str(&format!("{{\"t\": {}, ", te.at_ns));
-            te.event.json_fields(&mut out);
-            out.push_str("}\n");
+            te.json_line(&mut out);
         }
         out
     }
@@ -111,12 +108,6 @@ impl TraceRing {
     }
 }
 
-impl Default for TraceRing {
-    fn default() -> Self {
-        Self::new(DEFAULT_TRACE_CAPACITY)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -131,24 +122,52 @@ mod tests {
     }
 
     #[test]
-    fn ring_drops_oldest_and_counts() {
-        let mut r = TraceRing::new(2);
-        r.push(10, ev(0));
-        r.push(20, ev(1));
-        r.push(30, ev(2));
-        assert_eq!(r.len(), 2);
-        assert_eq!(r.dropped(), 1);
-        let held: Vec<u64> = r.iter().map(|t| t.at_ns).collect();
-        assert_eq!(held, vec![20, 30]);
-        assert!(r.render_text().contains("1 earlier events dropped"));
+    fn ring_is_bounded_counts_its_losses_and_keeps_the_newest_in_order() {
+        // Capacity 0 is clamped to one slot rather than losing everything.
+        for cap in [0usize, 1, 2, 3, 8] {
+            let mut r = TraceRing::new(cap);
+            let cap = cap.max(1) as u64;
+            for pushes in 1..=(3 * cap + 1) {
+                r.push(pushes * 10, ev(pushes as u32));
+                // Oldest first, across the wrap: exactly the newest pushes.
+                let held: Vec<u64> = r.events().iter().map(|t| t.at_ns).collect();
+                let len = pushes.min(cap);
+                let want: Vec<u64> = (pushes + 1 - len..=pushes).map(|p| p * 10).collect();
+                assert_eq!(held, want, "cap {cap} after {pushes} pushes");
+                assert_eq!(r.dropped(), pushes - len);
+            }
+        }
     }
 
     #[test]
-    fn json_lines_are_one_object_per_event() {
-        let mut r = TraceRing::default();
+    fn ring_storage_is_reserved_once_up_to_the_default_capacity() {
+        // Neither filling nor wrapping reallocates, which is what keeps the
+        // always-on tier's pushes allocation-free.
+        for cap in [4usize, 1024, DEFAULT_TRACE_CAPACITY] {
+            let mut r = TraceRing::new(cap);
+            let reserved = r.events.capacity();
+            assert!(reserved >= cap);
+            for i in 0..(2 * cap as u32 + 7) {
+                r.push(i as u64, ev(i));
+            }
+            assert_eq!(r.events.capacity(), reserved);
+        }
+        // A larger ring grows on demand up to its bound, then overwrites.
+        let cap = DEFAULT_TRACE_CAPACITY + 5;
+        let mut r = TraceRing::new(cap);
+        for i in 0..(cap as u32 + 3) {
+            r.push(i as u64, ev(i));
+        }
+        assert_eq!((r.events().len(), r.dropped()), (cap, 3));
+        assert_eq!(r.events()[0].at_ns, 3);
+    }
+
+    #[test]
+    fn json_lines_and_text_are_one_line_per_event() {
+        let mut r = TraceRing::new(2);
         r.push(5, ev(0));
         r.push(
-            7,
+            7_500_000,
             Event::ChunkRejected {
                 labels: Labels::new(3, 0, 9),
                 reason: "truncated",
@@ -162,12 +181,23 @@ mod tests {
             "{\"t\": 5, \"ev\": \"GroupDelivered\", \"cid\": 1, \"start\": 0, \"bytes\": 8}"
         );
         assert!(lines[1].contains("\"reason\": \"truncated\""));
+        let text = r.render_text();
+        assert_eq!(text.lines().count(), 2);
+        assert!(text.contains("7.500 ms") && !text.contains("dropped"));
+        // Once the ring wraps, the text opens with the loss preamble.
+        r.push(9_000_000, ev(1));
+        let text = r.render_text();
+        assert_eq!(
+            text.lines().next(),
+            Some("  ... 1 earlier events dropped (ring capacity 2)")
+        );
+        assert_eq!(text.lines().count(), 3);
     }
 
     #[test]
     fn identical_pushes_export_identically() {
-        let mut a = TraceRing::default();
-        let mut b = TraceRing::default();
+        let mut a = TraceRing::new(DEFAULT_TRACE_CAPACITY);
+        let mut b = TraceRing::new(DEFAULT_TRACE_CAPACITY);
         for t in 0..100u64 {
             a.push(t, ev(t as u32));
             b.push(t, ev(t as u32));

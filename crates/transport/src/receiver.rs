@@ -32,7 +32,9 @@ use chunks_core::label::ChunkType;
 use chunks_core::packet::{spans, validate, Packet};
 use chunks_core::wire::{decode_chunk_at, decode_header};
 use chunks_obs::{Event, HotCounter, Labels, ObsSink, SpanId, Stage};
-use chunks_vreasm::{OverlapPolicy, PduTracker, Reassembly, Resolution, TrackEvent};
+use chunks_vreasm::{
+    ArenaIntervalSet, OverlapPolicy, PduTracker, Reassembly, Resolution, TrackEvent,
+};
 use chunks_wsc::{InvariantLayout, TpduInvariant};
 
 use crate::ack::AckInfo;
@@ -262,16 +264,6 @@ struct HotRxCounters {
 }
 
 impl HotRxCounters {
-    fn unresolved() -> Self {
-        HotRxCounters {
-            chunks_accepted: HotCounter::unresolved("transport.rx.chunks_accepted"),
-            tracker_accepts: HotCounter::unresolved("vreasm.tracker.accepts"),
-            data_touches: HotCounter::unresolved("transport.rx.data_touches"),
-            tpdus_delivered: HotCounter::unresolved("transport.rx.tpdus_delivered"),
-            verify_pass: HotCounter::unresolved("wsc.verify_pass"),
-        }
-    }
-
     fn resolve(sink: &dyn ObsSink) -> Self {
         HotRxCounters {
             chunks_accepted: sink.hot_counter("transport.rx.chunks_accepted"),
@@ -374,7 +366,7 @@ impl Receiver {
             obs_on: false,
             obs_verbose: false,
             last_now: 0,
-            hot: HotRxCounters::unresolved(),
+            hot: HotRxCounters::resolve(&chunks_obs::NullSink),
         }
     }
 
@@ -1028,18 +1020,16 @@ impl Receiver {
     fn held_bytes(&self, start: u64, lo: u64, hi: u64) -> Option<Vec<u8>> {
         let esize = self.params.elem_size as usize;
         let mut out = vec![0u8; (hi - lo) as usize * esize];
-        let mut have = chunks_vreasm::IntervalSet::new();
-        let overlay =
-            |out: &mut Vec<u8>, have: &mut chunks_vreasm::IntervalSet, f: u64, payload: &[u8]| {
-                let clen = payload.len() as u64 / esize as u64;
-                let (s, e) = (f.max(lo), (f + clen).min(hi));
-                if s < e {
-                    out[(s - lo) as usize * esize..(e - lo) as usize * esize].copy_from_slice(
-                        &payload[(s - f) as usize * esize..(e - f) as usize * esize],
-                    );
-                    have.insert(s, e);
-                }
-            };
+        let mut have = ArenaIntervalSet::new();
+        let overlay = |out: &mut Vec<u8>, have: &mut ArenaIntervalSet, f: u64, payload: &[u8]| {
+            let clen = payload.len() as u64 / esize as u64;
+            let (s, e) = (f.max(lo), (f + clen).min(hi));
+            if s < e {
+                out[(s - lo) as usize * esize..(e - lo) as usize * esize]
+                    .copy_from_slice(&payload[(s - f) as usize * esize..(e - f) as usize * esize]);
+                have.insert(s, e);
+            }
+        };
         match self.mode {
             DeliveryMode::Immediate => {
                 out.copy_from_slice(&self.app[lo as usize * esize..hi as usize * esize]);
@@ -1869,7 +1859,7 @@ mod tests {
 
     /// The decode events of a packet a recording sink saw, as short tags.
     fn decode_trace(frame: Vec<u8>) -> (Vec<&'static str>, RxStats) {
-        let sink = chunks_obs::RecordingSink::shared();
+        let sink = chunks_obs::Recorder::verbose_tier(chunks_obs::DEFAULT_TRACE_CAPACITY);
         let mut r = rx(DeliveryMode::Immediate).with_obs(sink.clone());
         r.handle_packet(
             &Packet {

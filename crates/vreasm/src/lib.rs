@@ -7,11 +7,13 @@
 //!
 //! The crate supplies:
 //!
-//! * [`IntervalSet`] — a compact set of received `[start, end)` ranges with
-//!   overlap (duplicate) detection;
-//! * [`ArenaIntervalSet`] — the same semantics over a recycling node slab,
-//!   the allocation-free storage the receive hot path keeps per TPDU group
-//!   (with `IntervalSet` serving as its property-test oracle);
+//! * [`ArenaIntervalSet`] — a compact set of received `[start, end)`
+//!   ranges with overlap (duplicate) detection over a recycling node slab:
+//!   the one interval set production code uses, allocation-free on the
+//!   receive hot path;
+//! * [`IntervalSet`] — the same semantics over a sorted `Vec`, kept as the
+//!   reference the arena is property-tested against. It is the oracle only:
+//!   no non-test code in the workspace names it;
 //! * [`PduTracker`] — virtual reassembly of one PDU: completion detection
 //!   from the stop bit, duplicate rejection (needed so the incremental
 //!   checksum is not corrupted, §3.3), and inconsistency flags;

@@ -17,7 +17,6 @@
 //! verification remains the integrity authority: a resolution can pick
 //! which bytes to *hold*, but only the end-to-end invariant can pass them.
 
-use crate::interval::IntervalSet;
 use std::fmt;
 
 /// What to do when an arriving fragment overlaps already-claimed positions
@@ -147,7 +146,7 @@ pub enum Resolution {
 
 /// Tagged interval claims with an explicit overlap policy.
 ///
-/// The per-position state [`IntervalSet`] tracks implicitly ("claimed or
+/// The per-position state [`crate::IntervalSet`] tracks implicitly ("claimed or
 /// not") is extended with an owner tag per range, so a conflict can name
 /// *who* owns the contested positions — the byte-precise diagnostic the
 /// receive path emits before any policy decision.
@@ -383,15 +382,6 @@ impl Reassembly {
             .get(i)
             .and_then(|&(s, _, t)| (s <= pos).then_some(t))
     }
-
-    /// The untagged coverage, as a plain [`IntervalSet`].
-    pub fn coverage(&self) -> IntervalSet {
-        let mut set = IntervalSet::new();
-        for &(s, e, _) in &self.ranges {
-            set.insert(s, e);
-        }
-        set
-    }
 }
 
 impl fmt::Display for Reassembly {
@@ -523,7 +513,10 @@ mod tests {
         r.claim(0, 4, 1);
         r.claim(4, 8, 2);
         r.claim(12, 16, 1);
-        let set = r.coverage();
+        let mut set = crate::IntervalSet::new();
+        for &(s, e, _) in &r.ranges {
+            set.insert(s, e);
+        }
         assert_eq!(set.ranges(), &[(0, 8), (12, 16)]);
         assert_eq!(r.overlap(2, 14), set.overlap(2, 14));
     }

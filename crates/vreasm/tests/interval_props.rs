@@ -145,7 +145,8 @@ proptest! {
     ) {
         // A Reassembly's coverage and conflict accounting must agree with
         // the plain IntervalSet it extends: fresh + conflicts partition
-        // every claim, and coverage() reproduces the untagged set.
+        // every claim, and a position is owned exactly when the untagged
+        // set holds it.
         let mut r = Reassembly::new(OverlapPolicy::FirstWins);
         let mut s = IntervalSet::new();
         for &(start, len, tag) in &claims {
@@ -157,13 +158,8 @@ proptest! {
             prop_assert_eq!(fresh + dup, len);
         }
         prop_assert_eq!(r.covered(), s.covered());
-        let cov = r.coverage();
-        prop_assert_eq!(cov.ranges(), s.ranges());
-        // Every claimed position has exactly one owner.
-        for &(cs, ce) in s.ranges() {
-            for p in cs..ce {
-                prop_assert!(r.owner_of(p).is_some());
-            }
+        for p in 0..UNIVERSE + 32 {
+            prop_assert_eq!(r.owner_of(p).is_some(), s.contains(p, p + 1));
         }
     }
 

@@ -8,8 +8,10 @@
 # smoke test), the parallel-equivalence gate, the zero-allocation
 # hot-path gate, the connection-table scale gate, the
 # BENCH regression gate, the reliability soak, the adversarial overlap
-# sweep, the lineage sweep, and the deterministic-trace replay.
-lint: check test-release test-workspace test-parallel test-hotpath test-scale bench-check soak soak-overlap lineage trace obs-overhead health
+# sweep, the lineage sweep, the deterministic-trace replay, and the health
+# surface. Telemetry overhead is not a recipe here: it is the ledger's
+# `obs.always_on_overhead_pct` (`cargo run --release -p chunks-ledger -- run`).
+lint: check test-release test-workspace test-parallel test-hotpath test-scale bench-check soak soak-overlap lineage trace health
 
 # Static gate only: formatting, clippy, rustdoc.
 check: fmt clippy doc
@@ -106,17 +108,10 @@ lineage:
 bench-check:
     cargo run --release --bin experiments bench-check
 
-# Replay a soak cell twice with a recording sink, prove the two traces
+# Replay a soak cell twice with a verbose-tier recorder, prove the two traces
 # byte-identical, and print the metrics + event timeline.
 trace:
     cargo run --release --bin experiments trace
-
-# Always-on telemetry overhead gate: paired obs-off/obs-on runs of the
-# serial, parallel and demux workloads, gating the serial + parallel
-# on-null legs at ≤ 5% wall overhead with zero steady-state allocations
-# while proving the sink actually recorded. Rewrites BENCH_obs.json.
-obs-overhead:
-    cargo run --release --bin experiments obs-overhead --describe "$(git describe --always --dirty 2>/dev/null || echo unknown)"
 
 # Health surface gate: drive degradation scenarios through the watchdog,
 # assert each expected verdict (LivelockSuspected, EvictionStorm,

@@ -2,7 +2,7 @@
 //! quantified claims of the paper.
 //!
 //! ```text
-//! experiments [--describe REV] [fig1|...|fig7|table1|b1|...|b8|soak|parallel|lineage|scale|obs-overhead|health|trace [SCENARIO] [--json]|bench-check|all]
+//! experiments [--describe REV] [fig1|...|fig7|table1|b1|...|b8|soak|parallel|lineage|scale|health|trace [SCENARIO] [--json]|bench-check|all]
 //! ```
 //!
 //! With no argument (or `all`) every experiment runs. Output is the content
@@ -16,16 +16,16 @@
 //! summaries against the committed `BENCH_*.json` files.
 
 use chunks::experiments::{
-    appendix_b, b1_receiver_modes, b2_frag_systems, b3_lockup, b4_codes, b5_compress, b6_demux,
-    b7_turner, b8_gap_budget, bench_check, figures, health, hotpath, lineage, obs_overhead,
-    overlap, parallel, scale, soak, table1, trace, SEED, SEED2,
+    alloc_count, appendix_b, b1_receiver_modes, b2_frag_systems, b3_lockup, b4_codes, b5_compress,
+    b6_demux, b7_turner, b8_gap_budget, bench_check, figures, health, lineage, overlap, parallel,
+    scale, soak, table1, trace, SEED, SEED2,
 };
 
-// `obs-overhead` and `scale` report steady-state allocations on the receive
-// path; the counting allocator forwards to `System` and costs one
-// thread-local bump per allocation, negligible for every other experiment.
+// `scale` reports steady-state allocations on the receive path; the
+// counting allocator forwards to `System` and costs one thread-local bump
+// per allocation, negligible for every other experiment.
 #[global_allocator]
-static ALLOC: hotpath::alloc_count::CountingAlloc = hotpath::alloc_count::CountingAlloc;
+static ALLOC: alloc_count::CountingAlloc = alloc_count::CountingAlloc;
 
 /// One parsed invocation: an experiment name plus its trailing arguments
 /// (only `trace` takes any: an optional scenario and/or `--json`/`--help`).
@@ -152,15 +152,6 @@ fn run_one(job: &Job, describe: &str) -> bool {
             }
             r.passes()
         }
-        "obs-overhead" => {
-            let r = obs_overhead::run(SEED);
-            println!("{r}");
-            if let Err(e) = std::fs::write("BENCH_obs.json", obs_overhead::bench_json(&r, describe))
-            {
-                eprintln!("could not write BENCH_obs.json: {e}");
-            }
-            r.passes()
-        }
         "health" => {
             let r = health::run(SEED);
             println!("{r}");
@@ -247,7 +238,6 @@ fn main() {
         "overlap",
         "lineage",
         "scale",
-        "obs-overhead",
         "health",
         "trace",
     ];

@@ -10,11 +10,9 @@
 //!   any drift means either the code's behaviour changed (commit the
 //!   regenerated file deliberately) or determinism broke (fix it).
 //! * **Structural** (`BENCH_parallel.json`, `BENCH_scale.json`,
-//!   `BENCH_wsc.json`, `BENCH_obs.json`) — the numbers are host
-//!   wall-clock, so the gate only validates shape: the file parses, opens
-//!   with a complete `meta` block, and carries a non-empty `results` array. (`BENCH_obs.json` additionally has its
-//!   committed on-null rows value-gated — ≤ 5% overhead, zero steady
-//!   allocations — by `tests/bench_schema.rs`.)
+//!   `BENCH_wsc.json`) — the numbers are host wall-clock, so the gate only
+//!   validates shape: the file parses, opens with a complete `meta` block,
+//!   and carries a non-empty `results` array.
 //!
 //! `just bench-check` runs this inside `just lint`, so a PR that changes
 //! observable behaviour without regenerating the summaries fails CI.
@@ -206,7 +204,6 @@ pub fn run() -> BenchCheckResult {
             check_file("BENCH_parallel.json", false, |_| String::new()),
             check_file("BENCH_scale.json", false, |_| String::new()),
             check_file("BENCH_wsc.json", false, |_| String::new()),
-            check_file("BENCH_obs.json", false, |_| String::new()),
         ],
     }
 }

@@ -21,7 +21,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use chunks_obs::{AlwaysOnSink, HealthEvent, HealthReport, Watchdog, WatchdogConfig};
+use chunks_obs::{HealthEvent, HealthReport, Recorder, Watchdog, WatchdogConfig};
 use chunks_transport::ConnTable;
 use chunks_transport::{
     ConnectionParams, DegradePolicy, DeliveryMode, Receiver, RtoConfig, SenderConfig, Session,
@@ -143,7 +143,7 @@ fn params(conn_id: u32) -> ConnectionParams {
 
 /// The ack-blackout session leg: pump into the void until the abort.
 fn run_session_leg(seed: u64) -> (LegOutcome, bool) {
-    let sink = AlwaysOnSink::shared();
+    let sink = Recorder::shared();
     let layout = InvariantLayout::with_data_symbols(2048);
     let payload: Vec<u8> = (0..PAYLOAD_BYTES)
         .map(|i| (i as u64).wrapping_mul(7).wrapping_add(seed) as u8)
@@ -201,7 +201,7 @@ fn run_session_leg(seed: u64) -> (LegOutcome, bool) {
 /// The churn leg: admissions far past `max_live`, watchdog driven off the
 /// table's own statistics.
 fn run_table_leg(seed: u64) -> LegOutcome {
-    let sink = AlwaysOnSink::shared();
+    let sink = Recorder::shared();
     let layout = InvariantLayout::with_data_symbols(2048);
     let mut table =
         ConnTable::new(TableConfig::for_capacity(TABLE_MAX_LIVE).with_max_live(TABLE_MAX_LIVE));

@@ -31,7 +31,7 @@ use std::sync::Arc;
 
 use chunks_core::packet::Packet;
 use chunks_netsim::{Link, LinkConfig, Profile};
-use chunks_obs::{ObsSink, RecordingSink};
+use chunks_obs::{ObsSink, Recorder};
 use chunks_transport::{
     ConnectionParams, DegradePolicy, DeliveryMode, RtoConfig, SenderConfig, Session,
 };
@@ -222,8 +222,8 @@ pub fn drive(profile: Profile, seed: u64, sink: Arc<dyn ObsSink>) -> TransferSum
     }
 }
 
-fn observed(profile: Profile, seed: u64) -> (TransferSummary, Arc<RecordingSink>) {
-    let sink = RecordingSink::with_capacity(1 << 16);
+fn observed(profile: Profile, seed: u64) -> (TransferSummary, Arc<Recorder>) {
+    let sink = Recorder::verbose_tier(1 << 16);
     let summary = drive(profile, seed, sink.clone());
     (summary, sink)
 }

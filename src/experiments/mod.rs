@@ -11,6 +11,7 @@ pub const SEED: u64 = 0xC0451;
 /// Second, independent seed for the soak determinism sweep.
 pub const SEED2: u64 = 0xA5EED;
 
+pub mod alloc_count;
 pub mod appendix_b;
 pub mod b1_receiver_modes;
 pub mod b2_frag_systems;
@@ -24,9 +25,7 @@ pub mod bench_check;
 pub mod benchjson;
 pub mod figures;
 pub mod health;
-pub mod hotpath;
 pub mod lineage;
-pub mod obs_overhead;
 pub mod overlap;
 pub mod parallel;
 pub mod scale;

@@ -33,7 +33,7 @@ use std::time::Instant;
 
 use chunks_core::packet::Packet;
 use chunks_netsim::Profile;
-use chunks_obs::{ObsSink, RecordingSink};
+use chunks_obs::{ObsSink, Recorder, DEFAULT_TRACE_CAPACITY};
 use chunks_transport::{
     shard_of, ConnSpec, ConnectionDemux, ConnectionParams, DeliveryMode, Engine, ParallelReceiver,
     Receiver, Schedule, Sender, SenderConfig, StageTimings,
@@ -428,7 +428,7 @@ pub fn run(seed: u64) -> ParallelResult {
             // One extra untimed replay with a recording sink: the metric
             // snapshot for the BENCH row, plus a differential guard that
             // observing the pipeline does not change what it delivers.
-            let obs_sink = RecordingSink::shared();
+            let obs_sink = Recorder::verbose_tier(DEFAULT_TRACE_CAPACITY);
             let (observed_print, _, _) = run_parallel_observed(
                 &trace,
                 workers,

@@ -49,7 +49,7 @@ use std::time::Instant;
 use chunks_core::packet::{pack, spans, unpack, validate, Packet};
 use chunks_core::{ChunkHeader, ChunkType, FramingTuple, WIRE_HEADER_LEN};
 use chunks_netsim::{ByzantineConfig, ByzantineRouter, PacketTransform};
-use chunks_obs::RecordingSink;
+use chunks_obs::Recorder;
 use chunks_transport::{
     ConnSpec, ConnectionDemux, ConnectionParams, DeliveryMode, DemuxEvent, Engine, GlobalBudget,
     ParallelReceiver, Receiver, ResourceBudget, RxEvent, Schedule, Sender, SenderConfig,
@@ -57,7 +57,7 @@ use chunks_transport::{
 };
 use chunks_wsc::{InvariantLayout, TpduInvariant};
 
-use super::hotpath::alloc_count;
+use super::alloc_count;
 
 /// Elements (= bytes) per tiny-message TPDU.
 pub const TPDU_ELEMENTS: u32 = 32;
@@ -445,7 +445,7 @@ fn cell_capacity_lru(seed: u64) -> Row {
     const TOTAL: u32 = 4096;
     let mut row = Row::base("capacity-lru");
     let tpl = template(0, seed);
-    let sink = RecordingSink::with_capacity(1 << 15);
+    let sink = Recorder::verbose_tier(1 << 15);
     let mut demux =
         ConnectionDemux::with_table(TableConfig::for_capacity(MAX_LIVE).with_max_live(MAX_LIVE));
     demux.table_mut().set_obs(sink.clone());
@@ -664,7 +664,7 @@ fn cell_budget_bound(seed: u64) -> Row {
 fn cell_zipf_faults(seed: u64, conns: u32, events_n: usize) -> Row {
     let mut row = Row::base("zipf-faults");
     let tpls: Vec<Template> = (0..MSGS_PER_CONN).map(|m| template(m, seed)).collect();
-    let sink = RecordingSink::with_capacity(1 << 15);
+    let sink = Recorder::verbose_tier(1 << 15);
     let mut demux = ConnectionDemux::with_table(TableConfig::for_capacity(conns as usize));
     for id in 0..conns {
         demux.table_mut().admit(

@@ -22,7 +22,7 @@ use std::sync::Arc;
 
 use chunks_core::packet::Packet;
 use chunks_netsim::{ByzantineConfig, ByzantineRouter, LinkConfig, MultipathLink, PacketTransform};
-use chunks_obs::{ObsSink, RecordingSink};
+use chunks_obs::{ObsSink, Recorder, DEFAULT_TRACE_CAPACITY};
 use chunks_transport::{
     ConnectionParams, DegradePolicy, DeliveryMode, RtoConfig, SenderConfig, Session,
 };
@@ -418,7 +418,7 @@ pub fn run(seed: u64) -> SoakResult {
         rows: fault_matrix()
             .iter()
             .map(|sc| {
-                let sink = RecordingSink::shared();
+                let sink = Recorder::verbose_tier(DEFAULT_TRACE_CAPACITY);
                 let mut row = run_scenario_observed(sc, seed, sink.clone());
                 row.metrics = sink.snapshot().nonzero_counters();
                 row

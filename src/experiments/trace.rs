@@ -13,7 +13,7 @@
 
 use std::fmt;
 
-use chunks_obs::RecordingSink;
+use chunks_obs::Recorder;
 
 use super::soak;
 
@@ -108,11 +108,8 @@ pub fn scenario_names() -> Vec<&'static str> {
     soak::fault_matrix().iter().map(|sc| sc.name).collect()
 }
 
-fn observed_run(
-    sc: &soak::SoakScenario,
-    seed: u64,
-) -> (soak::SoakRow, std::sync::Arc<RecordingSink>) {
-    let sink = RecordingSink::with_capacity(TRACE_EVENTS);
+fn observed_run(sc: &soak::SoakScenario, seed: u64) -> (soak::SoakRow, std::sync::Arc<Recorder>) {
+    let sink = Recorder::verbose_tier(TRACE_EVENTS);
     let row = soak::run_scenario_observed(sc, seed, sink.clone());
     (row, sink)
 }

@@ -5,14 +5,13 @@
 
 use chunks::experiments::benchjson::{parse, Value};
 
-const BENCH_FILES: [&str; 7] = [
+const BENCH_FILES: [&str; 6] = [
     "BENCH_lineage.json",
     "BENCH_soak.json",
     "BENCH_overlap.json",
     "BENCH_parallel.json",
     "BENCH_scale.json",
     "BENCH_wsc.json",
-    "BENCH_obs.json",
 ];
 
 fn load(file: &str) -> Value {
@@ -89,76 +88,6 @@ fn wsc_rows_pin_backend_and_batch_width() {
             batch >= 1.0 && batch.fract() == 0.0,
             "{id}: batch width must be a positive integer, got {batch}"
         );
-    }
-}
-
-#[test]
-fn obs_rows_pin_the_sweep_and_gate_the_on_null_overhead() {
-    // The observability snapshot is a (leg × sink-mode) sweep. Every row
-    // must carry the full coordinate and the cost columns, and the
-    // committed on-null rows of the two hotpath legs are *value*-gated:
-    // always-on telemetry costs at most 5% throughput and zero steady-state
-    // allocations, or the file cannot be committed.
-    let v = load("BENCH_obs.json");
-    assert_eq!(
-        v.get("recorded"),
-        Some(&Value::Bool(true)),
-        "committed obs snapshot must prove its on-null sinks recorded"
-    );
-    let alloc_counting = v.get("alloc_counting") == Some(&Value::Bool(true));
-    let results = v.get("results").and_then(Value::as_arr).unwrap();
-    let mut cells: Vec<(String, String)> = Vec::new();
-    for row in results {
-        let leg = row
-            .get("leg")
-            .and_then(Value::as_str)
-            .unwrap_or_else(|| panic!("obs row without a `leg` string"));
-        let mode = row
-            .get("mode")
-            .and_then(Value::as_str)
-            .unwrap_or_else(|| panic!("{leg}: obs row without a `mode` string"));
-        assert!(
-            ["serial", "parallel", "demux"].contains(&leg),
-            "unknown obs leg {leg:?}"
-        );
-        assert!(
-            ["obs-off", "on-null", "on-recording"].contains(&mode),
-            "unknown obs mode {mode:?}"
-        );
-        for key in [
-            "wall_ms",
-            "mib_s",
-            "overhead_pct",
-            "steady_allocs",
-            "delivered_bytes",
-        ] {
-            row.get(key)
-                .and_then(Value::as_f64)
-                .unwrap_or_else(|| panic!("{leg}/{mode}: no numeric `{key}`"));
-        }
-        if mode == "on-null" && leg != "demux" {
-            let overhead = row.get("overhead_pct").and_then(Value::as_f64).unwrap();
-            assert!(
-                overhead <= 5.0,
-                "{leg}/on-null: committed overhead {overhead}% exceeds the 5% bar"
-            );
-            if alloc_counting {
-                assert_eq!(
-                    row.get("steady_allocs").and_then(Value::as_f64),
-                    Some(0.0),
-                    "{leg}/on-null: committed row must show zero steady allocations"
-                );
-            }
-        }
-        cells.push((leg.to_owned(), mode.to_owned()));
-    }
-    for leg in ["serial", "parallel", "demux"] {
-        for mode in ["obs-off", "on-null", "on-recording"] {
-            assert!(
-                cells.contains(&(leg.to_owned(), mode.to_owned())),
-                "missing obs cell {leg}/{mode}"
-            );
-        }
     }
 }
 

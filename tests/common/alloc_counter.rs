@@ -1,5 +1,5 @@
 //! [`assert_no_alloc!`] over the workspace's one counting allocator,
-//! `chunks::experiments::hotpath::alloc_count`. A test binary opts in with
+//! `chunks::experiments::alloc_count`. A test binary opts in with
 //!
 //! ```ignore
 //! #[global_allocator]
@@ -25,9 +25,9 @@ macro_rules! assert_no_alloc {
         $crate::assert_no_alloc!($body, "steady state must not allocate")
     };
     ($body:expr, $($ctx:tt)+) => {{
-        let before = chunks::experiments::hotpath::alloc_count::allocs();
+        let before = chunks::experiments::alloc_count::allocs();
         let value = $body;
-        let allocs = chunks::experiments::hotpath::alloc_count::allocs() - before;
+        let allocs = chunks::experiments::alloc_count::allocs() - before;
         assert_eq!(
             allocs,
             0,

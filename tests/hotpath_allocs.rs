@@ -11,14 +11,14 @@
 
 mod common;
 
-use chunks::experiments::hotpath::alloc_count::{self, CountingAlloc};
+use chunks::experiments::alloc_count::{self, CountingAlloc};
 use chunks::transport::{
     ConnSpec, ConnectionParams, DeliveryMode, Engine, ParallelReceiver, Receiver, Schedule, Sender,
     SenderConfig,
 };
 use chunks::wsc::InvariantLayout;
 use chunks_core::packet::Packet;
-use chunks_obs::{AlwaysOnSink, ShardSink};
+use chunks_obs::{Recorder, ShardSink};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -123,7 +123,7 @@ fn serial_receive_with_always_on_obs_is_allocation_free() {
     let total_tpdus = MESSAGE_LEN / TPDU_ELEMENTS as usize + 2;
     let warmup = packets.len() / 4;
 
-    let sink = AlwaysOnSink::shared();
+    let sink = Recorder::shared();
     let mut rx = Receiver::new(
         DeliveryMode::Immediate,
         params(1),
@@ -246,7 +246,7 @@ fn parallel_receive_with_always_on_obs_is_allocation_free() {
             )
         })
         .collect();
-    let sink = AlwaysOnSink::shared();
+    let sink = Recorder::shared();
     let mut pr = ParallelReceiver::new_with_obs(
         WORKERS,
         Engine::Virtual(Schedule::Fair),

@@ -17,7 +17,7 @@
 
 use chunks::experiments::{lineage, soak};
 use chunks_netsim::Profile;
-use chunks_obs::{AlwaysOnSink, RecordingSink, CATALOGUE};
+use chunks_obs::{Recorder, CATALOGUE, DEFAULT_TRACE_CAPACITY};
 use chunks_transport::{
     shard_of, ConnSpec, ConnectionParams, DeliveryMode, Engine, ParallelReceiver, Schedule, Sender,
     SenderConfig,
@@ -36,6 +36,11 @@ const SCENARIOS: [&str; 4] = [
     "ack-blackout-shed",
 ];
 
+/// A verbose-tier recorder with the default ring.
+fn verbose() -> std::sync::Arc<Recorder> {
+    Recorder::verbose_tier(DEFAULT_TRACE_CAPACITY)
+}
+
 fn scenario(name: &str) -> soak::SoakScenario {
     soak::fault_matrix()
         .into_iter()
@@ -48,8 +53,8 @@ fn seeded_soak_traces_export_byte_identical_json_lines() {
     for name in SCENARIOS {
         let sc = scenario(name);
         let (s1, s2) = (
-            RecordingSink::with_capacity(1 << 16),
-            RecordingSink::with_capacity(1 << 16),
+            Recorder::verbose_tier(1 << 16),
+            Recorder::verbose_tier(1 << 16),
         );
         let r1 = soak::run_scenario_observed(&sc, SEED, s1.clone());
         let r2 = soak::run_scenario_observed(&sc, SEED, s2.clone());
@@ -78,7 +83,7 @@ fn recording_sink_is_differentially_transparent_on_the_session_path() {
         let sc = scenario(name);
         // `run_scenario` is the NullSink baseline by construction.
         let baseline = soak::run_scenario(&sc, SEED);
-        let observed = soak::run_scenario_observed(&sc, SEED, RecordingSink::shared());
+        let observed = soak::run_scenario_observed(&sc, SEED, verbose());
         assert_eq!(
             baseline, observed,
             "{name}: observing the run changed its outcome"
@@ -92,7 +97,7 @@ fn recording_sink_is_differentially_transparent_on_the_session_path() {
 fn soak_span_exports_are_byte_identical_across_replays() {
     for name in SCENARIOS {
         let sc = scenario(name);
-        let (s1, s2) = (RecordingSink::shared(), RecordingSink::shared());
+        let (s1, s2) = (verbose(), verbose());
         soak::run_scenario_observed(&sc, SEED, s1.clone());
         soak::run_scenario_observed(&sc, SEED, s2.clone());
         assert!(
@@ -120,7 +125,7 @@ fn null_sink_profile_transfers_match_recording_runs() {
     // bit-identical outcome (labels are parsed outside the fault RNG).
     for profile in Profile::ALL {
         let baseline = lineage::drive(profile, SEED, chunks_obs::null());
-        let observed = lineage::drive(profile, SEED, RecordingSink::shared());
+        let observed = lineage::drive(profile, SEED, verbose());
         assert_eq!(
             baseline,
             observed,
@@ -133,7 +138,7 @@ fn null_sink_profile_transfers_match_recording_runs() {
 #[test]
 fn lineage_exports_are_byte_identical_per_profile() {
     for profile in Profile::ALL {
-        let (s1, s2) = (RecordingSink::shared(), RecordingSink::shared());
+        let (s1, s2) = (verbose(), verbose());
         lineage::drive(profile, SEED, s1.clone());
         lineage::drive(profile, SEED, s2.clone());
         assert!(
@@ -200,7 +205,7 @@ fn recording_sink_is_differentially_transparent_on_the_parallel_path() {
         packets.extend(tx.packets_for_pending().unwrap());
     }
 
-    let sink = RecordingSink::shared();
+    let sink = verbose();
     let mut plain = ParallelReceiver::new(
         4,
         Engine::Virtual(Schedule::Seeded(SEED)),
@@ -372,6 +377,18 @@ fn observability_doc_names_every_metric_and_event() {
             "docs/OBSERVABILITY.md does not document health event `{name}`"
         );
     }
+    // The docs index advertises both counts; keep them honest.
+    let index = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/docs/README.md"))
+        .expect("docs/README.md exists");
+    for phrase in [
+        format!("all {} names", CATALOGUE.len()),
+        format!("the {}-variant event schema", EVENT_NAMES.len()),
+    ] {
+        assert!(
+            index.contains(&phrase),
+            "docs/README.md does not say `{phrase}`"
+        );
+    }
 }
 
 // --- flight recorder: dump-on-degradation is deterministic evidence ---------
@@ -384,7 +401,7 @@ fn flight_recorder_dumps_are_byte_identical_across_replays() {
     // trigger. Replaying the same seed must reproduce the dump byte for
     // byte — the postmortem is evidence, not a sample.
     let sc = scenario("ack-blackout-abort");
-    let (s1, s2) = (AlwaysOnSink::shared(), AlwaysOnSink::shared());
+    let (s1, s2) = (Recorder::shared(), Recorder::shared());
     let r1 = soak::run_scenario_observed(&sc, SEED, s1.clone());
     let r2 = soak::run_scenario_observed(&sc, SEED, s2.clone());
     assert_eq!(r1, r2, "blackout rows diverged across identical runs");
@@ -416,10 +433,22 @@ fn always_on_sink_is_differentially_transparent_on_the_session_path() {
     for name in SCENARIOS {
         let sc = scenario(name);
         let baseline = soak::run_scenario(&sc, SEED);
-        let observed = soak::run_scenario_observed(&sc, SEED, AlwaysOnSink::shared());
+        let (always_on, debug) = (Recorder::shared(), verbose());
+        let observed = soak::run_scenario_observed(&sc, SEED, always_on.clone());
         assert_eq!(
             baseline, observed,
             "{name}: the always-on sink changed the run's outcome"
         );
+        // One recorder, two tiers: the verbose tier only adds to what the
+        // always-on tier counts (verbose ⊇ always-on).
+        soak::run_scenario_observed(&sc, SEED, debug.clone());
+        let debug = debug.snapshot();
+        for (counter, value) in always_on.snapshot().nonzero_counters() {
+            assert_eq!(
+                debug.counter(&counter),
+                value,
+                "{name}: `{counter}` differs between the always-on and verbose tiers"
+            );
+        }
     }
 }
