@@ -1,46 +1,30 @@
-#![allow(missing_docs)] // bench target: fn main is the harness entry point
+#![allow(missing_docs)] // criterion_main! generates an undocumented fn main
 
-//! F5/F6 bench: cost of the fragmentation-invariant error detection, swept
-//! across GF(2^32) backends and batch widths.
+//! F5/F6 bench: cost of the fragmentation-invariant error detection.
 //!
-//! Three workload families, every row tagged with the backend and batch
-//! width that produced it (pinned by `tests/bench_schema.rs`):
+//! Two workload families on the active GF(2^32) backend:
 //!
-//! * `absorb_fragments/{backend}/{N}` — the paper's worst case: an
-//!   8192-byte TPDU of **1-byte elements** (every element zero-padded to
-//!   its own symbol), absorbed as `N` fragments through [`TpduInvariant`]
-//!   under a forced backend. The padded-element gather path turns this
-//!   into batched folds; `absorb_fragments_ref/{N}` replays the seed
-//!   implementation (one-shot bit-serial `Wsc2` calls per element) as the
-//!   baseline.
-//! * `absorb_bulk/{backend}/{N}` — the wire-speed case the ROADMAP's
-//!   GiB/s target is about: a 65536-byte TPDU of **1024-byte elements**
-//!   (SIZE a whole number of symbols, so payloads absorb as one contiguous
-//!   run), again as `N` fragments.
-//! * `fold/{backend}/w{W}` — the raw `(Σ dᵢ, Σ αⁱ·dᵢ)` kernel
-//!   ([`fold_symbols_with`]) over 16384 symbols at every batch width in
-//!   [`BATCH_WIDTHS`], plus `fold/ref/w1`, the seed per-symbol
-//!   `alpha_pow_ref`·`mul_ref` accumulation.
+//! * `absorb_fragments/{N}` — the paper's worst case: an 8192-byte TPDU
+//!   of **1-byte elements** (every element zero-padded to its own symbol),
+//!   absorbed as `N` fragments through [`TpduInvariant`]. The
+//!   padded-element gather path turns this into batched folds;
+//!   `absorb_fragments_ref/{N}` replays the seed implementation (one-shot
+//!   bit-serial `Wsc2` calls per element) as the baseline.
+//! * `absorb_bulk/{N}` — the wire-speed case: a 65536-byte TPDU of
+//!   **1024-byte elements** (SIZE a whole number of symbols, so payloads
+//!   absorb as one contiguous run), again as `N` fragments.
 //!
-//! The backend sweep honours the `CHUNKS_GF_BACKEND` override: when the
-//! env var forces `tables` (or the CPU has no carry-less multiply),
-//! only the portable path is measured — exactly what a table-only host
-//! would produce. `just bench-wsc-all` runs both configurations.
-//!
-//! After measuring, `main` writes the `BENCH_wsc.json` snapshot at the
-//! workspace root (see EXPERIMENTS.md for the schema and how to
-//! regenerate it).
-
-use std::fmt::Write as _;
-use std::path::PathBuf;
+//! Every arm must reproduce the seed digest before it is timed. The
+//! throughput numbers of record are the ledger's `gf.fold.mib_s` and
+//! `wsc.absorb.*` on `bulk-clean`; per-backend digest equality is pinned
+//! by `crates/wsc/tests/invariance.rs`.
 
 use chunks_bench::{chunk_of, chunk_of_elements};
 use chunks_core::chunk::{Chunk, ChunkHeader};
 use chunks_core::frag::split_to_fit;
 use chunks_core::wire::WIRE_HEADER_LEN;
-use chunks_gf::{fold_symbols_with, Backend, Gf32, BATCH_WIDTHS, DEFAULT_CLMUL_WIDTH};
 use chunks_wsc::{InvariantLayout, TpduInvariant, Wsc2};
-use criterion::{BenchResult, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
 /// Replica of the seed `TpduInvariant::absorb_chunk`: per-element one-shot
 /// `Wsc2` absorption through the bit-serial reference path, recomputing
@@ -73,48 +57,38 @@ fn absorb_chunk_ref(
     }
 }
 
-/// Which backend produced a row and at what batch width — recorded beside
-/// each measurement so `BENCH_wsc.json` rows are comparable across hosts.
-struct RowTag {
-    id: String,
-    backend: &'static str,
-    batch: usize,
-}
-
-/// The backends this run sweeps. The `CHUNKS_GF_BACKEND` override is
-/// honoured through `Backend::active()`: forced to `tables` (or on a CPU
-/// without carry-less multiply) only the portable path is measured.
-fn sweep_backends() -> Vec<Backend> {
-    match Backend::active() {
-        Backend::Tables => vec![Backend::Tables],
-        _ => Backend::supported(),
+/// The digest of `frags` through the production path.
+fn absorb_all(frags: &[Chunk]) -> [u8; 8] {
+    let mut inv = TpduInvariant::with_default_layout();
+    for f in frags {
+        inv.absorb_chunk(&f.header, &f.payload).unwrap();
     }
+    inv.digest()
 }
 
-/// The batch width `fold_symbols` uses on `backend` (what the absorb rows
-/// ride): serial Horner on tables, the wide default on clmul.
-fn default_width(backend: Backend) -> usize {
-    match backend {
-        Backend::Clmul => DEFAULT_CLMUL_WIDTH,
-        Backend::Tables => 1,
+/// The digest of `frags` through the seed replica.
+fn absorb_all_ref(frags: &[Chunk]) -> [u8; 8] {
+    let layout = InvariantLayout::default();
+    let mut wsc = Wsc2::new();
+    let mut ids = None;
+    for f in frags {
+        absorb_chunk_ref(&mut wsc, &mut ids, layout, &f.header, &f.payload);
     }
+    wsc.digest()
 }
 
-/// `absorb_fragments` / `absorb_bulk`: one TPDU absorbed as `pieces`
-/// fragments through `TpduInvariant`, measured once per swept backend.
-/// The seed bit-serial replica runs as the `ref` arm on the fragments
-/// workload only — its per-symbol cost is already characterized there and
-/// by `fold/ref/w1`, so re-timing it on the 8× larger bulk payload adds
-/// minutes of bench time without information.
+/// One TPDU absorbed as `pieces` fragments through `TpduInvariant`. The
+/// seed bit-serial replica is timed as the `_ref` arm on the fragments
+/// workload only — its per-symbol cost is already characterized there, so
+/// re-timing it on the 8× larger bulk payload adds bench time without
+/// information.
 fn bench_absorb(
     c: &mut Criterion,
-    tags: &mut Vec<RowTag>,
     function: &str,
     whole: &Chunk,
     with_ref: bool,
     piece_counts: &[u32],
 ) {
-    let layout = InvariantLayout::default();
     let bytes = whole.payload.len() as u64;
     let mut g = c.benchmark_group("invariant");
     g.throughput(Throughput::Bytes(bytes));
@@ -129,254 +103,35 @@ fn bench_absorb(
             .unwrap()
         };
 
-        // Every arm must agree on the digest before timings mean anything.
-        let mut slow = Wsc2::new();
-        let mut ids = None;
-        for f in &frags {
-            absorb_chunk_ref(&mut slow, &mut ids, layout, &f.header, &f.payload);
-        }
-        let oracle = slow.digest();
-        for backend in sweep_backends() {
-            Backend::force(Some(backend));
-            let mut fast = TpduInvariant::new(layout).unwrap();
-            for f in &frags {
-                fast.absorb_chunk(&f.header, &f.payload).unwrap();
-            }
-            assert_eq!(
-                fast.digest(),
-                oracle,
-                "{backend:?} digest diverged from the seed oracle"
-            );
-            tags.push(RowTag {
-                id: format!("invariant/{function}/{}/{pieces}", backend.name()),
-                backend: backend.name(),
-                batch: default_width(backend),
-            });
-            g.bench_with_input(
-                format!("{function}/{}/{pieces}", backend.name()),
-                &frags,
-                |b, frags| {
-                    b.iter(|| {
-                        let mut inv = TpduInvariant::with_default_layout();
-                        for f in frags {
-                            inv.absorb_chunk(&f.header, &f.payload).unwrap();
-                        }
-                        inv.digest()
-                    })
-                },
-            );
-            Backend::force(None);
-        }
+        // Both arms must agree on the digest before timings mean anything.
+        assert_eq!(
+            absorb_all(&frags),
+            absorb_all_ref(&frags),
+            "digest diverged from the seed oracle"
+        );
+
+        g.bench_with_input(format!("{function}/{pieces}"), &frags, |b, frags| {
+            b.iter(|| absorb_all(frags))
+        });
         if with_ref {
-            tags.push(RowTag {
-                id: format!("invariant/{function}_ref/{pieces}"),
-                backend: "ref",
-                batch: 1,
-            });
             g.bench_with_input(format!("{function}_ref/{pieces}"), &frags, |b, frags| {
-                b.iter(|| {
-                    let mut wsc = Wsc2::new();
-                    let mut ids = None;
-                    for f in frags {
-                        absorb_chunk_ref(&mut wsc, &mut ids, layout, &f.header, &f.payload);
-                    }
-                    wsc.digest()
-                })
+                b.iter(|| absorb_all_ref(frags))
             });
         }
     }
     g.finish();
 }
 
-/// `fold`: the raw batched-Horner kernel over 16384 symbols, swept across
-/// every backend × batch width, plus the seed per-symbol accumulation.
-fn bench_fold(c: &mut Criterion, tags: &mut Vec<RowTag>) {
-    const SYMS: usize = 16384;
-    let data: Vec<u32> = (0..SYMS as u32)
-        .map(|i| i.wrapping_mul(0x9E37_79B9) ^ 0xA5A5_5A5A)
-        .collect();
-
-    // Reference value all arms must reproduce.
-    let mut ref_p0 = Gf32::ZERO;
-    let mut ref_h = Gf32::ZERO;
-    for (i, &d) in data.iter().enumerate() {
-        let d = Gf32::new(d);
-        ref_p0 += d;
-        ref_h += Gf32::alpha_pow_ref(i as u64).mul_ref(d);
-    }
-
-    let mut g = c.benchmark_group("fold");
-    g.throughput(Throughput::Bytes((SYMS * 4) as u64));
-    for backend in sweep_backends() {
-        for &width in &BATCH_WIDTHS {
-            assert_eq!(
-                fold_symbols_with(backend, width, &data),
-                (ref_p0, ref_h),
-                "{backend:?} w{width} diverged from the seed oracle"
-            );
-            tags.push(RowTag {
-                id: format!("fold/{}/w{width}", backend.name()),
-                backend: backend.name(),
-                batch: width,
-            });
-            g.bench_with_input(format!("{}/w{width}", backend.name()), &data, |b, data| {
-                b.iter(|| fold_symbols_with(backend, width, data))
-            });
-        }
-    }
-    tags.push(RowTag {
-        id: "fold/ref/w1".into(),
-        backend: "ref",
-        batch: 1,
-    });
-    g.bench_with_input("ref/w1", &data, |b, data| {
-        b.iter(|| {
-            let mut p0 = Gf32::ZERO;
-            let mut h = Gf32::ZERO;
-            for (i, &d) in data.iter().enumerate() {
-                let d = Gf32::new(d);
-                p0 += d;
-                h += Gf32::alpha_pow_ref(i as u64).mul_ref(d);
-            }
-            (p0, h)
-        })
-    });
-    g.finish();
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-/// `{:.1}` for a present median, `null` when the arm was not measured
-/// (e.g. clmul rows on a table-only run).
-fn num_or_null(v: Option<f64>) -> String {
-    v.map(|v| format!("{v:.1}"))
-        .unwrap_or_else(|| "null".into())
-}
-
-/// `{:.2}` ratio when both arms were measured, else `null`.
-fn ratio_or_null(num: Option<f64>, den: Option<f64>) -> String {
-    match (num, den) {
-        (Some(n), Some(d)) => format!("{:.2}", n / d),
-        _ => "null".into(),
-    }
-}
-
-/// Writes `BENCH_wsc.json` at the workspace root from the measured
-/// results. Every row carries `backend` and `batch` beside the timings
-/// (schema pinned by `tests/bench_schema.rs`); the `summary` section pairs
-/// the arms per workload. The source revision in the meta block comes from
-/// the `CHUNKS_DESCRIBE` environment variable (the justfile passes
-/// `git describe`); the bench itself never shells out.
-fn write_snapshot(results: &[BenchResult], tags: &[RowTag]) -> std::io::Result<PathBuf> {
-    let describe = std::env::var("CHUNKS_DESCRIBE").unwrap_or_else(|_| "unknown".into());
-    let tag_of = |id: &str| tags.iter().find(|t| t.id == id);
-    let median = |id: &str| results.iter().find(|r| r.id == id).map(|r| r.median_ns);
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(
-        out,
-        "  \"meta\": {{\"bench\": \"wsc-tpdu-invariant\", \"regenerate\": \"just bench-wsc (both backend configurations: just bench-wsc-all)\", \"describe\": \"{}\"}},",
-        json_escape(&describe)
-    );
-    out.push_str(
-        "  \"workload\": \"absorb_fragments: 8192-byte TPDU of 1-byte elements as N fragments; absorb_bulk: 65536-byte TPDU of 1024-byte elements as N fragments; fold: 16384-symbol (Σ d_i, Σ α^i·d_i) kernel\",\n",
-    );
-    out.push_str("  \"results\": [\n");
-    for (k, r) in results.iter().enumerate() {
-        let sep = if k + 1 == results.len() { "" } else { "," };
-        let (backend, batch) = tag_of(&r.id)
-            .map(|t| (t.backend, t.batch))
-            .unwrap_or(("ref", 1));
-        let _ = writeln!(
-            out,
-            "    {{\"id\": \"{}\", \"backend\": \"{}\", \"batch\": {}, \"median_ns\": {:.1}, \"mean_ns\": {:.1}, \"mib_per_s\": {}}}{}",
-            json_escape(&r.id),
-            backend,
-            batch,
-            r.median_ns,
-            r.mean_ns,
-            num_or_null(r.mib_per_s()),
-            sep
-        );
-    }
-    out.push_str("  ],\n");
-
-    // Pair the arms per workload: seed bit-serial baseline, portable table
-    // path, hardware clmul path, plus the payload rate of the clmul arm.
-    out.push_str("  \"summary\": [\n");
-    let workloads: Vec<(String, u64, Option<String>)> = [1u32, 8, 64]
-        .iter()
-        .map(|n| {
-            (
-                format!("absorb_fragments/{n}"),
-                8192,
-                Some(format!("invariant/absorb_fragments_ref/{n}")),
-            )
-        })
-        .chain(
-            [1u32, 16]
-                .iter()
-                .map(|n| (format!("absorb_bulk/{n}"), 65536, None)),
-        )
-        .collect();
-    for (k, (w, bytes, ref_id)) in workloads.iter().enumerate() {
-        let sep = if k + 1 == workloads.len() { "" } else { "," };
-        let arm = |backend: &str| {
-            let (f, n) = w.split_once('/').unwrap();
-            median(&format!("invariant/{f}/{backend}/{n}"))
-        };
-        let (tables, clmul) = (arm("tables"), arm("clmul"));
-        let seed = ref_id.as_deref().and_then(median);
-        let gib = clmul.map(|ns| *bytes as f64 / (1u64 << 30) as f64 / (ns / 1e9));
-        let _ = writeln!(
-            out,
-            "    {{\"workload\": \"{}\", \"seed_ref_ns\": {}, \"tables_ns\": {}, \"clmul_ns\": {}, \"clmul_vs_ref\": {}, \"clmul_vs_tables\": {}, \"clmul_gib_per_s\": {}}}{}",
-            w,
-            num_or_null(seed),
-            num_or_null(tables),
-            num_or_null(clmul),
-            ratio_or_null(seed, clmul),
-            ratio_or_null(tables, clmul),
-            gib.map(|g| format!("{g:.2}")).unwrap_or_else(|| "null".into()),
-            sep
-        );
-    }
-    out.push_str("  ]\n}\n");
-
-    // crates/bench -> workspace root.
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .canonicalize()?
-        .join("BENCH_wsc.json");
-    std::fs::write(&path, out)?;
-    Ok(path)
-}
-
-fn main() {
-    let mut c = Criterion::default();
-    let mut tags = Vec::new();
+fn bench_invariant(c: &mut Criterion) {
+    bench_absorb(c, "absorb_fragments", &chunk_of(8192), true, &[1, 8, 64]);
     bench_absorb(
-        &mut c,
-        &mut tags,
-        "absorb_fragments",
-        &chunk_of(8192),
-        true,
-        &[1, 8, 64],
-    );
-    bench_absorb(
-        &mut c,
-        &mut tags,
+        c,
         "absorb_bulk",
         &chunk_of_elements(1024, 64),
         false,
         &[1, 16],
     );
-    bench_fold(&mut c, &mut tags);
-    let results = c.take_results();
-    match write_snapshot(&results, &tags) {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write BENCH_wsc.json: {e}"),
-    }
 }
+
+criterion_group!(benches, bench_invariant);
+criterion_main!(benches);

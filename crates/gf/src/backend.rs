@@ -10,7 +10,7 @@
 //!   lookup tables;
 //! * **[`Backend::Clmul`]** — hardware carry-less multiply
 //!   (`PCLMULQDQ` on x86_64, `PMULL` on aarch64) with Barrett reduction;
-//!   no tables, no memory traffic, and the substrate for the wide-lane
+//!   no tables, no memory traffic, and the substrate for the eight-lane
 //!   batched Horner evaluation in `fold.rs`.
 //!
 //! The active backend is decided **once**, on first use, behind a
@@ -22,10 +22,10 @@
 //! `Tables` rather than failing: the backends are interchangeable by
 //! construction.
 //!
-//! Benchmarks and equivalence tests that must measure *both* backends in
-//! one process use [`Backend::force`], which overrides the detected
-//! choice. Because every backend returns identical bits, flipping the
-//! override at runtime is safe anywhere.
+//! Equivalence tests that must run *both* backends in one process use
+//! [`Backend::force`], which overrides the detected choice. Because every
+//! backend returns identical bits, flipping the override at runtime is
+//! safe anywhere.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
@@ -76,10 +76,10 @@ impl Backend {
 
     /// Overrides (or, with `None`, restores) the detected backend.
     ///
-    /// Intended for benchmarks and backend-equivalence tests that need to
-    /// exercise both paths inside one process. All backends produce
-    /// bit-identical results, so concurrent readers only ever observe a
-    /// change in speed, never in value. Forcing [`Backend::Clmul`] on a
+    /// Intended for backend-equivalence tests that need to exercise both
+    /// paths inside one process. All backends produce bit-identical
+    /// results, so concurrent readers only ever observe a change in
+    /// speed, never in value. Forcing [`Backend::Clmul`] on a
     /// CPU without carry-less multiply is ignored.
     pub fn force(backend: Option<Backend>) {
         let code = match backend {
@@ -102,7 +102,7 @@ impl Backend {
         }
     }
 
-    /// Stable lowercase name, as recorded in `BENCH_wsc.json` rows.
+    /// Stable lowercase name, as the throughput ledger records it.
     pub fn name(self) -> &'static str {
         match self {
             Backend::Tables => "tables",

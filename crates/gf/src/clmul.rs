@@ -4,15 +4,15 @@
 //! loads; this module turns it into one `clmul` instruction plus a
 //! **Barrett reduction** (two more `clmul`s against compile-time
 //! constants), touching no memory at all. On top of the scalar multiply it
-//! provides the wide-lane batched Horner kernel behind
+//! provides the eight-lane batched Horner kernel behind
 //! [`crate::fold_symbols`]:
 //!
 //! * **Scalar multiply** — `R = a ⊗ b` (degree ≤ 62), then
 //!   `R mod p = R ⊕ (⌊⌊R/x³²⌋·μ / x³²⌋ ⊗ p)` with `μ = ⌊x⁶⁴/p⌋`
 //!   precomputed (the classic Barrett identity for polynomials).
-//! * **Lane fold with lazy reduction** — `L` independent Horner chains,
-//!   each stepping by the constant `C = α^L`. An accumulator `A` is kept
-//!   *unreduced* at ≤ 63 bits; one step is
+//! * **Lane fold with lazy reduction** — `L = 8` independent Horner
+//!   chains, each stepping by the constant `C = α^L`. An accumulator `A`
+//!   is kept *unreduced* at ≤ 63 bits; one step is
 //!   `A' = (A≫32) ⊗ K  ⊕  (A&2³²-1) ⊗ C  ⊕  d` with `K = (x³²·C) mod p`,
 //!   which preserves `A' ≡ A·C + d (mod p)` while staying in 64 bits —
 //!   two `clmul`s per symbol, no reduction until the chains are combined.
@@ -27,7 +27,7 @@
 //! with `mul_ref` is pinned by `tests/field_axioms.rs` across backends.
 #![allow(unsafe_code)] // std::arch intrinsics; every call site is feature-gated
 
-use crate::poly::{reduce64, MODULUS};
+use crate::poly::{const_mul, MODULUS, POLY_LOW};
 
 /// `μ = ⌊x⁶⁴ / p(x)⌋`, the degree-32 Barrett quotient constant.
 const MU: u64 = barrett_mu();
@@ -80,31 +80,27 @@ pub(crate) fn mul(a: u32, b: u32) -> u32 {
     }
 }
 
-/// `(Σ dᵢ, Σ αⁱ·dᵢ)` over `data` via `lanes` independent Horner chains
-/// (`lanes` ∈ {2, 4, 8, 16}); falls back to the portable serial fold when
-/// the instruction is missing.
-pub(crate) fn fold_symbols(data: &[u32], lanes: usize) -> (u32, u32) {
+/// Independent Horner chains in the lane fold. Eight sits at the knee on
+/// the hosts measured (2 and 4 cannot hide the multiply latency, 16 spills
+/// accumulators; figures in `docs/PERFORMANCE.md`).
+const LANES: usize = 8;
+
+/// `C = α^LANES`, the per-block step of every lane chain. `α = x`, so the
+/// power needs no reduction below degree 32.
+const LANE_STEP: u32 = 1 << LANES;
+
+/// `K = (x³²·C) mod p`, which folds an unreduced accumulator's high half
+/// back in during the lazy-reduction step.
+const LANE_FOLD: u32 = const_mul(LANE_STEP, POLY_LOW);
+
+/// `(Σ dᵢ, Σ αⁱ·dᵢ)` over `data` via [`LANES`] independent Horner chains;
+/// falls back to the portable serial fold when the instruction is missing.
+pub(crate) fn fold_symbols(data: &[u32]) -> (u32, u32) {
     if !is_supported() {
         return crate::fold::fold_serial(data);
     }
     // SAFETY: `is_supported` proved the target features exist.
-    unsafe {
-        match lanes {
-            2 => arch::fold_lanes::<2>(data),
-            4 => arch::fold_lanes::<4>(data),
-            16 => arch::fold_lanes::<16>(data),
-            _ => arch::fold_lanes::<8>(data),
-        }
-    }
-}
-
-/// Per-lane constants for the lazy-reduction step: `C = α^L` and
-/// `K = (x³²·C) mod p`, plus the Horner weight table `α^j` for the final
-/// lane combination.
-fn lane_constants(lanes: usize) -> (u32, u32) {
-    let c = crate::Gf32::alpha_pow_ref(lanes as u64).value();
-    let k = reduce64((c as u64) << 32);
-    (c, k)
+    unsafe { arch::fold_lanes(data) }
 }
 
 /// Combines lane accumulators and the serial tail into `(p0, Σ αⁱ·dᵢ)`.
@@ -137,7 +133,7 @@ fn fold_tail(tail: &[u32]) -> (u32, u32) {
 
 #[cfg(target_arch = "x86_64")]
 mod arch {
-    use super::{combine_lanes, fold_tail, lane_constants, MODULUS, MU};
+    use super::{combine_lanes, fold_tail, LANES, LANE_FOLD, LANE_STEP, MODULUS, MU};
     use crate::poly::reduce64;
     use std::arch::x86_64::{
         _mm_and_si128, _mm_clmulepi64_si128, _mm_cvtsi128_si64, _mm_cvtsi32_si128, _mm_set1_epi64x,
@@ -159,20 +155,19 @@ mod arch {
         _mm_cvtsi128_si64(_mm_xor_si128(r, t3)) as u32
     }
 
-    /// `L`-lane batched Horner with lazy reduction (see module docs).
+    /// [`LANES`]-lane batched Horner with lazy reduction (see module docs).
     #[target_feature(enable = "pclmulqdq", enable = "sse2")]
-    pub(super) unsafe fn fold_lanes<const L: usize>(data: &[u32]) -> (u32, u32) {
-        let (c, k) = lane_constants(L);
+    pub(super) unsafe fn fold_lanes(data: &[u32]) -> (u32, u32) {
         // CK.low64 = C, CK.high64 = K.
-        let ck = _mm_set_epi64x(k as i64, c as i64);
+        let ck = _mm_set_epi64x(LANE_FOLD as i64, LANE_STEP as i64);
         let lo_mask = _mm_set1_epi64x(0xFFFF_FFFF);
-        let blocks = data.len() / L;
-        let mut acc = [_mm_setzero_si128(); L];
+        let blocks = data.len() / LANES;
+        let mut acc = [_mm_setzero_si128(); LANES];
         let mut p0 = 0u32;
-        // Horner over blocks, last block first: acc_j ← acc_j·α^L + d.
+        // Horner over blocks, last block first: acc_j ← acc_j·α^LANES + d.
         for k_blk in (0..blocks).rev() {
-            let base = k_blk * L;
-            for j in 0..L {
+            let base = k_blk * LANES;
+            for j in 0..LANES {
                 let d = data[base + j];
                 p0 ^= d;
                 let a = acc[j];
@@ -186,18 +181,18 @@ mod arch {
                 acc[j] = _mm_xor_si128(prod, _mm_cvtsi32_si128(d as i32));
             }
         }
-        let mut lane_values = [0u32; L];
-        for j in 0..L {
+        let mut lane_values = [0u32; LANES];
+        for j in 0..LANES {
             lane_values[j] = reduce64(_mm_cvtsi128_si64(acc[j]) as u64);
         }
-        let (tail_h, tail_p0) = fold_tail(&data[blocks * L..]);
-        combine_lanes(&lane_values, tail_h, (blocks * L) as u64, p0 ^ tail_p0)
+        let (tail_h, tail_p0) = fold_tail(&data[blocks * LANES..]);
+        combine_lanes(&lane_values, tail_h, (blocks * LANES) as u64, p0 ^ tail_p0)
     }
 }
 
 #[cfg(target_arch = "aarch64")]
 mod arch {
-    use super::{combine_lanes, fold_tail, lane_constants, MODULUS, MU};
+    use super::{combine_lanes, fold_tail, LANES, LANE_FOLD, LANE_STEP, MODULUS, MU};
     use crate::poly::reduce64;
     use std::arch::aarch64::vmull_p64;
 
@@ -210,30 +205,29 @@ mod arch {
         (r ^ t3) as u32
     }
 
-    /// `L`-lane batched Horner with lazy reduction (see module docs).
+    /// [`LANES`]-lane batched Horner with lazy reduction (see module docs).
     #[target_feature(enable = "neon", enable = "aes")]
-    pub(super) unsafe fn fold_lanes<const L: usize>(data: &[u32]) -> (u32, u32) {
-        let (c, k) = lane_constants(L);
-        let blocks = data.len() / L;
-        let mut acc = [0u64; L];
+    pub(super) unsafe fn fold_lanes(data: &[u32]) -> (u32, u32) {
+        let blocks = data.len() / LANES;
+        let mut acc = [0u64; LANES];
         let mut p0 = 0u32;
         for k_blk in (0..blocks).rev() {
-            let base = k_blk * L;
-            for j in 0..L {
+            let base = k_blk * LANES;
+            for j in 0..LANES {
                 let d = data[base + j];
                 p0 ^= d;
                 let a = acc[j];
-                acc[j] = (vmull_p64(a >> 32, k as u64) as u64)
-                    ^ (vmull_p64(a & 0xFFFF_FFFF, c as u64) as u64)
+                acc[j] = (vmull_p64(a >> 32, LANE_FOLD as u64) as u64)
+                    ^ (vmull_p64(a & 0xFFFF_FFFF, LANE_STEP as u64) as u64)
                     ^ d as u64;
             }
         }
-        let mut lane_values = [0u32; L];
-        for j in 0..L {
+        let mut lane_values = [0u32; LANES];
+        for j in 0..LANES {
             lane_values[j] = reduce64(acc[j]);
         }
-        let (tail_h, tail_p0) = fold_tail(&data[blocks * L..]);
-        combine_lanes(&lane_values, tail_h, (blocks * L) as u64, p0 ^ tail_p0)
+        let (tail_h, tail_p0) = fold_tail(&data[blocks * LANES..]);
+        combine_lanes(&lane_values, tail_h, (blocks * LANES) as u64, p0 ^ tail_p0)
     }
 }
 
@@ -246,7 +240,7 @@ mod arch {
     }
 
     /// Unreachable on this architecture (see [`mul_unchecked`]).
-    pub(super) unsafe fn fold_lanes<const L: usize>(_data: &[u32]) -> (u32, u32) {
+    pub(super) unsafe fn fold_lanes(_data: &[u32]) -> (u32, u32) {
         unreachable!("clmul backend dispatched without hardware support")
     }
 }
@@ -254,7 +248,7 @@ mod arch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::poly::{clmul32, POLY_LOW};
+    use crate::poly::{clmul32, reduce64};
 
     #[test]
     fn barrett_mu_is_the_x64_quotient() {
@@ -295,19 +289,22 @@ mod tests {
     }
 
     #[test]
+    fn lane_constants_are_alpha_to_the_lane_count() {
+        let c = crate::Gf32::alpha_pow_ref(LANES as u64).value();
+        assert_eq!(LANE_STEP, c);
+        assert_eq!(LANE_FOLD, reduce64((c as u64) << 32));
+    }
+
+    #[test]
     fn fold_matches_serial_reference() {
         let data: Vec<u32> = (0..1000u32).map(|i| i.wrapping_mul(0x9E37_79B9)).collect();
-        let expect = crate::fold::fold_serial(&data);
-        for lanes in [2usize, 4, 8, 16] {
-            for n in [0usize, 1, 2, 7, 15, 16, 17, 63, 1000] {
-                let expect_n = crate::fold::fold_serial(&data[..n]);
-                assert_eq!(
-                    fold_symbols(&data[..n], lanes),
-                    expect_n,
-                    "lanes={lanes} n={n}"
-                );
-            }
-            assert_eq!(fold_symbols(&data, lanes), expect, "lanes={lanes}");
+        // Lengths straddle the 8-lane block on both sides.
+        for n in [0usize, 1, 2, 7, 8, 9, 15, 16, 17, 63, 1000] {
+            assert_eq!(
+                fold_symbols(&data[..n]),
+                crate::fold::fold_serial(&data[..n]),
+                "n={n}"
+            );
         }
     }
 }

@@ -7,43 +7,30 @@
 //! p0 = Σ dᵢ          H = Σ αⁱ·dᵢ        (the caller then adds α^start·H)
 //! ```
 //!
-//! This module computes `(p0, H)` three ways, all bit-identical:
+//! This module computes `(p0, H)` two ways, bit-identical:
 //!
-//! * **serial Horner** (`width = 1`, the portable baseline) — back to
-//!   front, `h ← h·α + d`, one [`Gf32::mul_alpha`] shift per symbol. No
+//! * **serial Horner** on [`Backend::Tables`], the portable path — back
+//!   to front, `h ← h·α + d`, one [`Gf32::mul_alpha`] shift per symbol. No
 //!   full multiplies, but a latency chain the CPU cannot overlap.
-//! * **wide-lane Horner over tables** (`width = L` on
-//!   [`Backend::Tables`]) — the lane identity
-//!   `Σ αⁱ dᵢ = Σ_{j<L} αʲ · (Σ_k α^(kL)·d_(kL+j))` splits the sum into
-//!   `L` independent chains, each stepping by the constant `α^L` with a
-//!   full table multiply. Honest but rarely profitable: 20 lookups per
-//!   symbol lose to the serial shift chain.
-//! * **wide-lane Horner over clmul** (`width = L` on
-//!   [`Backend::Clmul`]) — the same identity, but one chain step is two
-//!   `PCLMULQDQ`/`PMULL` instructions with lazy reduction (see
-//!   `clmul.rs`). The chains pipeline, and this is the >1 GiB/s path the
-//!   TPDU invariant verification rides.
+//! * **eight-lane Horner over clmul** on [`Backend::Clmul`] — the lane
+//!   identity `Σ αⁱ dᵢ = Σ_{j<8} αʲ · (Σ_k α^(8k)·d_(8k+j))` splits the
+//!   sum into eight independent chains, each stepping by the constant `α⁸`;
+//!   one chain step is two `PCLMULQDQ`/`PMULL` instructions with lazy
+//!   reduction (see `clmul.rs`). The chains pipeline, and this is the
+//!   path the TPDU invariant verification rides.
 //!
-//! [`fold_symbols`] picks the active backend's best width;
-//! [`fold_symbols_with`] pins backend and width explicitly, which is what
-//! the `invariant` benchmark sweeps into `BENCH_wsc.json`.
+//! [`fold_symbols`] runs the active backend; [`fold_symbols_with`] pins
+//! the backend, so the equivalence tests can reach the portable path on
+//! hardware that has carry-less multiply.
 
 use crate::backend::Backend;
 use crate::Gf32;
 
-/// Batch widths [`fold_symbols_with`] accepts: 1 is the serial Horner
-/// sweep, the rest are wide-lane chain counts.
-pub const BATCH_WIDTHS: [usize; 5] = [1, 2, 4, 8, 16];
-
-/// The width [`fold_symbols`] uses on the clmul backend.
-pub const DEFAULT_CLMUL_WIDTH: usize = 8;
-
 /// Symbols converted per stack block in [`fold_be_bytes`].
 const BYTES_BLOCK_SYMBOLS: usize = 256;
 
-/// `(Σ dᵢ, Σ αⁱ·dᵢ)` over `data` on the active backend at its preferred
-/// width: serial Horner on [`Backend::Tables`], 8 clmul lanes on
-/// [`Backend::Clmul`].
+/// `(Σ dᵢ, Σ αⁱ·dᵢ)` over `data` on the active backend: serial Horner
+/// on [`Backend::Tables`], eight clmul lanes on [`Backend::Clmul`].
 ///
 /// ```
 /// use chunks_gf::{fold_symbols, Gf32};
@@ -53,26 +40,18 @@ const BYTES_BLOCK_SYMBOLS: usize = 256;
 /// ```
 #[inline]
 pub fn fold_symbols(data: &[u32]) -> (Gf32, Gf32) {
-    let (p0, h) = match Backend::active() {
-        Backend::Clmul => crate::clmul::fold_symbols(data, DEFAULT_CLMUL_WIDTH),
-        Backend::Tables => fold_serial(data),
-    };
-    (Gf32::new(p0), Gf32::new(h))
+    fold_symbols_with(Backend::active(), data)
 }
 
-/// [`fold_symbols`] with backend and batch width pinned — the benchmark
-/// sweep entry point. `width` must come from [`BATCH_WIDTHS`]; requesting
-/// the clmul backend on a CPU without carry-less multiply falls back to
-/// the equivalent table-path computation.
-pub fn fold_symbols_with(backend: Backend, width: usize, data: &[u32]) -> (Gf32, Gf32) {
-    debug_assert!(BATCH_WIDTHS.contains(&width), "unsupported width {width}");
-    let (p0, h) = match (backend, width) {
-        (_, 0 | 1) => fold_serial(data),
-        (Backend::Clmul, w) => crate::clmul::fold_symbols(data, w),
-        (Backend::Tables, 2) => fold_lanes_tables::<2>(data),
-        (Backend::Tables, 4) => fold_lanes_tables::<4>(data),
-        (Backend::Tables, 16) => fold_lanes_tables::<16>(data),
-        (Backend::Tables, _) => fold_lanes_tables::<8>(data),
+/// [`fold_symbols`] with the backend pinned and no global state read — the
+/// reference the per-backend equivalence tests compare against. Asking for
+/// the clmul backend on a CPU without carry-less multiply computes the
+/// same value on the portable path.
+#[inline]
+pub fn fold_symbols_with(backend: Backend, data: &[u32]) -> (Gf32, Gf32) {
+    let (p0, h) = match backend {
+        Backend::Clmul => crate::clmul::fold_symbols(data),
+        Backend::Tables => fold_serial(data),
     };
     (Gf32::new(p0), Gf32::new(h))
 }
@@ -85,16 +64,6 @@ pub fn fold_symbols_with(backend: Backend, width: usize, data: &[u32]) -> (Gf32,
 /// runs never allocate; blocks combine by the block-Horner identity
 /// `H = H_blk + α^{blk_symbols}·H_rest`.
 pub fn fold_be_bytes(bytes: &[u8]) -> (Gf32, Gf32) {
-    fold_be_bytes_impl(bytes, fold_symbols)
-}
-
-/// [`fold_be_bytes`] with backend and batch width pinned (see
-/// [`fold_symbols_with`]).
-pub fn fold_be_bytes_with(backend: Backend, width: usize, bytes: &[u8]) -> (Gf32, Gf32) {
-    fold_be_bytes_impl(bytes, |block| fold_symbols_with(backend, width, block))
-}
-
-fn fold_be_bytes_impl(bytes: &[u8], fold: impl Fn(&[u32]) -> (Gf32, Gf32)) -> (Gf32, Gf32) {
     const BLOCK_BYTES: usize = BYTES_BLOCK_SYMBOLS * 4;
     if bytes.is_empty() {
         return (Gf32::ZERO, Gf32::ZERO);
@@ -110,7 +79,7 @@ fn fold_be_bytes_impl(bytes: &[u8], fold: impl Fn(&[u32]) -> (Gf32, Gf32)) -> (G
             be[..word.len()].copy_from_slice(word);
             *slot = u32::from_be_bytes(be);
         }
-        let (bp0, bh) = fold(&buf[..n_sym]);
+        let (bp0, bh) = fold_symbols(&buf[..n_sym]);
         p0 += bp0;
         h = bh + Gf32::alpha_pow(n_sym as u64) * h;
     }
@@ -128,37 +97,6 @@ pub(crate) fn fold_serial(data: &[u32]) -> (u32, u32) {
         p0 += d;
     }
     (p0.value(), horner.value())
-}
-
-/// Wide-lane Horner on the table path: `L` chains stepping by `α^L` via
-/// `mul_tables`, combined with the lane identity. Kept for an honest
-/// tables-at-width-`L` arm in the benchmark sweep.
-fn fold_lanes_tables<const L: usize>(data: &[u32]) -> (u32, u32) {
-    let c = Gf32::alpha_pow(L as u64);
-    let blocks = data.len() / L;
-    let mut acc = [Gf32::ZERO; L];
-    let mut p0 = Gf32::ZERO;
-    for k in (0..blocks).rev() {
-        let base = k * L;
-        for j in 0..L {
-            let d = Gf32::new(data[base + j]);
-            p0 += d;
-            acc[j] = acc[j].mul_fast(c) + d;
-        }
-    }
-    // Tail, then Σ αʲ·acc_j by Horner from the top lane down.
-    let mut horner = Gf32::ZERO;
-    for &a in acc.iter().rev() {
-        horner = horner.mul_alpha() + a;
-    }
-    let mut tail_h = Gf32::ZERO;
-    for &d in data[blocks * L..].iter().rev() {
-        let d = Gf32::new(d);
-        tail_h = tail_h.mul_alpha() + d;
-        p0 += d;
-    }
-    let h = horner + Gf32::alpha_pow((blocks * L) as u64) * tail_h;
-    (p0.value(), h.value())
 }
 
 #[cfg(test)]
@@ -184,18 +122,17 @@ mod tests {
     }
 
     #[test]
-    fn every_backend_and_width_matches_the_oracle() {
-        for n in [0usize, 1, 3, 7, 8, 15, 16, 31, 100, 257] {
+    fn every_backend_matches_the_oracle() {
+        // 7..17 straddle the 8-lane block on both sides.
+        for n in [0usize, 1, 3, 7, 8, 15, 16, 17, 31, 100, 257] {
             let data = sample(n);
             let expect = reference(&data);
             for backend in Backend::supported() {
-                for &w in &BATCH_WIDTHS {
-                    assert_eq!(
-                        fold_symbols_with(backend, w, &data),
-                        expect,
-                        "backend={backend:?} width={w} n={n}"
-                    );
-                }
+                assert_eq!(
+                    fold_symbols_with(backend, &data),
+                    expect,
+                    "backend={backend:?} n={n}"
+                );
             }
             assert_eq!(fold_symbols(&data), expect, "active backend, n={n}");
         }
@@ -203,6 +140,7 @@ mod tests {
 
     #[test]
     fn bytes_fold_matches_symbol_fold_with_padding() {
+        // 1023/1024/1025 straddle the 256-symbol stack block.
         for n in [1usize, 2, 3, 4, 5, 1023, 1024, 1025, 4096, 5000] {
             let bytes: Vec<u8> = (0..n).map(|i| (i * 37 + 11) as u8).collect();
             let mut symbols = Vec::new();
@@ -214,9 +152,7 @@ mod tests {
             let expect = reference(&symbols);
             assert_eq!(fold_be_bytes(&bytes), expect, "n={n}");
             for backend in Backend::supported() {
-                for &w in &[1usize, 8] {
-                    assert_eq!(fold_be_bytes_with(backend, w, &bytes), expect, "n={n}");
-                }
+                assert_eq!(fold_symbols_with(backend, &symbols), expect, "n={n}");
             }
         }
     }

@@ -35,7 +35,7 @@
 //!   production fallback;
 //! * the **clmul path** ([`Gf32::mul_clmul`]; see `clmul.rs`) — hardware
 //!   carry-less multiply (`PCLMULQDQ` on x86_64, `PMULL` on aarch64) with
-//!   Barrett reduction, plus the wide-lane batched Horner kernel behind
+//!   Barrett reduction, plus the eight-lane batched Horner kernel behind
 //!   [`fold_symbols`].
 //!
 //! The operator impls (`*`, `/`) and everything layered above (WSC-2, the
@@ -53,10 +53,7 @@ mod poly;
 mod tables;
 
 pub use backend::Backend;
-pub use fold::{
-    fold_be_bytes, fold_be_bytes_with, fold_symbols, fold_symbols_with, BATCH_WIDTHS,
-    DEFAULT_CLMUL_WIDTH,
-};
+pub use fold::{fold_be_bytes, fold_symbols, fold_symbols_with};
 pub use poly::{clmul32, reduce64, MODULUS, POLY_LOW};
 
 use std::fmt;

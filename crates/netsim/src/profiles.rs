@@ -1,9 +1,9 @@
 //! Named, seeded network profiles.
 //!
 //! The differential harness (`tests/parallel_differential.rs`), the
-//! deterministic-schedule tests, and the `experiments parallel` sweep all
-//! need the *same* reproducible network behaviours: a profile name plus a
-//! seed fully determines the path. Keeping the constructors here means a
+//! deterministic-schedule tests, the `experiments lineage` sweep and the
+//! throughput ledger all need the *same* reproducible network behaviours:
+//! a profile name plus a seed fully determines the path. Keeping the constructors here means a
 //! BENCH row labelled `reorder` and a failing differential scenario labelled
 //! `reorder` are talking about exactly the same simulated network.
 //!

@@ -225,15 +225,12 @@ impl DispatchStats {
     }
 }
 
-/// Wall-clock spent in each pipeline stage.
+/// Wall-clock spent in the worker and merge stages. Dispatch is timed by
+/// the caller around its own `ingest` calls.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct StageTimings {
-    /// Time in [`ParallelReceiver::ingest`]: span validation + routing.
-    pub dispatch_ns: u64,
     /// Busiest single worker — the pipeline's critical path.
     pub process_max_ns: u64,
-    /// Total worker busy time across all workers.
-    pub process_total_ns: u64,
     /// Time in the merge stage of [`ParallelReceiver::finish`].
     pub merge_ns: u64,
 }
@@ -585,7 +582,6 @@ pub struct ParallelReceiver {
     workers: usize,
     runtime: Runtime,
     dispatch: DispatchStats,
-    dispatch_ns: u64,
     /// Global chunk arrival counter; stamps control events so the merge can
     /// restore one deterministic order.
     stamp: u64,
@@ -689,7 +685,6 @@ impl ParallelReceiver {
             workers,
             runtime,
             dispatch: DispatchStats::default(),
-            dispatch_ns: 0,
             stamp: 0,
             control: Vec::new(),
             registered,
@@ -717,19 +712,14 @@ impl ParallelReceiver {
     /// sequence exactly like the serial `unpack` (a single malformed chunk
     /// rejects the whole packet), then routes each span.
     pub fn ingest(&mut self, packet: &Packet, now: u64) {
-        let started = Instant::now();
         self.ingest_inner(packet, now);
         if self.obs_on {
             self.obs.clock_advance(now);
         }
-        self.dispatch_ns += started.elapsed().as_nanos() as u64;
     }
 
-    /// Ingests a batch of packets arriving at the same virtual time. The
-    /// dispatch clock is read once per batch, so per-packet ingest overhead
-    /// amortises across the batch.
+    /// Ingests a batch of packets arriving at the same virtual time.
     pub fn ingest_batch(&mut self, packets: &[Packet], now: u64) {
-        let started = Instant::now();
         for packet in packets {
             self.ingest_inner(packet, now);
         }
@@ -739,7 +729,6 @@ impl ParallelReceiver {
         if self.obs_on && !packets.is_empty() {
             self.obs.clock_advance(now);
         }
-        self.dispatch_ns += started.elapsed().as_nanos() as u64;
     }
 
     /// Pre-sizes every worker's receivers and event buffers for an expected
@@ -1012,7 +1001,6 @@ impl ParallelReceiver {
         let mut transcript = Wsc2Stream::new();
         let mut worker_chunks = vec![0u64; self.workers];
         let mut process_max_ns = 0u64;
-        let mut process_total_ns = 0u64;
         for mut shard in shards {
             transcript.fold(&shard.transcript);
             worker_chunks[shard.index] = shard.chunks;
@@ -1029,7 +1017,6 @@ impl ParallelReceiver {
             }
             self.dispatch.decode_errors += shard.decode_errors;
             process_max_ns = process_max_ns.max(shard.busy_ns);
-            process_total_ns += shard.busy_ns;
             // Drain the worker's table: live connections move out sorted by
             // `C.ID` (pooled shells of retired connections are dropped, and
             // with them any events a retired connection left behind).
@@ -1071,9 +1058,7 @@ impl ParallelReceiver {
             transcript_digest: transcript.digest(),
             dispatch: self.dispatch,
             timings: StageTimings {
-                dispatch_ns: self.dispatch_ns,
                 process_max_ns,
-                process_total_ns,
                 merge_ns,
             },
             worker_chunks,

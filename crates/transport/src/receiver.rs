@@ -637,16 +637,15 @@ impl Receiver {
         }
 
         // Delivered groups have collapsed into the `done` tier; their heavy
-        // state is recycled. Late copies aimed at a delivered TPDU replay the
-        // legacy semantics exactly, derived from what the retired group would
-        // have answered through its (fully contiguous) tracker.
+        // state is recycled. A delivered TPDU covered `[0, end)` contiguously,
+        // so a late copy aimed at it is judged against `end` alone.
         let sn = h.tpdu.sn as u64;
         if let Some(done) = self.done.get(&start) {
             let end = done.end;
             if sn >= end {
-                // Data entirely past the verified stop: the legacy path went
-                // offer → Inconsistent → group_failure, and the reported
-                // group swallowed the verdict. Silent, no stats.
+                // Data entirely past a delivered TPDU's verified end
+                // contradicts a verdict that is already out: it is dropped
+                // silently and counts nothing.
                 return;
             }
             self.stats.duplicate_chunks += 1;
@@ -654,10 +653,9 @@ impl Receiver {
                 self.obs.counter("transport.rx.duplicate_chunks", 1);
             }
             if sn + len > end && self.budget.is_limited() {
-                // A tail past the verified end: the legacy recursion put the
-                // extracted sub-chunk back through budget admission before
-                // discovering the inconsistency, so shedding behaviour (and
-                // its events) must be reproduced here.
+                // The part past the verified end is dropped like the case
+                // above, but budget admission sees it first: under a
+                // limited budget it may shed, with the usual events.
                 self.admit_into(start, first + (end - sn), len - (end - sn), now, out);
             }
             return;
@@ -677,9 +675,9 @@ impl Receiver {
         // because chunks stay chunks under splitting.
         //
         // The gate is the allocation-free `overlap`; the `uncovered` Vec is
-        // built only on this (cold) duplicate path. `len == 0` keeps the
-        // legacy outcome for degenerate empty chunks, whose uncovered set
-        // `[]` never equalled the full span.
+        // built only on this (cold) duplicate path. A degenerate empty
+        // chunk (`len == 0`) overlaps nothing yet carries nothing fresh: it
+        // takes this path, counts as a duplicate and is not offered.
         if len == 0 || group.tracker.overlap(sn, len) > 0 {
             let uncovered = group.tracker.uncovered(sn, len);
             self.stats.duplicate_chunks += 1;
@@ -1116,8 +1114,8 @@ impl Receiver {
             return;
         }
         let start = self.unwrap_csn(chunk.header.conn.sn);
-        // A delivered group's verdict is out: the legacy path overwrote the
-        // dead `ed` field and `try_complete` returned nothing. Silent.
+        // A delivered group's verdict is out: a late ED chunk for it is
+        // dropped silently and cannot reopen the group.
         if self.done.contains_key(&start) {
             return;
         }
@@ -1192,10 +1190,9 @@ impl Receiver {
 
     /// Marks a group failed and reports it (once).
     fn group_failure_into(&mut self, start: u64, reason: FailureReason, out: &mut Vec<RxEvent>) {
-        // A delivered group's verdict is final: the legacy path found the
-        // still-present group with `reported` set and returned silently.
-        // Without this guard a fresh group would be conjured and a spurious
-        // failure reported for an already-verified TPDU.
+        // A delivered group's verdict is final. Without this guard a fresh
+        // group would be conjured and a spurious failure reported for an
+        // already-verified TPDU.
         if self.done.contains_key(&start) {
             return;
         }
@@ -1432,7 +1429,8 @@ impl Receiver {
             self.recycle_group(g);
         } else if self.done.remove(&start).is_some() {
             // A delivered group: its heavy state is long recycled; drop the
-            // verdict record and free the claims, as the legacy removal did.
+            // verdict record and free the claims so the TPDU can be received
+            // again.
             self.claimed.release(start);
         }
     }

@@ -17,9 +17,6 @@
 //! * [`PduTracker`] — virtual reassembly of one PDU: completion detection
 //!   from the stop bit, duplicate rejection (needed so the incremental
 //!   checksum is not corrupted, §3.3), and inconsistency flags;
-//! * [`buffer::ReassemblyBuffer`] — a model of a *physical* reassembly
-//!   buffer with finite capacity, used to reproduce the reassembly-buffer
-//!   **lock-up** phenomenon chunks eliminate (§3.3, citing Kent–Mogul);
 //! * [`bounded::BoundedTracker`] — a VLSI-shaped tracker with a fixed gap
 //!   budget, modelling the hardware units of STER 92 / MCAU 93b;
 //! * [`reassembly::Reassembly`] — tagged intervals with an explicit
@@ -44,14 +41,12 @@
 
 pub mod arena;
 pub mod bounded;
-pub mod buffer;
 pub mod interval;
 pub mod reassembly;
 pub mod tracker;
 
 pub use arena::ArenaIntervalSet;
 pub use bounded::{BoundedEvent, BoundedTracker};
-pub use buffer::{BufferEvent, ReassemblyBuffer};
 pub use interval::IntervalSet;
 pub use reassembly::{Claim, Conflict, OverlapPolicy, Reassembly, Resolution};
 pub use tracker::{PduTracker, TrackEvent};

@@ -5,13 +5,13 @@
 # Full lint gate: formatting, clippy, rustdoc — all warnings denied —
 # plus the release-mode test suite, the whole-workspace test suite (the
 # root package's tier-1 run covers no member crate, e.g. chunks-ledger's
-# smoke test), the parallel-equivalence gate, the zero-allocation
-# hot-path gate, the connection-table scale gate, the
-# BENCH regression gate, the reliability soak, the adversarial overlap
-# sweep, the lineage sweep, the deterministic-trace replay, and the health
-# surface. Telemetry overhead is not a recipe here: it is the ledger's
+# smoke test), the same suite on the portable GF(2^32) backend, the
+# parallel-equivalence gate, the zero-allocation hot-path gate, the
+# connection-table scale gate, the BENCH regression gate, the reliability
+# soak, the adversarial overlap sweep, the lineage sweep, the
+# deterministic-trace replay, and the health surface. Telemetry overhead is not a recipe here: it is the ledger's
 # `obs.always_on_overhead_pct` (`cargo run --release -p chunks-ledger -- run`).
-lint: check test-release test-workspace test-parallel test-hotpath test-scale bench-check soak soak-overlap lineage trace health
+lint: check test-release test-workspace test-tables test-parallel test-hotpath test-scale bench-check soak soak-overlap lineage trace health
 
 # Static gate only: formatting, clippy, rustdoc.
 check: fmt clippy doc
@@ -41,6 +41,12 @@ test-release:
 test-workspace:
     cargo test -q --workspace
 
+# The workspace suite with the table-driven GF(2^32) backend forced: the
+# only path on a CPU without PCLMULQDQ/PMULL, which auto-detection never
+# selects on hardware that has them.
+test-tables:
+    CHUNKS_GF_BACKEND=tables cargo test -q --workspace
+
 # Reliability soak: the full fault matrix under two seeds, deterministic,
 # release mode, well under 60 s. Rewrites BENCH_soak.json at the repo root.
 soak:
@@ -56,11 +62,6 @@ soak-overlap:
 # the deterministic-schedule and closure-algebra suites, release mode.
 test-parallel:
     PARALLEL_SCENARIOS=200 cargo test -q --release --test parallel_differential --test parallel_schedules --test chunk_closure_props
-
-# Regenerate the BENCH_parallel.json scaling sweep at the repo root (also
-# fingerprint-checks the pipeline against the serial demux per cell).
-bench-parallel:
-    cargo run --release --bin experiments parallel --describe "$(git describe --always --dirty 2>/dev/null || echo unknown)"
 
 # Zero-allocation hot-path gate: a counting global allocator with
 # per-thread counters proves the steady-state receive windows (serial and
@@ -83,19 +84,6 @@ test-scale:
 scale:
     cargo run --release --bin experiments scale --describe "$(git describe --always --dirty 2>/dev/null || echo unknown)"
 
-# Regenerate the BENCH_wsc.json backend × batch-width snapshot at the
-# repo root (sweeps every GF(2^32) backend this CPU supports).
-bench-wsc:
-    CHUNKS_DESCRIBE="$(git describe --always --dirty 2>/dev/null || echo unknown)" cargo bench -p chunks-bench --bench invariant
-
-# Run the WSC bench under both backend configurations: first with the
-# portable table fallback forced via the CHUNKS_GF_BACKEND override
-# (exactly what a CPU without carry-less multiply would measure), then
-# the full auto-detected sweep, which writes the committed snapshot.
-bench-wsc-all:
-    CHUNKS_GF_BACKEND=tables CHUNKS_DESCRIBE="$(git describe --always --dirty 2>/dev/null || echo unknown)-tables-forced" cargo bench -p chunks-bench --bench invariant
-    CHUNKS_DESCRIBE="$(git describe --always --dirty 2>/dev/null || echo unknown)" cargo bench -p chunks-bench --bench invariant
-
 # Label-keyed lifecycle spans: drive one transfer through every netsim
 # profile, prove the span trees byte-identical across replays, and rewrite
 # BENCH_lineage.json at the repo root.
@@ -103,8 +91,8 @@ lineage:
     cargo run --release --bin experiments lineage --describe "$(git describe --always --dirty 2>/dev/null || echo unknown)"
 
 # BENCH regression gate: regenerate the virtual-clock BENCH_*.json
-# summaries in-process and fail on any byte of drift; wall-clock summaries
-# are checked structurally (parse + meta block + nonempty results).
+# summaries in-process and fail on any byte of drift. (BENCH_scale.json is
+# wall-clock; tests/bench_schema.rs pins its shape.)
 bench-check:
     cargo run --release --bin experiments bench-check
 

@@ -2,13 +2,15 @@
 //! quantified claims of the paper.
 //!
 //! ```text
-//! experiments [--describe REV] [fig1|...|fig7|table1|b1|...|b8|soak|parallel|lineage|scale|health|trace [SCENARIO] [--json]|bench-check|all]
+//! experiments [--describe REV] [fig1|...|fig7|table1|b1|...|b8|soak|overlap|lineage|scale|health|trace [SCENARIO] [--json]|bench-check|all]
 //! ```
 //!
 //! With no argument (or `all`) every experiment runs. Output is the content
 //! EXPERIMENTS.md records. `--describe` stamps regenerated `BENCH_*.json`
 //! files with a source revision (the justfile passes `git describe`); the
-//! experiments themselves never shell out or read the wall clock.
+//! experiments themselves never shell out. `b4`, `b6` and `scale` read the
+//! wall clock for the rates they print; everything else rides the virtual
+//! clock.
 //! `trace` takes an optional soak-scenario name (`--help` lists the valid
 //! ones; an unknown name does too) and `--json` switches the output to the
 //! machine-readable JSON-lines export — the same shape the flight recorder
@@ -17,8 +19,8 @@
 
 use chunks::experiments::{
     alloc_count, appendix_b, b1_receiver_modes, b2_frag_systems, b3_lockup, b4_codes, b5_compress,
-    b6_demux, b7_turner, b8_gap_budget, bench_check, figures, health, lineage, overlap, parallel,
-    scale, soak, table1, trace, SEED, SEED2,
+    b6_demux, b7_turner, b8_gap_budget, bench_check, figures, health, lineage, overlap, scale,
+    soak, table1, trace, SEED, SEED2,
 };
 
 // `scale` reports steady-state allocations on the receive path; the
@@ -113,16 +115,6 @@ fn run_one(job: &Job, describe: &str) -> bool {
                 eprintln!("could not write BENCH_soak.json: {e}");
             }
             deterministic && r1.passes() && r2.passes()
-        }
-        "parallel" => {
-            let r = parallel::run(SEED);
-            println!("{r}");
-            if let Err(e) =
-                std::fs::write("BENCH_parallel.json", parallel::bench_json(&r, describe))
-            {
-                eprintln!("could not write BENCH_parallel.json: {e}");
-            }
-            r.passes()
         }
         "overlap" => {
             let r = overlap::run(SEED);
@@ -234,7 +226,6 @@ fn main() {
         "b7",
         "b8",
         "soak",
-        "parallel",
         "overlap",
         "lineage",
         "scale",

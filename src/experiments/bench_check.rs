@@ -1,18 +1,12 @@
 //! The bench regression gate: committed `BENCH_*.json` summaries must
 //! match what the code regenerates.
 //!
-//! Two classes of file, two checks:
-//!
-//! * **Exact** (`BENCH_lineage.json`, `BENCH_soak.json`,
-//!   `BENCH_overlap.json`) — every value rides the virtual clock, so the
-//!   check regenerates the file with the
-//!   committed `meta.describe` and diffs byte for byte. Tolerance is zero:
-//!   any drift means either the code's behaviour changed (commit the
-//!   regenerated file deliberately) or determinism broke (fix it).
-//! * **Structural** (`BENCH_parallel.json`, `BENCH_scale.json`,
-//!   `BENCH_wsc.json`) — the numbers are host wall-clock, so the gate only
-//!   validates shape: the file parses, opens with a complete `meta` block,
-//!   and carries a non-empty `results` array.
+//! Every gated file ([`GATED_FILES`]) rides the virtual clock, so the
+//! check regenerates it with the committed `meta.describe` and diffs byte
+//! for byte. Tolerance is zero: any drift means either the code's
+//! behaviour changed (commit the regenerated file deliberately) or
+//! determinism broke (fix it). `BENCH_scale.json` carries host wall-clock
+//! rates and cannot be diffed; `tests/bench_schema.rs` pins its shape.
 //!
 //! `just bench-check` runs this inside `just lint`, so a PR that changes
 //! observable behaviour without regenerating the summaries fails CI.
@@ -22,10 +16,17 @@ use std::fmt;
 use super::benchjson::{parse, Value};
 use super::{lineage, overlap, soak, SEED, SEED2};
 
+/// The committed summaries [`run`] regenerates and diffs.
+pub const GATED_FILES: [&str; 3] = [
+    "BENCH_lineage.json",
+    "BENCH_soak.json",
+    "BENCH_overlap.json",
+];
+
 /// How one file fared.
 #[derive(Clone, PartialEq, Debug)]
 pub enum Status {
-    /// The file matched (exactly, or structurally for wall-clock files).
+    /// The file matched its regeneration byte for byte.
     Ok,
     /// The file is missing or unreadable.
     Unreadable(String),
@@ -33,7 +34,7 @@ pub enum Status {
     Malformed(String),
     /// The `meta` block is missing or incomplete.
     BadMeta(String),
-    /// An exact file drifted from its regeneration.
+    /// The file drifted from its regeneration.
     Drift {
         /// First differing line (1-based).
         line: usize,
@@ -49,8 +50,6 @@ pub enum Status {
 pub struct FileCheck {
     /// The file checked.
     pub file: &'static str,
-    /// Exact regeneration diff, or structural validation only.
-    pub exact: bool,
     /// The verdict.
     pub status: Status,
 }
@@ -76,22 +75,17 @@ impl fmt::Display for BenchCheckResult {
             "=== bench-check — committed summaries vs regeneration ==="
         )?;
         for c in &self.checks {
-            let mode = if c.exact { "exact" } else { "structural" };
             match &c.status {
-                Status::Ok => writeln!(f, "  {:<22} {:<10} ok", c.file, mode)?,
-                Status::Unreadable(e) => {
-                    writeln!(f, "  {:<22} {:<10} UNREADABLE: {e}", c.file, mode)?
-                }
-                Status::Malformed(e) => {
-                    writeln!(f, "  {:<22} {:<10} MALFORMED: {e}", c.file, mode)?
-                }
-                Status::BadMeta(e) => writeln!(f, "  {:<22} {:<10} BAD META: {e}", c.file, mode)?,
+                Status::Ok => writeln!(f, "  {:<22} ok", c.file)?,
+                Status::Unreadable(e) => writeln!(f, "  {:<22} UNREADABLE: {e}", c.file)?,
+                Status::Malformed(e) => writeln!(f, "  {:<22} MALFORMED: {e}", c.file)?,
+                Status::BadMeta(e) => writeln!(f, "  {:<22} BAD META: {e}", c.file)?,
                 Status::Drift {
                     line,
                     committed,
                     regenerated,
                 } => {
-                    writeln!(f, "  {:<22} {:<10} DRIFT at line {line}:", c.file, mode)?;
+                    writeln!(f, "  {:<22} DRIFT at line {line}:", c.file)?;
                     writeln!(f, "    committed:   {committed}")?;
                     writeln!(f, "    regenerated: {regenerated}")?;
                     writeln!(
@@ -150,34 +144,24 @@ fn first_diff(committed: &str, regenerated: &str) -> Option<(usize, String, Stri
     }
 }
 
-fn check_file(file: &'static str, exact: bool, regen: impl FnOnce(&str) -> String) -> FileCheck {
+fn check_file(file: &'static str, regen: impl FnOnce(&str) -> String) -> FileCheck {
     let status = (|| {
         let committed =
             std::fs::read_to_string(file).map_err(|e| Status::Unreadable(e.to_string()))?;
         let parsed = parse(&committed).map_err(Status::Malformed)?;
         let describe = check_meta(&parsed).map_err(Status::BadMeta)?;
-        if exact {
-            let regenerated = regen(&describe);
-            if let Some((line, c, r)) = first_diff(&committed, &regenerated) {
-                return Err(Status::Drift {
-                    line,
-                    committed: c,
-                    regenerated: r,
-                });
-            }
-        } else if parsed
-            .get("results")
-            .and_then(Value::as_arr)
-            .map(<[Value]>::is_empty)
-            .unwrap_or(true)
-        {
-            return Err(Status::BadMeta("`results` missing or empty".into()));
+        let regenerated = regen(&describe);
+        if let Some((line, c, r)) = first_diff(&committed, &regenerated) {
+            return Err(Status::Drift {
+                line,
+                committed: c,
+                regenerated: r,
+            });
         }
         Ok(())
     })();
     FileCheck {
         file,
-        exact,
         status: match status {
             Ok(()) => Status::Ok,
             Err(s) => s,
@@ -185,25 +169,23 @@ fn check_file(file: &'static str, exact: bool, regen: impl FnOnce(&str) -> Strin
     }
 }
 
-/// Runs the gate against the committed `BENCH_*.json` files in the current
-/// directory. Exact files are regenerated with the committed
-/// `meta.describe`, so a clean tree round-trips byte for byte.
+/// Runs the gate against the committed [`GATED_FILES`] in the current
+/// directory. Each is regenerated with its committed `meta.describe`, so a
+/// clean tree round-trips byte for byte.
 pub fn run() -> BenchCheckResult {
+    let [lineage_file, soak_file, overlap_file] = GATED_FILES;
     BenchCheckResult {
         checks: vec![
-            check_file("BENCH_lineage.json", true, |describe| {
+            check_file(lineage_file, |describe| {
                 lineage::bench_json(&lineage::run(SEED), describe)
             }),
-            check_file("BENCH_soak.json", true, |describe| {
+            check_file(soak_file, |describe| {
                 let (r1, r2) = (soak::run(SEED), soak::run(SEED2));
                 soak::bench_json(&[&r1, &r2], describe)
             }),
-            check_file("BENCH_overlap.json", true, |describe| {
+            check_file(overlap_file, |describe| {
                 overlap::bench_json(&overlap::run(SEED), describe)
             }),
-            check_file("BENCH_parallel.json", false, |_| String::new()),
-            check_file("BENCH_scale.json", false, |_| String::new()),
-            check_file("BENCH_wsc.json", false, |_| String::new()),
         ],
     }
 }

@@ -27,7 +27,6 @@ pub mod figures;
 pub mod health;
 pub mod lineage;
 pub mod overlap;
-pub mod parallel;
 pub mod scale;
 pub mod soak;
 pub mod table1;

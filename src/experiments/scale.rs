@@ -1032,7 +1032,8 @@ impl fmt::Display for ScaleResult {
 }
 
 /// Renders the sweep as the `BENCH_scale.json` record. Wall-clock rates are
-/// host-dependent, so `bench-check` validates this file structurally.
+/// host-dependent, so the file is never diffed; `tests/bench_schema.rs`
+/// pins its shape.
 pub fn bench_json(r: &ScaleResult, describe: &str) -> String {
     use super::benchjson::meta_json;
     let mut out = String::from("{\n");

@@ -3,21 +3,44 @@
 //! the source revision it was generated from. The `bench-check` gate (and
 //! any human reading the file a year later) depends on those three fields.
 
+use chunks::experiments::bench_check::GATED_FILES;
 use chunks::experiments::benchjson::{parse, Value};
 
-const BENCH_FILES: [&str; 6] = [
+const BENCH_FILES: [&str; 4] = [
     "BENCH_lineage.json",
     "BENCH_soak.json",
     "BENCH_overlap.json",
-    "BENCH_parallel.json",
     "BENCH_scale.json",
-    "BENCH_wsc.json",
 ];
 
 fn load(file: &str) -> Value {
     let path = format!("{}/{}", env!("CARGO_MANIFEST_DIR"), file);
     let src = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{file}: {e}"));
     parse(&src).unwrap_or_else(|e| panic!("{file}: {e}"))
+}
+
+#[test]
+fn bench_inventory_matches_the_tree_and_covers_the_gate() {
+    // A retired or new snapshot must not sit at the repo root outside the
+    // schema checks, and `bench-check` must not gate a file they skip.
+    let mut on_disk: Vec<String> = std::fs::read_dir(env!("CARGO_MANIFEST_DIR"))
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+        .filter(|name| name.starts_with("BENCH_") && name.ends_with(".json"))
+        .collect();
+    on_disk.sort();
+    let mut listed = BENCH_FILES.to_vec();
+    listed.sort();
+    assert_eq!(
+        on_disk, listed,
+        "BENCH_*.json at the repo root vs BENCH_FILES"
+    );
+    for file in GATED_FILES {
+        assert!(
+            BENCH_FILES.contains(&file),
+            "bench-check gates {file}, which BENCH_FILES does not list"
+        );
+    }
 }
 
 #[test]
@@ -59,35 +82,6 @@ fn every_bench_file_carries_nonempty_results() {
                 "{file}: results rows must be objects"
             );
         }
-    }
-}
-
-#[test]
-fn wsc_rows_pin_backend_and_batch_width() {
-    // The WSC snapshot is a backend × batch-width sweep: every row must say
-    // which GF(2^32) backend produced it ("tables", "clmul", or "ref" for
-    // the bit-serial oracle arm) and at what batch width, or the numbers
-    // can't be compared across machines.
-    let v = load("BENCH_wsc.json");
-    let results = v.get("results").and_then(Value::as_arr).unwrap();
-    for row in results {
-        let id = row.get("id").and_then(Value::as_str).unwrap_or("<no id>");
-        let backend = row
-            .get("backend")
-            .and_then(Value::as_str)
-            .unwrap_or_else(|| panic!("{id}: no `backend` string"));
-        assert!(
-            ["tables", "clmul", "ref"].contains(&backend),
-            "{id}: unknown backend {backend:?}"
-        );
-        let batch = row
-            .get("batch")
-            .and_then(Value::as_f64)
-            .unwrap_or_else(|| panic!("{id}: no numeric `batch` width"));
-        assert!(
-            batch >= 1.0 && batch.fract() == 0.0,
-            "{id}: batch width must be a positive integer, got {batch}"
-        );
     }
 }
 
