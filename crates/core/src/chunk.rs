@@ -82,15 +82,6 @@ impl ChunkHeader {
         }
     }
 
-    /// Mutable access to the framing tuple for a level.
-    pub fn tuple_mut(&mut self, level: Level) -> &mut FramingTuple {
-        match level {
-            Level::Connection => &mut self.conn,
-            Level::Tpdu => &mut self.tpdu,
-            Level::External => &mut self.ext,
-        }
-    }
-
     /// Sequence number (at `level`) of the chunk's last element.
     pub fn last_sn(&self, level: Level) -> u32 {
         self.tuple(level).sn_at(self.len.wrapping_sub(1))

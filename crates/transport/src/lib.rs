@@ -13,7 +13,9 @@
 //!   reordering / physical reassembly) over one shared virtual-reassembly
 //!   and verification engine, with data-touch accounting that makes the
 //!   paper's "reassembly requires two accesses to each piece of data" claim
-//!   measurable;
+//!   measurable; split by stage into `receiver/{decode,verify,deliver}.rs`;
+//! * [`stream`] — the sliding-window receiver for unbounded streams with
+//!   `C.SN` reuse: a placement policy over the same per-TPDU engine;
 //! * [`ack`] — acknowledgment encoding so sender and receiver close the
 //!   error-control loop;
 //! * [`mux`] — packets shared by multiple connections, data, signals and

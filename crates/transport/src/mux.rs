@@ -181,11 +181,6 @@ impl ConnectionDemux {
         events
     }
 
-    /// Like [`Self::handle_packet`], appending into a caller-owned buffer.
-    pub fn handle_packet_into(&mut self, packet: &Packet, now: u64, events: &mut Vec<DemuxEvent>) {
-        self.ingest(packet, now, events);
-    }
-
     /// Zero-copy packet ingest: one validation scan, then a streaming span
     /// walk whose decoded payloads borrow the packet's `Bytes` — the serial
     /// twin of [`ParallelReceiver::ingest`](crate::parallel::ParallelReceiver::ingest)

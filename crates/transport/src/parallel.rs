@@ -703,11 +703,6 @@ impl ParallelReceiver {
         self.workers
     }
 
-    /// The worker that owns `conn_id`.
-    pub fn worker_of(&self, conn_id: u32) -> usize {
-        shard_of(conn_id, self.workers)
-    }
-
     /// Ingests one arriving packet at time `now`: validates the chunk
     /// sequence exactly like the serial `unpack` (a single malformed chunk
     /// rejects the whole packet), then routes each span.

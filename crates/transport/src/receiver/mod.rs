@@ -17,30 +17,52 @@
 //! falls in between, depending on how much disorder the network produced.
 //!
 //! Per-group error detection runs through the streaming verification path:
-//! each group's [`TpduInvariant`] absorbs chunk payloads via
+//! each group's `TpduInvariant` absorbs chunk payloads via
 //! `chunks_wsc::Wsc2Stream`, whose cached cursor weight makes contiguous
 //! element runs — the common case even under heavy fragmentation — cost one
 //! table multiply per run instead of an `alpha^position` exponentiation per
 //! element (see docs/ARCHITECTURE.md, "The hot path").
+//!
+//! The path is a fixed parse graph followed by match+action stages, one
+//! file each behind a crate-private interface:
+//!
+//! * `decode` — wire bytes → chunks (`wire_chunks`), shared by every
+//!   receive front-end in the crate;
+//! * `verify` — **track + verify**, the per-TPDU `TpduEngine`: virtual
+//!   reassembly, X-level consistency, the incremental invariant, the
+//!   verdict, and the TPDU's share of an ack. [`Receiver`] and
+//!   [`StreamReceiver`](crate::stream::StreamReceiver) both run on it;
+//! * `deliver` — the three [`DeliveryMode`]s, staging, budget admission
+//!   and overlap resolution.
+//!
+//! This file is the glue: per-connection state, the entry points, TPDU
+//! grouping by `C.SN − T.SN`, the cross-group claim check, and reporting.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use chunks_core::chunk::{Chunk, ChunkHeader};
-use chunks_core::error::CoreError;
+use chunks_core::chunk::Chunk;
 use chunks_core::label::ChunkType;
-use chunks_core::packet::{spans, validate, Packet};
-use chunks_core::wire::{decode_chunk_at, decode_header};
+use chunks_core::packet::Packet;
 use chunks_obs::{Event, HotCounter, Labels, ObsSink, SpanId, Stage};
-use chunks_vreasm::{
-    ArenaIntervalSet, OverlapPolicy, PduTracker, Reassembly, Resolution, TrackEvent,
-};
-use chunks_wsc::{InvariantLayout, TpduInvariant};
+use chunks_vreasm::{OverlapPolicy, Reassembly};
+use chunks_wsc::InvariantLayout;
 
 use crate::ack::AckInfo;
 use crate::budget::ResourceBudget;
 use crate::conn::{ConnectionParams, Signal};
 use crate::rto::TransportError;
+
+mod decode;
+mod deliver;
+mod verify;
+
+pub(crate) use decode::{labels_of, observe_decoded, wire_chunks};
+pub(crate) use verify::{ack_parts, TpduEngine, Track};
+
+use decode::observe_packet;
+use deliver::Group;
+use verify::Done;
 
 /// The three receiver strategies of §3.3.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -159,41 +181,6 @@ pub struct RxStats {
     pub shed_bytes: u64,
 }
 
-/// Per-TPDU verification state.
-#[derive(Debug)]
-struct Group {
-    tracker: PduTracker,
-    inv: TpduInvariant,
-    /// `C.SN − X.SN` per external PDU id (Table 1 consistency check).
-    x_deltas: HashMap<u32, u32>,
-    ed: Option<[u8; 8]>,
-    /// Chunks staged until verification (Reassemble mode only).
-    held: Vec<(Chunk, u64)>,
-    /// Verification already failed (sticky, reported once).
-    failed: Option<FailureReason>,
-    reported: bool,
-    elements: u64,
-    /// Virtual-clock time of the group's most recent arrival — the LRU key
-    /// budget eviction orders idle groups by.
-    last_touch: u64,
-}
-
-/// Compact record of a delivered TPDU. On delivery the heavyweight [`Group`]
-/// (interval slab, X-delta table, staging `Vec`) moves to the receiver's
-/// pool for reuse by the next TPDU; everything later queries need — the
-/// verified code, the digest, the element count, and the known end for
-/// duplicate classification — survives here, heap-free.
-#[derive(Clone, Debug)]
-struct Done {
-    elements: u64,
-    /// One past the last `T.SN`-space element (the tracker's known end),
-    /// used to classify late retransmissions exactly as the full tracker
-    /// would have.
-    end: u64,
-    code: chunks_wsc::Wsc2,
-    digest: [u8; 8],
-}
-
 /// The chunk receiver for one connection.
 #[derive(Debug)]
 pub struct Receiver {
@@ -272,68 +259,6 @@ impl HotRxCounters {
             tpdus_delivered: sink.hot_counter("transport.rx.tpdus_delivered"),
             verify_pass: sink.hot_counter("wsc.verify_pass"),
         }
-    }
-}
-
-/// The observability label triple `(C.ID, T.SN, X.SN)` of a header.
-pub(crate) fn labels_of(h: &ChunkHeader) -> Labels {
-    Labels::new(h.conn.id, h.tpdu.sn, h.ext.sn)
-}
-
-/// The one route from wire bytes to chunks in this crate: an allocation-free
-/// validation scan, so a malformed chunk rejects the whole packet, then each
-/// chunk decoded in place with its payload borrowing the packet's `Bytes`.
-pub(crate) fn wire_chunks(packet: &Packet) -> Result<impl Iterator<Item = Chunk> + '_, CoreError> {
-    validate(packet)?;
-    Ok(spans(packet).filter_map(|(at, _)| {
-        let decoded = decode_chunk_at(&packet.bytes, at);
-        debug_assert!(decoded.is_ok(), "a yielded span must decode");
-        decoded.ok().map(|(chunk, _)| chunk)
-    }))
-}
-
-/// Verbose-tier record of one accepted wire chunk: the
-/// `core.wire.chunks_decoded` counter and a [`Event::ChunkDecoded`] event.
-pub(crate) fn observe_decoded(sink: &dyn ObsSink, now: u64, h: &ChunkHeader, payload_len: usize) {
-    sink.counter("core.wire.chunks_decoded", 1);
-    sink.event(
-        now,
-        Event::ChunkDecoded {
-            labels: labels_of(h),
-            ty: h.ty.to_u8(),
-            bytes: payload_len as u32,
-        },
-    );
-}
-
-/// Verbose-only pre-pass over a packet, run before any of its chunks is
-/// handled so the trace lists a packet's decode verdicts ahead of their
-/// consequences: one `ChunkDecoded` per chunk the walk yields, then — when
-/// `refused` is the packet's [`validate`] error — one `ChunkRejected` for
-/// the chunk that stopped it. A bad short tail, garbage after the end marker
-/// and a header [`decode_header`] itself refuses stop the packet without a
-/// per-chunk event: there is no chunk to attribute them to.
-fn observe_packet(sink: &dyn ObsSink, packet: &Packet, now: u64, refused: Option<&CoreError>) {
-    let mut at = 0;
-    for (lo, hi) in spans(packet) {
-        if let Ok(h) = decode_header(&packet.bytes[lo..]) {
-            observe_decoded(sink, now, &h, hi - lo - chunks_core::WIRE_HEADER_LEN);
-        }
-        at = hi;
-    }
-    let Some(why) = refused else { return };
-    match decode_header(&packet.bytes[at..]) {
-        Ok(h) if h.len != 0 => {
-            sink.counter("core.wire.decode_rejects", 1);
-            sink.event(
-                now,
-                Event::ChunkRejected {
-                    labels: labels_of(&h),
-                    reason: why.kind(),
-                },
-            );
-        }
-        _ => {}
     }
 }
 
@@ -444,14 +369,7 @@ impl Receiver {
 
     /// Contiguously verified prefix, in elements.
     pub fn verified_prefix(&self) -> u64 {
-        let mut starts: Vec<(u64, u64)> = self
-            .delivered
-            .iter()
-            .map(|&s| {
-                let elements = self.done.get(&s).map(|d| d.elements).unwrap_or_default();
-                (s, elements)
-            })
-            .collect();
+        let mut starts: Vec<(u64, u64)> = self.done.iter().map(|(&s, d)| (s, d.elements)).collect();
         starts.sort_unstable();
         let mut cursor = 0;
         for (s, n) in starts {
@@ -491,14 +409,8 @@ impl Receiver {
             let group = match self.pool.pop() {
                 Some(g) => g,
                 None => Group {
-                    tracker: PduTracker::new(),
-                    inv: TpduInvariant::new(self.layout).expect("layout validated at framer"),
-                    x_deltas: HashMap::new(),
-                    ed: None,
+                    tpdu: TpduEngine::new(self.layout),
                     held: Vec::new(),
-                    failed: None,
-                    reported: false,
-                    elements: 0,
                     last_touch: now,
                 },
             };
@@ -507,22 +419,6 @@ impl Receiver {
         let group = self.groups.get_mut(&start).expect("just ensured");
         group.last_touch = now;
         group
-    }
-
-    /// Returns a retired group's shell to the pool: every container is
-    /// cleared but keeps its capacity (the tracker's interval slab recycles
-    /// its nodes), so [`Self::group_entry`] can re-arm it for the next TPDU
-    /// without allocating.
-    fn recycle_group(&mut self, mut g: Group) {
-        g.tracker.clear();
-        g.inv.reset();
-        g.x_deltas.clear();
-        g.held.clear();
-        g.ed = None;
-        g.failed = None;
-        g.reported = false;
-        g.elements = 0;
-        self.pool.push(g);
     }
 
     /// Handles one arriving packet at time `now`.
@@ -562,12 +458,15 @@ impl Receiver {
                     self.chunk_inner(chunk, now, out);
                 }
             }
-            Err(_) => {
-                self.stats.bad_packets += 1;
-                if self.obs_on {
-                    self.obs.counter("transport.rx.bad_packets", 1);
-                }
-            }
+            Err(_) => self.bad_packet(),
+        }
+    }
+
+    /// Counts a malformed packet (or control chunk) dropped.
+    fn bad_packet(&mut self) {
+        self.stats.bad_packets += 1;
+        if self.obs_on {
+            self.obs.counter("transport.rx.bad_packets", 1);
         }
     }
 
@@ -590,21 +489,11 @@ impl Receiver {
             ChunkType::ErrorDetection => self.handle_ed(chunk, now, out),
             ChunkType::Signal => match Signal::from_chunk(&chunk) {
                 Ok(s) => out.push(RxEvent::Signalled(s)),
-                Err(_) => {
-                    self.stats.bad_packets += 1;
-                    if self.obs_on {
-                        self.obs.counter("transport.rx.bad_packets", 1);
-                    }
-                }
+                Err(_) => self.bad_packet(),
             },
             ChunkType::Ack => match AckInfo::from_chunk(&chunk) {
                 Ok(a) => out.push(RxEvent::Acked(a)),
-                Err(_) => {
-                    self.stats.bad_packets += 1;
-                    if self.obs_on {
-                        self.obs.counter("transport.rx.bad_packets", 1);
-                    }
-                }
+                Err(_) => self.bad_packet(),
             },
             ChunkType::Padding => {}
         }
@@ -612,16 +501,12 @@ impl Receiver {
 
     fn handle_data(&mut self, chunk: Chunk, now: u64, out: &mut Vec<RxEvent>) {
         let h = chunk.header;
+        let start = self.unwrap_csn(h.conn.sn.wrapping_sub(h.tpdu.sn));
         // SIZE is signalled per connection; a mismatch is a corrupted SIZE
         // field (Table 1: reassembly error).
         if h.size != self.params.elem_size {
-            return self.group_failure_into(
-                self.unwrap_csn(h.conn.sn.wrapping_sub(h.tpdu.sn)),
-                FailureReason::BadChunk,
-                out,
-            );
+            return self.group_failure_into(start, FailureReason::BadChunk, out);
         }
-        let start = self.unwrap_csn(h.conn.sn.wrapping_sub(h.tpdu.sn));
         let first = self.unwrap_csn(h.conn.sn);
         let len = h.len as u64;
         let esize = self.params.elem_size as usize;
@@ -661,69 +546,16 @@ impl Receiver {
             return;
         }
 
+        // Stage 2a — track: virtual reassembly within the TPDU.
         let group = self.group_entry(start, now);
-        let reported = group.reported;
-
-        // Virtual reassembly within the TPDU. Already-covered positions are
-        // resolved *before* the invariant absorbs anything (§3.3). A
-        // retransmission cut at different points duplicates received data
-        // with *identical* bytes — the benign case of Appendix C, silently
-        // trimmed. Overlapping positions whose bytes *differ* are a genuine
-        // conflict the overlap policy must resolve; whatever it picks, the
-        // WSC-2 invariant (not the policy) remains the integrity authority
-        // at delivery time. Fresh sub-spans are extracted and processed,
-        // because chunks stay chunks under splitting.
-        //
-        // The gate is the allocation-free `overlap`; the `uncovered` Vec is
-        // built only on this (cold) duplicate path. A degenerate empty
-        // chunk (`len == 0`) overlaps nothing yet carries nothing fresh: it
-        // takes this path, counts as a duplicate and is not offered.
-        if len == 0 || group.tracker.overlap(sn, len) > 0 {
-            let uncovered = group.tracker.uncovered(sn, len);
-            self.stats.duplicate_chunks += 1;
-            if self.obs_on {
-                self.obs.counter("transport.rx.duplicate_chunks", 1);
+        match group.tpdu.track(sn, len, h.tpdu.st) {
+            Track::Fresh => {}
+            Track::Overlap(uncovered) => {
+                return self.overlapped_into(&chunk, start, uncovered, now, out);
             }
-            // Complement of the uncovered runs: the overlapped positions.
-            let mut overlaps: Vec<(u64, u64)> = Vec::new();
-            let mut cursor = sn;
-            for &(lo, hi) in &uncovered {
-                if lo > cursor {
-                    overlaps.push((cursor, lo));
-                }
-                cursor = hi;
-            }
-            if cursor < sn + len {
-                overlaps.push((cursor, sn + len));
-            }
-            // A delivered (or condemned) group keeps its bytes no matter
-            // the policy: its verdict is already out.
-            if !reported && self.resolve_overlaps_into(&chunk, start, &overlaps, now, out) {
-                return;
-            }
-            for (lo, hi) in uncovered {
-                let offset = (lo - sn) as u32;
-                let sublen = (hi - lo) as u32;
-                match chunks_core::frag::extract(&chunk, offset, sublen) {
-                    Ok(piece) => self.handle_data(piece, now, out),
-                    Err(_) => self.group_failure_into(start, FailureReason::BadChunk, out),
-                }
-            }
-            return;
-        }
-        let group = self.groups.get_mut(&start).expect("present");
-        match group.tracker.offer(sn, len, h.tpdu.st) {
-            TrackEvent::Duplicate => {
-                self.stats.duplicate_chunks += 1;
-                if self.obs_on {
-                    self.obs.counter("transport.rx.duplicate_chunks", 1);
-                }
-                return;
-            }
-            TrackEvent::Inconsistent => {
+            Track::Inconsistent => {
                 return self.group_failure_into(start, FailureReason::ReassemblyError, out);
             }
-            TrackEvent::Accepted => {}
         }
 
         // Cross-group collision: these elements already belong to another
@@ -764,28 +596,12 @@ impl Receiver {
             self.claimed.claim_uncontested(first, first + len, start);
         }
 
-        let group = self.groups.get_mut(&start).expect("just inserted");
-        // X-level consistency: C.SN − X.SN constant per external PDU.
-        let x_delta = h.conn.sn.wrapping_sub(h.ext.sn);
-        match group.x_deltas.get(&h.ext.id) {
-            Some(&d) if d != x_delta => {
-                return self.group_failure_into(start, FailureReason::Consistency, out);
-            }
-            Some(_) => {}
-            None => {
-                group.x_deltas.insert(h.ext.id, x_delta);
-            }
-        }
-
-        // Incremental end-to-end error detection.
-        if let Err(e) = group.inv.absorb_chunk(&h, &chunk.payload) {
-            let reason = match e {
-                chunks_wsc::InvariantError::IdMismatch => FailureReason::EdMismatch,
-                _ => FailureReason::BadChunk,
-            };
+        // Stage 2b — verify: X-level consistency, then the incremental
+        // end-to-end error detection.
+        let group = self.groups.get_mut(&start).expect("just entered");
+        if let Err(reason) = group.tpdu.absorb(&h, &chunk.payload) {
             return self.group_failure_into(start, reason, out);
         }
-        group.elements += len;
         self.stats.chunks_accepted += 1;
         if self.obs_on {
             self.hot.chunks_accepted.add(&*self.obs, 1);
@@ -795,324 +611,23 @@ impl Receiver {
             // (the always-on surface reads fragment state at barriers).
             if self.obs_verbose {
                 self.obs
-                    .observe("vreasm.tracker.fragments", group.tracker.fragments() as u64);
+                    .observe("vreasm.tracker.fragments", group.tpdu.fragments() as u64);
             }
         }
         if h.conn.st {
             self.closed = true;
         }
 
-        // Mode-specific data movement.
-        match self.mode {
-            DeliveryMode::Immediate => {
-                self.place(first, &chunk.payload);
-            }
-            DeliveryMode::Reorder => {
-                if first == self.in_order {
-                    self.place(first, &chunk.payload);
-                    self.in_order = first + len;
-                    self.drain_reorder_queue(now);
-                } else {
-                    self.stage(chunk.payload.len() as u64);
-                    self.stats.data_touches += chunk.payload.len() as u64;
-                    if self.obs_on {
-                        self.obs
-                            .span_open(now, SpanId::new(labels_of(&chunk.header), Stage::Hold));
-                    }
-                    self.reorder_q.insert(first, (chunk.clone(), now));
-                }
-            }
-            DeliveryMode::Reassemble => {
-                self.stage(chunk.payload.len() as u64);
-                self.stats.data_touches += chunk.payload.len() as u64;
-                if self.obs_on {
-                    self.obs
-                        .span_open(now, SpanId::new(labels_of(&chunk.header), Stage::Hold));
-                }
-                let group = self.groups.get_mut(&start).expect("present");
-                group.held.push((chunk.clone(), now));
-            }
-        }
-        if self.obs_on && self.budget.is_limited() {
-            self.obs
-                .observe("transport.budget.held_bytes", self.stats.buffered_bytes);
-        }
+        // Stage 3 — deliver: mode-specific data movement.
+        self.move_data(start, first, chunk, now);
 
         self.try_complete_into(start, now, out)
     }
 
-    /// Budget admission for an arriving data chunk: evict idle groups to
-    /// make room, and shed the chunk (typed, counted, traced) when nothing
-    /// is evictable. Returns `true` when the chunk was shed (the shed event
-    /// has been appended to `out`).
-    fn admit_into(
-        &mut self,
-        start: u64,
-        first: u64,
-        len: u64,
-        now: u64,
-        out: &mut Vec<RxEvent>,
-    ) -> bool {
-        let bytes = len * self.params.elem_size as u64;
-        if !self.groups.contains_key(&start) && !self.done.contains_key(&start) {
-            while self.open_groups() >= self.budget.max_open_groups {
-                if !self.evict_idle(start, "groups", now) {
-                    self.shed_into(start, bytes, out);
-                    return true;
-                }
-            }
-        }
-        // Interval-table occupancy: the hardware analogue caps tracked runs.
-        while self.claimed.fragments() >= self.budget.max_fragments {
-            if !self.evict_idle(start, "fragments", now) {
-                self.shed_into(start, bytes, out);
-                return true;
-            }
-        }
-        // Byte caps bind only when this arrival would actually stage.
-        let will_stage = match self.mode {
-            DeliveryMode::Immediate => false,
-            DeliveryMode::Reorder => first != self.in_order,
-            DeliveryMode::Reassemble => true,
-        };
-        if will_stage {
-            while self.budget.bytes_exceeded(self.stats.buffered_bytes, bytes) {
-                if !self.evict_idle(start, "bytes", now) {
-                    self.shed_into(start, bytes, out);
-                    return true;
-                }
-            }
-        }
-        false
-    }
-
-    /// Groups that have arrived but reached no verdict yet.
-    fn open_groups(&self) -> usize {
-        self.groups.values().filter(|g| !g.reported).count()
-    }
-
-    /// Evicts the least-recently-touched idle group — unreported,
-    /// incomplete, and not the group the arriving chunk needs (`keep`).
-    /// LRU by virtual clock, start as the deterministic tie-break. Its
-    /// `verify` span stays open: an eviction is a verdictless drop, and the
-    /// trace shows it as one. Returns false when nothing is evictable.
-    fn evict_idle(&mut self, keep: u64, cause: &'static str, now: u64) -> bool {
-        let victim = self
-            .groups
-            .iter()
-            .filter(|(&s, g)| {
-                s != keep && !g.reported && !(g.tracker.is_complete() && g.ed.is_some())
-            })
-            .min_by_key(|(&s, g)| (g.last_touch, s))
-            .map(|(&s, _)| s);
-        let Some(s) = victim else {
-            return false;
-        };
-        let g = self.groups.remove(&s).expect("chosen from the map");
-        let span = g.elements.max(g.tracker.covered());
-        self.claimed.release(s);
-        let mut freed: u64 = g.held.iter().map(|(c, _)| c.payload.len() as u64).sum();
-        // Reorder-mode staging is keyed by element, not by group; free any
-        // staged chunks inside the evicted span too.
-        let keys: Vec<u64> = self
-            .reorder_q
-            .keys()
-            .copied()
-            .filter(|&f| f >= s && f < s + span)
-            .collect();
-        for k in keys {
-            if let Some((chunk, _)) = self.reorder_q.remove(&k) {
-                freed += chunk.payload.len() as u64;
-            }
-        }
-        self.unstage(freed);
-        self.stats.evictions += 1;
-        if self.obs_on {
-            self.obs.counter("transport.budget.evictions", 1);
-            self.obs.event(
-                now,
-                Event::GroupEvicted {
-                    conn_id: self.params.conn_id,
-                    start: s as u32,
-                    bytes: freed as u32,
-                    cause,
-                },
-            );
-        }
-        self.recycle_group(g);
-        true
-    }
-
-    /// Drops an arriving chunk under exhausted budget.
-    fn shed_into(&mut self, start: u64, bytes: u64, out: &mut Vec<RxEvent>) {
-        self.stats.shed_bytes += bytes;
-        if self.obs_on {
-            self.obs.counter("transport.budget.shed_bytes", bytes);
-            self.obs
-                .degraded(self.last_now, "budget-exhausted", self.params.conn_id);
-        }
-        out.push(RxEvent::ChunkShed { start, bytes });
-    }
-
-    /// Resolves differing-byte overlaps between an arriving chunk and data
-    /// the group already holds, per the configured policy. `overlaps` is in
-    /// `T.SN` space. Returns `true` when the policy condemns the group
-    /// ([`OverlapPolicy::Reject`]); the failure events are appended to
-    /// `out`.
-    fn resolve_overlaps_into(
-        &mut self,
-        chunk: &Chunk,
-        start: u64,
-        overlaps: &[(u64, u64)],
-        now: u64,
-        out: &mut Vec<RxEvent>,
-    ) -> bool {
-        let esize = self.params.elem_size as usize;
-        let sn = chunk.header.tpdu.sn as u64;
-        let mut condemn = false;
-        for &(lo, hi) in overlaps {
-            let new = &chunk.payload[(lo - sn) as usize * esize..(hi - sn) as usize * esize];
-            let old = self.held_bytes(start, start + lo, start + hi);
-            let differs = match &old {
-                Some(o) => o.as_slice() != new,
-                None => true,
-            };
-            if !differs {
-                continue; // benign retransmission cut (Appendix C)
-            }
-            self.stats.overlap_conflicts += 1;
-            if self.obs_on {
-                self.obs.counter("transport.rx.overlap_conflicts", 1);
-                self.obs.event(
-                    now,
-                    Event::OverlapConflict {
-                        labels: labels_of(&chunk.header),
-                        policy: self.policy.as_str(),
-                        start: ((start + lo) * esize as u64) as u32,
-                        bytes: ((hi - lo) * esize as u64) as u32,
-                        owner: start as u32,
-                    },
-                );
-            }
-            match self.policy.resolve(true) {
-                Resolution::Fail => condemn = true,
-                Resolution::Duplicate | Resolution::KeepHeld => {}
-                Resolution::Overwrite => match old {
-                    Some(o) => self.overwrite_held(start, start + lo, start + hi, &o, new),
-                    // Bytes we cannot read back we cannot patch out of the
-                    // invariant either — condemn rather than corrupt it.
-                    None => condemn = true,
-                },
-            }
-        }
-        if condemn {
-            self.group_failure_into(start, FailureReason::OverlapConflict, out);
-        }
-        condemn
-    }
-
-    /// Best-effort read-back of the bytes currently held for elements
-    /// `[lo, hi)` (connection space) of the group at `start`. Returns
-    /// `None` when any element cannot be located — the caller treats that
-    /// as a conflict.
-    fn held_bytes(&self, start: u64, lo: u64, hi: u64) -> Option<Vec<u8>> {
-        let esize = self.params.elem_size as usize;
-        let mut out = vec![0u8; (hi - lo) as usize * esize];
-        let mut have = ArenaIntervalSet::new();
-        let overlay = |out: &mut Vec<u8>, have: &mut ArenaIntervalSet, f: u64, payload: &[u8]| {
-            let clen = payload.len() as u64 / esize as u64;
-            let (s, e) = (f.max(lo), (f + clen).min(hi));
-            if s < e {
-                out[(s - lo) as usize * esize..(e - lo) as usize * esize]
-                    .copy_from_slice(&payload[(s - f) as usize * esize..(e - f) as usize * esize]);
-                have.insert(s, e);
-            }
-        };
-        match self.mode {
-            DeliveryMode::Immediate => {
-                out.copy_from_slice(&self.app[lo as usize * esize..hi as usize * esize]);
-                have.insert(lo, hi);
-            }
-            DeliveryMode::Reorder => {
-                if lo < self.in_order {
-                    let e = hi.min(self.in_order);
-                    out[..(e - lo) as usize * esize]
-                        .copy_from_slice(&self.app[lo as usize * esize..e as usize * esize]);
-                    have.insert(lo, e);
-                }
-                for (&f, (c, _)) in &self.reorder_q {
-                    overlay(&mut out, &mut have, f, &c.payload);
-                }
-            }
-            DeliveryMode::Reassemble => {
-                let g = self.groups.get(&start)?;
-                for (c, _) in &g.held {
-                    let f = self.unwrap_csn(c.header.conn.sn);
-                    overlay(&mut out, &mut have, f, &c.payload);
-                }
-            }
-        }
-        (have.covered() == hi - lo).then_some(out)
-    }
-
-    /// [`OverlapPolicy::LastWins`]: substitutes `new` for the held bytes at
-    /// elements `[lo, hi)` (connection space) and patches the group
-    /// invariant in place — WSC-2 is linear over GF(2), so absorbing the
-    /// XOR delta at the same positions swaps the data without recomputing
-    /// anything. The code keeps describing exactly the bytes held, and the
-    /// ED comparison at completion stays the integrity authority.
-    fn overwrite_held(&mut self, start: u64, lo: u64, hi: u64, old: &[u8], new: &[u8]) {
-        let esize = self.params.elem_size as usize;
-        if let Some(g) = self.groups.get_mut(&start) {
-            g.inv
-                .patch_elements(self.params.elem_size, lo - start, old, new);
-        }
-        match self.mode {
-            DeliveryMode::Immediate => self.place(lo, new),
-            DeliveryMode::Reorder => {
-                let e = hi.min(self.in_order.max(lo));
-                if lo < e {
-                    self.place(lo, &new[..(e - lo) as usize * esize]);
-                }
-                let mut touched = 0;
-                for (&f, (c, _)) in self.reorder_q.iter_mut() {
-                    touched += overlay_into_chunk(c, f, lo, hi, new, esize);
-                }
-                self.count_rewrite(touched);
-            }
-            DeliveryMode::Reassemble => {
-                let initial = self.params.initial_csn;
-                let mut touched = 0;
-                if let Some(g) = self.groups.get_mut(&start) {
-                    for (c, _) in g.held.iter_mut() {
-                        let f = c.header.conn.sn.wrapping_sub(initial) as u64;
-                        touched += overlay_into_chunk(c, f, lo, hi, new, esize);
-                    }
-                }
-                self.count_rewrite(touched);
-            }
-        }
-    }
-
-    /// Counts an in-place rewrite of staged bytes as data touches.
-    fn count_rewrite(&mut self, bytes: u64) {
-        if bytes == 0 {
-            return;
-        }
-        self.stats.data_touches += bytes;
-        if self.obs_on {
-            self.obs.counter("transport.rx.data_touches", bytes);
-        }
-    }
-
     fn handle_ed(&mut self, chunk: Chunk, now: u64, out: &mut Vec<RxEvent>) {
-        if chunk.payload.len() != 8 {
-            self.stats.bad_packets += 1;
-            if self.obs_on {
-                self.obs.counter("transport.rx.bad_packets", 1);
-            }
-            return;
-        }
+        let Ok(digest) = <[u8; 8]>::try_from(&chunk.payload[..]) else {
+            return self.bad_packet();
+        };
         let start = self.unwrap_csn(chunk.header.conn.sn);
         // A delivered group's verdict is out: a late ED chunk for it is
         // dropped silently and cannot reopen the group.
@@ -1121,71 +636,11 @@ impl Receiver {
         }
         // An ED chunk opens a group too; a flood of them is budgeted the
         // same way a data flood is.
-        if self.budget.is_limited() && !self.groups.contains_key(&start) {
-            while self.open_groups() >= self.budget.max_open_groups {
-                if !self.evict_idle(start, "groups", now) {
-                    return self.shed_into(start, chunk.payload.len() as u64, out);
-                }
-            }
+        if self.budget.is_limited() && self.admit_group_into(start, 8, now, out) {
+            return;
         }
-        let mut digest = [0u8; 8];
-        digest.copy_from_slice(&chunk.payload);
-        let group = self.group_entry(start, now);
-        group.ed = Some(digest);
+        self.group_entry(start, now).tpdu.set_ed(digest);
         self.try_complete_into(start, now, out)
-    }
-
-    /// Writes payload bytes into the application space (one data touch per
-    /// byte).
-    fn place(&mut self, first_element: u64, payload: &[u8]) {
-        let esize = self.params.elem_size as usize;
-        let at = first_element as usize * esize;
-        self.app[at..at + payload.len()].copy_from_slice(payload);
-        self.stats.data_touches += payload.len() as u64;
-        if self.obs_on {
-            self.hot.data_touches.add(&*self.obs, payload.len() as u64);
-        }
-    }
-
-    fn stage(&mut self, bytes: u64) {
-        self.stats.buffered_bytes += bytes;
-        self.stats.peak_buffered_bytes = self
-            .stats
-            .peak_buffered_bytes
-            .max(self.stats.buffered_bytes);
-        if let Some(g) = &self.budget.global {
-            g.add(bytes);
-        }
-        if self.obs_on {
-            self.obs
-                .observe("transport.rx.buffered_bytes", self.stats.buffered_bytes);
-            // Staged bytes are a touch too (they reach a buffer before the
-            // application); mirror the stat the callers accumulate.
-            self.hot.data_touches.add(&*self.obs, bytes);
-        }
-    }
-
-    fn unstage(&mut self, bytes: u64) {
-        self.stats.buffered_bytes = self.stats.buffered_bytes.saturating_sub(bytes);
-        if let Some(g) = &self.budget.global {
-            g.sub(bytes);
-        }
-    }
-
-    fn drain_reorder_queue(&mut self, now: u64) {
-        while let Some((chunk, arrived)) = self.reorder_q.remove(&self.in_order) {
-            let len = chunk.header.len as u64;
-            self.unstage(chunk.payload.len() as u64);
-            let waited = now.saturating_sub(arrived);
-            self.stats.holding_delay += waited;
-            if self.obs_on {
-                self.obs.counter("transport.rx.holding_delay_ns", waited);
-                self.obs
-                    .span_close(now, SpanId::new(labels_of(&chunk.header), Stage::Hold));
-            }
-            self.place(self.in_order, &chunk.payload);
-            self.in_order += len;
-        }
     }
 
     /// Marks a group failed and reports it (once).
@@ -1196,20 +651,21 @@ impl Receiver {
         if self.done.contains_key(&start) {
             return;
         }
-        let now = self.last_now;
-        let group = self.group_entry(start, now);
-        if group.reported {
-            return;
+        if self.group_entry(start, self.last_now).tpdu.fail(reason) {
+            self.report_failure(start, reason, out);
         }
-        group.failed = Some(reason);
-        group.reported = true;
+    }
+
+    /// Counts, traces and surfaces a group's one failure verdict.
+    fn report_failure(&mut self, start: u64, reason: FailureReason, out: &mut Vec<RxEvent>) {
+        let now = self.last_now;
         self.stats.tpdus_failed += 1;
         if self.obs_on {
             self.obs.counter("transport.rx.tpdus_failed", 1);
             self.obs.event(
                 now,
                 Event::ChunkRejected {
-                    labels: Labels::new(self.params.conn_id, start as u32, 0),
+                    labels: self.group_labels(start),
                     reason: reason.as_str(),
                 },
             );
@@ -1220,25 +676,20 @@ impl Receiver {
         out.push(RxEvent::TpduFailed { start, reason });
     }
 
-    /// Checks whether the group at `start` is complete and verifiable.
-    /// On delivery the group's heavy state is recycled into the pool and a
-    /// compact [`Done`] record takes its place.
+    /// Asks the group at `start` for its WSC-2 verdict. On delivery the
+    /// group's heavy state is recycled into the pool and a compact [`Done`]
+    /// record takes its place.
     fn try_complete_into(&mut self, start: u64, now: u64, out: &mut Vec<RxEvent>) {
         let Some(group) = self.groups.get_mut(&start) else {
             return;
         };
-        if group.reported || group.failed.is_some() {
-            return;
-        }
-        let (Some(digest), true) = (group.ed, group.tracker.is_complete()) else {
+        let Some(verdict) = group.tpdu.verify() else {
             return;
         };
-        if !group.inv.matches(digest) {
+        if let Err(reason) = verdict {
             // Discard staged data; the retransmission will replace it.
-            // Summing first and clearing in place keeps the held Vec's
-            // capacity for the retransmission (the arithmetic is identical
-            // to per-chunk unstaging: unstage is a plain subtraction).
-            let freed: u64 = group.held.iter().map(|(c, _)| c.payload.len() as u64).sum();
+            // Clearing in place keeps the held Vec's capacity for it.
+            let freed = group.staged();
             group.held.clear();
             self.unstage(freed);
             if self.obs_on {
@@ -1246,30 +697,17 @@ impl Receiver {
                 self.obs
                     .degraded(now, "verify-failure", self.params.conn_id);
             }
-            return self.group_failure_into(start, FailureReason::EdMismatch, out);
+            return self.report_failure(start, reason, out);
         }
         let mut group = self.groups.remove(&start).expect("present");
-        let elements = group.elements;
+        let done = group.tpdu.done();
+        let elements = done.elements;
         if self.obs_on {
             self.hot.verify_pass.add(&*self.obs, 1);
             self.obs
-                .observe("wsc.runs_per_tpdu", group.inv.absorbed_runs());
+                .observe("wsc.runs_per_tpdu", group.tpdu.absorbed_runs());
         }
-        // Reassemble mode releases the staged chunks to the app now.
-        // `drain` preserves arrival order (the obs span-close order the
-        // lineage trace pins) and keeps the Vec's capacity for the pool.
-        for (chunk, arrived) in group.held.drain(..) {
-            let first = self.unwrap_csn(chunk.header.conn.sn);
-            self.unstage(chunk.payload.len() as u64);
-            let waited = now.saturating_sub(arrived);
-            self.stats.holding_delay += waited;
-            if self.obs_on {
-                self.obs.counter("transport.rx.holding_delay_ns", waited);
-                self.obs
-                    .span_close(now, SpanId::new(labels_of(&chunk.header), Stage::Hold));
-            }
-            self.place(first, &chunk.payload);
-        }
+        self.release_held(&mut group, now);
         self.delivered.push(start);
         self.stats.tpdus_delivered += 1;
         if self.obs_on {
@@ -1297,20 +735,8 @@ impl Receiver {
             self.obs.span_open(now, deliver);
             self.obs.span_close(now, deliver);
         }
-        let end = group
-            .tracker
-            .known_end()
-            .expect("complete group knows its end");
-        self.done.insert(
-            start,
-            Done {
-                elements,
-                end,
-                code: group.inv.code(),
-                digest: group.inv.digest(),
-            },
-        );
-        self.recycle_group(group);
+        self.done.insert(start, done);
+        self.pool.push(group.recycled());
         out.push(RxEvent::TpduDelivered { start, elements });
         if self.closed {
             out.push(RxEvent::ConnectionClosed);
@@ -1323,7 +749,7 @@ impl Receiver {
         let starts: Vec<u64> = self
             .groups
             .iter()
-            .filter(|(_, g)| !g.reported)
+            .filter(|(_, g)| g.tpdu.verdict().is_none())
             .map(|(&s, _)| s)
             .collect();
         let mut events = Vec::new();
@@ -1345,27 +771,7 @@ impl Receiver {
             .collect();
         sacks.sort_unstable();
         sacks.dedup();
-        let mut gaps: Vec<(u64, u64)> = Vec::new();
-        let mut need_ed: Vec<u64> = Vec::new();
-        for (&start, g) in &self.groups {
-            if g.reported && g.failed.is_none() {
-                continue; // delivered
-            }
-            if g.failed.is_some() {
-                // Verification failed: the whole TPDU must come again.
-                let span = g.elements.max(g.tracker.covered());
-                gaps.push((start, start + span.max(1)));
-            } else {
-                for (lo, hi) in g.tracker.missing() {
-                    gaps.push((start + lo, start + hi));
-                }
-                if g.tracker.is_complete() && g.ed.is_none() {
-                    need_ed.push(start);
-                }
-            }
-        }
-        gaps.sort_unstable();
-        need_ed.sort_unstable();
+        let (gaps, need_ed) = ack_parts(self.groups.iter().map(|(&s, g)| (s, &g.tpdu)));
         AckInfo {
             cumulative: prefix,
             sacks,
@@ -1373,26 +779,6 @@ impl Receiver {
             need_ed,
             pressure: self.under_pressure(),
         }
-    }
-
-    /// True when occupancy stands at or above 3/4 of any configured cap —
-    /// the back-pressure signal [`make_ack`](Self::make_ack) forwards so
-    /// the sender defers repairs instead of livelocking retransmissions
-    /// into a buffer that will shed them.
-    pub fn under_pressure(&self) -> bool {
-        if !self.budget.is_limited() {
-            return false;
-        }
-        let hot = |held: u64, cap: u64| cap != u64::MAX && held >= cap - cap / 4;
-        let b = &self.budget;
-        hot(self.stats.buffered_bytes, b.max_held_bytes)
-            || (b.max_open_groups != usize::MAX
-                && self.open_groups() >= b.max_open_groups - b.max_open_groups / 4)
-            || (b.max_fragments != usize::MAX
-                && self.claimed.fragments() >= b.max_fragments - b.max_fragments / 4)
-            || b.global
-                .as_ref()
-                .is_some_and(|g| hot(g.held_bytes(), g.cap_bytes()))
     }
 
     /// The typed budget-exhaustion error, once any bytes have been shed.
@@ -1410,7 +796,7 @@ impl Receiver {
         let mut v: Vec<u64> = self
             .groups
             .iter()
-            .filter(|(_, g)| g.failed.is_some())
+            .filter(|(_, g)| matches!(g.tpdu.verdict(), Some(Err(_))))
             .map(|(&s, _)| s)
             .collect();
         v.sort_unstable();
@@ -1424,9 +810,8 @@ impl Receiver {
             // Release exactly this group's claims so retransmitted data may
             // land (tagged claims free without arithmetic on the span).
             self.claimed.release(start);
-            let freed: u64 = g.held.iter().map(|(c, _)| c.payload.len() as u64).sum();
-            self.unstage(freed);
-            self.recycle_group(g);
+            self.unstage(g.staged());
+            self.pool.push(g.recycled());
         } else if self.done.remove(&start).is_some() {
             // A delivered group: its heavy state is long recycled; drop the
             // verdict record and free the claims so the TPDU can be received
@@ -1447,10 +832,8 @@ impl Receiver {
         // chunks and held group chunks both flowed through `stage`.
         let staged = self.stats.buffered_bytes;
         self.unstage(staged);
-        while let Some(&start) = self.groups.keys().next() {
-            let g = self.groups.remove(&start).expect("key just observed");
-            self.recycle_group(g);
-        }
+        self.pool
+            .extend(self.groups.drain().map(|(_, g)| g.recycled()));
         self.reorder_q.clear();
         self.done.clear();
         self.delivered.clear();
@@ -1501,39 +884,6 @@ impl Receiver {
         v.sort_unstable();
         v
     }
-
-    /// Starts of delivered TPDUs, in delivery order.
-    pub fn delivered_starts(&self) -> &[u64] {
-        &self.delivered
-    }
-}
-
-/// Copies the intersection of `[lo, hi)` (connection-space elements) with
-/// a staged chunk's span out of `new` into the chunk's payload; returns the
-/// bytes rewritten. `first` is the chunk's first connection-space element.
-fn overlay_into_chunk(
-    c: &mut Chunk,
-    first: u64,
-    lo: u64,
-    hi: u64,
-    new: &[u8],
-    esize: usize,
-) -> u64 {
-    let clen = c.header.len as u64;
-    let (s, e) = (first.max(lo), (first + clen).min(hi));
-    if s >= e {
-        return 0;
-    }
-    // Must own: the staged payload is (in the zero-copy path) a slice of a
-    // shared packet buffer; rewriting bytes in place would corrupt every
-    // other view of that buffer. Overlap overwrite is the one receive-side
-    // operation that mutates payload bytes, so it pays for a private copy —
-    // and only on the chunks it actually rewrites.
-    let mut raw = c.payload.to_vec();
-    raw[(s - first) as usize * esize..(e - first) as usize * esize]
-        .copy_from_slice(&new[(s - lo) as usize * esize..(e - lo) as usize * esize]);
-    c.payload = raw.into();
-    (e - s) * esize as u64
 }
 
 #[cfg(test)]

@@ -170,19 +170,6 @@ impl Sender {
         }
     }
 
-    /// Re-sends only the 8-byte ED chunks of the named TPDUs (the data
-    /// arrived; the digest did not).
-    pub fn retransmit_eds(&mut self, starts: &[u64]) -> Result<Vec<Packet>, CoreError> {
-        let chunks: Vec<_> = starts
-            .iter()
-            .filter_map(|s| self.pending.get(s).map(|t| t.ed.clone()))
-            .collect();
-        if !chunks.is_empty() {
-            self.retransmissions += 1;
-        }
-        pack(chunks, self.cfg.mtu)
-    }
-
     /// Answers a full receiver report: sub-chunks for the named gaps,
     /// missing ED chunks, and — for pending TPDUs the report does not
     /// mention at all (their packets vanished before the receiver learned
@@ -193,26 +180,17 @@ impl Sender {
         &mut self,
         ack: &crate::ack::AckInfo,
     ) -> Result<Vec<Packet>, CoreError> {
-        self.retransmit_for_ack_limited(ack, usize::MAX)
+        self.retransmit_for_ack_parts(ack, usize::MAX)
+            .map(|(packets, _)| packets)
     }
 
     /// [`Self::retransmit_for_ack`] with window-limited repair: at most
     /// `max_tpdus` pending TPDUs (in connection-space order) are repaired
     /// per call, so a pathological gap report cannot make one call
     /// retransmit the whole stream in a single burst. The remaining TPDUs
-    /// are picked up by later calls (or by the retransmission timer).
-    pub fn retransmit_for_ack_limited(
-        &mut self,
-        ack: &crate::ack::AckInfo,
-        max_tpdus: usize,
-    ) -> Result<Vec<Packet>, CoreError> {
-        self.retransmit_for_ack_parts(ack, max_tpdus)
-            .map(|(packets, _)| packets)
-    }
-
-    /// [`Self::retransmit_for_ack_limited`], also reporting which TPDU
-    /// starts were repaired (so the reliability layer can re-arm their
-    /// retransmission timers).
+    /// are picked up by later calls (or by the retransmission timer). Also
+    /// reports which TPDU starts were repaired (so the reliability layer
+    /// can re-arm their retransmission timers).
     pub fn retransmit_for_ack_parts(
         &mut self,
         ack: &crate::ack::AckInfo,
@@ -275,52 +253,6 @@ impl Sender {
         }
         self.retransmissions += repaired.len() as u64;
         Ok((pack(chunks, self.cfg.mtu)?, repaired))
-    }
-
-    /// Retransmits only the element ranges a receiver reported missing —
-    /// sub-chunks extracted per Appendix C, each a perfectly ordinary chunk
-    /// with identical labels. The TPDU's ED chunk rides along so a receiver
-    /// that lost it can still verify.
-    pub fn retransmit_gaps(&mut self, gaps: &[(u64, u64)]) -> Result<Vec<Packet>, CoreError> {
-        let mut chunks = Vec::new();
-        let mut touched: Vec<u64> = Vec::new();
-        for &(lo, hi) in gaps {
-            for (&start, tpdu) in self.pending.range(..hi) {
-                let end = start + tpdu.elements as u64;
-                if end <= lo {
-                    continue;
-                }
-                let want_lo = lo.max(start);
-                let want_hi = hi.min(end);
-                if want_lo >= want_hi {
-                    continue;
-                }
-                for c in &tpdu.chunks {
-                    // Chunk covers [c_lo, c_hi) in connection space.
-                    let c_lo = start + c.header.tpdu.sn as u64;
-                    let c_hi = c_lo + c.header.len as u64;
-                    let take_lo = want_lo.max(c_lo);
-                    let take_hi = want_hi.min(c_hi);
-                    if take_lo >= take_hi {
-                        continue;
-                    }
-                    let piece = chunks_core::frag::extract(
-                        c,
-                        (take_lo - c_lo) as u32,
-                        (take_hi - take_lo) as u32,
-                    )?;
-                    chunks.push(piece);
-                }
-                if !touched.contains(&start) {
-                    touched.push(start);
-                    chunks.push(tpdu.ed.clone());
-                }
-            }
-        }
-        if !chunks.is_empty() {
-            self.retransmissions += 1;
-        }
-        pack(chunks, self.cfg.mtu)
     }
 
     /// Loss feedback: halve the TPDU size (multiplicative decrease), so

@@ -214,12 +214,6 @@ impl Session {
         self
     }
 
-    /// Pre-sizes the inbound receiver for an expected load so the steady
-    /// state stays allocation-free (see [`Receiver::reserve`]).
-    pub fn reserve_rx(&mut self, tpdus: usize, fragments: usize) {
-        self.rx.reserve(tpdus, fragments);
-    }
-
     /// Typed budget-exhaustion report from the inbound receiver, once any
     /// bytes have been shed.
     pub fn budget_error(&self) -> Option<TransportError> {
@@ -556,20 +550,6 @@ impl Session {
                 }
                 other => app_events.push(other),
             }
-        }
-        app_events
-    }
-
-    /// Batched twin of [`Self::handle_packet`]: ingests a burst of packets
-    /// that share one arrival stamp, advancing the clock once. Pairs with
-    /// the receiver's own [`Receiver::ingest_batch`] amortisation — the
-    /// session-level bookkeeping (clock max, ack routing) happens per batch
-    /// instead of per packet.
-    pub fn handle_packets(&mut self, packets: &[Packet], now: u64) -> Vec<RxEvent> {
-        self.clock = self.clock.max(now);
-        let mut app_events = Vec::new();
-        for packet in packets {
-            app_events.extend(self.handle_packet(packet, self.clock));
         }
         app_events
     }

@@ -7,23 +7,22 @@
 //! application in order, and the window base advances so the same `C.SN`
 //! values can come around again.
 //!
-//! Inside the window the engine is the immediate-processing receiver of
-//! §3.3: chunks are placed into the (ring) address space on arrival in any
-//! order, virtual reassembly tracks completion per TPDU, and the WSC-2
-//! invariant verifies each TPDU against its ED chunk before its bytes may
-//! leave the window.
+//! Inside the window this is the immediate-processing receiver of §3.3:
+//! chunks are placed into the (ring) address space on arrival in any order.
+//! What is accepted, each TPDU's verdict and its share of an ack come from
+//! the same per-TPDU track+verify engine the block
+//! [`Receiver`](crate::receiver::Receiver) runs on; this file is only the
+//! sliding-window *placement* policy over it.
 
 use std::collections::BTreeMap;
-use std::collections::HashMap;
 
 use chunks_core::chunk::Chunk;
 use chunks_core::label::ChunkType;
 use chunks_core::packet::Packet;
-use chunks_vreasm::{PduTracker, TrackEvent};
-use chunks_wsc::{InvariantLayout, TpduInvariant};
+use chunks_wsc::InvariantLayout;
 
 use crate::conn::ConnectionParams;
-use crate::receiver::{wire_chunks, FailureReason};
+use crate::receiver::{ack_parts, wire_chunks, FailureReason, TpduEngine, Track};
 
 /// Statistics kept by a [`StreamReceiver`].
 #[derive(Clone, Copy, Debug, Default)]
@@ -44,17 +43,6 @@ pub struct StreamStats {
     pub window_advances: u64,
 }
 
-/// Per-TPDU state inside the window.
-#[derive(Debug)]
-struct Group {
-    tracker: PduTracker,
-    inv: TpduInvariant,
-    ed: Option<[u8; 8]>,
-    elements: u64,
-    verified: bool,
-    failed: Option<FailureReason>,
-}
-
 /// Sliding-window receiver for one long-running connection.
 #[derive(Debug)]
 pub struct StreamReceiver {
@@ -70,11 +58,9 @@ pub struct StreamReceiver {
     /// The `C.SN` corresponding to `base_abs` (wraps).
     base_csn: u32,
     /// Groups keyed by absolute TPDU start.
-    groups: BTreeMap<u64, Group>,
+    groups: BTreeMap<u64, TpduEngine>,
     /// Delivered-but-not-yet-polled bytes.
     outbox: Vec<u8>,
-    /// Per-group `C.SN − X.SN` consistency state.
-    x_deltas: HashMap<(u64, u32), u32>,
     /// Accumulated statistics.
     pub stats: StreamStats,
 }
@@ -92,7 +78,6 @@ impl StreamReceiver {
             base_csn: params.initial_csn,
             groups: BTreeMap::new(),
             outbox: Vec::new(),
-            x_deltas: HashMap::new(),
             stats: StreamStats::default(),
         }
     }
@@ -141,19 +126,18 @@ impl StreamReceiver {
         self.advance();
     }
 
-    fn group_entry(
-        groups: &mut BTreeMap<u64, Group>,
-        layout: InvariantLayout,
-        start: u64,
-    ) -> &mut Group {
-        groups.entry(start).or_insert_with(|| Group {
-            tracker: PduTracker::new(),
-            inv: TpduInvariant::new(layout).expect("layout fits"),
-            ed: None,
-            elements: 0,
-            verified: false,
-            failed: None,
-        })
+    fn group_entry(&mut self, start: u64) -> &mut TpduEngine {
+        let layout = self.layout;
+        self.groups
+            .entry(start)
+            .or_insert_with(|| TpduEngine::new(layout))
+    }
+
+    /// Condemns the group at `start`, counting its first verdict only.
+    fn fail(&mut self, start: u64, reason: FailureReason) {
+        if self.group_entry(start).fail(reason) {
+            self.stats.tpdus_failed += 1;
+        }
     }
 
     fn handle_data(&mut self, chunk: Chunk) {
@@ -161,71 +145,40 @@ impl StreamReceiver {
         if h.size != self.params.elem_size || h.conn.id != self.params.conn_id {
             return;
         }
+        let (sn, len) = (h.tpdu.sn as u64, h.len as u64);
         let first = match self.unwrap_csn(h.conn.sn) {
-            Ok(a) => a,
+            Ok(first) if first + len <= self.base_abs + self.window => first,
             Err(Place::Stale) => {
                 self.stats.stale_chunks += 1;
                 return;
             }
-            Err(Place::Beyond) => {
+            // Beyond the window, or the tail pokes out of it: refuse whole
+            // (flow control).
+            _ => {
                 self.stats.overrun_chunks += 1;
                 return;
             }
         };
-        let len = h.len as u64;
-        if first + len > self.base_abs + self.window {
-            // Tail pokes out of the window: refuse whole (flow control).
-            self.stats.overrun_chunks += 1;
-            return;
-        }
-        let start = first - h.tpdu.sn as u64; // absolute TPDU start
-        let group = Self::group_entry(&mut self.groups, self.layout, start);
-        // Trim partial duplicates, as the block receiver does.
-        let uncovered = group.tracker.uncovered(h.tpdu.sn as u64, len);
-        if uncovered.is_empty() {
-            self.stats.duplicate_chunks += 1;
-            return;
-        }
-        if uncovered != [(h.tpdu.sn as u64, h.tpdu.sn as u64 + len)] {
-            self.stats.duplicate_chunks += 1;
-            for (lo, hi) in uncovered {
-                let off = (lo - h.tpdu.sn as u64) as u32;
-                if let Ok(piece) = chunks_core::frag::extract(&chunk, off, (hi - lo) as u32) {
-                    self.handle_data(piece);
-                }
-            }
-            return;
-        }
-        match group.tracker.offer(h.tpdu.sn as u64, len, h.tpdu.st) {
-            TrackEvent::Duplicate => {
+        let start = first - sn; // absolute TPDU start
+        match self.group_entry(start).track(sn, len, h.tpdu.st) {
+            Track::Fresh => {}
+            // Trim partial duplicates down to their fresh runs (held bytes
+            // win), as the block receiver does.
+            Track::Overlap(uncovered) => {
                 self.stats.duplicate_chunks += 1;
+                for (lo, hi) in uncovered {
+                    let off = (lo - sn) as u32;
+                    if let Ok(piece) = chunks_core::frag::extract(&chunk, off, (hi - lo) as u32) {
+                        self.handle_data(piece);
+                    }
+                }
                 return;
             }
-            TrackEvent::Inconsistent => {
-                group.failed = Some(FailureReason::ReassemblyError);
-                return;
-            }
-            TrackEvent::Accepted => {}
+            Track::Inconsistent => return self.fail(start, FailureReason::ReassemblyError),
         }
-        // X-level consistency.
-        let x_delta = h.conn.sn.wrapping_sub(h.ext.sn);
-        match self.x_deltas.get(&(start, h.ext.id)) {
-            Some(&d) if d != x_delta => {
-                let group = Self::group_entry(&mut self.groups, self.layout, start);
-                group.failed = Some(FailureReason::Consistency);
-                return;
-            }
-            Some(_) => {}
-            None => {
-                self.x_deltas.insert((start, h.ext.id), x_delta);
-            }
+        if let Err(reason) = self.group_entry(start).absorb(&h, &chunk.payload) {
+            return self.fail(start, reason);
         }
-        let group = Self::group_entry(&mut self.groups, self.layout, start);
-        if group.inv.absorb_chunk(&h, &chunk.payload).is_err() {
-            group.failed = Some(FailureReason::EdMismatch);
-            return;
-        }
-        group.elements += len;
         // Place into the ring (may straddle the wrap point).
         let esize = self.params.elem_size as usize;
         for (k, element) in chunk.payload.chunks(esize).enumerate() {
@@ -244,7 +197,7 @@ impl StreamReceiver {
         };
         let mut digest = [0u8; 8];
         digest.copy_from_slice(&chunk.payload);
-        Self::group_entry(&mut self.groups, self.layout, start).ed = Some(digest);
+        self.group_entry(start).set_ed(digest);
     }
 
     /// Verifies completed groups and slides the window over in-order
@@ -252,24 +205,18 @@ impl StreamReceiver {
     fn advance(&mut self) {
         // Verify any group that is complete and has its digest.
         for g in self.groups.values_mut() {
-            if !g.verified && g.failed.is_none() && g.tracker.is_complete() {
-                if let Some(d) = g.ed {
-                    if g.inv.matches(d) {
-                        g.verified = true;
-                        self.stats.tpdus_delivered += 1;
-                    } else {
-                        g.failed = Some(FailureReason::EdMismatch);
-                        self.stats.tpdus_failed += 1;
-                    }
-                }
+            match g.verify() {
+                Some(Ok(())) => self.stats.tpdus_delivered += 1,
+                Some(Err(_)) => self.stats.tpdus_failed += 1,
+                None => {}
             }
         }
         // Slide over verified groups sitting exactly at the base.
         while let Some((&start, g)) = self.groups.first_key_value() {
-            if start != self.base_abs || !g.verified {
+            if start != self.base_abs || g.verdict() != Some(Ok(())) {
                 break;
             }
-            let elements = g.elements;
+            let elements = g.elements();
             let esize = self.params.elem_size as usize;
             for e in 0..elements {
                 let slot = ((self.base_abs + e) % self.window) as usize * esize;
@@ -278,7 +225,6 @@ impl StreamReceiver {
             }
             self.stats.delivered_bytes += elements * esize as u64;
             self.groups.remove(&start);
-            self.x_deltas.retain(|&(s, _), _| s != start);
             self.base_abs += elements;
             self.base_csn = self.base_csn.wrapping_add(elements as u32);
             self.stats.window_advances += 1;
@@ -295,7 +241,7 @@ impl StreamReceiver {
     pub fn failed_starts(&self) -> Vec<u64> {
         self.groups
             .iter()
-            .filter(|(_, g)| g.failed.is_some())
+            .filter(|(_, g)| matches!(g.verdict(), Some(Err(_))))
             .map(|(&s, _)| s)
             .collect()
     }
@@ -303,7 +249,6 @@ impl StreamReceiver {
     /// Clears a failed group so the retransmission can verify afresh.
     pub fn reset_group(&mut self, start: u64) {
         self.groups.remove(&start);
-        self.x_deltas.retain(|&(s, _), _| s != start);
     }
 
     /// Builds the current acknowledgment for the window, in the same shape
@@ -313,25 +258,12 @@ impl StreamReceiver {
     /// This is what lets the reliability layer drive timer-based repair of
     /// a long-running stream exactly like a bounded transfer.
     pub fn make_ack(&self) -> crate::ack::AckInfo {
-        let mut sacks: Vec<u64> = Vec::new();
-        let mut gaps: Vec<(u64, u64)> = Vec::new();
-        let mut need_ed: Vec<u64> = Vec::new();
-        for (&start, g) in &self.groups {
-            if g.verified {
-                sacks.push(start);
-            } else if g.failed.is_some() {
-                // Verification failed: the whole TPDU must come again.
-                gaps.push((start, start + g.elements.max(1)));
-            } else {
-                for (lo, hi) in g.tracker.missing() {
-                    gaps.push((start + lo, start + hi));
-                }
-                if g.tracker.is_complete() && g.ed.is_none() {
-                    need_ed.push(start);
-                }
-            }
-        }
-        gaps.sort_unstable();
+        let verified = self
+            .groups
+            .iter()
+            .filter(|(_, g)| g.verdict() == Some(Ok(())));
+        let sacks = verified.map(|(&s, _)| s).collect();
+        let (gaps, need_ed) = ack_parts(self.groups.iter().map(|(&s, g)| (s, g)));
         crate::ack::AckInfo {
             cumulative: self.base_abs,
             sacks,
@@ -519,6 +451,44 @@ mod tests {
         }
         assert_eq!(rx.poll_delivered(), vec![7u8; 16]);
         assert_eq!(rx.delivered(), 16);
+    }
+
+    #[test]
+    fn failure_channels_share_the_block_receivers_accounting() {
+        // One TPDU of 8 cut in halves `a`/`b`; each row condemns it through
+        // a different channel of the shared engine. Every row must count one
+        // failure (fed twice: the verdict is sticky), carry the reason the
+        // block receiver gives, and be re-nacked over max(absorbed, tracked).
+        let p = params(0);
+        let tpdus = Framer::new(p, layout()).frame_simple(&[5u8; 8], 0xF, false);
+        let (a, b) = chunks_core::frag::split(&tpdus[0].chunks[0], 4).unwrap();
+        let mut past_stop = b.clone(); // [8, 12) with T.ST, after b's stop at 8
+        past_stop.header.tpdu.sn += 4;
+        past_stop.header.conn.sn += 4;
+        let mut xsn = b.clone();
+        xsn.header.ext.sn += 3;
+        let mut tid = b.clone();
+        tid.header.tpdu.id ^= 1;
+        let small = InvariantLayout::with_data_symbols(4); // b lands past it
+        for (layout, feed, reason, nacked) in [
+            (
+                layout(),
+                [&b, &past_stop],
+                FailureReason::ReassemblyError,
+                4,
+            ),
+            (layout(), [&a, &xsn], FailureReason::Consistency, 8),
+            (layout(), [&a, &tid], FailureReason::EdMismatch, 8),
+            (small, [&a, &b], FailureReason::BadChunk, 8),
+        ] {
+            let mut rx = StreamReceiver::new(p, layout, 64);
+            for c in feed.into_iter().chain(feed) {
+                rx.handle_chunk(c.clone(), 0);
+            }
+            assert_eq!(rx.groups[&0].verdict(), Some(Err(reason)));
+            assert_eq!(rx.stats.tpdus_failed, 1, "{reason:?} counts once");
+            assert_eq!(rx.make_ack().gaps, vec![(0, nacked)], "{reason:?}");
+        }
     }
 
     #[test]

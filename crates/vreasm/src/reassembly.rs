@@ -288,46 +288,6 @@ impl Reassembly {
         }
     }
 
-    /// Transfers ownership of every claimed position inside `[start, end)`
-    /// to `tag` — the [`OverlapPolicy::LastWins`] bookkeeping step after the
-    /// caller has overwritten the held bytes.
-    pub fn reown(&mut self, start: u64, end: u64, tag: u64) {
-        self.release_span(start, end);
-        self.insert_owned_merging(start, end, tag);
-    }
-
-    /// Inserts `[start, end)` for `tag`, overwriting nothing (the span must
-    /// have been released first) but coalescing with same-tag neighbours.
-    fn insert_owned_merging(&mut self, start: u64, end: u64, tag: u64) {
-        self.insert_owned(start, end, tag);
-    }
-
-    /// Releases every position in `[start, end)` regardless of owner,
-    /// splitting straddling ranges. Returns positions freed.
-    pub fn release_span(&mut self, start: u64, end: u64) -> u64 {
-        assert!(start <= end, "inverted interval");
-        if start == end {
-            return 0;
-        }
-        let lo = self.ranges.partition_point(|&(_, e, _)| e <= start);
-        let mut hi = lo;
-        let mut removed = 0;
-        let mut keep: Vec<(u64, u64, u64)> = Vec::new();
-        while hi < self.ranges.len() && self.ranges[hi].0 < end {
-            let (s, e, tag) = self.ranges[hi];
-            removed += e.min(end) - s.max(start);
-            if s < start {
-                keep.push((s, start, tag));
-            }
-            if e > end {
-                keep.push((end, e, tag));
-            }
-            hi += 1;
-        }
-        self.ranges.splice(lo..hi, keep);
-        removed
-    }
-
     /// Releases every range owned by `tag` — what a receiver calls when the
     /// owning PDU group fails or is evicted. Returns positions freed.
     pub fn release(&mut self, tag: u64) -> u64 {
@@ -483,31 +443,6 @@ mod tests {
     }
 
     #[test]
-    fn reown_transfers_the_contested_span() {
-        let mut r = Reassembly::new(OverlapPolicy::LastWins);
-        r.claim(0, 10, 1);
-        r.reown(4, 8, 2);
-        assert_eq!(r.owner_of(2), Some(1));
-        assert_eq!(r.owner_of(5), Some(2));
-        assert_eq!(r.owner_of(9), Some(1));
-        assert_eq!(r.covered(), 10);
-        assert_eq!(r.fragments(), 3);
-        // Re-owning back restores a single coalesced range... per tag.
-        r.reown(4, 8, 1);
-        assert_eq!(r.fragments(), 1);
-    }
-
-    #[test]
-    fn release_span_splits_straddlers() {
-        let mut r = Reassembly::new(OverlapPolicy::Reject);
-        r.claim(0, 10, 1);
-        assert_eq!(r.release_span(3, 7), 4);
-        assert_eq!(r.covered(), 6);
-        assert_eq!(r.owner_of(3), None);
-        assert_eq!(r.owner_of(8), Some(1));
-    }
-
-    #[test]
     fn coverage_matches_an_interval_set() {
         let mut r = Reassembly::new(OverlapPolicy::Reject);
         r.claim(0, 4, 1);
@@ -549,7 +484,6 @@ mod tests {
         let mut r = Reassembly::new(OverlapPolicy::Reject);
         assert!(r.claim(5, 5, 1).is_clean());
         assert_eq!(r.fragments(), 0);
-        assert_eq!(r.release_span(3, 3), 0);
         let c = Claim::default();
         assert!(c.is_clean());
         assert!(Conflict {

@@ -9,9 +9,9 @@
 # parallel-equivalence gate, the zero-allocation hot-path gate, the
 # connection-table scale gate, the BENCH regression gate, the reliability
 # soak, the adversarial overlap sweep, the lineage sweep, the
-# deterministic-trace replay, and the health surface. Telemetry overhead is not a recipe here: it is the ledger's
+# deterministic-trace replay, the health surface, and the seven examples. Telemetry overhead is not a recipe here: it is the ledger's
 # `obs.always_on_overhead_pct` (`cargo run --release -p chunks-ledger -- run`).
-lint: check test-release test-workspace test-tables test-parallel test-hotpath test-scale bench-check soak soak-overlap lineage trace health
+lint: check test-release test-workspace test-tables test-parallel test-hotpath test-scale bench-check soak soak-overlap lineage trace health examples
 
 # Static gate only: formatting, clippy, rustdoc.
 check: fmt clippy doc
@@ -107,3 +107,9 @@ trace:
 # per connection on first degradation with byte-stable output.
 health:
     cargo run --release --bin experiments health
+
+# Every example, release mode. Each asserts its own result, so a non-zero
+# exit is a failure; `long_stream` is the only end-to-end driver of
+# `StreamReceiver`.
+examples:
+    for e in quickstart bulk_transfer long_stream video_stream internetwork header_compression ilp_pipeline; do cargo run --release --quiet --example "$e" || exit 1; done

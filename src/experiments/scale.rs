@@ -100,19 +100,19 @@ fn layout() -> InvariantLayout {
     InvariantLayout::with_data_symbols(256)
 }
 
-fn fresh_rx(conn_id: u32, mode: DeliveryMode) -> Receiver {
-    let mut rx = Receiver::new(mode, params_for(conn_id, 0), layout(), CAPACITY_ELEMENTS);
-    rx.reserve(MSGS_PER_CONN + 2, 4 * MSGS_PER_CONN + 8);
-    rx
+/// The one description every cell's receivers are built from, serial and
+/// parallel alike.
+fn spec_for(conn_id: u32, mode: DeliveryMode) -> ConnSpec {
+    ConnSpec::new(params_for(conn_id, 0), layout(), mode, CAPACITY_ELEMENTS)
 }
 
-fn spec_for(conn_id: u32) -> ConnSpec {
-    ConnSpec::new(
-        params_for(conn_id, 0),
-        layout(),
-        DeliveryMode::Immediate,
-        CAPACITY_ELEMENTS,
-    )
+/// A serial cell's receiver: exactly what a parallel worker builds from the
+/// same [`spec_for`] — in particular with no `Receiver::reserve`, whose
+/// first-touch page faults across 2^20 receivers used to make the serial
+/// million cell look 10–20× slower than the parallel one (docs/SCALE.md).
+fn fresh_rx(conn_id: u32, mode: DeliveryMode) -> Receiver {
+    let spec = spec_for(conn_id, mode);
+    Receiver::new(spec.mode, spec.params, spec.layout, spec.capacity_elements)
 }
 
 fn msg_bytes(seed: u64, m: usize) -> Vec<u8> {
@@ -568,7 +568,7 @@ fn cell_churn_equiv(seed: u64) -> Row {
     for op in &ops {
         now += TICK_NS;
         match *op {
-            Op::Admit(id) => pr.admit(spec_for(id), now),
+            Op::Admit(id) => pr.admit(spec_for(id, DeliveryMode::Immediate), now),
             Op::Send(id) => pr.ingest(&tpl.packet_for(id), now),
             Op::Retire(id) => pr.retire(id, now),
         }
@@ -878,7 +878,7 @@ fn cell_million_parallel(seed: u64, conns: u32, churn: u32) -> Row {
         for (i, pkt) in wave_pkts.iter().enumerate() {
             let id = wave_start + i as u32;
             now += TICK_NS;
-            pr.admit(spec_for(id), now);
+            pr.admit(spec_for(id, DeliveryMode::Immediate), now);
             pr.ingest(pkt, now);
         }
         pr.drain();
@@ -893,7 +893,7 @@ fn cell_million_parallel(seed: u64, conns: u32, churn: u32) -> Row {
     for (i, pkt) in churn_pkts.iter().enumerate() {
         now += TICK_NS;
         pr.retire(i as u32, now);
-        pr.admit(spec_for(conns + i as u32), now);
+        pr.admit(spec_for(conns + i as u32, DeliveryMode::Immediate), now);
         pr.ingest(pkt, now);
     }
     pr.drain();

@@ -2,6 +2,7 @@
 //! loss/duplication/reorder pattern, retransmission with identical labels
 //! converges and the delivered bytes equal the sent bytes.
 
+use chunks::core::frag::split;
 use chunks::core::label::ChunkType;
 use chunks::core::packet::unpack;
 use chunks::transport::{
@@ -120,6 +121,85 @@ proptest! {
         prop_assert_eq!(&received, &sent);
         prop_assert_eq!(rx.stats.overrun_chunks, 0);
         prop_assert_eq!(rx.stats.tpdus_failed, 0);
+    }
+
+    #[test]
+    fn stream_and_block_receivers_agree_on_every_chunk(
+        message in proptest::collection::vec(any::<u8>(), 16..400),
+        seed in any::<u64>(),
+    ) {
+        // §3.3: track+verify is one algorithm whatever the placement. The
+        // same hostile trace — chunks dropped, duplicated, re-cut at other
+        // points, payload- and label-flipped, then shuffled; every label inside the
+        // window — must leave the block receiver (Immediate) and a stream
+        // receiver whose window covers the transfer with the same failed
+        // set and the same ack after every single chunk, and the same bytes.
+        let mut state = seed | 1;
+        let mut draw = |n: u64| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            (state >> 33) % n
+        };
+        let clean: Vec<_> = chunks::transport::Framer::new(params(), layout())
+            .frame_simple(&message, 0xF, false)
+            .iter()
+            .flat_map(|t| t.all_chunks())
+            .collect();
+        let mut trace = Vec::new();
+        for c in &clean {
+            for _copy in 0..draw(3) { // 0 copies = dropped
+                let mut c = c.clone();
+                if c.header.ty == ChunkType::Data && draw(8) == 0 {
+                    let mut raw = c.payload.to_vec();
+                    let at = draw(raw.len() as u64) as usize;
+                    raw[at] ^= 0x40;
+                    c.payload = raw.into();
+                }
+                // Label flips that leave the position alone: they fail in
+                // absorb (T.ID) or the X-level check (X.SN), not at the ED.
+                match draw(24) {
+                    0 => c.header.tpdu.id ^= 1,
+                    1 => c.header.ext.sn = c.header.ext.sn.wrapping_add(1),
+                    _ => {}
+                }
+                if c.header.ty == ChunkType::Data && c.header.len > 1 && draw(2) == 0 {
+                    let (a, b) = split(&c, 1 + draw(c.header.len as u64 - 1) as u32).unwrap();
+                    trace.extend([a, b]);
+                } else {
+                    trace.push(c);
+                }
+            }
+        }
+        for i in (1..trace.len()).rev() {
+            trace.swap(i, draw(i as u64 + 1) as usize);
+        }
+
+        let mut block = Receiver::new(DeliveryMode::Immediate, params(), layout(), 4096);
+        let mut stream = StreamReceiver::new(params(), layout(), 4096);
+        let mut streamed = Vec::new();
+        // Then the repair, twice — failed groups reset, everything resent —
+        // because a group still open after the trace may hold a flipped
+        // byte and fail only when the first repair completes it.
+        for (pass, chunks) in [&trace, &clean, &clean].into_iter().enumerate() {
+            for s in block.failed_starts() {
+                block.reset_group(s);
+                stream.reset_group(s);
+            }
+            for c in chunks {
+                block.handle_chunk(c.clone(), 0);
+                stream.handle_chunk(c.clone(), 0);
+                prop_assert_eq!(block.failed_starts(), stream.failed_starts());
+                let (b, s) = (block.make_ack(), stream.make_ack());
+                prop_assert_eq!(
+                    (b.cumulative, b.sacks, b.gaps, b.need_ed),
+                    (s.cumulative, s.sacks, s.gaps, s.need_ed),
+                    "pass {} after {:?}", pass, c.header
+                );
+            }
+            streamed.extend(stream.poll_delivered());
+            let prefix = block.verified_prefix() as usize;
+            prop_assert_eq!(&block.app_data()[..prefix], &streamed[..]);
+        }
+        prop_assert_eq!(streamed, message);
     }
 
     #[test]
