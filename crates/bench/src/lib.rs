@@ -2,8 +2,9 @@
 //!
 //! One bench target exists per experiment in DESIGN.md §4:
 //! `codes` (B4), `frag_reasm` (F3), `wire_codec` (codec ablations),
-//! `invariant` (F5/F6), `receiver_modes` (B1), `frag_systems` (B2),
-//! `compress` (B5), `internetwork` (F4).
+//! `receiver_modes` (B1), `frag_systems` (B2), `compress` (B5),
+//! `internetwork` (F4). The TPDU invariant's absorb speed (F5/F6) is the
+//! throughput ledger's `gf.fold` / `wsc.absorb` legs.
 
 #![deny(missing_docs)]
 
@@ -17,27 +18,6 @@ pub fn chunk_of(len: u32) -> Chunk {
     Chunk::new(
         ChunkHeader::data(
             1,
-            len,
-            FramingTuple::new(0xA, 1000, false),
-            FramingTuple::new(0x51, 0, true),
-            FramingTuple::new(0xC, 500, false),
-        ),
-        Bytes::from(payload),
-    )
-    .unwrap()
-}
-
-/// A data chunk of `len` elements of `size` bytes each, deterministic
-/// payload. `chunk_of(n)` is the 1-byte-element special case; this builder
-/// exists for workloads where SIZE is a whole number of 32-bit symbols, so
-/// the invariant's contiguous (un-padded) absorption path is exercised.
-pub fn chunk_of_elements(size: u16, len: u32) -> Chunk {
-    let payload: Vec<u8> = (0..size as usize * len as usize)
-        .map(|i| (i * 31 + 7) as u8)
-        .collect();
-    Chunk::new(
-        ChunkHeader::data(
-            size,
             len,
             FramingTuple::new(0xA, 1000, false),
             FramingTuple::new(0x51, 0, true),

@@ -10,8 +10,8 @@
 //!   lookup tables;
 //! * **[`Backend::Clmul`]** — hardware carry-less multiply
 //!   (`PCLMULQDQ` on x86_64, `PMULL` on aarch64) with Barrett reduction;
-//!   no tables, no memory traffic, and the substrate for the eight-lane
-//!   batched Horner evaluation in `fold.rs`.
+//!   no tables, no memory traffic, and the substrate for the forward lane
+//!   fold over payload bytes behind `fold.rs`.
 //!
 //! The active backend is decided **once**, on first use, behind a
 //! [`OnceLock`]: the `CHUNKS_GF_BACKEND` environment variable wins if set

@@ -7,30 +7,27 @@
 //! p0 = Σ dᵢ          H = Σ αⁱ·dᵢ        (the caller then adds α^start·H)
 //! ```
 //!
-//! This module computes `(p0, H)` two ways, bit-identical:
+//! The symbols are either ready-made ([`fold_symbols`]) or still payload
+//! bytes ([`fold_elements`], [`fold_be_bytes`]), which both backends read in
+//! place. `(p0, H)` is computed two ways, bit-identical:
 //!
 //! * **serial Horner** on [`Backend::Tables`], the portable path — back
 //!   to front, `h ← h·α + d`, one [`Gf32::mul_alpha`] shift per symbol. No
 //!   full multiplies, but a latency chain the CPU cannot overlap.
-//! * **eight-lane Horner over clmul** on [`Backend::Clmul`] — the lane
-//!   identity `Σ αⁱ dᵢ = Σ_{j<8} αʲ · (Σ_k α^(8k)·d_(8k+j))` splits the
-//!   sum into eight independent chains, each stepping by the constant `α⁸`;
-//!   one chain step is two `PCLMULQDQ`/`PMULL` instructions with lazy
-//!   reduction (see `clmul.rs`). The chains pipeline, and this is the
-//!   path the TPDU invariant verification rides.
+//! * **forward lane fold over clmul** on [`Backend::Clmul`] — 32
+//!   consecutive symbols pre-combine into one 64-bit word with shifts
+//!   alone, and independent lane chains absorb the words front to back,
+//!   each step two `PCLMULQDQ`/`PMULL` instructions with lazy reduction
+//!   (see `clmul.rs`). This is the path TPDU invariant verification rides.
 //!
-//! [`fold_symbols`] runs the active backend; [`fold_symbols_with`] pins
-//! the backend, so the equivalence tests can reach the portable path on
-//! hardware that has carry-less multiply.
+//! The `_with` forms pin the backend, so the equivalence tests can reach
+//! the portable path on hardware that has carry-less multiply.
 
 use crate::backend::Backend;
 use crate::Gf32;
 
-/// Symbols converted per stack block in [`fold_be_bytes`].
-const BYTES_BLOCK_SYMBOLS: usize = 256;
-
 /// `(Σ dᵢ, Σ αⁱ·dᵢ)` over `data` on the active backend: serial Horner
-/// on [`Backend::Tables`], eight clmul lanes on [`Backend::Clmul`].
+/// on [`Backend::Tables`], forward clmul lanes on [`Backend::Clmul`].
 ///
 /// ```
 /// use chunks_gf::{fold_symbols, Gf32};
@@ -51,7 +48,41 @@ pub fn fold_symbols(data: &[u32]) -> (Gf32, Gf32) {
 pub fn fold_symbols_with(backend: Backend, data: &[u32]) -> (Gf32, Gf32) {
     let (p0, h) = match backend {
         Backend::Clmul => crate::clmul::fold_symbols(data),
-        Backend::Tables => fold_serial(data),
+        Backend::Tables => fold_serial(data.iter().copied()),
+    };
+    (Gf32::new(p0), Gf32::new(h))
+}
+
+/// `(Σ dᵢ, Σ αⁱ·dᵢ)` over the symbols of a payload of `size`-byte elements,
+/// on the active backend. Each element is left-aligned in `⌈size/4⌉`
+/// big-endian symbols, zero-padded on the right — the TPDU invariant's data
+/// layout — so a `size` that is a multiple of 4 reads `bytes` as one packed
+/// run of symbols. A trailing partial element is padded the same way.
+///
+/// The payload is read in place; nothing is copied out of it but a final
+/// partial block.
+///
+/// # Panics
+/// Panics when `size` is zero (no valid chunk header carries `SIZE = 0`).
+///
+/// ```
+/// use chunks_gf::{fold_elements, fold_symbols};
+/// // Two one-byte elements: each is its own left-aligned symbol.
+/// assert_eq!(fold_elements(1, &[0xAB, 0xCD]), fold_symbols(&[0xAB00_0000, 0xCD00_0000]));
+/// // A five-byte element spans two symbols.
+/// assert_eq!(fold_elements(5, &[1, 2, 3, 4, 5]), fold_symbols(&[0x0102_0304, 0x0500_0000]));
+/// ```
+#[inline]
+pub fn fold_elements(size: usize, bytes: &[u8]) -> (Gf32, Gf32) {
+    fold_elements_with(Backend::active(), size, bytes)
+}
+
+/// [`fold_elements`] with the backend pinned (see [`fold_symbols_with`]).
+pub fn fold_elements_with(backend: Backend, size: usize, bytes: &[u8]) -> (Gf32, Gf32) {
+    assert!(size > 0, "an element has at least one byte");
+    let (p0, h) = match backend {
+        Backend::Clmul => crate::clmul::fold_elements(size, bytes),
+        Backend::Tables => fold_serial_elements(size, bytes),
     };
     (Gf32::new(p0), Gf32::new(h))
 }
@@ -59,39 +90,49 @@ pub fn fold_symbols_with(backend: Backend, data: &[u32]) -> (Gf32, Gf32) {
 /// `(Σ dᵢ, Σ αⁱ·dᵢ)` over raw bytes read as big-endian 32-bit symbols, a
 /// trailing partial symbol zero-padded on the right — the byte-level
 /// convention of `Wsc2::add_bytes`. Runs on the active backend.
-///
-/// Bytes are converted in 256-symbol stack blocks so arbitrarily long
-/// runs never allocate; blocks combine by the block-Horner identity
-/// `H = H_blk + α^{blk_symbols}·H_rest`.
+#[inline]
 pub fn fold_be_bytes(bytes: &[u8]) -> (Gf32, Gf32) {
-    const BLOCK_BYTES: usize = BYTES_BLOCK_SYMBOLS * 4;
-    if bytes.is_empty() {
-        return (Gf32::ZERO, Gf32::ZERO);
+    fold_elements(4, bytes)
+}
+
+/// The zero-padded symbols of a payload of `size`-byte elements, in
+/// position order.
+pub(crate) fn element_symbols(
+    size: usize,
+    bytes: &[u8],
+) -> impl DoubleEndedIterator<Item = u32> + '_ {
+    bytes.chunks(size).flat_map(|e| e.chunks(4)).map(be_symbol)
+}
+
+/// One to four bytes as a big-endian symbol, zero-padded on the right.
+#[inline]
+pub(crate) fn be_symbol(sym: &[u8]) -> u32 {
+    match <[u8; 4]>::try_from(sym) {
+        Ok(whole) => u32::from_be_bytes(whole),
+        // Byte by byte: a variable-length copy would be a `memcpy` call.
+        Err(_) => sym.iter().fold(0u32, |be, &b| be << 8 | b as u32) << (8 * (4 - sym.len())),
     }
-    // Combine blocks back to front: h = H_blk + α^{syms(blk)}·h.
-    let mut p0 = Gf32::ZERO;
-    let mut h = Gf32::ZERO;
-    let mut buf = [0u32; BYTES_BLOCK_SYMBOLS];
-    for block in bytes.chunks(BLOCK_BYTES).rev() {
-        let n_sym = block.len().div_ceil(4);
-        for (slot, word) in buf[..n_sym].iter_mut().zip(block.chunks(4)) {
-            let mut be = [0u8; 4];
-            be[..word.len()].copy_from_slice(word);
-            *slot = u32::from_be_bytes(be);
-        }
-        let (bp0, bh) = fold_symbols(&buf[..n_sym]);
-        p0 += bp0;
-        h = bh + Gf32::alpha_pow(n_sym as u64) * h;
+}
+
+/// The portable serial fold straight from payload bytes. The two shapes
+/// the workloads use get a flat symbol iterator; the nested one costs 4–6×.
+/// `pub(crate)` so the clmul module can fall back to it.
+pub(crate) fn fold_serial_elements(size: usize, bytes: &[u8]) -> (u32, u32) {
+    if size.is_multiple_of(4) {
+        fold_serial(bytes.chunks(4).map(be_symbol))
+    } else if size == 1 {
+        fold_serial(bytes.iter().map(|&b| (b as u32) << 24))
+    } else {
+        fold_serial(element_symbols(size, bytes))
     }
-    (p0, h)
 }
 
 /// The portable serial fold: backward Horner, one `mul_alpha` per symbol.
 /// `pub(crate)` so the clmul module can fall back to it.
-pub(crate) fn fold_serial(data: &[u32]) -> (u32, u32) {
+pub(crate) fn fold_serial(symbols: impl DoubleEndedIterator<Item = u32>) -> (u32, u32) {
     let mut p0 = Gf32::ZERO;
     let mut horner = Gf32::ZERO;
-    for &d in data.iter().rev() {
+    for d in symbols.rev() {
         let d = Gf32::new(d);
         horner = horner.mul_alpha() + d;
         p0 += d;
@@ -123,8 +164,8 @@ mod tests {
 
     #[test]
     fn every_backend_matches_the_oracle() {
-        // 7..17 straddle the 8-lane block on both sides.
-        for n in [0usize, 1, 3, 7, 8, 15, 16, 17, 31, 100, 257] {
+        // 31..33 straddle the lane word, 63..65 the block.
+        for n in [0usize, 1, 3, 31, 32, 33, 63, 64, 65, 100, 257] {
             let data = sample(n);
             let expect = reference(&data);
             for backend in Backend::supported() {
@@ -140,8 +181,8 @@ mod tests {
 
     #[test]
     fn bytes_fold_matches_symbol_fold_with_padding() {
-        // 1023/1024/1025 straddle the 256-symbol stack block.
-        for n in [1usize, 2, 3, 4, 5, 1023, 1024, 1025, 4096, 5000] {
+        // 255/256/257 straddle the 64-symbol block.
+        for n in [1usize, 2, 3, 4, 5, 255, 256, 257, 4096, 5000] {
             let bytes: Vec<u8> = (0..n).map(|i| (i * 37 + 11) as u8).collect();
             let mut symbols = Vec::new();
             for word in bytes.chunks(4) {

@@ -35,8 +35,9 @@
 //!   production fallback;
 //! * the **clmul path** ([`Gf32::mul_clmul`]; see `clmul.rs`) — hardware
 //!   carry-less multiply (`PCLMULQDQ` on x86_64, `PMULL` on aarch64) with
-//!   Barrett reduction, plus the eight-lane batched Horner kernel behind
-//!   [`fold_symbols`].
+//!   Barrett reduction, plus the forward lane fold behind
+//!   [`fold_elements`] and [`fold_symbols`], which reads payload bytes in
+//!   place.
 //!
 //! The operator impls (`*`, `/`) and everything layered above (WSC-2, the
 //! TPDU invariant, the transport receiver) dispatch through
@@ -53,7 +54,7 @@ mod poly;
 mod tables;
 
 pub use backend::Backend;
-pub use fold::{fold_be_bytes, fold_symbols, fold_symbols_with};
+pub use fold::{fold_be_bytes, fold_elements, fold_elements_with, fold_symbols, fold_symbols_with};
 pub use poly::{clmul32, reduce64, MODULUS, POLY_LOW};
 
 use std::fmt;
@@ -141,8 +142,7 @@ impl Gf32 {
     ///
     /// This is the seed implementation, kept as the oracle for
     /// [`Self::mul_fast`] equivalence tests and as the "slow path" arm of
-    /// the `codes`/`invariant` benchmarks. Use `*` or [`Self::gf_mul`] in
-    /// real code.
+    /// the `codes` benchmark. Use `*` or [`Self::gf_mul`] in real code.
     #[inline]
     pub fn mul_ref(self, rhs: Gf32) -> Gf32 {
         Gf32(reduce64(clmul32(self.0, rhs.0)))

@@ -1,6 +1,6 @@
 //! Property-based verification of the GF(2^32) field axioms.
 
-use chunks_gf::{fold_symbols_with, Backend, Gf32, ALPHA};
+use chunks_gf::{fold_elements_with, fold_symbols_with, Backend, Gf32, ALPHA};
 use proptest::prelude::*;
 
 fn elem() -> impl Strategy<Value = Gf32> {
@@ -119,5 +119,118 @@ proptest! {
         let (ap0, ah) = chunks_gf::fold_symbols(&data);
         prop_assert_eq!(ap0, p0);
         prop_assert_eq!(w.mul_ref(ah), h);
+    }
+}
+
+/// The symbols a payload of `size`-byte elements stands for: each element
+/// left-aligned in `⌈size/4⌉` zero-padded big-endian symbols.
+fn padded_symbols(size: usize, bytes: &[u8]) -> Vec<u32> {
+    let mut symbols = Vec::new();
+    for element in bytes.chunks(size) {
+        for sym in element.chunks(4) {
+            let mut be = [0u8; 4];
+            be[..sym.len()].copy_from_slice(sym);
+            symbols.push(u32::from_be_bytes(be));
+        }
+    }
+    symbols
+}
+
+fn payload(n: usize) -> Vec<u8> {
+    (0..n as u32)
+        .map(|i| (i.wrapping_mul(0x9E37_79B9) >> 13) as u8)
+        .collect()
+}
+
+#[test]
+fn byte_folds_match_the_symbol_oracle_at_every_length_and_misalignment() {
+    // The byte kernels load the payload themselves, unaligned; the oracle
+    // is the serial fold over symbols built the slow way. 600 elements
+    // cross the lane word (32 symbols) and the block (64) many times over
+    // for every SIZE.
+    let data = payload(9 * 600);
+    let mut shifted = vec![0u8; data.len() + 15];
+    for size in 1..=9usize {
+        for elements in 0..=600usize {
+            let bytes = &data[..size * elements];
+            let expect = fold_symbols_with(Backend::Tables, &padded_symbols(size, bytes));
+            for backend in Backend::supported() {
+                for misalign in 0..16usize {
+                    let at = &mut shifted[misalign..misalign + bytes.len()];
+                    at.copy_from_slice(bytes);
+                    assert_eq!(
+                        fold_elements_with(backend, size, at),
+                        expect,
+                        "backend={backend:?} size={size} elements={elements} misalign={misalign}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn byte_folds_walk_forward_to_the_same_value_as_fold_symbols() {
+    // The forward lane walk, a trailing partial element included, equals
+    // the existing symbol entry on the same data.
+    let data = payload(4 * 1024 + 3);
+    for size in [1usize, 3, 4, 7, 8, 1500] {
+        for n in [0, 1, size - 1, size, size + 1, 4 * 1024, data.len()] {
+            let bytes = &data[..n.min(data.len())];
+            let symbols = padded_symbols(size, bytes);
+            for backend in Backend::supported() {
+                assert_eq!(
+                    fold_elements_with(backend, size, bytes),
+                    fold_symbols_with(backend, &symbols),
+                    "backend={backend:?} size={size} n={n}"
+                );
+            }
+            assert_eq!(
+                chunks_gf::fold_elements(size, bytes),
+                chunks_gf::fold_symbols(&symbols)
+            );
+        }
+    }
+    assert_eq!(
+        chunks_gf::fold_be_bytes(&data),
+        chunks_gf::fold_elements(4, &data)
+    );
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+#[allow(unsafe_code)] // mprotect: the guard page is the point of the test
+fn byte_folds_never_read_past_a_payload_ending_on_a_page_boundary() {
+    use std::alloc::{alloc_zeroed, dealloc, Layout};
+    extern "C" {
+        fn mprotect(addr: *mut u8, len: usize, prot: i32) -> i32;
+    }
+    const PAGE: usize = 4096;
+    const PROT_NONE: i32 = 0;
+    const PROT_READ_WRITE: i32 = 3;
+    let layout = Layout::from_size_align(2 * PAGE, PAGE).unwrap();
+    let data = payload(PAGE);
+    // SAFETY: a fresh two-page allocation this test owns; the second page
+    // is inaccessible only between the two `mprotect` calls, during which
+    // nothing but the folds under test runs, and they are handed slices of
+    // the first page alone.
+    unsafe {
+        let base = alloc_zeroed(layout);
+        assert!(!base.is_null());
+        std::slice::from_raw_parts_mut(base, PAGE).copy_from_slice(&data);
+        assert_eq!(mprotect(base.add(PAGE), PAGE, PROT_NONE), 0);
+        let page = std::slice::from_raw_parts(base, PAGE);
+        for size in 1..=9usize {
+            for n in [1usize, 5, 31, 32, 33, 63, 64, 65, 600, 2048, PAGE] {
+                let bytes = &page[PAGE - n..];
+                let expect = fold_symbols_with(Backend::Tables, &padded_symbols(size, bytes));
+                for backend in Backend::supported() {
+                    let got = fold_elements_with(backend, size, bytes);
+                    assert_eq!(got, expect, "backend={backend:?} size={size} n={n}");
+                }
+            }
+        }
+        assert_eq!(mprotect(base.add(PAGE), PAGE, PROT_READ_WRITE), 0);
+        dealloc(base, layout);
     }
 }

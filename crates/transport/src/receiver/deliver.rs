@@ -8,7 +8,7 @@
 
 use chunks_core::chunk::Chunk;
 use chunks_obs::{Event, SpanId, Stage};
-use chunks_vreasm::{ArenaIntervalSet, Resolution};
+use chunks_vreasm::Resolution;
 
 use super::decode::labels_of;
 use super::verify::TpduEngine;
@@ -237,7 +237,7 @@ impl Receiver {
         &mut self,
         chunk: &Chunk,
         start: u64,
-        uncovered: Vec<(u64, u64)>,
+        uncovered: &[(u64, u64)],
         now: u64,
         out: &mut Vec<RxEvent>,
     ) {
@@ -247,25 +247,24 @@ impl Receiver {
         if self.obs_on {
             self.obs.counter("transport.rx.duplicate_chunks", 1);
         }
-        // Complement of the uncovered runs: the overlapped positions.
-        let mut overlaps: Vec<(u64, u64)> = Vec::new();
-        let mut cursor = sn;
-        for &(lo, hi) in &uncovered {
-            if lo > cursor {
-                overlaps.push((cursor, lo));
-            }
-            cursor = hi;
-        }
-        if cursor < end {
-            overlaps.push((cursor, end));
-        }
         // A condemned group keeps its bytes no matter the policy: its
-        // verdict is already out.
-        let open = self.groups[&start].tpdu.verdict().is_none();
-        if open && self.resolve_overlaps_into(chunk, start, &overlaps, now, out) {
-            return;
+        // verdict is already out. Otherwise walk the complement of the
+        // uncovered runs — the overlapped positions — and let the policy
+        // judge each; `Reject` condemns the group once, after the walk.
+        if self.groups[&start].tpdu.verdict().is_none() {
+            let mut condemn = false;
+            let mut cursor = sn;
+            for &(lo, hi) in uncovered.iter().chain(&[(end, end)]) {
+                if lo > cursor {
+                    condemn |= self.resolve_overlap(chunk, start, cursor, lo, now);
+                }
+                cursor = hi;
+            }
+            if condemn {
+                return self.group_failure_into(start, FailureReason::OverlapConflict, out);
+            }
         }
-        for (lo, hi) in uncovered {
+        for &(lo, hi) in uncovered {
             match chunks_core::frag::extract(chunk, (lo - sn) as u32, (hi - lo) as u32) {
                 Ok(piece) => self.handle_data(piece, now, out),
                 Err(_) => self.group_failure_into(start, FailureReason::BadChunk, out),
@@ -273,105 +272,93 @@ impl Receiver {
         }
     }
 
-    /// Resolves differing-byte overlaps between an arriving chunk and data
-    /// the group already holds, per the configured policy. `overlaps` is in
-    /// `T.SN` space. Returns `true` when the policy condemns the group
-    /// ([`OverlapPolicy::Reject`]); the failure events are appended to
-    /// `out`.
-    fn resolve_overlaps_into(
-        &mut self,
-        chunk: &Chunk,
-        start: u64,
-        overlaps: &[(u64, u64)],
-        now: u64,
-        out: &mut Vec<RxEvent>,
-    ) -> bool {
+    /// Resolves one run `[lo, hi)` (`T.SN` space) of an arriving chunk that
+    /// overlaps data the group already holds, per the configured policy.
+    /// Returns `true` when the policy condemns the group
+    /// ([`OverlapPolicy::Reject`]).
+    fn resolve_overlap(&mut self, chunk: &Chunk, start: u64, lo: u64, hi: u64, now: u64) -> bool {
         let esize = self.params.elem_size as usize;
         let sn = chunk.header.tpdu.sn as u64;
-        let mut condemn = false;
-        for &(lo, hi) in overlaps {
-            let new = &chunk.payload[(lo - sn) as usize * esize..(hi - sn) as usize * esize];
-            let old = self.held_bytes(start, start + lo, start + hi);
-            let differs = match &old {
-                Some(o) => o.as_slice() != new,
-                None => true,
-            };
-            if !differs {
-                continue; // benign retransmission cut (Appendix C)
-            }
-            self.stats.overlap_conflicts += 1;
-            if self.obs_on {
-                self.obs.counter("transport.rx.overlap_conflicts", 1);
-                self.obs.event(
-                    now,
-                    Event::OverlapConflict {
-                        labels: labels_of(&chunk.header),
-                        policy: self.policy.as_str(),
-                        start: ((start + lo) * esize as u64) as u32,
-                        bytes: ((hi - lo) * esize as u64) as u32,
-                        owner: start as u32,
-                    },
-                );
-            }
-            match self.policy.resolve(true) {
-                Resolution::Fail => condemn = true,
-                Resolution::Duplicate | Resolution::KeepHeld => {}
-                Resolution::Overwrite => match old {
-                    Some(o) => self.overwrite_held(start, start + lo, start + hi, &o, new),
-                    // Bytes we cannot read back we cannot patch out of the
-                    // invariant either — condemn rather than corrupt it.
-                    None => condemn = true,
+        let new = &chunk.payload[(lo - sn) as usize * esize..(hi - sn) as usize * esize];
+        let mut same = true;
+        let located = self.visit_held(start, start + lo, start + hi, |at, held| {
+            same &= held == &new[at..at + held.len()];
+        });
+        if located && same {
+            return false; // benign retransmission cut (Appendix C)
+        }
+        self.stats.overlap_conflicts += 1;
+        if self.obs_on {
+            self.obs.counter("transport.rx.overlap_conflicts", 1);
+            self.obs.event(
+                now,
+                Event::OverlapConflict {
+                    labels: labels_of(&chunk.header),
+                    policy: self.policy.as_str(),
+                    start: ((start + lo) * esize as u64) as u32,
+                    bytes: ((hi - lo) * esize as u64) as u32,
+                    owner: start as u32,
                 },
+            );
+        }
+        match self.policy.resolve(true) {
+            Resolution::Fail => true,
+            Resolution::Duplicate | Resolution::KeepHeld => false,
+            // Bytes we cannot read back we cannot patch out of the
+            // invariant either — condemn rather than corrupt it.
+            Resolution::Overwrite if !located => true,
+            Resolution::Overwrite => {
+                let mut old = vec![0u8; new.len()];
+                self.visit_held(start, start + lo, start + hi, |at, held| {
+                    old[at..at + held.len()].copy_from_slice(held);
+                });
+                self.overwrite_held(start, start + lo, start + hi, &old, new);
+                false
             }
         }
-        if condemn {
-            self.group_failure_into(start, FailureReason::OverlapConflict, out);
-        }
-        condemn
     }
 
-    /// Best-effort read-back of the bytes currently held for elements
-    /// `[lo, hi)` (connection space) of the group at `start`. Returns
-    /// `None` when any element cannot be located — the caller treats that
-    /// as a conflict.
-    fn held_bytes(&self, start: u64, lo: u64, hi: u64) -> Option<Vec<u8>> {
+    /// Walks the bytes currently held for elements `[lo, hi)` (connection
+    /// space) of the group at `start`, wherever the delivery mode keeps
+    /// them, without copying: `visit(at, bytes)` sees each held piece and
+    /// its byte offset into the span. Accepted chunks never overlap, so the
+    /// pieces are disjoint. Returns `false` when some element could not be
+    /// located — the caller treats that as a conflict.
+    fn visit_held(
+        &self,
+        start: u64,
+        lo: u64,
+        hi: u64,
+        mut visit: impl FnMut(usize, &[u8]),
+    ) -> bool {
         let esize = self.params.elem_size as usize;
-        let mut out = vec![0u8; (hi - lo) as usize * esize];
-        let mut have = ArenaIntervalSet::new();
-        let overlay = |out: &mut Vec<u8>, have: &mut ArenaIntervalSet, f: u64, payload: &[u8]| {
-            let clen = payload.len() as u64 / esize as u64;
-            let (s, e) = (f.max(lo), (f + clen).min(hi));
+        let mut found = 0;
+        let mut piece = |first: u64, bytes: &[u8]| {
+            let (s, e) = (
+                first.max(lo),
+                (first + (bytes.len() / esize) as u64).min(hi),
+            );
             if s < e {
-                out[(s - lo) as usize * esize..(e - lo) as usize * esize]
-                    .copy_from_slice(&payload[(s - f) as usize * esize..(e - f) as usize * esize]);
-                have.insert(s, e);
+                let held = &bytes[(s - first) as usize * esize..(e - first) as usize * esize];
+                visit((s - lo) as usize * esize, held);
+                found += e - s;
             }
         };
         match self.mode {
-            DeliveryMode::Immediate => {
-                out.copy_from_slice(&self.app[lo as usize * esize..hi as usize * esize]);
-                have.insert(lo, hi);
-            }
+            DeliveryMode::Immediate => piece(0, &self.app),
             DeliveryMode::Reorder => {
-                if lo < self.in_order {
-                    let e = hi.min(self.in_order);
-                    out[..(e - lo) as usize * esize]
-                        .copy_from_slice(&self.app[lo as usize * esize..e as usize * esize]);
-                    have.insert(lo, e);
-                }
+                piece(0, &self.app[..self.in_order as usize * esize]);
                 for (&f, (c, _)) in &self.reorder_q {
-                    overlay(&mut out, &mut have, f, &c.payload);
+                    piece(f, &c.payload);
                 }
             }
             DeliveryMode::Reassemble => {
-                let g = self.groups.get(&start)?;
-                for (c, _) in &g.held {
-                    let f = self.unwrap_csn(c.header.conn.sn);
-                    overlay(&mut out, &mut have, f, &c.payload);
+                for (c, _) in self.groups.get(&start).map_or(&[][..], |g| &g.held) {
+                    piece(self.unwrap_csn(c.header.conn.sn), &c.payload);
                 }
             }
         }
-        (have.covered() == hi - lo).then_some(out)
+        found == hi - lo
     }
 
     /// [`OverlapPolicy::LastWins`]: substitutes `new` for the held bytes at

@@ -216,6 +216,9 @@ pub struct Receiver {
     pool: Vec<Group>,
     /// Verified-and-delivered TPDU starts (drives acks).
     delivered: Vec<u64>,
+    /// Scratch for [`TpduEngine::track`]'s uncovered runs, reused across
+    /// chunks so the duplicate path stays off the heap.
+    uncovered: Vec<(u64, u64)>,
     closed: bool,
     /// Accumulated statistics.
     pub stats: RxStats,
@@ -285,6 +288,7 @@ impl Receiver {
             done: HashMap::new(),
             pool: Vec::new(),
             delivered: Vec::new(),
+            uncovered: Vec::new(),
             closed: false,
             stats: RxStats::default(),
             obs: chunks_obs::null(),
@@ -547,12 +551,19 @@ impl Receiver {
         }
 
         // Stage 2a — track: virtual reassembly within the TPDU.
+        // The uncovered-runs scratch is taken out for the call and handed
+        // back after: the overlap path recurses into this function for the
+        // pieces it extracts, and must find its own runs untouched.
+        let mut uncovered = std::mem::take(&mut self.uncovered);
         let group = self.group_entry(start, now);
-        match group.tpdu.track(sn, len, h.tpdu.st) {
+        let tracked = group.tpdu.track(sn, len, h.tpdu.st, &mut uncovered);
+        if let Track::Overlap = tracked {
+            self.overlapped_into(&chunk, start, &uncovered, now, out);
+        }
+        self.uncovered = uncovered;
+        match tracked {
             Track::Fresh => {}
-            Track::Overlap(uncovered) => {
-                return self.overlapped_into(&chunk, start, uncovered, now, out);
-            }
+            Track::Overlap => return,
             Track::Inconsistent => {
                 return self.group_failure_into(start, FailureReason::ReassemblyError, out);
             }

@@ -29,10 +29,11 @@ pub(crate) enum Track {
     /// to [`TpduEngine::absorb`].
     Fresh,
     /// Some of the span is already held (or the chunk is empty): nothing was
-    /// recorded. Carries the runs *not* yet held, in `T.SN` space, for the
-    /// caller to extract and offer again — chunks stay chunks under
-    /// splitting — once it has dealt with the overlapped positions.
-    Overlap(Vec<(u64, u64)>),
+    /// recorded. The runs *not* yet held, in `T.SN` space, are in the
+    /// caller's scratch buffer for it to extract and offer again — chunks
+    /// stay chunks under splitting — once it has dealt with the overlapped
+    /// positions.
+    Overlap,
     /// The span disagrees with framing already seen (two stop positions, or
     /// data past the stop): a reassembly error (Table 1).
     Inconsistent,
@@ -96,18 +97,28 @@ impl TpduEngine {
 
     /// Virtual reassembly within the TPDU. Already-held positions are
     /// resolved *before* the invariant absorbs anything (§3.3): the gate is
-    /// the allocation-free overlap probe, and the uncovered-runs `Vec` is
-    /// built only on the (cold) duplicate path. A degenerate empty chunk
-    /// overlaps nothing yet carries nothing fresh; it takes that path too.
-    pub(crate) fn track(&mut self, sn: u64, len: u64, st: bool) -> Track {
+    /// the allocation-free overlap probe, and only the (cold) duplicate path
+    /// lists the uncovered runs — into `uncovered`, a buffer the receiver
+    /// owns and reuses, so a flood of duplicates costs no allocation
+    /// either. A degenerate empty chunk overlaps nothing yet carries
+    /// nothing fresh; it takes that path too.
+    pub(crate) fn track(
+        &mut self,
+        sn: u64,
+        len: u64,
+        st: bool,
+        uncovered: &mut Vec<(u64, u64)>,
+    ) -> Track {
+        uncovered.clear();
         if len == 0 || self.tracker.overlap(sn, len) > 0 {
-            return Track::Overlap(self.tracker.uncovered(sn, len));
+            self.tracker.uncovered_into(sn, len, uncovered);
+            return Track::Overlap;
         }
         match self.tracker.offer(sn, len, st) {
             TrackEvent::Accepted => Track::Fresh,
             TrackEvent::Inconsistent => Track::Inconsistent,
             // The gate above already ruled an overlap out.
-            TrackEvent::Duplicate => Track::Overlap(Vec::new()),
+            TrackEvent::Duplicate => Track::Overlap,
         }
     }
 

@@ -61,6 +61,8 @@ pub struct StreamReceiver {
     groups: BTreeMap<u64, TpduEngine>,
     /// Delivered-but-not-yet-polled bytes.
     outbox: Vec<u8>,
+    /// Scratch for [`TpduEngine::track`]'s uncovered runs.
+    uncovered: Vec<(u64, u64)>,
     /// Accumulated statistics.
     pub stats: StreamStats,
 }
@@ -78,6 +80,7 @@ impl StreamReceiver {
             base_csn: params.initial_csn,
             groups: BTreeMap::new(),
             outbox: Vec::new(),
+            uncovered: Vec::new(),
             stats: StreamStats::default(),
         }
     }
@@ -159,21 +162,33 @@ impl StreamReceiver {
                 return;
             }
         };
-        let start = first - sn; // absolute TPDU start
-        match self.group_entry(start).track(sn, len, h.tpdu.st) {
-            Track::Fresh => {}
+        // Absolute TPDU start. A `T.SN` past the chunk's own `C.SN` puts
+        // it before the stream began: wire input, refused like any chunk
+        // from behind the window.
+        let Some(start) = first.checked_sub(sn) else {
+            self.stats.stale_chunks += 1;
+            return;
+        };
+        // The scratch is taken out for the call: the overlap arm recurses.
+        let mut uncovered = std::mem::take(&mut self.uncovered);
+        let tracked = self
+            .group_entry(start)
+            .track(sn, len, h.tpdu.st, &mut uncovered);
+        if let Track::Overlap = tracked {
             // Trim partial duplicates down to their fresh runs (held bytes
             // win), as the block receiver does.
-            Track::Overlap(uncovered) => {
-                self.stats.duplicate_chunks += 1;
-                for (lo, hi) in uncovered {
-                    let off = (lo - sn) as u32;
-                    if let Ok(piece) = chunks_core::frag::extract(&chunk, off, (hi - lo) as u32) {
-                        self.handle_data(piece);
-                    }
+            self.stats.duplicate_chunks += 1;
+            for &(lo, hi) in &uncovered {
+                let off = (lo - sn) as u32;
+                if let Ok(piece) = chunks_core::frag::extract(&chunk, off, (hi - lo) as u32) {
+                    self.handle_data(piece);
                 }
-                return;
             }
+        }
+        self.uncovered = uncovered;
+        match tracked {
+            Track::Fresh => {}
+            Track::Overlap => return,
             Track::Inconsistent => return self.fail(start, FailureReason::ReassemblyError),
         }
         if let Err(reason) = self.group_entry(start).absorb(&h, &chunk.payload) {

@@ -274,6 +274,13 @@ impl ArenaIntervalSet {
     /// Sub-ranges of `[start, end)` *not* covered by the set.
     pub fn uncovered(&self, start: u64, end: u64) -> Vec<(u64, u64)> {
         let mut out = Vec::new();
+        self.uncovered_into(start, end, &mut out);
+        out
+    }
+
+    /// [`Self::uncovered`], appended to a caller-owned buffer: with spare
+    /// capacity there, the duplicate path asks without allocating.
+    pub fn uncovered_into(&self, start: u64, end: u64, out: &mut Vec<(u64, u64)>) {
         let mut cursor = start;
         for (s, e) in self.iter() {
             if e <= start {
@@ -290,7 +297,6 @@ impl ArenaIntervalSet {
         if cursor < end {
             out.push((cursor, end));
         }
-        out
     }
 
     /// Missing sub-ranges of `[0, end)` — the retransmission request list.

@@ -94,7 +94,7 @@ impl PduTracker {
 
     /// How much of `[sn, sn+len)` has already been received. Allocation-free
     /// — the hot path checks this before reaching for [`Self::uncovered`],
-    /// which builds a `Vec` and is only needed on the (cold) duplicate path.
+    /// which is only needed on the (cold) duplicate path.
     pub fn overlap(&self, sn: u64, len: u64) -> u64 {
         self.received.overlap(sn, sn + len)
     }
@@ -104,6 +104,11 @@ impl PduTracker {
     /// points) down to its new data before processing.
     pub fn uncovered(&self, sn: u64, len: u64) -> Vec<(u64, u64)> {
         self.received.uncovered(sn, sn + len)
+    }
+
+    /// [`Self::uncovered`], appended to a caller-owned buffer.
+    pub fn uncovered_into(&self, sn: u64, len: u64, out: &mut Vec<(u64, u64)>) {
+        self.received.uncovered_into(sn, sn + len, out)
     }
 
     /// Missing element ranges (needs the end to be known for the tail gap).

@@ -94,9 +94,9 @@ impl Wsc2 {
     /// bit-serial field arithmetic ([`Gf32::alpha_pow_ref`] /
     /// [`Gf32::mul_ref`]).
     ///
-    /// Kept as the honest "slow path" arm for the `codes` and `invariant`
-    /// benchmarks and for cross-checking the table-driven path. Use
-    /// [`Self::add_symbol`] in real code.
+    /// Kept as the honest "slow path" arm for the `codes` benchmark and for
+    /// cross-checking the table-driven path. Use [`Self::add_symbol`] in
+    /// real code.
     pub fn add_symbol_ref(&mut self, i: u64, d: u32) {
         debug_assert!(i < MAX_SYMBOLS, "symbol position {i} outside code space");
         let d = Gf32::new(d);

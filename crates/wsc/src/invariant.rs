@@ -116,11 +116,11 @@ impl Error for InvariantError {}
 /// arriving in any order and fragmented arbitrarily.
 ///
 /// Built on [`Wsc2Stream`]: a chunk's elements occupy consecutive symbol
-/// positions, so a chunk's data is absorbed as one contiguous run — padded
-/// elements are gathered into stack blocks of ready-made symbols first —
-/// and each run rides the backend's batched Horner fold plus the stream's
-/// cached cursor weight. When chunks themselves arrive in order, the
-/// contiguity extends across chunk boundaries too.
+/// positions, so a chunk's data is absorbed as one contiguous run — one
+/// backend fold over the payload bytes as they lie, whatever `SIZE` pads
+/// each element to — plus the stream's cached cursor weight. When chunks
+/// themselves arrive in order, the contiguity extends across chunk
+/// boundaries too.
 #[derive(Clone, Debug)]
 pub struct TpduInvariant {
     layout: InvariantLayout,
@@ -217,13 +217,8 @@ impl TpduInvariant {
         // a byte depends only on its element's T.SN — never on which chunk
         // carried it. Absorbed last so the stream cursor ends at the chunk's
         // final data symbol: the next in-order chunk continues contiguously.
-        if header.size as u64 == spe * 4 {
-            // SIZE is a whole number of symbols: the chunk's payload is one
-            // contiguous run with no per-element padding.
-            self.wsc.add_bytes(first * spe, payload);
-        } else {
-            self.absorb_padded_elements(header.size as usize, payload, first, spe);
-        }
+        self.wsc
+            .add_elements(first * spe, header.size as usize, payload);
         Ok(())
     }
 
@@ -231,86 +226,17 @@ impl TpduInvariant {
     /// element positions starting at T.SN `first` (both slices cover the
     /// same elements of `size` bytes each).
     ///
-    /// GF(2^32) has characteristic 2, so absorbing `old ⊕ new` at the same
-    /// symbol positions cancels `old`'s contribution and adds `new`'s —
+    /// GF(2^32) has characteristic 2, so absorbing `old` and then `new` at
+    /// the same symbol positions cancels `old`'s contribution and adds `new`'s —
     /// the invariant ends exactly as if `new` had been absorbed in the
     /// first place. This is how a `LastWins` overlap policy keeps WSC-2 as
     /// the integrity authority: the invariant always describes the bytes
     /// actually held, and only the sender's ED value can bless them.
     pub fn patch_elements(&mut self, size: u16, first: u64, old: &[u8], new: &[u8]) {
         debug_assert_eq!(old.len(), new.len(), "patch must cover equal spans");
-        let spe = Wsc2::symbols_for_bytes(size as usize);
-        let delta: Vec<u8> = old.iter().zip(new).map(|(a, b)| a ^ b).collect();
-        if size as u64 == spe * 4 {
-            self.wsc.add_bytes(first * spe, &delta);
-        } else {
-            self.absorb_padded_elements(size as usize, &delta, first, spe);
-        }
-    }
-
-    /// Absorbs a chunk whose `SIZE` is not a whole number of symbols: each
-    /// element occupies `spe` symbol positions, zero-padded on the right.
-    ///
-    /// Elements are *gathered* into a stack block of ready-made symbols and
-    /// absorbed block by block, so a chunk costs a handful of batched folds
-    /// instead of one stream run (one full multiply plus cursor bookkeeping)
-    /// per element — the difference between ~35 MiB/s and >1 GiB/s on the
-    /// SIZE = 1 benchmark workload. The whole chunk stays one *logical* run:
-    /// only the first block seeks the cursor and counts in the disorder
-    /// tally; later blocks continue at the cursor.
-    fn absorb_padded_elements(&mut self, size: usize, payload: &[u8], first: u64, spe: u64) {
-        /// Symbols gathered per stack block (1 KiB).
-        const BLOCK: usize = 256;
-        let spe_us = spe as usize;
-        if spe_us > BLOCK {
-            // An element outgrows the gather block (SIZE > 1 KiB): absorb one
-            // run per element; `add_bytes` batches internally.
-            for (e, element) in payload.chunks(size).enumerate() {
-                self.wsc.add_bytes((first + e as u64) * spe, element);
-            }
-            return;
-        }
-        let mut buf = [0u32; BLOCK];
-        let mut started = false;
-        let mut emit = |wsc: &mut Wsc2Stream, block: &[u32]| {
-            if started {
-                wsc.extend_symbols(block);
-            } else {
-                wsc.add_symbols(first * spe, block);
-                started = true;
-            }
-        };
-        if size == 1 {
-            // The hot one-byte-element shape: each byte is its own
-            // left-aligned symbol. Tight, vectorizable gather loop.
-            for bytes in payload.chunks(BLOCK) {
-                for (slot, &b) in buf.iter_mut().zip(bytes) {
-                    *slot = (b as u32) << 24;
-                }
-                emit(&mut self.wsc, &buf[..bytes.len()]);
-            }
-        } else {
-            let mut fill = 0usize;
-            for element in payload.chunks(size) {
-                if fill + spe_us > BLOCK {
-                    emit(&mut self.wsc, &buf[..fill]);
-                    fill = 0;
-                }
-                for (k, slot) in buf[fill..fill + spe_us].iter_mut().enumerate() {
-                    let mut be = [0u8; 4];
-                    let lo = 4 * k;
-                    if lo < element.len() {
-                        let hi = element.len().min(lo + 4);
-                        be[..hi - lo].copy_from_slice(&element[lo..hi]);
-                    }
-                    *slot = u32::from_be_bytes(be);
-                }
-                fill += spe_us;
-            }
-            if fill > 0 {
-                emit(&mut self.wsc, &buf[..fill]);
-            }
-        }
+        let at = first * Wsc2::symbols_for_bytes(size as usize);
+        self.wsc.add_elements(at, size as usize, old);
+        self.wsc.add_elements(at, size as usize, new);
     }
 
     /// Folds another partial invariant of the **same TPDU**, accumulated

@@ -28,7 +28,7 @@
 //! built on it. The one-shot [`Wsc2`] API stays as the simple entry point,
 //! and its `*_ref` methods ([`Wsc2::add_bytes_ref`], [`Wsc2::add_symbol_ref`])
 //! preserve the seed bit-serial path as the oracle the property tests and
-//! the `codes`/`invariant` benchmarks compare against.
+//! the `codes` benchmark compare against.
 
 #![deny(missing_docs)]
 

@@ -6,10 +6,11 @@
 //! positions are usually consecutive. [`Wsc2Stream`] keeps a **cursor** (the
 //! position one past the last symbol absorbed) and a **cached weight**
 //! `alpha^cursor`, so a run that starts exactly at the cursor — the common
-//! case for in-order chunk payloads — costs one batched Horner fold on the
-//! active GF(2^32) backend ([`chunks_gf::fold_symbols`]: wide carry-less
-//! multiply lanes where the CPU has them, a serial shift-and-fold sweep
-//! otherwise) plus a single full multiply, with *no* exponentiation at all.
+//! case for in-order chunk payloads — costs one batched fold on the active
+//! GF(2^32) backend straight over the payload bytes
+//! ([`chunks_gf::fold_elements`]: forward carry-less multiply lanes where
+//! the CPU has them, a serial shift-and-fold sweep otherwise) plus a single
+//! full multiply, with *no* exponentiation at all.
 //! Disordered arrivals just reseat the cursor with one table-driven
 //! [`Gf32::alpha_pow`] and continue.
 //!
@@ -52,6 +53,13 @@ pub struct Wsc2Stream {
     runs: u64,
     /// Streams or raw codes folded in so far (observability).
     folds: u64,
+}
+
+/// Symbol positions a payload of `len` bytes in `size`-byte elements
+/// occupies.
+fn symbols_spanned(size: usize, len: usize) -> u64 {
+    let spe = Wsc2::symbols_for_bytes(size);
+    (len / size) as u64 * spe + Wsc2::symbols_for_bytes(len % size)
 }
 
 impl Default for Wsc2Stream {
@@ -149,34 +157,29 @@ impl Wsc2Stream {
         self.absorb_fold(start, p0, horner, data.len() as u64);
     }
 
-    /// Continues the run the cursor is in the middle of: absorbs `data` at
-    /// the current cursor position **without** counting a new run.
-    ///
-    /// This lets `TpduInvariant` gather one logical run (a chunk's padded
-    /// elements) into stack-sized symbol blocks and absorb them block by
-    /// block while the `runs` disorder tally still counts a single run, as
-    /// the wire input had.
-    pub(crate) fn extend_symbols(&mut self, data: &[u32]) {
-        if data.is_empty() {
-            return;
-        }
-        debug_assert!(self.cursor + data.len() as u64 <= MAX_SYMBOLS);
-        let (p0, horner) = chunks_gf::fold_symbols(data);
-        self.absorb_fold(self.cursor, p0, horner, data.len() as u64);
-    }
-
     /// Absorbs raw bytes as big-endian 32-bit symbols at consecutive
     /// positions starting at `start`; a trailing partial symbol is
-    /// zero-padded on the right, exactly like [`Wsc2::add_bytes`]. Batched
-    /// fold via [`chunks_gf::fold_be_bytes`].
+    /// zero-padded on the right, exactly like [`Wsc2::add_bytes`].
     pub fn add_bytes(&mut self, start: u64, bytes: &[u8]) {
+        self.add_elements(start, 4, bytes);
+    }
+
+    /// Absorbs a payload of `size`-byte elements as one run starting at
+    /// `start`: each element is left-aligned in `⌈size/4⌉` symbols,
+    /// zero-padded on the right (the TPDU invariant's data layout). The
+    /// backend folds the payload bytes in place
+    /// ([`chunks_gf::fold_elements`]).
+    ///
+    /// # Panics
+    /// Panics when `size` is zero.
+    pub fn add_elements(&mut self, start: u64, size: usize, bytes: &[u8]) {
         if bytes.is_empty() {
             return;
         }
         self.runs += 1;
-        let n = Wsc2::symbols_for_bytes(bytes.len());
+        let n = symbols_spanned(size, bytes.len());
         debug_assert!(start + n <= MAX_SYMBOLS);
-        let (p0, horner) = chunks_gf::fold_be_bytes(bytes);
+        let (p0, horner) = chunks_gf::fold_elements(size, bytes);
         self.absorb_fold(start, p0, horner, n);
     }
 

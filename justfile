@@ -10,7 +10,8 @@
 # connection-table scale gate, the BENCH regression gate, the reliability
 # soak, the adversarial overlap sweep, the lineage sweep, the
 # deterministic-trace replay, the health surface, and the seven examples. Telemetry overhead is not a recipe here: it is the ledger's
-# `obs.always_on_overhead_pct` (`cargo run --release -p chunks-ledger -- run`).
+# `obs.always_on_overhead_pct` (`cargo run --release -p chunks-ledger -- run`);
+# nor is a speed claim: that is `just ab REF`, on alternating pairs.
 lint: check test-release test-workspace test-tables test-parallel test-hotpath test-scale bench-check soak soak-overlap lineage trace health examples
 
 # Static gate only: formatting, clippy, rustdoc.
@@ -107,6 +108,26 @@ trace:
 # per connection on first degradation with byte-stable output.
 health:
     cargo run --release --bin experiments health
+
+# A/B the working tree against REF on the wall clock: REF is checked out
+# into a git worktree under target/ and both ledgers are built, then
+# `bulk-clean` is run three times on each, alternating which side goes
+# first, and `ledger compare` judges each pair against BENCHMARK.json's
+# bounds. A claim of gain is made on alternating pairs, never a single run
+# (the box's A/A spread is 3-14 %). ~2.5 min a pair.
+ab REF:
+    git worktree remove --force target/ab-ref 2>/dev/null || true
+    git worktree add --detach target/ab-ref {{REF}}
+    cargo build --release -p chunks-ledger
+    cargo build --release -p chunks-ledger --manifest-path target/ab-ref/Cargo.toml
+    for i in 1 2 3; do \
+        if [ $((i % 2)) -eq 1 ]; then order="ref change"; else order="change ref"; fi; \
+        for side in $order; do \
+            if [ $side = ref ]; then bin=target/ab-ref/target/release/ledger; else bin=target/release/ledger; fi; \
+            $bin run --workload bulk-clean --out target/ab-$side.$i.json > /dev/null || exit 1; \
+        done; \
+        target/release/ledger compare target/ab-ref.$i.json target/ab-change.$i.json || exit 1; \
+    done
 
 # Every example, release mode. Each asserts its own result, so a non-zero
 # exit is a failure; `long_stream` is the only end-to-end driver of

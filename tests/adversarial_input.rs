@@ -196,6 +196,53 @@ proptest! {
 
 /// One valid encoded chunk of every chunk type (padding is represented by
 /// the all-zero end-of-packet marker).
+#[test]
+fn hostile_tsn_past_the_chunks_own_csn_is_refused_without_a_panic() {
+    // `T.SN` is wire input. One that exceeds the chunk's unwrapped `C.SN`
+    // names a TPDU that began before the stream did; the stream receiver
+    // used to compute that start with a bare subtraction — a debug-build
+    // panic an attacker could reach with one packet.
+    use chunks::core::packet::{pack, unpack};
+    use chunks::transport::StreamReceiver;
+
+    let mut tx = Sender::new(SenderConfig {
+        params: params(),
+        layout: layout(),
+        mtu: 256,
+        min_tpdu_elements: 4,
+        max_tpdu_elements: 64,
+    });
+    tx.submit_simple(&[0x5Au8; 200], 0xE, false);
+    let mut hostile = Vec::new();
+    for p in tx.packets_for_pending().unwrap() {
+        for mut c in unpack(&p).unwrap() {
+            if c.header.ty == chunks::core::label::ChunkType::Data {
+                c.header.tpdu.sn = u32::MAX;
+            }
+            hostile.push(c);
+        }
+    }
+    let packets = pack(hostile, 256).unwrap();
+
+    let mut stream = StreamReceiver::new(params(), layout(), 1024);
+    for (i, p) in packets.iter().enumerate() {
+        stream.handle_packet(p, i as u64);
+    }
+    assert!(stream.stats.stale_chunks > 0);
+    assert_eq!(stream.delivered(), 0);
+
+    for mode in [
+        DeliveryMode::Immediate,
+        DeliveryMode::Reorder,
+        DeliveryMode::Reassemble,
+    ] {
+        let mut rx = Receiver::new(mode, params(), layout(), 4096);
+        let mut out = Vec::new();
+        rx.ingest_batch(&packets, 0, &mut out);
+        assert_eq!(rx.verified_prefix(), 0, "{mode:?}");
+    }
+}
+
 fn valid_exemplars() -> Vec<Vec<u8>> {
     use chunks::core::chunk::{byte_chunk, Chunk, ChunkHeader};
     use chunks::core::label::{ChunkType, FramingTuple};

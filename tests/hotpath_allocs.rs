@@ -158,6 +158,54 @@ fn serial_receive_with_always_on_obs_is_allocation_free() {
     assert!(snap.counter("transport.rx.tpdus_delivered") > 0);
 }
 
+#[test]
+fn duplicated_and_recut_chunks_are_rejected_without_allocating() {
+    // The duplicate path is the one an attacker chooses. Every TPDU arrives
+    // as a head fragment, then the whole chunk again (the head overlaps, the
+    // rest is extracted and accepted), then the same data re-cut at another
+    // point (all of it held by now), and only then its ED chunk.
+    use chunks::transport::Framer;
+    use chunks_core::frag::split;
+
+    let message: Vec<u8> = (0..MESSAGE_LEN).map(|i| (i * 13 + 5) as u8).collect();
+    let tpdus = Framer::new(params(1), layout()).frame_simple(&message, 1, false);
+    let mut arrivals = Vec::new();
+    for t in &tpdus {
+        let [whole] = &t.chunks[..] else {
+            panic!("one data chunk per TPDU");
+        };
+        let (head, _) = split(whole, 20).unwrap();
+        let (recut_a, recut_b) = split(whole, 40).unwrap();
+        arrivals.extend([head, whole.clone(), recut_a, recut_b, t.ed.clone()]);
+    }
+
+    let mut rx = Receiver::new(
+        DeliveryMode::Immediate,
+        params(1),
+        layout(),
+        capacity_elements(),
+    );
+    rx.reserve(tpdus.len() + 8, tpdus.len() * 4 + 64);
+    let mut out = Vec::with_capacity(tpdus.len() * 4 + 64);
+    let warmup = arrivals.len() / 4;
+    let mut arrivals = arrivals.into_iter().enumerate();
+    for (i, chunk) in arrivals.by_ref().take(warmup) {
+        rx.handle_chunk_into(chunk, i as u64, &mut out);
+    }
+    let before = rx.stats.duplicate_chunks;
+    for (i, chunk) in arrivals {
+        assert_no_alloc!(
+            rx.handle_chunk_into(chunk, i as u64, &mut out),
+            "arrival {i}"
+        );
+    }
+    assert!(rx.stats.duplicate_chunks - before > tpdus.len() as u64);
+    assert_eq!(rx.stats.overlap_conflicts, 0);
+    assert_eq!(rx.stats.tpdus_failed, 0);
+    assert_eq!(rx.verified_prefix(), MESSAGE_LEN as u64);
+    assert_eq!(&rx.app_data()[..MESSAGE_LEN], &message[..]);
+}
+
 /// Round-robin interleave of the three connections' streams, as a shared
 /// link would deliver them.
 fn interleaved(conns: u32) -> Vec<Packet> {
