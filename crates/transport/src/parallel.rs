@@ -11,31 +11,48 @@
 //! * **Dispatch** — [`ParallelReceiver::ingest`] walks a packet's chunk
 //!   spans (validated exactly like `unpack`: one malformed chunk rejects the
 //!   whole packet), peeks only the fixed 32-byte header of each span, and
-//!   hands the span to a worker chosen by hashing the chunk's **connection
-//!   label** (`C.ID`). The span is a zero-copy [`bytes::Bytes`] slice of the
-//!   arriving packet; payload bytes are not touched at this stage.
+//!   stages the span for the worker chosen by hashing the chunk's
+//!   **connection label** (`C.ID`). The span is a zero-copy [`bytes::Bytes`]
+//!   slice of the arriving packet; payload bytes are not touched at this
+//!   stage.
+//! * **Handoff** — what crosses to a worker is a **batch**, never a lone
+//!   chunk: every entry point (`ingest`, `ingest_batch`, `admit`, `retire`,
+//!   `reset_group`, `reserve`, `sync`) stages its work per shard and, before
+//!   it returns, hands each shard that received any one batch holding that
+//!   work in call order. A shard's queue is a FIFO of batches, so the
+//!   sequence of items a shard sees is exactly the sequence the calls
+//!   produced, and once a call has returned everything it queued is on its
+//!   shard's FIFO.
 //! * **Workers** — each worker owns the full [`Receiver`] state for the
-//!   connections hashed to it and processes its work queue in FIFO order.
-//!   Because *every* chunk of a connection lands on the same worker, the
-//!   per-connection arrival order is preserved, and each receiver behaves
-//!   bit-identically to the serial path — for any worker count and any
-//!   cross-worker interleaving. That is the equivalence argument the
-//!   differential harness (`tests/parallel_differential.rs`) checks
-//!   mechanically.
+//!   connections hashed to it and processes its batches, and the items in
+//!   each, in FIFO order. Because *every* chunk of a connection lands on the
+//!   same worker, the per-connection arrival order is preserved, and each
+//!   receiver behaves bit-identically to the serial path — for any worker
+//!   count, any cross-worker interleaving and any batch boundaries: a
+//!   boundary decides when an item crosses, never where it stands in its
+//!   shard's sequence. That is the equivalence argument the differential
+//!   harness (`tests/parallel_differential.rs`) checks mechanically.
 //! * **Merge** — [`ParallelReceiver::finish`] moves each worker's receivers
 //!   out (no payload byte is ever buffered twice), folds the per-worker
 //!   delivery transcripts ([`Wsc2Stream::fold`] — parities are sums, so the
 //!   fold is order-independent), and interleaves control events back into
 //!   global arrival order using the dispatch stamps.
 //!
-//! Two engines run the same worker code:
+//! Two engines run the same worker code behind the same staging and flush:
 //!
-//! * [`Engine::Threads`] — one OS thread per worker behind a bounded SPSC
-//!   work queue; the real pipeline, used for throughput measurements.
+//! * [`Engine::Threads`] — one OS thread per worker behind a bounded queue
+//!   of batches; the real pipeline, used for throughput measurements. A
+//!   flush blocks while the shard's queue is full, which is the pipeline's
+//!   backpressure. The worker runs a batch and sends the emptied buffer
+//!   back over a second bounded channel that neither side ever blocks on;
+//!   the dispatcher fills it again, so a fixed pool of buffers circulates
+//!   and the steady state allocates on neither thread.
 //! * [`Engine::Virtual`] — single-threaded, with a deterministic
-//!   [`Schedule`] choosing which worker's queue advances next. Adversarial
-//!   schedules (reverse, seeded-random, starvation) let tests *prove* that
-//!   worker interleaving cannot change any observable outcome.
+//!   [`Schedule`] choosing which worker's queue advances next. A flush
+//!   appends the staged items to the shard's item queue, so scheduling
+//!   stays per item. Adversarial schedules (reverse, seeded-random,
+//!   starvation) let tests *prove* that worker interleaving cannot change
+//!   any observable outcome.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::mpsc;
@@ -57,9 +74,16 @@ use crate::conn::{ConnectionParams, Signal};
 use crate::receiver::{labels_of, observe_decoded, DeliveryMode, Receiver, RxEvent};
 use crate::table::{ConnSet, ConnTable, TableConfig};
 
-/// Depth of each worker's bounded work queue (threads engine). Ingest blocks
-/// when a queue fills — backpressure instead of unbounded buffering.
-const WORK_QUEUE_DEPTH: usize = 1024;
+/// Depth of each worker's bounded work queue (threads engine), in batches.
+/// A flush blocks when a queue is full — backpressure instead of unbounded
+/// buffering. A batch is what one entry call staged for the shard, so with
+/// the callers' usual 32-packet `ingest_batch` the bound on in-flight work
+/// is one to two thousand chunks.
+const WORK_QUEUE_DEPTH: usize = 32;
+
+/// Batch buffers that circulate per worker (threads engine): a full queue,
+/// the batch the worker is running, and the one the dispatcher is filling.
+const BATCH_POOL: usize = WORK_QUEUE_DEPTH + 2;
 
 /// Chooses the worker that owns connection `conn_id`.
 ///
@@ -74,7 +98,7 @@ pub fn shard_of(conn_id: u32, workers: usize) -> usize {
 /// How the pipeline executes its workers.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum Engine {
-    /// One OS thread per worker, bounded SPSC queues.
+    /// One OS thread per worker, bounded SPSC queues of batches.
     Threads,
     /// Single-threaded deterministic simulation: queued work is drained
     /// under the given worker-interleaving schedule. Same worker code, fully
@@ -272,7 +296,11 @@ pub struct ParallelOutcome {
     pub worker_chunks: Vec<u64>,
 }
 
-/// One unit of work on a worker queue.
+/// What crosses to a shard in one message: the work one entry call staged
+/// for it, in call order.
+type Batch = Vec<Work>;
+
+/// One unit of work in a [`Batch`].
 enum Work {
     /// A data/ED chunk span, zero-copy slice of the arriving packet.
     Chunk { raw: Bytes, now: u64 },
@@ -283,8 +311,10 @@ enum Work {
     Reserve { tpdus: usize, fragments: usize },
     /// Admit a connection mid-stream: the owning worker re-arms a pooled
     /// shell (or builds a fresh receiver) in its connection table. Ordered
-    /// with the connection's chunks — it travels the same FIFO.
-    Admit { spec: ConnSpec, now: u64 },
+    /// with the connection's chunks — it travels the same FIFO. Boxed: the
+    /// spec is the rarest and by far the largest payload, and every queued
+    /// chunk would otherwise pay for its size.
+    Admit { spec: Box<ConnSpec>, now: u64 },
     /// Retire a connection mid-stream: the owning worker quiesces its
     /// receiver into the shell pool.
     Retire { conn_id: u32, now: u64 },
@@ -348,10 +378,19 @@ impl Shard {
         }
     }
 
+    /// Runs `items` in order under one clock reading pair: a whole batch on
+    /// the threads engine, one scheduled item on the virtual engine.
+    fn run(&mut self, items: impl Iterator<Item = Work>) {
+        let started = Instant::now();
+        for work in items {
+            self.process(work);
+        }
+        self.busy_ns += started.elapsed().as_nanos() as u64;
+    }
+
     /// Processes one work item. Identical code under both engines — the
     /// engines differ only in *when* this runs, never in what it does.
     fn process(&mut self, work: Work) {
-        let started = Instant::now();
         match work {
             Work::Chunk { raw, now } => {
                 // The decode slices the chunk's payload straight out of the
@@ -440,7 +479,6 @@ impl Shard {
                 let _ = reply.send(snapshots);
             }
         }
-        self.busy_ns += started.elapsed().as_nanos() as u64;
     }
 
     fn snapshots(&self) -> Vec<SyncSnapshot> {
@@ -566,7 +604,10 @@ impl Picker {
 /// Engine-specific runtime state.
 enum Runtime {
     Threads {
-        senders: Vec<mpsc::SyncSender<Work>>,
+        /// Per worker, the bounded FIFO of batches.
+        work: Vec<mpsc::SyncSender<Batch>>,
+        /// Per worker, emptied batch buffers on their way back from it.
+        spare: Vec<mpsc::Receiver<Batch>>,
         handles: Vec<JoinHandle<Shard>>,
     },
     Virtual {
@@ -581,6 +622,11 @@ enum Runtime {
 pub struct ParallelReceiver {
     workers: usize,
     runtime: Runtime,
+    /// Per worker, the work the current entry call has queued so far. Every
+    /// public entry flushes before it returns, so these are empty between
+    /// calls (and on entry to [`Self::drain`] and [`Self::finish`], which
+    /// queue nothing themselves).
+    staged: Vec<Batch>,
     dispatch: DispatchStats,
     /// Global chunk arrival counter; stamps control events so the merge can
     /// restore one deterministic order.
@@ -659,19 +705,36 @@ impl ParallelReceiver {
         }
         let runtime = match engine {
             Engine::Threads => {
-                let mut senders = Vec::with_capacity(workers);
+                let mut work = Vec::with_capacity(workers);
+                let mut spare = Vec::with_capacity(workers);
                 let mut handles = Vec::with_capacity(workers);
                 for mut shard in shards {
-                    let (tx, rx) = mpsc::sync_channel::<Work>(WORK_QUEUE_DEPTH);
-                    senders.push(tx);
+                    let (work_tx, work_rx) = mpsc::sync_channel::<Batch>(WORK_QUEUE_DEPTH);
+                    let (spare_tx, spare_rx) = mpsc::sync_channel::<Batch>(BATCH_POOL);
+                    // The whole pool starts out spare (empty buffers own no
+                    // heap), so the steady state never makes a new one.
+                    for _ in 0..BATCH_POOL {
+                        let _ = spare_tx.try_send(Batch::new());
+                    }
+                    work.push(work_tx);
+                    spare.push(spare_rx);
                     handles.push(std::thread::spawn(move || {
-                        while let Ok(work) = rx.recv() {
-                            shard.process(work);
+                        while let Ok(mut batch) = work_rx.recv() {
+                            shard.run(batch.drain(..));
+                            // Never a blocking send: the dispatcher may be
+                            // blocked on this worker's full queue, and the
+                            // two would wait on each other. A buffer that
+                            // does not fit is simply dropped.
+                            let _ = spare_tx.try_send(batch);
                         }
                         shard
                     }));
                 }
-                Runtime::Threads { senders, handles }
+                Runtime::Threads {
+                    work,
+                    spare,
+                    handles,
+                }
             }
             Engine::Virtual(schedule) => Runtime::Virtual {
                 picker: Picker::new(schedule),
@@ -684,6 +747,7 @@ impl ParallelReceiver {
         ParallelReceiver {
             workers,
             runtime,
+            staged: (0..workers).map(|_| Batch::new()).collect(),
             dispatch: DispatchStats::default(),
             stamp: 0,
             control: Vec::new(),
@@ -708,6 +772,7 @@ impl ParallelReceiver {
     /// rejects the whole packet), then routes each span.
     pub fn ingest(&mut self, packet: &Packet, now: u64) {
         self.ingest_inner(packet, now);
+        self.flush();
         if self.obs_on {
             self.obs.clock_advance(now);
         }
@@ -718,6 +783,7 @@ impl ParallelReceiver {
         for packet in packets {
             self.ingest_inner(packet, now);
         }
+        self.flush();
         // The whole batch arrived at one virtual instant, so the sink's
         // shared clock advances once per batch — not one fetch_max RMW
         // per packet on the dispatch hot path.
@@ -732,8 +798,9 @@ impl ParallelReceiver {
     /// queues like any other item, so it is ordered with the data.
     pub fn reserve(&mut self, tpdus: usize, fragments: usize) {
         for worker in 0..self.workers {
-            self.send(worker, Work::Reserve { tpdus, fragments });
+            self.stage(worker, Work::Reserve { tpdus, fragments });
         }
+        self.flush();
     }
 
     fn ingest_inner(&mut self, packet: &Packet, now: u64) {
@@ -807,7 +874,7 @@ impl ParallelReceiver {
                             self.merge_open.push(labels);
                         }
                         let raw = packet.bytes.slice(at..end);
-                        self.send(worker, Work::Chunk { raw, now });
+                        self.stage(worker, Work::Chunk { raw, now });
                     } else {
                         if self.obs_on {
                             self.obs.counter("transport.parallel.unknown_connection", 1);
@@ -825,14 +892,16 @@ impl ParallelReceiver {
 
     /// Admits a connection mid-stream: registers it with the dispatcher and
     /// queues the admission on the worker [`shard_of`] names. The worker
-    /// re-arms a pooled shell when one is free, so steady-state churn never
-    /// touches the allocator. Ordered with the connection's chunks: chunks
-    /// dispatched after this call find the receiver live.
+    /// re-arms a pooled shell when one is free, so steady-state churn builds
+    /// no receiver. Ordered with the connection's chunks: chunks dispatched
+    /// after this call find the receiver live.
     pub fn admit(&mut self, spec: ConnSpec, now: u64) {
         let conn_id = spec.params.conn_id;
         self.registered.insert(conn_id);
         let worker = shard_of(conn_id, self.workers);
-        self.send(worker, Work::Admit { spec, now });
+        let spec = Box::new(spec);
+        self.stage(worker, Work::Admit { spec, now });
+        self.flush();
     }
 
     /// Retires a connection mid-stream: deregisters it from the dispatcher
@@ -842,7 +911,8 @@ impl ParallelReceiver {
     pub fn retire(&mut self, conn_id: u32, now: u64) {
         if self.registered.remove(conn_id) {
             let worker = shard_of(conn_id, self.workers);
-            self.send(worker, Work::Retire { conn_id, now });
+            self.stage(worker, Work::Retire { conn_id, now });
+            self.flush();
         }
     }
 
@@ -850,31 +920,53 @@ impl ParallelReceiver {
     /// (identical identifiers, §3.3) verifies afresh. Ordered with the
     /// connection's chunks: the reset travels the same FIFO.
     pub fn reset_group(&mut self, conn_id: u32, start: u64) {
-        self.send(
+        self.stage(
             shard_of(conn_id, self.workers),
             Work::Reset { conn_id, start },
         );
+        self.flush();
     }
 
-    fn send(&mut self, worker: usize, work: Work) {
-        match &mut self.runtime {
-            Runtime::Threads { senders, .. } => {
-                // A send can only fail if the worker panicked; surface that
-                // at join time, not here.
-                let _ = senders[worker].send(work);
+    /// Queues `work` for `worker`. Nothing crosses to the shard until
+    /// [`Self::flush`].
+    fn stage(&mut self, worker: usize, work: Work) {
+        self.staged[worker].push(work);
+        if self.obs_verbose {
+            if let Runtime::Virtual { queues, .. } = &self.runtime {
+                // Queue depth is only observable on the virtual engine: the
+                // threads engine's queues hold batches and hide their
+                // length. What is staged is already behind what is queued,
+                // so the depth after this item counts both. Per-item
+                // histogram pressure is verbose-tier cost; the always-on
+                // health surface reads depth at barriers.
+                self.obs.observe(
+                    "transport.parallel.queue_depth",
+                    (queues[worker].len() + self.staged[worker].len()) as u64,
+                );
             }
-            Runtime::Virtual { queues, .. } => {
-                queues[worker].push_back(work);
-                if self.obs_verbose {
-                    // Queue depth is only observable on the virtual engine:
-                    // the threads engine's SPSC queues hide their length.
-                    // Per-item histogram pressure is verbose-tier cost; the
-                    // always-on health surface reads depth at barriers.
-                    self.obs.observe(
-                        "transport.parallel.queue_depth",
-                        queues[worker].len() as u64,
-                    );
+        }
+    }
+
+    /// Hands each shard what was staged for it, in staging order: one
+    /// message per shard that has work on the threads engine, an append to
+    /// the shard's item queue on the virtual engine.
+    fn flush(&mut self) {
+        for (worker, staged) in self.staged.iter_mut().enumerate() {
+            if staged.is_empty() {
+                continue;
+            }
+            match &mut self.runtime {
+                Runtime::Threads { work, spare, .. } => {
+                    // Blocks while the queue is full: backpressure. A send
+                    // can only fail if the worker panicked; surface that at
+                    // join time, not here.
+                    let _ = work[worker].send(std::mem::take(staged));
+                    // With the batch sent, at most `WORK_QUEUE_DEPTH + 1`
+                    // of the pool's buffers are queued or running, so one
+                    // is back already; were it not, a fresh one serves.
+                    *staged = spare[worker].try_recv().unwrap_or_default();
                 }
+                Runtime::Virtual { queues, .. } => queues[worker].extend(staged.drain(..)),
             }
         }
     }
@@ -890,7 +982,7 @@ impl ParallelReceiver {
         {
             while let Some(w) = picker.next(queues) {
                 let work = queues[w].pop_front().expect("picker returned non-empty");
-                shards[w].process(work);
+                shards[w].run(std::iter::once(work));
             }
         }
     }
@@ -912,34 +1004,32 @@ impl ParallelReceiver {
     /// Mid-stream snapshot of every registered connection, sorted by
     /// `C.ID`. Acts as a barrier: all work queued so far is processed first.
     pub fn sync(&mut self) -> Vec<SyncSnapshot> {
-        let snapshots = match &mut self.runtime {
-            Runtime::Threads { senders, .. } => {
-                let mut replies = Vec::with_capacity(senders.len());
-                for tx in senders.iter() {
+        let mut snapshots: Vec<SyncSnapshot> = if let Runtime::Threads { .. } = self.runtime {
+            // The barrier item rides each shard's FIFO behind everything
+            // queued before it, in a batch like any other.
+            let replies: Vec<_> = (0..self.workers)
+                .map(|worker| {
                     let (reply_tx, reply_rx) = mpsc::channel();
-                    let _ = tx.send(Work::Sync(reply_tx));
-                    replies.push(reply_rx);
+                    self.stage(worker, Work::Sync(reply_tx));
+                    reply_rx
+                })
+                .collect();
+            self.flush();
+            replies
+                .into_iter()
+                .filter_map(|rx| rx.recv().ok())
+                .flatten()
+                .collect()
+        } else {
+            self.drain_virtual();
+            match &self.runtime {
+                Runtime::Virtual { shards, .. } => {
+                    shards.iter().flat_map(|s| s.snapshots()).collect()
                 }
-                let mut snapshots: Vec<SyncSnapshot> = replies
-                    .into_iter()
-                    .filter_map(|rx| rx.recv().ok())
-                    .flatten()
-                    .collect();
-                snapshots.sort_unstable_by_key(|s| s.conn_id);
-                snapshots
-            }
-            Runtime::Virtual { .. } => {
-                self.drain_virtual();
-                if let Runtime::Virtual { shards, .. } = &self.runtime {
-                    let mut snapshots: Vec<SyncSnapshot> =
-                        shards.iter().flat_map(|s| s.snapshots()).collect();
-                    snapshots.sort_unstable_by_key(|s| s.conn_id);
-                    snapshots
-                } else {
-                    unreachable!()
-                }
+                Runtime::Threads { .. } => unreachable!(),
             }
         };
+        snapshots.sort_unstable_by_key(|s| s.conn_id);
         // A true barrier on both engines: every worker has answered (or been
         // drained inline) and the only work producer is this caller, so the
         // shard blocks are quiescent — fold them into the root registry.
@@ -964,8 +1054,8 @@ impl ParallelReceiver {
     /// back into global arrival order.
     pub fn finish(mut self) -> ParallelOutcome {
         let shards: Vec<Shard> = match self.runtime {
-            Runtime::Threads { senders, handles } => {
-                drop(senders); // closes the queues; workers drain and return
+            Runtime::Threads { work, handles, .. } => {
+                drop(work); // closes the queues; workers drain and return
                 handles
                     .into_iter()
                     .map(|h| h.join().expect("worker panicked"))
@@ -1206,5 +1296,89 @@ mod tests {
             }
             pr.finish();
         }
+    }
+
+    #[test]
+    fn work_item_stays_small() {
+        // Every queued chunk pays for the largest variant; the connection
+        // spec, the one large payload, is boxed.
+        assert!(std::mem::size_of::<Work>() <= 48);
+    }
+
+    #[test]
+    fn more_batches_than_the_queues_hold_all_complete() {
+        // One batch per `ingest`, eight times what either channel holds:
+        // the dispatcher blocks on the full work queue while emptied buffers
+        // come back, which hangs if the return path can block too.
+        let packets = packets_for(&[1, 2, 3]);
+        let mut pr = ParallelReceiver::new(1, Engine::Threads, vec![spec(1), spec(2), spec(3)]);
+        let mut calls = 0;
+        while calls < 8 * BATCH_POOL {
+            for p in &packets {
+                pr.ingest(p, calls as u64);
+                calls += 1;
+            }
+        }
+        let out = pr.finish();
+        assert_eq!(out.dispatch.packets, calls as u64);
+        assert_eq!(out.dispatch.decode_errors, 0);
+        assert!(out.dispatch.chunks_dispatched >= calls as u64);
+        assert_eq!(
+            out.worker_chunks.iter().sum::<u64>(),
+            out.dispatch.chunks_dispatched
+        );
+    }
+
+    /// Admit, data, retire and more data for one connection, back to back
+    /// with no barrier between them, then a barrier behind another
+    /// connection's data.
+    fn lifecycle_burst(engine: Engine) -> (Vec<SyncSnapshot>, ParallelOutcome) {
+        let (comes_and_goes, stays) = (7, 1);
+        let mut pr = ParallelReceiver::new(2, engine, vec![spec(stays)]);
+        pr.admit(spec(comes_and_goes), 0);
+        pr.ingest_batch(&packets_for(&[comes_and_goes]), 1);
+        pr.retire(comes_and_goes, 2);
+        pr.ingest_batch(&packets_for(&[comes_and_goes, stays]), 3);
+        let mid = pr.sync();
+        (mid, pr.finish())
+    }
+
+    #[test]
+    fn lifecycle_items_keep_their_place_among_the_chunks() {
+        let (mid, out) = lifecycle_burst(Engine::Threads);
+
+        // The barrier saw every chunk ingested before it.
+        assert_eq!(mid.len(), 1, "the retired connection is gone");
+        assert_eq!((mid[0].conn_id, mid[0].ack.cumulative), (1, 24));
+
+        // What arrived between admit and retire was delivered: the session
+        // transcript equals that of both streams delivered once each.
+        let mut plain =
+            ParallelReceiver::new(2, Engine::Virtual(Schedule::Fair), vec![spec(7), spec(1)]);
+        plain.ingest_batch(&packets_for(&[7, 1]), 0);
+        let plain = plain.finish();
+        assert_eq!(out.transcript_digest, plain.transcript_digest);
+        assert_eq!(
+            out.worker_chunks.iter().sum::<u64>(),
+            plain.dispatch.chunks_dispatched
+        );
+        assert_eq!(out.dispatch.decode_errors, 0);
+
+        // What arrived after the retire never reached a worker: one
+        // unknown-connection event per chunk, in arrival order.
+        let unknown = plain.dispatch.chunks_dispatched / 2;
+        assert_eq!(out.control.len() as u64, unknown);
+        assert!(out
+            .control
+            .iter()
+            .all(|e| e.kind == ControlKind::UnknownConnection { conn_id: 7 }));
+        assert!(out.control.windows(2).all(|w| w[0].stamp < w[1].stamp));
+
+        let (virtual_mid, virtual_out) = lifecycle_burst(Engine::Virtual(Schedule::Fair));
+        assert_eq!(mid, virtual_mid);
+        assert_eq!(out.control, virtual_out.control);
+        assert_eq!(out.transcript_digest, virtual_out.transcript_digest);
+        assert_eq!(out.dispatch, virtual_out.dispatch);
+        assert_eq!(out.worker_chunks, virtual_out.worker_chunks);
     }
 }

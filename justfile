@@ -111,11 +111,12 @@ health:
 
 # A/B the working tree against REF on the wall clock: REF is checked out
 # into a git worktree under target/ and both ledgers are built, then
-# `bulk-clean` is run three times on each, alternating which side goes
-# first, and `ledger compare` judges each pair against BENCHMARK.json's
-# bounds. A claim of gain is made on alternating pairs, never a single run
-# (the box's A/A spread is 3-14 %). ~2.5 min a pair.
-ab REF:
+# WORKLOAD (`bulk-clean` unless named: `just ab HEAD~1 parallel-reorder`)
+# is run three times on each, alternating which side goes first, and
+# `ledger compare` judges each pair against BENCHMARK.json's bounds. A
+# claim of gain is made on alternating pairs, never a single run (the
+# box's A/A spread is 3-14 %). ~2.5 min a pair.
+ab REF WORKLOAD='bulk-clean':
     git worktree remove --force target/ab-ref 2>/dev/null || true
     git worktree add --detach target/ab-ref {{REF}}
     cargo build --release -p chunks-ledger
@@ -124,7 +125,7 @@ ab REF:
         if [ $((i % 2)) -eq 1 ]; then order="ref change"; else order="change ref"; fi; \
         for side in $order; do \
             if [ $side = ref ]; then bin=target/ab-ref/target/release/ledger; else bin=target/release/ledger; fi; \
-            $bin run --workload bulk-clean --out target/ab-$side.$i.json > /dev/null || exit 1; \
+            $bin run --workload {{WORKLOAD}} --out target/ab-$side.$i.json > /dev/null || exit 1; \
         done; \
         target/release/ledger compare target/ab-ref.$i.json target/ab-change.$i.json || exit 1; \
     done

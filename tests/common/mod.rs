@@ -386,9 +386,9 @@ pub fn replay_serial(scenario: &Scenario, trace: &[TraceOp]) -> SerialReplay {
     }
 }
 
-/// Replays a recorded trace through a [`ParallelReceiver`] and returns the
-/// observations in the same shape as [`replay_serial`], so the two replays
-/// compare with one `assert_eq!`.
+/// Replays a recorded trace through a [`ParallelReceiver`], one `ingest`
+/// per packet, and returns the observations in the same shape as
+/// [`replay_serial`], so the two replays compare with one `assert_eq!`.
 pub fn replay_parallel(
     scenario: &Scenario,
     trace: &[TraceOp],
@@ -407,6 +407,77 @@ pub fn replay_parallel(
             TraceOp::Reset { conn_id, start } => pr.reset_group(*conn_id, *start),
         }
     }
+    observe_parallel(scenario, pr)
+}
+
+/// Restamps a trace for batched replay: seeded groups of 1–64 consecutive
+/// packets all take the arrival time of the group's first packet. A reset
+/// ends the group it falls in, so resets land between groups. Arrival times
+/// stay non-decreasing.
+pub fn regroup(trace: &[TraceOp], seed: u64) -> Vec<TraceOp> {
+    let mut state = seed ^ 0xBA7C_4ED0;
+    let mut left = 0u64;
+    let mut group_now = 0u64;
+    trace
+        .iter()
+        .map(|op| match op {
+            TraceOp::Packet { frame, now } => {
+                if left == 0 {
+                    state = state
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    left = 1 + (state >> 33) % 64;
+                    group_now = *now;
+                }
+                left -= 1;
+                TraceOp::Packet {
+                    frame: frame.clone(),
+                    now: group_now,
+                }
+            }
+            reset => {
+                left = 0;
+                reset.clone()
+            }
+        })
+        .collect()
+}
+
+/// Like [`replay_parallel`], but every run of consecutive packets with one
+/// arrival time (a [`regroup`] group, or several that tie) goes through one
+/// `ingest_batch`.
+pub fn replay_parallel_batched(
+    scenario: &Scenario,
+    trace: &[TraceOp],
+    workers: usize,
+    engine: Engine,
+) -> SerialReplay {
+    let mut pr = ParallelReceiver::new(workers, engine, scenario.specs());
+    let mut group: Vec<Packet> = Vec::new();
+    let mut group_now = 0u64;
+    for op in trace {
+        match op {
+            TraceOp::Packet { frame, now } => {
+                if *now != group_now {
+                    pr.ingest_batch(&std::mem::take(&mut group), group_now);
+                    group_now = *now;
+                }
+                group.push(Packet {
+                    bytes: frame.clone().into(),
+                });
+            }
+            TraceOp::Reset { conn_id, start } => {
+                pr.ingest_batch(&std::mem::take(&mut group), group_now);
+                pr.reset_group(*conn_id, *start);
+            }
+        }
+    }
+    pr.ingest_batch(&group, group_now);
+    observe_parallel(scenario, pr)
+}
+
+/// Finishes the pipeline and shapes its outcome like [`replay_serial`]'s.
+fn observe_parallel(scenario: &Scenario, pr: ParallelReceiver) -> SerialReplay {
     let out = pr.finish();
     assert_eq!(out.dispatch.decode_errors, 0, "{}", scenario.label());
     let conns = out

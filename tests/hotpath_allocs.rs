@@ -6,8 +6,9 @@
 //! `reserve` for the load that follows), then the measured phase replays the
 //! rest of the stream under [`assert_no_alloc!`]. The counting allocator
 //! wraps `System` and counts per thread, so the binary's tests may run
-//! concurrently; the parallel leg runs the *virtual* engine so its work
-//! happens on the measuring thread.
+//! concurrently; the parallel legs run the *virtual* engine so the workers'
+//! work happens on the measuring thread, and one more leg measures the
+//! *threads* engine's dispatch side, which is what its caller's thread pays.
 
 mod common;
 
@@ -222,13 +223,9 @@ fn interleaved(conns: u32) -> Vec<Packet> {
     packets
 }
 
-#[test]
-fn parallel_receive_steady_state_is_allocation_free() {
-    const CONNS: u32 = 3;
-    const WORKERS: usize = 4;
-
-    let packets = interleaved(CONNS);
-    let specs: Vec<ConnSpec> = (1..=CONNS)
+/// One spec per connection `1..=conns`, matching [`stream`]'s senders.
+fn specs(conns: u32) -> Vec<ConnSpec> {
+    (1..=conns)
         .map(|id| {
             ConnSpec::new(
                 params(id),
@@ -237,8 +234,16 @@ fn parallel_receive_steady_state_is_allocation_free() {
                 capacity_elements(),
             )
         })
-        .collect();
-    let mut pr = ParallelReceiver::new(WORKERS, Engine::Virtual(Schedule::Fair), specs);
+        .collect()
+}
+
+#[test]
+fn parallel_receive_steady_state_is_allocation_free() {
+    const CONNS: u32 = 3;
+    const WORKERS: usize = 4;
+
+    let packets = interleaved(CONNS);
+    let mut pr = ParallelReceiver::new(WORKERS, Engine::Virtual(Schedule::Fair), specs(CONNS));
 
     let total_tpdus = (MESSAGE_LEN / TPDU_ELEMENTS as usize + 2) * CONNS as usize;
     pr.reserve(total_tpdus + 8, total_tpdus * 4 + 64);
@@ -279,26 +284,72 @@ fn parallel_receive_steady_state_is_allocation_free() {
 }
 
 #[test]
+fn parallel_threads_dispatch_is_allocation_free() {
+    const CONNS: u32 = 3;
+    const WORKERS: usize = 2;
+    // Each worker's batch buffers come back to the dispatcher in turn, 34 of
+    // them (the work queue's depth plus two), and a buffer reaches its
+    // working size the first time it is filled. Forty warm-up batches of
+    // twice the measured size put every one of them past what the measured
+    // window asks of it.
+    const WARMUP_BATCH: usize = 6;
+    const WARMUP_BATCHES: usize = 40;
+    const BATCH: usize = WARMUP_BATCH / 2;
+
+    let packets = interleaved(CONNS);
+    let mut pr = ParallelReceiver::new(WORKERS, Engine::Threads, specs(CONNS));
+    let total_tpdus = (MESSAGE_LEN / TPDU_ELEMENTS as usize + 2) * CONNS as usize;
+    pr.reserve(total_tpdus + 8, total_tpdus * 4 + 64);
+
+    let (warmup, measured) = packets.split_at(WARMUP_BATCH * WARMUP_BATCHES);
+    for (i, batch) in warmup.chunks(WARMUP_BATCH).enumerate() {
+        pr.ingest_batch(batch, i as u64);
+    }
+    pr.sync();
+
+    // A barrier after every measured call keeps the work queues from
+    // filling: a send that finds its queue full parks the caller, and the
+    // first time a thread parks on a channel std allocates the parking
+    // record, which is not this crate's to avoid.
+    for (i, batch) in measured.chunks(BATCH).enumerate() {
+        assert_no_alloc!(
+            pr.ingest_batch(batch, (WARMUP_BATCHES + i) as u64),
+            "threads dispatch batch {i}"
+        );
+        pr.sync();
+    }
+    assert!(
+        chunk_count(measured) > 100,
+        "measured window too small to matter"
+    );
+
+    let out = pr.finish();
+    assert_eq!(out.dispatch.decode_errors, 0);
+    assert!(
+        out.worker_chunks.iter().all(|&n| n > 0),
+        "every worker took part: {:?}",
+        out.worker_chunks
+    );
+    for id in 1..=CONNS {
+        assert_eq!(
+            out.conns[&id].receiver.verified_prefix(),
+            MESSAGE_LEN as u64,
+            "conn {id} must fully verify"
+        );
+    }
+}
+
+#[test]
 fn parallel_receive_with_always_on_obs_is_allocation_free() {
     const CONNS: u32 = 3;
     const WORKERS: usize = 4;
 
     let packets = interleaved(CONNS);
-    let specs: Vec<ConnSpec> = (1..=CONNS)
-        .map(|id| {
-            ConnSpec::new(
-                params(id),
-                layout(),
-                DeliveryMode::Immediate,
-                capacity_elements(),
-            )
-        })
-        .collect();
     let sink = Recorder::shared();
     let mut pr = ParallelReceiver::new_with_obs(
         WORKERS,
         Engine::Virtual(Schedule::Fair),
-        specs,
+        specs(CONNS),
         sink.clone(),
     );
 

@@ -10,13 +10,22 @@
 //! receiver statistics, acknowledgments, event streams, control events,
 //! routed-chunk counters, and the folded session transcript digest.
 //!
+//! The trace is then replayed a second way: restamped into seeded groups of
+//! 1–64 packets that share an arrival time, each group through one
+//! `ingest_batch` with the loop's group resets landing between groups, on
+//! both engines at every worker count, against the serial replay of the
+//! same restamped trace. That is the leg in which a shard receives work
+//! many packets at a time.
+//!
 //! Scenario count: 200 in release, 24 in debug, `PARALLEL_SCENARIOS`
 //! overrides both (see `just test-parallel`).
 
 mod common;
 
 use chunks::transport::{Engine, Schedule};
-use common::{replay_parallel, replay_serial, scenario_count, scenarios};
+use common::{
+    regroup, replay_parallel, replay_parallel_batched, replay_serial, scenario_count, scenarios,
+};
 
 #[test]
 fn parallel_pipeline_equals_serial_path() {
@@ -61,6 +70,19 @@ fn parallel_pipeline_equals_serial_path() {
                 "{}: threads engine, 4 workers",
                 scenario.label()
             );
+        }
+        let grouped = regroup(&trace, scenario.seed);
+        let serial = replay_serial(scenario, &grouped);
+        for workers in [1usize, 2, 4, 8] {
+            for engine in [Engine::Virtual(Schedule::Fair), Engine::Threads] {
+                let parallel = replay_parallel_batched(scenario, &grouped, workers, engine.clone());
+                assert_eq!(
+                    parallel,
+                    serial,
+                    "{}: batched, {engine:?}, {workers} workers",
+                    scenario.label()
+                );
+            }
         }
     }
     // The matrix must actually exercise both verdict channels.
