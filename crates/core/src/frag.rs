@@ -38,27 +38,8 @@ use crate::label::Level;
 /// The payload is shared, not copied. Control chunks cannot be split
 /// (`LEN = 1` always fails the range check).
 pub fn split(chunk: &Chunk, first_len: u32) -> Result<(Chunk, Chunk), CoreError> {
-    let len = chunk.header.len;
-    if first_len == 0 || first_len >= len {
-        return Err(CoreError::SplitOutOfRange { at: first_len, len });
-    }
+    let (head_header, tail_header) = split_header(&chunk.header, first_len)?;
     let cut = first_len as usize * chunk.header.size as usize;
-
-    let head_header = ChunkHeader {
-        len: first_len,
-        conn: chunk.header.conn.head(),
-        tpdu: chunk.header.tpdu.head(),
-        ext: chunk.header.ext.head(),
-        ..chunk.header
-    };
-    let tail_header = ChunkHeader {
-        len: len - first_len,
-        conn: chunk.header.conn.tail(first_len),
-        tpdu: chunk.header.tpdu.tail(first_len),
-        ext: chunk.header.ext.tail(first_len),
-        ..chunk.header
-    };
-
     let head = Chunk {
         header: head_header,
         payload: chunk.payload.slice(..cut),
@@ -66,6 +47,34 @@ pub fn split(chunk: &Chunk, first_len: u32) -> Result<(Chunk, Chunk), CoreError>
     let tail = Chunk {
         header: tail_header,
         payload: chunk.payload.slice(cut..),
+    };
+    Ok((head, tail))
+}
+
+/// The label half of [`split`]: the headers of the leading `first_len`
+/// elements and of the remainder, for callers that cut payload bytes they
+/// hold in some other form than a [`Chunk`].
+pub fn split_header(
+    header: &ChunkHeader,
+    first_len: u32,
+) -> Result<(ChunkHeader, ChunkHeader), CoreError> {
+    let len = header.len;
+    if first_len == 0 || first_len >= len {
+        return Err(CoreError::SplitOutOfRange { at: first_len, len });
+    }
+    let head = ChunkHeader {
+        len: first_len,
+        conn: header.conn.head(),
+        tpdu: header.tpdu.head(),
+        ext: header.ext.head(),
+        ..*header
+    };
+    let tail = ChunkHeader {
+        len: len - first_len,
+        conn: header.conn.tail(first_len),
+        tpdu: header.tpdu.tail(first_len),
+        ext: header.ext.tail(first_len),
+        ..*header
     };
     Ok((head, tail))
 }
@@ -87,25 +96,7 @@ pub fn can_merge(a: &ChunkHeader, b: &ChunkHeader) -> bool {
 /// in the network or at the receiver, any number of times, because the
 /// result is again an ordinary chunk.
 pub fn merge(a: &Chunk, b: &Chunk) -> Result<Chunk, CoreError> {
-    if !can_merge(&a.header, &b.header) {
-        return Err(CoreError::NotAdjacent);
-    }
-    let header = ChunkHeader {
-        len: a.header.len + b.header.len,
-        conn: crate::label::FramingTuple {
-            st: b.header.conn.st,
-            ..a.header.conn
-        },
-        tpdu: crate::label::FramingTuple {
-            st: b.header.tpdu.st,
-            ..a.header.tpdu
-        },
-        ext: crate::label::FramingTuple {
-            st: b.header.ext.st,
-            ..a.header.ext
-        },
-        ..a.header
-    };
+    let header = merge_header(&a.header, &b.header)?;
     // Must own: the two payloads are (in general) slices of different
     // buffers; a merged chunk needs one contiguous run, so this is the one
     // place reassembly genuinely gathers bytes.
@@ -115,6 +106,30 @@ pub fn merge(a: &Chunk, b: &Chunk) -> Result<Chunk, CoreError> {
     Ok(Chunk {
         header,
         payload: payload.into(),
+    })
+}
+
+/// The label half of [`merge`]: the header of `a` followed by `b`, for
+/// callers whose payload bytes already lie contiguous.
+pub fn merge_header(a: &ChunkHeader, b: &ChunkHeader) -> Result<ChunkHeader, CoreError> {
+    if !can_merge(a, b) {
+        return Err(CoreError::NotAdjacent);
+    }
+    Ok(ChunkHeader {
+        len: a.len + b.len,
+        conn: crate::label::FramingTuple {
+            st: b.conn.st,
+            ..a.conn
+        },
+        tpdu: crate::label::FramingTuple {
+            st: b.tpdu.st,
+            ..a.tpdu
+        },
+        ext: crate::label::FramingTuple {
+            st: b.ext.st,
+            ..a.ext
+        },
+        ..*a
     })
 }
 

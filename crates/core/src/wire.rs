@@ -36,26 +36,31 @@ const FLAG_C_ST: u8 = 1 << 0;
 const FLAG_T_ST: u8 = 1 << 1;
 const FLAG_X_ST: u8 = 1 << 2;
 
-/// Appends the header's wire encoding to `out`.
-pub fn encode_header(h: &ChunkHeader, out: &mut Vec<u8>) {
-    out.push(h.ty.to_u8());
-    let mut flags = 0u8;
+/// The header's wire encoding.
+pub fn header_bytes(h: &ChunkHeader) -> [u8; WIRE_HEADER_LEN] {
+    let mut out = [0u8; WIRE_HEADER_LEN];
+    out[0] = h.ty.to_u8();
     if h.conn.st {
-        flags |= FLAG_C_ST;
+        out[1] |= FLAG_C_ST;
     }
     if h.tpdu.st {
-        flags |= FLAG_T_ST;
+        out[1] |= FLAG_T_ST;
     }
     if h.ext.st {
-        flags |= FLAG_X_ST;
+        out[1] |= FLAG_X_ST;
     }
-    out.push(flags);
-    out.extend_from_slice(&h.size.to_be_bytes());
-    out.extend_from_slice(&h.len.to_be_bytes());
-    for t in [h.conn, h.tpdu, h.ext] {
-        out.extend_from_slice(&t.id.to_be_bytes());
-        out.extend_from_slice(&t.sn.to_be_bytes());
+    out[2..4].copy_from_slice(&h.size.to_be_bytes());
+    out[4..8].copy_from_slice(&h.len.to_be_bytes());
+    for (k, t) in [h.conn, h.tpdu, h.ext].into_iter().enumerate() {
+        out[8 + 8 * k..12 + 8 * k].copy_from_slice(&t.id.to_be_bytes());
+        out[12 + 8 * k..16 + 8 * k].copy_from_slice(&t.sn.to_be_bytes());
     }
+    out
+}
+
+/// Appends the header's wire encoding to `out`.
+pub fn encode_header(h: &ChunkHeader, out: &mut Vec<u8>) {
+    out.extend_from_slice(&header_bytes(h));
 }
 
 fn read_u32(b: &[u8], at: usize) -> u32 {

@@ -218,6 +218,14 @@ pub(crate) fn fold_elements(size: usize, bytes: &[u8]) -> (u32, u32) {
     (parity as u32, h)
 }
 
+/// How far ahead of the block being gathered the fold asks for its own
+/// stream, in bytes. The gather + `clmul` loop issues loads too slowly for
+/// the hardware prefetcher to run ahead of it, so a payload that is not in
+/// L1/L2 is folded at memory *latency*; one hint per full block, this far
+/// ahead, turns that into bandwidth (sweep in `docs/PERFORMANCE.md`, "The
+/// fold waits on memory").
+const PREFETCH_AHEAD: usize = 4096;
+
 /// Cuts `data` into blocks of [`LANES`] words of `W` items each and gathers
 /// every word with `gather`. The words of the final partial block are
 /// zero-padded on the stack, so short runs and tails gather like full
@@ -234,6 +242,9 @@ fn fixed_blocks<'a, T: Copy + Default, const W: usize>(
         }
         let mut words = [0u64; LANES];
         if data.len() >= LANES * W {
+            // The address is only named, never read: past the end of the
+            // payload it is a hint about memory the fold will not touch.
+            arch::prefetch(data.as_ptr().cast::<u8>().wrapping_add(PREFETCH_AHEAD));
             let (block, rest) = data.split_at(LANES * W);
             data = rest;
             for (w, word) in words.iter_mut().zip(block.chunks_exact(W)) {
@@ -296,9 +307,18 @@ unsafe fn fold_blocks(mut next_block: impl FnMut() -> Option<[u64; LANES]>) -> u
 mod arch {
     use super::{BLOCK_FOLD, BLOCK_STEP, MODULUS, MU};
     use std::arch::x86_64::{
-        _mm_clmulepi64_si128, _mm_cvtsi128_si64, _mm_cvtsi64_si128, _mm_set_epi64x, _mm_srli_epi64,
-        _mm_xor_si128,
+        _mm_clmulepi64_si128, _mm_cvtsi128_si64, _mm_cvtsi64_si128, _mm_prefetch, _mm_set_epi64x,
+        _mm_srli_epi64, _mm_xor_si128, _MM_HINT_T0,
     };
+
+    /// Asks for the cache line at `at` in every cache level (`PREFETCHT0`).
+    #[inline(always)]
+    pub(super) fn prefetch(at: *const u8) {
+        // SAFETY: SSE is part of the x86_64 baseline, and a prefetch is a
+        // hint: it never faults and never reads architecturally, whatever
+        // `at` is — mapped, unmapped or protected.
+        unsafe { _mm_prefetch::<_MM_HINT_T0>(at.cast()) }
+    }
 
     /// Barrett-reduced field multiply: three `PCLMULQDQ`s, no memory.
     #[target_feature(enable = "pclmulqdq", enable = "sse2")]
@@ -337,6 +357,10 @@ mod arch {
     use super::{BLOCK_FOLD, BLOCK_STEP, MODULUS, MU};
     use std::arch::aarch64::vmull_p64;
 
+    /// No software prefetch on this architecture.
+    #[inline(always)]
+    pub(super) fn prefetch(_at: *const u8) {}
+
     /// Barrett-reduced field multiply via `PMULL`.
     #[target_feature(enable = "neon", enable = "aes")]
     pub(super) unsafe fn mul_unchecked(a: u32, b: u32) -> u32 {
@@ -359,6 +383,10 @@ mod arch {
 
 #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
 mod arch {
+    /// No software prefetch on this architecture.
+    #[inline(always)]
+    pub(super) fn prefetch(_at: *const u8) {}
+
     /// Unreachable on this architecture: `is_supported` is `false`, so the
     /// safe wrappers above never dispatch here.
     pub(super) unsafe fn mul_unchecked(_a: u32, _b: u32) -> u32 {

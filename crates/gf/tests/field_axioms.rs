@@ -208,17 +208,21 @@ fn byte_folds_never_read_past_a_payload_ending_on_a_page_boundary() {
     const PAGE: usize = 4096;
     const PROT_NONE: i32 = 0;
     const PROT_READ_WRITE: i32 = 3;
-    let layout = Layout::from_size_align(2 * PAGE, PAGE).unwrap();
+    // Two guard pages: the clmul fold prefetches its own stream a fixed
+    // distance ahead, and any distance up to two pages must find
+    // `PROT_NONE` under it, not the allocator's next block.
+    const GUARD: usize = 2 * PAGE;
+    let layout = Layout::from_size_align(PAGE + GUARD, PAGE).unwrap();
     let data = payload(PAGE);
-    // SAFETY: a fresh two-page allocation this test owns; the second page
-    // is inaccessible only between the two `mprotect` calls, during which
+    // SAFETY: a fresh three-page allocation this test owns; the guard pages
+    // are inaccessible only between the two `mprotect` calls, during which
     // nothing but the folds under test runs, and they are handed slices of
     // the first page alone.
     unsafe {
         let base = alloc_zeroed(layout);
         assert!(!base.is_null());
         std::slice::from_raw_parts_mut(base, PAGE).copy_from_slice(&data);
-        assert_eq!(mprotect(base.add(PAGE), PAGE, PROT_NONE), 0);
+        assert_eq!(mprotect(base.add(PAGE), GUARD, PROT_NONE), 0);
         let page = std::slice::from_raw_parts(base, PAGE);
         for size in 1..=9usize {
             for n in [1usize, 5, 31, 32, 33, 63, 64, 65, 600, 2048, PAGE] {
@@ -230,7 +234,25 @@ fn byte_folds_never_read_past_a_payload_ending_on_a_page_boundary() {
                 }
             }
         }
-        assert_eq!(mprotect(base.add(PAGE), PAGE, PROT_READ_WRITE), 0);
+        // The payload ends short of the guard by less than the prefetch
+        // distance: no load comes near the guard, but the hint issued for
+        // a full block names an address on it. A hint must stay a hint.
+        for short in [1usize, 8, 63, 64, 65, 255, 1024, 3000] {
+            for n in [64usize, 65, 128, 600, 1095, PAGE - short] {
+                let bytes = &page[PAGE - short - n..PAGE - short];
+                for size in [1usize, 3, 4, 8] {
+                    let expect = fold_symbols_with(Backend::Tables, &padded_symbols(size, bytes));
+                    for backend in Backend::supported() {
+                        let got = fold_elements_with(backend, size, bytes);
+                        assert_eq!(
+                            got, expect,
+                            "backend={backend:?} size={size} n={n} short={short}"
+                        );
+                    }
+                }
+            }
+        }
+        assert_eq!(mprotect(base.add(PAGE), GUARD, PROT_READ_WRITE), 0);
         dealloc(base, layout);
     }
 }

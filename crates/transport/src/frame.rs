@@ -6,6 +6,17 @@
 //! whenever *any* frame boundary occurs ("each time any frame boundary
 //! occurs, a new chunk header is needed", Appendix A), and emits one
 //! WSC-2 ED chunk per TPDU computed over the fragmentation invariant.
+//!
+//! The boundary arithmetic — `C.SN`, `T.SN` and `X.SN` progress, the `ST`
+//! bits, the ALF frame left open across calls — exists once, in the
+//! crate-private label walk (`Framer::walk`). It touches no payload byte:
+//! it names byte ranges of the caller's slice. Two consumers sit on it:
+//! [`Framer::frame_stream`], which copies each range out into an owned,
+//! uncut [`Chunk`] (the reference form), and
+//! [`Sender::submit`](crate::sender::Sender::submit), which copies each range
+//! straight into the packet it will leave in.
+
+use std::ops::Range;
 
 use bytes::Bytes;
 use chunks_core::chunk::{Chunk, ChunkHeader};
@@ -25,6 +36,12 @@ pub struct AlfFrame {
 }
 
 /// One framed TPDU: its data chunks and its ED control chunk.
+///
+/// [`Framer::frame_stream`] cuts the data chunks at label boundaries only;
+/// the TPDUs a [`Sender`](crate::sender::Sender) retains are cut further, at
+/// the packet boundaries of their first transmission. Either way the chunks
+/// cover the TPDU's elements exactly once, in order, and the digest does not
+/// depend on the cut.
 #[derive(Clone, Debug)]
 pub struct Tpdu {
     /// Connection-space element index of the TPDU's first element,
@@ -55,6 +72,32 @@ impl Tpdu {
     }
 }
 
+/// Payload bytes of an ED chunk: the WSC-2 digest, one indivisible element.
+pub(crate) const ED_LEN: usize = 8;
+
+/// One step of the label walk.
+pub(crate) enum Label {
+    /// The open TPDU's next run of elements under one label: the header of
+    /// the uncut data chunk and the bytes of the caller's data it carries.
+    Data {
+        /// The chunk's label.
+        header: ChunkHeader,
+        /// Its payload, as a range of the walked data.
+        bytes: Range<usize>,
+    },
+    /// The open TPDU is complete.
+    Close {
+        /// Connection-space index of the TPDU's first element.
+        start: u64,
+        /// Its `T.ID`.
+        t_id: u32,
+        /// Its length in elements.
+        elements: u32,
+        /// The header of its ED control chunk.
+        ed: ChunkHeader,
+    },
+}
+
 /// Stateful framer for one connection's send direction.
 #[derive(Debug)]
 pub struct Framer {
@@ -63,8 +106,9 @@ pub struct Framer {
     /// Elements framed so far (drives `C.SN` and TPDU starts).
     sent_elements: u64,
     next_t_id: u32,
-    /// Remaining elements of a partially-framed external frame carried over
-    /// from the previous `frame_stream` call, with the `X.SN` it resumes at.
+    /// The external frame the walk stands in, when it is not at a frame
+    /// boundary: what is left of the frame, and the `X.SN` it resumes at.
+    /// Carried across calls for a frame the data has not finished.
     open_alf: Option<(AlfFrame, u32)>,
 }
 
@@ -104,7 +148,8 @@ impl Framer {
             .wrapping_add(self.sent_elements as u32)
     }
 
-    /// Frames `data` into TPDUs of at most `params.tpdu_elements` elements.
+    /// Frames `data` into TPDUs of at most `params.tpdu_elements` elements,
+    /// one owned chunk per label boundary crossed.
     ///
     /// `alf` lists the external frames covering the data (an open frame from
     /// a previous call is continued first). `close` sets `C.ST` on the last
@@ -114,9 +159,57 @@ impl Framer {
     /// Panics when `data` is not a whole number of elements, or the ALF
     /// frames do not cover exactly the data (callers control both).
     pub fn frame_stream(&mut self, data: &[u8], alf: &[AlfFrame], close: bool) -> Vec<Tpdu> {
+        let mut out = Vec::new();
+        let mut chunks = Vec::new();
+        let mut inv = TpduInvariant::new(self.layout).expect("layout fits");
+        self.walk(data.len(), alf, close, |label| match label {
+            Label::Data { header, bytes } => {
+                let chunk = Chunk::new(header, Bytes::copy_from_slice(&data[bytes]))
+                    .expect("framer produces consistent chunks");
+                // Folded as soon as copied, while the bytes are in cache.
+                inv.absorb_chunk(&chunk.header, &chunk.payload)
+                    .expect("framer stays inside the layout");
+                chunks.push(chunk);
+            }
+            Label::Close {
+                start,
+                t_id,
+                elements,
+                ed,
+            } => {
+                let ed = Chunk::new(ed, Bytes::copy_from_slice(&inv.digest()))
+                    .expect("ED chunk is consistent");
+                inv.reset();
+                out.push(Tpdu {
+                    start,
+                    t_id,
+                    elements,
+                    chunks: std::mem::take(&mut chunks),
+                    ed,
+                });
+            }
+        });
+        out
+    }
+
+    /// The label walk: advances the framer over `data_len` bytes of stream
+    /// and reports, in order, every uncut data chunk's label with the byte
+    /// range it covers and every TPDU's end with its ED header. All of the
+    /// TPDU × ALF boundary arithmetic is here and nowhere else; no payload
+    /// byte is read.
+    ///
+    /// # Panics
+    /// As [`Self::frame_stream`].
+    pub(crate) fn walk(
+        &mut self,
+        data_len: usize,
+        alf: &[AlfFrame],
+        close: bool,
+        mut emit: impl FnMut(Label),
+    ) {
         let esize = self.params.elem_size as usize;
-        assert_eq!(data.len() % esize, 0, "data must be whole elements");
-        let total_elements = (data.len() / esize) as u64;
+        assert_eq!(data_len % esize, 0, "data must be whole elements");
+        let total_elements = (data_len / esize) as u64;
         let covered: u64 = alf.iter().map(|f| f.len_elements as u64).sum::<u64>()
             + self
                 .open_alf
@@ -125,36 +218,23 @@ impl Framer {
         // The last frame may extend past this call's data; it stays open and
         // is continued by the next call.
         assert!(covered >= total_elements, "ALF frames must cover the data");
+        let mut upcoming = alf.iter().copied().filter(|f| f.len_elements > 0);
 
-        // Flatten ALF boundaries into a queue of (id, remaining_elements).
-        let mut frames: Vec<AlfFrame> = Vec::new();
-        // X.SN progress per frame id persists across chunks of this call —
-        // and across calls, for a frame left open by the previous call.
-        let mut x_progress: std::collections::HashMap<u32, u32> = std::collections::HashMap::new();
-        if let Some((open, resume_sn)) = self.open_alf.take() {
-            frames.push(open);
-            x_progress.insert(open.id, resume_sn);
-        }
-        frames.extend_from_slice(alf);
-        frames.retain(|f| f.len_elements > 0);
-        let mut frame_idx = 0usize;
-
-        let data = Bytes::copy_from_slice(data);
-        let mut out = Vec::new();
-        let mut consumed = 0u64; // elements consumed from `data`
+        let mut consumed = 0u64; // elements consumed from the data
         while consumed < total_elements {
             let tpdu_len = (self.params.tpdu_elements as u64).min(total_elements - consumed) as u32;
             let start = self.sent_elements;
             let t_id = self.next_t_id;
             self.next_t_id = self.next_t_id.wrapping_add(1);
 
-            let mut chunks = Vec::new();
             let mut t_off = 0u32; // T.SN cursor within the TPDU
             while t_off < tpdu_len {
-                let f = &mut frames[frame_idx];
-                let take = f.len_elements.min(tpdu_len - t_off);
-                let x_sn = *x_progress.entry(f.id).or_insert(0);
-                let ends_frame = take == f.len_elements;
+                let (frame, x_sn) = self.open_alf.take().unwrap_or_else(|| {
+                    let next = upcoming.next().expect("ALF frames cover the data");
+                    (next, 0)
+                });
+                let take = frame.len_elements.min(tpdu_len - t_off);
+                let ends_frame = take == frame.len_elements;
                 let ends_tpdu = t_off + take == tpdu_len;
                 let last_of_stream = consumed + (t_off + take) as u64 == total_elements;
                 let c_sn = self
@@ -162,69 +242,46 @@ impl Framer {
                     .initial_csn
                     .wrapping_add((start + t_off as u64) as u32);
                 let byte0 = (consumed + t_off as u64) as usize * esize;
-                let byte1 = byte0 + take as usize * esize;
-                let header = ChunkHeader::data(
-                    self.params.elem_size,
-                    take,
-                    FramingTuple::new(self.params.conn_id, c_sn, close && last_of_stream),
-                    FramingTuple::new(t_id, t_off, ends_tpdu),
-                    FramingTuple::new(f.id, x_sn, ends_frame),
-                );
-                chunks.push(
-                    Chunk::new(header, data.slice(byte0..byte1))
-                        .expect("framer produces consistent chunks"),
-                );
-                f.len_elements -= take;
-                if f.len_elements == 0 {
-                    x_progress.remove(&f.id);
-                    frame_idx += 1;
-                } else {
-                    *x_progress.get_mut(&f.id).unwrap() = x_sn + take;
+                emit(Label::Data {
+                    header: ChunkHeader::data(
+                        self.params.elem_size,
+                        take,
+                        FramingTuple::new(self.params.conn_id, c_sn, close && last_of_stream),
+                        FramingTuple::new(t_id, t_off, ends_tpdu),
+                        FramingTuple::new(frame.id, x_sn, ends_frame),
+                    ),
+                    bytes: byte0..byte0 + take as usize * esize,
+                });
+                if !ends_frame {
+                    let rest = AlfFrame {
+                        len_elements: frame.len_elements - take,
+                        ..frame
+                    };
+                    self.open_alf = Some((rest, x_sn + take));
                 }
                 t_off += take;
             }
 
-            // ED chunk: WSC-2 over the invariant of exactly these chunks.
-            // The framer feeds them in order, so the streaming encoder under
-            // TpduInvariant keeps perfect cursor contiguity — the sender-side
-            // digest costs one Horner sweep over the TPDU.
-            let mut inv = TpduInvariant::new(self.layout).expect("layout fits");
-            for c in &chunks {
-                inv.absorb_chunk(&c.header, &c.payload)
-                    .expect("framer stays inside the layout");
-            }
             let start_csn = self.params.initial_csn.wrapping_add(start as u32);
-            let ed = Chunk::new(
-                ChunkHeader::control(
+            emit(Label::Close {
+                start,
+                t_id,
+                elements: tpdu_len,
+                ed: ChunkHeader::control(
                     ChunkType::ErrorDetection,
-                    8,
+                    ED_LEN as u16,
                     FramingTuple::new(self.params.conn_id, start_csn, false),
                     FramingTuple::new(t_id, 0, false),
                     FramingTuple::new(0, 0, false),
                 ),
-                Bytes::copy_from_slice(&inv.digest()),
-            )
-            .expect("ED chunk is consistent");
-
-            out.push(Tpdu {
-                start,
-                t_id,
-                elements: tpdu_len,
-                chunks,
-                ed,
             });
             consumed += tpdu_len as u64;
             self.sent_elements += tpdu_len as u64;
         }
-        // Remember a frame cut short by the end of the data, with the X.SN
-        // it must resume at.
-        if let Some(f) = frames.get(frame_idx) {
-            if f.len_elements > 0 {
-                let resume_sn = x_progress.get(&f.id).copied().unwrap_or(0);
-                self.open_alf = Some((*f, resume_sn));
-            }
+        // A frame the data stopped short of stays open for the next call.
+        if self.open_alf.is_none() {
+            self.open_alf = upcoming.next().map(|f| (f, 0));
         }
-        out
     }
 
     /// Frames a stream as a single external frame spanning all of it.

@@ -4,11 +4,16 @@
 //! the C level, WSC-2 end-to-end error detection over the fragmentation
 //! invariant, and a receiver that can process chunks the moment they arrive.
 //!
-//! * [`frame`] — cuts an application stream (with ALF frame boundaries) into
-//!   TPDUs of labelled chunks plus one ED control chunk each;
-//! * [`sender`] — windows TPDUs, packs them into packets for a path MTU,
-//!   retransmits *with identical identifiers* (§3.3), and adapts the TPDU
-//!   size to observed loss (the paper's answer to Kent–Mogul);
+//! * [`frame`] — the label walk that cuts an application stream (with ALF
+//!   frame boundaries) into TPDUs of labelled chunks plus one ED control
+//!   chunk each, and the framer that materialises it as owned chunks;
+//! * [`sender`] — frames, folds and packetizes submitted data in one pass
+//!   over it, keeps the packets it built as the retransmission store (the
+//!   retained chunks are views cut at first-transmission packet
+//!   boundaries, re-packed by a private packer whose continuation rule
+//!   makes the wire bytes independent of the cut), retransmits *with
+//!   identical identifiers* (§3.3), and adapts the TPDU size to observed
+//!   loss (the paper's answer to Kent–Mogul);
 //! * [`receiver`] — the three §3.3 strategies (immediate processing /
 //!   reordering / physical reassembly) over one shared virtual-reassembly
 //!   and verification engine, with data-touch accounting that makes the

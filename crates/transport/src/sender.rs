@@ -11,16 +11,50 @@
 //!   to match the observed network error rate without any direct knowledge
 //!   of whether fragmentation is occurring" (§3) — the sender halves its
 //!   TPDU size on loss feedback and creeps it back up on success.
+//!
+//! # One pass per byte
+//!
+//! [`Sender::submit`] is the only place a payload byte is touched on the
+//! transmit side. It drives the framer's label walk over the caller's slice
+//! and, per piece, writes the chunk header and copies the payload into the
+//! packet under construction, folds the bytes it just wrote into the TPDU's
+//! invariant while they are in L1, appends the ED chunk when the TPDU ends,
+//! and closes packets greedily at the MTU exactly as
+//! [`pack`](chunks_core::packet::pack) would.
+//!
+//! **The retransmission store is the wire image.** The retained
+//! [`Tpdu`]s' chunk payloads are views into those packet buffers, so a
+//! retained chunk is one *piece*: an uncut chunk further cut wherever a
+//! first-transmission packet ended. A piece is itself a valid chunk
+//! (Appendix C), the invariant is cut-independent, and while the pending
+//! set is exactly one submit's TPDUs [`Sender::packets_for_pending`] hands
+//! the already-built packets out again.
+//!
+//! Every other path re-packs pieces, and must put the same bytes on the
+//! wire as packing the *uncut* chunks would — whatever was acknowledged,
+//! abandoned or submitted in between. The sender's private packer is
+//! therefore `pack` plus one **continuation rule**: a chunk that continues
+//! the previous chunk *in the same packet* (the Appendix D `can_merge`
+//! predicate) opens no header of its own; it extends that header's `LEN`
+//! and hands it its `ST` bits. Two pieces of one uncut chunk thus come out
+//! as the one chunk (or the one head fragment) `pack` would have written,
+//! and the output is independent of where the pieces were cut.
+//! `pack` itself must not have the rule: it is also the netsim `Repack`
+//! router's packer, whose policy is "no in-network reassembly".
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 
+use chunks_core::chunk::{Chunk, ChunkHeader};
 use chunks_core::error::CoreError;
-use chunks_core::packet::{pack, Packet};
+use chunks_core::frag::{can_merge, extract, merge_header, split_header};
+use chunks_core::packet::Packet;
+use chunks_core::wire::{encode_header, header_bytes, WIRE_HEADER_LEN};
 
 use crate::ack::AckInfo;
 use crate::conn::ConnectionParams;
-use crate::frame::{AlfFrame, Framer, Tpdu};
-use chunks_wsc::InvariantLayout;
+use crate::frame::{AlfFrame, Framer, Label, Tpdu, ED_LEN};
+use chunks_wsc::{InvariantLayout, TpduInvariant};
 
 /// Sender configuration.
 #[derive(Clone, Copy, Debug)]
@@ -37,13 +71,140 @@ pub struct SenderConfig {
     pub max_tpdu_elements: u32,
 }
 
+/// The sender's packer: [`pack`](chunks_core::packet::pack)'s greedy
+/// first-fit over borrowed chunks, plus the continuation rule (module docs).
+struct Packer {
+    mtu: usize,
+    /// The packet under construction.
+    buf: Vec<u8>,
+    /// Closed packets, in send order.
+    packets: Vec<Packet>,
+    /// The chunk last written into `buf` — where its header starts, and the
+    /// header as it now stands — unless a run was broken after it.
+    last: Option<(usize, ChunkHeader)>,
+}
+
+impl Packer {
+    fn new(mtu: usize) -> Self {
+        Packer {
+            mtu,
+            buf: Vec::new(),
+            packets: Vec::new(),
+            last: None,
+        }
+    }
+
+    /// Forbids the next chunk to continue the previous one: what follows is
+    /// a separate chunk in the reference packing even if its labels happen
+    /// to be adjacent (two gap repairs that abut).
+    fn break_run(&mut self) {
+        self.last = None;
+    }
+
+    fn close_packet(&mut self) {
+        self.last = None;
+        if !self.buf.is_empty() {
+            let mut buf = std::mem::take(&mut self.buf);
+            // A packet that closed short of the MTU gives the slack back:
+            // the buffer is retained for as long as the TPDUs in it.
+            buf.shrink_to_fit();
+            self.packets.push(Packet { bytes: buf.into() });
+        }
+    }
+
+    /// Appends one chunk: whole when it fits, else as many elements as fill
+    /// the packet, the rest opening the next one. `placed` is told of every
+    /// extent written — the packet's index, the extent's own label (a valid
+    /// chunk header whether or not it got a wire header of its own), the
+    /// offset of its payload in that packet, and the payload as it now lies
+    /// in the packet buffer.
+    fn push(
+        &mut self,
+        mut header: ChunkHeader,
+        mut payload: &[u8],
+        mut placed: impl FnMut(usize, &ChunkHeader, usize, &[u8]),
+    ) -> Result<(), CoreError> {
+        let size = header.size as usize;
+        loop {
+            if self.buf.capacity() == 0 {
+                self.buf.reserve_exact(self.mtu.min(9216));
+            }
+            let joined = self.last.filter(|(_, prev)| can_merge(prev, &header));
+            let overhead = if joined.is_some() { 0 } else { WIRE_HEADER_LEN };
+            let room = (self.mtu - self.buf.len()).saturating_sub(overhead) / size;
+            let take = (header.len as usize).min(room) as u32;
+            if take == 0 {
+                // No room for one element (a control chunk is one
+                // indivisible element): start a new packet.
+                if self.buf.is_empty() {
+                    return Err(CoreError::ElementExceedsMtu {
+                        size: header.size,
+                        mtu: self.mtu,
+                    });
+                }
+                self.close_packet();
+                continue;
+            }
+            let (now, later) = if take < header.len {
+                let (head, tail) = split_header(&header, take)?;
+                (head, Some(tail))
+            } else {
+                (header, None)
+            };
+            match joined {
+                Some((at, prev)) => {
+                    let merged = merge_header(&prev, &now)?;
+                    self.buf[at..at + WIRE_HEADER_LEN].copy_from_slice(&header_bytes(&merged));
+                    self.last = Some((at, merged));
+                }
+                None => {
+                    self.last = Some((self.buf.len(), now));
+                    encode_header(&now, &mut self.buf);
+                }
+            }
+            let (bytes, rest) = payload.split_at(take as usize * size);
+            let at = self.buf.len();
+            self.buf.extend_from_slice(bytes);
+            placed(self.packets.len(), &now, at, &self.buf[at..]);
+            match later {
+                None => return Ok(()),
+                Some(tail) => {
+                    self.close_packet();
+                    header = tail;
+                    payload = rest;
+                }
+            }
+        }
+    }
+
+    /// Appends a retained chunk.
+    fn chunk(&mut self, c: &Chunk) -> Result<(), CoreError> {
+        self.push(c.header, &c.payload, |_, _, _, _| {})
+    }
+
+    /// Appends a whole retained TPDU: its pieces, then its ED chunk.
+    fn tpdu(&mut self, t: &Tpdu) -> Result<(), CoreError> {
+        t.chunks.iter().try_for_each(|c| self.chunk(c))?;
+        self.chunk(&t.ed)
+    }
+
+    fn finish(mut self) -> Vec<Packet> {
+        self.close_packet();
+        self.packets
+    }
+}
+
 /// The chunk transport sender for one connection.
 #[derive(Debug)]
 pub struct Sender {
     cfg: SenderConfig,
     framer: Framer,
-    /// Unacknowledged TPDUs by connection-space start.
+    /// Unacknowledged TPDUs by connection-space start. Their payloads are
+    /// views into the packets of their first transmission.
     pending: BTreeMap<u64, Tpdu>,
+    /// The packets the last `submit` built, for as long as `pending` is
+    /// exactly that submit's TPDUs; empty otherwise.
+    first_tx: Vec<Packet>,
     /// Current adaptive TPDU size in elements.
     tpdu_elements: u32,
     /// TPDUs retransmitted.
@@ -56,15 +217,12 @@ pub struct Sender {
 impl Sender {
     /// Creates a sender.
     pub fn new(cfg: SenderConfig) -> Self {
-        let params = ConnectionParams {
-            tpdu_elements: cfg.params.tpdu_elements,
-            ..cfg.params
-        };
         Sender {
             tpdu_elements: cfg.params.tpdu_elements,
-            framer: Framer::new(params, cfg.layout),
+            framer: Framer::new(cfg.params, cfg.layout),
             cfg,
             pending: BTreeMap::new(),
+            first_tx: Vec::new(),
             retransmissions: 0,
             shed: 0,
         }
@@ -80,17 +238,81 @@ impl Sender {
         self.pending.len()
     }
 
-    /// Queues application data (covered by `alf` frames) for transmission.
-    /// Returns the newly framed TPDUs' starts.
+    /// Queues application data (covered by `alf` frames) for transmission:
+    /// frames it, folds it and packetizes it in one walk over `data` (module
+    /// docs). Returns the newly framed TPDUs' starts.
     pub fn submit(&mut self, data: &[u8], alf: &[AlfFrame], close: bool) -> Vec<u64> {
         // The framer's TPDU size follows the loss adapter.
         self.framer.set_tpdu_elements(self.tpdu_elements);
-        let tpdus = self.framer.frame_stream(data, alf, close);
-        let mut starts = Vec::with_capacity(tpdus.len());
-        for t in tpdus {
-            starts.push(t.start);
-            self.pending.insert(t.start, t);
+        // An MTU too small for one element or for an ED chunk is reported by
+        // the calls that return packets, never here: the pieces are cut for
+        // the smallest MTU that works and nothing built here is handed out.
+        let element = (self.cfg.params.elem_size as usize).max(ED_LEN);
+        let cut_mtu = self.cfg.mtu.max(WIRE_HEADER_LEN + element);
+        let reusable = self.pending.is_empty() && cut_mtu == self.cfg.mtu;
+
+        let mut packer = Packer::new(cut_mtu);
+        let mut inv = TpduInvariant::new(self.cfg.layout).expect("layout fits");
+        // Every extent written, as (packet, label, payload range in it), and
+        // every TPDU closed, with the number of extents written by then.
+        let mut extents: Vec<(usize, ChunkHeader, Range<usize>)> = Vec::new();
+        let mut closed: Vec<(u64, u32, u32, usize)> = Vec::new();
+        self.framer
+            .walk(data.len(), alf, close, |label| match label {
+                Label::Data { header, bytes } => packer
+                    .push(header, &data[bytes], |packet, piece, at, written| {
+                        // Folded where it was just written, in L1.
+                        inv.absorb_chunk(piece, written)
+                            .expect("framer stays inside the layout");
+                        extents.push((packet, *piece, at..at + written.len()));
+                    })
+                    .expect("the cut MTU holds one element"),
+                Label::Close {
+                    start,
+                    t_id,
+                    elements,
+                    ed,
+                } => {
+                    packer
+                        .push(ed, &inv.digest(), |packet, ed, at, digest| {
+                            extents.push((packet, *ed, at..at + digest.len()));
+                        })
+                        .expect("the cut MTU holds an ED chunk");
+                    inv.reset();
+                    closed.push((start, t_id, elements, extents.len()));
+                }
+            });
+        // This submit's last packet closes with it: every buffer is frozen,
+        // so every extent can become a view.
+        let mut packets = packer.finish();
+        packets.shrink_to_fit();
+
+        let mut starts = Vec::with_capacity(closed.len());
+        let mut resolved = 0;
+        let mut views = extents.into_iter().map(|(packet, header, range)| Chunk {
+            header,
+            payload: packets[packet].bytes.slice(range),
+        });
+        for (start, t_id, elements, end) in closed {
+            let pieces = end - resolved - 1;
+            let mut chunks = Vec::with_capacity(pieces);
+            chunks.extend(views.by_ref().take(pieces));
+            let ed = views.next().expect("a TPDU's last extent is its ED chunk");
+            resolved = end;
+            starts.push(start);
+            self.pending.insert(
+                start,
+                Tpdu {
+                    start,
+                    t_id,
+                    elements,
+                    chunks,
+                    ed,
+                },
+            );
         }
+        drop(views);
+        self.first_tx = if reusable { packets } else { Vec::new() };
         starts
     }
 
@@ -108,41 +330,43 @@ impl Sender {
     }
 
     /// Packs every pending TPDU into packets for the path MTU (the initial
-    /// transmission or a full retransmission pass).
+    /// transmission or a full retransmission pass). While the pending set is
+    /// one submit's TPDUs these are that submit's packets, handed out again.
     pub fn packets_for_pending(&self) -> Result<Vec<Packet>, CoreError> {
-        let chunks = self
-            .pending
-            .values()
-            .flat_map(|t| t.all_chunks())
-            .collect::<Vec<_>>();
-        pack(chunks, self.cfg.mtu)
+        if !self.first_tx.is_empty() {
+            return Ok(self.first_tx.clone());
+        }
+        let mut packer = Packer::new(self.cfg.mtu);
+        self.pending.values().try_for_each(|t| packer.tpdu(t))?;
+        Ok(packer.finish())
     }
 
     /// Packs the TPDUs named by `starts` for retransmission — identical
     /// identifiers, as §3.3 requires.
     pub fn retransmit(&mut self, starts: &[u64]) -> Result<Vec<Packet>, CoreError> {
-        let mut chunks = Vec::new();
+        let mut packer = Packer::new(self.cfg.mtu);
         for s in starts {
             if let Some(t) = self.pending.get(s) {
-                chunks.extend(t.all_chunks());
+                packer.tpdu(t)?;
                 self.retransmissions += 1;
             }
         }
-        pack(chunks, self.cfg.mtu)
+        Ok(packer.finish())
     }
 
     /// Applies an acknowledgment; returns the starts newly confirmed.
     pub fn handle_ack(&mut self, ack: &AckInfo) -> Vec<u64> {
-        let mut confirmed = Vec::new();
-        let acked: Vec<u64> = self
+        let confirmed: Vec<u64> = self
             .pending
             .iter()
             .filter(|(&s, t)| ack.acknowledges(s, s + t.elements as u64))
             .map(|(&s, _)| s)
             .collect();
-        for s in acked {
-            self.pending.remove(&s);
-            confirmed.push(s);
+        for s in &confirmed {
+            self.pending.remove(s);
+        }
+        if !confirmed.is_empty() {
+            self.first_tx = Vec::new();
         }
         confirmed
     }
@@ -164,6 +388,7 @@ impl Sender {
     pub fn abandon(&mut self, start: u64) -> bool {
         if self.pending.remove(&start).is_some() {
             self.shed += 1;
+            self.first_tx = Vec::new();
             true
         } else {
             false
@@ -196,7 +421,7 @@ impl Sender {
         ack: &crate::ack::AckInfo,
         max_tpdus: usize,
     ) -> Result<(Vec<Packet>, Vec<u64>), CoreError> {
-        let mut chunks = Vec::new();
+        let mut packer = Packer::new(self.cfg.mtu);
         let mut repaired: Vec<u64> = Vec::new();
         for (&start, tpdu) in &self.pending {
             if repaired.len() >= max_tpdus {
@@ -209,32 +434,34 @@ impl Sender {
             repaired.push(start);
             if ack.need_ed.contains(&start) {
                 // Data arrived; only the 8-byte digest is missing.
-                chunks.push(tpdu.ed.clone());
+                packer.chunk(&tpdu.ed)?;
                 continue;
             }
-            let overlapping: Vec<(u64, u64)> = ack
+            let mut overlapping = ack
                 .gaps
                 .iter()
                 .filter(|&&(lo, hi)| lo < end && start < hi)
-                .copied()
-                .collect();
-            if overlapping.is_empty() {
+                .peekable();
+            if overlapping.peek().is_none() {
                 // The report does not mention this TPDU at all: its packets
                 // vanished before the receiver learned they exist, so it
                 // cannot nack what it never saw. Full retransmission.
-                chunks.extend(tpdu.all_chunks());
+                packer.tpdu(tpdu)?;
                 continue;
             }
             // Precise sub-chunk repair (Appendix C extraction); the ED chunk
             // rides along so a receiver that lost it can still verify.
-            for &(lo, hi) in &overlapping {
+            for &(lo, hi) in overlapping {
                 let want_lo = lo.max(start);
                 let want_hi = hi.min(end);
                 if want_lo >= want_hi {
                     continue;
                 }
+                // Each gap's repair is its own chunk(s), even when two gaps
+                // abut; within a gap, pieces run on into one another.
+                packer.break_run();
                 for c in &tpdu.chunks {
-                    // Chunk covers [c_lo, c_hi) in connection space.
+                    // Piece covers [c_lo, c_hi) in connection space.
                     let c_lo = start + c.header.tpdu.sn as u64;
                     let c_hi = c_lo + c.header.len as u64;
                     let take_lo = want_lo.max(c_lo);
@@ -242,17 +469,17 @@ impl Sender {
                     if take_lo >= take_hi {
                         continue;
                     }
-                    chunks.push(chunks_core::frag::extract(
+                    packer.chunk(&extract(
                         c,
                         (take_lo - c_lo) as u32,
                         (take_hi - take_lo) as u32,
-                    )?);
+                    )?)?;
                 }
             }
-            chunks.push(tpdu.ed.clone());
+            packer.chunk(&tpdu.ed)?;
         }
         self.retransmissions += repaired.len() as u64;
-        Ok((pack(chunks, self.cfg.mtu)?, repaired))
+        Ok((packer.finish(), repaired))
     }
 
     /// Loss feedback: halve the TPDU size (multiplicative decrease), so
@@ -392,5 +619,78 @@ mod tests {
         }
         assert_eq!(&r.app_data()[..16], b"aaaaaaaabbbbbbbb");
         assert_eq!(r.make_ack().cumulative, 16);
+    }
+
+    #[test]
+    fn retained_pieces_are_views_of_the_first_transmission() {
+        // 120 wire bytes a TPDU into 100-byte packets: TPDUs straddle them.
+        let c = cfg(100, 48);
+        let mut s = Sender::new(c);
+        s.submit_simple(&[9u8; 200], 0xF, false);
+        let packets = s.packets_for_pending().unwrap();
+        assert!(s.pending.values().any(|t| t.chunks.len() > 1));
+        for t in s.pending.values() {
+            for piece in t.chunks.iter().chain([&t.ed]) {
+                let at = piece.payload.as_ptr();
+                assert!(
+                    packets.iter().any(|p| p.bytes.as_ptr_range().contains(&at)),
+                    "piece {} is not a view of any packet",
+                    piece.header
+                );
+            }
+        }
+        // Handing the packets out again hands out the same buffers.
+        let again = s.packets_for_pending().unwrap();
+        assert!(packets
+            .iter()
+            .zip(&again)
+            .all(|(a, b)| a.bytes.as_ptr() == b.bytes.as_ptr()));
+    }
+
+    #[test]
+    fn repacked_pieces_equal_the_uncut_chunks_packed() {
+        use chunks_core::packet::pack;
+        let c = cfg(100, 48);
+        let data: Vec<u8> = (0..200u8).collect();
+        let mut s = Sender::new(c);
+        s.submit_simple(&data, 0xF, false);
+        let uncut = Framer::new(c.params, c.layout).frame_simple(&data, 0xF, false);
+        // The first TPDU is acknowledged: what is left starts a packet of
+        // its own, so no first-transmission cut is where `pack` would cut.
+        s.handle_ack(&AckInfo {
+            cumulative: 48,
+            ..AckInfo::default()
+        });
+        let rest: Vec<_> = uncut[1..].iter().flat_map(|t| t.all_chunks()).collect();
+        assert_eq!(s.packets_for_pending().unwrap(), pack(rest, c.mtu).unwrap());
+        let last = uncut.last().unwrap();
+        assert_eq!(
+            s.retransmit(&[last.start]).unwrap(),
+            pack(last.all_chunks(), c.mtu).unwrap()
+        );
+    }
+
+    #[test]
+    fn an_mtu_too_small_is_an_error_from_the_packet_calls_not_a_panic_in_submit() {
+        // 36 bytes hold a header and a one-byte element but not the 40-byte
+        // ED chunk; 45 hold the ED chunk but not a 16-byte element.
+        for (mtu, elem_size, refused) in [(36, 1u16, 8u16), (45, 16, 16)] {
+            let mut c = cfg(mtu, 4);
+            c.params.elem_size = elem_size;
+            let mut s = Sender::new(c);
+            let starts = s.submit_simple(&[5u8; 64], 0xF, false);
+            assert_eq!(s.pending_tpdus(), starts.len());
+            let err = CoreError::ElementExceedsMtu { size: refused, mtu };
+            assert_eq!(s.packets_for_pending().unwrap_err(), err);
+            assert_eq!(s.retransmit(&starts).unwrap_err(), err);
+            assert_eq!(s.retransmit_for_ack(&AckInfo::default()).unwrap_err(), err);
+            // The window still works: an ack clears it.
+            let all = AckInfo {
+                cumulative: 64,
+                ..AckInfo::default()
+            };
+            assert_eq!(s.handle_ack(&all), starts);
+            assert!(s.packets_for_pending().unwrap().is_empty());
+        }
     }
 }

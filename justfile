@@ -115,17 +115,21 @@ health:
 # is run three times on each, alternating which side goes first, and
 # `ledger compare` judges each pair against BENCHMARK.json's bounds. A
 # claim of gain is made on alternating pairs, never a single run (the
-# box's A/A spread is 3-14 %). ~2.5 min a pair.
+# box's A/A spread is 3-14 %). ~2.5 min a pair. A gain claim must also
+# show the other workloads did not move: `just ab REF all` runs the four
+# on each side (~10 min a pair) and `ledger compare` prints every
+# workload's rows.
 ab REF WORKLOAD='bulk-clean':
     git worktree remove --force target/ab-ref 2>/dev/null || true
     git worktree add --detach target/ab-ref {{REF}}
     cargo build --release -p chunks-ledger
     cargo build --release -p chunks-ledger --manifest-path target/ab-ref/Cargo.toml
+    if [ {{WORKLOAD}} = all ]; then which=""; else which="--workload {{WORKLOAD}}"; fi; \
     for i in 1 2 3; do \
         if [ $((i % 2)) -eq 1 ]; then order="ref change"; else order="change ref"; fi; \
         for side in $order; do \
             if [ $side = ref ]; then bin=target/ab-ref/target/release/ledger; else bin=target/release/ledger; fi; \
-            $bin run --workload {{WORKLOAD}} --out target/ab-$side.$i.json > /dev/null || exit 1; \
+            $bin run $which --out target/ab-$side.$i.json > /dev/null || exit 1; \
         done; \
         target/release/ledger compare target/ab-ref.$i.json target/ab-change.$i.json || exit 1; \
     done

@@ -18,6 +18,11 @@ thread_local! {
     /// traffic, whatever else the process runs beside it; const-init
     /// and `Drop`-free, so touching it never allocates.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread has asked the heap for, and bytes it has handed
+    /// back: a window that allocates and frees on one thread reads what it
+    /// requested and what it still holds, whatever other threads do.
+    static REQUESTED: Cell<u64> = const { Cell::new(0) };
+    static RELEASED: Cell<u64> = const { Cell::new(0) };
 }
 /// Bytes currently live on the heap (allocated minus deallocated),
 /// process-wide: memory freed by another thread is still freed.
@@ -27,7 +32,13 @@ fn count_alloc(bytes: usize) {
     // `try_with` only fails during thread teardown; nothing measures
     // there.
     let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+    let _ = REQUESTED.try_with(|c| c.set(c.get() + bytes as u64));
     LIVE_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+}
+
+fn count_free(bytes: usize) {
+    let _ = RELEASED.try_with(|c| c.set(c.get() + bytes as u64));
+    LIVE_BYTES.fetch_sub(bytes as u64, Ordering::Relaxed);
 }
 
 /// `System`, with every allocation counted.
@@ -48,12 +59,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
         // A grow-in-place still counts: the steady state must not even
         // ask.
         count_alloc(new_size);
-        LIVE_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
+        count_free(layout.size());
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
+        count_free(layout.size());
         System.dealloc(ptr, layout)
     }
 }
@@ -61,6 +72,17 @@ unsafe impl GlobalAlloc for CountingAlloc {
 /// Allocations the calling thread has made so far.
 pub fn allocs() -> u64 {
     ALLOCS.try_with(Cell::get).unwrap_or(0)
+}
+
+/// Bytes the calling thread has requested from the heap so far (every
+/// allocation's size, a reallocation's new size included).
+pub fn requested_bytes() -> u64 {
+    REQUESTED.try_with(Cell::get).unwrap_or(0)
+}
+
+/// Bytes the calling thread has returned to the heap so far.
+pub fn released_bytes() -> u64 {
+    RELEASED.try_with(Cell::get).unwrap_or(0)
 }
 
 /// Bytes currently live on the heap; only meaningful while the counting

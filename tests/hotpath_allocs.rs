@@ -392,3 +392,80 @@ fn parallel_receive_with_always_on_obs_is_allocation_free() {
     assert!(snap.counter("transport.parallel.packets") > 0);
     assert!(snap.counter("transport.rx.chunks_accepted") > 0);
 }
+
+#[test]
+fn transmit_side_touches_the_heap_once_per_packet_and_retains_the_wire_image() {
+    // The transmit side of the one-pass claim: `submit` builds the packets
+    // that leave and keeps them as the retransmission store, so the only
+    // payload-sized memory it asks for is the packet buffers, the sender
+    // holds the wire image once, and handing the packets out is a list of
+    // handles.
+    const MESSAGE: usize = 1 << 20;
+    const TPDU: u32 = 8 << 10;
+    const BIG_MTU: usize = 9000;
+    let message: Vec<u8> = (0..MESSAGE).map(|i| (i * 31 + 7) as u8).collect();
+    let cfg = SenderConfig {
+        params: ConnectionParams {
+            tpdu_elements: TPDU,
+            ..params(1)
+        },
+        layout: layout(),
+        mtu: BIG_MTU,
+        min_tpdu_elements: 64,
+        max_tpdu_elements: TPDU,
+    };
+    // A throwaway pass first: the field's lazily built tables are the
+    // process's, not this submit's.
+    Sender::new(cfg).submit_simple(&message, 1, false);
+    let mut tx = Sender::new(cfg);
+
+    let held_before = alloc_count::requested_bytes() - alloc_count::released_bytes();
+    let (allocs_before, requested_before) = (alloc_count::allocs(), alloc_count::requested_bytes());
+    let starts = tx.submit_simple(&message, 1, false);
+    let submit_allocs = alloc_count::allocs() - allocs_before;
+    let submit_requested = alloc_count::requested_bytes() - requested_before;
+
+    // (a) The first transmission is the packets `submit` built: one
+    // allocation, the list of handles.
+    let before = alloc_count::allocs();
+    let packets = tx.packets_for_pending().expect("clean stream packs");
+    assert_eq!(alloc_count::allocs() - before, 1, "the handle list");
+
+    let wire: usize = packets.iter().map(Packet::len).sum();
+    let tpdus = starts.len() as u64;
+    assert_eq!(tpdus, (MESSAGE as u64).div_ceil(TPDU as u64));
+    assert_eq!(chunk_count(&packets), 2 * tpdus + packets.len() as u64 - 1);
+
+    // (b) Per packet: its buffer, the shared owner that makes it `Bytes`,
+    // and for a packet that closed short of the MTU the trim that gives the
+    // slack back. Per TPDU: its list of pieces. What is left over is the
+    // B-tree's nodes and the doubling of three scratch lists.
+    let short = packets.iter().filter(|p| p.len() < BIG_MTU).count() as u64;
+    let pinned = 2 * packets.len() as u64 + short + tpdus;
+    assert!(
+        (pinned..=pinned + 64).contains(&submit_allocs),
+        "{submit_allocs} allocations in submit, {pinned} accounted for"
+    );
+    // No second copy of the payload, however briefly: beyond the packet
+    // buffers (each reserved at the MTU, the short ones requested again at
+    // their trimmed size) `submit` asks for bookkeeping only.
+    let buffers: usize = packets
+        .iter()
+        .map(|p| BIG_MTU + if p.len() < BIG_MTU { p.len() } else { 0 })
+        .sum();
+    let bookkeeping = submit_requested - buffers as u64;
+    assert!(
+        bookkeeping < MESSAGE as u64 / 4,
+        "{bookkeeping} B requested beyond the packet buffers"
+    );
+
+    // (c) Sender and handed-out packets together hold the wire image once.
+    // The 5.4 % on top of it is labels, not payload: per TPDU a `Tpdu` and
+    // its B-tree slot (~240 B at the tree's half-full nodes) and a 72-byte
+    // `Chunk` per piece, per packet a 40-byte owner and two 24-byte handles.
+    let held = alloc_count::requested_bytes() - alloc_count::released_bytes() - held_before;
+    assert!(
+        (wire as f64..=1.06 * wire as f64).contains(&(held as f64)),
+        "{held} B held for {wire} B on the wire"
+    );
+}

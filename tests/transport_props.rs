@@ -2,12 +2,16 @@
 //! loss/duplication/reorder pattern, retransmission with identical labels
 //! converges and the delivered bytes equal the sent bytes.
 
-use chunks::core::frag::split;
+use std::collections::BTreeMap;
+
+use chunks::core::chunk::Chunk;
+use chunks::core::error::CoreError;
+use chunks::core::frag::{extract, split};
 use chunks::core::label::ChunkType;
-use chunks::core::packet::unpack;
+use chunks::core::packet::{pack, unpack, Packet};
 use chunks::transport::{
-    ConnectionParams, DegradePolicy, DeliveryMode, Receiver, RetransmitTimer, RtoConfig, Sender,
-    SenderConfig, Session, StreamReceiver,
+    AckInfo, AlfFrame, ConnectionParams, DegradePolicy, DeliveryMode, Framer, Receiver,
+    RetransmitTimer, RtoConfig, Sender, SenderConfig, Session, StreamReceiver, Tpdu,
 };
 use chunks::wsc::InvariantLayout;
 use proptest::prelude::*;
@@ -25,8 +29,230 @@ fn layout() -> InvariantLayout {
     InvariantLayout::with_data_symbols(2048)
 }
 
+/// The reference the sender's packets are held to: the framer's uncut TPDUs
+/// in a map, packed by `chunks_core::packet::pack` — the chain `Sender` was
+/// built from before it kept the wire image.
+struct ReferenceSender {
+    framer: Framer,
+    pending: BTreeMap<u64, Tpdu>,
+    mtu: usize,
+}
+
+impl ReferenceSender {
+    fn submit(
+        &mut self,
+        tpdu_elements: u32,
+        data: &[u8],
+        alf: &[AlfFrame],
+        close: bool,
+    ) -> Vec<u64> {
+        self.framer.set_tpdu_elements(tpdu_elements);
+        let tpdus = self.framer.frame_stream(data, alf, close);
+        let starts = tpdus.iter().map(|t| t.start).collect();
+        self.pending.extend(tpdus.into_iter().map(|t| (t.start, t)));
+        starts
+    }
+
+    fn whole(&self, starts: impl IntoIterator<Item = u64>) -> Result<Vec<Packet>, CoreError> {
+        let tpdus = starts.into_iter().filter_map(|s| self.pending.get(&s));
+        pack(tpdus.flat_map(Tpdu::all_chunks).collect(), self.mtu)
+    }
+
+    fn ack(&mut self, ack: &AckInfo) {
+        self.pending
+            .retain(|&s, t| !ack.acknowledges(s, s + t.elements as u64));
+    }
+
+    /// What the sender answers a receiver report with: the digest alone
+    /// where only it is missing, every uncut chunk cut down to each named
+    /// gap, the whole TPDU where the report names nothing of it.
+    fn repair(&self, ack: &AckInfo) -> Result<Vec<Packet>, CoreError> {
+        let mut chunks: Vec<Chunk> = Vec::new();
+        for (&start, t) in &self.pending {
+            let end = start + t.elements as u64;
+            if ack.acknowledges(start, end) {
+                continue;
+            }
+            if ack.need_ed.contains(&start) {
+                chunks.push(t.ed.clone());
+                continue;
+            }
+            let gaps: Vec<_> = ack
+                .gaps
+                .iter()
+                .filter(|g| g.0 < end && start < g.1)
+                .collect();
+            if gaps.is_empty() {
+                chunks.extend(t.all_chunks());
+                continue;
+            }
+            for &&(lo, hi) in &gaps {
+                for c in &t.chunks {
+                    let c_lo = start + c.header.tpdu.sn as u64;
+                    let (take_lo, take_hi) = (lo.max(c_lo), hi.min(c_lo + c.header.len as u64));
+                    if take_lo < take_hi {
+                        chunks.push(extract(
+                            c,
+                            (take_lo - c_lo) as u32,
+                            (take_hi - take_lo) as u32,
+                        )?);
+                    }
+                }
+            }
+            chunks.push(t.ed.clone());
+        }
+        pack(chunks, self.mtu)
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn sender_packets_equal_the_reference_packing_whatever_the_call_sequence(
+        size_idx in 0usize..4,
+        tpdu_elements in 1u32..48,
+        seed in any::<u64>(),
+    ) {
+        // The sender keeps its TPDUs as pieces of first-transmission
+        // packets and re-packs those; the reference keeps uncut chunks. The
+        // bytes on the wire must not tell the two apart after any sequence
+        // of calls, at any MTU — down to one that holds a data element but
+        // not an ED chunk, which both must refuse with the same error.
+        let mut state = seed | 1;
+        let mut draw = |n: u64| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            (state >> 33) % n
+        };
+        let esize = [1u16, 2, 4, 8][size_idx];
+        let min_mtu = 32 + esize as u64;
+        let mtu = min_mtu + if draw(2) == 0 { draw(96) } else { draw(9000 - min_mtu + 1) };
+        let p = ConnectionParams {
+            conn_id: 0xC4,
+            elem_size: esize,
+            initial_csn: u32::MAX - 300, // C.SN wraps mid-script
+            tpdu_elements,
+        };
+        let mut tx = Sender::new(SenderConfig {
+            params: p,
+            layout: layout(),
+            mtu: mtu as usize,
+            min_tpdu_elements: 1,
+            max_tpdu_elements: 64,
+        });
+        let mut model = ReferenceSender {
+            framer: Framer::new(p, layout()),
+            pending: BTreeMap::new(),
+            mtu: mtu as usize,
+        };
+        let mode = [DeliveryMode::Reorder, DeliveryMode::Reassemble][draw(2) as usize];
+        let mut rx = Receiver::new(mode, p, layout(), 8192);
+        let mut sent: Vec<u8> = Vec::new();
+        let mut open_left = 0u64; // elements of an ALF frame left open
+        let mut next_x_id = 1u32;
+        let mut refused = false;
+
+        for step in 0..4 + draw(12) {
+            let starts: Vec<u64> = model.pending.keys().copied().collect();
+            let packets = match draw(8) {
+                0..=2 => {
+                    let elements = draw(3 * tpdu_elements as u64 + 2);
+                    let data: Vec<u8> = (0..elements * esize as u64).map(|_| draw(256) as u8).collect();
+                    // Random ALF cuts; the last frame may run past the data
+                    // and stay open into the next submit.
+                    let mut alf = Vec::new();
+                    let mut covered = open_left;
+                    while covered < elements {
+                        let slack = draw(2) * 7;
+                        let len = 1 + draw(elements - covered + slack);
+                        alf.push(AlfFrame { id: next_x_id, len_elements: len as u32 });
+                        covered += len;
+                        next_x_id += 1;
+                    }
+                    open_left = covered - elements;
+                    let close = draw(8) == 0;
+                    match draw(4) {
+                        0 => tx.on_loss(),
+                        1 => tx.on_success(),
+                        _ => {}
+                    }
+                    let expect = model.submit(tx.tpdu_elements(), &data, &alf, close);
+                    prop_assert_eq!(tx.submit(&data, &alf, close), expect, "step {}", step);
+                    sent.extend_from_slice(&data);
+                    None
+                }
+                3 => {
+                    let ack = AckInfo {
+                        cumulative: draw(sent.len() as u64 / esize as u64 + 1),
+                        sacks: starts.iter().copied().filter(|_| draw(6) == 0).collect(),
+                        ..AckInfo::default()
+                    };
+                    model.ack(&ack);
+                    tx.handle_ack(&ack);
+                    None
+                }
+                4 => {
+                    let victim = starts.get(draw(starts.len() as u64 + 1) as usize).copied();
+                    let victim = victim.unwrap_or(u64::MAX);
+                    prop_assert_eq!(tx.abandon(victim), model.pending.remove(&victim).is_some());
+                    None
+                }
+                5 => {
+                    // Any order, repeats and unknown starts included.
+                    let mut named: Vec<u64> = (0..draw(4)).map(|_| draw(sent.len() as u64 + 1)).collect();
+                    named.extend(starts.iter().rev().filter(|_| draw(2) == 0));
+                    let got = tx.retransmit(&named);
+                    prop_assert_eq!(&got, &model.whole(named), "step {} retransmit", step);
+                    Some(got)
+                }
+                6 => {
+                    let elements = sent.len() as u64 / esize as u64;
+                    let ack = AckInfo {
+                        cumulative: draw(elements + 1),
+                        gaps: (0..draw(5))
+                            .flat_map(|_| {
+                                let lo = draw(elements + 1);
+                                let hi = lo + draw(2 * tpdu_elements as u64 + 1);
+                                // Abutting gaps: two repairs, never one.
+                                [(lo, hi), (hi, hi + draw(4))]
+                            })
+                            .collect(),
+                        need_ed: starts.iter().copied().filter(|_| draw(5) == 0).collect(),
+                        ..AckInfo::default()
+                    };
+                    let got = tx.retransmit_for_ack(&ack);
+                    prop_assert_eq!(&got, &model.repair(&ack), "step {} repair", step);
+                    Some(got)
+                }
+                _ => None,
+            };
+            let pending = tx.packets_for_pending();
+            prop_assert_eq!(&pending, &model.whole(model.pending.keys().copied()), "step {}", step);
+            prop_assert_eq!(tx.unacked_starts(), model.pending.keys().copied().collect::<Vec<_>>());
+            // Everything that leaves the sender reaches the receiver, so
+            // TPDUs arrive cut one way, then another, then in part.
+            for list in packets.into_iter().chain([pending]) {
+                match list {
+                    Ok(list) => list.iter().for_each(|p| drop(rx.handle_packet(p, step))),
+                    Err(e) => {
+                        prop_assert!(mtu < 40, "{:?} at mtu {}", e, mtu);
+                        refused = true;
+                    }
+                }
+            }
+        }
+        // Cut-independence by delivery: whatever is still pending went out
+        // whole after the last step, so it must have verified and its bytes
+        // must be the ones submitted.
+        prop_assert_eq!(rx.stats.tpdus_failed, 0);
+        if !refused {
+            let data = rx.app_data();
+            for (&start, t) in &model.pending {
+                let span = start as usize * esize as usize..(start + t.elements as u64) as usize * esize as usize;
+                prop_assert_eq!(&data[span.clone()], &sent[span], "TPDU at {}", start);
+            }
+        }
+    }
 
     #[test]
     fn reliable_delivery_under_arbitrary_loss(
