@@ -9,10 +9,10 @@
 
 use bytes::Bytes;
 
-use crate::chunk::Chunk;
+use crate::chunk::{Chunk, ChunkHeader};
 use crate::error::CoreError;
-use crate::frag::split;
-use crate::wire::{decode_chunk, decode_header, encode_chunk, validated_len, WIRE_HEADER_LEN};
+use crate::frag::split_header;
+use crate::wire::{decode_chunk, decode_header, encode_header, validated_len, WIRE_HEADER_LEN};
 
 /// A packet: the atomic physical unit exchanged between protocol processors.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -35,6 +35,10 @@ impl Packet {
 }
 
 /// Incrementally fills a packet with chunks up to an MTU.
+///
+/// The buffer is allocated by the first chunk written, so a builder that is
+/// never written to — and one handed back by [`take_bytes`](Self::take_bytes)
+/// — costs nothing.
 #[derive(Debug)]
 pub struct PacketBuilder {
     mtu: usize,
@@ -46,7 +50,7 @@ impl PacketBuilder {
     pub fn new(mtu: usize) -> Self {
         PacketBuilder {
             mtu,
-            buf: Vec::with_capacity(mtu.min(9216)),
+            buf: Vec::new(),
         }
     }
 
@@ -70,13 +74,82 @@ impl PacketBuilder {
         ((rem - WIRE_HEADER_LEN) / size as usize) as u32
     }
 
+    fn write(&mut self, header: &ChunkHeader, payload: &[u8]) {
+        if self.buf.capacity() == 0 {
+            self.buf.reserve_exact(self.mtu.min(9216));
+        }
+        encode_header(header, &mut self.buf);
+        self.buf.extend_from_slice(payload);
+    }
+
     /// Adds a whole chunk. Returns the chunk back when it does not fit.
     pub fn push(&mut self, chunk: Chunk) -> Result<(), Chunk> {
         if chunk.wire_len() > self.remaining() {
             return Err(chunk);
         }
-        encode_chunk(&chunk, &mut self.buf);
+        self.write(&chunk.header, &chunk.payload);
         Ok(())
+    }
+
+    /// Writes as many leading elements of a borrowed chunk as fit — the
+    /// whole chunk, or the head of an Appendix C split ([`split_header`] and
+    /// a sub-slice; no [`Chunk`] is built) — and returns what is left over:
+    /// `None` when the whole chunk went in, the chunk itself when nothing
+    /// did (no room for one element, or a control chunk, which is
+    /// indivisible). This is the one step of the greedy first-fit.
+    pub fn push_fitting<'a>(
+        &mut self,
+        header: ChunkHeader,
+        payload: &'a [u8],
+    ) -> Option<(ChunkHeader, &'a [u8])> {
+        if WIRE_HEADER_LEN + payload.len() <= self.remaining() {
+            self.write(&header, payload);
+            return None;
+        }
+        let fit = self.fit_elements(header.size);
+        if fit == 0 || header.ty.is_control() {
+            return Some((header, payload));
+        }
+        // `fit < LEN` whenever the payload is the `SIZE * LEN` bytes the
+        // header claims; a chunk built otherwise is left to the caller.
+        let Ok((head, tail)) = split_header(&header, fit) else {
+            return Some((header, payload));
+        };
+        let (taken, rest) = payload.split_at(head.payload_len());
+        self.write(&head, taken);
+        Some((tail, rest))
+    }
+
+    /// Places one borrowed chunk greedily: what fits goes into the packet
+    /// under construction, each packet that fills is handed to `emit` as the
+    /// buffer it was written into, and the chunk's last piece stays in the
+    /// builder for the next chunk to share. Fails, with the pieces already
+    /// emitted standing, when an element (or control chunk) exceeds even an
+    /// empty packet.
+    pub fn place(
+        &mut self,
+        header: ChunkHeader,
+        payload: &[u8],
+        mut emit: impl FnMut(Vec<u8>),
+    ) -> Result<(), CoreError> {
+        let mut left = self.push_fitting(header, payload);
+        while let Some((header, payload)) = left {
+            if self.is_empty() {
+                return Err(CoreError::ElementExceedsMtu {
+                    size: header.size,
+                    mtu: self.mtu,
+                });
+            }
+            emit(self.take_bytes());
+            left = self.push_fitting(header, payload);
+        }
+        Ok(())
+    }
+
+    /// Hands back the bytes written so far and leaves the builder empty,
+    /// ready for the next packet of the same MTU.
+    pub fn take_bytes(&mut self) -> Vec<u8> {
+        std::mem::take(&mut self.buf)
     }
 
     /// Finishes the packet exactly as filled (no padding). The parser stops
@@ -100,41 +173,17 @@ impl PacketBuilder {
 }
 
 /// Packs a sequence of chunks into packets of at most `mtu` bytes, splitting
-/// chunks that do not fit (Appendix C via [`split`]). Greedy first-fit in
-/// the order given; the receiver does not care about placement.
+/// chunks that do not fit (Appendix C). Greedy first-fit in the order given
+/// ([`PacketBuilder::place`]); the receiver does not care about placement.
 pub fn pack(chunks: Vec<Chunk>, mtu: usize) -> Result<Vec<Packet>, CoreError> {
     let mut packets = Vec::new();
     let mut builder = PacketBuilder::new(mtu);
-    for mut chunk in chunks {
-        loop {
-            // Fast path: the whole chunk fits.
-            match builder.push(chunk) {
-                Ok(()) => break,
-                Err(back) => chunk = back,
-            }
-            // Split off as many elements as fit in the current packet.
-            let fit = builder.fit_elements(chunk.header.size);
-            if fit == 0 || chunk.header.ty.is_control() {
-                // No room (or control is indivisible): start a new packet.
-                if builder.is_empty() {
-                    // Even an empty packet cannot take one element.
-                    return Err(CoreError::ElementExceedsMtu {
-                        size: chunk.header.size,
-                        mtu,
-                    });
-                }
-                packets.push(std::mem::replace(&mut builder, PacketBuilder::new(mtu)).finish());
-                continue;
-            }
-            debug_assert!(fit < chunk.header.len);
-            let (head, tail) = split(&chunk, fit)?;
-            builder
-                .push(head)
-                .map_err(|_| CoreError::Truncated)
-                .expect("head sized to fit");
-            packets.push(std::mem::replace(&mut builder, PacketBuilder::new(mtu)).finish());
-            chunk = tail;
-        }
+    for chunk in &chunks {
+        builder.place(chunk.header, &chunk.payload, |bytes| {
+            packets.push(Packet {
+                bytes: bytes.into(),
+            })
+        })?;
     }
     if !builder.is_empty() {
         packets.push(builder.finish());
@@ -148,9 +197,9 @@ pub fn pack(chunks: Vec<Chunk>, mtu: usize) -> Result<Vec<Packet>, CoreError> {
 /// bytes after a marker must be zero padding. Trailing space smaller than a
 /// header is accepted only when all zero.
 ///
-/// This is the owned reference decode: senders, routers and examples use it
-/// where chunks must outlive the packet, and the tests compare the
-/// production walk ([`validate`] → [`spans`] →
+/// This is the owned reference decode: the merging router, baselines and
+/// examples use it where chunks must outlive the packet, and the tests
+/// compare the production walk ([`validate`] → [`spans`] →
 /// [`decode_chunk_at`](crate::wire::decode_chunk_at)) against it.
 pub fn unpack(packet: &Packet) -> Result<Vec<Chunk>, CoreError> {
     let mut chunks = Vec::new();
@@ -256,6 +305,7 @@ mod tests {
     use crate::chunk::{byte_chunk, Chunk, ChunkHeader};
     use crate::frag::ReassemblyPool;
     use crate::label::{ChunkType, FramingTuple};
+    use crate::wire::encode_chunk;
 
     fn data_chunk(len: u32) -> Chunk {
         let payload: Vec<u8> = (0..len as u8).collect();
@@ -464,5 +514,67 @@ mod tests {
         encode_chunk(&data_chunk(4), &mut raw);
         raw.extend_from_slice(&[0, 0, 0x99]);
         assert_spans_agree(&Packet { bytes: raw.into() });
+    }
+
+    /// `pack` as it stood before the borrowed-chunk packer: owned `split`s
+    /// pushed whole, a fresh buffer per packet.
+    fn pack_by_owned_splits(chunks: Vec<Chunk>, mtu: usize) -> Result<Vec<Vec<u8>>, CoreError> {
+        let mut packets = Vec::new();
+        let mut buf: Vec<u8> = Vec::new();
+        for mut chunk in chunks {
+            while chunk.wire_len() > mtu - buf.len() {
+                let room = (mtu - buf.len()).saturating_sub(WIRE_HEADER_LEN);
+                let fit = (room / chunk.header.size as usize) as u32;
+                if fit == 0 || chunk.header.ty.is_control() {
+                    if buf.is_empty() {
+                        return Err(CoreError::ElementExceedsMtu {
+                            size: chunk.header.size,
+                            mtu,
+                        });
+                    }
+                } else {
+                    let (head, tail) = crate::frag::split(&chunk, fit)?;
+                    encode_chunk(&head, &mut buf);
+                    chunk = tail;
+                }
+                packets.push(std::mem::take(&mut buf));
+            }
+            encode_chunk(&chunk, &mut buf);
+        }
+        if !buf.is_empty() {
+            packets.push(buf);
+        }
+        Ok(packets)
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        /// The borrowed-chunk first-fit places every byte where the owned
+        /// split loop did, and refuses what it refused.
+        #[test]
+        fn pack_equals_the_owned_split_loop(
+            shapes in proptest::collection::vec((0u8..6, 1u16..=9, 1u32..=50, 0u8..8, any::<u32>()), 0..12),
+            mtu in WIRE_HEADER_LEN..WIRE_HEADER_LEN + 120,
+        ) {
+            let chunks: Vec<Chunk> = shapes
+                .into_iter()
+                .map(|(kind, size, len, st, sn)| {
+                    let conn = FramingTuple::new(1, sn, st & 1 != 0);
+                    let tpdu = FramingTuple::new(2, sn ^ 0x55, st & 2 != 0);
+                    let ext = FramingTuple::new(3, !sn, st & 4 != 0);
+                    let header = if kind == 0 {
+                        ChunkHeader::control(ChunkType::ErrorDetection, 8, conn, tpdu, ext)
+                    } else {
+                        ChunkHeader::data(size, len, conn, tpdu, ext)
+                    };
+                    let payload: Vec<u8> = (0..header.payload_len()).map(|i| i as u8 ^ st).collect();
+                    Chunk::new(header, payload.into()).unwrap()
+                })
+                .collect();
+            let packed = pack(chunks.clone(), mtu)
+                .map(|packets| packets.iter().map(|p| p.bytes.to_vec()).collect::<Vec<_>>());
+            prop_assert_eq!(packed, pack_by_owned_splits(chunks, mtu));
+        }
     }
 }

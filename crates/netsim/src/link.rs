@@ -1,4 +1,11 @@
 //! Point-to-point links with faults, and multipath bundles that reorder.
+//!
+//! A link *moves* frames: `transmit_into` appends `(arrival, frame)` to a
+//! list its caller owns and the frame offered is the frame delivered — the
+//! only copy a link ever makes is a duplicate's extra one. Every fault is
+//! drawn from the link's own seeded RNG in a fixed order (loss; duplicate;
+//! then per copy: corrupt, its position and bit, jitter), so a seed names
+//! one run.
 
 use std::sync::Arc;
 
@@ -80,7 +87,7 @@ impl LinkConfig {
 }
 
 /// Counters accumulated by a link.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct LinkStats {
     /// Frames offered to the link.
     pub offered: u64,
@@ -135,8 +142,18 @@ impl Link {
     }
 
     /// Offers a frame at time `now`; returns zero or more `(arrival, frame)`
-    /// deliveries at the far end.
+    /// deliveries at the far end. Convenience over
+    /// [`transmit_into`](Self::transmit_into) for closed-loop drivers.
     pub fn transmit(&mut self, now: u64, frame: Vec<u8>) -> Vec<(u64, Vec<u8>)> {
+        let mut deliveries = Vec::with_capacity(1);
+        self.transmit_into(now, frame, &mut deliveries);
+        deliveries
+    }
+
+    /// Offers a frame at time `now` and appends its `(arrival, frame)`
+    /// deliveries at the far end to `out`. The frame is *moved* into its
+    /// delivery; only a duplicate's extra copy is cloned.
+    pub fn transmit_into(&mut self, now: u64, frame: Vec<u8>, out: &mut Vec<(u64, Vec<u8>)>) {
         self.stats.offered += 1;
         let labels = if self.obs_on {
             frame_labels(&frame)
@@ -148,7 +165,7 @@ impl Link {
             for l in &labels {
                 self.obs.span_open(now, SpanId::new(*l, Stage::Hop));
             }
-            return Vec::new();
+            return;
         }
         // Serialization: the transmitter is busy until the frame is on the
         // wire; queued frames wait.
@@ -161,18 +178,16 @@ impl Link {
             for l in &labels {
                 self.obs.span_open(now, SpanId::new(*l, Stage::Hop));
             }
-            return Vec::new();
+            return;
         }
 
-        let mut deliveries = Vec::with_capacity(1);
-        let copies = if self.rng.random::<f64>() < self.cfg.duplicate {
+        let extra = if self.rng.random::<f64>() < self.cfg.duplicate {
             self.stats.duplicated += 1;
-            2
+            Some(frame.clone())
         } else {
-            1
+            None
         };
-        for _ in 0..copies {
-            let mut f = frame.clone();
+        for mut f in extra.into_iter().chain(std::iter::once(frame)) {
             if self.rng.random::<f64>() < self.cfg.corrupt && !f.is_empty() {
                 let at = self.rng.random_range(0..f.len());
                 // Flip one nonzero bit so corruption is always a change.
@@ -193,9 +208,8 @@ impl Link {
                 self.obs.span_open(now, id);
                 self.obs.span_close(arrival, id);
             }
-            deliveries.push((arrival, f));
+            out.push((arrival, f));
         }
-        deliveries
     }
 }
 
@@ -269,8 +283,17 @@ impl MultipathLink {
         self.paths.iter().map(|p| p.cfg.mtu).min().unwrap_or(0)
     }
 
-    /// Stripes a frame onto the next sub-link.
+    /// Stripes a frame onto the next sub-link. Convenience over
+    /// [`transmit_into`](Self::transmit_into) for closed-loop drivers.
     pub fn transmit(&mut self, now: u64, frame: Vec<u8>) -> Vec<(u64, Vec<u8>)> {
+        let mut deliveries = Vec::with_capacity(1);
+        self.transmit_into(now, frame, &mut deliveries);
+        deliveries
+    }
+
+    /// Stripes a frame onto the next sub-link, appending its deliveries to
+    /// `out`.
+    pub fn transmit_into(&mut self, now: u64, frame: Vec<u8>, out: &mut Vec<(u64, Vec<u8>)>) {
         let i = self.next;
         self.next = (self.next + 1) % self.paths.len();
         let offered = match self.stalls[i] {
@@ -292,7 +315,7 @@ impl MultipathLink {
                 self.obs.span_close(now, id);
             }
         }
-        self.paths[i].transmit(offered, frame)
+        self.paths[i].transmit_into(offered, frame, out)
     }
 
     /// Aggregated statistics over the sub-links.
@@ -477,12 +500,21 @@ impl RouteChangeLink {
         self.new.set_obs(sink);
     }
 
-    /// Offers a frame; routing depends on the send time.
+    /// Offers a frame; routing depends on the send time. Convenience over
+    /// [`transmit_into`](Self::transmit_into).
     pub fn transmit(&mut self, now: u64, frame: Vec<u8>) -> Vec<(u64, Vec<u8>)> {
+        let mut deliveries = Vec::with_capacity(1);
+        self.transmit_into(now, frame, &mut deliveries);
+        deliveries
+    }
+
+    /// Offers a frame on the route in force at `now`, appending its
+    /// deliveries to `out`.
+    pub fn transmit_into(&mut self, now: u64, frame: Vec<u8>, out: &mut Vec<(u64, Vec<u8>)>) {
         if now < self.switch_at_ns {
-            self.old.transmit(now, frame)
+            self.old.transmit_into(now, frame, out)
         } else {
-            self.new.transmit(now, frame)
+            self.new.transmit_into(now, frame, out)
         }
     }
 

@@ -1,12 +1,34 @@
-//! Event-driven simulation of a multi-hop path.
+//! Hop-by-hop simulation of a multi-hop path.
 //!
 //! A [`Path`] is a linear chain of hops; each hop is a link (possibly a
 //! multipath bundle) optionally preceded by a [`PacketTransform`] router.
 //! Frames are injected at the head with timestamps and collected at the tail
 //! with their arrival times — possibly out of order, which is the point.
+//!
+//! # Why there is no event heap
+//!
+//! A hop's state — its router's window, its link's serialization clock and
+//! fault RNG — depends only on the *order* of its own arrivals, and that
+//! order is (arrival time, then the order in which the hop before emitted
+//! them). A discrete-event heap keyed `(time, push sequence)` computes
+//! exactly that order. On a linear chain — every arrival at hop `k + 1` is a
+//! departure of hop `k`, and no link delivers before it was offered — so
+//! does a *stable* sort by time of hop `k`'s departure list, ties included.
+//! So one routine (`propagate`, under [`Path::run`], [`Path::transmit`] and
+//! [`Path::flush`]) carries a whole list of frames through one hop at a
+//! time: sort (a linear scan on FIFO links, whose departures are already in
+//! order), feed the hop, and hand its departures to the next. Frames are
+//! moved, never copied; the test module keeps the heap as the oracle this is
+//! compared against.
+//!
+//! With a recording sink attached the *record* order follows the processing
+//! order. A single injected frame ([`Path::transmit`]) or a flush on a path
+//! of up to two hops — every [`Profile`](crate::Profile) — records exactly
+//! as the heap did, since the first hop has one event and the far end
+//! records nothing. Deeper observed paths, and [`Path::run`] over several
+//! inputs, record hop-major: all of hop `k` before any of hop `k + 1`, each
+//! record still stamped with its own virtual time.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use chunks_obs::ObsSink;
@@ -25,15 +47,23 @@ pub enum AnyLink {
     RouteChange(Box<RouteChangeLink>),
 }
 
-/// Pending event: `(arrival time, FIFO tiebreak, next hop index, frame)`.
-type EventHeap = BinaryHeap<Reverse<(u64, u64, usize, Vec<u8>)>>;
+/// Frames in flight between two hops: `(time, frame)`.
+type Frames = Vec<(u64, Vec<u8>)>;
+
+/// Orders frames by time, equal times keeping their emission order. FIFO
+/// links emit in time order already, which one scan confirms.
+fn sort_by_time(frames: &mut Frames) {
+    if !frames.is_sorted_by_key(|f| f.0) {
+        frames.sort_by_key(|f| f.0);
+    }
+}
 
 impl AnyLink {
-    fn transmit(&mut self, now: u64, frame: Vec<u8>) -> Vec<(u64, Vec<u8>)> {
+    fn transmit_into(&mut self, now: u64, frame: Vec<u8>, out: &mut Frames) {
         match self {
-            AnyLink::Single(l) => l.transmit(now, frame),
-            AnyLink::Multi(m) => m.transmit(now, frame),
-            AnyLink::RouteChange(r) => r.transmit(now, frame),
+            AnyLink::Single(l) => l.transmit_into(now, frame, out),
+            AnyLink::Multi(m) => m.transmit_into(now, frame, out),
+            AnyLink::RouteChange(r) => r.transmit_into(now, frame, out),
         }
     }
 
@@ -187,27 +217,32 @@ impl Path {
         }
     }
 
-    /// Drives every queued event through the remaining hops; deliveries at
-    /// the far end land in `out` in arrival-time order (the heap pops
-    /// nondecreasing times).
-    fn pump(&mut self, heap: &mut EventHeap, seq: &mut u64, out: &mut Vec<Delivery>) {
-        while let Some(Reverse((now, _, hop_idx, frame))) = heap.pop() {
-            if hop_idx == self.hops.len() {
-                out.push(Delivery { time: now, frame });
-                continue;
-            }
-            let hop = &mut self.hops[hop_idx];
-            let frames = match &mut hop.router {
-                Some(r) => r.ingest_at(now, frame),
-                None => vec![frame],
-            };
-            for f in frames {
-                for (arrival, delivered) in hop.link.transmit(now, f) {
-                    heap.push(Reverse((arrival, *seq, hop_idx + 1, delivered)));
-                    *seq += 1;
+    /// Carries `arrivals` — frames reaching hop `first_hop`, in emission
+    /// order — through that hop and every later one, a hop at a time, and
+    /// returns the far-end deliveries in arrival-time order (equal times in
+    /// the last hop's emission order).
+    fn propagate(&mut self, first_hop: usize, mut arrivals: Frames) -> Vec<Delivery> {
+        for hop in &mut self.hops[first_hop..] {
+            sort_by_time(&mut arrivals);
+            let mut departures = Vec::with_capacity(arrivals.len());
+            for (now, frame) in arrivals {
+                match &mut hop.router {
+                    Some(r) => {
+                        for f in r.ingest_at(now, frame) {
+                            hop.link.transmit_into(now, f, &mut departures);
+                        }
+                    }
+                    None => hop.link.transmit_into(now, frame, &mut departures),
                 }
             }
+            arrivals = departures;
         }
+        sort_by_time(&mut arrivals);
+        // Same layout, so the list is converted where it lies.
+        arrivals
+            .into_iter()
+            .map(|(time, frame)| Delivery { time, frame })
+            .collect()
     }
 
     /// Transmits one frame injected at `now` through every hop, returning
@@ -216,13 +251,7 @@ impl Path {
     /// closed-loop transfer with acks and retransmissions). Frames a router
     /// holds back for batching stay queued until [`flush`](Self::flush).
     pub fn transmit(&mut self, now: u64, frame: Vec<u8>) -> Vec<Delivery> {
-        let mut heap: EventHeap = BinaryHeap::new();
-        let mut seq = 0u64;
-        heap.push(Reverse((now, seq, 0, frame)));
-        seq += 1;
-        let mut out = Vec::new();
-        self.pump(&mut heap, &mut seq, &mut out);
-        out
+        self.propagate(0, vec![(now, frame)])
     }
 
     /// Drains router batching windows hop by hop at virtual time `now`;
@@ -230,23 +259,20 @@ impl Path {
     /// far-end deliveries sorted by arrival time.
     pub fn flush(&mut self, now: u64) -> Vec<Delivery> {
         let mut out = Vec::new();
-        let mut seq = 0u64;
         for i in 0..self.hops.len() {
-            let flushed = match &mut self.hops[i].router {
+            let hop = &mut self.hops[i];
+            let flushed = match &mut hop.router {
                 Some(r) => r.flush_at(now),
                 None => Vec::new(),
             };
             if flushed.is_empty() {
                 continue;
             }
-            let mut heap: EventHeap = BinaryHeap::new();
+            let mut departures = Vec::with_capacity(flushed.len());
             for f in flushed {
-                for (arrival, delivered) in self.hops[i].link.transmit(now, f) {
-                    heap.push(Reverse((arrival, seq, i + 1, delivered)));
-                    seq += 1;
-                }
+                hop.link.transmit_into(now, f, &mut departures);
             }
-            self.pump(&mut heap, &mut seq, &mut out);
+            out.extend(self.propagate(i + 1, departures));
         }
         out.sort_by_key(|d| d.time);
         out
@@ -255,20 +281,15 @@ impl Path {
     /// Runs frames through the path; `inputs` are `(inject_time, frame)`
     /// pairs. Returns deliveries at the far end sorted by arrival time.
     pub fn run(&mut self, inputs: Vec<(u64, Vec<u8>)>) -> Vec<Delivery> {
-        // Event = (time, seq, hop_index, frame); seq breaks ties FIFO.
-        let mut heap: EventHeap = BinaryHeap::new();
-        let mut seq = 0u64;
-        for (t, f) in inputs {
-            heap.push(Reverse((t, seq, 0, f)));
-            seq += 1;
-        }
-        let mut out = Vec::new();
-        self.pump(&mut heap, &mut seq, &mut out);
+        let mut out = self.propagate(0, inputs);
         // Drain router windows (reassembly policies) hop by hop: flushed
         // frames traverse the remaining hops at the max observed time.
         let flush_time = out.last().map(|d| d.time).unwrap_or(0);
-        out.extend(self.flush(flush_time));
-        out.sort_by_key(|d| d.time);
+        let flushed = self.flush(flush_time);
+        if !flushed.is_empty() {
+            out.extend(flushed);
+            out.sort_by_key(|d| d.time);
+        }
         out
     }
 }
@@ -367,6 +388,274 @@ mod tests {
         let out = p.run(inputs);
         for w in out.windows(2) {
             assert!(w[0].time <= w[1].time);
+        }
+    }
+
+    use crate::profiles::Profile;
+    use proptest::prelude::*;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    /// The parent commit's `Path`, kept as the oracle: one discrete-event
+    /// heap of `(arrival time, FIFO tiebreak, next hop index, frame)` that
+    /// interleaves every hop by time.
+    type EventHeap = BinaryHeap<Reverse<(u64, u64, usize, Vec<u8>)>>;
+
+    fn pump(path: &mut Path, heap: &mut EventHeap, seq: &mut u64, out: &mut Vec<Delivery>) {
+        while let Some(Reverse((now, _, hop_idx, frame))) = heap.pop() {
+            if hop_idx == path.hops.len() {
+                out.push(Delivery { time: now, frame });
+                continue;
+            }
+            let hop = &mut path.hops[hop_idx];
+            let frames = match &mut hop.router {
+                Some(r) => r.ingest_at(now, frame),
+                None => vec![frame],
+            };
+            for f in frames {
+                let mut deliveries = Vec::new();
+                hop.link.transmit_into(now, f, &mut deliveries);
+                for (arrival, delivered) in deliveries {
+                    heap.push(Reverse((arrival, *seq, hop_idx + 1, delivered)));
+                    *seq += 1;
+                }
+            }
+        }
+    }
+
+    fn heap_transmit(path: &mut Path, now: u64, frame: Vec<u8>) -> Vec<Delivery> {
+        let mut heap: EventHeap = BinaryHeap::new();
+        let mut seq = 1u64;
+        heap.push(Reverse((now, 0, 0, frame)));
+        let mut out = Vec::new();
+        pump(path, &mut heap, &mut seq, &mut out);
+        out
+    }
+
+    fn heap_flush(path: &mut Path, now: u64) -> Vec<Delivery> {
+        let mut out = Vec::new();
+        let mut seq = 0u64;
+        for i in 0..path.hops.len() {
+            let flushed = match &mut path.hops[i].router {
+                Some(r) => r.flush_at(now),
+                None => Vec::new(),
+            };
+            let mut heap: EventHeap = BinaryHeap::new();
+            for f in flushed {
+                let mut deliveries = Vec::new();
+                path.hops[i].link.transmit_into(now, f, &mut deliveries);
+                for (arrival, delivered) in deliveries {
+                    heap.push(Reverse((arrival, seq, i + 1, delivered)));
+                    seq += 1;
+                }
+            }
+            pump(path, &mut heap, &mut seq, &mut out);
+        }
+        out.sort_by_key(|d| d.time);
+        out
+    }
+
+    fn heap_run(path: &mut Path, inputs: Vec<(u64, Vec<u8>)>) -> Vec<Delivery> {
+        let mut heap: EventHeap = BinaryHeap::new();
+        let mut seq = 0u64;
+        for (t, f) in inputs {
+            heap.push(Reverse((t, seq, 0, f)));
+            seq += 1;
+        }
+        let mut out = Vec::new();
+        pump(path, &mut heap, &mut seq, &mut out);
+        let flush_time = out.last().map(|d| d.time).unwrap_or(0);
+        out.extend(heap_flush(path, flush_time));
+        out.sort_by_key(|d| d.time);
+        out
+    }
+
+    /// `(time, frame)` of every delivery, in order.
+    fn timeline(deliveries: Vec<Delivery>) -> Vec<(u64, Vec<u8>)> {
+        deliveries.into_iter().map(|d| (d.time, d.frame)).collect()
+    }
+
+    fn link_stats(path: &Path) -> Vec<LinkStats> {
+        path.hops().iter().map(|h| h.link.stats()).collect()
+    }
+
+    /// A seeded transfer's frames: `count` data chunks of up to `mtu` wire
+    /// bytes, two in every ten cut short so the frame sizes vary.
+    fn seeded_frames(seed: u64, count: usize, mtu: usize) -> Vec<Vec<u8>> {
+        let mut rng = proptest::TestRng::deterministic(&format!("frames-{seed}"));
+        (0..count)
+            .map(|i| {
+                let full = mtu - WIRE_HEADER_LEN;
+                let len = match rng.below(10) {
+                    0 | 1 => 1 + rng.below(full as u64) as usize,
+                    _ => full,
+                };
+                let payload: Vec<u8> = (0..len).map(|k| (seed as usize + i + k) as u8).collect();
+                let sn = (i * full) as u32;
+                let chunk = byte_chunk(
+                    FramingTuple::new(1, sn, false),
+                    FramingTuple::new(i as u32, 0, true),
+                    FramingTuple::new(3, sn, false),
+                    &payload,
+                );
+                pack(vec![chunk], mtu).unwrap()[0].bytes.to_vec()
+            })
+            .collect()
+    }
+
+    /// Inject times all equal (`0`), out of order (`1`), far apart (`2`) or
+    /// out of order with ties (`3`), where only a stable sort will do.
+    fn inject_times(spacing: u8, seed: u64, count: usize) -> Vec<u64> {
+        let mut rng = proptest::TestRng::deterministic(&format!("times-{seed}"));
+        (0..count as u64)
+            .map(|i| match spacing {
+                0 => seed % 1000,
+                1 => (seed ^ rng.next_u64()) % 2_000_000,
+                2 => i * 10_000_000 + seed % 1000,
+                _ => rng.below(5) * 40_000,
+            })
+            .collect()
+    }
+
+    /// Three routed hops, so `flush` has to carry one router's window
+    /// through the routers after it; the links duplicate and jitter, so
+    /// frames tie and overtake.
+    fn three_router_path(seed: u64, window: usize) -> Path {
+        let h = WIRE_HEADER_LEN;
+        let faulty = |mtu| {
+            LinkConfig::clean(mtu, 20_000, 622_000_000)
+                .with_duplicate(0.1)
+                .with_jitter(60_000)
+                .with_loss(0.05)
+        };
+        PathBuilder::new(seed)
+            .routed_link(
+                Box::new(ChunkRouter::new(h + 120, RefragPolicy::Repack)),
+                faulty(h + 120),
+            )
+            .routed_link(
+                Box::new(ChunkRouter::new(
+                    h + 400,
+                    RefragPolicy::Reassemble { window },
+                )),
+                faulty(h + 400),
+            )
+            .routed_link(
+                Box::new(ChunkRouter::new(h + 70, RefragPolicy::Repack)),
+                LinkConfig::clean(h + 70, 20_000, 0),
+            )
+            .build()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// `run` hop by hop delivers what the event heap delivered, at the
+        /// same times, with the same per-hop counters: every profile, with
+        /// tied, disordered and widely spaced injections.
+        #[test]
+        fn run_equals_the_event_heap_on_every_profile(
+            seed in any::<u64>(),
+            spacing in 0u8..4,
+            count in 1usize..80,
+        ) {
+            for profile in Profile::ALL {
+                let inputs: Vec<(u64, Vec<u8>)> = inject_times(spacing, seed, count)
+                    .into_iter()
+                    .zip(seeded_frames(seed, count, 576))
+                    .collect();
+                let mut by_hop = profile.build(576, seed);
+                let mut by_heap = profile.build(576, seed);
+                prop_assert_eq!(
+                    timeline(by_hop.run(inputs.clone())),
+                    timeline(heap_run(&mut by_heap, inputs)),
+                    "{}",
+                    profile.name()
+                );
+                prop_assert_eq!(link_stats(&by_hop), link_stats(&by_heap));
+            }
+        }
+
+        /// The same on a path deep enough for hops to interleave in the
+        /// heap: three routers, duplicating and jittering links between.
+        #[test]
+        fn run_equals_the_event_heap_across_three_routers(
+            seed in any::<u64>(),
+            spacing in 0u8..4,
+            count in 1usize..60,
+            window in 1usize..12,
+        ) {
+            let inputs: Vec<(u64, Vec<u8>)> = inject_times(spacing, seed, count)
+                .into_iter()
+                .zip(seeded_frames(seed, count, 576))
+                .collect();
+            let mut by_hop = three_router_path(seed, window);
+            let mut by_heap = three_router_path(seed, window);
+            prop_assert_eq!(
+                timeline(by_hop.run(inputs.clone())),
+                timeline(heap_run(&mut by_heap, inputs))
+            );
+            prop_assert_eq!(link_stats(&by_hop), link_stats(&by_heap));
+        }
+
+        /// `transmit` + `flush` driven tick by tick, the way the closed-loop
+        /// lineage driver does — and on these paths of at most two hops a
+        /// recording sink sees the same records in the same order.
+        #[test]
+        fn ticked_transmit_and_flush_equal_the_event_heap(
+            seed in any::<u64>(),
+            per_tick in 1usize..6,
+        ) {
+            for profile in Profile::ALL {
+                let rec_hop = chunks_obs::Recorder::verbose_tier(1 << 16);
+                let rec_heap = chunks_obs::Recorder::verbose_tier(1 << 16);
+                let mut by_hop = profile.build_observed(576, seed, rec_hop.clone());
+                let mut by_heap = profile.build_observed(576, seed, rec_heap.clone());
+                let frames = seeded_frames(seed, 24, 576);
+                for (tick, burst) in frames.chunks(per_tick).enumerate() {
+                    let now = tick as u64 * 1_000_000;
+                    for f in burst {
+                        prop_assert_eq!(
+                            timeline(by_hop.transmit(now, f.clone())),
+                            timeline(heap_transmit(&mut by_heap, now, f.clone()))
+                        );
+                    }
+                    prop_assert_eq!(
+                        timeline(by_hop.flush(now)),
+                        timeline(heap_flush(&mut by_heap, now))
+                    );
+                }
+                prop_assert_eq!(link_stats(&by_hop), link_stats(&by_heap));
+                prop_assert_eq!(rec_hop.span_json_lines(), rec_heap.span_json_lines());
+                prop_assert_eq!(rec_hop.trace_json_lines(), rec_heap.trace_json_lines());
+            }
+        }
+
+        /// Tick by tick across the three routers: each `flush` crosses the
+        /// routers after the one it drains.
+        #[test]
+        fn ticked_flush_across_three_routers_equals_the_event_heap(
+            seed in any::<u64>(),
+            per_tick in 1usize..6,
+            window in 1usize..12,
+        ) {
+            let mut by_hop = three_router_path(seed, window);
+            let mut by_heap = three_router_path(seed, window);
+            let frames = seeded_frames(seed, 24, 576);
+            for (tick, burst) in frames.chunks(per_tick).enumerate() {
+                let now = tick as u64 * 300_000;
+                for f in burst {
+                    prop_assert_eq!(
+                        timeline(by_hop.transmit(now, f.clone())),
+                        timeline(heap_transmit(&mut by_heap, now, f.clone()))
+                    );
+                }
+                prop_assert_eq!(
+                    timeline(by_hop.flush(now)),
+                    timeline(heap_flush(&mut by_heap, now))
+                );
+            }
+            prop_assert_eq!(link_stats(&by_hop), link_stats(&by_heap));
         }
     }
 }

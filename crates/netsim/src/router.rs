@@ -7,11 +7,30 @@
 //! *larger* envelopes offers the three choices of Figure 4, all implemented
 //! here; the baseline (IP-style) routers implement the same
 //! [`PacketTransform`] trait in `chunks-baseline`.
+//!
+//! # Wire to wire
+//!
+//! A split adjusts `SN`, `LEN` and the `ST` bits and nothing else
+//! (Appendix C), so [`ChunkRouter`] under [`RefragPolicy::Repack`] and
+//! [`RefragPolicy::OnePerPacket`] never builds a chunk. It runs the
+//! receiver's production walk over the ingress frame — [`validate`], then
+//! [`spans`], then [`decode_header`] — and writes each payload byte once,
+//! from the frame it arrived in straight into the smaller envelope, through
+//! the greedy first-fit [`pack`] itself is built on
+//! ([`PacketBuilder::place`]: [`split_header`](chunks_core::frag::split_header)
+//! plus a sub-slice). The `Repack` batching window is therefore the
+//! validated ingress *frames*, not decoded chunks. Only
+//! [`RefragPolicy::Reassemble`], which must sort and merge, decodes to owned
+//! chunks. The frames emitted are, for any ingress sequence, byte for byte
+//! what [`unpack`] → window → [`pack`] produces — the property test at the
+//! bottom of this file keeps that reference.
 
 use std::sync::Arc;
 
-use chunks_core::frag::{merge, split_to_fit};
-use chunks_core::packet::{pack, unpack, Packet, PacketBuilder};
+use chunks_core::chunk::ChunkHeader;
+use chunks_core::frag::merge;
+use chunks_core::packet::{pack, spans, unpack, validate, Packet, PacketBuilder};
+use chunks_core::wire::{decode_header, WIRE_HEADER_LEN};
 use chunks_core::Chunk;
 use chunks_obs::{ObsSink, SpanId, Stage};
 
@@ -91,8 +110,12 @@ pub struct ChunkRouter {
     pub egress_mtu: usize,
     /// Conversion policy.
     pub policy: RefragPolicy,
+    /// Decoded chunks held for merging (Reassemble).
     window: Vec<Chunk>,
-    /// Wire bytes accumulated in the window (Repack batching).
+    /// Validated ingress frames held for batching (Repack).
+    frames: Vec<Packet>,
+    /// Wire bytes of the chunks in `frames` (end marker and padding
+    /// excluded).
     window_wire: usize,
     /// Chunks split by this router.
     pub splits: u64,
@@ -107,6 +130,17 @@ pub struct ChunkRouter {
     pending: Vec<FrameChunk>,
 }
 
+/// The chunks of frames [`validate`] accepted, borrowed in placement order:
+/// the label decoded, the payload left where it arrived.
+fn borrowed_chunks(frames: &[Packet]) -> impl Iterator<Item = (ChunkHeader, &[u8])> {
+    frames.iter().flat_map(|p| {
+        spans(p).map(move |(lo, hi)| {
+            let header = decode_header(&p.bytes[lo..hi]).expect("span of a validated frame");
+            (header, &p.bytes[lo + WIRE_HEADER_LEN..hi])
+        })
+    })
+}
+
 impl ChunkRouter {
     /// Creates a router with the given egress MTU and policy.
     pub fn new(egress_mtu: usize, policy: RefragPolicy) -> Self {
@@ -114,6 +148,7 @@ impl ChunkRouter {
             egress_mtu,
             policy,
             window: Vec::new(),
+            frames: Vec::new(),
             window_wire: 0,
             splits: 0,
             merges: 0,
@@ -164,39 +199,63 @@ impl ChunkRouter {
         }
     }
 
-    fn emit(&mut self, chunks: Vec<Chunk>) -> Vec<Vec<u8>> {
-        match self.policy {
-            RefragPolicy::OnePerPacket => {
-                let mut out = Vec::new();
-                for c in chunks {
-                    match split_to_fit(c, self.egress_mtu) {
-                        Ok(pieces) => {
-                            self.splits += pieces.len().saturating_sub(1) as u64;
-                            for p in pieces {
-                                let mut b = PacketBuilder::new(self.egress_mtu);
-                                b.push(p).expect("sized to fit");
-                                out.push(b.finish().bytes.to_vec());
-                            }
-                        }
-                        Err(_) => self.drops += 1,
-                    }
+    /// Figure 4 method 1: every piece gets an envelope of its own. A chunk
+    /// whose element exceeds the MTU is dropped and the rest go on.
+    fn one_per_packet<'a>(
+        &mut self,
+        chunks: impl Iterator<Item = (ChunkHeader, &'a [u8])>,
+    ) -> Vec<Vec<u8>> {
+        let mut out = Vec::new();
+        let mut builder = PacketBuilder::new(self.egress_mtu);
+        for chunk in chunks {
+            let mut left = Some(chunk);
+            while let Some((header, payload)) = left {
+                left = builder.push_fitting(header, payload);
+                if builder.is_empty() {
+                    self.drops += 1;
+                    break;
                 }
-                out
+                self.splits += u64::from(left.is_some());
+                out.push(builder.take_bytes());
             }
-            RefragPolicy::Repack | RefragPolicy::Reassemble { .. } => {
-                match pack(chunks, self.egress_mtu) {
-                    Ok(packets) => packets.into_iter().map(|p| p.bytes.to_vec()).collect(),
-                    Err(_) => {
-                        self.drops += 1;
-                        Vec::new()
-                    }
-                }
-            }
-            RefragPolicy::DropOversize => unreachable!("handled in ingest"),
         }
+        out
     }
 
-    fn merge_window(&mut self) -> Vec<Chunk> {
+    /// Empties borrowed chunks into as few egress envelopes as greedy
+    /// first-fit needs, one payload copy. An element (or control chunk) no
+    /// egress packet can hold refuses the batch whole.
+    fn repack<'a>(
+        &mut self,
+        chunks: impl Iterator<Item = (ChunkHeader, &'a [u8])>,
+    ) -> Vec<Vec<u8>> {
+        let mut out = Vec::new();
+        let mut builder = PacketBuilder::new(self.egress_mtu);
+        for (header, payload) in chunks {
+            if builder.place(header, payload, |f| out.push(f)).is_err() {
+                self.drops += 1;
+                return Vec::new();
+            }
+        }
+        if !builder.is_empty() {
+            out.push(builder.take_bytes());
+        }
+        out
+    }
+
+    /// Emits the Repack window: the held frames' chunks, wire to wire.
+    fn emit_frames(&mut self) -> Vec<Vec<u8>> {
+        self.window_wire = 0;
+        let mut frames = std::mem::take(&mut self.frames);
+        let out = self.repack(borrowed_chunks(&frames));
+        // The list's allocation serves the next batch.
+        frames.clear();
+        self.frames = frames;
+        out
+    }
+
+    /// Merges and emits the Reassemble window.
+    fn emit_merged(&mut self) -> Vec<Vec<u8>> {
         // Greedy adjacent merging within the window, order-insensitive.
         let mut chunks = std::mem::take(&mut self.window);
         chunks.sort_by_key(|c| (c.header.tpdu.id, c.header.tpdu.sn));
@@ -211,7 +270,7 @@ impl ChunkRouter {
             }
             merged.push(c);
         }
-        merged
+        self.repack(merged.iter().map(|c| (c.header, &c.payload[..])))
     }
 }
 
@@ -228,50 +287,43 @@ impl PacketTransform for ChunkRouter {
         let packet = Packet {
             bytes: frame.into(),
         };
-        let chunks = match unpack(&packet) {
-            Ok(c) => c,
-            Err(_) => {
+        if let RefragPolicy::Reassemble { window } = self.policy {
+            let Ok(chunks) = unpack(&packet) else {
                 self.drops += 1;
                 return Vec::new();
+            };
+            self.window.extend(chunks);
+            if self.window.len() < window {
+                return Vec::new();
             }
-        };
-        match self.policy {
-            RefragPolicy::Reassemble { window } => {
-                self.window.extend(chunks);
-                if self.window.len() < window {
-                    return Vec::new();
-                }
-                let merged = self.merge_window();
-                self.emit(merged)
-            }
-            RefragPolicy::Repack => {
-                // Batch chunks until an egress envelope can be filled; this
-                // is what lets small-network chunks combine into large
-                // packets (Figure 4 method 2).
-                self.window_wire += chunks.iter().map(Chunk::wire_len).sum::<usize>();
-                self.window.extend(chunks);
-                if self.window_wire < self.egress_mtu {
-                    return Vec::new();
-                }
-                self.window_wire = 0;
-                let batch = std::mem::take(&mut self.window);
-                self.emit(batch)
-            }
-            _ => self.emit(chunks),
+            return self.emit_merged();
         }
+        // A malformed chunk refuses the whole frame, as at the receiver.
+        if validate(&packet).is_err() {
+            self.drops += 1;
+            return Vec::new();
+        }
+        if self.policy == RefragPolicy::OnePerPacket {
+            return self.one_per_packet(borrowed_chunks(std::slice::from_ref(&packet)));
+        }
+        // Repack: batch frames until an egress envelope can be filled; this
+        // is what lets small-network chunks combine into large packets
+        // (Figure 4 method 2).
+        self.window_wire += spans(&packet).map(|(lo, hi)| hi - lo).sum::<usize>();
+        self.frames.push(packet);
+        if self.window_wire < self.egress_mtu {
+            return Vec::new();
+        }
+        self.emit_frames()
     }
 
     fn flush(&mut self) -> Vec<Vec<u8>> {
-        if self.window.is_empty() {
-            return Vec::new();
-        }
-        self.window_wire = 0;
-        if matches!(self.policy, RefragPolicy::Reassemble { .. }) {
-            let merged = self.merge_window();
-            self.emit(merged)
+        if !self.frames.is_empty() {
+            self.emit_frames()
+        } else if !self.window.is_empty() {
+            self.emit_merged()
         } else {
-            let batch = std::mem::take(&mut self.window);
-            self.emit(batch)
+            Vec::new()
         }
     }
 
@@ -279,10 +331,18 @@ impl PacketTransform for ChunkRouter {
         if !self.obs_on {
             return self.ingest(frame);
         }
+        let held = self.pending.len();
         self.pending
             .extend(frame_chunks(&frame).into_iter().filter(FrameChunk::is_data));
-        let (splits0, merges0) = (self.splits, self.merges);
+        let (splits0, merges0, drops0) = (self.splits, self.merges, self.drops);
         let outs = self.ingest(frame);
+        if outs.is_empty() && self.drops > drops0 {
+            // Refused, not batching: forget the labels that will never
+            // leave — this frame's, or the whole window's when the batch
+            // went with it.
+            let batching = !self.frames.is_empty() || !self.window.is_empty();
+            self.pending.truncate(if batching { held } else { 0 });
+        }
         self.note_outputs(now, &outs, splits0, merges0);
         outs
     }
@@ -565,5 +625,261 @@ mod tests {
         let out = dropper.ingest(frame_of(vec![ed], 1500));
         assert_eq!(out.len(), 1, "control chunks are never victims");
         assert_eq!(dropper.victims, 0);
+    }
+
+    /// A frame the router refuses must take its labels with it: a truncated
+    /// packet followed by its retransmission links each child once, from the
+    /// frame that actually left.
+    #[test]
+    fn dropped_frame_leaves_no_labels_behind() {
+        let intact = frame_of(vec![big_chunk(100)], 10_000);
+        let mut truncated = intact.clone();
+        truncated.truncate(intact.len() - 7);
+
+        let links_of = |frames: &[&Vec<u8>]| {
+            let rec = chunks_obs::Recorder::verbose_tier(1 << 12);
+            let mut r = ChunkRouter::new(WIRE_HEADER_LEN + 40, RefragPolicy::Repack);
+            r.set_obs(rec.clone());
+            let mut emitted = 0;
+            for (t, f) in frames.iter().enumerate() {
+                emitted += r.ingest_at(t as u64, (*f).clone()).len();
+            }
+            (rec.span_links(), emitted, r.drops)
+        };
+        let (alone, frames_alone, _) = links_of(&[&intact]);
+        assert_eq!(alone.len(), 3, "40 + 40 + 20 elements, one link each");
+        let (after_drop, frames_after, drops) = links_of(&[&truncated, &intact]);
+        assert_eq!((frames_after, drops), (frames_alone, 1));
+        let unstamped = |links: &[chunks_obs::SpanLink]| {
+            links
+                .iter()
+                .map(|l| (l.parent, l.child))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(unstamped(&after_drop), unstamped(&alone));
+    }
+
+    /// The parent commit's router, kept as the reference: decode every
+    /// chunk to an owned copy, hold chunks in the window, `pack`, copy each
+    /// packet out.
+    struct Model {
+        mtu: usize,
+        policy: RefragPolicy,
+        window: Vec<Chunk>,
+        wire: usize,
+        splits: u64,
+        merges: u64,
+        drops: u64,
+    }
+
+    impl Model {
+        fn emit(&mut self, chunks: Vec<Chunk>) -> Vec<Vec<u8>> {
+            let mut out = Vec::new();
+            if self.policy == RefragPolicy::OnePerPacket {
+                for c in chunks {
+                    let Ok(pieces) = chunks_core::frag::split_to_fit(c, self.mtu) else {
+                        self.drops += 1;
+                        continue;
+                    };
+                    self.splits += pieces.len() as u64 - 1;
+                    for p in pieces {
+                        out.push(pack(vec![p], self.mtu).unwrap()[0].bytes.to_vec());
+                    }
+                }
+            } else if let Ok(packets) = pack(chunks, self.mtu) {
+                out.extend(packets.iter().map(|p| p.bytes.to_vec()));
+            } else {
+                self.drops += 1;
+            }
+            out
+        }
+
+        fn drain(&mut self) -> Vec<Vec<u8>> {
+            self.wire = 0;
+            let mut chunks = std::mem::take(&mut self.window);
+            if matches!(self.policy, RefragPolicy::Reassemble { .. }) {
+                chunks.sort_by_key(|c| (c.header.tpdu.id, c.header.tpdu.sn));
+                let mut merged: Vec<Chunk> = Vec::new();
+                for c in chunks {
+                    match merged.last().map(|last| merge(last, &c)) {
+                        Some(Ok(m)) => {
+                            *merged.last_mut().unwrap() = m;
+                            self.merges += 1;
+                        }
+                        _ => merged.push(c),
+                    }
+                }
+                chunks = merged;
+            }
+            self.emit(chunks)
+        }
+
+        fn ingest(&mut self, frame: &[u8]) -> Vec<Vec<u8>> {
+            if self.policy == RefragPolicy::DropOversize {
+                if frame.len() <= self.mtu {
+                    return vec![frame.to_vec()];
+                }
+                self.drops += 1;
+                return Vec::new();
+            }
+            let Ok(chunks) = unpack(&Packet {
+                bytes: frame.to_vec().into(),
+            }) else {
+                self.drops += 1;
+                return Vec::new();
+            };
+            self.wire += chunks.iter().map(Chunk::wire_len).sum::<usize>();
+            self.window.extend(chunks);
+            let hold = match self.policy {
+                RefragPolicy::Reassemble { window } => self.window.len() < window,
+                RefragPolicy::Repack => self.wire < self.mtu,
+                _ => false,
+            };
+            if hold {
+                Vec::new()
+            } else {
+                self.drain()
+            }
+        }
+
+        fn flush(&mut self) -> Vec<Vec<u8>> {
+            if self.window.is_empty() {
+                Vec::new()
+            } else {
+                self.drain()
+            }
+        }
+    }
+
+    use chunks_core::label::ChunkType;
+    use proptest::prelude::*;
+
+    /// Data chunks of `SIZE` 1..=9 with arbitrary `ST` bits and `SN`s (wraps
+    /// included), ED and ack control chunks among them.
+    fn arb_chunk() -> impl Strategy<Value = Chunk> {
+        (
+            0u8..8,
+            1u16..=9,
+            1u32..=40,
+            0u8..8,
+            (0u32..3, any::<u32>(), any::<u32>(), any::<u32>()),
+            any::<u8>(),
+        )
+            .prop_map(|(kind, size, len, st, (id, c_sn, t_sn, x_sn), fill)| {
+                let conn = FramingTuple::new(1, c_sn, st & 1 != 0);
+                let tpdu = FramingTuple::new(id, t_sn, st & 2 != 0);
+                let ext = FramingTuple::new(3, x_sn, st & 4 != 0);
+                let header = match kind {
+                    0 => ChunkHeader::control(ChunkType::ErrorDetection, 8, conn, tpdu, ext),
+                    1 => ChunkHeader::control(ChunkType::Ack, 12, conn, tpdu, ext),
+                    _ => ChunkHeader::data(size, len, conn, tpdu, ext),
+                };
+                let payload: Vec<u8> = (0..header.payload_len())
+                    .map(|i| fill.wrapping_add(i as u8))
+                    .collect();
+                Chunk::new(header, payload.into()).unwrap()
+            })
+    }
+
+    fn arb_policy() -> impl Strategy<Value = RefragPolicy> {
+        (0u8..4, 1usize..6).prop_map(|(which, window)| match which {
+            0 => RefragPolicy::OnePerPacket,
+            1 => RefragPolicy::Repack,
+            2 => RefragPolicy::Reassemble { window },
+            _ => RefragPolicy::DropOversize,
+        })
+    }
+
+    proptest! {
+        /// Whatever arrives, the router's frames and counters are the
+        /// reference's: ingress MTU above and below the egress MTU (so
+        /// `Repack` batches across frames and `flush` has work), egress MTU
+        /// down to where an element no longer fits, frames finished plain,
+        /// padded (end marker + padding) and truncated, all four policies.
+        #[test]
+        fn router_frames_equal_the_reference(
+            chunks in proptest::collection::vec(arb_chunk(), 1..14),
+            ingress in WIRE_HEADER_LEN + 12..WIRE_HEADER_LEN + 150,
+            egress in WIRE_HEADER_LEN + 1..WIRE_HEADER_LEN + 170,
+            policy in arb_policy(),
+            finish in proptest::collection::vec(0u8..8, 14 * 12),
+        ) {
+            let mut router = ChunkRouter::new(egress, policy);
+            let mut model = Model {
+                mtu: egress,
+                policy,
+                window: Vec::new(),
+                wire: 0,
+                splits: 0,
+                merges: 0,
+                drops: 0,
+            };
+            let packets = pack(chunks, ingress).unwrap();
+            for (p, how) in packets.iter().zip(&finish) {
+                let mut frame = p.bytes.to_vec();
+                match how {
+                    0 => frame.truncate(frame.len() - 1),
+                    1..=3 => frame.resize(ingress, 0), // `finish_padded`
+                    _ => {}
+                }
+                prop_assert_eq!(router.ingest(frame.clone()), model.ingest(&frame));
+                prop_assert_eq!(
+                    (router.splits, router.merges, router.drops),
+                    (model.splits, model.merges, model.drops)
+                );
+            }
+            prop_assert_eq!(router.flush(), model.flush());
+            prop_assert_eq!(
+                (router.splits, router.merges, router.drops),
+                (model.splits, model.merges, model.drops)
+            );
+            prop_assert!(router.flush().is_empty(), "a flushed router holds nothing");
+        }
+
+        /// big → small → in-network reassembly → smaller: the receiver's
+        /// single-step reassembly recovers the chunks that were sent.
+        #[test]
+        fn refragmentation_chain_returns_the_original_chunks(
+            size in 1u16..=9,
+            lens in proptest::collection::vec(1u32..60, 1..6),
+            st in proptest::collection::vec(0u8..8, 6),
+            base in any::<u32>(),
+            narrow in 0usize..50,
+            narrower in 0usize..30,
+            window in 1usize..8,
+        ) {
+            // One TPDU's chunks, a one-element gap apart, so no two merge.
+            let mut sn = base;
+            let mut original = Vec::new();
+            for (&len, &st) in lens.iter().zip(&st) {
+                let header = ChunkHeader::data(
+                    size,
+                    len,
+                    FramingTuple::new(1, sn, st & 1 != 0),
+                    FramingTuple::new(2, sn.wrapping_sub(base), st & 2 != 0),
+                    FramingTuple::new(3, sn.wrapping_add(7), st & 4 != 0),
+                );
+                let payload: Vec<u8> = (0..header.payload_len()).map(|i| i as u8).collect();
+                original.push(Chunk::new(header, payload.into()).unwrap());
+                sn = sn.wrapping_add(len + 1);
+            }
+            let h = WIRE_HEADER_LEN + size as usize;
+            let mut frames: Vec<Vec<u8>> = pack(original.clone(), 10_000)
+                .unwrap()
+                .iter()
+                .map(|p| p.bytes.to_vec())
+                .collect();
+            for mut r in [
+                ChunkRouter::new(h + narrow, RefragPolicy::Repack),
+                ChunkRouter::new(h + 200, RefragPolicy::Reassemble { window }),
+                ChunkRouter::new(h + narrower, RefragPolicy::Repack),
+            ] {
+                let mut next: Vec<Vec<u8>> = frames.drain(..).flat_map(|f| r.ingest(f)).collect();
+                next.extend(r.flush());
+                prop_assert_eq!(r.drops, 0);
+                frames = next;
+            }
+            prop_assert_eq!(reassemble(frames), original);
+        }
     }
 }

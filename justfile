@@ -7,12 +7,13 @@
 # root package's tier-1 run covers no member crate, e.g. chunks-ledger's
 # smoke test), the same suite on the portable GF(2^32) backend, the
 # parallel-equivalence gate, the zero-allocation hot-path gate, the
-# connection-table scale gate, the BENCH regression gate, the reliability
-# soak, the adversarial overlap sweep, the lineage sweep, the
+# connection-table scale gate, the network-element gate in the debug
+# profile, the BENCH regression gate, the reliability soak, the
+# adversarial overlap sweep, the lineage sweep, the
 # deterministic-trace replay, the health surface, and the seven examples. Telemetry overhead is not a recipe here: it is the ledger's
 # `obs.always_on_overhead_pct` (`cargo run --release -p chunks-ledger -- run`);
 # nor is a speed claim: that is `just ab REF`, on alternating pairs.
-lint: check test-release test-workspace test-tables test-parallel test-hotpath test-scale bench-check soak soak-overlap lineage trace health examples
+lint: check test-release test-workspace test-tables test-parallel test-hotpath test-scale test-netsim bench-check soak soak-overlap lineage trace health examples
 
 # Static gate only: formatting, clippy, rustdoc.
 check: fmt clippy doc
@@ -76,6 +77,15 @@ test-hotpath:
 test-scale:
     cargo test -q --release --test scale_determinism
     cargo test -q --release -p chunks-transport --test table_props
+
+# Network-element gate, debug profile on purpose: the router's label
+# arithmetic (`SN` advance, `SIZE * LEN`, MTU remainders) runs with overflow
+# checks on. The netsim crate's own tests (router-vs-reference oracle,
+# hop-by-hop-vs-event-heap equivalence) plus the root tests that drive a
+# `Path`.
+test-netsim:
+    cargo test -q -p chunks-netsim
+    cargo test -q --test adversarial_input --test e2e_lossy_network --test session_over_network
 
 # Regenerate the BENCH_scale.json million-connection soak at the repo
 # root: admit ≥ 1 Mi concurrent connections on the open-addressed table,

@@ -442,6 +442,129 @@ fn spans_stay_inside_the_buffer_and_payloads_borrow_it() {
     }
 }
 
+/// The deterministic mangling set, at the packet level: every single-bit
+/// flip, a truncation at every offset (through each 32-byte label), hostile
+/// `SIZE`/`LEN` claims on each chunk, the empty frame, and tails of
+/// sub-header garbage, of garbage behind the end marker, and of padding.
+fn mangled_frames(original: &[u8]) -> Vec<Vec<u8>> {
+    use chunks::core::packet::spans;
+
+    let mut frames = vec![original.to_vec(), Vec::new()];
+    for at in 0..original.len() {
+        for bit in 0..8 {
+            let mut buf = original.to_vec();
+            buf[at] ^= 1u8 << bit;
+            frames.push(buf);
+        }
+        frames.push(original[..at].to_vec());
+    }
+    let whole = Packet {
+        bytes: original.to_vec().into(),
+    };
+    for (at, _) in spans(&whole) {
+        for (size, len) in [(0xFFFFu16, u32::MAX), (0, 1), (1, 0), (0x0100, 0x0001_0000)] {
+            let mut buf = original.to_vec();
+            buf[at + 2..at + 4].copy_from_slice(&size.to_be_bytes());
+            buf[at + 4..at + 8].copy_from_slice(&len.to_be_bytes());
+            frames.push(buf);
+        }
+    }
+    for tail in [&[0u8, 0, 0x99][..], &[0u8; 40], &[0u8; 7]] {
+        let mut buf = original.to_vec();
+        buf.extend_from_slice(tail);
+        frames.push(buf);
+    }
+    let mut behind_marker = original.to_vec();
+    behind_marker.extend_from_slice(&[0u8; wire::WIRE_HEADER_LEN]);
+    behind_marker.push(0x42);
+    frames.push(behind_marker);
+    frames
+}
+
+/// The network element takes the same wire input the receiver does. Under
+/// every conversion policy the router must come through the mangling set
+/// without a panic — this test runs in the debug profile, overflow checks on
+/// — emit only frames that validate and fit its egress MTU, and drop exactly
+/// the frames the owned `unpack` refuses.
+#[test]
+fn router_survives_systematic_mangling_under_every_policy() {
+    use chunks::core::packet::{unpack, validate};
+    use chunks::netsim::{ChunkRouter, PacketTransform, Profile, RefragPolicy};
+
+    let h = wire::WIRE_HEADER_LEN;
+    let mut frames = mangled_frames(&valid_exemplars().concat());
+    frames.extend(mangled_frames(&real_frame()));
+    let refused = frames
+        .iter()
+        .filter(|f| {
+            unpack(&Packet {
+                bytes: (*f).clone().into(),
+            })
+            .is_err()
+        })
+        .count() as u64;
+    assert!(refused > 1000 && refused < frames.len() as u64);
+
+    let policies = [
+        RefragPolicy::OnePerPacket,
+        RefragPolicy::Repack,
+        RefragPolicy::Reassemble { window: 5 },
+        RefragPolicy::DropOversize,
+    ];
+    // Wide: every element the frames can carry fits, so the only refusals
+    // are malformed frames. Narrow: chunks split, and a mangled `SIZE` may
+    // exceed the envelope, which is refused as well.
+    for (egress, wide) in [(h + 1024, true), (h + 9, false)] {
+        for policy in policies {
+            let mut router = ChunkRouter::new(egress, policy);
+            let mut emitted: Vec<Vec<u8>> = Vec::new();
+            for f in &frames {
+                emitted.extend(router.ingest(f.clone()));
+            }
+            emitted.extend(router.flush());
+            assert!(router.flush().is_empty());
+            for f in &emitted {
+                assert!(f.len() <= egress, "{policy:?}: {} > {egress}", f.len());
+                if policy != RefragPolicy::DropOversize {
+                    let p = Packet {
+                        bytes: f.clone().into(),
+                    };
+                    assert!(validate(&p).is_ok(), "{policy:?} emitted a malformed frame");
+                }
+            }
+            if policy == RefragPolicy::DropOversize {
+                let oversize = frames.iter().filter(|f| f.len() > egress).count() as u64;
+                assert_eq!(router.drops, oversize);
+            } else if wide {
+                assert_eq!(router.drops, refused, "{policy:?}");
+            } else {
+                assert!(router.drops >= refused, "{policy:?}");
+            }
+        }
+    }
+
+    // The same set through a whole path: wide link, refragmenting router,
+    // narrow link.
+    let mtu = 768;
+    let narrow = h + mtu / 4;
+    let mut path = Profile::Fragmenting.build(mtu, 0xAD5E);
+    let inputs = frames
+        .iter()
+        .enumerate()
+        .map(|(i, f)| (i as u64 * 1_000, f.clone()))
+        .collect();
+    let deliveries = path.run(inputs);
+    assert!(!deliveries.is_empty());
+    for d in deliveries {
+        assert!(d.frame.len() <= narrow);
+        let p = Packet {
+            bytes: d.frame.into(),
+        };
+        assert!(validate(&p).is_ok());
+    }
+    assert_eq!(path.hops()[1].link.stats().oversize, 0);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 

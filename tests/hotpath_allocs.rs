@@ -469,3 +469,112 @@ fn transmit_side_touches_the_heap_once_per_packet_and_retains_the_wire_image() {
         "{held} B held for {wire} B on the wire"
     );
 }
+
+/// MTU of the network legs: the ledger's `small-frag` shape.
+const NET_MTU: usize = 576;
+
+/// `count` sender-built frames of at most [`NET_MTU`] bytes, a microsecond
+/// apart.
+fn network_inputs(count: usize) -> Vec<(u64, Vec<u8>)> {
+    let mut tx = Sender::new(SenderConfig {
+        params: ConnectionParams {
+            tpdu_elements: 512,
+            ..params(1)
+        },
+        layout: layout(),
+        mtu: NET_MTU,
+        min_tpdu_elements: 2,
+        max_tpdu_elements: 512,
+    });
+    let message: Vec<u8> = (0..count * (NET_MTU - 40))
+        .map(|i| (i * 13 + 5) as u8)
+        .collect();
+    tx.submit_simple(&message, 1, false);
+    let packets = tx.packets_for_pending().expect("clean stream packs");
+    assert!(packets.len() >= count);
+    packets[..count]
+        .iter()
+        .enumerate()
+        .map(|(i, p)| (i as u64 * 1_000, p.bytes.to_vec()))
+        .collect()
+}
+
+/// Allocations made and bytes requested by one `Path::run`, with what it
+/// delivered.
+fn measured_run(
+    profile: chunks::netsim::Profile,
+    inputs: Vec<(u64, Vec<u8>)>,
+) -> (u64, u64, Vec<chunks::netsim::path::Delivery>) {
+    let mut path = profile.build(NET_MTU, 0xA110C);
+    let (allocs, requested) = (alloc_count::allocs(), alloc_count::requested_bytes());
+    let deliveries = path.run(inputs);
+    (
+        alloc_count::allocs() - allocs,
+        alloc_count::requested_bytes() - requested,
+        deliveries,
+    )
+}
+
+#[test]
+fn network_copies_each_byte_once_and_links_move_frames() {
+    use chunks::netsim::Profile;
+
+    const FRAMES: usize = 2048;
+    let inputs = network_inputs(FRAMES);
+    let twice = network_inputs(2 * FRAMES);
+    let wire = |inputs: &[(u64, Vec<u8>)]| inputs.iter().map(|f| f.1.len() as u64).sum::<u64>();
+
+    // (a) Through the refragmenting router, 576 -> 176 bytes. Per ingress
+    // frame: the shared owner that makes it a `Packet`, the list `ingest`
+    // returns, and one buffer per egress frame (four) — the single copy of
+    // the payload. Per run: the router's window list, one departure list a
+    // hop, and the narrow hop's list doubling twice.
+    let (allocs, requested, deliveries) = measured_run(Profile::Fragmenting, inputs.clone());
+    let egress = deliveries.len() as u64;
+    assert_eq!(egress, 4 * FRAMES as u64);
+    assert!(
+        (6 * FRAMES as u64..=6 * FRAMES as u64 + 8).contains(&allocs),
+        "{allocs} allocations for {FRAMES} frames in, {egress} out"
+    );
+    assert!(allocs <= 2 * egress);
+    // Egress buffers are reserved at the MTU (1.23 x the wire bytes in:
+    // every piece gets its own 32-byte label); the rest is lists of handles.
+    assert!(
+        (requested as f64) < 2.1 * wire(&inputs) as f64,
+        "{requested} B requested for {} B of wire in",
+        wire(&inputs)
+    );
+
+    // (b) A link moves frames: no per-frame allocation, no payload byte
+    // requested. What a run asks for is one departure list, and on a
+    // disordering path the stable sort's scratch.
+    for (profile, lists) in [
+        (Profile::Clean, 1),
+        (Profile::Reorder, 2),
+        (Profile::MultipathLossy, 2),
+    ] {
+        let offered = inputs.clone();
+        let buffers: std::collections::BTreeSet<*const u8> =
+            offered.iter().map(|f| f.1.as_ptr()).collect();
+        let (allocs, requested, deliveries) = measured_run(profile, offered);
+        let (allocs_twice, _, _) = measured_run(profile, twice.clone());
+        assert_eq!(allocs, lists, "{}", profile.name());
+        assert_eq!(
+            allocs_twice,
+            allocs,
+            "{}: grows with the frame count",
+            profile.name()
+        );
+        assert!(
+            (requested as f64) < 0.2 * wire(&inputs) as f64,
+            "{}: {requested} B requested",
+            profile.name()
+        );
+        // Moved, not copied: every delivered frame is the buffer it was
+        // offered in.
+        assert!(deliveries.len() > FRAMES * 9 / 10);
+        assert!(deliveries
+            .iter()
+            .all(|d| buffers.contains(&d.frame.as_ptr())));
+    }
+}
