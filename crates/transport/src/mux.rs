@@ -22,7 +22,7 @@ use chunks_obs::{ObsSink, ShardSink};
 
 use crate::ack::AckInfo;
 use crate::conn::Signal;
-use crate::receiver::{wire_chunks, Receiver, RxEvent};
+use crate::receiver::{chunk_walk, Receiver, RxEvent, WireChunk};
 use crate::table::{ConnTable, TableConfig};
 
 /// Collects chunks from any number of sources — data from several
@@ -182,43 +182,44 @@ impl ConnectionDemux {
     }
 
     /// Zero-copy packet ingest: one validation scan, then a streaming span
-    /// walk whose decoded payloads borrow the packet's `Bytes` — the serial
-    /// twin of [`ParallelReceiver::ingest`](crate::parallel::ParallelReceiver::ingest)
+    /// walk whose payloads are read in place in the packet's `Bytes` — the
+    /// serial twin of [`ParallelReceiver::ingest`](crate::parallel::ParallelReceiver::ingest)
     /// and the entry the million-connection scale harness drives. A
     /// malformed chunk rejects the whole packet.
     pub fn ingest(&mut self, packet: &Packet, now: u64, events: &mut Vec<DemuxEvent>) {
-        let Ok(chunks) = wire_chunks(packet) else {
+        let Ok(walk) = chunk_walk(packet) else {
             return;
         };
-        for chunk in chunks {
+        for chunk in walk {
             self.route_chunk(chunk, now, events);
         }
     }
 
-    /// Routes one decoded chunk by `TYPE` and `C.ID`.
-    fn route_chunk(&mut self, chunk: Chunk, now: u64, events: &mut Vec<DemuxEvent>) {
-        self.routed[chunk.header.ty.to_u8() as usize] += 1;
-        match chunk.header.ty {
+    /// Routes one chunk by `TYPE` and `C.ID`.
+    fn route_chunk(&mut self, chunk: WireChunk<'_>, now: u64, events: &mut Vec<DemuxEvent>) {
+        let header = chunk.header;
+        self.routed[header.ty.to_u8() as usize] += 1;
+        match header.ty {
             ChunkType::Ack => {
-                if let Ok(ack) = AckInfo::from_chunk(&chunk) {
+                if let Some(ack) = AckInfo::decode(chunk.payload()) {
                     events.push(DemuxEvent::Ack {
-                        conn_id: chunk.header.conn.id,
+                        conn_id: header.conn.id,
                         ack,
                     });
                 }
             }
             ChunkType::Signal => {
-                if let Ok(s) = Signal::from_chunk(&chunk) {
+                if let Some(s) = Signal::decode(chunk.payload()) {
                     events.push(DemuxEvent::Signal(s));
                 }
             }
             ChunkType::Data | ChunkType::ErrorDetection => {
-                let conn_id = chunk.header.conn.id;
+                let conn_id = header.conn.id;
                 let scratch = &mut self.scratch;
                 match self.receivers.lookup(conn_id, now) {
                     Some(rx) => {
                         scratch.clear();
-                        rx.handle_chunk_into(chunk, now, scratch);
+                        rx.handle_wire_into(chunk, now, scratch);
                         for event in scratch.drain(..) {
                             events.push(DemuxEvent::Connection { conn_id, event });
                         }

@@ -63,7 +63,8 @@ use std::time::Instant;
 use bytes::Bytes;
 use chunks_core::label::ChunkType;
 use chunks_core::packet::{spans, validate, Packet};
-use chunks_core::wire::{decode_chunk_at, decode_header};
+use chunks_core::wire::{decode_chunk_at, decode_chunk_ref, decode_header};
+use chunks_core::WIRE_HEADER_LEN;
 use chunks_obs::{Event, HotCounter, Labels, ObsSink, ShardSink, SpanId, Stage};
 use chunks_vreasm::OverlapPolicy;
 use chunks_wsc::{InvariantLayout, Wsc2Stream};
@@ -71,7 +72,7 @@ use chunks_wsc::{InvariantLayout, Wsc2Stream};
 use crate::ack::AckInfo;
 use crate::budget::ResourceBudget;
 use crate::conn::{ConnectionParams, Signal};
-use crate::receiver::{labels_of, observe_decoded, DeliveryMode, Receiver, RxEvent};
+use crate::receiver::{labels_of, observe_decoded, DeliveryMode, Receiver, RxEvent, WireChunk};
 use crate::table::{ConnSet, ConnTable, TableConfig};
 
 /// Depth of each worker's bounded work queue (threads engine), in batches.
@@ -393,14 +394,15 @@ impl Shard {
     fn process(&mut self, work: Work) {
         match work {
             Work::Chunk { raw, now } => {
-                // The decode slices the chunk's payload straight out of the
-                // dispatched span (itself a slice of the arriving packet).
-                let chunk = match decode_chunk_at(&raw, 0) {
-                    Ok((c, _)) => {
+                // The label is decoded from the dispatched span (itself a
+                // slice of the arriving packet) and the payload is read in
+                // place there.
+                let (header, end) = match decode_chunk_ref(&raw) {
+                    Ok((c, end)) => {
                         if self.obs_verbose {
                             observe_decoded(&*self.obs, now, &c.header, c.payload.len());
                         }
-                        c
+                        (c.header, end)
                     }
                     Err(_) => {
                         // Unreachable through `ingest`: dispatch only sends
@@ -409,7 +411,7 @@ impl Shard {
                         return;
                     }
                 };
-                let conn_id = chunk.header.conn.id;
+                let conn_id = header.conn.id;
                 let Some(rx) = self.receivers.lookup(conn_id, now) else {
                     // Dispatch only routes registered connections here.
                     self.decode_errors += 1;
@@ -421,7 +423,12 @@ impl Shard {
                 // to fold into the worker transcript. No per-chunk Vec.
                 let events = self.events.entry(conn_id).or_default();
                 let before = events.len();
-                rx.handle_chunk_into(chunk, now, events);
+                let chunk = WireChunk {
+                    header,
+                    bytes: &raw,
+                    span: WIRE_HEADER_LEN..end,
+                };
+                rx.handle_wire_into(chunk, now, events);
                 for event in &events[before..] {
                     if let RxEvent::TpduDelivered { start, .. } = event {
                         if let Some(code) = rx.delivered_code(*start) {

@@ -10,7 +10,7 @@ use chunks_core::chunk::Chunk;
 use chunks_obs::{Event, SpanId, Stage};
 use chunks_vreasm::Resolution;
 
-use super::decode::labels_of;
+use super::decode::{labels_of, WireChunk};
 use super::verify::TpduEngine;
 use super::{DeliveryMode, FailureReason, Receiver, RxEvent};
 
@@ -26,13 +26,11 @@ pub(super) struct Group {
 }
 
 impl Group {
-    /// The shell, ready for the pool: every container is cleared but keeps
-    /// its capacity, so `group_entry` re-arms it for the next TPDU without
-    /// allocating.
-    pub(super) fn recycled(mut self) -> Self {
+    /// Clears a freed slot's shell: every container is emptied but keeps
+    /// its capacity, so the next TPDU opens in it without allocating.
+    pub(super) fn recycle(&mut self) {
         self.tpdu.clear();
         self.held.clear();
-        self
     }
 
     /// Payload bytes this group holds in staging.
@@ -54,25 +52,26 @@ impl Receiver {
 
     /// Moves an accepted chunk's payload per the delivery mode: straight
     /// into the application space, or into staging until the gap ahead of
-    /// it fills (Reorder) or its TPDU verifies (Reassemble).
-    pub(super) fn move_data(&mut self, start: u64, first: u64, chunk: Chunk, now: u64) {
+    /// it fills (Reorder) or its TPDU — the group in `slot` — verifies
+    /// (Reassemble). Only a staged chunk is made an owned [`Chunk`], a
+    /// slice sharing the packet's buffer.
+    pub(super) fn move_data(&mut self, slot: usize, first: u64, c: WireChunk<'_>, now: u64) {
         if self.stages(first) {
-            self.stage(chunk.payload.len() as u64);
-            self.stats.data_touches += chunk.payload.len() as u64;
+            self.stage(c.span.len() as u64);
+            self.stats.data_touches += c.span.len() as u64;
             if self.obs_on {
                 self.obs
-                    .span_open(now, SpanId::new(labels_of(&chunk.header), Stage::Hold));
+                    .span_open(now, SpanId::new(labels_of(&c.header), Stage::Hold));
             }
             if self.mode == DeliveryMode::Reorder {
-                self.reorder_q.insert(first, (chunk, now));
+                self.reorder_q.insert(first, (c.to_chunk(), now));
             } else {
-                let group = self.groups.get_mut(&start).expect("present");
-                group.held.push((chunk, now));
+                self.groups[slot].held.push((c.to_chunk(), now));
             }
         } else {
-            self.place(first, &chunk.payload);
+            self.place(first, c.payload());
             if self.mode == DeliveryMode::Reorder {
-                self.in_order = first + chunk.header.len as u64;
+                self.in_order = first + c.header.len as u64;
                 self.drain_reorder_queue(now);
             }
         }
@@ -95,7 +94,7 @@ impl Receiver {
         out: &mut Vec<RxEvent>,
     ) -> bool {
         let bytes = len * self.params.elem_size as u64;
-        if !self.done.contains_key(&start) && self.admit_group_into(start, bytes, now, out) {
+        if self.admit_group_into(start, bytes, now, out) {
             return true;
         }
         // Interval-table occupancy: the hardware analogue caps tracked runs.
@@ -119,8 +118,8 @@ impl Receiver {
 
     /// The open-group cap, for an arrival of `bytes` (data or ED — an ED
     /// chunk opens a group too, and a flood of them is budgeted the same
-    /// way) that would open the group at `start`. Returns `true` when the
-    /// chunk was shed.
+    /// way) that would open the group at `start` — neither open nor
+    /// delivered. Returns `true` when the chunk was shed.
     pub(super) fn admit_group_into(
         &mut self,
         start: u64,
@@ -128,7 +127,7 @@ impl Receiver {
         now: u64,
         out: &mut Vec<RxEvent>,
     ) -> bool {
-        if !self.groups.contains_key(&start) {
+        if self.groups.get(start).is_none() && !self.done.contains_key(&start) {
             while self.open_groups() >= self.budget.max_open_groups {
                 if !self.evict_idle(start, "groups", now) {
                     self.shed_into(start, bytes, out);
@@ -142,8 +141,8 @@ impl Receiver {
     /// Groups that have arrived but reached no verdict yet.
     pub(super) fn open_groups(&self) -> usize {
         self.groups
-            .values()
-            .filter(|g| g.tpdu.verdict().is_none())
+            .iter()
+            .filter(|(_, g)| g.tpdu.verdict().is_none())
             .count()
     }
 
@@ -156,16 +155,16 @@ impl Receiver {
         let victim = self
             .groups
             .iter()
-            .filter(|(&s, g)| s != keep && g.tpdu.verdict().is_none() && !g.tpdu.is_verifiable())
-            .min_by_key(|(&s, g)| (g.last_touch, s))
-            .map(|(&s, _)| s);
+            .filter(|&(s, g)| s != keep && g.tpdu.verdict().is_none() && !g.tpdu.is_verifiable())
+            .min_by_key(|&(s, g)| (g.last_touch, s))
+            .map(|(s, _)| s);
         let Some(s) = victim else {
             return false;
         };
-        let g = self.groups.remove(&s).expect("chosen from the map");
-        let span = g.tpdu.span();
+        let slot = self.groups.find(s).expect("chosen from the table");
+        let span = self.groups[slot].tpdu.span();
         self.claimed.release(s);
-        let mut freed = g.staged();
+        let mut freed = self.groups[slot].staged();
         // Reorder-mode staging is keyed by element, not by group; free any
         // staged chunks inside the evicted span too.
         self.reorder_q.retain(|&f, (chunk, _)| {
@@ -189,7 +188,7 @@ impl Receiver {
                 },
             );
         }
-        self.pool.push(g.recycled());
+        self.groups.remove(slot).recycle();
         true
     }
 
@@ -224,9 +223,9 @@ impl Receiver {
                 .is_some_and(|g| hot(g.held_bytes(), g.cap_bytes()))
     }
 
-    /// The cold path of a chunk that overlaps positions its TPDU already
-    /// holds; `uncovered` is what [`TpduEngine::track`] reported still
-    /// missing. A retransmission cut at different points duplicates received
+    /// The cold path of a chunk that overlaps positions its TPDU — the group
+    /// in `slot` — already holds; `uncovered` is what [`TpduEngine::track`]
+    /// reported still missing. A retransmission cut at different points duplicates received
     /// data with *identical* bytes — the benign case of Appendix C, silently
     /// trimmed. Overlapping positions whose bytes *differ* are a genuine
     /// conflict the overlap policy must resolve; whatever it picks, the
@@ -236,13 +235,15 @@ impl Receiver {
     pub(super) fn overlapped_into(
         &mut self,
         chunk: &Chunk,
-        start: u64,
+        slot: usize,
         uncovered: &[(u64, u64)],
         now: u64,
         out: &mut Vec<RxEvent>,
     ) {
-        let sn = chunk.header.tpdu.sn as u64;
-        let end = sn + chunk.header.len as u64;
+        let h = &chunk.header;
+        let sn = h.tpdu.sn as u64;
+        let end = sn + h.len as u64;
+        let start = self.unwrap_csn(h.conn.sn.wrapping_sub(h.tpdu.sn));
         self.stats.duplicate_chunks += 1;
         if self.obs_on {
             self.obs.counter("transport.rx.duplicate_chunks", 1);
@@ -251,7 +252,7 @@ impl Receiver {
         // verdict is already out. Otherwise walk the complement of the
         // uncovered runs — the overlapped positions — and let the policy
         // judge each; `Reject` condemns the group once, after the walk.
-        if self.groups[&start].tpdu.verdict().is_none() {
+        if self.groups[slot].tpdu.verdict().is_none() {
             let mut condemn = false;
             let mut cursor = sn;
             for &(lo, hi) in uncovered.iter().chain(&[(end, end)]) {
@@ -266,7 +267,7 @@ impl Receiver {
         }
         for &(lo, hi) in uncovered {
             match chunks_core::frag::extract(chunk, (lo - sn) as u32, (hi - lo) as u32) {
-                Ok(piece) => self.handle_data(piece, now, out),
+                Ok(piece) => self.handle_data(WireChunk::of(&piece), now, out),
                 Err(_) => self.group_failure_into(start, FailureReason::BadChunk, out),
             }
         }
@@ -353,7 +354,7 @@ impl Receiver {
                 }
             }
             DeliveryMode::Reassemble => {
-                for (c, _) in self.groups.get(&start).map_or(&[][..], |g| &g.held) {
+                for (c, _) in self.groups.get(start).map_or(&[][..], |g| &g.held) {
                     piece(self.unwrap_csn(c.header.conn.sn), &c.payload);
                 }
             }
@@ -369,8 +370,11 @@ impl Receiver {
     /// ED comparison at completion stays the integrity authority.
     fn overwrite_held(&mut self, start: u64, lo: u64, hi: u64, old: &[u8], new: &[u8]) {
         let esize = self.params.elem_size as usize;
-        if let Some(g) = self.groups.get_mut(&start) {
-            g.tpdu.patch(self.params.elem_size, lo - start, old, new);
+        let slot = self.groups.find(start);
+        if let Some(slot) = slot {
+            self.groups[slot]
+                .tpdu
+                .patch(self.params.elem_size, lo - start, old, new);
         }
         match self.mode {
             DeliveryMode::Immediate => self.place(lo, new),
@@ -388,8 +392,8 @@ impl Receiver {
             DeliveryMode::Reassemble => {
                 let initial = self.params.initial_csn;
                 let mut touched = 0;
-                if let Some(g) = self.groups.get_mut(&start) {
-                    for (c, _) in g.held.iter_mut() {
+                if let Some(slot) = slot {
+                    for (c, _) in self.groups[slot].held.iter_mut() {
                         let f = c.header.conn.sn.wrapping_sub(initial) as u64;
                         touched += overlay_into_chunk(c, f, lo, hi, new, esize);
                     }
@@ -447,15 +451,17 @@ impl Receiver {
         }
     }
 
-    /// Reassemble mode: releases a verified group's staged chunks to the
-    /// application. `drain` preserves arrival order (the obs span-close
-    /// order the lineage trace pins) and keeps the Vec's capacity for the
-    /// pool.
-    pub(super) fn release_held(&mut self, group: &mut Group, now: u64) {
-        for (chunk, arrived) in group.held.drain(..) {
+    /// Reassemble mode: releases the staged chunks of the verified group in
+    /// `slot` to the application. `drain` preserves arrival order (the obs
+    /// span-close order the lineage trace pins) and the Vec goes back to the
+    /// shell with its capacity.
+    pub(super) fn release_held(&mut self, slot: usize, now: u64) {
+        let mut held = std::mem::take(&mut self.groups[slot].held);
+        for (chunk, arrived) in held.drain(..) {
             let first = self.unwrap_csn(chunk.header.conn.sn);
             self.unhold(first, &chunk, arrived, now);
         }
+        self.groups[slot].held = held;
     }
 
     fn drain_reorder_queue(&mut self, now: u64) {

@@ -26,22 +26,26 @@
 //! The path is a fixed parse graph followed by match+action stages, one
 //! file each behind a crate-private interface:
 //!
-//! * `decode` — wire bytes → chunks (`wire_chunks`), shared by every
-//!   receive front-end in the crate;
+//! * `decode` — wire bytes → labels and payload ranges (`chunk_walk`),
+//!   shared by every receive front-end in the crate;
 //! * `verify` — **track + verify**, the per-TPDU `TpduEngine`: virtual
 //!   reassembly, X-level consistency, the incremental invariant, the
 //!   verdict, and the TPDU's share of an ack. [`Receiver`] and
 //!   [`StreamReceiver`](crate::stream::StreamReceiver) both run on it;
 //! * `deliver` — the three [`DeliveryMode`]s, staging, budget admission
-//!   and overlap resolution.
+//!   and overlap resolution;
+//! * `groups` — the open-group table: fixed slots, a keyed index, and a
+//!   last-hit cursor.
 //!
 //! This file is the glue: per-connection state, the entry points, TPDU
 //! grouping by `C.SN − T.SN`, the cross-group claim check, and reporting.
+//! Every entry ends in one borrowed form, a `WireChunk` whose payload is
+//! read where it lies, and resolves the chunk's TPDU once (`entered`).
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use chunks_core::chunk::Chunk;
+use chunks_core::chunk::{Chunk, ChunkHeader};
 use chunks_core::label::ChunkType;
 use chunks_core::packet::Packet;
 use chunks_obs::{Event, HotCounter, Labels, ObsSink, SpanId, Stage};
@@ -55,13 +59,15 @@ use crate::rto::TransportError;
 
 mod decode;
 mod deliver;
+mod groups;
 mod verify;
 
-pub(crate) use decode::{labels_of, observe_decoded, wire_chunks};
+pub(crate) use decode::{chunk_walk, labels_of, observe_decoded, WireChunk};
 pub(crate) use verify::{ack_parts, TpduEngine, Track};
 
 use decode::observe_packet;
 use deliver::Group;
+use groups::Groups;
 use verify::Done;
 
 /// The three receiver strategies of §3.3.
@@ -204,16 +210,13 @@ pub struct Receiver {
     /// Out-of-order staging for Reorder mode: element index → (chunk, when).
     reorder_q: HashMap<u64, (Chunk, u64)>,
     /// Open and failed groups only; delivered groups collapse into `done`.
-    groups: HashMap<u64, Group>,
+    /// A freed slot keeps its cleared shell (warm interval slab, cleared
+    /// X-delta table, empty staging `Vec` with its capacity), so in steady
+    /// state a new TPDU opens without touching the allocator.
+    groups: Groups<Group>,
     /// Delivered TPDUs, keyed by start: the compact remainder of a group
-    /// after its heavy state returned to `pool`.
+    /// after its slot was freed. Never holds a start `groups` holds.
     done: HashMap<u64, Done>,
-    /// Recycled group shells (cleared trackers with warm interval slabs,
-    /// cleared X-delta tables, empty staging `Vec`s with their capacity).
-    /// Fed by delivery, eviction, and group reset; drained by
-    /// [`Self::group_entry`] — in steady state a new TPDU opens without
-    /// touching the allocator.
-    pool: Vec<Group>,
     /// Verified-and-delivered TPDU starts (drives acks).
     delivered: Vec<u64>,
     /// Scratch for [`TpduEngine::track`]'s uncovered runs, reused across
@@ -284,9 +287,8 @@ impl Receiver {
             budget: ResourceBudget::default(),
             in_order: 0,
             reorder_q: HashMap::new(),
-            groups: HashMap::new(),
+            groups: Groups::default(),
             done: HashMap::new(),
-            pool: Vec::new(),
             delivered: Vec::new(),
             uncovered: Vec::new(),
             closed: false,
@@ -363,7 +365,6 @@ impl Receiver {
         self.delivered.reserve(tpdus);
         self.claimed.reserve(fragments);
         self.reorder_q.reserve(fragments);
-        self.pool.reserve(tpdus);
     }
 
     /// The application address space (element `i` at `i * elem_size`).
@@ -401,28 +402,35 @@ impl Receiver {
         Labels::new(self.params.conn_id, start as u32, 0)
     }
 
-    /// Fetches or creates the group at `start`. A group's first arrival —
-    /// data, ED, or the failure that condemns it — opens its `verify` span;
-    /// the span closes at the WSC-2 verdict (delivery or failure).
-    fn group_entry(&mut self, start: u64, now: u64) -> &mut Group {
-        if !self.groups.contains_key(&start) {
-            if self.obs_on {
-                self.obs
-                    .span_open(now, SpanId::new(self.group_labels(start), Stage::Verify));
-            }
-            let group = match self.pool.pop() {
-                Some(g) => g,
-                None => Group {
-                    tpdu: TpduEngine::new(self.layout),
+    /// Resolves the TPDU at `start` once: its open group — the cursor's for
+    /// every chunk of a TPDU after its first — and only on a miss the `done`
+    /// tier (`Err` with the delivered TPDU's end), which never shares a start
+    /// with an open group; else a new group in a free shell. The group's
+    /// `last_touch` becomes `now`. A group's first arrival — data, ED, or the
+    /// failure that condemns it — opens its `verify` span; the span closes
+    /// at the WSC-2 verdict (delivery or failure).
+    fn entered(&mut self, start: u64, now: u64) -> Result<usize, u64> {
+        let slot = match self.groups.find(start) {
+            Some(slot) => slot,
+            None => {
+                if let Some(done) = self.done.get(&start) {
+                    return Err(done.end);
+                }
+                if self.obs_on {
+                    let span = SpanId::new(self.group_labels(start), Stage::Verify);
+                    self.obs.span_open(now, span);
+                }
+                let layout = self.layout;
+                self.groups.insert(start, || Group {
+                    tpdu: TpduEngine::new(layout),
                     held: Vec::new(),
                     last_touch: now,
-                },
-            };
-            self.groups.insert(start, group);
-        }
-        let group = self.groups.get_mut(&start).expect("just ensured");
-        group.last_touch = now;
-        group
+                })
+            }
+        };
+        debug_assert!(!self.done.contains_key(&start), "open and done overlap");
+        self.groups[slot].last_touch = now;
+        Ok(slot)
     }
 
     /// Handles one arriving packet at time `now`.
@@ -452,16 +460,12 @@ impl Receiver {
     }
 
     fn packet_inner(&mut self, packet: &Packet, now: u64, out: &mut Vec<RxEvent>) {
-        let walk = wire_chunks(packet);
+        let walk = chunk_walk(packet);
         if self.obs_verbose {
             observe_packet(&*self.obs, packet, now, walk.as_ref().err());
         }
         match walk {
-            Ok(chunks) => {
-                for chunk in chunks {
-                    self.chunk_inner(chunk, now, out);
-                }
-            }
+            Ok(walk) => walk.for_each(|c| self.handle_wire_into(c, now, out)),
             Err(_) => self.bad_packet(),
         }
     }
@@ -483,28 +487,30 @@ impl Receiver {
 
     /// [`Self::handle_chunk`], appending events into a caller-owned buffer.
     pub fn handle_chunk_into(&mut self, chunk: Chunk, now: u64, out: &mut Vec<RxEvent>) {
-        self.last_now = now;
-        self.chunk_inner(chunk, now, out);
+        self.handle_wire_into(WireChunk::of(&chunk), now, out);
     }
 
-    fn chunk_inner(&mut self, chunk: Chunk, now: u64, out: &mut Vec<RxEvent>) {
-        match chunk.header.ty {
-            ChunkType::Data => self.handle_data(chunk, now, out),
-            ChunkType::ErrorDetection => self.handle_ed(chunk, now, out),
-            ChunkType::Signal => match Signal::from_chunk(&chunk) {
-                Ok(s) => out.push(RxEvent::Signalled(s)),
-                Err(_) => self.bad_packet(),
+    /// The borrowed entry the crate's front-ends feed from their packet
+    /// walks.
+    pub(crate) fn handle_wire_into(&mut self, c: WireChunk<'_>, now: u64, out: &mut Vec<RxEvent>) {
+        self.last_now = now;
+        match c.header.ty {
+            ChunkType::Data => self.handle_data(c, now, out),
+            ChunkType::ErrorDetection => self.handle_ed(&c.header, c.payload(), now, out),
+            ChunkType::Signal => match Signal::decode(c.payload()) {
+                Some(s) => out.push(RxEvent::Signalled(s)),
+                None => self.bad_packet(),
             },
-            ChunkType::Ack => match AckInfo::from_chunk(&chunk) {
-                Ok(a) => out.push(RxEvent::Acked(a)),
-                Err(_) => self.bad_packet(),
+            ChunkType::Ack => match AckInfo::decode(c.payload()) {
+                Some(a) => out.push(RxEvent::Acked(a)),
+                None => self.bad_packet(),
             },
             ChunkType::Padding => {}
         }
     }
 
-    fn handle_data(&mut self, chunk: Chunk, now: u64, out: &mut Vec<RxEvent>) {
-        let h = chunk.header;
+    fn handle_data(&mut self, c: WireChunk<'_>, now: u64, out: &mut Vec<RxEvent>) {
+        let h = c.header;
         let start = self.unwrap_csn(h.conn.sn.wrapping_sub(h.tpdu.sn));
         // SIZE is signalled per connection; a mismatch is a corrupted SIZE
         // field (Table 1: reassembly error).
@@ -525,40 +531,40 @@ impl Receiver {
             return;
         }
 
-        // Delivered groups have collapsed into the `done` tier; their heavy
-        // state is recycled. A delivered TPDU covered `[0, end)` contiguously,
-        // so a late copy aimed at it is judged against `end` alone.
+        // Delivered groups have collapsed into the `done` tier. A delivered
+        // TPDU covered `[0, end)` contiguously, so a late copy aimed at it is
+        // judged against `end` alone.
         let sn = h.tpdu.sn as u64;
-        if let Some(done) = self.done.get(&start) {
-            let end = done.end;
-            if sn >= end {
-                // Data entirely past a delivered TPDU's verified end
-                // contradicts a verdict that is already out: it is dropped
-                // silently and counts nothing.
+        let slot = match self.entered(start, now) {
+            Ok(slot) => slot,
+            // Data entirely past a delivered TPDU's verified end contradicts
+            // a verdict that is already out: it is dropped silently and
+            // counts nothing.
+            Err(end) if sn >= end => return,
+            Err(end) => {
+                self.stats.duplicate_chunks += 1;
+                if self.obs_on {
+                    self.obs.counter("transport.rx.duplicate_chunks", 1);
+                }
+                if sn + len > end && self.budget.is_limited() {
+                    // The part past the verified end is dropped like the
+                    // case above, but budget admission sees it first: under
+                    // a limited budget it may shed, with the usual events.
+                    self.admit_into(start, first + (end - sn), len - (end - sn), now, out);
+                }
                 return;
             }
-            self.stats.duplicate_chunks += 1;
-            if self.obs_on {
-                self.obs.counter("transport.rx.duplicate_chunks", 1);
-            }
-            if sn + len > end && self.budget.is_limited() {
-                // The part past the verified end is dropped like the case
-                // above, but budget admission sees it first: under a
-                // limited budget it may shed, with the usual events.
-                self.admit_into(start, first + (end - sn), len - (end - sn), now, out);
-            }
-            return;
-        }
+        };
 
         // Stage 2a — track: virtual reassembly within the TPDU.
         // The uncovered-runs scratch is taken out for the call and handed
         // back after: the overlap path recurses into this function for the
         // pieces it extracts, and must find its own runs untouched.
         let mut uncovered = std::mem::take(&mut self.uncovered);
-        let group = self.group_entry(start, now);
+        let group = &mut self.groups[slot];
         let tracked = group.tpdu.track(sn, len, h.tpdu.st, &mut uncovered);
         if let Track::Overlap = tracked {
-            self.overlapped_into(&chunk, start, &uncovered, now, out);
+            self.overlapped_into(&c.to_chunk(), slot, &uncovered, now, out);
         }
         self.uncovered = uncovered;
         match tracked {
@@ -591,7 +597,7 @@ impl Receiver {
                         self.obs.event(
                             now,
                             Event::OverlapConflict {
-                                labels: labels_of(&chunk.header),
+                                labels: labels_of(&h),
                                 policy: self.policy.as_str(),
                                 start: (c.start * esize as u64) as u32,
                                 bytes: (c.len() * esize as u64) as u32,
@@ -609,8 +615,8 @@ impl Receiver {
 
         // Stage 2b — verify: X-level consistency, then the incremental
         // end-to-end error detection.
-        let group = self.groups.get_mut(&start).expect("just entered");
-        if let Err(reason) = group.tpdu.absorb(&h, &chunk.payload) {
+        let group = &mut self.groups[slot];
+        if let Err(reason) = group.tpdu.absorb(&h, c.payload()) {
             return self.group_failure_into(start, reason, out);
         }
         self.stats.chunks_accepted += 1;
@@ -630,39 +636,38 @@ impl Receiver {
         }
 
         // Stage 3 — deliver: mode-specific data movement.
-        self.move_data(start, first, chunk, now);
+        self.move_data(slot, first, c, now);
 
-        self.try_complete_into(start, now, out)
+        self.try_complete_into(slot, start, now, out)
     }
 
-    fn handle_ed(&mut self, chunk: Chunk, now: u64, out: &mut Vec<RxEvent>) {
-        let Ok(digest) = <[u8; 8]>::try_from(&chunk.payload[..]) else {
+    fn handle_ed(&mut self, h: &ChunkHeader, payload: &[u8], now: u64, out: &mut Vec<RxEvent>) {
+        let Ok(digest) = <[u8; 8]>::try_from(payload) else {
             return self.bad_packet();
         };
-        let start = self.unwrap_csn(chunk.header.conn.sn);
-        // A delivered group's verdict is out: a late ED chunk for it is
-        // dropped silently and cannot reopen the group.
-        if self.done.contains_key(&start) {
-            return;
-        }
+        let start = self.unwrap_csn(h.conn.sn);
         // An ED chunk opens a group too; a flood of them is budgeted the
         // same way a data flood is.
         if self.budget.is_limited() && self.admit_group_into(start, 8, now, out) {
             return;
         }
-        self.group_entry(start, now).tpdu.set_ed(digest);
-        self.try_complete_into(start, now, out)
+        // A delivered group's verdict is out: a late ED chunk for it is
+        // dropped silently and cannot reopen the group.
+        let Ok(slot) = self.entered(start, now) else {
+            return;
+        };
+        self.groups[slot].tpdu.set_ed(digest);
+        self.try_complete_into(slot, start, now, out)
     }
 
     /// Marks a group failed and reports it (once).
     fn group_failure_into(&mut self, start: u64, reason: FailureReason, out: &mut Vec<RxEvent>) {
-        // A delivered group's verdict is final. Without this guard a fresh
-        // group would be conjured and a spurious failure reported for an
-        // already-verified TPDU.
-        if self.done.contains_key(&start) {
+        // A delivered group's verdict is final: no fresh group is conjured
+        // and no spurious failure reported for an already-verified TPDU.
+        let Ok(slot) = self.entered(start, self.last_now) else {
             return;
-        }
-        if self.group_entry(start, self.last_now).tpdu.fail(reason) {
+        };
+        if self.groups[slot].tpdu.fail(reason) {
             self.report_failure(start, reason, out);
         }
     }
@@ -687,13 +692,11 @@ impl Receiver {
         out.push(RxEvent::TpduFailed { start, reason });
     }
 
-    /// Asks the group at `start` for its WSC-2 verdict. On delivery the
-    /// group's heavy state is recycled into the pool and a compact [`Done`]
-    /// record takes its place.
-    fn try_complete_into(&mut self, start: u64, now: u64, out: &mut Vec<RxEvent>) {
-        let Some(group) = self.groups.get_mut(&start) else {
-            return;
-        };
+    /// Asks the group in `slot` (at `start`) for its WSC-2 verdict. On
+    /// delivery the slot is freed with its shell cleared in place and a
+    /// compact [`Done`] record takes its place.
+    fn try_complete_into(&mut self, slot: usize, start: u64, now: u64, out: &mut Vec<RxEvent>) {
+        let group = &mut self.groups[slot];
         let Some(verdict) = group.tpdu.verify() else {
             return;
         };
@@ -710,7 +713,6 @@ impl Receiver {
             }
             return self.report_failure(start, reason, out);
         }
-        let mut group = self.groups.remove(&start).expect("present");
         let done = group.tpdu.done();
         let elements = done.elements;
         if self.obs_on {
@@ -718,7 +720,8 @@ impl Receiver {
             self.obs
                 .observe("wsc.runs_per_tpdu", group.tpdu.absorbed_runs());
         }
-        self.release_held(&mut group, now);
+        self.release_held(slot, now);
+        self.groups.remove(slot).recycle();
         self.delivered.push(start);
         self.stats.tpdus_delivered += 1;
         if self.obs_on {
@@ -747,7 +750,6 @@ impl Receiver {
             self.obs.span_close(now, deliver);
         }
         self.done.insert(start, done);
-        self.pool.push(group.recycled());
         out.push(RxEvent::TpduDelivered { start, elements });
         if self.closed {
             out.push(RxEvent::ConnectionClosed);
@@ -755,14 +757,15 @@ impl Receiver {
     }
 
     /// Expires every incomplete group (fragment timeout at end of run),
-    /// reporting each as a reassembly error.
+    /// reporting each as a reassembly error, in ascending `start` order.
     pub fn expire_incomplete(&mut self) -> Vec<RxEvent> {
-        let starts: Vec<u64> = self
+        let mut starts: Vec<u64> = self
             .groups
             .iter()
             .filter(|(_, g)| g.tpdu.verdict().is_none())
-            .map(|(&s, _)| s)
+            .map(|(s, _)| s)
             .collect();
+        starts.sort_unstable();
         let mut events = Vec::new();
         for s in starts {
             self.group_failure_into(s, FailureReason::ReassemblyError, &mut events);
@@ -782,7 +785,7 @@ impl Receiver {
             .collect();
         sacks.sort_unstable();
         sacks.dedup();
-        let (gaps, need_ed) = ack_parts(self.groups.iter().map(|(&s, g)| (s, &g.tpdu)));
+        let (gaps, need_ed) = ack_parts(self.groups.iter().map(|(s, g)| (s, &g.tpdu)));
         AckInfo {
             cumulative: prefix,
             sacks,
@@ -808,7 +811,7 @@ impl Receiver {
             .groups
             .iter()
             .filter(|(_, g)| matches!(g.tpdu.verdict(), Some(Err(_))))
-            .map(|(&s, _)| s)
+            .map(|(s, _)| s)
             .collect();
         v.sort_unstable();
         v
@@ -817,12 +820,12 @@ impl Receiver {
     /// Clears the state of a failed or incomplete group so a retransmission
     /// (with identical identifiers, §3.3) can be verified afresh.
     pub fn reset_group(&mut self, start: u64) {
-        if let Some(g) = self.groups.remove(&start) {
+        if let Some(slot) = self.groups.find(start) {
             // Release exactly this group's claims so retransmitted data may
             // land (tagged claims free without arithmetic on the span).
             self.claimed.release(start);
-            self.unstage(g.staged());
-            self.pool.push(g.recycled());
+            self.unstage(self.groups[slot].staged());
+            self.groups.remove(slot).recycle();
         } else if self.done.remove(&start).is_some() {
             // A delivered group: its heavy state is long recycled; drop the
             // verdict record and free the claims so the TPDU can be received
@@ -832,8 +835,8 @@ impl Receiver {
     }
 
     /// Quiesces the receiver into a reusable shell: every staged byte is
-    /// released (per-connection and global budget), every open group is
-    /// recycled into the pool, and all per-connection progress (claims,
+    /// released (per-connection and global budget), every open group's
+    /// shell is cleared in its slot, and all per-connection progress (claims,
     /// delivery records, statistics, close bit) is cleared — while every
     /// container keeps its capacity. A quiesced shell re-arms for a new
     /// connection via [`Self::rearm`] without touching the allocator; the
@@ -843,8 +846,7 @@ impl Receiver {
         // chunks and held group chunks both flowed through `stage`.
         let staged = self.stats.buffered_bytes;
         self.unstage(staged);
-        self.pool
-            .extend(self.groups.drain().map(|(_, g)| g.recycled()));
+        self.groups.drain(Group::recycle);
         self.reorder_q.clear();
         self.done.clear();
         self.delivered.clear();
@@ -1216,60 +1218,28 @@ mod tests {
         )));
     }
 
-    /// The decode events of a packet a recording sink saw, as short tags.
-    fn decode_trace(frame: Vec<u8>) -> (Vec<&'static str>, RxStats) {
-        let sink = chunks_obs::Recorder::verbose_tier(chunks_obs::DEFAULT_TRACE_CAPACITY);
-        let mut r = rx(DeliveryMode::Immediate).with_obs(sink.clone());
-        r.handle_packet(
-            &Packet {
-                bytes: frame.into(),
-            },
-            0,
-        );
-        let tags = sink
-            .events()
+    #[test]
+    fn incomplete_groups_expire_in_start_order_whatever_the_arrival_order() {
+        // Five TPDUs, each missing its last fragment, opened out of order:
+        // two receivers fed the same chunks report the same failures,
+        // ascending by start.
+        let tpdus = framed(&[3u8; 40]);
+        let expire = || {
+            let mut r = rx(DeliveryMode::Reassemble);
+            for i in [3, 0, 4, 1, 2] {
+                r.handle_chunk(split(&tpdus[i].chunks[0], 5).unwrap().0, 0);
+            }
+            r.expire_incomplete()
+        };
+        let (a, b) = (expire(), expire());
+        assert_eq!(a, b);
+        let starts: Vec<u64> = a
             .iter()
-            .filter_map(|e| match e.event {
-                Event::ChunkDecoded { .. } => Some("decoded"),
-                Event::ChunkRejected { reason, .. } => Some(reason),
-                _ => None,
+            .map(|e| match e {
+                RxEvent::TpduFailed { start, .. } => *start,
+                other => panic!("{other:?}"),
             })
             .collect();
-        (tags, r.stats)
-    }
-
-    #[test]
-    fn verbose_pre_pass_lists_decode_verdicts_before_any_chunk_is_handled() {
-        // One TPDU: data chunk + ED chunk in a single frame.
-        let tpdus = framed(b"abcdefgh");
-        let frame = pack(tpdus[0].all_chunks(), 1500).unwrap()[0].bytes.to_vec();
-        let (tags, stats) = decode_trace(frame.clone());
-        assert_eq!(tags, ["decoded", "decoded"]);
-        assert_eq!((stats.bad_packets, stats.chunks_accepted), (0, 1));
-
-        // Cut inside the second chunk: its predecessor is still listed,
-        // the cut chunk is the one rejection, and nothing is handled.
-        let (tags, stats) = decode_trace(frame[..frame.len() - 1].to_vec());
-        assert_eq!(tags, ["decoded", "truncated"]);
-        assert_eq!((stats.bad_packets, stats.chunks_accepted), (1, 0));
-
-        // Failures with no chunk to attribute them to reject the packet
-        // without a per-chunk event: garbage after the end marker...
-        let mut padded = frame.clone();
-        padded.extend_from_slice(&[0; 40]);
-        *padded.last_mut().unwrap() = 9;
-        let (tags, stats) = decode_trace(padded);
-        assert_eq!(tags, ["decoded", "decoded"]);
-        assert_eq!((stats.bad_packets, stats.chunks_accepted), (1, 0));
-        // ...a nonzero tail shorter than a header...
-        let mut tail = frame.clone();
-        tail.extend_from_slice(&[0, 0, 7]);
-        assert_eq!(decode_trace(tail).0, ["decoded", "decoded"]);
-        // ...and a TYPE byte `decode_header` itself refuses.
-        let mut bad_type = frame;
-        bad_type[0] = 0x7F;
-        let (tags, stats) = decode_trace(bad_type);
-        assert!(tags.is_empty());
-        assert_eq!(stats.bad_packets, 1);
+        assert_eq!(starts, [0, 8, 16, 24, 32]);
     }
 }

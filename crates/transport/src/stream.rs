@@ -22,7 +22,7 @@ use chunks_core::packet::Packet;
 use chunks_wsc::InvariantLayout;
 
 use crate::conn::ConnectionParams;
-use crate::receiver::{ack_parts, wire_chunks, FailureReason, TpduEngine, Track};
+use crate::receiver::{ack_parts, chunk_walk, FailureReason, TpduEngine, Track};
 
 /// Statistics kept by a [`StreamReceiver`].
 #[derive(Clone, Copy, Debug, Default)]
@@ -112,9 +112,9 @@ impl StreamReceiver {
     /// Feeds a packet; verified in-order bytes accumulate in the outbox
     /// (fetch with [`Self::poll_delivered`]).
     pub fn handle_packet(&mut self, packet: &Packet, now: u64) {
-        if let Ok(chunks) = wire_chunks(packet) {
-            for c in chunks {
-                self.handle_chunk(c, now);
+        if let Ok(walk) = chunk_walk(packet) {
+            for c in walk {
+                self.handle_chunk(c.to_chunk(), now);
             }
         }
     }

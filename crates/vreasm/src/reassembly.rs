@@ -258,6 +258,15 @@ impl Reassembly {
         if start == end {
             return;
         }
+        // At or past the last range — in-order arrival — the claim appends
+        // or extends the tail without a search.
+        if self.ranges.last().is_none_or(|&(_, e, _)| e <= start) {
+            match self.ranges.last_mut() {
+                Some(last) if last.1 == start && last.2 == tag => last.1 = end,
+                _ => self.ranges.push((start, end, tag)),
+            }
+            return;
+        }
         let at = self.ranges.partition_point(|&(s, _, _)| s < start);
         // Coalesce with same-tag neighbours that touch exactly.
         let mut new = (start, end, tag);
@@ -313,6 +322,10 @@ impl Reassembly {
 
     /// How much of `[start, end)` is claimed (by anyone).
     pub fn overlap(&self, start: u64, end: u64) -> u64 {
+        // Nothing claimed at or past `start`: no search.
+        if self.ranges.last().is_none_or(|&(_, e, _)| e <= start) {
+            return 0;
+        }
         let lo = self.ranges.partition_point(|&(_, e, _)| e <= start);
         let mut total = 0;
         for &(s, e, _) in &self.ranges[lo..] {

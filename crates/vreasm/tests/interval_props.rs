@@ -164,6 +164,47 @@ proptest! {
     }
 
     #[test]
+    fn reassembly_ranges_are_the_maximal_runs_of_a_per_position_owner_model(
+        claims in proptest::collection::vec((0u64..UNIVERSE, 1u64..32, 0u64..3, 0u32..4), 1..40),
+    ) {
+        // Claims arrive mostly in order — at or past the last range, the
+        // tail-append path — and now and then anywhere, through `claim` or,
+        // on a clean span, `claim_uncontested`, with a tag released now and
+        // then. The tagged ranges must always be exactly the maximal
+        // same-owner runs of a per-position model, whichever path built them.
+        let mut r = Reassembly::new(OverlapPolicy::FirstWins);
+        let mut owner: Vec<Option<u64>> = vec![None; 2048];
+        let mut tail = 0u64;
+        for &(at, len, tag, how) in &claims {
+            let start = if how == 0 { at } else { tail + at % 3 };
+            let end = start + len;
+            tail = end;
+            if how == 3 {
+                r.release(tag);
+                owner.iter_mut().filter(|o| **o == Some(tag)).for_each(|o| *o = None);
+            }
+            if r.overlap(start, end) == 0 && how != 1 {
+                r.claim_uncontested(start, end, tag);
+            } else {
+                r.claim(start, end, tag);
+            }
+            for o in &mut owner[start as usize..end as usize] {
+                o.get_or_insert(tag);
+            }
+            let mut runs = Vec::new();
+            let mut p = 0;
+            while p < owner.len() {
+                let q = p + owner[p..].iter().take_while(|&&o| o == owner[p]).count();
+                if let Some(t) = owner[p] {
+                    runs.push(format!("[{p},{q})#{t}"));
+                }
+                p = q;
+            }
+            prop_assert_eq!(r.to_string(), format!("{{{}}}", runs.join(", ")));
+        }
+    }
+
+    #[test]
     fn tracker_completes_iff_all_elements_seen(
         len in 1u64..64,
         order in proptest::collection::vec(any::<u16>(), 1..64),

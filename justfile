@@ -6,14 +6,15 @@
 # plus the release-mode test suite, the whole-workspace test suite (the
 # root package's tier-1 run covers no member crate, e.g. chunks-ledger's
 # smoke test), the same suite on the portable GF(2^32) backend, the
-# parallel-equivalence gate, the zero-allocation hot-path gate, the
+# parallel-equivalence gate, the receiver equivalence gate, the
+# zero-allocation hot-path gate, the
 # connection-table scale gate, the network-element gate in the debug
 # profile, the BENCH regression gate, the reliability soak, the
 # adversarial overlap sweep, the lineage sweep, the
 # deterministic-trace replay, the health surface, and the seven examples. Telemetry overhead is not a recipe here: it is the ledger's
 # `obs.always_on_overhead_pct` (`cargo run --release -p chunks-ledger -- run`);
 # nor is a speed claim: that is `just ab REF`, on alternating pairs.
-lint: check test-release test-workspace test-tables test-parallel test-hotpath test-scale test-netsim bench-check soak soak-overlap lineage trace health examples
+lint: check test-release test-workspace test-tables test-parallel test-receiver test-hotpath test-scale test-netsim bench-check soak soak-overlap lineage trace health examples
 
 # Static gate only: formatting, clippy, rustdoc.
 check: fmt clippy doc
@@ -64,6 +65,18 @@ soak-overlap:
 # the deterministic-schedule and closure-algebra suites, release mode.
 test-parallel:
     PARALLEL_SCENARIOS=200 cargo test -q --release --test parallel_differential --test parallel_schedules --test chunk_closure_props
+
+# Receiver equivalence gate: the borrowed packet walk against the owned
+# per-chunk entry (`ingest_batch` against `handle_chunk_into` over
+# `unpack`, and `ConnectionDemux::ingest` against per-connection
+# receivers, on hostile traces in every mode, policy and budget) and the
+# open-group slot table against a `HashMap` model. Debug first, so
+# overflow checks are live, then release at ten times the cases.
+test-receiver:
+    cargo test -q --test transport_props -- borrowed_walk_equals demux_ingest_equals
+    cargo test -q -p chunks-transport --lib -- receiver::groups
+    cargo test -q --release --test transport_props -- borrowed_walk_equals demux_ingest_equals
+    cargo test -q --release -p chunks-transport --lib -- receiver::groups
 
 # Zero-allocation hot-path gate: a counting global allocator with
 # per-thread counters proves the steady-state receive windows (serial and

@@ -14,8 +14,8 @@ mod common;
 
 use chunks::experiments::alloc_count::{self, CountingAlloc};
 use chunks::transport::{
-    ConnSpec, ConnectionParams, DeliveryMode, Engine, ParallelReceiver, Receiver, Schedule, Sender,
-    SenderConfig,
+    ConnSpec, ConnectionDemux, ConnectionParams, DeliveryMode, Engine, ParallelReceiver, Receiver,
+    Schedule, Sender, SenderConfig,
 };
 use chunks::wsc::InvariantLayout;
 use chunks_core::packet::Packet;
@@ -205,6 +205,97 @@ fn duplicated_and_recut_chunks_are_rejected_without_allocating() {
     assert_eq!(rx.stats.tpdus_failed, 0);
     assert_eq!(rx.verified_prefix(), MESSAGE_LEN as u64);
     assert_eq!(&rx.app_data()[..MESSAGE_LEN], &message[..]);
+}
+
+/// One connection's stream cut small — TPDUs of 512 elements over 256-byte
+/// packets, so each spans three packets — with the packets reversed in
+/// blocks of five: fragments arrive ahead of the ones before them.
+fn disordered_stream() -> Vec<Packet> {
+    let mut tx = Sender::new(SenderConfig {
+        params: ConnectionParams {
+            tpdu_elements: 512,
+            ..params(1)
+        },
+        layout: layout(),
+        mtu: 256,
+        min_tpdu_elements: 2,
+        max_tpdu_elements: 512,
+    });
+    let message: Vec<u8> = (0..MESSAGE_LEN).map(|i| (i * 7 + 3) as u8).collect();
+    tx.submit_simple(&message, 1, false);
+    let mut packets = tx.packets_for_pending().expect("clean stream packs");
+    for block in packets.chunks_mut(5) {
+        block.reverse();
+    }
+    packets
+}
+
+#[test]
+fn serial_staging_modes_are_allocation_free_on_disordered_arrivals() {
+    // Reorder stages whatever lands ahead of the delivery cursor and
+    // Reassemble stages every fragment until its TPDU verifies; both make
+    // an owned chunk — a slice of the packet — for what they hold, and
+    // neither may allocate once warm.
+    let packets = disordered_stream();
+    let total_tpdus = MESSAGE_LEN / 512 + 2;
+    let warmup = packets.len() / 4;
+    for mode in [DeliveryMode::Reorder, DeliveryMode::Reassemble] {
+        let mut rx = Receiver::new(mode, params(1), layout(), capacity_elements());
+        rx.reserve(total_tpdus + 8, packets.len() * 4 + 64);
+        let mut out = Vec::with_capacity(total_tpdus * 4 + 64);
+        const BATCH: usize = 16;
+        for (i, batch) in packets[..warmup].chunks(BATCH).enumerate() {
+            rx.ingest_batch(batch, i as u64, &mut out);
+        }
+        let measured = &packets[warmup..];
+        for (i, batch) in measured.chunks(BATCH).enumerate() {
+            assert_no_alloc!(
+                rx.ingest_batch(batch, (warmup + i) as u64, &mut out),
+                "{mode:?} batch {i}"
+            );
+        }
+        assert!(chunk_count(measured) > 100, "measured window too small");
+        assert!(rx.stats.peak_buffered_bytes > 0, "{mode:?} staged nothing");
+        assert_eq!(rx.verified_prefix(), MESSAGE_LEN as u64, "{mode:?}");
+        assert_eq!(rx.stats.buffered_bytes, 0, "{mode:?} left bytes staged");
+    }
+}
+
+#[test]
+fn demux_ingest_over_interleaved_connections_is_allocation_free() {
+    // The serial many-connection front-end: `ConnectionDemux::ingest` routes
+    // each chunk of a shared packet to its connection's receiver.
+    const CONNS: u32 = 3;
+    let packets = interleaved(CONNS);
+    let total_tpdus = MESSAGE_LEN / TPDU_ELEMENTS as usize + 2;
+    let mut demux = ConnectionDemux::new();
+    for id in 1..=CONNS {
+        let mut rx = Receiver::new(
+            DeliveryMode::Immediate,
+            params(id),
+            layout(),
+            capacity_elements(),
+        );
+        rx.reserve(total_tpdus + 8, total_tpdus * 4 + 64);
+        demux.register(id, rx);
+    }
+    let mut events = Vec::with_capacity((total_tpdus * 4 + 64) * CONNS as usize);
+    let warmup = packets.len() / 4;
+    for (i, packet) in packets[..warmup].iter().enumerate() {
+        demux.ingest(packet, i as u64, &mut events);
+    }
+    let measured = &packets[warmup..];
+    for (i, packet) in measured.iter().enumerate() {
+        assert_no_alloc!(
+            demux.ingest(packet, (warmup + i) as u64, &mut events),
+            "demux packet {i}"
+        );
+    }
+    assert!(chunk_count(measured) > 100, "measured window too small");
+    for id in 1..=CONNS {
+        let rx = demux.receiver(id).expect("registered");
+        assert_eq!(rx.verified_prefix(), MESSAGE_LEN as u64, "conn {id}");
+    }
 }
 
 /// Round-robin interleave of the three connections' streams, as a shared

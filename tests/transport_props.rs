@@ -10,11 +10,14 @@ use chunks::core::frag::{extract, split};
 use chunks::core::label::ChunkType;
 use chunks::core::packet::{pack, unpack, Packet};
 use chunks::transport::{
-    AckInfo, AlfFrame, ConnectionParams, DegradePolicy, DeliveryMode, Framer, Receiver,
-    RetransmitTimer, RtoConfig, Sender, SenderConfig, Session, StreamReceiver, Tpdu,
+    AckInfo, AlfFrame, ConnectionDemux, ConnectionParams, DegradePolicy, DeliveryMode, DemuxEvent,
+    Framer, Receiver, ResourceBudget, RetransmitTimer, RtoConfig, RxEvent, Sender, SenderConfig,
+    Session, StreamReceiver, Tpdu,
 };
+use chunks::vreasm::OverlapPolicy;
 use chunks::wsc::InvariantLayout;
 use proptest::prelude::*;
+use proptest::TestCaseError;
 
 fn params() -> ConnectionParams {
     ConnectionParams {
@@ -511,5 +514,310 @@ proptest! {
         let fresh = timer.rto_for(16).unwrap();
         prop_assert!(fresh <= initial, "sample did not reset the base");
         prop_assert!(fresh < prev, "fresh send still runs under old backoff");
+    }
+}
+
+/// Cases for the borrowed-walk equivalence properties: a fixed count in
+/// debug, where overflow checks are live, and ten times that in release.
+const WALK_CASES: u32 = if cfg!(debug_assertions) { 32 } else { 320 };
+
+/// The LCG the hostile-trace generators draw from.
+struct Draw(u64);
+
+impl Draw {
+    fn below(&mut self, n: u64) -> u64 {
+        self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1);
+        (self.0 >> 33) % n
+    }
+
+    fn shuffle<T>(&mut self, v: &mut [T]) {
+        for i in (1..v.len()).rev() {
+            v.swap(i, self.below(i as u64 + 1) as usize);
+        }
+    }
+}
+
+/// Connection parameters for the equivalence traces: element size 1, 2 or
+/// 4, short TPDUs, and an initial `C.SN` that may wrap mid-transfer.
+fn walk_params(d: &mut Draw, conn_id: u32) -> ConnectionParams {
+    ConnectionParams {
+        conn_id,
+        elem_size: [1, 2, 4][d.below(3) as usize],
+        initial_csn: if d.below(2) == 0 {
+            u32::MAX - 40
+        } else {
+            d.below(1 << 20) as u32
+        },
+        tpdu_elements: 4 + d.below(29) as u32,
+    }
+}
+
+/// `chunk` cut at random element boundaries into one or more pieces.
+fn cut(d: &mut Draw, chunk: &Chunk) -> Vec<Chunk> {
+    let mut pieces = vec![chunk.clone()];
+    while d.below(3) != 0 {
+        let i = d.below(pieces.len() as u64) as usize;
+        let len = pieces[i].header.len;
+        if len < 2 {
+            break;
+        }
+        let (a, b) = split(&pieces[i], 1 + d.below(len as u64 - 1) as u32).unwrap();
+        pieces.splice(i..=i, [a, b]);
+    }
+    pieces
+}
+
+/// Corrupts one label of `c` now and then: `C.SN`, `T.SN`, `X.SN`, `T.ID`,
+/// or a `SIZE` doubled with `LEN` halved (the wire stays well-formed).
+fn corrupt(d: &mut Draw, c: &mut Chunk) {
+    let h = &mut c.header;
+    match d.below(40) {
+        0 => h.conn.sn = h.conn.sn.wrapping_add(1 + d.below(48) as u32),
+        1 => h.tpdu.sn = h.tpdu.sn.wrapping_add(1 + d.below(8) as u32),
+        2 => h.ext.sn = h.ext.sn.wrapping_add(1),
+        3 => h.tpdu.id ^= 1,
+        4 if h.ty == ChunkType::Data && h.len.is_multiple_of(2) => {
+            h.size *= 2;
+            h.len /= 2;
+        }
+        _ => {}
+    }
+}
+
+/// A hostile arrival of one connection's `message`: every data chunk cut
+/// into random fragments, some dropped, some duplicated, some re-cut at
+/// other points with identical bytes or with one byte changed, labels
+/// corrupted now and then, all shuffled; each TPDU's ED chunk then goes
+/// first, last or nowhere, and an ack rides along sometimes. Returns the
+/// trace and the clean chunks a repair would resend.
+fn hostile_trace(d: &mut Draw, p: ConnectionParams, message: &[u8]) -> (Vec<Chunk>, Vec<Chunk>) {
+    let tpdus = Framer::new(p, layout()).frame_simple(message, 0xF, false);
+    let clean: Vec<Chunk> = tpdus.iter().flat_map(Tpdu::all_chunks).collect();
+    let mut trace = Vec::new();
+    for c in tpdus.iter().flat_map(|t| &t.chunks) {
+        for piece in cut(d, c) {
+            for _ in 0..[0, 1, 1, 1, 1, 2][d.below(6) as usize] {
+                trace.push(piece.clone());
+            }
+        }
+        if d.below(4) == 0 {
+            trace.extend(cut(d, c));
+        }
+        if d.below(6) == 0 {
+            let mut recut = cut(d, c).swap_remove(0);
+            let mut raw = recut.payload.to_vec();
+            let at = d.below(raw.len() as u64) as usize;
+            raw[at] ^= 0x20;
+            recut.payload = raw.into();
+            trace.push(recut);
+        }
+    }
+    for c in &mut trace {
+        corrupt(d, c);
+    }
+    d.shuffle(&mut trace);
+    for t in &tpdus {
+        let mut ed = t.ed.clone();
+        if d.below(20) == 0 {
+            ed.header.conn.sn = ed.header.conn.sn.wrapping_add(1);
+        }
+        match d.below(3) {
+            0 => trace.insert(0, ed),
+            1 => trace.push(ed),
+            _ => {}
+        }
+    }
+    if d.below(4) == 0 {
+        let at = d.below(trace.len() as u64 + 1) as usize;
+        let ack = AckInfo {
+            cumulative: d.below(64),
+            ..AckInfo::default()
+        };
+        trace.insert(at, ack.to_chunk(p.conn_id));
+    }
+    (trace, clean)
+}
+
+/// `chunks` packed in order into packets at random MTUs, a few of them
+/// truncated or bit-flipped on the wire.
+fn packed(d: &mut Draw, chunks: &[Chunk]) -> Vec<Packet> {
+    let mut packets = Vec::new();
+    let mut rest = chunks;
+    while !rest.is_empty() {
+        let run = (1 + d.below(8) as usize).min(rest.len());
+        let mtu = 48 + d.below(560) as usize;
+        packets.extend(pack(rest[..run].to_vec(), mtu).expect("every element fits"));
+        rest = &rest[run..];
+    }
+    for p in &mut packets {
+        match d.below(24) {
+            0 => {
+                p.bytes = p
+                    .bytes
+                    .slice(..p.len() - 1 - d.below(3.min(p.len() as u64)) as usize)
+            }
+            1 => {
+                let mut raw = p.bytes.to_vec();
+                let at = d.below(raw.len() as u64) as usize;
+                raw[at] ^= 1 << d.below(8);
+                p.bytes = raw.into();
+            }
+            _ => {}
+        }
+    }
+    packets
+}
+
+/// Every delivery mode × overlap policy × {unlimited, tight budget}.
+fn receiver_configs() -> Vec<(DeliveryMode, OverlapPolicy, ResourceBudget)> {
+    let mut v = Vec::new();
+    for mode in [
+        DeliveryMode::Immediate,
+        DeliveryMode::Reorder,
+        DeliveryMode::Reassemble,
+    ] {
+        for policy in OverlapPolicy::ALL {
+            for budget in [
+                ResourceBudget::unlimited(),
+                ResourceBudget::with_caps(96, 3, 8),
+            ] {
+                v.push((mode, policy, budget));
+            }
+        }
+    }
+    v
+}
+
+fn configured(
+    p: ConnectionParams,
+    cfg: &(DeliveryMode, OverlapPolicy, ResourceBudget),
+) -> Receiver {
+    Receiver::new(cfg.0, p, layout(), 4096)
+        .with_policy(cfg.1)
+        .with_budget(cfg.2.clone())
+}
+
+/// Feeds `packet` to `rx` through the owned entry: `unpack`, then
+/// `handle_chunk_into` per chunk. Returns false when `unpack` refused it.
+fn owned_feed(rx: &mut Receiver, packet: &Packet, now: u64, out: &mut Vec<RxEvent>) -> bool {
+    let Ok(chunks) = unpack(packet) else {
+        return false;
+    };
+    for c in chunks {
+        rx.handle_chunk_into(c, now, out);
+    }
+    true
+}
+
+/// Everything two receivers report, apart from the packets `a` counted
+/// bad that `b`'s caller refused before they reached it.
+fn same_state(a: &Receiver, b: &Receiver, refused: u64) -> Result<(), TestCaseError> {
+    let mut bs = b.stats;
+    bs.bad_packets += refused;
+    prop_assert_eq!(a.stats, bs);
+    prop_assert_eq!(a.app_data(), b.app_data());
+    prop_assert_eq!(a.delivered_digests(), b.delivered_digests());
+    prop_assert_eq!(a.make_ack(), b.make_ack());
+    prop_assert_eq!(a.failed_starts(), b.failed_starts());
+    prop_assert_eq!(a.verified_prefix(), b.verified_prefix());
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(WALK_CASES))]
+
+    #[test]
+    fn borrowed_walk_equals_the_owned_entry(seed in any::<u64>()) {
+        // Receiver A reads each chunk where it lies in the packet
+        // (`ingest_batch`); receiver B gets owned chunks from `unpack`
+        // (`handle_chunk_into`). Whatever the arrival, the mode, the overlap
+        // policy and the budget, they must not be told apart: same events
+        // batch by batch, same stats, bytes, digests, acks and failures,
+        // through a repair pass and the final expiry.
+        let mut d = Draw(seed | 1);
+        let p = walk_params(&mut d, 0xE0);
+        let elements = 8 + d.below(160);
+        let message: Vec<u8> = (0..elements * p.elem_size as u64).map(|_| d.below(256) as u8).collect();
+        let (trace, clean) = hostile_trace(&mut d, p, &message);
+        let packets = packed(&mut d, &trace);
+        let repair = pack(clean, 1500).unwrap();
+        for cfg in receiver_configs() {
+            let (mut a, mut b) = (configured(p, &cfg), configured(p, &cfg));
+            let mut refused = 0;
+            let mut now = 0;
+            for (pass, packets) in [&packets, &repair].into_iter().enumerate() {
+                for s in a.failed_starts() {
+                    a.reset_group(s);
+                    b.reset_group(s);
+                }
+                let mut rest = &packets[..];
+                while !rest.is_empty() {
+                    let run = (1 + d.below(6) as usize).min(rest.len());
+                    now += 1 + d.below(3);
+                    let (mut ea, mut eb) = (Vec::new(), Vec::new());
+                    a.ingest_batch(&rest[..run], now, &mut ea);
+                    for packet in &rest[..run] {
+                        refused += !owned_feed(&mut b, packet, now, &mut eb) as u64;
+                    }
+                    prop_assert_eq!(&ea, &eb, "{:?} pass {} at {}", cfg, pass, now);
+                    rest = &rest[run..];
+                }
+                same_state(&a, &b, refused)?;
+            }
+            prop_assert_eq!(a.expire_incomplete(), b.expire_incomplete(), "{:?}", cfg);
+            same_state(&a, &b, refused)?;
+        }
+    }
+
+    #[test]
+    fn demux_ingest_equals_per_connection_owned_receivers(seed in any::<u64>()) {
+        // Three connections' hostile traces interleaved chunk by chunk into
+        // shared packets, plus chunks for a connection nobody registered:
+        // the demux's borrowed walk must leave each receiver, and each
+        // connection's event sequence, exactly as a receiver of its own fed
+        // owned chunks would.
+        let mut d = Draw(seed | 1);
+        let cfgs = receiver_configs();
+        let cfg = &cfgs[d.below(cfgs.len() as u64) as usize];
+        let mut demux = ConnectionDemux::new();
+        let mut own: BTreeMap<u32, (Receiver, Vec<RxEvent>)> = BTreeMap::new();
+        let mut mixed = Vec::new();
+        for conn_id in [1u32, 2, 3, 99] {
+            let p = walk_params(&mut d, conn_id);
+            let elements = 8 + d.below(96);
+            let message: Vec<u8> = (0..elements * p.elem_size as u64).map(|_| d.below(256) as u8).collect();
+            let (trace, _) = hostile_trace(&mut d, p, &message);
+            if conn_id != 99 {
+                demux.register(conn_id, configured(p, cfg));
+                own.insert(conn_id, (configured(p, cfg), Vec::new()));
+            }
+            mixed.extend(trace);
+        }
+        d.shuffle(&mut mixed);
+        let mut got: BTreeMap<u32, Vec<RxEvent>> = BTreeMap::new();
+        for (i, packet) in packed(&mut d, &mixed).iter().enumerate() {
+            let now = i as u64;
+            let mut events = Vec::new();
+            demux.ingest(packet, now, &mut events);
+            for e in events {
+                if let DemuxEvent::Connection { conn_id, event } = e {
+                    got.entry(conn_id).or_default().push(event);
+                }
+            }
+            let Ok(chunks) = unpack(packet) else { continue };
+            for c in chunks {
+                let data = matches!(c.header.ty, ChunkType::Data | ChunkType::ErrorDetection);
+                if let (true, Some((rx, out))) = (data, own.get_mut(&c.header.conn.id)) {
+                    rx.handle_chunk_into(c, now, out);
+                }
+            }
+        }
+        for (id, (rx, events)) in &mut own {
+            prop_assert_eq!(got.remove(id).unwrap_or_default(), events.clone(), "conn {}", id);
+            let routed = demux.receiver_mut(*id).unwrap();
+            prop_assert_eq!(routed.expire_incomplete(), rx.expire_incomplete());
+            same_state(routed, rx, 0)?;
+        }
+        prop_assert!(got.is_empty(), "events for unregistered connections: {:?}", got);
     }
 }
