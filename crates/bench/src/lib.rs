@@ -1,10 +1,11 @@
 //! Shared workload builders for the Criterion benchmark suite.
 //!
-//! One bench target exists per experiment in DESIGN.md §4:
-//! `codes` (B4), `frag_reasm` (F3), `wire_codec` (codec ablations),
-//! `receiver_modes` (B1), `frag_systems` (B2), `compress` (B5),
-//! `internetwork` (F4). The TPDU invariant's absorb speed (F5/F6) is the
-//! throughput ledger's `gf.fold` / `wsc.absorb` legs.
+//! One bench target exists per paper comparison in DESIGN.md §4:
+//! `codes` (B4), `frag_reasm` (F3), `frag_systems` (B2), `compress` (B5),
+//! `internetwork` (F4), `cipher` (§1). The TPDU invariant's absorb speed
+//! (F5/F6), the wire codec and the receiver's delivery modes (B1) are the
+//! throughput ledger's `gf.fold` / `wsc.absorb`, `core.*` and
+//! `transport.receiver.*` legs.
 
 #![deny(missing_docs)]
 

@@ -141,15 +141,6 @@ impl Link {
         self.obs = sink;
     }
 
-    /// Offers a frame at time `now`; returns zero or more `(arrival, frame)`
-    /// deliveries at the far end. Convenience over
-    /// [`transmit_into`](Self::transmit_into) for closed-loop drivers.
-    pub fn transmit(&mut self, now: u64, frame: Vec<u8>) -> Vec<(u64, Vec<u8>)> {
-        let mut deliveries = Vec::with_capacity(1);
-        self.transmit_into(now, frame, &mut deliveries);
-        deliveries
-    }
-
     /// Offers a frame at time `now` and appends its `(arrival, frame)`
     /// deliveries at the far end to `out`. The frame is *moved* into its
     /// delivery; only a duplicate's extra copy is cloned.
@@ -283,14 +274,6 @@ impl MultipathLink {
         self.paths.iter().map(|p| p.cfg.mtu).min().unwrap_or(0)
     }
 
-    /// Stripes a frame onto the next sub-link. Convenience over
-    /// [`transmit_into`](Self::transmit_into) for closed-loop drivers.
-    pub fn transmit(&mut self, now: u64, frame: Vec<u8>) -> Vec<(u64, Vec<u8>)> {
-        let mut deliveries = Vec::with_capacity(1);
-        self.transmit_into(now, frame, &mut deliveries);
-        deliveries
-    }
-
     /// Stripes a frame onto the next sub-link, appending its deliveries to
     /// `out`.
     pub fn transmit_into(&mut self, now: u64, frame: Vec<u8>, out: &mut Vec<(u64, Vec<u8>)>) {
@@ -345,41 +328,45 @@ mod tests {
     #[test]
     fn clean_link_delivers_in_order_with_latency() {
         let mut l = Link::new(LinkConfig::clean(1500, 1000, 0), 1);
-        let d1 = l.transmit(0, frame(100));
-        let d2 = l.transmit(10, frame(100));
-        assert_eq!(d1.len(), 1);
-        assert_eq!(d1[0].0, 1000);
-        assert_eq!(d2[0].0, 1010);
-        assert_eq!(d1[0].1, frame(100));
+        let mut d = Vec::new();
+        l.transmit_into(0, frame(100), &mut d);
+        l.transmit_into(10, frame(100), &mut d);
+        assert_eq!(d.len(), 2);
+        assert_eq!(d[0].0, 1000);
+        assert_eq!(d[1].0, 1010);
+        assert_eq!(d[0].1, frame(100));
     }
 
     #[test]
     fn serialization_delay_queues_frames() {
         // 8 Mbps: 1000-byte frame takes 1 ms to serialize.
         let mut l = Link::new(LinkConfig::clean(1500, 0, 8_000_000), 1);
-        let d1 = l.transmit(0, frame(1000));
-        let d2 = l.transmit(0, frame(1000));
-        assert_eq!(d1[0].0, 1_000_000);
-        assert_eq!(d2[0].0, 2_000_000, "second frame waits for the first");
+        let mut d = Vec::new();
+        l.transmit_into(0, frame(1000), &mut d);
+        l.transmit_into(0, frame(1000), &mut d);
+        assert_eq!(d[0].0, 1_000_000);
+        assert_eq!(d[1].0, 2_000_000, "second frame waits for the first");
     }
 
     #[test]
     fn oversize_frames_dropped() {
         let mut l = Link::new(LinkConfig::clean(100, 0, 0), 1);
-        assert!(l.transmit(0, frame(101)).is_empty());
+        let mut d = Vec::new();
+        l.transmit_into(0, frame(101), &mut d);
+        assert!(d.is_empty());
         assert_eq!(l.stats.oversize, 1);
-        assert_eq!(l.transmit(0, frame(100)).len(), 1);
+        l.transmit_into(0, frame(100), &mut d);
+        assert_eq!(d.len(), 1);
     }
 
     #[test]
     fn loss_rate_is_roughly_honoured() {
         let mut l = Link::new(LinkConfig::clean(1500, 0, 0).with_loss(0.3), 42);
-        let mut lost = 0;
+        let mut d = Vec::new();
         for _ in 0..10_000 {
-            if l.transmit(0, frame(10)).is_empty() {
-                lost += 1;
-            }
+            l.transmit_into(0, frame(10), &mut d);
         }
+        let lost = 10_000 - d.len() as u64;
         assert!((2600..3400).contains(&lost), "lost = {lost}");
         assert_eq!(l.stats.lost, lost);
     }
@@ -388,7 +375,8 @@ mod tests {
     fn corruption_changes_exactly_one_bit() {
         let mut l = Link::new(LinkConfig::clean(1500, 0, 0).with_corrupt(1.0), 7);
         let original = frame(64);
-        let d = l.transmit(0, original.clone());
+        let mut d = Vec::new();
+        l.transmit_into(0, original.clone(), &mut d);
         let delivered = &d[0].1;
         let diff: u32 = original
             .iter()
@@ -401,7 +389,8 @@ mod tests {
     #[test]
     fn duplication_delivers_two_copies() {
         let mut l = Link::new(LinkConfig::clean(1500, 0, 0).with_duplicate(1.0), 9);
-        let d = l.transmit(0, frame(10));
+        let mut d = Vec::new();
+        l.transmit_into(0, frame(10), &mut d);
         assert_eq!(d.len(), 2);
         assert_eq!(l.stats.duplicated, 1);
         assert_eq!(l.stats.delivered, 2);
@@ -415,9 +404,11 @@ mod tests {
             .with_corrupt(0.1);
         let run = |seed| {
             let mut l = Link::new(cfg, seed);
-            (0..200)
-                .flat_map(|t| l.transmit(t * 10, frame(32)))
-                .collect::<Vec<_>>()
+            let mut d = Vec::new();
+            for t in 0..200 {
+                l.transmit_into(t * 10, frame(32), &mut d);
+            }
+            d
         };
         assert_eq!(run(5), run(5));
         assert_ne!(run(5), run(6));
@@ -431,12 +422,10 @@ mod tests {
         let mut mp = MultipathLink::skewed(2, base, 10_000, 3);
         let mut arrivals = Vec::new();
         for i in 0..4u8 {
-            for (t, f) in mp.transmit(i as u64, vec![i]) {
-                arrivals.push((t, f[0]));
-            }
+            mp.transmit_into(i as u64, vec![i], &mut arrivals);
         }
         arrivals.sort();
-        let order: Vec<u8> = arrivals.iter().map(|&(_, id)| id).collect();
+        let order: Vec<u8> = arrivals.iter().map(|(_, f)| f[0]).collect();
         assert_eq!(order, vec![0, 2, 1, 3], "skew must interleave the stripes");
     }
 
@@ -446,22 +435,24 @@ mod tests {
         let mut mp = MultipathLink::skewed(2, base, 0, 3);
         mp.stall_path(1, 0, 50_000);
         // Frame 0 takes path 0 (clear), frame 1 takes stalled path 1.
-        let d0 = mp.transmit(10, vec![0]);
-        let d1 = mp.transmit(20, vec![1]);
-        assert_eq!(d0[0].0, 1_010);
-        assert_eq!(d1[0].0, 51_000, "held until the stall clears");
+        let mut d = Vec::new();
+        mp.transmit_into(10, vec![0], &mut d);
+        mp.transmit_into(20, vec![1], &mut d);
+        assert_eq!(d[0].0, 1_010);
+        assert_eq!(d[1].0, 51_000, "held until the stall clears");
         // After the window the path behaves normally again.
-        mp.transmit(60_000, vec![2]);
-        let d3 = mp.transmit(60_000, vec![3]);
-        assert_eq!(d3[0].0, 61_000);
+        mp.transmit_into(60_000, vec![2], &mut d);
+        mp.transmit_into(60_000, vec![3], &mut d);
+        assert_eq!(d[3].0, 61_000);
     }
 
     #[test]
     fn multipath_stats_aggregate() {
         let base = LinkConfig::clean(100, 0, 0);
         let mut mp = MultipathLink::skewed(4, base, 0, 1);
+        let mut d = Vec::new();
         for i in 0..8 {
-            mp.transmit(i, frame(50));
+            mp.transmit_into(i, frame(50), &mut d);
         }
         let s = mp.stats();
         assert_eq!(s.offered, 8);
@@ -498,14 +489,6 @@ impl RouteChangeLink {
     pub fn set_obs(&mut self, sink: Arc<dyn ObsSink>) {
         self.old.set_obs(Arc::clone(&sink));
         self.new.set_obs(sink);
-    }
-
-    /// Offers a frame; routing depends on the send time. Convenience over
-    /// [`transmit_into`](Self::transmit_into).
-    pub fn transmit(&mut self, now: u64, frame: Vec<u8>) -> Vec<(u64, Vec<u8>)> {
-        let mut deliveries = Vec::with_capacity(1);
-        self.transmit_into(now, frame, &mut deliveries);
-        deliveries
     }
 
     /// Offers a frame on the route in force at `now`, appending its
@@ -548,12 +531,10 @@ mod route_change_tests {
         );
         let mut arrivals = Vec::new();
         for (t, id) in [(0u64, 0u8), (500, 1), (1_200, 2), (1_500, 3)] {
-            for (at, f) in l.transmit(t, vec![id]) {
-                arrivals.push((at, f[0]));
-            }
+            l.transmit_into(t, vec![id], &mut arrivals);
         }
         arrivals.sort();
-        let order: Vec<u8> = arrivals.iter().map(|&(_, id)| id).collect();
+        let order: Vec<u8> = arrivals.iter().map(|(_, f)| f[0]).collect();
         // Packets 2 and 3 took the fast new route and overtook 0 and 1.
         assert_eq!(order, vec![2, 3, 0, 1]);
         assert_eq!(l.stats().delivered, 4);
@@ -569,12 +550,10 @@ mod route_change_tests {
         );
         let mut arrivals = Vec::new();
         for (t, id) in [(0u64, 0u8), (1_500, 1)] {
-            for (at, f) in l.transmit(t, vec![id]) {
-                arrivals.push((at, f[0]));
-            }
+            l.transmit_into(t, vec![id], &mut arrivals);
         }
         arrivals.sort();
-        assert_eq!(arrivals[0].1, 0);
-        assert_eq!(arrivals[1].1, 1);
+        assert_eq!(arrivals[0].1, [0]);
+        assert_eq!(arrivals[1].1, [1]);
     }
 }

@@ -18,9 +18,9 @@
 //!   reordering / physical reassembly) over one shared virtual-reassembly
 //!   and verification engine, with data-touch accounting that makes the
 //!   paper's "reassembly requires two accesses to each piece of data" claim
-//!   measurable; split by stage into `receiver/{decode,verify,deliver}.rs`;
-//! * [`stream`] — the sliding-window receiver for unbounded streams with
-//!   `C.SN` reuse: a placement policy over the same per-TPDU engine;
+//!   measurable; split by stage into `receiver/{decode,verify,deliver}.rs`.
+//!   Its application space is a ring the application reads and releases,
+//!   so one receiver carries a connection of any length (§2);
 //! * [`ack`] — acknowledgment encoding so sender and receiver close the
 //!   error-control loop;
 //! * [`mux`] — packets shared by multiple connections, data, signals and
@@ -82,7 +82,6 @@ pub mod receiver;
 pub mod rto;
 pub mod sender;
 pub mod session;
-pub mod stream;
 pub mod table;
 
 pub use ack::AckInfo;
@@ -99,5 +98,4 @@ pub use receiver::{DeliveryMode, FailureReason, Receiver, RxEvent, RxStats};
 pub use rto::{DegradePolicy, RetransmitTimer, RtoConfig, TimerVerdict, TransportError};
 pub use sender::{Sender, SenderConfig};
 pub use session::{ReliabilityStats, Session};
-pub use stream::{StreamReceiver, StreamStats};
 pub use table::{AdmitOutcome, ConnSet, ConnTable, TableConfig, TableStats};

@@ -1,14 +1,12 @@
 //! Stage 1, **decode**: the one route from wire bytes to chunks in this
 //! crate, and the verbose-tier record of what that walk saw. Shared by the
-//! serial receiver, the demux, the parallel dispatcher and the stream
-//! receiver.
+//! serial receiver, the demux and the parallel dispatcher.
 //!
 //! The walk borrows. It yields each chunk's label and the byte range of its
 //! payload inside the packet, and the receiver reads the payload there. An
 //! owned [`Chunk`](chunks_core::chunk::Chunk) — a `Bytes::slice` of the
 //! packet, still no copy — is made only where a chunk outlives the call:
-//! Reorder/Reassemble staging, the pieces the overlap path extracts, and
-//! the stream receiver's per-chunk entry.
+//! Reorder/Reassemble staging and the pieces the overlap path extracts.
 
 use std::ops::Range;
 

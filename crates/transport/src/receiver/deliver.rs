@@ -224,8 +224,8 @@ impl Receiver {
     }
 
     /// The cold path of a chunk that overlaps positions its TPDU — the group
-    /// in `slot` — already holds; `uncovered` is what [`TpduEngine::track`]
-    /// reported still missing. A retransmission cut at different points duplicates received
+    /// at `start`, in `slot` — already holds; `uncovered` is what
+    /// [`TpduEngine::track`] reported still missing. A retransmission cut at different points duplicates received
     /// data with *identical* bytes — the benign case of Appendix C, silently
     /// trimmed. Overlapping positions whose bytes *differ* are a genuine
     /// conflict the overlap policy must resolve; whatever it picks, the
@@ -236,6 +236,7 @@ impl Receiver {
         &mut self,
         chunk: &Chunk,
         slot: usize,
+        start: u64,
         uncovered: &[(u64, u64)],
         now: u64,
         out: &mut Vec<RxEvent>,
@@ -243,7 +244,6 @@ impl Receiver {
         let h = &chunk.header;
         let sn = h.tpdu.sn as u64;
         let end = sn + h.len as u64;
-        let start = self.unwrap_csn(h.conn.sn.wrapping_sub(h.tpdu.sn));
         self.stats.duplicate_chunks += 1;
         if self.obs_on {
             self.obs.counter("transport.rx.duplicate_chunks", 1);
@@ -346,9 +346,9 @@ impl Receiver {
             }
         };
         match self.mode {
-            DeliveryMode::Immediate => piece(0, &self.app),
+            DeliveryMode::Immediate => self.ring_pieces(lo, hi, &mut piece),
             DeliveryMode::Reorder => {
-                piece(0, &self.app[..self.in_order as usize * esize]);
+                self.ring_pieces(lo, hi.min(self.in_order), &mut piece);
                 for (&f, (c, _)) in &self.reorder_q {
                     piece(f, &c.payload);
                 }
@@ -360,6 +360,19 @@ impl Receiver {
             }
         }
         found == hi - lo
+    }
+
+    /// `piece(first, bytes)` over the part of elements `[lo, hi)` the ring
+    /// holds, in at most two pieces.
+    fn ring_pieces(&self, lo: u64, hi: u64, piece: &mut impl FnMut(u64, &[u8])) {
+        let esize = self.params.elem_size as usize;
+        let window = (self.app.len() / esize) as u64;
+        let (lo, hi) = (lo.max(self.base), hi.min(self.base + window));
+        if lo < hi {
+            let (head, tail) = self.ring(lo, hi);
+            piece(lo, head);
+            piece(lo + (head.len() / esize) as u64, tail);
+        }
     }
 
     /// [`OverlapPolicy::LastWins`]: substitutes `new` for the held bytes at
@@ -390,11 +403,11 @@ impl Receiver {
                 self.count_rewrite(touched);
             }
             DeliveryMode::Reassemble => {
-                let initial = self.params.initial_csn;
+                let (base, base_csn) = (self.base, self.base_csn);
                 let mut touched = 0;
                 if let Some(slot) = slot {
                     for (c, _) in self.groups[slot].held.iter_mut() {
-                        let f = c.header.conn.sn.wrapping_sub(initial) as u64;
+                        let f = base + c.header.conn.sn.wrapping_sub(base_csn) as u64;
                         touched += overlay_into_chunk(c, f, lo, hi, new, esize);
                     }
                 }
@@ -415,11 +428,18 @@ impl Receiver {
     }
 
     /// Writes payload bytes into the application space (one data touch per
-    /// byte).
+    /// byte); a payload that straddles the ring's end is copied in two
+    /// parts.
     fn place(&mut self, first_element: u64, payload: &[u8]) {
-        let esize = self.params.elem_size as usize;
-        let at = first_element as usize * esize;
-        self.app[at..at + payload.len()].copy_from_slice(payload);
+        let at = self.ring_at(first_element);
+        let room = self.app.len() - at;
+        if payload.len() <= room {
+            self.app[at..at + payload.len()].copy_from_slice(payload);
+        } else {
+            let (head, tail) = payload.split_at(room);
+            self.app[at..].copy_from_slice(head);
+            self.app[..tail.len()].copy_from_slice(tail);
+        }
         self.stats.data_touches += payload.len() as u64;
         if self.obs_on {
             self.hot.data_touches.add(&*self.obs, payload.len() as u64);

@@ -30,8 +30,7 @@
 //!   shared by every receive front-end in the crate;
 //! * `verify` — **track + verify**, the per-TPDU `TpduEngine`: virtual
 //!   reassembly, X-level consistency, the incremental invariant, the
-//!   verdict, and the TPDU's share of an ack. [`Receiver`] and
-//!   [`StreamReceiver`](crate::stream::StreamReceiver) both run on it;
+//!   verdict, and the TPDU's share of an ack;
 //! * `deliver` — the three [`DeliveryMode`]s, staging, budget admission
 //!   and overlap resolution;
 //! * `groups` — the open-group table: fixed slots, a keyed index, and a
@@ -41,6 +40,36 @@
 //! grouping by `C.SN − T.SN`, the cross-group claim check, and reporting.
 //! Every entry ends in one borrowed form, a `WireChunk` whose payload is
 //! read where it lies, and resolves the chunk's TPDU once (`entered`).
+//!
+//! # One receiver, any length
+//!
+//! §2 treats a connection as one large PDU whose sequence numbers are
+//! reused over time. The application space is a *ring* of
+//! `capacity_elements`, the window, holding elements `[base, base +
+//! window)`; `base` is the first element the application has not released.
+//! [`Receiver::readable`] hands out `[base, watermark)` as at most two ring
+//! slices and [`Receiver::release`] slides `base` on, never past the
+//! **watermark**: the verified prefix held as a field, advanced when a
+//! delivery lands on it and lowered when a delivered TPDU below it is reset.
+//! SACKs are the delivered starts at or above it (SCTP's cumulative ack
+//! point plus gap blocks). A release drops the delivered records, and their
+//! claims, that lie wholly below the new `base`, so receive state is bounded
+//! by the window, not by history. Never released, the ring is the linear
+//! space of a bounded transfer, element `e` at `e * elem_size`.
+//!
+//! With `rel = (C.SN − T.SN) − base_csn` (wrapping 32-bit; `C.SN −
+//! base_csn` for an ED chunk), where `base_csn` is `base`'s `C.SN`:
+//!
+//! * **stale** when `rel ≥ 2^31` and `2^32 − rel ≤ base`: the TPDU starts in
+//!   released space. The chunk is refused before any group, budget or claim
+//!   state changes and counted in [`RxStats::stale_chunks`]. A late copy of
+//!   a TPDU whose record left with a release is stale, where a copy of a
+//!   held record is judged against its verified end;
+//! * otherwise the TPDU starts at `base + rel` — with `base = 0` the bounded
+//!   arithmetic, so nothing is stale there;
+//! * data past `base + window` fails its group as [`FailureReason::BadChunk`]
+//!   (Table 1's `C.SN` rows): a sender that overruns the window gets a
+//!   failed group, which the reliability loop resets and resends.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -63,12 +92,11 @@ mod groups;
 mod verify;
 
 pub(crate) use decode::{chunk_walk, labels_of, observe_decoded, WireChunk};
-pub(crate) use verify::{ack_parts, TpduEngine, Track};
 
 use decode::observe_packet;
 use deliver::Group;
 use groups::Groups;
-use verify::Done;
+use verify::{ack_parts, Done, TpduEngine, Track};
 
 /// The three receiver strategies of §3.3.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -185,6 +213,9 @@ pub struct RxStats {
     pub evictions: u64,
     /// Payload bytes shed because the resource budget was exhausted.
     pub shed_bytes: u64,
+    /// Chunks refused because their TPDU starts in space the application
+    /// has already released.
+    pub stale_chunks: u64,
 }
 
 /// The chunk receiver for one connection.
@@ -193,9 +224,20 @@ pub struct Receiver {
     mode: DeliveryMode,
     params: ConnectionParams,
     layout: InvariantLayout,
-    /// Application address space; element `i` (connection-space) lives at
-    /// bytes `[i*size, (i+1)*size)`.
+    /// Application address space: a ring of `capacity_elements` holding
+    /// elements `[base, base + capacity)`, `base` at byte `base_at`. Until
+    /// anything is released it is the linear space, element `i` at bytes
+    /// `[i*size, (i+1)*size)`.
     app: Vec<u8>,
+    /// The first element the application has not released.
+    base: u64,
+    /// `base`'s `C.SN`, the point labels are unwrapped against.
+    base_csn: u32,
+    /// Byte offset of `base` in the ring.
+    base_at: usize,
+    /// The verified prefix: every element below it belongs to a delivered
+    /// TPDU.
+    watermark: u64,
     /// Which connection-space elements have been claimed, tagged by the
     /// owning group's start — so a cross-group collision can name the
     /// owner and the exact contested byte range in its diagnostic.
@@ -214,11 +256,10 @@ pub struct Receiver {
     /// X-delta table, empty staging `Vec` with its capacity), so in steady
     /// state a new TPDU opens without touching the allocator.
     groups: Groups<Group>,
-    /// Delivered TPDUs, keyed by start: the compact remainder of a group
-    /// after its slot was freed. Never holds a start `groups` holds.
+    /// Delivered TPDUs not wholly released, keyed by start: the compact
+    /// remainder of a group after its slot was freed. Never holds a start
+    /// `groups` holds. Its keys at or above the watermark are the SACKs.
     done: HashMap<u64, Done>,
-    /// Verified-and-delivered TPDU starts (drives acks).
-    delivered: Vec<u64>,
     /// Scratch for [`TpduEngine::track`]'s uncovered runs, reused across
     /// chunks so the duplicate path stays off the heap.
     uncovered: Vec<(u64, u64)>,
@@ -270,7 +311,8 @@ impl HotRxCounters {
 
 impl Receiver {
     /// Creates a receiver for a connection, able to hold `capacity_elements`
-    /// of application data.
+    /// of application data: the whole transfer, or a window that slides as
+    /// the application [releases](Self::release) what it has read.
     pub fn new(
         mode: DeliveryMode,
         params: ConnectionParams,
@@ -282,6 +324,10 @@ impl Receiver {
             params,
             layout,
             app: vec![0; capacity_elements as usize * params.elem_size as usize],
+            base: 0,
+            base_csn: params.initial_csn,
+            base_at: 0,
+            watermark: 0,
             claimed: Reassembly::new(OverlapPolicy::default()),
             policy: OverlapPolicy::default(),
             budget: ResourceBudget::default(),
@@ -289,7 +335,6 @@ impl Receiver {
             reorder_q: HashMap::new(),
             groups: Groups::default(),
             done: HashMap::new(),
-            delivered: Vec::new(),
             uncovered: Vec::new(),
             closed: false,
             stats: RxStats::default(),
@@ -362,28 +407,71 @@ impl Receiver {
     pub fn reserve(&mut self, tpdus: usize, fragments: usize) {
         self.groups.reserve(tpdus);
         self.done.reserve(tpdus);
-        self.delivered.reserve(tpdus);
         self.claimed.reserve(fragments);
         self.reorder_q.reserve(fragments);
     }
 
-    /// The application address space (element `i` at `i * elem_size`).
+    /// The application address space, raw: the ring. Until anything is
+    /// released it is the linear space, element `i` at `i * elem_size`.
     pub fn app_data(&self) -> &[u8] {
         &self.app
     }
 
-    /// Contiguously verified prefix, in elements.
+    /// Contiguously verified prefix, in elements of connection space.
     pub fn verified_prefix(&self) -> u64 {
-        let mut starts: Vec<(u64, u64)> = self.done.iter().map(|(&s, d)| (s, d.elements)).collect();
-        starts.sort_unstable();
-        let mut cursor = 0;
-        for (s, n) in starts {
-            if s > cursor {
-                break;
-            }
-            cursor = cursor.max(s + n);
+        self.watermark
+    }
+
+    /// The verified elements the application has not released yet,
+    /// `[base, verified_prefix)`, as at most two slices of the ring, in
+    /// order.
+    pub fn readable(&self) -> (&[u8], &[u8]) {
+        self.ring(self.base, self.watermark)
+    }
+
+    /// Hands the first `elements` readable elements back: the window slides
+    /// past them, and the records of delivered TPDUs that now lie wholly
+    /// below it go, with their claims. Releases at most what
+    /// [`Self::readable`] holds.
+    pub fn release(&mut self, elements: u64) {
+        let n = elements.min(self.watermark - self.base);
+        if n == 0 {
+            return;
         }
-        cursor
+        self.base += n;
+        self.base_csn = self.base_csn.wrapping_add(n as u32);
+        self.base_at += n as usize * self.params.elem_size as usize;
+        if self.base_at >= self.app.len() {
+            self.base_at -= self.app.len();
+        }
+        let (base, claimed) = (self.base, &mut self.claimed);
+        self.done.retain(|&start, d| {
+            let held = start + d.elements > base;
+            if !held {
+                claimed.release(start);
+            }
+            held
+        });
+    }
+
+    /// Elements `[from, to)` of the window, `base ≤ from ≤ to ≤ base +
+    /// capacity`, as at most two slices of the ring, in order.
+    fn ring(&self, from: u64, to: u64) -> (&[u8], &[u8]) {
+        let at = self.ring_at(from);
+        let len = (to - from) as usize * self.params.elem_size as usize;
+        let head = len.min(self.app.len() - at);
+        (&self.app[at..at + head], &self.app[..len - head])
+    }
+
+    /// Byte offset in the ring of element `e`, `base ≤ e ≤ base + capacity`:
+    /// one conditional subtract, no division.
+    fn ring_at(&self, e: u64) -> usize {
+        let at = self.base_at + (e - self.base) as usize * self.params.elem_size as usize;
+        if at >= self.app.len() {
+            at - self.app.len()
+        } else {
+            at
+        }
     }
 
     /// True once the `C.ST` bit has been seen on verified data.
@@ -391,9 +479,18 @@ impl Receiver {
         self.closed
     }
 
-    /// Unwraps a `C.SN` to a connection-space element index.
+    /// Unwraps a `C.SN` to a connection-space element index: `base` plus how
+    /// far the label runs ahead of `base_csn`.
     fn unwrap_csn(&self, c_sn: u32) -> u64 {
-        c_sn.wrapping_sub(self.params.initial_csn) as u64
+        self.base + c_sn.wrapping_sub(self.base_csn) as u64
+    }
+
+    /// The start of the TPDU whose first element is labelled `c_sn`, or
+    /// `None` when that start lies in released space (module docs).
+    fn tpdu_start(&self, c_sn: u32) -> Option<u64> {
+        let rel = c_sn.wrapping_sub(self.base_csn);
+        let behind = rel.wrapping_neg() as u64;
+        (rel < 1 << 31 || behind > self.base).then_some(self.base + rel as u64)
     }
 
     /// Group-level span labels: the TPDU is identified by its start, so the
@@ -414,7 +511,7 @@ impl Receiver {
             Some(slot) => slot,
             None => {
                 if let Some(done) = self.done.get(&start) {
-                    return Err(done.end);
+                    return Err(done.elements);
                 }
                 if self.obs_on {
                     let span = SpanId::new(self.group_labels(start), Stage::Verify);
@@ -511,7 +608,10 @@ impl Receiver {
 
     fn handle_data(&mut self, c: WireChunk<'_>, now: u64, out: &mut Vec<RxEvent>) {
         let h = c.header;
-        let start = self.unwrap_csn(h.conn.sn.wrapping_sub(h.tpdu.sn));
+        let Some(start) = self.tpdu_start(h.conn.sn.wrapping_sub(h.tpdu.sn)) else {
+            self.stats.stale_chunks += 1;
+            return;
+        };
         // SIZE is signalled per connection; a mismatch is a corrupted SIZE
         // field (Table 1: reassembly error).
         if h.size != self.params.elem_size {
@@ -520,7 +620,7 @@ impl Receiver {
         let first = self.unwrap_csn(h.conn.sn);
         let len = h.len as u64;
         let esize = self.params.elem_size as usize;
-        if (first + len) as usize * esize > self.app.len() {
+        if (first - self.base + len) as usize * esize > self.app.len() {
             return self.group_failure_into(start, FailureReason::BadChunk, out);
         }
 
@@ -564,7 +664,7 @@ impl Receiver {
         let group = &mut self.groups[slot];
         let tracked = group.tpdu.track(sn, len, h.tpdu.st, &mut uncovered);
         if let Track::Overlap = tracked {
-            self.overlapped_into(&c.to_chunk(), slot, &uncovered, now, out);
+            self.overlapped_into(&c.to_chunk(), slot, start, &uncovered, now, out);
         }
         self.uncovered = uncovered;
         match tracked {
@@ -645,7 +745,10 @@ impl Receiver {
         let Ok(digest) = <[u8; 8]>::try_from(payload) else {
             return self.bad_packet();
         };
-        let start = self.unwrap_csn(h.conn.sn);
+        let Some(start) = self.tpdu_start(h.conn.sn) else {
+            self.stats.stale_chunks += 1;
+            return;
+        };
         // An ED chunk opens a group too; a flood of them is budgeted the
         // same way a data flood is.
         if self.budget.is_limited() && self.admit_group_into(start, 8, now, out) {
@@ -722,7 +825,6 @@ impl Receiver {
         }
         self.release_held(slot, now);
         self.groups.remove(slot).recycle();
-        self.delivered.push(start);
         self.stats.tpdus_delivered += 1;
         if self.obs_on {
             self.hot.tpdus_delivered.add(&*self.obs, 1);
@@ -750,6 +852,14 @@ impl Receiver {
             self.obs.span_close(now, deliver);
         }
         self.done.insert(start, done);
+        // A delivery at the watermark chains it through the delivered TPDUs
+        // that follow. A zero-element record would stand still: never
+        // followed.
+        if start == self.watermark {
+            while let Some(d) = self.done.get(&self.watermark).filter(|d| d.elements > 0) {
+                self.watermark += d.elements;
+            }
+        }
         out.push(RxEvent::TpduDelivered { start, elements });
         if self.closed {
             out.push(RxEvent::ConnectionClosed);
@@ -776,18 +886,16 @@ impl Receiver {
     /// Builds the current acknowledgment, including the precise missing
     /// element ranges so the sender can retransmit sub-chunks only.
     pub fn make_ack(&self) -> AckInfo {
-        let prefix = self.verified_prefix();
         let mut sacks: Vec<u64> = self
-            .delivered
-            .iter()
+            .done
+            .keys()
             .copied()
-            .filter(|&s| s >= prefix)
+            .filter(|&s| s >= self.watermark)
             .collect();
         sacks.sort_unstable();
-        sacks.dedup();
         let (gaps, need_ed) = ack_parts(self.groups.iter().map(|(s, g)| (s, &g.tpdu)));
         AckInfo {
-            cumulative: prefix,
+            cumulative: self.watermark,
             sacks,
             gaps,
             need_ed,
@@ -818,7 +926,9 @@ impl Receiver {
     }
 
     /// Clears the state of a failed or incomplete group so a retransmission
-    /// (with identical identifiers, §3.3) can be verified afresh.
+    /// (with identical identifiers, §3.3) can be verified afresh. A
+    /// delivered TPDU can be reset too, unless the application has begun to
+    /// release it.
     pub fn reset_group(&mut self, start: u64) {
         if let Some(slot) = self.groups.find(start) {
             // Release exactly this group's claims so retransmitted data may
@@ -826,11 +936,13 @@ impl Receiver {
             self.claimed.release(start);
             self.unstage(self.groups[slot].staged());
             self.groups.remove(slot).recycle();
-        } else if self.done.remove(&start).is_some() {
+        } else if start >= self.base && self.done.remove(&start).is_some() {
             // A delivered group: its heavy state is long recycled; drop the
             // verdict record and free the claims so the TPDU can be received
-            // again.
+            // again. Everything below it is still delivered, so the
+            // verified prefix now ends at its start at the latest.
             self.claimed.release(start);
+            self.watermark = self.watermark.min(start);
         }
     }
 
@@ -849,8 +961,11 @@ impl Receiver {
         self.groups.drain(Group::recycle);
         self.reorder_q.clear();
         self.done.clear();
-        self.delivered.clear();
         self.claimed.clear();
+        self.base = 0;
+        self.base_csn = self.params.initial_csn;
+        self.base_at = 0;
+        self.watermark = 0;
         self.in_order = 0;
         self.closed = false;
         self.stats = RxStats::default();
@@ -858,8 +973,8 @@ impl Receiver {
         self.app.fill(0);
     }
 
-    /// Re-arms a quiesced shell for a new connection: [`Self::quiesce`]
-    /// then swap in the new parameters. The shell keeps its delivery mode,
+    /// Re-arms a quiesced shell for a new connection: swap in the new
+    /// parameters, then [`Self::quiesce`]. The shell keeps its delivery mode,
     /// invariant layout, application-space capacity, overlap policy, budget
     /// and observability sink — re-arming is for homogeneous workloads
     /// (same element size); callers with per-connection policy or budget
@@ -870,8 +985,8 @@ impl Receiver {
             params.elem_size, self.params.elem_size,
             "re-arm keeps the application space; the element size must match"
         );
-        self.quiesce();
         self.params = params;
+        self.quiesce();
     }
 
     /// The connection parameters.
@@ -880,7 +995,8 @@ impl Receiver {
     }
 
     /// The verified WSC-2 code of a delivered TPDU, or `None` if the group
-    /// at `start` was never delivered (missing, failed, or still pending).
+    /// at `start` was never delivered (missing, failed, or still pending)
+    /// or has been wholly released.
     ///
     /// Delivered groups keep their verified code in the `done` tier, so the
     /// code a parallel worker folds into its delivery transcript is exactly
@@ -889,9 +1005,10 @@ impl Receiver {
         self.done.get(&start).map(|d| d.code)
     }
 
-    /// `(start, digest)` for every delivered TPDU, sorted by start — the
-    /// per-connection verification transcript the differential harness
-    /// compares across pipelines.
+    /// `(start, digest)` for every delivered TPDU not wholly released,
+    /// sorted by start — the per-connection verification transcript the
+    /// differential harness compares across pipelines. A receiver that is
+    /// never released lists every TPDU it delivered.
     pub fn delivered_digests(&self) -> Vec<(u64, [u8; 8])> {
         let mut v: Vec<(u64, [u8; 8])> = self.done.iter().map(|(&s, d)| (s, d.digest)).collect();
         v.sort_unstable();
@@ -1105,6 +1222,129 @@ mod tests {
         let ack = r.make_ack();
         assert_eq!(ack.cumulative, 8);
         assert_eq!(ack.sacks, vec![16]);
+    }
+
+    #[test]
+    fn a_reset_delivered_tpdu_is_no_longer_sacked() {
+        // The receiver dropped TPDU 2's verdict: advertising it would tell
+        // the sender to forget data nobody holds any more.
+        let mut r = rx(DeliveryMode::Immediate);
+        let tpdus = framed(&[7u8; 24]);
+        for t in [&tpdus[0], &tpdus[2]] {
+            for c in t.all_chunks() {
+                r.handle_chunk(c, 0);
+            }
+        }
+        r.reset_group(16);
+        let ack = r.make_ack();
+        assert_eq!(ack.cumulative, 8);
+        assert!(ack.sacks.is_empty(), "{:?}", ack.sacks);
+    }
+
+    /// The sort-and-sweep the held watermark replaces: the end of the
+    /// contiguous run of delivered TPDUs from element 0.
+    fn swept_prefix(r: &Receiver) -> u64 {
+        let mut starts: Vec<(u64, u64)> = r.done.iter().map(|(&s, d)| (s, d.elements)).collect();
+        starts.sort_unstable();
+        let mut cursor = 0;
+        for (s, n) in starts {
+            if s > cursor {
+                break;
+            }
+            cursor = cursor.max(s + n);
+        }
+        cursor
+    }
+
+    #[test]
+    fn the_watermark_is_the_swept_prefix_through_deliveries_and_resets() {
+        // Twelve TPDUs delivered in a scrambled order, delivered ones reset
+        // (below, at and above the watermark) and delivered again.
+        let tpdus = framed(&[9u8; 96]);
+        let mut state = 0x9E37_79B9u64;
+        let mut draw = |n: u64| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            (state >> 33) % n
+        };
+        let mut r = rx(DeliveryMode::Immediate);
+        let mut lowered = 0;
+        for _ in 0..400 {
+            let t = &tpdus[draw(12) as usize];
+            if draw(3) == 0 {
+                let before = r.verified_prefix();
+                r.reset_group(t.start);
+                lowered += (r.verified_prefix() < before) as u32;
+            } else {
+                for c in t.all_chunks() {
+                    r.handle_chunk(c, 0);
+                }
+            }
+            assert_eq!(r.verified_prefix(), swept_prefix(&r));
+        }
+        assert!(lowered > 10, "resets below the watermark: {lowered}");
+        assert_eq!(r.stats.tpdus_failed, 0);
+    }
+
+    #[test]
+    fn a_ring_smaller_than_the_stream_carries_it_across_the_csn_wrap() {
+        // Twenty TPDUs of 8 through a 12-element ring, each fragmented and
+        // fed backwards: most land across the ring's end, and C.SN wraps.
+        for mode in [
+            DeliveryMode::Immediate,
+            DeliveryMode::Reorder,
+            DeliveryMode::Reassemble,
+        ] {
+            let p = ConnectionParams {
+                initial_csn: u32::MAX - 50,
+                ..params()
+            };
+            let mut r = Receiver::new(mode, p, layout(), 12);
+            let data: Vec<u8> = (0..160u8).collect();
+            let mut read = Vec::new();
+            for t in Framer::new(p, layout()).frame_simple(&data, 0xF, false) {
+                let (a, b) = split(&t.chunks[0], 3).unwrap();
+                for c in [t.ed.clone(), b, a] {
+                    r.handle_chunk(c, 0);
+                }
+                let (head, tail) = r.readable();
+                let n = (head.len() + tail.len()) as u64;
+                read.extend([head, tail].concat());
+                r.release(n);
+            }
+            assert_eq!(read, data, "{mode:?}");
+            assert_eq!(r.verified_prefix(), 160);
+            assert_eq!(r.stats.tpdus_failed, 0);
+            assert_eq!(
+                r.stats.data_touches,
+                [160, 160 + 5 * 20, 320][mode as usize]
+            );
+            assert!(r.done.is_empty(), "released records go");
+            assert_eq!(r.claimed.fragments(), 0, "and their claims");
+            assert!(r.make_ack().sacks.is_empty());
+        }
+    }
+
+    #[test]
+    fn release_stops_at_the_watermark_and_a_begun_tpdu_stays_delivered() {
+        let mut r = rx(DeliveryMode::Immediate);
+        let tpdus = framed(b"abcdefgh12345678");
+        for c in tpdus[0].all_chunks() {
+            r.handle_chunk(c, 0);
+        }
+        r.release(3);
+        assert_eq!(r.readable(), (&b"defgh"[..], &b""[..]));
+        // Its first bytes are with the application: no reset takes it back.
+        r.reset_group(0);
+        assert_eq!(r.verified_prefix(), 8);
+        r.release(100);
+        assert_eq!(r.readable(), (&b""[..], &b""[..]));
+        // A quiesced shell starts over at element 0 of the same labels.
+        r.quiesce();
+        for c in tpdus.iter().flat_map(|t| t.all_chunks()) {
+            r.handle_chunk(c, 1);
+        }
+        assert_eq!(r.readable(), (&b"abcdefgh12345678"[..], &b""[..]));
+        assert_eq!(r.stats.stale_chunks, 0);
     }
 
     #[test]

@@ -1,12 +1,11 @@
 //! Stage 2, **track + verify**: the per-TPDU engine of §3.3 — virtual
 //! reassembly plus the incremental WSC-2 invariant, *one* algorithm
 //! "regardless of whether we perform physical PDU reassembly, packet
-//! reordering, or immediate packet processing". [`Receiver`](super::Receiver)
-//! (all three delivery modes) and
-//! [`StreamReceiver`](crate::stream::StreamReceiver) (a sliding window) are
-//! placement policies over this one engine: they decide where accepted bytes
-//! go, it decides what is accepted, what the TPDU's verdict is, and what the
-//! TPDU asks for in an acknowledgment.
+//! reordering, or immediate packet processing". The three delivery modes of
+//! [`Receiver`](super::Receiver) are placement policies over this one
+//! engine: they decide where accepted bytes go, it decides what is
+//! accepted, what the TPDU's verdict is, and what the TPDU asks for in an
+//! acknowledgment.
 //!
 //! The engine fixes the order trim → offer → X-level consistency → absorb →
 //! verify: [`TpduEngine::track`] then [`TpduEngine::absorb`] per chunk,
@@ -44,9 +43,10 @@ pub(crate) enum Track {
 /// code and digest the transcript queries read.
 #[derive(Clone, Debug)]
 pub(crate) struct Done {
+    /// Elements absorbed, which for a verified TPDU is also one past its
+    /// last `T.SN`-space element: every span the tracker accepted was
+    /// absorbed, or the group failed.
     pub(crate) elements: u64,
-    /// One past the last `T.SN`-space element (the tracker's known end).
-    pub(crate) end: u64,
     pub(crate) code: Wsc2,
     pub(crate) digest: [u8; 8],
 }
@@ -175,19 +175,11 @@ impl TpduEngine {
         self.elements.max(self.tracker.covered())
     }
 
-    /// Elements absorbed.
-    pub(crate) fn elements(&self) -> u64 {
-        self.elements
-    }
-
     /// The record a verified TPDU leaves behind.
     pub(crate) fn done(&self) -> Done {
+        debug_assert_eq!(self.tracker.known_end(), Some(self.elements));
         Done {
             elements: self.elements,
-            end: self
-                .tracker
-                .known_end()
-                .expect("complete TPDU knows its end"),
             code: self.inv.code(),
             digest: self.inv.digest(),
         }

@@ -1,9 +1,11 @@
-//! An unbounded stream through a small sliding window — §2's "SNs of
+//! An unbounded stream through a small receive window — §2's "SNs of
 //! connections are reused over time", live.
 //!
 //! One megabyte flows through a 4 KiB receive window over a lossy,
 //! reordering multipath; the connection sequence number wraps the 32-bit
-//! space mid-run (we start near the top) and the receiver keeps sliding.
+//! space mid-run (we start near the top). The receiver's application space
+//! is a ring: the application reads what verified in place and releases
+//! it, and the window slides on.
 //!
 //! ```sh
 //! cargo run --release --example long_stream
@@ -11,7 +13,7 @@
 
 use chunks::core::packet::Packet;
 use chunks::netsim::{LinkConfig, PathBuilder};
-use chunks::transport::{ConnectionParams, Framer, StreamReceiver};
+use chunks::transport::{ConnectionParams, DeliveryMode, Framer, Receiver};
 use chunks::wsc::InvariantLayout;
 
 fn main() {
@@ -24,12 +26,14 @@ fn main() {
     let layout = InvariantLayout::default();
     let window = 4096u64;
     let mut framer = Framer::new(params, layout);
-    let mut rx = StreamReceiver::new(params, layout, window);
+    let mut rx = Receiver::new(DeliveryMode::Immediate, params, layout, window);
 
     let total = 1 << 20; // 1 MiB
     let mut sent_hash = 0u64;
     let mut recv_hash = 0u64;
     let mut sent = 0usize;
+    let mut read = 0u64;
+    let mut releases = 0u64;
     let mut seed = 1u64;
 
     while sent < total {
@@ -45,11 +49,10 @@ fn main() {
         let packets = chunks::core::packet::pack(chunks, 1500).unwrap();
 
         // A jittery 4-way multipath with 1% loss; lost TPDUs are
-        // retransmitted with identical labels until the burst is delivered.
-        let expected = rx.delivered() + burst as u64;
-        let pending: Vec<Packet> = packets;
+        // retransmitted with identical labels until the burst is read.
+        let expected = read + burst as u64;
         let mut rounds = 0;
-        while rx.delivered() < expected {
+        while read < expected {
             rounds += 1;
             assert!(rounds < 20, "burst did not converge");
             seed = seed.wrapping_add(1);
@@ -60,7 +63,7 @@ fn main() {
                     40_000,
                 )
                 .build();
-            let inputs = pending
+            let inputs = packets
                 .iter()
                 .enumerate()
                 .map(|(i, p)| (i as u64 * 700, p.bytes.to_vec()))
@@ -73,31 +76,37 @@ fn main() {
                     d.time,
                 );
             }
-            for b in rx.poll_delivered() {
+            // The application reads the verified bytes where they lie in
+            // the ring, then hands the space back.
+            let (head, tail) = rx.readable();
+            for &b in head.iter().chain(tail) {
                 recv_hash = recv_hash.wrapping_mul(1099511628211).wrapping_add(b as u64);
             }
-            // Retransmit everything unacknowledged (duplicates are trimmed
-            // at the receiver); a real sender would use the gap nacks.
-            if rx.delivered() < expected {
-                for s in rx.failed_starts() {
-                    rx.reset_group(s);
-                }
+            let n = (head.len() + tail.len()) as u64;
+            if n > 0 {
+                rx.release(n);
+                read += n;
+                releases += 1;
+            }
+            // Resend the whole burst: chunks of TPDUs already released are
+            // stale, the rest are trimmed as duplicates; a real sender would
+            // use the gap nacks.
+            for s in rx.failed_starts() {
+                rx.reset_group(s);
             }
         }
     }
-    for b in rx.poll_delivered() {
-        recv_hash = recv_hash.wrapping_mul(1099511628211).wrapping_add(b as u64);
-    }
 
-    assert_eq!(rx.delivered(), total as u64);
+    assert_eq!(read, total as u64);
+    assert_eq!(rx.verified_prefix(), total as u64);
     assert_eq!(recv_hash, sent_hash, "stream content verified");
     println!(
         "streamed {} KiB through a {} KiB window: {} TPDUs verified, \
-         {} window advances, {} stale and {} duplicate chunks rejected, C.SN wrapped",
+         {} releases, {} stale and {} duplicate chunks rejected, C.SN wrapped",
         total / 1024,
         window / 1024,
         rx.stats.tpdus_delivered,
-        rx.stats.window_advances,
+        releases,
         rx.stats.stale_chunks,
         rx.stats.duplicate_chunks,
     );

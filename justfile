@@ -69,14 +69,22 @@ test-parallel:
 # Receiver equivalence gate: the borrowed packet walk against the owned
 # per-chunk entry (`ingest_batch` against `handle_chunk_into` over
 # `unpack`, and `ConnectionDemux::ingest` against per-connection
-# receivers, on hostile traces in every mode, policy and budget) and the
-# open-group slot table against a `HashMap` model. Debug first, so
-# overflow checks are live, then release at ten times the cases.
+# receivers, on hostile traces in every mode, policy and budget), the
+# open-group slot table against a `HashMap` model, one receiver across
+# window sizes (never released against released after every chunk, with
+# the watermark against the sort-and-sweep oracle), hostile labels around a
+# released base, and the long-stream gate (1000 windows through a
+# 1024-element ring, heap flat once warm). Debug first, so overflow checks
+# are live, then release (the walk properties at ten times the cases).
 test-receiver:
-    cargo test -q --test transport_props -- borrowed_walk_equals demux_ingest_equals
-    cargo test -q -p chunks-transport --lib -- receiver::groups
-    cargo test -q --release --test transport_props -- borrowed_walk_equals demux_ingest_equals
-    cargo test -q --release -p chunks-transport --lib -- receiver::groups
+    cargo test -q --test transport_props -- borrowed_walk_equals demux_ingest_equals stream_and_block stream_receiver_window
+    cargo test -q -p chunks-transport --lib -- receiver::
+    cargo test -q --test adversarial_input -- hostile_tsn
+    cargo test -q --test long_stream_gate
+    cargo test -q --release --test transport_props -- borrowed_walk_equals demux_ingest_equals stream_and_block stream_receiver_window
+    cargo test -q --release -p chunks-transport --lib -- receiver::
+    cargo test -q --release --test adversarial_input -- hostile_tsn
+    cargo test -q --release --test long_stream_gate
 
 # Zero-allocation hot-path gate: a counting global allocator with
 # per-thread counters proves the steady-state receive windows (serial and
@@ -158,7 +166,7 @@ ab REF WORKLOAD='bulk-clean':
     done
 
 # Every example, release mode. Each asserts its own result, so a non-zero
-# exit is a failure; `long_stream` is the only end-to-end driver of
-# `StreamReceiver`.
+# exit is a failure; `long_stream` carries 1 MiB through one `Receiver`
+# whose 4 KiB ring the application reads and releases.
 examples:
     for e in quickstart bulk_transfer long_stream video_stream internetwork header_compression ilp_pipeline; do cargo run --release --quiet --example "$e" || exit 1; done

@@ -201,10 +201,12 @@ pub fn drive(profile: Profile, seed: u64, sink: Arc<dyn ObsSink>) -> TransferSum
             to_b.entry(d.time).or_default().push(d.frame);
         }
         if b_heard {
+            let mut arrivals = Vec::new();
             for p in b.pump(t).expect("pure-ack endpoint has no retry budget") {
-                for (at, frame) in rev.transmit(t, p.bytes.to_vec()) {
-                    to_a.entry(at).or_default().push(frame);
-                }
+                rev.transmit_into(t, p.bytes.to_vec(), &mut arrivals);
+            }
+            for (at, frame) in arrivals {
+                to_a.entry(at).or_default().push(frame);
             }
         }
         if a.outbound_done() {

@@ -335,6 +335,8 @@ pub fn run_scenario_observed(sc: &SoakScenario, seed: u64, sink: Arc<dyn ObsSink
 
     let mut to_b: BTreeMap<u64, Vec<Vec<u8>>> = BTreeMap::new();
     let mut to_a: BTreeMap<u64, Vec<Vec<u8>>> = BTreeMap::new();
+    // What the links deliver for one tick's frames, moved on to `to_b`/`to_a`.
+    let mut arrivals = Vec::new();
 
     let mut outcome = None;
     let mut elapsed = MAX_TICKS * TICK_NS;
@@ -354,10 +356,11 @@ pub fn run_scenario_observed(sc: &SoakScenario, seed: u64, sink: Arc<dyn ObsSink
                 // one-way transfer; see `carries_payload`.
                 for p in packets.iter().filter(|p| carries_payload(p)) {
                     for f in byz_fwd.ingest_at(t, p.bytes.to_vec()) {
-                        for (at, frame) in fwd.transmit(t, f) {
-                            to_b.entry(at).or_default().push(frame);
-                        }
+                        fwd.transmit_into(t, f, &mut arrivals);
                     }
+                }
+                for (at, frame) in arrivals.drain(..) {
+                    to_b.entry(at).or_default().push(frame);
                 }
             }
             Err(_) => {
@@ -371,10 +374,11 @@ pub fn run_scenario_observed(sc: &SoakScenario, seed: u64, sink: Arc<dyn ObsSink
         if b_heard {
             for p in b.pump(t).expect("pure-ack endpoint has no retry budget") {
                 for f in byz_rev.ingest_at(t, p.bytes.to_vec()) {
-                    for (at, frame) in rev.transmit(t, f) {
-                        to_a.entry(at).or_default().push(frame);
-                    }
+                    rev.transmit_into(t, f, &mut arrivals);
                 }
+            }
+            for (at, frame) in arrivals.drain(..) {
+                to_a.entry(at).or_default().push(frame);
             }
         }
         if a.outbound_done() {

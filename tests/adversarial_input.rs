@@ -198,48 +198,90 @@ proptest! {
 /// the all-zero end-of-packet marker).
 #[test]
 fn hostile_tsn_past_the_chunks_own_csn_is_refused_without_a_panic() {
-    // `T.SN` is wire input. One that exceeds the chunk's unwrapped `C.SN`
-    // names a TPDU that began before the stream did; the stream receiver
-    // used to compute that start with a bare subtraction — a debug-build
-    // panic an attacker could reach with one packet.
-    use chunks::core::packet::{pack, unpack};
-    use chunks::transport::StreamReceiver;
+    // `T.SN` is wire input. One that exceeds the chunk's `C.SN` names a TPDU
+    // that began before the stream did — or, once the application has
+    // released part of the stream, before the window's base. Labels around
+    // the base are classified by wrapping arithmetic; none may panic, a
+    // start in released space is stale, and what the application has yet
+    // to read must not move.
+    use chunks::core::chunk::Chunk;
+    use chunks::core::packet::pack;
+    use chunks::transport::{FailureReason, Framer, RxEvent};
 
-    let mut tx = Sender::new(SenderConfig {
-        params: params(),
-        layout: layout(),
-        mtu: 256,
-        min_tpdu_elements: 4,
-        max_tpdu_elements: 64,
-    });
-    tx.submit_simple(&[0x5Au8; 200], 0xE, false);
-    let mut hostile = Vec::new();
-    for p in tx.packets_for_pending().unwrap() {
-        for mut c in unpack(&p).unwrap() {
-            if c.header.ty == chunks::core::label::ChunkType::Data {
-                c.header.tpdu.sn = u32::MAX;
-            }
-            hostile.push(c);
-        }
-    }
-    let packets = pack(hostile, 256).unwrap();
-
-    let mut stream = StreamReceiver::new(params(), layout(), 1024);
-    for (i, p) in packets.iter().enumerate() {
-        stream.handle_packet(p, i as u64);
-    }
-    assert!(stream.stats.stale_chunks > 0);
-    assert_eq!(stream.delivered(), 0);
+    // Eight TPDUs of 32, through a 128-element window: TPDUs 0..4 are
+    // delivered and 0..3 released, so the base is 96 and the window ends
+    // at 224, inside TPDU 6.
+    let p = ConnectionParams {
+        initial_csn: u32::MAX - 40, // the base's C.SN has wrapped
+        ..params()
+    };
+    let message: Vec<u8> = (0..=255u8).collect();
+    let tpdus = Framer::new(p, layout()).frame_simple(&message, 0xE, false);
+    let data = |t: usize| tpdus[t].chunks[0].clone();
+    let with_tsn = |mut c: Chunk, sn: u32| {
+        c.header.tpdu.sn = sn;
+        c
+    };
+    let mut behind = data(2); // C.SN one element behind the base
+    behind.header.conn.sn = behind.header.conn.sn.wrapping_add(31);
+    behind.header.tpdu.sn = 0;
+    let mut straddles = data(6); // [208, 240) across base + window
+    straddles.header.conn.sn = straddles.header.conn.sn.wrapping_add(16);
+    straddles.header.tpdu.sn = 16;
+    let everything_tsn_max = tpdus
+        .iter()
+        .flat_map(|t| &t.chunks)
+        .map(|c| with_tsn(c.clone(), u32::MAX));
+    // (chunks, stale ones among them)
+    let cases: Vec<(Vec<Chunk>, u64)> = vec![
+        (everything_tsn_max.collect(), 3),
+        (vec![behind], 1),
+        (vec![with_tsn(data(4), 33)], 1), // start pulled below the base
+        (vec![straddles], 0),
+        (vec![tpdus[1].ed.clone()], 1), // ED of a released TPDU
+    ];
 
     for mode in [
         DeliveryMode::Immediate,
         DeliveryMode::Reorder,
         DeliveryMode::Reassemble,
     ] {
-        let mut rx = Receiver::new(mode, params(), layout(), 4096);
+        // Unreleased, the first case is refused too: nothing verifies.
+        let mut fresh = Receiver::new(mode, p, layout(), 4096);
         let mut out = Vec::new();
-        rx.ingest_batch(&packets, 0, &mut out);
-        assert_eq!(rx.verified_prefix(), 0, "{mode:?}");
+        fresh.ingest_batch(&pack(cases[0].0.clone(), 256).unwrap(), 0, &mut out);
+        assert_eq!(fresh.verified_prefix(), 0, "{mode:?}");
+        out.clear();
+
+        let mut rx = Receiver::new(mode, p, layout(), 128);
+        for c in tpdus[..4].iter().flat_map(|t| t.all_chunks()) {
+            rx.handle_chunk(c, 0);
+        }
+        rx.release(96);
+        let unread = [rx.readable().0, rx.readable().1].concat();
+        assert_eq!(unread, message[96..128], "{mode:?}");
+        for (i, (chunks, stale)) in cases.iter().enumerate() {
+            let before = rx.stats.stale_chunks;
+            rx.ingest_batch(&pack(chunks.clone(), 256).unwrap(), 1, &mut out);
+            assert_eq!(rx.stats.stale_chunks - before, *stale, "{mode:?} case {i}");
+            assert_eq!([rx.readable().0, rx.readable().1].concat(), unread);
+        }
+        assert!(out.contains(&RxEvent::TpduFailed {
+            start: 192,
+            reason: FailureReason::BadChunk,
+        }));
+        // The stream carries on: the groups the hostile chunks condemned
+        // are reset, and the rest of it arrives whole.
+        for s in rx.failed_starts() {
+            rx.reset_group(s);
+        }
+        rx.release(32);
+        for c in tpdus[4..].iter().flat_map(|t| t.all_chunks()) {
+            rx.handle_chunk(c, 2);
+        }
+        let rest = [rx.readable().0, rx.readable().1].concat();
+        assert_eq!(rest, message[128..], "{mode:?}");
+        assert_eq!(rx.verified_prefix(), 256);
     }
 }
 
