@@ -165,7 +165,7 @@ pub const CATALOGUE: &[Spec] = &[
     counter(
         "transport.parallel.chunks_dispatched",
         "chunks",
-        "ParallelReceiver::ingest routed a chunk span to a worker shard",
+        "ParallelReceiver::ingest routed a data/ED chunk span to the worker shard its C.ID hashes to",
     ),
     counter(
         "transport.parallel.merge_folds",
@@ -185,7 +185,7 @@ pub const CATALOGUE: &[Spec] = &[
     counter(
         "transport.parallel.unknown_connection",
         "chunks",
-        "ParallelReceiver::ingest dropped a chunk whose C.ID no shard owns",
+        "a ParallelReceiver worker dropped a dispatched chunk whose C.ID its shard's ConnTable does not hold",
     ),
     histogram(
         "transport.parallel.worker_chunks",

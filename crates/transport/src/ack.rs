@@ -7,7 +7,6 @@
 
 use bytes::Bytes;
 use chunks_core::chunk::{Chunk, ChunkHeader};
-use chunks_core::error::CoreError;
 use chunks_core::label::{ChunkType, FramingTuple};
 
 /// Receiver feedback: a cumulative point, selectively-acknowledged TPDU
@@ -130,14 +129,6 @@ impl AckInfo {
         )
         .expect("ack chunk is consistent")
     }
-
-    /// Extracts an ack from a control chunk.
-    pub fn from_chunk(chunk: &Chunk) -> Result<AckInfo, CoreError> {
-        if chunk.header.ty != ChunkType::Ack {
-            return Err(CoreError::BadType(chunk.header.ty.to_u8()));
-        }
-        AckInfo::decode(&chunk.payload).ok_or(CoreError::Truncated)
-    }
 }
 
 #[cfg(test)]
@@ -158,7 +149,8 @@ mod tests {
         ] {
             assert_eq!(AckInfo::decode(&ack.encode()), Some(ack.clone()));
             let c = ack.to_chunk(7);
-            assert_eq!(AckInfo::from_chunk(&c).unwrap(), ack);
+            assert_eq!(c.header.ty, ChunkType::Ack);
+            assert_eq!(AckInfo::decode(&c.payload), Some(ack));
         }
     }
 
@@ -178,13 +170,5 @@ mod tests {
         let mut junk = buf.clone();
         *junk.last_mut().unwrap() = 7;
         assert_eq!(AckInfo::decode(&junk), None);
-    }
-
-    #[test]
-    fn wrong_type_rejected() {
-        let ack = AckInfo::default().to_chunk(1);
-        let mut wrong = ack.clone();
-        wrong.header.ty = ChunkType::Signal;
-        assert!(AckInfo::from_chunk(&wrong).is_err());
     }
 }

@@ -9,7 +9,6 @@
 
 use bytes::Bytes;
 use chunks_core::chunk::{Chunk, ChunkHeader};
-use chunks_core::error::CoreError;
 use chunks_core::label::{ChunkType, FramingTuple};
 
 /// Parameters of one connection, agreed at establishment.
@@ -116,14 +115,6 @@ impl Signal {
         )
         .expect("signal chunk is consistent")
     }
-
-    /// Extracts a signal from a control chunk.
-    pub fn from_chunk(chunk: &Chunk) -> Result<Signal, CoreError> {
-        if chunk.header.ty != ChunkType::Signal {
-            return Err(CoreError::BadType(chunk.header.ty.to_u8()));
-        }
-        Signal::decode(&chunk.payload).ok_or(CoreError::Truncated)
-    }
 }
 
 #[cfg(test)]
@@ -157,7 +148,7 @@ mod tests {
         let c = s.to_chunk();
         assert_eq!(c.header.ty, ChunkType::Signal);
         assert_eq!(c.header.conn.id, 0xAB);
-        assert_eq!(Signal::from_chunk(&c).unwrap(), s);
+        assert_eq!(Signal::decode(&c.payload), Some(s));
     }
 
     #[test]
@@ -167,7 +158,7 @@ mod tests {
             code: Signal::ABORT_PEER_UNREACHABLE,
         };
         assert_eq!(Signal::decode(&s.encode()), Some(s));
-        assert_eq!(Signal::from_chunk(&s.to_chunk()).unwrap(), s);
+        assert_eq!(Signal::decode(&s.to_chunk().payload), Some(s));
     }
 
     #[test]

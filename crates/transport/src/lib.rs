@@ -98,4 +98,4 @@ pub use receiver::{DeliveryMode, FailureReason, Receiver, RxEvent, RxStats};
 pub use rto::{DegradePolicy, RetransmitTimer, RtoConfig, TimerVerdict, TransportError};
 pub use sender::{Sender, SenderConfig};
 pub use session::{ReliabilityStats, Session};
-pub use table::{AdmitOutcome, ConnSet, ConnTable, TableConfig, TableStats};
+pub use table::{AdmitOutcome, ConnTable, TableConfig, TableStats};

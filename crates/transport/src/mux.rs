@@ -103,9 +103,10 @@ pub enum DemuxEvent {
 /// Receivers live in a [`ConnTable`] — the open-addressed, lifecycle-managed
 /// connection table — so the serial demux scales to millions of live
 /// connections with pooled admission, LRU eviction, and capacity
-/// back-pressure. The classic `register`/`receiver`/`handle_packet` surface
-/// is unchanged; [`Self::table`]/[`Self::table_mut`] expose the lifecycle
-/// operations (admit, retire, idle sweep, stats).
+/// back-pressure. [`Self::register`] and [`Self::receiver`] reach single
+/// connections; [`Self::table`]/[`Self::table_mut`] expose the lifecycle
+/// operations (admit, retire, idle sweep, stats). The walk and the `TYPE`
+/// match beneath [`Self::ingest`] are the ones the parallel dispatcher runs.
 #[derive(Debug, Default)]
 pub struct ConnectionDemux {
     receivers: ConnTable,
@@ -173,62 +174,67 @@ impl ConnectionDemux {
         &mut self.receivers
     }
 
-    /// Handles one packet, routing every chunk it carries. Each data/ED
-    /// chunk routed to a live receiver bumps that connection's LRU touch.
-    pub fn handle_packet(&mut self, packet: &Packet, now: u64) -> Vec<DemuxEvent> {
-        let mut events = Vec::new();
-        self.ingest(packet, now, &mut events);
-        events
-    }
-
-    /// Zero-copy packet ingest: one validation scan, then a streaming span
-    /// walk whose payloads are read in place in the packet's `Bytes` — the
-    /// serial twin of [`ParallelReceiver::ingest`](crate::parallel::ParallelReceiver::ingest)
-    /// and the entry the million-connection scale harness drives. A
-    /// malformed chunk rejects the whole packet.
+    /// Packet ingest: one validation scan, then a streaming walk whose
+    /// payloads are read in place in the packet's `Bytes`, each chunk routed
+    /// by `TYPE` and `C.ID` — the serial twin of
+    /// [`ParallelReceiver::ingest`](crate::parallel::ParallelReceiver::ingest),
+    /// which walks and routes with the same code, and the entry the
+    /// million-connection scale harness drives. A malformed chunk rejects the
+    /// whole packet. Each data/ED chunk routed to a live receiver bumps that
+    /// connection's LRU touch.
     pub fn ingest(&mut self, packet: &Packet, now: u64, events: &mut Vec<DemuxEvent>) {
         let Ok(walk) = chunk_walk(packet) else {
             return;
         };
         for chunk in walk {
-            self.route_chunk(chunk, now, events);
+            match route(chunk, &mut self.routed) {
+                Some(Route::Conn(chunk)) => {
+                    let conn_id = chunk.header.conn.id;
+                    let Some(rx) = self.receivers.lookup(conn_id, now) else {
+                        events.push(DemuxEvent::UnknownConnection { conn_id });
+                        continue;
+                    };
+                    self.scratch.clear();
+                    rx.handle_wire_into(chunk, now, &mut self.scratch);
+                    for event in self.scratch.drain(..) {
+                        events.push(DemuxEvent::Connection { conn_id, event });
+                    }
+                }
+                Some(Route::Ack { conn_id, ack }) => events.push(DemuxEvent::Ack { conn_id, ack }),
+                Some(Route::Signal(s)) => events.push(DemuxEvent::Signal(s)),
+                None => {}
+            }
         }
     }
+}
 
-    /// Routes one chunk by `TYPE` and `C.ID`.
-    fn route_chunk(&mut self, chunk: WireChunk<'_>, now: u64, events: &mut Vec<DemuxEvent>) {
-        let header = chunk.header;
-        self.routed[header.ty.to_u8() as usize] += 1;
-        match header.ty {
-            ChunkType::Ack => {
-                if let Some(ack) = AckInfo::decode(chunk.payload()) {
-                    events.push(DemuxEvent::Ack {
-                        conn_id: header.conn.id,
-                        ack,
-                    });
-                }
-            }
-            ChunkType::Signal => {
-                if let Some(s) = Signal::decode(chunk.payload()) {
-                    events.push(DemuxEvent::Signal(s));
-                }
-            }
-            ChunkType::Data | ChunkType::ErrorDetection => {
-                let conn_id = header.conn.id;
-                let scratch = &mut self.scratch;
-                match self.receivers.lookup(conn_id, now) {
-                    Some(rx) => {
-                        scratch.clear();
-                        rx.handle_wire_into(chunk, now, scratch);
-                        for event in scratch.drain(..) {
-                            events.push(DemuxEvent::Connection { conn_id, event });
-                        }
-                    }
-                    None => events.push(DemuxEvent::UnknownConnection { conn_id }),
-                }
-            }
-            ChunkType::Padding => {}
-        }
+/// Where the `TYPE` field sends one chunk.
+pub(crate) enum Route<'a> {
+    /// A data or ED chunk, for the receiver of its `C.ID`.
+    Conn(WireChunk<'a>),
+    /// An acknowledgment for connection `conn_id`, decoded.
+    Ack { conn_id: u32, ack: AckInfo },
+    /// A connection signal, decoded.
+    Signal(Signal),
+}
+
+/// The one `TYPE` match under both front-ends, [`ConnectionDemux`] and the
+/// [`ParallelReceiver`](crate::parallel::ParallelReceiver) dispatcher:
+/// counts the chunk in `routed` (indexed by wire type byte), decodes an ack
+/// or signal payload in place, and names where the chunk goes. `None` for
+/// padding and for a control payload that does not decode.
+#[inline]
+pub(crate) fn route<'a>(chunk: WireChunk<'a>, routed: &mut [u64; 5]) -> Option<Route<'a>> {
+    let header = chunk.header;
+    routed[header.ty.to_u8() as usize] += 1;
+    match header.ty {
+        ChunkType::Data | ChunkType::ErrorDetection => Some(Route::Conn(chunk)),
+        ChunkType::Ack => AckInfo::decode(chunk.payload()).map(|ack| Route::Ack {
+            conn_id: header.conn.id,
+            ack,
+        }),
+        ChunkType::Signal => Signal::decode(chunk.payload()).map(Route::Signal),
+        ChunkType::Padding => None,
     }
 }
 
@@ -289,7 +295,8 @@ mod tests {
             2,
             Receiver::new(DeliveryMode::Immediate, params(2), layout(), 256),
         );
-        let events = demux.handle_packet(&packets[0], 0);
+        let mut events = Vec::new();
+        demux.ingest(&packets[0], 0, &mut events);
         let delivered: Vec<u32> = events
             .iter()
             .filter_map(|e| match e {
@@ -331,7 +338,8 @@ mod tests {
             3,
             Receiver::new(DeliveryMode::Immediate, params(3), layout(), 256),
         );
-        let events = demux.handle_packet(&packets[0], 0);
+        let mut events = Vec::new();
+        demux.ingest(&packets[0], 0, &mut events);
         assert!(events.iter().any(|e| matches!(
             e,
             DemuxEvent::Ack { conn_id: 9, ack: a } if a.cumulative == 512
@@ -357,7 +365,8 @@ mod tests {
         mux.enqueue_signal(&sig);
         let packets = mux.flush().unwrap();
         let mut demux = ConnectionDemux::new();
-        let events = demux.handle_packet(&packets[0], 0);
+        let mut events = Vec::new();
+        demux.ingest(&packets[0], 0, &mut events);
         assert_eq!(events, vec![DemuxEvent::Signal(sig)]);
         assert_eq!(demux.routed[ChunkType::Signal.to_u8() as usize], 1);
     }
@@ -368,7 +377,8 @@ mod tests {
         tx.submit_simple(b"lost____", 0xD, false);
         let packets = tx.packets_for_pending().unwrap();
         let mut demux = ConnectionDemux::new();
-        let events = demux.handle_packet(&packets[0], 0);
+        let mut events = Vec::new();
+        demux.ingest(&packets[0], 0, &mut events);
         assert!(events
             .iter()
             .any(|e| matches!(e, DemuxEvent::UnknownConnection { conn_id: 42 })));

@@ -8,13 +8,17 @@
 //! pipeline and keeps it provably equivalent to the serial
 //! [`ConnectionDemux`](crate::mux::ConnectionDemux) path:
 //!
-//! * **Dispatch** — [`ParallelReceiver::ingest`] walks a packet's chunk
-//!   spans (validated exactly like `unpack`: one malformed chunk rejects the
-//!   whole packet), peeks only the fixed 32-byte header of each span, and
-//!   stages the span for the worker chosen by hashing the chunk's
-//!   **connection label** (`C.ID`). The span is a zero-copy [`bytes::Bytes`]
-//!   slice of the arriving packet; payload bytes are not touched at this
-//!   stage.
+//! * **Dispatch** — [`ParallelReceiver::ingest`] walks a packet and routes
+//!   each chunk with the serial demux's code: the same walk (one malformed
+//!   chunk rejects the whole packet) and the same `TYPE` match, which counts
+//!   `routed` and decodes acks and signals. Each data/ED span is staged for
+//!   the worker chosen by hashing the chunk's **connection label**
+//!   (`C.ID`), as a zero-copy [`bytes::Bytes`] slice of the arriving packet
+//!   carrying its dispatch stamp; payload bytes are not touched at this
+//!   stage. The dispatcher keeps no connection table: whether a `C.ID` is
+//!   live is decided at the worker, by its shard's [`ConnTable`] — the only
+//!   `C.ID` table — and a miss becomes an `UnknownConnection` control event
+//!   under that stamp.
 //! * **Handoff** — what crosses to a worker is a **batch**, never a lone
 //!   chunk: every entry point (`ingest`, `ingest_batch`, `admit`, `retire`,
 //!   `reset_group`, `reserve`, `sync`) stages its work per shard and, before
@@ -35,8 +39,9 @@
 //! * **Merge** — [`ParallelReceiver::finish`] moves each worker's receivers
 //!   out (no payload byte is ever buffered twice), folds the per-worker
 //!   delivery transcripts ([`Wsc2Stream::fold`] — parities are sums, so the
-//!   fold is order-independent), and interleaves control events back into
-//!   global arrival order using the dispatch stamps.
+//!   fold is order-independent), and interleaves the dispatcher's and the
+//!   workers' control events back into global arrival order using the
+//!   dispatch stamps.
 //!
 //! Two engines run the same worker code behind the same staging and flush:
 //!
@@ -61,9 +66,8 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use bytes::Bytes;
-use chunks_core::label::ChunkType;
-use chunks_core::packet::{spans, validate, Packet};
-use chunks_core::wire::{decode_chunk_at, decode_chunk_ref, decode_header};
+use chunks_core::packet::Packet;
+use chunks_core::wire::decode_chunk_ref;
 use chunks_core::WIRE_HEADER_LEN;
 use chunks_obs::{Event, HotCounter, Labels, ObsSink, ShardSink, SpanId, Stage};
 use chunks_vreasm::OverlapPolicy;
@@ -72,8 +76,11 @@ use chunks_wsc::{InvariantLayout, Wsc2Stream};
 use crate::ack::AckInfo;
 use crate::budget::ResourceBudget;
 use crate::conn::{ConnectionParams, Signal};
-use crate::receiver::{labels_of, observe_decoded, DeliveryMode, Receiver, RxEvent, WireChunk};
-use crate::table::{ConnSet, ConnTable, TableConfig};
+use crate::mux::{route, Route};
+use crate::receiver::{
+    chunk_walk, labels_of, observe_decoded, DeliveryMode, Receiver, RxEvent, WireChunk,
+};
+use crate::table::{ConnTable, TableConfig};
 
 /// Depth of each worker's bounded work queue (threads engine), in batches.
 /// A flush blocks when a queue is full — backpressure instead of unbounded
@@ -177,10 +184,18 @@ impl ConnSpec {
         self.budget = budget;
         self
     }
+
+    /// A receiver built to this spec, recording through `sink`.
+    fn receiver(&self, sink: Arc<dyn ObsSink>) -> Receiver {
+        Receiver::new(self.mode, self.params, self.layout, self.capacity_elements)
+            .with_policy(self.policy)
+            .with_budget(self.budget.clone())
+            .with_obs(sink)
+    }
 }
 
-/// A control-plane event observed at dispatch, stamped with its global
-/// arrival order so the merge stage can interleave events from all workers
+/// A control-plane event, from the dispatcher or a worker, stamped with its
+/// chunk's global arrival order so the merge stage can interleave them all
 /// back into one deterministic sequence.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct ControlEvent {
@@ -190,8 +205,9 @@ pub struct ControlEvent {
     pub kind: ControlKind,
 }
 
-/// The control-plane event kinds the dispatcher surfaces directly (data and
-/// ED chunks instead flow to workers and surface as [`RxEvent`]s).
+/// The control-plane event kinds: acks and signals, which the dispatcher
+/// surfaces directly, and data/ED chunks no worker has a receiver for
+/// (the rest flow to workers and surface as [`RxEvent`]s).
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum ControlKind {
     /// An acknowledgment for a connection we send on.
@@ -203,8 +219,8 @@ pub enum ControlKind {
     },
     /// A connection signal.
     Signal(Signal),
-    /// A data/ED chunk referenced a connection no receiver is registered
-    /// for.
+    /// A data/ED chunk referenced a connection its worker shard's table
+    /// does not hold.
     UnknownConnection {
         /// The unknown `C.ID`.
         conn_id: u32,
@@ -226,7 +242,8 @@ pub struct DispatchStats {
     /// Chunks routed, by wire type byte — same accounting as
     /// [`ConnectionDemux::routed`](crate::mux::ConnectionDemux).
     pub routed: [u64; 5],
-    /// Data/ED spans handed to workers.
+    /// Data/ED spans handed to workers, known connection or not: those the
+    /// workers' tables miss become unknown-connection events.
     pub chunks_dispatched: u64,
     /// Worker-side decode failures (spans are pre-validated, so this stays
     /// zero unless memory is corrupted between stages).
@@ -303,8 +320,9 @@ type Batch = Vec<Work>;
 
 /// One unit of work in a [`Batch`].
 enum Work {
-    /// A data/ED chunk span, zero-copy slice of the arriving packet.
-    Chunk { raw: Bytes, now: u64 },
+    /// A data/ED chunk span, zero-copy slice of the arriving packet, with
+    /// its dispatch stamp.
+    Chunk { raw: Bytes, now: u64, stamp: u64 },
     /// Clear a failed/incomplete group so a retransmission verifies afresh.
     Reset { conn_id: u32, start: u64 },
     /// Pre-size every owned receiver (and the worker's event buffers) for
@@ -342,9 +360,12 @@ pub struct SyncSnapshot {
 struct Shard {
     index: usize,
     /// The worker's slice of the connection table: open-addressed, pooled
-    /// shells, same lifecycle as the serial demux's table.
+    /// shells, same lifecycle as the serial demux's table. The pipeline's
+    /// only `C.ID` table: a chunk it does not hold is an unknown connection.
     receivers: ConnTable,
     events: HashMap<u32, Vec<RxEvent>>,
+    /// Unknown-connection events, under their chunks' dispatch stamps.
+    control: Vec<ControlEvent>,
     /// XOR-fold of verified TPDU codes delivered by this worker.
     transcript: Wsc2Stream,
     chunks: u64,
@@ -370,6 +391,7 @@ impl Shard {
             index,
             receivers,
             events: HashMap::new(),
+            control: Vec::new(),
             transcript: Wsc2Stream::new(),
             chunks: 0,
             decode_errors: 0,
@@ -393,30 +415,29 @@ impl Shard {
     /// engines differ only in *when* this runs, never in what it does.
     fn process(&mut self, work: Work) {
         match work {
-            Work::Chunk { raw, now } => {
+            Work::Chunk { raw, now, stamp } => {
                 // The label is decoded from the dispatched span (itself a
                 // slice of the arriving packet) and the payload is read in
                 // place there.
-                let (header, end) = match decode_chunk_ref(&raw) {
-                    Ok((c, end)) => {
-                        if self.obs_verbose {
-                            observe_decoded(&*self.obs, now, &c.header, c.payload.len());
-                        }
-                        (c.header, end)
-                    }
-                    Err(_) => {
-                        // Unreachable through `ingest`: dispatch only sends
-                        // spans of a validated packet.
-                        self.decode_errors += 1;
-                        return;
-                    }
-                };
-                let conn_id = header.conn.id;
-                let Some(rx) = self.receivers.lookup(conn_id, now) else {
-                    // Dispatch only routes registered connections here.
+                let Ok((c, end)) = decode_chunk_ref(&raw) else {
+                    // Unreachable through `ingest`: dispatch only sends
+                    // spans of a validated packet.
                     self.decode_errors += 1;
                     return;
                 };
+                let header = c.header;
+                let conn_id = header.conn.id;
+                let Some(rx) = self.receivers.lookup(conn_id, now) else {
+                    self.obs.counter("transport.parallel.unknown_connection", 1);
+                    self.control.push(ControlEvent {
+                        stamp,
+                        kind: ControlKind::UnknownConnection { conn_id },
+                    });
+                    return;
+                };
+                if self.obs_verbose {
+                    observe_decoded(&*self.obs, now, &header, c.payload.len());
+                }
                 self.chunks += 1;
                 // Events append straight into the connection's merge buffer;
                 // the freshly-appended tail is then scanned for deliveries
@@ -456,18 +477,7 @@ impl Shard {
                 self.receivers.admit(
                     spec.params,
                     now,
-                    || {
-                        let mut rx = Receiver::new(
-                            spec.mode,
-                            spec.params,
-                            spec.layout,
-                            spec.capacity_elements,
-                        );
-                        rx.set_policy(spec.policy);
-                        rx.set_budget(spec.budget.clone());
-                        rx.set_obs(sink);
-                        rx
-                    },
+                    || spec.receiver(sink),
                     |rx| {
                         // A pooled shell keeps mode/layout/capacity; policy
                         // and budget are per-connection, so re-apply them
@@ -638,11 +648,8 @@ pub struct ParallelReceiver {
     /// Global chunk arrival counter; stamps control events so the merge can
     /// restore one deterministic order.
     stamp: u64,
+    /// The acks and signals dispatch decoded, under their stamps.
     control: Vec<ControlEvent>,
-    /// Dispatcher-side membership: which `C.ID`s currently route to a
-    /// worker. Open-addressed, O(1) per chunk — at a million connections
-    /// the `Vec::contains` scan it replaced was the whole dispatch cost.
-    registered: ConnSet,
     /// Observability sink (no-op by default).
     obs: Arc<dyn ObsSink>,
     /// Cached `obs.enabled()` so the disabled path costs one branch.
@@ -697,17 +704,12 @@ impl ParallelReceiver {
         let obs_on = sink.enabled();
         let obs_verbose = obs_on && sink.verbose();
         let mut shards: Vec<Shard> = (0..workers).map(|i| Shard::new(i, sink.clone())).collect();
-        let mut registered = ConnSet::with_capacity(conns.len());
         for spec in conns {
             let conn_id = spec.params.conn_id;
-            registered.insert(conn_id);
-            let mut rx = Receiver::new(spec.mode, spec.params, spec.layout, spec.capacity_elements);
-            rx.set_policy(spec.policy);
-            rx.set_budget(spec.budget);
             let shard = &mut shards[shard_of(conn_id, workers)];
             // The receiver records through its owning worker's shard facade,
             // so its hot-path counters are plain owner-writes too.
-            rx.set_obs(shard.obs.clone());
+            let rx = spec.receiver(shard.obs.clone());
             shard.receivers.insert(conn_id, rx, 0);
         }
         let runtime = match engine {
@@ -758,7 +760,6 @@ impl ParallelReceiver {
             dispatch: DispatchStats::default(),
             stamp: 0,
             control: Vec::new(),
-            registered,
             obs: sink,
             obs_on,
             obs_verbose,
@@ -816,111 +817,76 @@ impl ParallelReceiver {
         if self.obs_on {
             self.hot_packets.add(&*self.obs, 1);
         }
-        // One allocation-free validation scan, then a streaming span walk:
-        // the span list is never materialised.
-        if validate(packet).is_err() {
+        let Ok(walk) = chunk_walk(packet) else {
             self.dispatch.bad_packets += 1;
             if self.obs_on {
                 self.obs.counter("transport.parallel.bad_packets", 1);
             }
             return;
-        }
-        for (at, end) in spans(packet) {
-            // The validation scan already vetted this header.
-            let Ok(header) = decode_header(&packet.bytes[at..]) else {
-                continue;
-            };
+        };
+        for chunk in walk {
             let stamp = self.stamp;
             self.stamp += 1;
-            self.dispatch.routed[header.ty.to_u8() as usize] += 1;
-            match header.ty {
-                ChunkType::Ack => {
-                    if let Ok((chunk, _)) = decode_chunk_at(&packet.bytes, at) {
-                        if let Ok(ack) = AckInfo::from_chunk(&chunk) {
-                            self.control.push(ControlEvent {
-                                stamp,
-                                kind: ControlKind::Ack {
-                                    conn_id: chunk.header.conn.id,
-                                    ack,
-                                },
-                            });
-                        }
-                    }
+            let kind = match route(chunk, &mut self.dispatch.routed) {
+                Some(Route::Conn(chunk)) => {
+                    self.dispatch_chunk(chunk, stamp, now);
+                    continue;
                 }
-                ChunkType::Signal => {
-                    if let Ok((chunk, _)) = decode_chunk_at(&packet.bytes, at) {
-                        if let Ok(s) = Signal::from_chunk(&chunk) {
-                            self.control.push(ControlEvent {
-                                stamp,
-                                kind: ControlKind::Signal(s),
-                            });
-                        }
-                    }
-                }
-                ChunkType::Data | ChunkType::ErrorDetection => {
-                    let conn_id = header.conn.id;
-                    if self.registered.contains(conn_id) {
-                        self.dispatch.chunks_dispatched += 1;
-                        let worker = shard_of(conn_id, self.workers);
-                        if self.obs_on {
-                            self.hot_chunks_dispatched.add(&*self.obs, 1);
-                        }
-                        if self.obs_verbose {
-                            let labels = labels_of(&header);
-                            self.obs.event(
-                                now,
-                                Event::ShardDispatched {
-                                    labels,
-                                    worker: worker as u32,
-                                },
-                            );
-                            // The chunk now sits between dispatch and merge:
-                            // open its merge-queue span, closed at `finish`.
-                            self.obs
-                                .span_open(now, SpanId::new(labels, Stage::MergeQueue));
-                            self.merge_open.push(labels);
-                        }
-                        let raw = packet.bytes.slice(at..end);
-                        self.stage(worker, Work::Chunk { raw, now });
-                    } else {
-                        if self.obs_on {
-                            self.obs.counter("transport.parallel.unknown_connection", 1);
-                        }
-                        self.control.push(ControlEvent {
-                            stamp,
-                            kind: ControlKind::UnknownConnection { conn_id },
-                        });
-                    }
-                }
-                ChunkType::Padding => {}
-            }
+                Some(Route::Ack { conn_id, ack }) => ControlKind::Ack { conn_id, ack },
+                Some(Route::Signal(s)) => ControlKind::Signal(s),
+                None => continue,
+            };
+            self.control.push(ControlEvent { stamp, kind });
         }
     }
 
-    /// Admits a connection mid-stream: registers it with the dispatcher and
-    /// queues the admission on the worker [`shard_of`] names. The worker
-    /// re-arms a pooled shell when one is free, so steady-state churn builds
-    /// no receiver. Ordered with the connection's chunks: chunks dispatched
-    /// after this call find the receiver live.
+    /// Stages a data/ED chunk for the worker [`shard_of`] names, whether or
+    /// not that worker holds its connection: the worker's table decides.
+    fn dispatch_chunk(&mut self, chunk: WireChunk<'_>, stamp: u64, now: u64) {
+        let worker = shard_of(chunk.header.conn.id, self.workers);
+        self.dispatch.chunks_dispatched += 1;
+        if self.obs_on {
+            self.hot_chunks_dispatched.add(&*self.obs, 1);
+        }
+        if self.obs_verbose {
+            let labels = labels_of(&chunk.header);
+            self.obs.event(
+                now,
+                Event::ShardDispatched {
+                    labels,
+                    worker: worker as u32,
+                },
+            );
+            // The chunk now sits between dispatch and merge: open its
+            // merge-queue span, closed at `finish`.
+            self.obs
+                .span_open(now, SpanId::new(labels, Stage::MergeQueue));
+            self.merge_open.push(labels);
+        }
+        let raw = chunk.wire();
+        self.stage(worker, Work::Chunk { raw, now, stamp });
+    }
+
+    /// Admits a connection mid-stream: queues the admission on the worker
+    /// [`shard_of`] names, which re-arms a pooled shell when one is free, so
+    /// steady-state churn builds no receiver. Ordered with the connection's
+    /// chunks: chunks dispatched after this call find the receiver live.
     pub fn admit(&mut self, spec: ConnSpec, now: u64) {
-        let conn_id = spec.params.conn_id;
-        self.registered.insert(conn_id);
-        let worker = shard_of(conn_id, self.workers);
+        let worker = shard_of(spec.params.conn_id, self.workers);
         let spec = Box::new(spec);
         self.stage(worker, Work::Admit { spec, now });
         self.flush();
     }
 
-    /// Retires a connection mid-stream: deregisters it from the dispatcher
-    /// (subsequent chunks surface as `UnknownConnection` control events) and
-    /// queues the retirement; the owning worker quiesces the receiver into
-    /// its shell pool. Ordered with the connection's chunks.
+    /// Retires a connection mid-stream: queues the retirement, and the
+    /// owning worker quiesces the receiver into its shell pool (a
+    /// connection it does not hold is left alone). Ordered with the
+    /// connection's chunks: those dispatched after this call surface as
+    /// `UnknownConnection` control events.
     pub fn retire(&mut self, conn_id: u32, now: u64) {
-        if self.registered.remove(conn_id) {
-            let worker = shard_of(conn_id, self.workers);
-            self.stage(worker, Work::Retire { conn_id, now });
-            self.flush();
-        }
+        let worker = shard_of(conn_id, self.workers);
+        self.stage(worker, Work::Retire { conn_id, now });
+        self.flush();
     }
 
     /// Clears a failed/incomplete group on `conn_id` so a retransmission
@@ -1108,6 +1074,7 @@ impl ParallelReceiver {
                 );
             }
             self.dispatch.decode_errors += shard.decode_errors;
+            self.control.append(&mut shard.control);
             process_max_ns = process_max_ns.max(shard.busy_ns);
             // Drain the worker's table: live connections move out sorted by
             // `C.ID` (pooled shells of retired connections are dropped, and
@@ -1141,12 +1108,11 @@ impl ParallelReceiver {
                     .span_close(merge_now, SpanId::new(labels, Stage::MergeQueue));
             }
         }
-        let mut control = std::mem::take(&mut self.control);
-        control.sort_by_key(|e| e.stamp);
+        self.control.sort_by_key(|e| e.stamp);
         let merge_ns = merge_started.elapsed().as_nanos() as u64;
         ParallelOutcome {
             conns,
-            control,
+            control: self.control,
             transcript_digest: transcript.digest(),
             dispatch: self.dispatch,
             timings: StageTimings {
@@ -1307,8 +1273,8 @@ mod tests {
 
     #[test]
     fn work_item_stays_small() {
-        // Every queued chunk pays for the largest variant; the connection
-        // spec, the one large payload, is boxed.
+        // Every queued chunk pays for the largest variant: a chunk's span,
+        // time and dispatch stamp fit; the connection spec is boxed.
         assert!(std::mem::size_of::<Work>() <= 48);
     }
 
@@ -1371,8 +1337,8 @@ mod tests {
         );
         assert_eq!(out.dispatch.decode_errors, 0);
 
-        // What arrived after the retire never reached a worker: one
-        // unknown-connection event per chunk, in arrival order.
+        // What arrived after the retire found no receiver at its worker:
+        // one unknown-connection event per chunk, in arrival order.
         let unknown = plain.dispatch.chunks_dispatched / 2;
         assert_eq!(out.control.len() as u64, unknown);
         assert!(out

@@ -1,6 +1,10 @@
 //! Stage 1, **decode**: the one route from wire bytes to chunks in this
 //! crate, and the verbose-tier record of what that walk saw. Shared by the
-//! serial receiver, the demux and the parallel dispatcher.
+//! serial receiver and by both demultiplexing front-ends: `ConnectionDemux`
+//! and the `ParallelReceiver` dispatcher walk a packet here and route each
+//! chunk through one `TYPE` match (`mux::route`). A parallel worker reads
+//! the label again, in place, from the span it was handed: the work item
+//! carries the span's bytes, not the decoded header, so that it stays small.
 //!
 //! The walk borrows. It yields each chunk's label and the byte range of its
 //! payload inside the packet, and the receiver reads the payload there. An
@@ -51,6 +55,15 @@ impl<'a> WireChunk<'a> {
             header: self.header,
             payload: self.bytes.slice(self.span.clone()),
         }
+    }
+
+    /// The chunk as the walk found it, header and payload, in a slice
+    /// sharing the packet's buffer — what the parallel dispatcher hands a
+    /// worker. Only for a chunk [`chunk_walk`] yielded, whose header lies
+    /// just before its payload.
+    pub(crate) fn wire(&self) -> Bytes {
+        self.bytes
+            .slice(self.span.start - WIRE_HEADER_LEN..self.span.end)
     }
 }
 

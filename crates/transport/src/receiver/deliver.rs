@@ -41,11 +41,14 @@ impl Group {
 
 impl Receiver {
     /// True when a chunk whose first element is `first` would be staged
-    /// rather than placed.
+    /// rather than placed. Reorder stages only what lies ahead of its
+    /// cursor: a chunk behind it is the retransmission of a group reset or
+    /// evicted after its first attempt was placed, and must replace those
+    /// bytes.
     fn stages(&self, first: u64) -> bool {
         match self.mode {
             DeliveryMode::Immediate => false,
-            DeliveryMode::Reorder => first != self.in_order,
+            DeliveryMode::Reorder => first > self.in_order,
             DeliveryMode::Reassemble => true,
         }
     }
@@ -71,7 +74,7 @@ impl Receiver {
         } else {
             self.place(first, c.payload());
             if self.mode == DeliveryMode::Reorder {
-                self.in_order = first + c.header.len as u64;
+                self.in_order = self.in_order.max(first + c.header.len as u64);
                 self.drain_reorder_queue(now);
             }
         }
@@ -162,19 +165,8 @@ impl Receiver {
             return false;
         };
         let slot = self.groups.find(s).expect("chosen from the table");
-        let span = self.groups[slot].tpdu.span();
         self.claimed.release(s);
-        let mut freed = self.groups[slot].staged();
-        // Reorder-mode staging is keyed by element, not by group; free any
-        // staged chunks inside the evicted span too.
-        self.reorder_q.retain(|&f, (chunk, _)| {
-            let inside = f >= s && f < s + span;
-            if inside {
-                freed += chunk.payload.len() as u64;
-            }
-            !inside
-        });
-        self.unstage(freed);
+        let freed = self.free_staged(slot, s);
         self.stats.evictions += 1;
         if self.obs_on {
             self.obs.counter("transport.budget.evictions", 1);
@@ -190,6 +182,27 @@ impl Receiver {
         }
         self.groups.remove(slot).recycle();
         true
+    }
+
+    /// Frees everything the group at `start`, in `slot`, has staged — its
+    /// held chunks, and in Reorder mode the queued chunks whose labels name
+    /// it, since that staging is keyed by element, not by group — and
+    /// returns the bytes freed. The held chunks themselves go when the
+    /// slot's shell is recycled.
+    pub(super) fn free_staged(&mut self, slot: usize, start: u64) -> u64 {
+        let mut freed = self.groups[slot].staged();
+        let mut queue = std::mem::take(&mut self.reorder_q);
+        queue.retain(|_, (chunk, _)| {
+            let h = &chunk.header;
+            let mine = self.unwrap_csn(h.conn.sn.wrapping_sub(h.tpdu.sn)) == start;
+            if mine {
+                freed += chunk.payload.len() as u64;
+            }
+            !mine
+        });
+        self.reorder_q = queue;
+        self.unstage(freed);
+        freed
     }
 
     /// Drops an arriving chunk under exhausted budget.

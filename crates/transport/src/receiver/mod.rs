@@ -934,7 +934,7 @@ impl Receiver {
             // Release exactly this group's claims so retransmitted data may
             // land (tagged claims free without arithmetic on the span).
             self.claimed.release(start);
-            self.unstage(self.groups[slot].staged());
+            self.free_staged(slot, start);
             self.groups.remove(slot).recycle();
         } else if start >= self.base && self.done.remove(&start).is_some() {
             // A delivered group: its heavy state is long recycled; drop the
@@ -1239,6 +1239,60 @@ mod tests {
         let ack = r.make_ack();
         assert_eq!(ack.cumulative, 8);
         assert!(ack.sacks.is_empty(), "{:?}", ack.sacks);
+    }
+
+    #[test]
+    fn a_reset_group_frees_its_staging_and_its_clean_resend_is_placed() {
+        // Reorder mode is the one at stake: it stages by element ahead of
+        // its cursor and places everything else, verified or not. TPDU 1
+        // arrives corrupted and out of order, so it is staged, and fails;
+        // its reset must free that staging. TPDU 0 arrives corrupted in
+        // order, is placed, and fails; by the time it is reset and resent
+        // the cursor stands past it, and the resend must still replace the
+        // first attempt's bytes.
+        let data = b"abcdefgh12345678";
+        let tpdus = framed(data);
+        let flipped = |c: &Chunk| {
+            let mut c = c.clone();
+            let mut raw = c.payload.to_vec();
+            raw[0] ^= 0x20;
+            c.payload = raw.into();
+            c
+        };
+        for mode in [
+            DeliveryMode::Immediate,
+            DeliveryMode::Reorder,
+            DeliveryMode::Reassemble,
+        ] {
+            let mut r = rx(mode);
+            let (t0, t1) = (&tpdus[0], &tpdus[1]);
+            let (a, b) = split(&t1.chunks[0], 3).unwrap();
+            for c in [flipped(&b), a, t1.ed.clone()] {
+                r.handle_chunk(c, 0);
+            }
+            assert_eq!(r.failed_starts(), [8], "{mode:?}");
+            r.reset_group(8);
+            assert_eq!(r.stats.buffered_bytes, 0, "{mode:?}: reset frees staging");
+
+            for c in [flipped(&t0.chunks[0]), t0.ed.clone()] {
+                r.handle_chunk(c, 1);
+            }
+            let (a, b) = split(&t1.chunks[0], 5).unwrap();
+            for c in [a, b, t1.ed.clone()] {
+                r.handle_chunk(c, 2);
+            }
+            assert_eq!(r.failed_starts(), [0], "{mode:?}");
+            r.reset_group(0);
+            let (a, b) = split(&t0.chunks[0], 2).unwrap();
+            for c in [b, a, t0.ed.clone()] {
+                r.handle_chunk(c, 3);
+            }
+
+            assert_eq!(&r.app_data()[..16], data, "{mode:?}");
+            assert_eq!(r.verified_prefix(), 16, "{mode:?}");
+            assert_eq!(r.stats.buffered_bytes, 0, "{mode:?}");
+            assert_eq!(r.stats.tpdus_failed, 2, "{mode:?}");
+        }
     }
 
     /// The sort-and-sweep the held watermark replaces: the end of the

@@ -650,139 +650,6 @@ fn slot_count_for(n: usize) -> usize {
     (n.max(7) * 8 / 7).next_power_of_two()
 }
 
-/// Open-addressed `C.ID` membership set — the dispatcher's "is this
-/// connection registered?" check, O(1) instead of the `Vec::contains` scan
-/// it replaces. Linear probing, backward-shift deletion, power-of-two
-/// capacity; each slot stores `key + 1` (0 = empty) in a `u64`.
-#[derive(Clone, Debug)]
-pub struct ConnSet {
-    slots: Vec<u64>,
-    mask: usize,
-    live: usize,
-}
-
-impl Default for ConnSet {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ConnSet {
-    /// An empty set.
-    pub fn new() -> Self {
-        Self::with_capacity(8)
-    }
-
-    /// An empty set pre-sized for `n` members.
-    pub fn with_capacity(n: usize) -> Self {
-        let cap = slot_count_for(n);
-        ConnSet {
-            slots: vec![0; cap],
-            mask: cap - 1,
-            live: 0,
-        }
-    }
-
-    /// Members.
-    pub fn len(&self) -> usize {
-        self.live
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-
-    #[inline]
-    fn home(&self, key: u32) -> usize {
-        (((key as u64).wrapping_mul(FIB)) >> 32) as usize & self.mask
-    }
-
-    fn find(&self, key: u32) -> Option<usize> {
-        let stored = key as u64 + 1;
-        let mut pos = self.home(key);
-        loop {
-            let v = self.slots[pos];
-            if v == 0 {
-                return None;
-            }
-            if v == stored {
-                return Some(pos);
-            }
-            pos = (pos + 1) & self.mask;
-        }
-    }
-
-    /// True when `key` is a member.
-    pub fn contains(&self, key: u32) -> bool {
-        self.find(key).is_some()
-    }
-
-    /// Adds `key`; false if it was already present.
-    pub fn insert(&mut self, key: u32) -> bool {
-        if self.contains(key) {
-            return false;
-        }
-        if (self.live + 1) * 8 > self.slots.len() * 7 {
-            self.grow();
-        }
-        let stored = key as u64 + 1;
-        let mut pos = self.home(key);
-        while self.slots[pos] != 0 {
-            pos = (pos + 1) & self.mask;
-        }
-        self.slots[pos] = stored;
-        self.live += 1;
-        true
-    }
-
-    /// Removes `key`; false if it was absent. Backward-shifts the probe
-    /// cluster so lookups never need tombstones.
-    pub fn remove(&mut self, key: u32) -> bool {
-        let Some(mut pos) = self.find(key) else {
-            return false;
-        };
-        self.live -= 1;
-        let cap = self.slots.len();
-        let mut next = (pos + 1) & self.mask;
-        loop {
-            let v = self.slots[next];
-            if v == 0 {
-                break;
-            }
-            let home = self.home((v - 1) as u32);
-            // The entry at `next` may fill the hole at `pos` only if its
-            // home lies at or cyclically before `pos` — otherwise moving it
-            // would strand it before its own probe start.
-            let dist_home = (next + cap - home) & self.mask;
-            let dist_hole = (next + cap - pos) & self.mask;
-            if dist_home >= dist_hole {
-                self.slots[pos] = v;
-                pos = next;
-            }
-            next = (next + 1) & self.mask;
-        }
-        self.slots[pos] = 0;
-        true
-    }
-
-    fn grow(&mut self) {
-        let new_len = self.slots.len() * 2;
-        let old = std::mem::replace(&mut self.slots, vec![0; new_len]);
-        self.mask = new_len - 1;
-        for v in old {
-            if v != 0 {
-                let key = (v - 1) as u32;
-                let mut pos = self.home(key);
-                while self.slots[pos] != 0 {
-                    pos = (pos + 1) & self.mask;
-                }
-                self.slots[pos] = v;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -898,24 +765,5 @@ mod tests {
         t.retire(7, 1);
         let ids: Vec<u32> = t.into_entries().into_iter().map(|(k, _)| k).collect();
         assert_eq!(ids, vec![1, 3, 5, 9]);
-    }
-
-    #[test]
-    fn conn_set_matches_a_naive_set() {
-        let mut set = ConnSet::new();
-        let mut oracle = std::collections::HashSet::new();
-        let mut x = 0x1234_5678u64;
-        for _ in 0..10_000 {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let key = (x >> 40) as u32 & 0x3FF;
-            match (x >> 1) % 3 {
-                0 => assert_eq!(set.insert(key), oracle.insert(key), "insert {key}"),
-                1 => assert_eq!(set.remove(key), oracle.remove(&key), "remove {key}"),
-                _ => assert_eq!(set.contains(key), oracle.contains(&key), "contains {key}"),
-            }
-            assert_eq!(set.len(), oracle.len());
-        }
     }
 }

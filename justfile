@@ -69,19 +69,24 @@ test-parallel:
 # Receiver equivalence gate: the borrowed packet walk against the owned
 # per-chunk entry (`ingest_batch` against `handle_chunk_into` over
 # `unpack`, and `ConnectionDemux::ingest` against per-connection
-# receivers, on hostile traces in every mode, policy and budget), the
-# open-group slot table against a `HashMap` model, one receiver across
-# window sizes (never released against released after every chunk, with
-# the watermark against the sort-and-sweep oracle), hostile labels around a
-# released base, and the long-stream gate (1000 windows through a
-# 1024-element ring, heap flat once warm). Debug first, so overflow checks
-# are live, then release (the walk properties at ten times the cases).
+# receivers, on hostile traces in every mode, policy and budget), the two
+# demux front-ends against each other over scripts that admit and retire
+# connections mid-stream (`ParallelReceiver` at 1, 2 and 4 workers on both
+# engines), the open-group slot table against a `HashMap` model, the
+# receiver unit tests (among them a reset Reorder group freeing its staging
+# and its resend placed behind the cursor), one receiver across window
+# sizes (never released against released after every chunk, with the
+# watermark against the sort-and-sweep oracle, delivered bytes checked in
+# every mode), hostile labels around a released base, and the long-stream
+# gate (1000 windows through a 1024-element ring, heap flat once warm).
+# Debug first, so overflow checks are live, then release (the walk
+# properties at ten times the cases).
 test-receiver:
-    cargo test -q --test transport_props -- borrowed_walk_equals demux_ingest_equals stream_and_block stream_receiver_window
+    cargo test -q --test transport_props -- borrowed_walk_equals demux_ingest_equals lifecycle_scripts stream_and_block stream_receiver_window
     cargo test -q -p chunks-transport --lib -- receiver::
     cargo test -q --test adversarial_input -- hostile_tsn
     cargo test -q --test long_stream_gate
-    cargo test -q --release --test transport_props -- borrowed_walk_equals demux_ingest_equals stream_and_block stream_receiver_window
+    cargo test -q --release --test transport_props -- borrowed_walk_equals demux_ingest_equals lifecycle_scripts stream_and_block stream_receiver_window
     cargo test -q --release -p chunks-transport --lib -- receiver::
     cargo test -q --release --test adversarial_input -- hostile_tsn
     cargo test -q --release --test long_stream_gate

@@ -150,8 +150,9 @@ proptest! {
     ) {
         let mut demux = ConnectionDemux::new();
         demux.register(5, Receiver::new(DeliveryMode::Immediate, params(), layout(), 1024));
+        let mut events = Vec::new();
         for f in &frames {
-            let _ = demux.handle_packet(&Packet { bytes: f.clone().into() }, 0);
+            demux.ingest(&Packet { bytes: f.clone().into() }, 0, &mut events);
         }
     }
 

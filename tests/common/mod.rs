@@ -182,6 +182,7 @@ impl Scenario {
         }
 
         let mut trace = Vec::new();
+        let mut events = Vec::new();
         let mut clock: u64 = 0;
 
         if self.inject_control {
@@ -210,7 +211,8 @@ impl Scenario {
                     frame: p.bytes.to_vec(),
                     now: clock,
                 });
-                demux.handle_packet(&p, clock);
+                demux.ingest(&p, clock, &mut events);
+                events.clear();
                 clock += 1;
             }
         }
@@ -257,7 +259,8 @@ impl Scenario {
                     frame: d.frame.clone(),
                     now: d.time,
                 });
-                demux.handle_packet(&packet, d.time);
+                demux.ingest(&packet, d.time, &mut events);
+                events.clear();
                 clock = clock.max(d.time);
             }
             clock += 1_000_000;
@@ -338,13 +341,15 @@ pub fn replay_serial(scenario: &Scenario, trace: &[TraceOp]) -> SerialReplay {
     let mut per_conn: BTreeMap<u32, Vec<RxEvent>> =
         ids.iter().map(|&id| (id, Vec::new())).collect();
     let mut control = Vec::new();
+    let mut events = Vec::new();
     for op in trace {
         match op {
             TraceOp::Packet { frame, now } => {
                 let packet = Packet {
                     bytes: frame.clone().into(),
                 };
-                for event in demux.handle_packet(&packet, *now) {
+                demux.ingest(&packet, *now, &mut events);
+                for event in events.drain(..) {
                     match event {
                         DemuxEvent::Connection { conn_id, event } => {
                             per_conn.entry(conn_id).or_default().push(event);

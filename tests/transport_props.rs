@@ -10,12 +10,12 @@ use chunks::core::frag::{extract, split};
 use chunks::core::label::ChunkType;
 use chunks::core::packet::{pack, unpack, Packet};
 use chunks::transport::{
-    AckInfo, AlfFrame, ConnectionDemux, ConnectionParams, DegradePolicy, DeliveryMode, DemuxEvent,
-    Framer, Receiver, ResourceBudget, RetransmitTimer, RtoConfig, RxEvent, Sender, SenderConfig,
-    Session, Tpdu,
+    AckInfo, AlfFrame, ConnSpec, ConnectionDemux, ConnectionParams, ControlKind, DegradePolicy,
+    DeliveryMode, DemuxEvent, Engine, Framer, ParallelReceiver, Receiver, ResourceBudget,
+    RetransmitTimer, RtoConfig, RxEvent, Schedule, Sender, SenderConfig, Session, Signal, Tpdu,
 };
 use chunks::vreasm::OverlapPolicy;
-use chunks::wsc::InvariantLayout;
+use chunks::wsc::{InvariantLayout, Wsc2Stream};
 use proptest::prelude::*;
 use proptest::TestCaseError;
 
@@ -504,14 +504,7 @@ proptest! {
             }
             prop_assert_eq!(a.stats.stale_chunks, 0);
             prop_assert_eq!(read.len(), message.len(), "{:?}", mode);
-            // Reorder places bytes before their TPDU verifies; when a
-            // failed group is reset, its retransmission lands behind the
-            // delivery cursor and is staged but never placed, so the first
-            // attempt's (flipped) bytes stay in the application space. A
-            // known defect of that mode, the same with or without releases.
-            if mode != DeliveryMode::Reorder {
-                prop_assert_eq!(&read, &message, "{:?}", mode);
-            }
+            prop_assert_eq!(&read, &message, "{:?}", mode);
             // A delivered TPDU reset below the watermark lowers it to the
             // sweep's answer, and its redelivery raises it again.
             let starts: Vec<u64> = delivered.keys().copied().collect();
@@ -823,6 +816,139 @@ fn same_state(a: &Receiver, b: &Receiver, refused: u64) -> Result<(), TestCaseEr
     Ok(())
 }
 
+/// One step of a connection-lifecycle script.
+enum Step {
+    Admit(u32),
+    Retire(u32),
+    Packet(Packet),
+}
+
+/// The connection a lifecycle script never admits.
+const STRANGER: u32 = 77;
+
+/// A lifecycle script over connections 1–4 and [`STRANGER`], all of one
+/// element size (a pooled shell keeps its application space): their hostile
+/// traces, teardown signals and acks shuffled together into packets, some of
+/// them malformed, with garbage packets, admissions and retirements — of
+/// live, retired and never-admitted connections — between them. Returns
+/// every connection's parameters and the steps.
+fn lifecycle_script(d: &mut Draw) -> (Vec<ConnectionParams>, Vec<Step>) {
+    let elem_size = [1, 2, 4][d.below(3) as usize];
+    let params: Vec<ConnectionParams> = [1, 2, 3, 4, STRANGER]
+        .into_iter()
+        .map(|conn_id| ConnectionParams {
+            elem_size,
+            ..walk_params(d, conn_id)
+        })
+        .collect();
+    let mut mixed = Vec::new();
+    for &p in &params {
+        let elements = 8 + d.below(64);
+        let message: Vec<u8> = (0..elements * elem_size as u64)
+            .map(|_| d.below(256) as u8)
+            .collect();
+        mixed.extend(hostile_trace(d, p, &message).0);
+        if d.below(2) == 0 {
+            mixed.push(Signal::Teardown { conn_id: p.conn_id }.to_chunk());
+        }
+    }
+    d.shuffle(&mut mixed);
+    let mut steps = Vec::new();
+    for packet in packed(d, &mixed) {
+        match d.below(8) {
+            0 => steps.push(Step::Admit(1 + d.below(4) as u32)),
+            1 => steps.push(Step::Retire([1, 2, 3, 4, STRANGER][d.below(5) as usize])),
+            2 => {
+                let garbage: Vec<u8> = (0..d.below(64)).map(|_| d.below(256) as u8).collect();
+                steps.push(Step::Packet(Packet {
+                    bytes: garbage.into(),
+                }));
+            }
+            _ => {}
+        }
+        steps.push(Step::Packet(packet));
+    }
+    (params, steps)
+}
+
+/// What a lifecycle script leaves behind on the serial demux.
+struct SerialLifecycle {
+    demux: ConnectionDemux,
+    /// Acks, signals and unknown connections, in arrival order.
+    control: Vec<ControlKind>,
+    /// Every receiver event per `C.ID`, across all its lifetimes.
+    events: BTreeMap<u32, Vec<RxEvent>>,
+    /// XOR-fold of every delivered TPDU's verified code.
+    transcript: Wsc2Stream,
+    /// Packets the walk refused.
+    refused: u64,
+}
+
+/// Plays a lifecycle script through [`ConnectionDemux`], admitting and
+/// retiring through its table the way a parallel worker does.
+fn serial_lifecycle(specs: &[ConnSpec], initial: usize, steps: &[Step]) -> SerialLifecycle {
+    let spec = |id: u32| specs.iter().find(|s| s.params.conn_id == id).unwrap();
+    let fresh = |s: &ConnSpec| {
+        Receiver::new(s.mode, s.params, s.layout, s.capacity_elements)
+            .with_policy(s.policy)
+            .with_budget(s.budget.clone())
+    };
+    let mut run = SerialLifecycle {
+        demux: ConnectionDemux::new(),
+        control: Vec::new(),
+        events: BTreeMap::new(),
+        transcript: Wsc2Stream::new(),
+        refused: 0,
+    };
+    for s in &specs[..initial] {
+        run.demux.register(s.params.conn_id, fresh(s));
+    }
+    let mut events = Vec::new();
+    for (now, step) in steps.iter().enumerate() {
+        let now = now as u64;
+        match step {
+            Step::Admit(id) => {
+                let s = spec(*id);
+                run.demux.table_mut().admit(
+                    s.params,
+                    now,
+                    || fresh(s),
+                    |rx| {
+                        rx.set_policy(s.policy);
+                        rx.set_budget(s.budget.clone());
+                    },
+                );
+            }
+            Step::Retire(id) => {
+                run.demux.table_mut().retire(*id, now);
+            }
+            Step::Packet(packet) => {
+                run.refused += unpack(packet).is_err() as u64;
+                run.demux.ingest(packet, now, &mut events);
+                for e in events.drain(..) {
+                    match e {
+                        DemuxEvent::Connection { conn_id, event } => {
+                            if let RxEvent::TpduDelivered { start, .. } = event {
+                                let rx = run.demux.receiver(conn_id).unwrap();
+                                run.transcript.fold_code(&rx.delivered_code(start).unwrap());
+                            }
+                            run.events.entry(conn_id).or_default().push(event);
+                        }
+                        DemuxEvent::Ack { conn_id, ack } => {
+                            run.control.push(ControlKind::Ack { conn_id, ack })
+                        }
+                        DemuxEvent::Signal(s) => run.control.push(ControlKind::Signal(s)),
+                        DemuxEvent::UnknownConnection { conn_id } => {
+                            run.control.push(ControlKind::UnknownConnection { conn_id })
+                        }
+                    }
+                }
+            }
+        }
+    }
+    run
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(WALK_CASES))]
 
@@ -919,5 +1045,72 @@ proptest! {
             same_state(routed, rx, 0)?;
         }
         prop_assert!(got.is_empty(), "events for unregistered connections: {:?}", got);
+    }
+    #[test]
+    fn lifecycle_scripts_demux_identically_on_both_front_ends(seed in any::<u64>()) {
+        // Connections admitted, retired and admitted again mid-stream, data
+        // for them before, between and after, a connection nobody admits,
+        // acks and signals in the same packets, and malformed packets: the
+        // parallel pipeline, whose workers' tables alone decide which
+        // connections exist, must report what the serial demux does — the
+        // control sequence with every unknown connection in arrival order,
+        // each live connection's events and final state, the routing
+        // counts and the transcript — at any worker count, on both engines.
+        let mut d = Draw(seed | 1);
+        let (params, steps) = lifecycle_script(&mut d);
+        let cfgs = receiver_configs();
+        let cfg = &cfgs[d.below(cfgs.len() as u64) as usize];
+        let specs: Vec<ConnSpec> = params
+            .iter()
+            .map(|&p| {
+                ConnSpec::new(p, layout(), cfg.0, 4096)
+                    .with_policy(cfg.1)
+                    .with_budget(cfg.2.clone())
+            })
+            .collect();
+        let initial = d.below(3) as usize;
+        let serial = serial_lifecycle(&specs, initial, &steps);
+        let unknown = serial
+            .control
+            .iter()
+            .filter(|k| matches!(k, ControlKind::UnknownConnection { .. }))
+            .count() as u64;
+        let mut live: Vec<u32> = serial.demux.table().iter().map(|(id, _)| id).collect();
+        live.sort_unstable();
+        let spec = |id: u32| specs.iter().find(|s| s.params.conn_id == id).unwrap().clone();
+
+        for workers in [1, 2, 4] {
+            for engine in [Engine::Virtual(Schedule::Fair), Engine::Threads] {
+                let at = format!("{workers} workers, {engine:?}");
+                let mut pr = ParallelReceiver::new(workers, engine, specs[..initial].to_vec());
+                for (now, step) in steps.iter().enumerate() {
+                    let now = now as u64;
+                    match step {
+                        Step::Admit(id) => pr.admit(spec(*id), now),
+                        Step::Retire(id) => pr.retire(*id, now),
+                        Step::Packet(packet) => pr.ingest(packet, now),
+                    }
+                }
+                let out = pr.finish();
+                let control: Vec<ControlKind> = out.control.iter().map(|e| e.kind.clone()).collect();
+                prop_assert_eq!(&control, &serial.control, "{}", at);
+                prop_assert!(out.control.windows(2).all(|w| w[0].stamp < w[1].stamp), "{}", at);
+                prop_assert_eq!(out.dispatch.routed, serial.demux.routed, "{}", at);
+                prop_assert_eq!(out.transcript_digest, serial.transcript.digest(), "{}", at);
+                prop_assert_eq!(out.dispatch.decode_errors, 0, "{}", at);
+                prop_assert_eq!(out.dispatch.bad_packets, serial.refused, "{}", at);
+                prop_assert_eq!(
+                    out.dispatch.chunks_dispatched - out.worker_chunks.iter().sum::<u64>(),
+                    unknown,
+                    "{}", at
+                );
+                prop_assert_eq!(out.conns.keys().copied().collect::<Vec<_>>(), live.clone(), "{}", at);
+                for (id, report) in &out.conns {
+                    let want = serial.events.get(id).map_or(&[][..], Vec::as_slice);
+                    prop_assert_eq!(&report.events[..], want, "{} conn {}", at, id);
+                    same_state(&report.receiver, serial.demux.receiver(*id).unwrap(), 0)?;
+                }
+            }
+        }
     }
 }
