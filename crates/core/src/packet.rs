@@ -282,7 +282,7 @@ pub fn spans(packet: &Packet) -> Spans<'_> {
 }
 
 /// Iterator over the chunk spans of a packet. See [`spans`].
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct Spans<'a> {
     bytes: &'a [u8],
     at: usize,

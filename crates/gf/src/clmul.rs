@@ -40,6 +40,8 @@
 
 use crate::poly::{const_mul, reduce64, MODULUS, POLY_LOW};
 
+pub(crate) use arch::prefetch;
+
 /// `μ = ⌊x⁶⁴ / p(x)⌋`, the degree-32 Barrett quotient constant.
 const MU: u64 = barrett_mu();
 
@@ -313,7 +315,7 @@ mod arch {
 
     /// Asks for the cache line at `at` in every cache level (`PREFETCHT0`).
     #[inline(always)]
-    pub(super) fn prefetch(at: *const u8) {
+    pub(crate) fn prefetch(at: *const u8) {
         // SAFETY: SSE is part of the x86_64 baseline, and a prefetch is a
         // hint: it never faults and never reads architecturally, whatever
         // `at` is — mapped, unmapped or protected.
@@ -359,7 +361,7 @@ mod arch {
 
     /// No software prefetch on this architecture.
     #[inline(always)]
-    pub(super) fn prefetch(_at: *const u8) {}
+    pub(crate) fn prefetch(_at: *const u8) {}
 
     /// Barrett-reduced field multiply via `PMULL`.
     #[target_feature(enable = "neon", enable = "aes")]
@@ -385,7 +387,7 @@ mod arch {
 mod arch {
     /// No software prefetch on this architecture.
     #[inline(always)]
-    pub(super) fn prefetch(_at: *const u8) {}
+    pub(crate) fn prefetch(_at: *const u8) {}
 
     /// Unreachable on this architecture: `is_supported` is `false`, so the
     /// safe wrappers above never dispatch here.

@@ -182,10 +182,24 @@ impl ConnectionDemux {
     /// million-connection scale harness drives. A malformed chunk rejects the
     /// whole packet. Each data/ED chunk routed to a live receiver bumps that
     /// connection's LRU touch.
+    ///
+    /// Before the first chunk is handled, a pre-pass over the same walk
+    /// hints every data/ED chunk's connection state into cache (see
+    /// `Receiver::prefetch`): the `C.ID` at a fixed offset names a chunk's
+    /// receiver before any of its state is read, so the packet's misses
+    /// overlap instead of queueing behind one another.
     pub fn ingest(&mut self, packet: &Packet, now: u64, events: &mut Vec<DemuxEvent>) {
         let Ok(walk) = chunk_walk(packet) else {
             return;
         };
+        for chunk in walk.clone() {
+            let header = &chunk.header;
+            if matches!(header.ty, ChunkType::Data | ChunkType::ErrorDetection) {
+                if let Some(rx) = self.receivers.get(header.conn.id) {
+                    rx.prefetch(&chunk);
+                }
+            }
+        }
         for chunk in walk {
             match route(chunk, &mut self.routed) {
                 Some(Route::Conn(chunk)) => {
@@ -382,6 +396,31 @@ mod tests {
         assert!(events
             .iter()
             .any(|e| matches!(e, DemuxEvent::UnknownConnection { conn_id: 42 })));
+    }
+
+    #[test]
+    fn a_replaced_or_dropped_receiver_hands_its_staged_bytes_back_to_the_pool() {
+        use crate::budget::{GlobalBudget, ResourceBudget};
+        use crate::frame::Framer;
+
+        // A Reorder receiver handed the second of two TPDUs stages its 8
+        // bytes in the shared pool until the first arrives.
+        let pool = GlobalBudget::new(1 << 20);
+        let tpdus = Framer::new(params(5), layout()).frame_simple(b"abcdefgh12345678", 0xF, false);
+        let staged = || {
+            let mut rx = Receiver::new(DeliveryMode::Reorder, params(5), layout(), 256)
+                .with_budget(ResourceBudget::default().with_global(Arc::clone(&pool)));
+            rx.handle_chunk(tpdus[1].chunks[0].clone(), 0);
+            assert_eq!(rx.stats.buffered_bytes, 8);
+            rx
+        };
+        let mut demux = ConnectionDemux::new();
+        demux.register(5, staged());
+        assert_eq!(pool.held_bytes(), 8);
+        demux.register(5, staged());
+        assert_eq!(pool.held_bytes(), 8, "the replaced receiver's bytes");
+        drop(demux);
+        assert_eq!(pool.held_bytes(), 0, "the dropped receiver's bytes");
     }
 
     #[test]

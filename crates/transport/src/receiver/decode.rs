@@ -77,7 +77,7 @@ pub(crate) fn labels_of(h: &ChunkHeader) -> Labels {
 /// chunk's label with its payload's byte range in `packet.bytes`.
 pub(crate) fn chunk_walk(
     packet: &Packet,
-) -> Result<impl Iterator<Item = WireChunk<'_>>, CoreError> {
+) -> Result<impl Iterator<Item = WireChunk<'_>> + Clone, CoreError> {
     validate(packet)?;
     Ok(spans(packet).filter_map(|(at, end)| {
         let header = decode_header(&packet.bytes[at..]);

@@ -51,6 +51,13 @@ impl<T> Groups<T> {
         (*link == Link::Live(start)).then_some(self.cursor)
     }
 
+    /// The group in the cursor's slot — live, or a free shell — without a
+    /// key check: where the next chunk of the last TPDU resolved finds its
+    /// state, for a cache hint.
+    pub(super) fn cursor_group(&self) -> Option<&T> {
+        self.slots.get(self.cursor).map(|(_, group)| group)
+    }
+
     /// The slot of the live group at `start`: the cursor's when it matches,
     /// else the index's (which then becomes the cursor).
     pub(super) fn find(&mut self, start: u64) -> Option<usize> {

@@ -253,8 +253,8 @@ pub struct Receiver {
     reorder_q: HashMap<u64, (Chunk, u64)>,
     /// Open and failed groups only; delivered groups collapse into `done`.
     /// A freed slot keeps its cleared shell (warm interval slab, cleared
-    /// X-delta table, empty staging `Vec` with its capacity), so in steady
-    /// state a new TPDU opens without touching the allocator.
+    /// X-delta spill table, empty staging `Vec` with its capacity), so in
+    /// steady state a new TPDU opens without touching the allocator.
     groups: Groups<Group>,
     /// Delivered TPDUs not wholly released, keyed by start: the compact
     /// remainder of a group after its slot was freed. Never holds a start
@@ -403,12 +403,16 @@ impl Receiver {
     /// TPDUs fragmenting into at most `fragments` disjoint runs, so a
     /// steady-state window stays allocation-free (amortised `Vec`/map
     /// doubling alone cannot promise a zero-allocation *window* — an
-    /// explicit reserve can). `tests/hotpath_allocs.rs` pins this.
+    /// explicit reserve can). Only the points the delivery mode grows are
+    /// sized: the reorder queue in Reorder mode alone, the one mode that
+    /// stages by element. `tests/hotpath_allocs.rs` pins both halves.
     pub fn reserve(&mut self, tpdus: usize, fragments: usize) {
         self.groups.reserve(tpdus);
         self.done.reserve(tpdus);
         self.claimed.reserve(fragments);
-        self.reorder_q.reserve(fragments);
+        if self.mode == DeliveryMode::Reorder {
+            self.reorder_q.reserve(fragments);
+        }
     }
 
     /// The application address space, raw: the ring. Until anything is
@@ -603,6 +607,35 @@ impl Receiver {
                 None => self.bad_packet(),
             },
             ChunkType::Padding => {}
+        }
+    }
+
+    /// Asks for the cache lines handling `c` will touch, changing nothing:
+    /// this receiver's own, the cursor group's slot, the claims tail, and for
+    /// a data chunk its payload where it lies and its destination in the
+    /// ring. A demultiplexer issues these for every chunk of a packet before
+    /// it handles the first, so the misses overlap instead of each waiting
+    /// for the one before it.
+    pub(crate) fn prefetch(&self, c: &WireChunk<'_>) {
+        prefetch_lines((self as *const Self).cast(), std::mem::size_of::<Self>());
+        if let Some(group) = self.groups.cursor_group() {
+            prefetch_lines((group as *const Group).cast(), std::mem::size_of::<Group>());
+        }
+        if let Some(tail) = self.claimed.tail() {
+            // The last range and the slot an append writes after it.
+            prefetch_lines((tail as *const (u64, u64, u64)).cast(), 48);
+        }
+        if c.header.ty != ChunkType::Data {
+            return;
+        }
+        let payload = c.payload();
+        prefetch_lines(payload.as_ptr(), payload.len());
+        let first = self.unwrap_csn(c.header.conn.sn);
+        let skip = (first - self.base) as usize * self.params.elem_size as usize;
+        if skip + payload.len() <= self.app.len() {
+            let at = self.ring_at(first);
+            let len = payload.len().min(self.app.len() - at);
+            prefetch_lines(self.app[at..].as_ptr(), len);
         }
     }
 
@@ -1010,9 +1043,32 @@ impl Receiver {
     /// differential harness compares across pipelines. A receiver that is
     /// never released lists every TPDU it delivered.
     pub fn delivered_digests(&self) -> Vec<(u64, [u8; 8])> {
-        let mut v: Vec<(u64, [u8; 8])> = self.done.iter().map(|(&s, d)| (s, d.digest)).collect();
+        let mut v: Vec<(u64, [u8; 8])> = self
+            .done
+            .iter()
+            .map(|(&s, d)| (s, d.code.digest()))
+            .collect();
         v.sort_unstable();
         v
+    }
+}
+
+/// A receiver that goes away — dropped, or replaced under its `C.ID` — hands
+/// the bytes it still stages back to a shared
+/// [`GlobalBudget`](crate::budget::GlobalBudget), as
+/// [`Receiver::quiesce`] does for a pooled shell: the pool counts only what
+/// a live receiver holds.
+impl Drop for Receiver {
+    fn drop(&mut self) {
+        self.unstage(self.stats.buffered_bytes);
+    }
+}
+
+/// One cache hint per 64-byte line of `[at, at + len)`.
+fn prefetch_lines(at: *const u8, len: usize) {
+    let skew = at as usize % 64;
+    for off in (0..skew + len).step_by(64) {
+        chunks_gf::prefetch(at.wrapping_sub(skew).wrapping_add(off));
     }
 }
 

@@ -40,7 +40,7 @@ pub(crate) enum Track {
 
 /// What outlives a delivered TPDU, heap-free: enough to classify late
 /// retransmissions exactly as the full tracker would have, plus the verified
-/// code and digest the transcript queries read.
+/// code the transcript queries read (its digest is `code.digest()`).
 #[derive(Clone, Debug)]
 pub(crate) struct Done {
     /// Elements absorbed, which for a verified TPDU is also one past its
@@ -48,7 +48,6 @@ pub(crate) struct Done {
     /// absorbed, or the group failed.
     pub(crate) elements: u64,
     pub(crate) code: Wsc2,
-    pub(crate) digest: [u8; 8],
 }
 
 /// Per-TPDU tracking and verification state.
@@ -56,8 +55,13 @@ pub(crate) struct Done {
 pub(crate) struct TpduEngine {
     tracker: PduTracker,
     inv: TpduInvariant,
-    /// `C.SN − X.SN` per external PDU id (Table 1 consistency check).
-    x_deltas: HashMap<u32, u32>,
+    /// `(X.ID, C.SN − X.SN)` of the first external PDU the TPDU carries
+    /// (Table 1 consistency check) — the only one, for a TPDU cut from one
+    /// external frame, so the common check hashes nothing.
+    x_first: Option<(u32, u32)>,
+    /// `C.SN − X.SN` of every further external PDU id. Empty, and never
+    /// allocated, until a TPDU carries a second `X.ID`.
+    x_more: HashMap<u32, u32>,
     ed: Option<[u8; 8]>,
     /// Elements absorbed into the invariant.
     elements: u64,
@@ -71,7 +75,8 @@ impl TpduEngine {
         TpduEngine {
             tracker: PduTracker::new(),
             inv: TpduInvariant::new(layout).expect("layout validated at framer"),
-            x_deltas: HashMap::new(),
+            x_first: None,
+            x_more: HashMap::new(),
             ed: None,
             elements: 0,
             verdict: None,
@@ -84,7 +89,8 @@ impl TpduEngine {
     pub(crate) fn clear(&mut self) {
         self.tracker.clear();
         self.inv.reset();
-        self.x_deltas.clear();
+        self.x_first = None;
+        self.x_more.clear();
         self.ed = None;
         self.elements = 0;
         self.verdict = None;
@@ -123,11 +129,18 @@ impl TpduEngine {
     }
 
     /// Takes a tracked chunk into the verification state: X-level
-    /// consistency (`C.SN − X.SN` constant per external PDU), then the
+    /// consistency (`C.SN − X.SN` constant per external PDU: the first delta
+    /// an `X.ID` brought is the one its later chunks must repeat), then the
     /// incremental end-to-end error detection.
     pub(crate) fn absorb(&mut self, h: &ChunkHeader, payload: &[u8]) -> Result<(), FailureReason> {
         let x_delta = h.conn.sn.wrapping_sub(h.ext.sn);
-        if *self.x_deltas.entry(h.ext.id).or_insert(x_delta) != x_delta {
+        let (first_id, first_delta) = *self.x_first.get_or_insert((h.ext.id, x_delta));
+        let held = if h.ext.id == first_id {
+            first_delta
+        } else {
+            *self.x_more.entry(h.ext.id).or_insert(x_delta)
+        };
+        if held != x_delta {
             return Err(FailureReason::Consistency);
         }
         self.inv.absorb_chunk(h, payload).map_err(|e| match e {
@@ -181,7 +194,6 @@ impl TpduEngine {
         Done {
             elements: self.elements,
             code: self.inv.code(),
-            digest: self.inv.digest(),
         }
     }
 

@@ -342,6 +342,12 @@ impl Reassembly {
         self.ranges.iter().map(|&(s, e, _)| e - s).sum()
     }
 
+    /// The last claimed range `(start, end, tag)`: where an in-order claim
+    /// lands, extending it or appending after it.
+    pub fn tail(&self) -> Option<&(u64, u64, u64)> {
+        self.ranges.last()
+    }
+
     /// Number of disjoint tagged ranges held — the interval-table occupancy
     /// a resource budget caps.
     pub fn fragments(&self) -> usize {

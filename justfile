@@ -77,23 +77,27 @@ test-parallel:
 # and its resend placed behind the cursor), one receiver across window
 # sizes (never released against released after every chunk, with the
 # watermark against the sort-and-sweep oracle, delivered bytes checked in
-# every mode), hostile labels around a released base, and the long-stream
-# gate (1000 windows through a 1024-element ring, heap flat once warm).
+# every mode), the X check against a `HashMap` of first `C.SN − X.SN`
+# deltas per TPDU (one, two and many `X.ID`s, every mode), hostile labels
+# around a released base, and the long-stream gate (1000 windows through a
+# 1024-element ring, heap flat once warm).
 # Debug first, so overflow checks are live, then release (the walk
 # properties at ten times the cases).
 test-receiver:
-    cargo test -q --test transport_props -- borrowed_walk_equals demux_ingest_equals lifecycle_scripts stream_and_block stream_receiver_window
+    cargo test -q --test transport_props -- borrowed_walk_equals demux_ingest_equals lifecycle_scripts stream_and_block stream_receiver_window x_check
     cargo test -q -p chunks-transport --lib -- receiver::
     cargo test -q --test adversarial_input -- hostile_tsn
     cargo test -q --test long_stream_gate
-    cargo test -q --release --test transport_props -- borrowed_walk_equals demux_ingest_equals lifecycle_scripts stream_and_block stream_receiver_window
+    cargo test -q --release --test transport_props -- borrowed_walk_equals demux_ingest_equals lifecycle_scripts stream_and_block stream_receiver_window x_check
     cargo test -q --release -p chunks-transport --lib -- receiver::
     cargo test -q --release --test adversarial_input -- hostile_tsn
     cargo test -q --release --test long_stream_gate
 
 # Zero-allocation hot-path gate: a counting global allocator with
 # per-thread counters proves the steady-state receive windows (serial and
-# parallel) allocate exactly nothing per chunk, release mode.
+# parallel) allocate exactly nothing per chunk, and that `reserve` sizes
+# the reorder queue in Reorder mode alone (Immediate and Reassemble request
+# at least its entries' bytes fewer), release mode.
 test-hotpath:
     cargo test -q --release --test hotpath_allocs
 

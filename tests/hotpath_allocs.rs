@@ -262,6 +262,29 @@ fn serial_staging_modes_are_allocation_free_on_disordered_arrivals() {
 }
 
 #[test]
+fn reserve_sizes_the_reorder_queue_in_reorder_mode_alone() {
+    // Reorder is the one mode that stages by element; Immediate places every
+    // byte and Reassemble stages per group. The same `reserve` must leave
+    // the two without the queue: at least `f` of its entries fewer bytes.
+    let (t, f) = (64, 4096);
+    let reserved = |mode| {
+        let mut rx = Receiver::new(mode, params(1), layout(), capacity_elements());
+        let held = || alloc_count::requested_bytes() - alloc_count::released_bytes();
+        let before = held();
+        rx.reserve(t, f);
+        held() - before
+    };
+    let reorder = reserved(DeliveryMode::Reorder);
+    let immediate = reserved(DeliveryMode::Immediate);
+    assert_eq!(immediate, reserved(DeliveryMode::Reassemble));
+    let entry = std::mem::size_of::<(u64, (chunks_core::chunk::Chunk, u64))>() as u64;
+    assert!(
+        reorder - immediate >= f as u64 * entry,
+        "reorder {reorder} B, immediate {immediate} B, {f} entries of {entry} B"
+    );
+}
+
+#[test]
 fn demux_ingest_over_interleaved_connections_is_allocation_free() {
     // The serial many-connection front-end: `ConnectionDemux::ingest` routes
     // each chunk of a shared packet to its connection's receiver.

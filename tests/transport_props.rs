@@ -2,7 +2,7 @@
 //! loss/duplication/reorder pattern, retransmission with identical labels
 //! converges and the delivered bytes equal the sent bytes.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 use chunks::core::chunk::Chunk;
 use chunks::core::error::CoreError;
@@ -11,8 +11,9 @@ use chunks::core::label::ChunkType;
 use chunks::core::packet::{pack, unpack, Packet};
 use chunks::transport::{
     AckInfo, AlfFrame, ConnSpec, ConnectionDemux, ConnectionParams, ControlKind, DegradePolicy,
-    DeliveryMode, DemuxEvent, Engine, Framer, ParallelReceiver, Receiver, ResourceBudget,
-    RetransmitTimer, RtoConfig, RxEvent, Schedule, Sender, SenderConfig, Session, Signal, Tpdu,
+    DeliveryMode, DemuxEvent, Engine, FailureReason, Framer, ParallelReceiver, Receiver,
+    ResourceBudget, RetransmitTimer, RtoConfig, RxEvent, RxStats, Schedule, Sender, SenderConfig,
+    Session, Signal, Tpdu,
 };
 use chunks::vreasm::OverlapPolicy;
 use chunks::wsc::{InvariantLayout, Wsc2Stream};
@@ -816,6 +817,167 @@ fn same_state(a: &Receiver, b: &Receiver, refused: u64) -> Result<(), TestCaseEr
     Ok(())
 }
 
+/// A clean trace whose only damage is in `X.SN`: TPDUs carrying one, two or
+/// many `X.ID`s — now and then one `X.ID` twice, as two frames — their data
+/// chunks cut into pieces; a random `(TPDU, X.ID)` run shifted as a whole
+/// (its `C.SN − X.SN` stays constant) and a random piece shifted alone (it
+/// conflicts, unless it is its `X.ID`'s only piece in the TPDU); every ED
+/// chunk; all shuffled. `X.SN` lies outside the invariant, so only the X
+/// check can condemn a TPDU here.
+fn x_trace(d: &mut Draw) -> (ConnectionParams, Vec<Tpdu>, Vec<Chunk>) {
+    let p = ConnectionParams {
+        elem_size: 1,
+        ..walk_params(d, 0xE1)
+    };
+    let elements = p.tpdu_elements as u64 * (2 + d.below(4)) - d.below(3);
+    let message: Vec<u8> = (0..elements).map(|_| d.below(256) as u8).collect();
+    // One frame, frames of up to about half a TPDU, or frames of 1–3.
+    let longest = [elements, p.tpdu_elements as u64 / 2 + 1, 3][d.below(3) as usize];
+    let mut alf: Vec<AlfFrame> = Vec::new();
+    let mut left = elements;
+    while left > 0 {
+        let len = (1 + d.below(longest)).min(left);
+        let id = match alf.len() {
+            n if n > 0 && d.below(6) == 0 => alf[d.below(n as u64) as usize].id,
+            n => 0x100 + n as u32,
+        };
+        alf.push(AlfFrame {
+            id,
+            len_elements: len as u32,
+        });
+        left -= len;
+    }
+    let tpdus = Framer::new(p, layout()).frame_stream(&message, &alf, false);
+    let mut trace = Vec::new();
+    for t in &tpdus {
+        let mut shifts: BTreeMap<u32, u32> = BTreeMap::new();
+        for c in &t.chunks {
+            let run = *shifts
+                .entry(c.header.ext.id)
+                .or_insert_with(|| [0, 0, 0, 1 + d.below(9) as u32][d.below(4) as usize]);
+            for mut piece in cut(d, c) {
+                let alone = [0, 0, 0, 0, 0, 0, 0, 1 + d.below(3) as u32][d.below(8) as usize];
+                piece.header.ext.sn = piece.header.ext.sn.wrapping_add(run + alone);
+                trace.push(piece);
+            }
+        }
+        trace.push(t.ed.clone());
+    }
+    d.shuffle(&mut trace);
+    (p, tpdus, trace)
+}
+
+/// One TPDU of [`XModel`].
+#[derive(Default)]
+struct XGroup {
+    /// First `C.SN − X.SN` per `X.ID`: the rule the receiver must keep.
+    deltas: HashMap<u32, u32>,
+    tracked: u64,
+    ed: bool,
+    verdict: bool,
+    /// Reassemble staging: `(bytes, arrived)` per accepted chunk.
+    held: Vec<(u64, u64)>,
+}
+
+/// The receiver over an [`x_trace`], as the `HashMap` rule decides it: one
+/// map of first deltas per TPDU names the chunk that condemns it, and the
+/// delivery mode decides only where accepted bytes go (element size 1).
+struct XModel {
+    mode: DeliveryMode,
+    base_csn: u32,
+    /// `start → elements` of every framed TPDU.
+    elements: BTreeMap<u64, u64>,
+    groups: BTreeMap<u64, XGroup>,
+    /// Reorder's cursor and its queue, `first → (bytes, arrived)`.
+    in_order: u64,
+    queue: BTreeMap<u64, (u64, u64)>,
+    stats: RxStats,
+}
+
+impl XModel {
+    fn new(mode: DeliveryMode, p: ConnectionParams, tpdus: &[Tpdu]) -> Self {
+        XModel {
+            mode,
+            base_csn: p.initial_csn,
+            elements: tpdus.iter().map(|t| (t.start, t.elements as u64)).collect(),
+            groups: BTreeMap::new(),
+            in_order: 0,
+            queue: BTreeMap::new(),
+            stats: RxStats::default(),
+        }
+    }
+
+    fn handle(&mut self, c: &Chunk, now: u64) -> Vec<RxEvent> {
+        let h = &c.header;
+        let mut out = Vec::new();
+        let label = match h.ty {
+            ChunkType::ErrorDetection => h.conn.sn,
+            _ => h.conn.sn.wrapping_sub(h.tpdu.sn),
+        };
+        let start = label.wrapping_sub(self.base_csn) as u64;
+        let g = self.groups.entry(start).or_default();
+        let stats = &mut self.stats;
+        let stage = |stats: &mut RxStats, len: u64| {
+            stats.buffered_bytes += len;
+            stats.peak_buffered_bytes = stats.peak_buffered_bytes.max(stats.buffered_bytes);
+            stats.data_touches += len;
+        };
+        let unhold = |stats: &mut RxStats, (len, arrived): (u64, u64)| {
+            stats.buffered_bytes -= len;
+            stats.holding_delay += now - arrived;
+            stats.data_touches += len;
+        };
+        if h.ty == ChunkType::ErrorDetection {
+            g.ed = true;
+        } else {
+            let len = h.len as u64;
+            g.tracked += len;
+            let delta = h.conn.sn.wrapping_sub(h.ext.sn);
+            if *g.deltas.entry(h.ext.id).or_insert(delta) != delta {
+                if !std::mem::replace(&mut g.verdict, true) {
+                    stats.tpdus_failed += 1;
+                    out.push(RxEvent::TpduFailed {
+                        start,
+                        reason: FailureReason::Consistency,
+                    });
+                }
+                return out;
+            }
+            stats.chunks_accepted += 1;
+            let first = start + h.tpdu.sn as u64;
+            match self.mode {
+                DeliveryMode::Immediate => stats.data_touches += len,
+                DeliveryMode::Reassemble => {
+                    stage(stats, len);
+                    g.held.push((len, now));
+                }
+                DeliveryMode::Reorder if first > self.in_order => {
+                    stage(stats, len);
+                    self.queue.insert(first, (len, now));
+                }
+                DeliveryMode::Reorder => {
+                    stats.data_touches += len;
+                    self.in_order = self.in_order.max(first + len);
+                    while let Some(queued) = self.queue.remove(&self.in_order) {
+                        unhold(stats, queued);
+                        self.in_order += queued.0;
+                    }
+                }
+            }
+        }
+        let elements = self.elements[&start];
+        if !g.verdict && g.ed && g.tracked == elements {
+            g.verdict = true;
+            stats.tpdus_delivered += 1;
+            for held in g.held.drain(..) {
+                unhold(stats, held);
+            }
+            out.push(RxEvent::TpduDelivered { start, elements });
+        }
+        out
+    }
+}
+
 /// One step of a connection-lifecycle script.
 enum Step {
     Admit(u32),
@@ -1046,6 +1208,43 @@ proptest! {
         }
         prop_assert!(got.is_empty(), "events for unregistered connections: {:?}", got);
     }
+    #[test]
+    fn x_check_equals_the_hash_map_rule(seed in any::<u64>()) {
+        // The X check keeps a TPDU's first `(X.ID, C.SN − X.SN)` inline and
+        // spills later ids to a table. Over TPDUs with one, two and many
+        // `X.ID`s, consistent and conflicting, in any order and every mode,
+        // it must condemn exactly the chunks one `HashMap` of first deltas
+        // per TPDU condemns: same events chunk by chunk, same stats, same
+        // deliveries and failures.
+        let mut d = Draw(seed | 1);
+        let (p, tpdus, trace) = x_trace(&mut d);
+        for mode in [DeliveryMode::Immediate, DeliveryMode::Reorder, DeliveryMode::Reassemble] {
+            let mut rx = Receiver::new(mode, p, layout(), 4096);
+            let mut model = XModel::new(mode, p, &tpdus);
+            let (mut delivered, mut failed) = (BTreeMap::new(), Vec::new());
+            for (now, c) in trace.iter().enumerate() {
+                let mut got = Vec::new();
+                rx.handle_chunk_into(c.clone(), now as u64, &mut got);
+                let want = model.handle(c, now as u64);
+                prop_assert_eq!(&got, &want, "{:?} chunk {}: {:?}", mode, now, c.header);
+                for e in want {
+                    match e {
+                        RxEvent::TpduDelivered { start, .. } => {
+                            let ed = &tpdus.iter().find(|t| t.start == start).unwrap().ed;
+                            delivered.insert(start, <[u8; 8]>::try_from(&ed.payload[..]).unwrap());
+                        }
+                        RxEvent::TpduFailed { start, .. } => failed.push(start),
+                        _ => {}
+                    }
+                }
+            }
+            prop_assert_eq!(rx.stats, model.stats, "{:?}", mode);
+            prop_assert_eq!(rx.delivered_digests(), delivered.into_iter().collect::<Vec<_>>());
+            failed.sort_unstable();
+            prop_assert_eq!(rx.failed_starts(), failed);
+        }
+    }
+
     #[test]
     fn lifecycle_scripts_demux_identically_on_both_front_ends(seed in any::<u64>()) {
         // Connections admitted, retired and admitted again mid-stream, data
