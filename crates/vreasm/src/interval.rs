@@ -1,4 +1,5 @@
-//! A sorted set of half-open `[start, end)` intervals over `u64`.
+//! A sorted set of half-open `[start, end)` intervals over `u64`: the
+//! received runs of one PDU, as [`crate::PduTracker`] keeps them.
 
 use std::fmt;
 
@@ -31,65 +32,53 @@ impl IntervalSet {
     ///
     /// Returns the number of positions of the inserted range that were
     /// already covered (0 means the data was entirely new).
+    ///
+    /// Written with indexed writes, `drain` and `insert` rather than
+    /// `Vec::splice`, whose pure-insertion case collects the replacement
+    /// through a temporary `Vec`: with capacity in hand (a cleared set
+    /// keeps it), an insert touches no allocator.
     pub fn insert(&mut self, start: u64, end: u64) -> u64 {
         assert!(start <= end, "inverted interval");
         if start == end {
             return 0;
         }
+        // At or past the last range — in-order arrival — the insert
+        // extends or appends after the tail without a search.
+        match self.ranges.last_mut() {
+            Some(last) if last.1 == start => {
+                last.1 = end;
+                return 0;
+            }
+            Some(last) if last.1 > start => {}
+            _ => {
+                self.ranges.push((start, end));
+                return 0;
+            }
+        }
         // Find all ranges that touch or overlap [start, end).
         let lo = self.ranges.partition_point(|&(_, e)| e < start);
         let mut hi = lo;
         let mut overlap = 0;
-        let mut new_start = start;
-        let mut new_end = end;
+        let mut merged = (start, end);
         while hi < self.ranges.len() && self.ranges[hi].0 <= end {
             let (s, e) = self.ranges[hi];
             overlap += e.min(end).saturating_sub(s.max(start));
-            new_start = new_start.min(s);
-            new_end = new_end.max(e);
+            merged = (merged.0.min(s), merged.1.max(e));
             hi += 1;
         }
-        self.ranges.splice(lo..hi, [(new_start, new_end)]);
+        if lo == hi {
+            self.ranges.insert(lo, merged);
+        } else {
+            self.ranges[lo] = merged;
+            self.ranges.drain(lo + 1..hi);
+        }
         overlap
     }
 
-    /// Removes `[start, end)` from the set, splitting ranges that straddle
-    /// either boundary.
-    ///
-    /// Returns the number of covered positions removed (0 means nothing in
-    /// the range was present). This is the inverse a receiver needs when a
-    /// failed TPDU's claimed connection-space span is released for
-    /// retransmission.
-    ///
-    /// ```
-    /// use chunks_vreasm::IntervalSet;
-    /// let mut s = IntervalSet::new();
-    /// s.insert(0, 10);
-    /// assert_eq!(s.subtract(3, 6), 3);
-    /// assert_eq!(s.ranges(), &[(0, 3), (6, 10)]);
-    /// ```
-    pub fn subtract(&mut self, start: u64, end: u64) -> u64 {
-        assert!(start <= end, "inverted interval");
-        if start == end {
-            return 0;
-        }
-        let lo = self.ranges.partition_point(|&(_, e)| e <= start);
-        let mut hi = lo;
-        let mut removed = 0;
-        let mut keep: Vec<(u64, u64)> = Vec::new();
-        while hi < self.ranges.len() && self.ranges[hi].0 < end {
-            let (s, e) = self.ranges[hi];
-            removed += e.min(end) - s.max(start);
-            if s < start {
-                keep.push((s, start));
-            }
-            if e > end {
-                keep.push((end, e));
-            }
-            hi += 1;
-        }
-        self.ranges.splice(lo..hi, keep);
-        removed
+    /// Empties the set. The range table keeps its capacity, so a set
+    /// re-armed for the next PDU inserts without allocating.
+    pub fn clear(&mut self) {
+        self.ranges.clear();
     }
 
     /// True when `[start, end)` is fully covered.
@@ -105,6 +94,10 @@ impl IntervalSet {
 
     /// How much of `[start, end)` is already covered.
     pub fn overlap(&self, start: u64, end: u64) -> u64 {
+        // Nothing covered at or past `start`: no search.
+        if self.last_end().is_none_or(|e| e <= start) {
+            return 0;
+        }
         let lo = self.ranges.partition_point(|&(_, e)| e <= start);
         let mut total = 0;
         for &(s, e) in &self.ranges[lo..] {
@@ -137,10 +130,16 @@ impl IntervalSet {
         &self.ranges
     }
 
-    /// Sub-ranges of `[start, end)` *not* covered by the set — what remains
-    /// of a partially-duplicate fragment after trimming.
-    pub fn uncovered(&self, start: u64, end: u64) -> Vec<(u64, u64)> {
-        let mut out = Vec::new();
+    /// One past the last covered position, if anything is covered.
+    pub fn last_end(&self) -> Option<u64> {
+        self.ranges.last().map(|&(_, e)| e)
+    }
+
+    /// Appends to `out` the sub-ranges of `[start, end)` *not* covered by
+    /// the set — what remains of a partially-duplicate fragment after
+    /// trimming. `out` is the caller's, and is not cleared: with spare
+    /// capacity there, the duplicate path asks without allocating.
+    pub fn uncovered_into(&self, start: u64, end: u64, out: &mut Vec<(u64, u64)>) {
         let mut cursor = start;
         let lo = self.ranges.partition_point(|&(_, e)| e <= start);
         for &(s, e) in &self.ranges[lo..] {
@@ -155,7 +154,6 @@ impl IntervalSet {
         if cursor < end {
             out.push((cursor, end));
         }
-        out
     }
 
     /// Missing sub-ranges of `[0, end)` — the retransmission request list.
@@ -276,62 +274,5 @@ mod tests {
     #[should_panic(expected = "inverted")]
     fn inverted_interval_panics() {
         IntervalSet::new().insert(5, 4);
-    }
-
-    #[test]
-    fn subtract_splits_and_reports_removed() {
-        let mut s = IntervalSet::new();
-        s.insert(0, 10);
-        assert_eq!(s.subtract(3, 6), 3);
-        assert_eq!(s.ranges(), &[(0, 3), (6, 10)]);
-        // Removing something absent is a no-op.
-        assert_eq!(s.subtract(3, 6), 0);
-        assert_eq!(s.subtract(20, 30), 0);
-        assert_eq!(s.ranges(), &[(0, 3), (6, 10)]);
-    }
-
-    #[test]
-    fn subtract_spans_multiple_ranges() {
-        let mut s = IntervalSet::new();
-        s.insert(0, 4);
-        s.insert(6, 10);
-        s.insert(12, 16);
-        assert_eq!(s.subtract(2, 14), 2 + 4 + 2);
-        assert_eq!(s.ranges(), &[(0, 2), (14, 16)]);
-    }
-
-    #[test]
-    fn subtract_exact_range_and_edges() {
-        let mut s = IntervalSet::new();
-        s.insert(5, 9);
-        assert_eq!(s.subtract(5, 9), 4);
-        assert!(s.ranges().is_empty());
-        s.insert(5, 9);
-        // Touching but not overlapping boundaries remove nothing.
-        assert_eq!(s.subtract(0, 5), 0);
-        assert_eq!(s.subtract(9, 12), 0);
-        assert_eq!(s.ranges(), &[(5, 9)]);
-        assert_eq!(s.subtract(7, 7), 0, "empty subtraction is a no-op");
-    }
-
-    #[test]
-    fn subtract_is_inverse_of_insert() {
-        // Randomised-ish sweep with a fixed pattern: insert then subtract
-        // the same span always restores the complement structure.
-        let mut s = IntervalSet::new();
-        for k in 0..8u64 {
-            s.insert(k * 10, k * 10 + 5);
-        }
-        let before = s.clone();
-        let added = 5 - s.insert(12, 17); // overlaps [10,15)
-        assert_eq!(added, 2);
-        assert_eq!(s.subtract(15, 17), 2);
-        assert_eq!(s, before, "subtracting the fresh part restores the set");
-    }
-
-    #[test]
-    #[should_panic(expected = "inverted")]
-    fn inverted_subtract_panics() {
-        IntervalSet::new().subtract(5, 4);
     }
 }

@@ -7,13 +7,11 @@
 //!
 //! The crate supplies:
 //!
-//! * [`ArenaIntervalSet`] — a compact set of received `[start, end)`
-//!   ranges with overlap (duplicate) detection over a recycling node slab:
-//!   the one interval set production code uses, allocation-free on the
-//!   receive hot path;
-//! * [`IntervalSet`] — the same semantics over a sorted `Vec`, kept as the
-//!   reference the arena is property-tested against. It is the oracle only:
-//!   no non-test code in the workspace names it;
+//! * [`IntervalSet`] — the one interval set: a sorted `Vec` of received
+//!   `[start, end)` ranges with overlap (duplicate) detection, the store
+//!   under [`PduTracker`]. It is production code, allocation-free on the
+//!   receive hot path once its capacity is warm; the property tests check
+//!   it against per-position models, which are its oracle;
 //! * [`PduTracker`] — virtual reassembly of one PDU: completion detection
 //!   from the stop bit, duplicate rejection (needed so the incremental
 //!   checksum is not corrupted, §3.3), and inconsistency flags;
@@ -39,13 +37,11 @@
 
 #![deny(missing_docs)]
 
-pub mod arena;
 pub mod bounded;
 pub mod interval;
 pub mod reassembly;
 pub mod tracker;
 
-pub use arena::ArenaIntervalSet;
 pub use bounded::{BoundedEvent, BoundedTracker};
 pub use interval::IntervalSet;
 pub use reassembly::{Claim, Conflict, OverlapPolicy, Reassembly, Resolution};

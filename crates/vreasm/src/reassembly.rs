@@ -251,9 +251,10 @@ impl Reassembly {
 
     /// Inserts a range known to be disjoint from everything present.
     ///
-    /// Written with `insert`/indexed writes rather than `Vec::splice`:
-    /// splice's pure-insertion case collects the replacement through a
-    /// temporary `Vec`, which would put one heap allocation on every claim.
+    /// Written with `insert`/indexed writes rather than `Vec::splice`, as
+    /// [`crate::IntervalSet::insert`] is: splice's pure-insertion case
+    /// collects the replacement through a temporary `Vec`, which would put
+    /// one heap allocation on every claim.
     fn insert_owned(&mut self, start: u64, end: u64, tag: u64) {
         if start == end {
             return;

@@ -1,6 +1,6 @@
 //! Per-PDU virtual reassembly.
 
-use crate::arena::ArenaIntervalSet;
+use crate::interval::IntervalSet;
 
 /// Outcome of offering a fragment to a [`PduTracker`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -25,9 +25,10 @@ pub enum TrackEvent {
 /// and where the PDU ends (learned from the fragment whose stop bit is set).
 #[derive(Clone, Debug, Default)]
 pub struct PduTracker {
-    /// Arena-backed so a tracker recycled across TPDUs (the receiver's
-    /// group pool) reaches steady state without touching the allocator.
-    received: ArenaIntervalSet,
+    /// A cleared set keeps its capacity, so a tracker recycled across
+    /// TPDUs (the receiver's group slots) reaches steady state without
+    /// touching the allocator.
+    received: IntervalSet,
     /// One-past-the-last element SN, known once an ST-bearing fragment
     /// arrives.
     end: Option<u64>,
@@ -102,11 +103,18 @@ impl PduTracker {
     /// Sub-ranges of `[sn, sn+len)` not yet received — lets a receiver trim
     /// a partially-duplicate fragment (a retransmission cut at different
     /// points) down to its new data before processing.
+    ///
+    /// The allocating convenience over [`Self::uncovered_into`], kept
+    /// because the throughput ledger's `vreasm.track` extraction leg calls
+    /// it; the receive path uses [`Self::uncovered_into`].
     pub fn uncovered(&self, sn: u64, len: u64) -> Vec<(u64, u64)> {
-        self.received.uncovered(sn, sn + len)
+        let mut out = Vec::new();
+        self.uncovered_into(sn, len, &mut out);
+        out
     }
 
-    /// [`Self::uncovered`], appended to a caller-owned buffer.
+    /// Appends the sub-ranges of `[sn, sn+len)` not yet received to a
+    /// caller-owned buffer (see [`IntervalSet::uncovered_into`]).
     pub fn uncovered_into(&self, sn: u64, len: u64, out: &mut Vec<(u64, u64)>) {
         self.received.uncovered_into(sn, sn + len, out)
     }
@@ -123,9 +131,9 @@ impl PduTracker {
         }
     }
 
-    /// Resets the tracker for reuse on a new PDU, recycling interval nodes
-    /// in place. The slab keeps its capacity — this is what lets a pooled
-    /// TPDU group be re-armed without allocating.
+    /// Resets the tracker for reuse on a new PDU. The interval set keeps
+    /// its capacity — this is what lets a pooled TPDU group be re-armed
+    /// without allocating.
     pub fn clear(&mut self) {
         self.received.clear();
         self.end = None;

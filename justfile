@@ -79,8 +79,11 @@ test-parallel:
 # watermark against the sort-and-sweep oracle, delivered bytes checked in
 # every mode), the X check against a `HashMap` of first `C.SN − X.SN`
 # deltas per TPDU (one, two and many `X.ID`s, every mode), hostile labels
-# around a released base, and the long-stream gate (1000 windows through a
-# 1024-element ring, heap flat once warm).
+# around a released base, the long-stream gate (1000 windows through a
+# 1024-element ring, heap flat once warm), and the virtual-reassembly
+# crate's own suite (the interval set's and tracker's unit tests, the
+# interval and tagged-claim properties against per-position models, the
+# doctests).
 # Debug first, so overflow checks are live, then release (the walk
 # properties at ten times the cases).
 test-receiver:
@@ -88,10 +91,12 @@ test-receiver:
     cargo test -q -p chunks-transport --lib -- receiver::
     cargo test -q --test adversarial_input -- hostile_tsn
     cargo test -q --test long_stream_gate
+    cargo test -q -p chunks-vreasm
     cargo test -q --release --test transport_props -- borrowed_walk_equals demux_ingest_equals lifecycle_scripts stream_and_block stream_receiver_window x_check
     cargo test -q --release -p chunks-transport --lib -- receiver::
     cargo test -q --release --test adversarial_input -- hostile_tsn
     cargo test -q --release --test long_stream_gate
+    cargo test -q --release -p chunks-vreasm
 
 # Sender gate: the oracle property (the sender's packets equal `pack` over
 # the framer's uncut chunks after every step of a random submit/ack/
@@ -110,7 +115,9 @@ test-sender:
 
 # Zero-allocation hot-path gate: a counting global allocator with
 # per-thread counters proves the steady-state receive windows (serial and
-# parallel) allocate exactly nothing per chunk, and that `reserve` sizes
+# parallel) allocate exactly nothing per chunk — among them every delivery
+# mode on out-of-order arrivals, Immediate's leg loading virtual
+# reassembly alone — and that `reserve` sizes
 # the reorder queue in Reorder mode alone (Immediate and Reassemble request
 # at least its entries' bytes fewer), release mode.
 test-hotpath:

@@ -12,8 +12,10 @@
 use chunks::core::chunk::{byte_chunk, Chunk};
 use chunks::core::frag::{merge, split};
 use chunks::core::label::FramingTuple;
+use chunks::vreasm::IntervalSet;
 use chunks::wsc::{InvariantLayout, TpduInvariant, Wsc2, Wsc2Stream};
 use proptest::prelude::*;
+use proptest::TestCaseError;
 
 /// Deterministic LCG over a seed — used for shuffles and partitions so a
 /// failing case reproduces from its proptest-reported inputs.
@@ -74,6 +76,79 @@ fn digest_of(chunks: &[Chunk]) -> [u8; 8] {
         inv.absorb_chunk(&c.header, &c.payload).unwrap();
     }
     inv.digest()
+}
+
+/// The maximal runs of positions in `[from, to)` whose model value is
+/// `value` (positions past the model are uncovered).
+fn model_runs(model: &[bool], from: u64, to: u64, value: bool) -> Vec<(u64, u64)> {
+    let at = |p: u64| model.get(p as usize).copied().unwrap_or(false);
+    let mut runs: Vec<(u64, u64)> = Vec::new();
+    for p in (from..to).filter(|&p| at(p) == value) {
+        match runs.last_mut() {
+            Some(last) if last.1 == p => last.1 = p + 1,
+            _ => runs.push((p, p + 1)),
+        }
+    }
+    runs
+}
+
+/// Replays `ops` into `set` beside a `Vec<bool>` model of covered
+/// positions. An op `(how, at, len)` inserts `len` positions anywhere
+/// (`how == 0`, at `at`), at the tail (1), past it (2) or reaching back
+/// before it (3), so the tail paths and the mid-`Vec` rewrites all run.
+/// After every insert the reported overlap, `ranges`, `covered`,
+/// `fragments` and `last_end` must equal the model's, and so must every
+/// query on the probes, which are placed relative to the tail.
+fn check_against_model(
+    set: &mut IntervalSet,
+    ops: &[(u8, u64, u64)],
+    probes: &[(u64, u64)],
+) -> Result<(), TestCaseError> {
+    let mut model: Vec<bool> = Vec::new();
+    for &(how, at, len) in ops {
+        let tail = set.last_end().unwrap_or(0);
+        let start = match how {
+            0 => at,
+            1 => tail,
+            2 => tail + 1 + at % 8,
+            _ => tail.saturating_sub(1 + at % 32),
+        };
+        let end = start + len;
+        if model.len() < end as usize {
+            model.resize(end as usize, false);
+        }
+        let want = model[start as usize..end as usize]
+            .iter()
+            .filter(|&&b| b)
+            .count() as u64;
+        model[start as usize..end as usize].fill(true);
+        prop_assert_eq!(set.insert(start, end), want, "insert [{}, {})", start, end);
+
+        let runs = model_runs(&model, 0, model.len() as u64, true);
+        prop_assert_eq!(set.ranges(), &runs[..]);
+        prop_assert_eq!(set.covered(), runs.iter().map(|(s, e)| e - s).sum::<u64>());
+        prop_assert_eq!(set.fragments(), runs.len());
+        prop_assert_eq!(set.last_end(), runs.last().map(|&(_, e)| e));
+
+        for &(at, l) in probes {
+            let s = at % (set.last_end().unwrap_or(0) + 64);
+            let e = s + l;
+            let covered = model_runs(&model, s, e, true);
+            prop_assert_eq!(
+                set.overlap(s, e),
+                covered.iter().map(|(a, b)| b - a).sum::<u64>()
+            );
+            prop_assert_eq!(set.contains(s, e), covered == [(s, e)]);
+            prop_assert_eq!(set.gaps(e), model_runs(&model, 0, e, false));
+            prop_assert_eq!(set.is_contiguous_to(s), runs == [(0, s)]);
+            // Appends: what the buffer held before survives.
+            let mut out = vec![(u64::MAX, 0)];
+            set.uncovered_into(s, e, &mut out);
+            prop_assert_eq!(out[0], (u64::MAX, 0));
+            prop_assert_eq!(&out[1..], &model_runs(&model, s, e, false)[..]);
+        }
+    }
+    Ok(())
 }
 
 proptest! {
@@ -257,42 +332,19 @@ proptest! {
     }
 
     #[test]
-    fn arena_interval_set_matches_vec_oracle(
-        ops in proptest::collection::vec(
-            (any::<bool>(), 0u64..512, 1u64..96), 1..200),
+    fn interval_set_matches_a_per_position_model(
+        ops in proptest::collection::vec((0u8..4, 0u64..512, 1u64..96), 1..200),
         probes in proptest::collection::vec((0u64..640, 1u64..64), 8),
     ) {
-        // The slab-backed set the hot path uses, against the Vec-backed
-        // oracle, under random insert/subtract — every observable compared
-        // after every op.
-        use chunks::vreasm::{ArenaIntervalSet, IntervalSet};
-
-        let mut arena = ArenaIntervalSet::new();
-        let mut oracle = IntervalSet::new();
-        for &(is_insert, start, len) in &ops {
-            let end = start + len;
-            if is_insert {
-                prop_assert_eq!(arena.insert(start, end), oracle.insert(start, end));
-            } else {
-                prop_assert_eq!(arena.subtract(start, end), oracle.subtract(start, end));
-            }
-            let ranges: Vec<(u64, u64)> = arena.iter().collect();
-            prop_assert_eq!(&ranges[..], oracle.ranges());
-            prop_assert_eq!(arena.covered(), oracle.covered());
-            prop_assert_eq!(arena.fragments(), oracle.fragments());
-            for &(s, l) in &probes {
-                prop_assert_eq!(arena.overlap(s, s + l), oracle.overlap(s, s + l));
-                prop_assert_eq!(arena.contains(s, s + l), oracle.contains(s, s + l));
-                prop_assert_eq!(arena.uncovered(s, s + l), oracle.uncovered(s, s + l));
-                prop_assert_eq!(arena.gaps(s + l), oracle.gaps(s + l));
-                prop_assert_eq!(arena.is_contiguous_to(s), oracle.is_contiguous_to(s));
-            }
-        }
-        // `clear` recycles every node; the set behaves as new.
-        arena.clear();
-        prop_assert_eq!(arena.covered(), 0);
-        prop_assert_eq!(arena.insert(3, 9), 0, "clean insert overlaps nothing");
-        prop_assert_eq!(arena.covered(), 6);
+        // The interval set under `PduTracker`, against a per-position
+        // model: every observable compared after every insert, then again
+        // on the same set cleared and reused.
+        let mut set = IntervalSet::new();
+        check_against_model(&mut set, &ops, &probes)?;
+        set.clear();
+        prop_assert_eq!(set.ranges(), &[][..]);
+        prop_assert_eq!(set.last_end(), None);
+        check_against_model(&mut set, &ops, &probes)?;
     }
 
     #[test]

@@ -230,34 +230,65 @@ fn disordered_stream() -> Vec<Packet> {
     packets
 }
 
+/// Feeds `packets` (a reordering of [`disordered_stream`]) to a fresh
+/// receiver in `mode`, warm-up quarter first, and requires every later
+/// batch to allocate nothing; returns the receiver once the whole message
+/// has verified and nothing is left staged.
+fn disordered_leg(mode: DeliveryMode, packets: &[Packet]) -> Receiver {
+    let total_tpdus = MESSAGE_LEN / 512 + 2;
+    let warmup = packets.len() / 4;
+    let mut rx = Receiver::new(mode, params(1), layout(), capacity_elements());
+    rx.reserve(total_tpdus + 8, packets.len() * 4 + 64);
+    let mut out = Vec::with_capacity(total_tpdus * 4 + 64);
+    const BATCH: usize = 16;
+    for (i, batch) in packets[..warmup].chunks(BATCH).enumerate() {
+        rx.ingest_batch(batch, i as u64, &mut out);
+    }
+    let measured = &packets[warmup..];
+    for (i, batch) in measured.chunks(BATCH).enumerate() {
+        assert_no_alloc!(
+            rx.ingest_batch(batch, (warmup + i) as u64, &mut out),
+            "{mode:?} batch {i}"
+        );
+    }
+    assert!(chunk_count(measured) > 100, "measured window too small");
+    assert_eq!(rx.verified_prefix(), MESSAGE_LEN as u64, "{mode:?}");
+    assert_eq!(rx.stats.buffered_bytes, 0, "{mode:?} left bytes staged");
+    rx
+}
+
 #[test]
 fn serial_staging_modes_are_allocation_free_on_disordered_arrivals() {
     // Reorder stages whatever lands ahead of the delivery cursor and
     // Reassemble stages every fragment until its TPDU verifies; both make
     // an owned chunk — a slice of the packet — for what they hold, and
     // neither may allocate once warm.
-    let packets = disordered_stream();
-    let total_tpdus = MESSAGE_LEN / 512 + 2;
-    let warmup = packets.len() / 4;
     for mode in [DeliveryMode::Reorder, DeliveryMode::Reassemble] {
-        let mut rx = Receiver::new(mode, params(1), layout(), capacity_elements());
-        rx.reserve(total_tpdus + 8, packets.len() * 4 + 64);
-        let mut out = Vec::with_capacity(total_tpdus * 4 + 64);
-        const BATCH: usize = 16;
-        for (i, batch) in packets[..warmup].chunks(BATCH).enumerate() {
-            rx.ingest_batch(batch, i as u64, &mut out);
-        }
-        let measured = &packets[warmup..];
-        for (i, batch) in measured.chunks(BATCH).enumerate() {
-            assert_no_alloc!(
-                rx.ingest_batch(batch, (warmup + i) as u64, &mut out),
-                "{mode:?} batch {i}"
-            );
-        }
-        assert!(chunk_count(measured) > 100, "measured window too small");
+        let rx = disordered_leg(mode, &disordered_stream());
         assert!(rx.stats.peak_buffered_bytes > 0, "{mode:?} staged nothing");
-        assert_eq!(rx.verified_prefix(), MESSAGE_LEN as u64, "{mode:?}");
-        assert_eq!(rx.stats.buffered_bytes, 0, "{mode:?} left bytes staged");
+    }
+}
+
+#[test]
+fn immediate_virtual_reassembly_is_allocation_free_on_disordered_arrivals() {
+    // Immediate places every byte on arrival and stages nothing, so the
+    // disorder lands on virtual reassembly alone: a fragment that arrives
+    // before the ones ahead of it is a coalesce in front of a recycled
+    // group's held range. Interleaving each reversed block (4 2 0 3 1)
+    // leaves gaps too, so fragments are also inserted mid-set and bridge
+    // two ranges. None of it may allocate once warm.
+    let reversed = disordered_stream();
+    let interleaved: Vec<Packet> = reversed
+        .chunks(5)
+        .flat_map(|block| {
+            [0, 2, 4, 1, 3]
+                .into_iter()
+                .filter_map(|i| block.get(i).cloned())
+        })
+        .collect();
+    for packets in [reversed, interleaved] {
+        let rx = disordered_leg(DeliveryMode::Immediate, &packets);
+        assert_eq!(rx.stats.peak_buffered_bytes, 0, "Immediate staged bytes");
     }
 }
 
