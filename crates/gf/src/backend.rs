@@ -11,7 +11,9 @@
 //! * **[`Backend::Clmul`]** — hardware carry-less multiply
 //!   (`PCLMULQDQ` on x86_64, `PMULL` on aarch64) with Barrett reduction;
 //!   no tables, no memory traffic, and the substrate for the forward lane
-//!   fold over payload bytes behind `fold.rs`.
+//!   fold over payload bytes behind `fold.rs`. The aarch64 `PMULL` arm is
+//!   unverified: every build and gate of this workspace has run on x86_64,
+//!   so that arm has never been compiled.
 //!
 //! The active backend is decided **once**, on first use, behind a
 //! [`OnceLock`]: the `CHUNKS_GF_BACKEND` environment variable wins if set

@@ -130,7 +130,7 @@ impl Receiver {
         now: u64,
         out: &mut Vec<RxEvent>,
     ) -> bool {
-        if self.groups.get(start).is_none() && !self.done.contains_key(&start) {
+        if self.groups.get(start).is_none() && self.done.get(start).is_none() {
             while self.open_groups() >= self.budget.max_open_groups {
                 if !self.evict_idle(start, "groups", now) {
                     self.shed_into(start, bytes, out);
@@ -180,7 +180,7 @@ impl Receiver {
                 },
             );
         }
-        self.groups.remove(slot).recycle();
+        self.groups.remove(s).recycle();
         true
     }
 

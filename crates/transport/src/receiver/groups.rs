@@ -1,141 +1,151 @@
 //! The open-group table. Each open TPDU's state lives in a slot that never
-//! moves, found by its `start` through a keyed index or — for every chunk of
-//! a TPDU after the first, the common case under fragmentation — through a
-//! last-hit cursor that hashes nothing. A removed group's slot keeps its
-//! cleared shell for the next TPDU, so a reserved table opens and closes
-//! groups without touching the allocator.
+//! moves, found by its `start` through a start-ordered list of `(start,
+//! slot)` — checked at a last-hit cursor first (every chunk of a TPDU after
+//! the first, the common case under fragmentation), then at the tail (a TPDU
+//! opening in order), then by binary search. The free slots sit in the
+//! list's unused tail, so it needs no room beyond one entry per slot. A
+//! removed group's slot keeps its cleared shell for the next TPDU, so a
+//! reserved table opens and closes groups without touching the allocator.
+//! `start` is `C.SN − T.SN`, read off the wire: a sorted list cannot be
+//! flooded into collisions, and its worst case, an out-of-order insert, is
+//! a move of the open groups the budget already bounds.
 
-use std::collections::HashMap;
+use std::cmp::Ordering;
 use std::ops::{Index, IndexMut};
-
-/// No slot: the end of the free list.
-const NONE: usize = usize::MAX;
 
 /// Open groups by `start`, in slots that keep their place until removed.
 #[derive(Debug)]
 pub(super) struct Groups<T> {
     /// Live and free shells; a slot index names its group until removal.
-    slots: Vec<(Link, T)>,
-    /// The most recently freed slot, heading the list of free slots.
-    free: usize,
-    /// `start` → slot of every live group. The std keyed hasher stays:
-    /// `start` is `C.SN − T.SN`, read off the wire.
-    index: HashMap<u64, usize>,
-    /// The slot of the last hit or insert; may name a freed or reused slot,
-    /// which the key check in [`Self::find`] rejects.
+    slots: Vec<T>,
+    /// One `(start, slot)` per slot: the live groups in `[..live]`, sorted
+    /// by start, then the free slots, the next to reuse first (a removal
+    /// puts its slot there; their starts are stale).
+    index: Vec<(u64, usize)>,
+    /// How many groups are live.
+    live: usize,
+    /// The position in `index` of the last hit or insert; after later
+    /// inserts and removes it may name another group or none, which the key
+    /// check in [`Self::position`] rejects.
     cursor: usize,
-}
-
-/// An open group at its `start`, or a free shell and the next free slot.
-#[derive(Debug, PartialEq)]
-enum Link {
-    Live(u64),
-    Free(usize),
+    /// The slot of the last hit or insert, live or freed since: a cache
+    /// hint that needs no read of `index`.
+    cursor_slot: usize,
 }
 
 impl<T> Default for Groups<T> {
     fn default() -> Self {
         Groups {
             slots: Vec::new(),
-            free: NONE,
-            index: HashMap::new(),
-            cursor: NONE,
+            index: Vec::new(),
+            live: 0,
+            cursor: 0,
+            cursor_slot: usize::MAX,
         }
     }
 }
 
 impl<T> Groups<T> {
-    /// The cursor's slot when it holds the live group at `start`.
-    fn at_cursor(&self, start: u64) -> Option<usize> {
-        let (link, _) = self.slots.get(self.cursor)?;
-        (*link == Link::Live(start)).then_some(self.cursor)
+    /// Where the live group at `start` is in `index` (`Ok`), or where it
+    /// would be entered (`Err`): the cursor's position when it matches,
+    /// else past the tail without a search, else a binary search.
+    fn position(&self, start: u64) -> Result<usize, usize> {
+        let live = &self.index[..self.live];
+        if live.get(self.cursor).is_some_and(|&(s, _)| s == start) {
+            return Ok(self.cursor);
+        }
+        match live.last().map(|&(last, _)| last.cmp(&start)) {
+            None | Some(Ordering::Less) => Err(self.live),
+            Some(Ordering::Equal) => Ok(self.live - 1),
+            Some(Ordering::Greater) => live.binary_search_by_key(&start, |&(s, _)| s),
+        }
     }
 
     /// The group in the cursor's slot — live, or a free shell — without a
     /// key check: where the next chunk of the last TPDU resolved finds its
     /// state, for a cache hint.
     pub(super) fn cursor_group(&self) -> Option<&T> {
-        self.slots.get(self.cursor).map(|(_, group)| group)
+        self.slots.get(self.cursor_slot)
     }
 
-    /// The slot of the live group at `start`: the cursor's when it matches,
-    /// else the index's (which then becomes the cursor).
+    /// The cursor's entry in the start-ordered list, for a cache hint: the
+    /// key check of the next lookup reads it.
+    pub(super) fn cursor_entry(&self) -> Option<&(u64, usize)> {
+        self.index.get(self.cursor)
+    }
+
+    /// The slot of the live group at `start`, which becomes the cursor.
     pub(super) fn find(&mut self, start: u64) -> Option<usize> {
-        if let Some(slot) = self.at_cursor(start) {
-            return Some(slot);
-        }
-        self.cursor = *self.index.get(&start)?;
-        Some(self.cursor)
+        let at = self.position(start).ok()?;
+        self.cursor = at;
+        self.cursor_slot = self.index[at].1;
+        Some(self.cursor_slot)
     }
 
     /// The live group at `start`, leaving the cursor where it is.
     pub(super) fn get(&self, start: u64) -> Option<&T> {
-        let slot = self
-            .at_cursor(start)
-            .or_else(|| self.index.get(&start).copied())?;
-        Some(&self.slots[slot].1)
+        let at = self.position(start).ok()?;
+        Some(&self.slots[self.index[at].1])
     }
 
     /// Enters a group at `start`, which must be absent, into the most
     /// recently freed shell, or into `fresh()` when no shell is free.
     /// Returns its slot, which becomes the cursor.
     pub(super) fn insert(&mut self, start: u64, fresh: impl FnOnce() -> T) -> usize {
-        debug_assert!(!self.index.contains_key(&start), "{start} is already open");
-        let live = Link::Live(start);
-        self.cursor = match self.slots.get_mut(self.free) {
-            Some((link, _)) => match std::mem::replace(link, live) {
-                Link::Free(next) => std::mem::replace(&mut self.free, next),
-                Link::Live(_) => unreachable!("the free list links free slots only"),
-            },
-            None => {
-                self.slots.push((live, fresh()));
-                self.slots.len() - 1
-            }
-        };
-        self.index.insert(start, self.cursor);
-        self.cursor
-    }
-
-    /// Removes the live group in `slot`; returns its shell, which stays in
-    /// place for reuse, for the caller to clear.
-    pub(super) fn remove(&mut self, slot: usize) -> &mut T {
-        let (link, shell) = &mut self.slots[slot];
-        let Link::Live(start) = std::mem::replace(link, Link::Free(self.free)) else {
-            panic!("slot {slot} is already free");
-        };
-        self.index.remove(&start);
-        self.free = slot;
-        shell
-    }
-
-    /// `(start, group)` for every live group, in slot order.
-    pub(super) fn iter(&self) -> impl Iterator<Item = (u64, &T)> {
-        self.slots.iter().filter_map(|(link, group)| match *link {
-            Link::Live(start) => Some((start, group)),
-            Link::Free(_) => None,
-        })
-    }
-
-    /// Removes every live group, handing each shell to `clear` in slot order.
-    pub(super) fn drain(&mut self, mut clear: impl FnMut(&mut T)) {
-        for (slot, (link, shell)) in self.slots.iter_mut().enumerate() {
-            if let Link::Live(_) = link {
-                *link = Link::Free(self.free);
-                self.free = slot;
-                clear(shell);
-            }
+        let found = self.position(start);
+        debug_assert!(found.is_err(), "{start} is already open");
+        let (Ok(at) | Err(at)) = found;
+        if self.live == self.index.len() {
+            self.slots.push(fresh());
+            self.index.push((start, self.slots.len() - 1));
         }
-        self.index.clear();
+        // The first free entry is overwritten by the shift: take its slot.
+        let slot = self.index[self.live].1;
+        self.index.copy_within(at..self.live, at + 1);
+        self.index[at] = (start, slot);
+        self.live += 1;
+        self.cursor = at;
+        self.cursor_slot = slot;
+        slot
+    }
+
+    /// Removes the live group at `start`; returns its shell, which stays in
+    /// place for reuse, for the caller to clear.
+    pub(super) fn remove(&mut self, start: u64) -> &mut T {
+        let Ok(at) = self.position(start) else {
+            panic!("{start} is not open");
+        };
+        let entry = self.index[at];
+        self.index.copy_within(at + 1..self.live, at);
+        self.live -= 1;
+        self.index[self.live] = entry;
+        if self.cursor > at {
+            self.cursor -= 1;
+        }
+        &mut self.slots[entry.1]
+    }
+
+    /// `(start, group)` for every live group, in start order.
+    pub(super) fn iter(&self) -> impl Iterator<Item = (u64, &T)> {
+        self.index[..self.live]
+            .iter()
+            .map(|&(start, slot)| (start, &self.slots[slot]))
+    }
+
+    /// Removes every live group, handing each shell to `clear` in start
+    /// order.
+    pub(super) fn drain(&mut self, mut clear: impl FnMut(&mut T)) {
+        for &(_, slot) in &self.index[..self.live] {
+            clear(&mut self.slots[slot]);
+        }
+        self.live = 0;
     }
 
     /// Room for `additional` more groups, so that any inserts and removes
     /// that keep that many open allocate nothing beyond their shells.
     pub(super) fn reserve(&mut self, additional: usize) {
         self.slots.reserve(additional);
-        // Removes leave tombstones, and the std table clears them in place
-        // only while at most half full: size it for twice the open groups.
-        let live = self.index.len();
-        self.index.reserve(2 * (live + additional + 1) - live);
+        self.index.reserve(additional);
     }
 }
 
@@ -143,13 +153,13 @@ impl<T> Index<usize> for Groups<T> {
     type Output = T;
 
     fn index(&self, slot: usize) -> &T {
-        &self.slots[slot].1
+        &self.slots[slot]
     }
 }
 
 impl<T> IndexMut<usize> for Groups<T> {
     fn index_mut(&mut self, slot: usize) -> &mut T {
-        &mut self.slots[slot].1
+        &mut self.slots[slot]
     }
 }
 

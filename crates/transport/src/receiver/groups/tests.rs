@@ -1,27 +1,31 @@
 //! The slot table against a `HashMap<u64, _>` model: random insert, get,
-//! get_mut, remove, iter, drain and reserve, over a key universe small
-//! enough that freed slots are reused by other starts and the cursor goes
-//! stale. A shell handed back by `remove` or `drain` is cleared to 0 by the
-//! caller, as the receiver clears a group, so every insert must find a
-//! cleared shell.
+//! get_mut, remove, iter, drain and reserve. Starts come from a universe of
+//! twelve, dense (`0..12`) or random `u64`s, so freed slots are reused by
+//! other starts and the cursor goes stale; scripts open every start in
+//! random order, in descending order (every insert at the front of the
+//! list), or in order and then remove from the middle outwards. A shell
+//! handed back by `remove` or `drain` is cleared to 0 by the caller, as the
+//! receiver clears a group, so every insert must find a cleared shell.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
+use proptest::collection::vec;
 use proptest::prelude::*;
 
-use super::{Groups, Link, NONE};
+use super::Groups;
 
 /// Cases per property: more in release, where the loop is cheap.
 const CASES: u32 = if cfg!(debug_assertions) { 64 } else { 640 };
 
-const KEYS: u64 = 12;
+/// Starts in a script's universe; an op names one by its rank.
+const KEYS: usize = 12;
 
 #[derive(Clone, Copy, Debug)]
 enum Op {
-    Insert(u64),
-    Get(u64),
-    GetMut(u64),
-    Remove(u64),
+    Insert(usize),
+    Get(usize),
+    GetMut(usize),
+    Remove(usize),
     Iter,
     Drain,
     Reserve(usize),
@@ -39,23 +43,40 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     })
 }
 
-/// The slot of every live key, so a step can show no other group moved.
-fn slots_of(g: &Groups<u64>) -> HashMap<u64, usize> {
-    g.index.clone()
+/// The universe's starts in ascending order, so rank order is start order:
+/// `0..12`, or twelve random `u64`s (a repeat only shrinks the universe).
+fn universe_strategy() -> impl Strategy<Value = Vec<u64>> {
+    (any::<bool>(), vec(any::<u64>(), KEYS)).prop_map(|(dense, mut starts)| {
+        if dense {
+            return (0..KEYS as u64).collect();
+        }
+        starts.sort_unstable();
+        starts
+    })
 }
 
-/// The free list, walked from its head; every slot on it must be free.
-fn free_list(g: &Groups<u64>) -> Vec<usize> {
-    let mut list = Vec::new();
-    let mut at = g.free;
-    while at != NONE {
-        list.push(at);
-        match g.slots[at].0 {
-            Link::Free(next) => at = next,
-            Link::Live(start) => panic!("live slot {at} ({start}) on the free list"),
-        }
-    }
-    list
+/// Random ops; or every start opened from the top down, then random ops;
+/// or every start opened in order, all removed from the middle outwards,
+/// then random ops.
+fn script_strategy() -> impl Strategy<Value = Vec<Op>> {
+    (0u8..3, vec(op_strategy(), 1..160)).prop_map(|(shape, tail)| {
+        let middle_out = (0..KEYS / 2).flat_map(|d| [KEYS / 2 + d, KEYS / 2 - 1 - d]);
+        let head: Vec<Op> = match shape {
+            0 => Vec::new(),
+            1 => (0..KEYS).rev().map(Op::Insert).collect(),
+            _ => (0..KEYS)
+                .map(Op::Insert)
+                .chain(middle_out.map(Op::Remove))
+                .collect(),
+        };
+        head.into_iter().chain(tail).collect()
+    })
+}
+
+/// The slot of every live start, read off the start-ordered list, so a step
+/// can show no other group moved.
+fn slots_of(g: &Groups<u64>) -> HashMap<u64, usize> {
+    g.index[..g.live].iter().copied().collect()
 }
 
 proptest! {
@@ -63,7 +84,8 @@ proptest! {
 
     #[test]
     fn slot_table_agrees_with_a_hashmap_model(
-        ops in proptest::collection::vec(op_strategy(), 1..160),
+        starts in universe_strategy(),
+        ops in script_strategy(),
     ) {
         let mut g: Groups<u64> = Groups::default();
         let mut model: HashMap<u64, u64> = HashMap::new();
@@ -71,42 +93,42 @@ proptest! {
         for &op in &ops {
             let before = slots_of(&g);
             match op {
-                Op::Insert(k) if model.contains_key(&k) => {
-                    prop_assert!(g.find(k).is_some());
+                Op::Insert(k) if model.contains_key(&starts[k]) => {
+                    prop_assert!(g.find(starts[k]).is_some());
                 }
                 Op::Insert(k) => {
-                    let slot = g.insert(k, || 0);
+                    let slot = g.insert(starts[k], || 0);
                     prop_assert_eq!(g[slot], 0, "insert found an uncleared shell");
                     g[slot] = next;
-                    model.insert(k, next);
+                    model.insert(starts[k], next);
                     next += 1;
-                    prop_assert_eq!(g.find(k), Some(slot));
+                    prop_assert_eq!(g.find(starts[k]), Some(slot));
                 }
-                Op::Get(k) => prop_assert_eq!(g.get(k), model.get(&k)),
+                Op::Get(k) => prop_assert_eq!(g.get(starts[k]), model.get(&starts[k])),
                 Op::GetMut(k) => {
-                    let got = g.find(k).map(|slot| {
+                    let got = g.find(starts[k]).map(|slot| {
                         g[slot] += 1000;
                         g[slot]
                     });
-                    let want = model.get_mut(&k).map(|v| {
+                    let want = model.get_mut(&starts[k]).map(|v| {
                         *v += 1000;
                         *v
                     });
                     prop_assert_eq!(got, want);
                 }
                 Op::Remove(k) => {
-                    let got = g.find(k).map(|slot| std::mem::take(g.remove(slot)));
-                    prop_assert_eq!(got, model.remove(&k));
-                    // A stale cursor on the freed slot finds nothing.
-                    prop_assert_eq!(g.find(k), None);
-                    prop_assert_eq!(g.get(k), None);
+                    let want = model.remove(&starts[k]);
+                    let got = want.map(|_| std::mem::take(g.remove(starts[k])));
+                    prop_assert_eq!(got, want);
+                    // A stale cursor on the freed entry finds nothing.
+                    prop_assert_eq!(g.find(starts[k]), None);
+                    prop_assert_eq!(g.get(starts[k]), None);
                 }
                 Op::Iter => {
-                    let mut got: Vec<(u64, u64)> = g.iter().map(|(k, &v)| (k, v)).collect();
-                    got.sort_unstable();
+                    let got: Vec<(u64, u64)> = g.iter().map(|(k, &v)| (k, v)).collect();
                     let mut want: Vec<(u64, u64)> = model.iter().map(|(&k, &v)| (k, v)).collect();
                     want.sort_unstable();
-                    prop_assert_eq!(got, want);
+                    prop_assert_eq!(got, want, "iteration is in start order");
                 }
                 Op::Drain => {
                     let mut got = Vec::new();
@@ -119,15 +141,21 @@ proptest! {
                 Op::Reserve(n) => g.reserve(n),
             }
             // No surviving group moved, and the table is the model's.
+            let after = slots_of(&g);
             for (k, slot) in before {
                 if model.contains_key(&k) {
-                    prop_assert_eq!(g.index[&k], slot, "{} moved", k);
+                    prop_assert_eq!(after[&k], slot, "{} moved", k);
                 }
             }
-            prop_assert_eq!(g.index.len(), model.len());
-            prop_assert_eq!(g.iter().count() + free_list(&g).len(), g.slots.len());
-            for k in 0..KEYS {
-                prop_assert_eq!(g.get(k), model.get(&k), "key {}", k);
+            prop_assert_eq!(g.live, model.len());
+            let live = &g.index[..g.live];
+            prop_assert!(live.windows(2).all(|w| w[0].0 < w[1].0), "unsorted: {:?}", live);
+            // Every slot is in the list exactly once, live or free.
+            let listed: HashSet<usize> = g.index.iter().map(|&(_, slot)| slot).collect();
+            prop_assert_eq!(g.index.len(), g.slots.len());
+            prop_assert_eq!(listed, (0..g.slots.len()).collect::<HashSet<_>>());
+            for &s in &starts {
+                prop_assert_eq!(g.get(s), model.get(&s), "start {}", s);
             }
         }
     }
@@ -137,32 +165,36 @@ proptest! {
         n in 1usize..96,
         seed in any::<u64>(),
     ) {
-        // A fresh table reserved for `n`: `n` groups opened, then removed in
-        // a shuffled order, twice over. No container may grow: the slots
-        // keep their buffer, and the index never exceeds the capacity the
-        // reserve gave it (a resize always would; an in-place rehash of
-        // tombstones does not allocate).
+        // A fresh table reserved for `n`: `n` groups opened in a shuffled
+        // order, then removed in another, twice over. Neither the slots nor
+        // the start-ordered list may move or grow.
         let mut g: Groups<u64> = Groups::default();
         g.reserve(n);
-        let slots = |g: &Groups<u64>| (g.slots.as_ptr() as usize, g.slots.capacity());
-        let (held, index_cap) = (slots(&g), g.index.capacity());
+        let held = |g: &Groups<u64>| {
+            (
+                (g.slots.as_ptr() as usize, g.slots.capacity()),
+                (g.index.as_ptr() as usize, g.index.capacity()),
+            )
+        };
+        let reserved = held(&g);
         let mut state = seed | 1;
-        for round in 0..2u64 {
-            let mut keys: Vec<u64> = (0..n as u64).map(|i| (round << 32) | (i * 7)).collect();
-            for &k in &keys {
-                g.insert(k, || 0);
-                prop_assert!(g.index.capacity() <= index_cap);
-            }
+        let mut shuffle = |keys: &mut Vec<u64>| {
             for i in (1..keys.len()).rev() {
                 state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
                 keys.swap(i, (state >> 33) as usize % (i + 1));
             }
-            for k in keys {
-                let slot = g.find(k).expect("live");
-                g.remove(slot);
+        };
+        for round in 0..2u64 {
+            let mut keys: Vec<u64> = (0..n as u64).map(|i| (round << 32) | (i * 7)).collect();
+            shuffle(&mut keys);
+            for &k in &keys {
+                g.insert(k, || 0);
             }
-            prop_assert_eq!(slots(&g), held);
-            prop_assert!(g.index.capacity() <= index_cap);
+            shuffle(&mut keys);
+            for k in keys {
+                g.remove(k);
+            }
+            prop_assert_eq!(held(&g), reserved);
         }
     }
 }
@@ -173,16 +205,18 @@ fn a_freed_slot_serves_the_next_start_and_the_old_one_misses() {
     let a = g.insert(10, || 1);
     let b = g.insert(20, || 2);
     assert_eq!(g.find(10), Some(a), "the cursor moves to the hit");
-    *g.remove(a) = 0;
-    // The cursor still names slot `a`, now free.
+    *g.remove(10) = 0;
+    // The cursor's position now holds 20, and its slot is the freed `a`.
     assert_eq!(g.find(10), None);
     let c = g.insert(30, || 3);
     assert_eq!(c, a, "the freed shell is reused");
     assert_eq!(g[c], 0, "cleared by the remover, not replaced");
-    g.find(20);
-    // The cursor names `b`; a lookup of the reused slot's old start misses.
+    let d = g.insert(5, || 4);
+    assert_ne!(d, b, "a live slot is never handed out");
     assert_eq!(
-        (g.find(10), g.find(30), g.find(20)),
-        (None, Some(c), Some(b))
+        (g.find(10), g.find(30), g.find(20), g.find(5)),
+        (None, Some(c), Some(b), Some(d))
     );
+    let order: Vec<u64> = g.iter().map(|(s, _)| s).collect();
+    assert_eq!(order, [5, 20, 30]);
 }

@@ -33,8 +33,8 @@
 //!   verdict, and the TPDU's share of an ack;
 //! * `deliver` — the three [`DeliveryMode`]s, staging, budget admission
 //!   and overlap resolution;
-//! * `groups` — the open-group table: fixed slots, a keyed index, and a
-//!   last-hit cursor.
+//! * `groups` — the open-group table: fixed slots, a start-ordered index,
+//!   and a last-hit cursor.
 //!
 //! This file is the glue: per-connection state, the entry points, TPDU
 //! grouping by `C.SN − T.SN`, the cross-group claim check, and reporting.
@@ -96,7 +96,7 @@ pub(crate) use decode::{chunk_walk, labels_of, observe_decoded, WireChunk};
 use decode::observe_packet;
 use deliver::Group;
 use groups::Groups;
-use verify::{ack_parts, Done, TpduEngine, Track};
+use verify::{ack_parts, Delivered, TpduEngine, Track};
 
 /// The three receiver strategies of §3.3.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -252,14 +252,14 @@ pub struct Receiver {
     /// Out-of-order staging for Reorder mode: element index → (chunk, when).
     reorder_q: HashMap<u64, (Chunk, u64)>,
     /// Open and failed groups only; delivered groups collapse into `done`.
-    /// A freed slot keeps its cleared shell (warm interval slab, cleared
-    /// X-delta spill table, empty staging `Vec` with its capacity), so in
-    /// steady state a new TPDU opens without touching the allocator.
+    /// A freed slot keeps its cleared shell (interval set, X-delta spill
+    /// table and staging `Vec`, each with its capacity), so in steady state
+    /// a new TPDU opens without touching the allocator.
     groups: Groups<Group>,
-    /// Delivered TPDUs not wholly released, keyed by start: the compact
-    /// remainder of a group after its slot was freed. Never holds a start
-    /// `groups` holds. Its keys at or above the watermark are the SACKs.
-    done: HashMap<u64, Done>,
+    /// Delivered TPDUs not wholly released, by start: the compact remainder
+    /// of a group after its slot was freed. Never holds a start `groups`
+    /// holds. Its starts at or above the watermark are the SACKs.
+    done: Delivered,
     /// Scratch for [`TpduEngine::track`]'s uncovered runs, reused across
     /// chunks so the duplicate path stays off the heap.
     uncovered: Vec<(u64, u64)>,
@@ -334,7 +334,7 @@ impl Receiver {
             in_order: 0,
             reorder_q: HashMap::new(),
             groups: Groups::default(),
-            done: HashMap::new(),
+            done: Delivered::default(),
             uncovered: Vec::new(),
             closed: false,
             stats: RxStats::default(),
@@ -448,13 +448,9 @@ impl Receiver {
         if self.base_at >= self.app.len() {
             self.base_at -= self.app.len();
         }
-        let (base, claimed) = (self.base, &mut self.claimed);
-        self.done.retain(|&start, d| {
-            let held = start + d.elements > base;
-            if !held {
-                claimed.release(start);
-            }
-            held
+        let claimed = &mut self.claimed;
+        self.done.release(self.base, |start| {
+            claimed.release(start);
         });
     }
 
@@ -514,14 +510,14 @@ impl Receiver {
         let slot = match self.groups.find(start) {
             Some(slot) => slot,
             None => {
-                if let Some(done) = self.done.get(&start) {
+                if let Some(done) = self.done.get(start) {
                     return Err(done.elements);
                 }
                 if self.obs_on {
                     let span = SpanId::new(self.group_labels(start), Stage::Verify);
                     self.obs.span_open(now, span);
                 }
-                let layout = self.layout;
+                let layout = &self.layout;
                 self.groups.insert(start, || Group {
                     tpdu: TpduEngine::new(layout),
                     held: Vec::new(),
@@ -529,7 +525,7 @@ impl Receiver {
                 })
             }
         };
-        debug_assert!(!self.done.contains_key(&start), "open and done overlap");
+        debug_assert!(self.done.get(start).is_none(), "open and done overlap");
         self.groups[slot].last_touch = now;
         Ok(slot)
     }
@@ -611,7 +607,8 @@ impl Receiver {
     }
 
     /// Asks for the cache lines handling `c` will touch, changing nothing:
-    /// this receiver's own, the cursor group's slot, the claims tail, and for
+    /// this receiver's own, the cursor group's slot and its entry in the
+    /// group index, the claims tail, and for
     /// a data chunk its payload where it lies and its destination in the
     /// ring. A demultiplexer issues these for every chunk of a packet before
     /// it handles the first, so the misses overlap instead of each waiting
@@ -620,6 +617,9 @@ impl Receiver {
         prefetch_lines((self as *const Self).cast(), std::mem::size_of::<Self>());
         if let Some(group) = self.groups.cursor_group() {
             prefetch_lines((group as *const Group).cast(), std::mem::size_of::<Group>());
+        }
+        if let Some(entry) = self.groups.cursor_entry() {
+            chunks_gf::prefetch((entry as *const (u64, usize)).cast());
         }
         if let Some(tail) = self.claimed.tail() {
             // The last range and the slot an append writes after it.
@@ -749,7 +749,7 @@ impl Receiver {
         // Stage 2b — verify: X-level consistency, then the incremental
         // end-to-end error detection.
         let group = &mut self.groups[slot];
-        if let Err(reason) = group.tpdu.absorb(&h, c.payload()) {
+        if let Err(reason) = group.tpdu.absorb(&self.layout, &h, c.payload()) {
             return self.group_failure_into(start, reason, out);
         }
         self.stats.chunks_accepted += 1;
@@ -857,7 +857,7 @@ impl Receiver {
                 .observe("wsc.runs_per_tpdu", group.tpdu.absorbed_runs());
         }
         self.release_held(slot, now);
-        self.groups.remove(slot).recycle();
+        self.groups.remove(start).recycle();
         self.stats.tpdus_delivered += 1;
         if self.obs_on {
             self.hot.tpdus_delivered.add(&*self.obs, 1);
@@ -884,15 +884,7 @@ impl Receiver {
             self.obs.span_open(now, deliver);
             self.obs.span_close(now, deliver);
         }
-        self.done.insert(start, done);
-        // A delivery at the watermark chains it through the delivered TPDUs
-        // that follow. A zero-element record would stand still: never
-        // followed.
-        if start == self.watermark {
-            while let Some(d) = self.done.get(&self.watermark).filter(|d| d.elements > 0) {
-                self.watermark += d.elements;
-            }
-        }
+        self.watermark = self.done.insert(start, done, self.watermark);
         out.push(RxEvent::TpduDelivered { start, elements });
         if self.closed {
             out.push(RxEvent::ConnectionClosed);
@@ -902,13 +894,12 @@ impl Receiver {
     /// Expires every incomplete group (fragment timeout at end of run),
     /// reporting each as a reassembly error, in ascending `start` order.
     pub fn expire_incomplete(&mut self) -> Vec<RxEvent> {
-        let mut starts: Vec<u64> = self
+        let starts: Vec<u64> = self
             .groups
             .iter()
             .filter(|(_, g)| g.tpdu.verdict().is_none())
             .map(|(s, _)| s)
             .collect();
-        starts.sort_unstable();
         let mut events = Vec::new();
         for s in starts {
             self.group_failure_into(s, FailureReason::ReassemblyError, &mut events);
@@ -919,13 +910,7 @@ impl Receiver {
     /// Builds the current acknowledgment, including the precise missing
     /// element ranges so the sender can retransmit sub-chunks only.
     pub fn make_ack(&self) -> AckInfo {
-        let mut sacks: Vec<u64> = self
-            .done
-            .keys()
-            .copied()
-            .filter(|&s| s >= self.watermark)
-            .collect();
-        sacks.sort_unstable();
+        let sacks = self.done.starts_from(self.watermark);
         let (gaps, need_ed) = ack_parts(self.groups.iter().map(|(s, g)| (s, &g.tpdu)));
         AckInfo {
             cumulative: self.watermark,
@@ -948,14 +933,11 @@ impl Receiver {
 
     /// Starts of groups that failed verification and need retransmission.
     pub fn failed_starts(&self) -> Vec<u64> {
-        let mut v: Vec<u64> = self
-            .groups
+        self.groups
             .iter()
             .filter(|(_, g)| matches!(g.tpdu.verdict(), Some(Err(_))))
             .map(|(s, _)| s)
-            .collect();
-        v.sort_unstable();
-        v
+            .collect()
     }
 
     /// Clears the state of a failed or incomplete group so a retransmission
@@ -968,8 +950,8 @@ impl Receiver {
             // land (tagged claims free without arithmetic on the span).
             self.claimed.release(start);
             self.free_staged(slot, start);
-            self.groups.remove(slot).recycle();
-        } else if start >= self.base && self.done.remove(&start).is_some() {
+            self.groups.remove(start).recycle();
+        } else if start >= self.base && self.done.remove(start) {
             // A delivered group: its heavy state is long recycled; drop the
             // verdict record and free the claims so the TPDU can be received
             // again. Everything below it is still delivered, so the
@@ -1035,7 +1017,7 @@ impl Receiver {
     /// code a parallel worker folds into its delivery transcript is exactly
     /// the one the ED comparison accepted.
     pub fn delivered_code(&self, start: u64) -> Option<chunks_wsc::Wsc2> {
-        self.done.get(&start).map(|d| d.code)
+        self.done.get(start).map(|d| d.code)
     }
 
     /// `(start, digest)` for every delivered TPDU not wholly released,
@@ -1043,13 +1025,10 @@ impl Receiver {
     /// differential harness compares across pipelines. A receiver that is
     /// never released lists every TPDU it delivered.
     pub fn delivered_digests(&self) -> Vec<(u64, [u8; 8])> {
-        let mut v: Vec<(u64, [u8; 8])> = self
-            .done
+        self.done
             .iter()
-            .map(|(&s, d)| (s, d.code.digest()))
-            .collect();
-        v.sort_unstable();
-        v
+            .map(|(s, d)| (s, d.code.digest()))
+            .collect()
     }
 }
 
@@ -1078,6 +1057,8 @@ mod tests {
     use crate::frame::Framer;
     use chunks_core::frag::split;
     use chunks_core::packet::pack;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     fn params() -> ConnectionParams {
         ConnectionParams {
@@ -1354,8 +1335,7 @@ mod tests {
     /// The sort-and-sweep the held watermark replaces: the end of the
     /// contiguous run of delivered TPDUs from element 0.
     fn swept_prefix(r: &Receiver) -> u64 {
-        let mut starts: Vec<(u64, u64)> = r.done.iter().map(|(&s, d)| (s, d.elements)).collect();
-        starts.sort_unstable();
+        let starts: Vec<(u64, u64)> = r.done.iter().map(|(s, d)| (s, d.elements)).collect();
         let mut cursor = 0;
         for (s, n) in starts {
             if s > cursor {
@@ -1428,7 +1408,7 @@ mod tests {
                 r.stats.data_touches,
                 [160, 160 + 5 * 20, 320][mode as usize]
             );
-            assert!(r.done.is_empty(), "released records go");
+            assert!(r.delivered_digests().is_empty(), "released records go");
             assert_eq!(r.claimed.fragments(), 0, "and their claims");
             assert!(r.make_ack().sacks.is_empty());
         }
@@ -1591,5 +1571,148 @@ mod tests {
             })
             .collect();
         assert_eq!(starts, [0, 8, 16, 24, 32]);
+    }
+
+    #[test]
+    fn a_group_slot_is_at_most_160_bytes() {
+        // Every reserved TPDU costs a slot, reserved or not in use; what is
+        // the same for the whole connection lives in the receiver instead.
+        let slot = std::mem::size_of::<Group>();
+        assert!(slot <= 160, "a group slot is {slot} B");
+    }
+
+    /// The delivered records as the `HashMap` the receiver once kept them
+    /// in: the oracle for [`Delivered`], start → (elements, digest).
+    #[derive(Default)]
+    struct DoneModel {
+        done: HashMap<u64, (u64, [u8; 8])>,
+        watermark: u64,
+        base: u64,
+    }
+
+    impl DoneModel {
+        fn deliver(&mut self, start: u64, elements: u64, digest: [u8; 8]) {
+            self.done.insert(start, (elements, digest));
+            if start == self.watermark {
+                while let Some(&(n, _)) = self.done.get(&self.watermark).filter(|d| d.0 > 0) {
+                    self.watermark += n;
+                }
+            }
+        }
+
+        fn reset(&mut self, start: u64) {
+            if start >= self.base && self.done.remove(&start).is_some() {
+                self.watermark = self.watermark.min(start);
+            }
+        }
+
+        fn release(&mut self, elements: u64) {
+            self.base += elements.min(self.watermark - self.base);
+            let base = self.base;
+            self.done.retain(|&s, d| s + d.0 > base);
+        }
+    }
+
+    #[derive(Clone, Copy, Debug)]
+    enum DoneOp {
+        Deliver(usize),
+        Reset(usize),
+        Release(u64),
+    }
+
+    const DONE_TPDUS: usize = 16;
+
+    fn done_op() -> impl Strategy<Value = DoneOp> {
+        (0u8..6, 0..DONE_TPDUS, 0u64..40).prop_map(|(w, i, n)| match w {
+            0..=2 => DoneOp::Deliver(i),
+            3 | 4 => DoneOp::Reset(i),
+            _ => DoneOp::Release(n),
+        })
+    }
+
+    /// Random ops; or every TPDU delivered from the last down, a random op
+    /// after each; or every TPDU delivered in order, each followed by a
+    /// random reset and a random release.
+    fn done_script() -> impl Strategy<Value = Vec<DoneOp>> {
+        let ops = vec(done_op(), DONE_TPDUS..3 * DONE_TPDUS);
+        let churn = vec((0..DONE_TPDUS, 0u64..40), DONE_TPDUS);
+        (0u8..3, ops, churn).prop_map(|(shape, ops, churn)| match shape {
+            0 => ops,
+            1 => (0..DONE_TPDUS)
+                .rev()
+                .zip(ops)
+                .flat_map(|(i, op)| [DoneOp::Deliver(i), op])
+                .collect(),
+            _ => (0..DONE_TPDUS)
+                .zip(churn)
+                .flat_map(|(i, (j, n))| [DoneOp::Deliver(i), DoneOp::Reset(j), DoneOp::Release(n)])
+                .collect(),
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 64 } else { 640 }))]
+
+        #[test]
+        fn delivered_records_agree_with_a_hashmap_model(script in done_script()) {
+            // Sixteen TPDUs of 8, each fed ED first and its data backwards
+            // in two pieces; the model sees only what the receiver reports
+            // delivered, and must agree on everything read back.
+            let data: Vec<u8> = (0..8 * DONE_TPDUS as u8).collect();
+            let tpdus = framed(&data);
+            let mut r = rx(DeliveryMode::Immediate);
+            let mut model = DoneModel::default();
+            for (now, &op) in script.iter().enumerate() {
+                match op {
+                    DoneOp::Deliver(i) => {
+                        let t = &tpdus[i];
+                        let (a, b) = split(&t.chunks[0], 3).unwrap();
+                        let mut events = Vec::new();
+                        for c in [t.ed.clone(), b, a] {
+                            r.handle_chunk_into(c, now as u64, &mut events);
+                        }
+                        let fresh = t.start >= model.base && !model.done.contains_key(&t.start);
+                        let want = fresh.then_some(RxEvent::TpduDelivered { start: t.start, elements: 8 });
+                        prop_assert_eq!(events.first(), want.as_ref(), "{:?}", op);
+                        prop_assert_eq!(events.len(), fresh as usize);
+                        if fresh {
+                            let digest = <[u8; 8]>::try_from(&t.ed.payload[..]).unwrap();
+                            model.deliver(t.start, 8, digest);
+                        }
+                    }
+                    DoneOp::Reset(i) => {
+                        r.reset_group(tpdus[i].start);
+                        model.reset(tpdus[i].start);
+                    }
+                    DoneOp::Release(n) => {
+                        r.release(n);
+                        model.release(n);
+                    }
+                }
+                prop_assert_eq!(r.verified_prefix(), model.watermark, "{:?}", op);
+                let mut want: Vec<(u64, [u8; 8])> =
+                    model.done.iter().map(|(&s, &(_, d))| (s, d)).collect();
+                want.sort_unstable();
+                prop_assert_eq!(r.delivered_digests(), want);
+                let mut sacks: Vec<u64> =
+                    model.done.keys().copied().filter(|&s| s >= model.watermark).collect();
+                sacks.sort_unstable();
+                prop_assert_eq!(r.make_ack().sacks, sacks);
+                for t in &tpdus {
+                    let held = model.done.get(&t.start);
+                    prop_assert_eq!(
+                        r.delivered_code(t.start).map(|c| c.digest()),
+                        held.map(|&(_, d)| d)
+                    );
+                    // A late chunk of a delivered TPDU is judged against its
+                    // end; any other start opens no group here.
+                    if let Some(&(elements, _)) = held {
+                        prop_assert_eq!(r.entered(t.start, now as u64), Err(elements));
+                    } else {
+                        prop_assert!(r.done.get(t.start).is_none());
+                    }
+                }
+            }
+        }
     }
 }

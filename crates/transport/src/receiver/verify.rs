@@ -17,7 +17,7 @@ use std::collections::HashMap;
 
 use chunks_core::chunk::ChunkHeader;
 use chunks_vreasm::{PduTracker, TrackEvent};
-use chunks_wsc::{InvariantError, InvariantLayout, TpduInvariant, Wsc2};
+use chunks_wsc::{InvariantError, InvariantLayout, InvariantState, Wsc2};
 
 use super::FailureReason;
 
@@ -50,49 +50,140 @@ pub(crate) struct Done {
     pub(crate) code: Wsc2,
 }
 
-/// Per-TPDU tracking and verification state.
+/// The records of delivered TPDUs, sorted by start. TPDUs mostly verify in
+/// order, so a delivery appends and a lookup past the newest record is one
+/// comparison; anything else is a binary search, and an out-of-order
+/// delivery or a reset moves the records above it. Delivered TPDUs own
+/// disjoint element ranges (their claims never overlap), so the records'
+/// ends ascend with their starts.
+#[derive(Debug, Default)]
+pub(crate) struct Delivered(Vec<(u64, Done)>);
+
+impl Delivered {
+    /// Where the record at `start` is (`Ok`), or where it would go (`Err`).
+    fn position(&self, start: u64) -> Result<usize, usize> {
+        match self.0.last() {
+            Some(&(last, _)) if last >= start => self.0.binary_search_by_key(&start, |&(s, _)| s),
+            _ => Err(self.0.len()),
+        }
+    }
+
+    /// The record of the TPDU delivered at `start`.
+    pub(crate) fn get(&self, start: u64) -> Option<&Done> {
+        let at = self.position(start).ok()?;
+        Some(&self.0[at].1)
+    }
+
+    /// Records the TPDU delivered at `start`, which must be absent, and
+    /// returns `watermark` carried on through it when it starts there: each
+    /// record from the new one on that starts where the watermark stands,
+    /// and holds an element, moves the watermark to its end. Records do not
+    /// overlap, so the one at the new watermark, if any, is the next.
+    pub(crate) fn insert(&mut self, start: u64, done: Done, mut watermark: u64) -> u64 {
+        let found = self.position(start);
+        debug_assert!(found.is_err(), "{start} is already delivered");
+        let (Ok(at) | Err(at)) = found;
+        self.0.insert(at, (start, done));
+        if start == watermark {
+            for (s, d) in &self.0[at..] {
+                if *s != watermark || d.elements == 0 {
+                    break;
+                }
+                watermark += d.elements;
+            }
+        }
+        watermark
+    }
+
+    /// Drops the record at `start`; true when there was one.
+    pub(crate) fn remove(&mut self, start: u64) -> bool {
+        let found = self.position(start);
+        if let Ok(at) = found {
+            self.0.remove(at);
+        }
+        found.is_ok()
+    }
+
+    /// Drops the records that lie wholly below `base` — a prefix, since
+    /// their ends ascend — handing each one's start to `gone`.
+    pub(crate) fn release(&mut self, base: u64, mut gone: impl FnMut(u64)) {
+        let n = self
+            .0
+            .iter()
+            .take_while(|(s, d)| s + d.elements <= base)
+            .count();
+        for (start, _) in self.0.drain(..n) {
+            gone(start);
+        }
+        debug_assert!(self.0.iter().all(|(s, d)| s + d.elements > base));
+    }
+
+    /// The starts at or above `from`, in order.
+    pub(crate) fn starts_from(&self, from: u64) -> Vec<u64> {
+        let at = self.0.partition_point(|&(s, _)| s < from);
+        self.0[at..].iter().map(|&(s, _)| s).collect()
+    }
+
+    /// `(start, record)` for every record, in start order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, &Done)> {
+        self.0.iter().map(|(s, d)| (*s, d))
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.0.clear();
+    }
+
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        self.0.reserve(additional);
+    }
+}
+
+/// Per-TPDU tracking and verification state. What every TPDU of the
+/// connection shares — the invariant's layout — the receiver keeps once and
+/// passes in.
 #[derive(Debug)]
 pub(crate) struct TpduEngine {
     tracker: PduTracker,
-    inv: TpduInvariant,
+    inv: InvariantState,
     /// `(X.ID, C.SN − X.SN)` of the first external PDU the TPDU carries
     /// (Table 1 consistency check) — the only one, for a TPDU cut from one
     /// external frame, so the common check hashes nothing.
     x_first: Option<(u32, u32)>,
-    /// `C.SN − X.SN` of every further external PDU id. Empty, and never
-    /// allocated, until a TPDU carries a second `X.ID`.
-    x_more: HashMap<u32, u32>,
+    /// `C.SN − X.SN` of every further external PDU id. Not allocated until
+    /// a TPDU carries a second `X.ID`; a recycled shell keeps it, cleared.
+    /// Boxed on purpose: 8 B in every group slot instead of a 48 B table
+    /// that only a TPDU spanning several external PDUs ever fills.
+    #[allow(clippy::box_collection)]
+    x_more: Option<Box<HashMap<u32, u32>>>,
     ed: Option<[u8; 8]>,
-    /// Elements absorbed into the invariant.
-    elements: u64,
     /// Out once: `Ok` when the ED comparison passed, else the first failure
     /// (sticky).
     verdict: Option<Result<(), FailureReason>>,
 }
 
 impl TpduEngine {
-    pub(crate) fn new(layout: InvariantLayout) -> Self {
+    pub(crate) fn new(layout: &InvariantLayout) -> Self {
         TpduEngine {
             tracker: PduTracker::new(),
-            inv: TpduInvariant::new(layout).expect("layout validated at framer"),
+            inv: InvariantState::new(layout).expect("layout validated at framer"),
             x_first: None,
-            x_more: HashMap::new(),
+            x_more: None,
             ed: None,
-            elements: 0,
             verdict: None,
         }
     }
 
     /// Re-arms the engine for another TPDU. Every container is cleared but
-    /// keeps its capacity (the tracker's interval slab recycles its nodes),
-    /// so a pooled engine opens its next TPDU without allocating.
+    /// keeps its capacity (the tracker's interval set, the spill table), so
+    /// a pooled engine opens its next TPDU without allocating.
     pub(crate) fn clear(&mut self) {
         self.tracker.clear();
         self.inv.reset();
         self.x_first = None;
-        self.x_more.clear();
+        if let Some(x_more) = &mut self.x_more {
+            x_more.clear();
+        }
         self.ed = None;
-        self.elements = 0;
         self.verdict = None;
     }
 
@@ -131,24 +222,30 @@ impl TpduEngine {
     /// Takes a tracked chunk into the verification state: X-level
     /// consistency (`C.SN − X.SN` constant per external PDU: the first delta
     /// an `X.ID` brought is the one its later chunks must repeat), then the
-    /// incremental end-to-end error detection.
-    pub(crate) fn absorb(&mut self, h: &ChunkHeader, payload: &[u8]) -> Result<(), FailureReason> {
+    /// incremental end-to-end error detection under `layout`.
+    pub(crate) fn absorb(
+        &mut self,
+        layout: &InvariantLayout,
+        h: &ChunkHeader,
+        payload: &[u8],
+    ) -> Result<(), FailureReason> {
         let x_delta = h.conn.sn.wrapping_sub(h.ext.sn);
         let (first_id, first_delta) = *self.x_first.get_or_insert((h.ext.id, x_delta));
         let held = if h.ext.id == first_id {
             first_delta
         } else {
-            *self.x_more.entry(h.ext.id).or_insert(x_delta)
+            let x_more = self.x_more.get_or_insert_with(Box::default);
+            *x_more.entry(h.ext.id).or_insert(x_delta)
         };
         if held != x_delta {
             return Err(FailureReason::Consistency);
         }
-        self.inv.absorb_chunk(h, payload).map_err(|e| match e {
-            InvariantError::IdMismatch => FailureReason::EdMismatch,
-            _ => FailureReason::BadChunk,
-        })?;
-        self.elements += h.len as u64;
-        Ok(())
+        self.inv
+            .absorb_chunk(layout, h, payload)
+            .map_err(|e| match e {
+                InvariantError::IdMismatch => FailureReason::EdMismatch,
+                _ => FailureReason::BadChunk,
+            })
     }
 
     /// Records the TPDU's ED chunk.
@@ -183,22 +280,25 @@ impl TpduEngine {
     }
 
     /// Elements the TPDU is known to span so far: what a failed TPDU is
-    /// re-nacked over, and what an eviction frees.
+    /// re-nacked over, and what an eviction frees. Every absorbed span was
+    /// tracked first, so the tracked elements cover the absorbed ones.
     pub(crate) fn span(&self) -> u64 {
-        self.elements.max(self.tracker.covered())
+        self.tracker.covered()
     }
 
-    /// The record a verified TPDU leaves behind.
+    /// The record a verified TPDU leaves behind. Every span the tracker
+    /// accepted was absorbed, or the group would have failed, so the tracked
+    /// elements are the absorbed ones.
     pub(crate) fn done(&self) -> Done {
-        debug_assert_eq!(self.tracker.known_end(), Some(self.elements));
+        debug_assert_eq!(self.tracker.known_end(), Some(self.tracker.covered()));
         Done {
-            elements: self.elements,
+            elements: self.tracker.covered(),
             code: self.inv.code(),
         }
     }
 
     /// Substitutes `new` for the held bytes `old` of `size`-byte elements
-    /// from `T.SN` `first` on (see [`TpduInvariant::patch_elements`]).
+    /// from `T.SN` `first` on (see [`InvariantState::patch_elements`]).
     pub(crate) fn patch(&mut self, size: u16, first: u64, old: &[u8], new: &[u8]) {
         self.inv.patch_elements(size, first, old, new);
     }

@@ -23,16 +23,31 @@ pub enum TrackEvent {
 ///
 /// Tracks which element sequence numbers `[sn, sn+len)` have been received
 /// and where the PDU ends (learned from the fragment whose stop bit is set).
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct PduTracker {
     /// A cleared set keeps its capacity, so a tracker recycled across
     /// TPDUs (the receiver's group slots) reaches steady state without
     /// touching the allocator.
     received: IntervalSet,
     /// One-past-the-last element SN, known once an ST-bearing fragment
-    /// arrives.
-    end: Option<u64>,
+    /// arrives; [`NO_END`] until then.
+    end: u64,
     duplicates: u64,
+}
+
+/// The end of a PDU whose stop has not arrived. No fragment can end there:
+/// an end is at most `u32::MAX` elements past an `SN` that is itself a
+/// 32-bit label.
+const NO_END: u64 = u64::MAX;
+
+impl Default for PduTracker {
+    fn default() -> Self {
+        PduTracker {
+            received: IntervalSet::new(),
+            end: NO_END,
+            duplicates: 0,
+        }
+    }
 }
 
 impl PduTracker {
@@ -46,10 +61,8 @@ impl PduTracker {
     pub fn offer(&mut self, sn: u64, len: u64, st: bool) -> TrackEvent {
         let end = sn + len;
         // Framing consistency first (Table 1 "Reassembly Error" rows).
-        if let Some(known_end) = self.end {
-            if end > known_end || (st && end != known_end) {
-                return TrackEvent::Inconsistent;
-            }
+        if self.end != NO_END && (end > self.end || (st && end != self.end)) {
+            return TrackEvent::Inconsistent;
         }
         if self.received.overlap(sn, end) > 0 {
             self.duplicates += 1;
@@ -59,7 +72,7 @@ impl PduTracker {
             if self.received.last_end().is_some_and(|e| e > end) {
                 return TrackEvent::Inconsistent;
             }
-            self.end = Some(end);
+            self.end = end;
         }
         self.received.insert(sn, end);
         TrackEvent::Accepted
@@ -69,13 +82,12 @@ impl PduTracker {
     /// *virtually reassembled* and (for instance) the incremental checksum
     /// is ready to compare (§3.3).
     pub fn is_complete(&self) -> bool {
-        self.end
-            .is_some_and(|end| self.received.is_contiguous_to(end))
+        self.end != NO_END && self.received.is_contiguous_to(self.end)
     }
 
     /// The PDU length in elements, once known.
     pub fn known_end(&self) -> Option<u64> {
-        self.end
+        (self.end != NO_END).then_some(self.end)
     }
 
     /// Elements received so far.
@@ -121,7 +133,7 @@ impl PduTracker {
 
     /// Missing element ranges (needs the end to be known for the tail gap).
     pub fn missing(&self) -> Vec<(u64, u64)> {
-        match self.end {
+        match self.known_end() {
             Some(end) => self.received.gaps(end),
             None => {
                 // Without the stop bit we only know about interior gaps.
@@ -136,7 +148,7 @@ impl PduTracker {
     /// without allocating.
     pub fn clear(&mut self) {
         self.received.clear();
-        self.end = None;
+        self.end = NO_END;
         self.duplicates = 0;
     }
 }

@@ -121,23 +121,21 @@ impl Error for InvariantError {}
 /// each element to — plus the stream's cached cursor weight. When chunks
 /// themselves arrive in order, the contiguity extends across chunk
 /// boundaries too.
+///
+/// The per-TPDU state is an [`InvariantState`]; this type pairs it with its
+/// layout.
 #[derive(Clone, Debug)]
 pub struct TpduInvariant {
     layout: InvariantLayout,
-    wsc: Wsc2Stream,
-    ids: Option<(u32, u32)>, // (T.ID, C.ID), encoded exactly once
+    state: InvariantState,
 }
 
 impl TpduInvariant {
     /// Creates an accumulator over `layout`.
     pub fn new(layout: InvariantLayout) -> Result<Self, InvariantError> {
-        if layout.max_pos() >= MAX_SYMBOLS {
-            return Err(InvariantError::LayoutTooLarge);
-        }
         Ok(TpduInvariant {
             layout,
-            wsc: Wsc2Stream::new(),
-            ids: None,
+            state: InvariantState::new(&layout)?,
         })
     }
 
@@ -152,20 +150,93 @@ impl TpduInvariant {
     }
 
     /// Re-arms the accumulator for a new TPDU under the same layout.
-    /// [`Wsc2Stream`] is plain `Copy` state, so a pooled receiver group can
-    /// reset its invariant without touching the heap.
     pub fn reset(&mut self) {
-        self.wsc = Wsc2Stream::new();
-        self.ids = None;
+        self.state.reset();
     }
 
-    /// Absorbs one data chunk of the TPDU.
+    /// Absorbs one data chunk of the TPDU (see
+    /// [`InvariantState::absorb_chunk`]).
+    pub fn absorb_chunk(
+        &mut self,
+        header: &ChunkHeader,
+        payload: &[u8],
+    ) -> Result<(), InvariantError> {
+        self.state.absorb_chunk(&self.layout, header, payload)
+    }
+
+    /// Replaces already-absorbed data (see
+    /// [`InvariantState::patch_elements`]).
+    pub fn patch_elements(&mut self, size: u16, first: u64, old: &[u8], new: &[u8]) {
+        self.state.patch_elements(size, first, old, new);
+    }
+
+    /// Folds another partial invariant of the **same TPDU**, accumulated
+    /// over a disjoint set of chunks, into this one (see
+    /// [`InvariantState::fold`]). Both partials must share the same layout.
+    pub fn fold(&mut self, other: &TpduInvariant) -> Result<(), InvariantError> {
+        debug_assert_eq!(
+            self.layout, other.layout,
+            "folded partials must share a layout"
+        );
+        self.state.fold(&self.layout, &other.state)
+    }
+
+    /// Non-empty WSC-2 runs absorbed so far (see [`Wsc2Stream::runs`]).
+    pub fn absorbed_runs(&self) -> u64 {
+        self.state.absorbed_runs()
+    }
+
+    /// The accumulated WSC-2 value.
+    pub fn code(&self) -> Wsc2 {
+        self.state.code()
+    }
+
+    /// Wire digest of the accumulated value (the ED chunk payload).
+    pub fn digest(&self) -> [u8; 8] {
+        self.state.digest()
+    }
+
+    /// Compares against a received digest.
+    pub fn matches(&self, digest: [u8; 8]) -> bool {
+        self.state.matches(digest)
+    }
+}
+
+/// The state one TPDU's invariant accumulates, without its layout: what a
+/// receiver keeps per open TPDU when every TPDU of the connection shares one
+/// [`InvariantLayout`], which the caller then passes to each call that
+/// places a symbol. [`TpduInvariant`] is this state paired with its layout.
+#[derive(Clone, Debug, Default)]
+pub struct InvariantState {
+    wsc: Wsc2Stream,
+    ids: Option<(u32, u32)>, // (T.ID, C.ID), encoded exactly once
+}
+
+impl InvariantState {
+    /// An empty state for TPDUs under `layout`, which must fit the WSC-2
+    /// code space.
+    pub fn new(layout: &InvariantLayout) -> Result<Self, InvariantError> {
+        if layout.max_pos() >= MAX_SYMBOLS {
+            return Err(InvariantError::LayoutTooLarge);
+        }
+        Ok(InvariantState::default())
+    }
+
+    /// Re-arms the state for a new TPDU. [`Wsc2Stream`] is plain `Copy`
+    /// state, so a pooled receiver group can reset its invariant without
+    /// touching the heap.
+    pub fn reset(&mut self) {
+        *self = InvariantState::default();
+    }
+
+    /// Absorbs one data chunk of the TPDU, placed by `layout`.
     ///
     /// The caller (the transport's virtual reassembly) is responsible for
     /// rejecting duplicates first; absorbing a chunk twice cancels its
     /// contribution and the final comparison fails — by design (§3.3).
     pub fn absorb_chunk(
         &mut self,
+        layout: &InvariantLayout,
         header: &ChunkHeader,
         payload: &[u8],
     ) -> Result<(), InvariantError> {
@@ -175,10 +246,10 @@ impl TpduInvariant {
         let spe = Wsc2::symbols_for_bytes(header.size as usize);
         let first = header.tpdu.sn as u64;
         let last = first + header.len as u64 - 1;
-        if (last + 1) * spe > self.layout.data_symbols {
+        if (last + 1) * spe > layout.data_symbols {
             return Err(InvariantError::DataOutOfRange {
                 t_sn: header.tpdu.sn.wrapping_add(header.len - 1),
-                capacity: self.layout.data_symbols / spe.max(1),
+                capacity: layout.data_symbols / spe.max(1),
             });
         }
 
@@ -186,8 +257,8 @@ impl TpduInvariant {
         match self.ids {
             None => {
                 self.ids = Some((header.tpdu.id, header.conn.id));
-                self.wsc.add_symbol(self.layout.tid_pos(), header.tpdu.id);
-                self.wsc.add_symbol(self.layout.cid_pos(), header.conn.id);
+                self.wsc.add_symbol(layout.tid_pos(), header.tpdu.id);
+                self.wsc.add_symbol(layout.cid_pos(), header.conn.id);
             }
             Some(ids) => {
                 if ids != (header.tpdu.id, header.conn.id) {
@@ -198,7 +269,7 @@ impl TpduInvariant {
 
         // C.ST: set at most once per TPDU, encoded as symbol value 1.
         if header.conn.st {
-            self.wsc.add_symbol(self.layout.cst_pos(), 1);
+            self.wsc.add_symbol(layout.cst_pos(), 1);
         }
 
         // (X.ID, X.ST) pair: triggered by the chunk's last element when it
@@ -206,7 +277,7 @@ impl TpduInvariant {
         // the last element, whose T.SN survives fragmentation.
         if header.ext.st || header.tpdu.st {
             let t_sn_last = header.tpdu.sn.wrapping_add(header.len - 1);
-            let base = self.layout.x_pair_pos(t_sn_last);
+            let base = layout.x_pair_pos(t_sn_last);
             self.wsc.add_symbol(base, header.ext.id);
             self.wsc.add_symbol(base + 1, header.ext.st as u32);
         }
@@ -239,9 +310,10 @@ impl TpduInvariant {
         self.wsc.add_elements(at, size as usize, new);
     }
 
-    /// Folds another partial invariant of the **same TPDU**, accumulated
-    /// over a disjoint set of chunks, into this one — the merge step that
-    /// makes the invariant computable by independent workers.
+    /// Folds another partial state of the **same TPDU** under the same
+    /// `layout`, accumulated over a disjoint set of chunks, into this one —
+    /// the merge step that makes the invariant computable by independent
+    /// workers.
     ///
     /// WSC-2 parities are sums, so data, `C.ST` and `(X.ID, X.ST)` symbols
     /// at disjoint positions add up exactly as a single accumulator would
@@ -252,13 +324,12 @@ impl TpduInvariant {
     ///
     /// Partials that saw chunks disagreeing on `T.ID`/`C.ID` surface as
     /// [`InvariantError::IdMismatch`], exactly as a serial accumulator would
-    /// have caught on the second chunk. Both partials must share the same
-    /// layout.
-    pub fn fold(&mut self, other: &TpduInvariant) -> Result<(), InvariantError> {
-        debug_assert_eq!(
-            self.layout, other.layout,
-            "folded partials must share a layout"
-        );
+    /// have caught on the second chunk.
+    pub fn fold(
+        &mut self,
+        layout: &InvariantLayout,
+        other: &InvariantState,
+    ) -> Result<(), InvariantError> {
         match (self.ids, other.ids) {
             (Some(a), Some(b)) => {
                 if a != b {
@@ -267,8 +338,8 @@ impl TpduInvariant {
                 self.wsc.fold(&other.wsc);
                 // Both partials contributed the (T.ID, C.ID) pair; the two
                 // copies cancelled, so add a third to leave exactly one.
-                self.wsc.add_symbol(self.layout.tid_pos(), a.0);
-                self.wsc.add_symbol(self.layout.cid_pos(), a.1);
+                self.wsc.add_symbol(layout.tid_pos(), a.0);
+                self.wsc.add_symbol(layout.cid_pos(), a.1);
             }
             (None, Some(b)) => {
                 self.wsc.fold(&other.wsc);

@@ -38,5 +38,5 @@ pub mod invariant;
 pub mod stream;
 
 pub use code::{Wsc2, MAX_SYMBOLS};
-pub use invariant::{InvariantError, InvariantLayout, TpduInvariant};
+pub use invariant::{InvariantError, InvariantLayout, InvariantState, TpduInvariant};
 pub use stream::Wsc2Stream;

@@ -72,8 +72,10 @@ test-parallel:
 # receivers, on hostile traces in every mode, policy and budget), the two
 # demux front-ends against each other over scripts that admit and retire
 # connections mid-stream (`ParallelReceiver` at 1, 2 and 4 workers on both
-# engines), the open-group slot table against a `HashMap` model, the
-# receiver unit tests (among them a reset Reorder group freeing its staging
+# engines), the open-group slot table against a `HashMap` model (random,
+# descending and middle-out starts) and the delivered records against one
+# (random, descending and interleaved reset/release orders; both run under
+# the `receiver::` filter), the receiver unit tests (among them a reset Reorder group freeing its staging
 # and its resend placed behind the cursor), one receiver across window
 # sizes (never released against released after every chunk, with the
 # watermark against the sort-and-sweep oracle, delivered bytes checked in
@@ -195,6 +197,22 @@ ab REF WORKLOAD='bulk-clean':
         done; \
         target/release/ledger compare target/ab-ref.$i.json target/ab-change.$i.json || exit 1; \
     done
+
+# Peak heap and wire efficiency against REF: both are exact for a seed, so
+# one `ledger run --seconds 1` per side settles them, where a wall-clock
+# figure needs `just ab`'s alternating pairs (the 1-second runs' timing rows
+# mean nothing). REF is checked out into a git worktree under target/ and
+# both ledgers are built; SEED replaces the ledger's default seed (a gain
+# must hold at a second one). `ledger compare` prints every workload's rows.
+heap REF SEED='':
+    git worktree remove --force target/heap-ref 2>/dev/null || true
+    git worktree add --detach target/heap-ref {{REF}}
+    cargo build --release -p chunks-ledger
+    cargo build --release -p chunks-ledger --manifest-path target/heap-ref/Cargo.toml
+    if [ -n "{{SEED}}" ]; then seed="--seed {{SEED}}"; else seed=""; fi; \
+    target/heap-ref/target/release/ledger run --seconds 1 $seed --out target/heap-ref.json > /dev/null || exit 1; \
+    target/release/ledger run --seconds 1 $seed --out target/heap-change.json > /dev/null || exit 1; \
+    target/release/ledger compare target/heap-ref.json target/heap-change.json
 
 # Every example, release mode. Each asserts its own result, so a non-zero
 # exit is a failure; `long_stream` carries 1 MiB through one `Receiver`

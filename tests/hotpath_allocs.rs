@@ -316,6 +316,24 @@ fn reserve_sizes_the_reorder_queue_in_reorder_mode_alone() {
 }
 
 #[test]
+fn a_reserved_connection_requests_its_ring_and_at_most_5_520_bytes_more() {
+    // The ledger's `many-flows-lossy` connection: an Immediate receiver of
+    // 8 KiB plus four 1 KiB TPDUs of application space, reserved for 16
+    // TPDUs in 96 runs. Past its ring it may request 16 group slots of at
+    // most 160 B, 16 entries of the start-ordered group index (16 B) and of
+    // the delivered records (24 B), 96 claim ranges (24 B) and the 16 B of
+    // its observability handle: 5 520 B.
+    let capacity = 12_288;
+    let held = || alloc_count::requested_bytes() - alloc_count::released_bytes();
+    let before = held();
+    let mut rx = Receiver::new(DeliveryMode::Immediate, params(1), layout(), capacity);
+    rx.reserve(16, 96);
+    let extra = held() - before - capacity;
+    assert!(extra <= 5_520, "{extra} B past the ring");
+    drop(rx);
+}
+
+#[test]
 fn demux_ingest_over_interleaved_connections_is_allocation_free() {
     // The serial many-connection front-end: `ConnectionDemux::ingest` routes
     // each chunk of a shared packet to its connection's receiver.
