@@ -200,17 +200,17 @@ pub const CATALOGUE: &[Spec] = &[
     histogram(
         "transport.rto.base_rto_ns",
         "ns",
-        "smoothed base RTO observed at each Session::pump",
+        "smoothed base RTO observed at each Session::pump_into",
     ),
     counter(
         "transport.rto.rtt_samples",
         "samples",
-        "Session::handle_packet took a Karn-admissible RTT sample from an ack",
+        "Session::handle_packet_into took a Karn-admissible RTT sample from an ack",
     ),
     counter(
         "transport.rto.shed_tpdus",
         "tpdus",
-        "Session::emit abandoned a TPDU after retry exhaustion under DegradePolicy::Shed",
+        "Session::pump_into abandoned a TPDU after retry exhaustion under DegradePolicy::Shed",
     ),
     counter(
         "transport.rto.timer_fires",
@@ -220,12 +220,12 @@ pub const CATALOGUE: &[Spec] = &[
     counter(
         "transport.rto.timer_retransmits",
         "tpdus",
-        "Session::emit repaired a TPDU because its retransmission timer fired",
+        "Session::pump_into repaired a TPDU because its retransmission timer fired",
     ),
     counter(
         "transport.rx.bad_packets",
         "packets",
-        "Receiver::handle_packet refused a packet the wire parser rejected",
+        "Receiver::handle_packet_into refused a packet the wire parser rejected",
     ),
     histogram(
         "transport.rx.buffered_bytes",
@@ -235,7 +235,7 @@ pub const CATALOGUE: &[Spec] = &[
     counter(
         "transport.rx.chunks_accepted",
         "chunks",
-        "Receiver::handle_chunk admitted a fresh data chunk into its group",
+        "the receiver admitted a fresh data chunk into its group",
     ),
     counter(
         "transport.rx.data_touches",
@@ -245,7 +245,7 @@ pub const CATALOGUE: &[Spec] = &[
     counter(
         "transport.rx.duplicate_chunks",
         "chunks",
-        "Receiver::handle_chunk discarded an already-covered data chunk",
+        "the receiver discarded an already-covered data chunk",
     ),
     counter(
         "transport.rx.holding_delay_ns",
@@ -270,27 +270,27 @@ pub const CATALOGUE: &[Spec] = &[
     counter(
         "transport.session.burst_deferrals",
         "tpdus",
-        "Session::emit deferred a repair TPDU to respect the per-pump burst cap",
+        "Session::pump_into deferred a repair TPDU to respect the per-pump burst cap",
     ),
     counter(
         "transport.session.dead_verdicts",
         "verdicts",
-        "Session::emit reached the sticky PeerUnreachable verdict under DegradePolicy::Abort",
+        "Session::pump_into reached the sticky PeerUnreachable verdict under DegradePolicy::Abort",
     ),
     counter(
         "transport.session.packets_emitted",
         "packets",
-        "packets Session::emit handed to the network this pump",
+        "packets Session::pump_into handed to the network this pump",
     ),
     counter(
         "transport.session.pressure_deferrals",
         "deferrals",
-        "Session::emit deferred a repair pass or due timer on peer budget back-pressure",
+        "Session::pump_into deferred a repair pass or due timer on peer budget back-pressure",
     ),
     counter(
         "transport.session.pumps",
         "calls",
-        "Session::pump invocations (one per virtual-clock tick)",
+        "Session::pump_into invocations (one per virtual-clock tick)",
     ),
     counter(
         "transport.table.admissions",

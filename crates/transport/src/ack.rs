@@ -47,9 +47,8 @@ impl AckInfo {
         end <= self.cumulative || self.sacks.contains(&start)
     }
 
-    /// Encodes the ack payload.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(12 + self.sacks.len() * 8 + self.gaps.len() * 16);
+    /// Appends the encoded ack payload to `out`.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.cumulative.to_be_bytes());
         out.extend_from_slice(&(self.sacks.len() as u16).to_be_bytes());
         for s in &self.sacks {
@@ -65,7 +64,6 @@ impl AckInfo {
             out.extend_from_slice(&s.to_be_bytes());
         }
         out.push(self.pressure as u8);
-        out
     }
 
     /// Decodes an ack payload.
@@ -164,19 +162,22 @@ impl AckInfo {
     /// one chunk's 16-bit `SIZE` keeps the entries nearest its cumulative
     /// point.
     pub fn to_chunk(&self, conn_id: u32) -> Chunk {
-        let payload = self.within(u16::MAX as usize).encode();
-        Chunk::new(
-            ChunkHeader::control(
-                ChunkType::Ack,
-                payload.len() as u16,
-                FramingTuple::new(conn_id, 0, false),
-                FramingTuple::new(0, 0, false),
-                FramingTuple::new(0, 0, false),
-            ),
-            Bytes::from(payload),
-        )
-        .expect("ack chunk is consistent")
+        let mut payload = Vec::new();
+        self.within(u16::MAX as usize).encode_into(&mut payload);
+        Chunk::new(label(conn_id, payload.len()), Bytes::from(payload))
+            .expect("ack chunk is consistent")
     }
+}
+
+/// The label of an ack chunk for `conn_id` whose payload is `len` bytes.
+pub(crate) fn label(conn_id: u32, len: usize) -> ChunkHeader {
+    ChunkHeader::control(
+        ChunkType::Ack,
+        len as u16,
+        FramingTuple::new(conn_id, 0, false),
+        FramingTuple::new(0, 0, false),
+        FramingTuple::new(0, 0, false),
+    )
 }
 
 #[cfg(test)]
@@ -195,7 +196,9 @@ mod tests {
                 pressure: true,
             },
         ] {
-            assert_eq!(AckInfo::decode(&ack.encode()), Some(ack.clone()));
+            let mut buf = Vec::new();
+            ack.encode_into(&mut buf);
+            assert_eq!(AckInfo::decode(&buf), Some(ack.clone()));
             let c = ack.to_chunk(7);
             assert_eq!(c.header.ty, ChunkType::Ack);
             assert_eq!(AckInfo::decode(&c.payload), Some(ack));
@@ -211,7 +214,8 @@ mod tests {
             need_ed: vec![40],
             pressure: false,
         };
-        let buf = ack.encode();
+        let mut buf = Vec::new();
+        ack.encode_into(&mut buf);
         assert_eq!(AckInfo::decode(&buf[..buf.len() - 1]), None);
         assert_eq!(AckInfo::decode(&buf[..4]), None);
         // The pressure byte is strictly 0 or 1.

@@ -23,8 +23,8 @@
 //!   so one receiver carries a connection of any length (§2);
 //! * [`ack`] — acknowledgment encoding so sender and receiver close the
 //!   error-control loop;
-//! * [`mux`] — packets shared by multiple connections, data, signals and
-//!   piggybacked acks (Appendix A), and TYPE-field demultiplexing;
+//! * [`mux`] — TYPE-field demultiplexing of packets shared by multiple
+//!   connections, data, signals and piggybacked acks (Appendix A);
 //! * [`conn`] — connection establishment/teardown signalling that carries
 //!   the parameters compressed headers rely on (Appendix A);
 //! * [`rto`] — the reliability layer's timer half: deterministic
@@ -63,8 +63,9 @@
 //! });
 //! let mut rx = Receiver::new(DeliveryMode::Immediate, params, layout, 1024);
 //! tx.submit_simple(b"chunks process on arrival", 0xA, false);
+//! let mut events = Vec::new();
 //! for packet in tx.packets_for_pending().unwrap() {
-//!     rx.handle_packet(&packet, 0);
+//!     rx.handle_packet_into(&packet, 0, &mut events);
 //! }
 //! assert_eq!(&rx.app_data()[..25], b"chunks process on arrival");
 //! ```
@@ -89,7 +90,7 @@ pub use budget::{GlobalBudget, ResourceBudget};
 pub use conn::{ConnectionParams, Signal};
 pub use frame::{AlfFrame, Framer, Tpdu};
 pub use mtu::MtuProbe;
-pub use mux::{ConnectionDemux, DemuxEvent, PacketMux};
+pub use mux::{ConnectionDemux, DemuxEvent};
 pub use parallel::{
     shard_of, ConnSpec, ControlEvent, ControlKind, DispatchStats, Engine, ParallelOutcome,
     ParallelReceiver, Schedule, StageTimings, SyncSnapshot,

@@ -1,11 +1,15 @@
-//! Packet multiplexing and TYPE-field demultiplexing (Appendix A).
+//! TYPE-field demultiplexing of shared packets (Appendix A).
 //!
 //! "Packets are utilized more efficiently if multiple chunks can be carried
 //! in a packet … this idea can be extended to packets that carry chunks
 //! from multiple connections. Data, signaling information, and
 //! acknowledgments can be combined in any combination" — which gives an
 //! error-control protocol the efficiency of piggybacked acknowledgments
-//! *without designing piggybacking into the protocol*.
+//! *without designing piggybacking into the protocol*. The send side needs
+//! no multiplexer for that: chunks of any kind and connection share packets
+//! through [`pack`](chunks_core::packet::pack), and a
+//! [`Session`](crate::Session) puts its ack into the free room of its own
+//! data packets.
 //!
 //! On the receive side, "chunks … can be demultiplexed via the TYPE field
 //! and routed to the appropriate processing units"; [`ConnectionDemux`]
@@ -14,65 +18,14 @@
 
 use std::sync::Arc;
 
-use chunks_core::chunk::Chunk;
-use chunks_core::error::CoreError;
 use chunks_core::label::ChunkType;
-use chunks_core::packet::{pack, Packet};
+use chunks_core::packet::Packet;
 use chunks_obs::{ObsSink, ShardSink};
 
 use crate::ack::AckInfo;
 use crate::conn::Signal;
 use crate::receiver::{chunk_walk, Receiver, RxEvent, WireChunk};
 use crate::table::{ConnTable, TableConfig};
-
-/// Collects chunks from any number of sources — data from several
-/// connections, acks travelling the reverse direction, signalling — and
-/// packs them into shared packets.
-#[derive(Debug)]
-pub struct PacketMux {
-    mtu: usize,
-    queue: Vec<Chunk>,
-}
-
-impl PacketMux {
-    /// Creates a multiplexer for packets of at most `mtu` bytes.
-    pub fn new(mtu: usize) -> Self {
-        PacketMux {
-            mtu,
-            queue: Vec::new(),
-        }
-    }
-
-    /// Number of chunks waiting.
-    pub fn pending(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Queues data (or any pre-built) chunks.
-    pub fn enqueue_chunks(&mut self, chunks: impl IntoIterator<Item = Chunk>) {
-        self.queue.extend(chunks);
-    }
-
-    /// Queues an acknowledgment for `conn_id` — it will ride whatever
-    /// packet has room (piggybacking for free). An ack too long for one
-    /// packet keeps the entries nearest its cumulative point: a dropped
-    /// SACK, gap or `need_ed` entry costs a retransmission, never a false
-    /// acknowledgment.
-    pub fn enqueue_ack(&mut self, conn_id: u32, ack: &AckInfo) {
-        let room = self.mtu.saturating_sub(chunks_core::WIRE_HEADER_LEN);
-        self.queue.push(ack.within(room).to_chunk(conn_id));
-    }
-
-    /// Queues a connection signal.
-    pub fn enqueue_signal(&mut self, signal: &Signal) {
-        self.queue.push(signal.to_chunk());
-    }
-
-    /// Packs everything queued into packets and clears the queue.
-    pub fn flush(&mut self) -> Result<Vec<Packet>, CoreError> {
-        pack(std::mem::take(&mut self.queue), self.mtu)
-    }
-}
 
 /// Events a demultiplexer surfaces beyond per-connection receiver events.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -262,7 +215,8 @@ mod tests {
     use crate::conn::ConnectionParams;
     use crate::receiver::DeliveryMode;
     use crate::sender::{Sender, SenderConfig};
-    use chunks_core::packet::unpack;
+    use chunks_core::chunk::Chunk;
+    use chunks_core::packet::{pack, unpack};
     use chunks_wsc::InvariantLayout;
 
     fn params(conn_id: u32) -> ConnectionParams {
@@ -276,6 +230,12 @@ mod tests {
 
     fn layout() -> InvariantLayout {
         InvariantLayout::with_data_symbols(1024)
+    }
+
+    /// The chunks of a sender's first transmission.
+    fn chunks(tx: &Sender) -> Vec<Chunk> {
+        let packets = tx.packets_for_pending().unwrap();
+        packets.iter().flat_map(|p| unpack(p).unwrap()).collect()
     }
 
     fn sender(conn_id: u32) -> Sender {
@@ -295,13 +255,7 @@ mod tests {
         tx1.submit_simple(b"alpha___", 0xA, false);
         tx2.submit_simple(b"beta____", 0xB, false);
 
-        let mut mux = PacketMux::new(1500);
-        for tx in [&tx1, &tx2] {
-            for p in tx.packets_for_pending().unwrap() {
-                mux.enqueue_chunks(unpack(&p).unwrap());
-            }
-        }
-        let packets = mux.flush().unwrap();
+        let packets = pack([chunks(&tx1), chunks(&tx2)].concat(), 1500).unwrap();
         assert_eq!(packets.len(), 1, "both connections share one envelope");
 
         let mut demux = ConnectionDemux::new();
@@ -343,12 +297,9 @@ mod tests {
             need_ed: vec![],
             pressure: false,
         };
-        let mut mux = PacketMux::new(1500);
-        for p in tx.packets_for_pending().unwrap() {
-            mux.enqueue_chunks(unpack(&p).unwrap());
-        }
-        mux.enqueue_ack(9, &ack);
-        let packets = mux.flush().unwrap();
+        let mut queue = chunks(&tx);
+        queue.push(ack.to_chunk(9));
+        let packets = pack(queue, 1500).unwrap();
         assert_eq!(packets.len(), 1, "ack costs no extra packet");
 
         let mut demux = ConnectionDemux::new();
@@ -379,9 +330,7 @@ mod tests {
             initial_csn: 0,
             tpdu_elements: 128,
         });
-        let mut mux = PacketMux::new(1500);
-        mux.enqueue_signal(&sig);
-        let packets = mux.flush().unwrap();
+        let packets = pack(vec![sig.to_chunk()], 1500).unwrap();
         let mut demux = ConnectionDemux::new();
         let mut events = Vec::new();
         demux.ingest(&packets[0], 0, &mut events);
@@ -414,7 +363,7 @@ mod tests {
         let staged = || {
             let mut rx = Receiver::new(DeliveryMode::Reorder, params(5), layout(), 256)
                 .with_budget(ResourceBudget::default().with_global(Arc::clone(&pool)));
-            rx.handle_chunk(tpdus[1].chunks[0].clone(), 0);
+            rx.handle_chunk_into(tpdus[1].chunks[0].clone(), 0, &mut Vec::new());
             assert_eq!(rx.stats.buffered_bytes, 8);
             rx
         };
@@ -425,12 +374,5 @@ mod tests {
         assert_eq!(pool.held_bytes(), 8, "the replaced receiver's bytes");
         drop(demux);
         assert_eq!(pool.held_bytes(), 0, "the dropped receiver's bytes");
-    }
-
-    #[test]
-    fn empty_mux_flushes_nothing() {
-        let mut mux = PacketMux::new(1500);
-        assert!(mux.flush().unwrap().is_empty());
-        assert_eq!(mux.pending(), 0);
     }
 }

@@ -168,12 +168,10 @@ mod tests {
         let sink = chunks_obs::Recorder::verbose_tier(chunks_obs::DEFAULT_TRACE_CAPACITY);
         let mut r = Receiver::new(DeliveryMode::Immediate, params(), layout(), 1 << 16)
             .with_obs(sink.clone());
-        r.handle_packet(
-            &Packet {
-                bytes: frame.into(),
-            },
-            0,
-        );
+        let packet = Packet {
+            bytes: frame.into(),
+        };
+        r.handle_packet_into(&packet, 0, &mut Vec::new());
         let tags = sink
             .events()
             .iter()

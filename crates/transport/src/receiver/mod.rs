@@ -530,15 +530,8 @@ impl Receiver {
         Ok(slot)
     }
 
-    /// Handles one arriving packet at time `now`.
-    pub fn handle_packet(&mut self, packet: &Packet, now: u64) -> Vec<RxEvent> {
-        let mut events = Vec::new();
-        self.handle_packet_into(packet, now, &mut events);
-        events
-    }
-
-    /// [`Self::handle_packet`], appending events into a caller-owned buffer
-    /// — the allocation-free form the hot path uses.
+    /// Handles one arriving packet at time `now`, appending its events to
+    /// `out`.
     pub fn handle_packet_into(&mut self, packet: &Packet, now: u64, out: &mut Vec<RxEvent>) {
         self.last_now = now;
         self.packet_inner(packet, now, out);
@@ -575,14 +568,7 @@ impl Receiver {
         }
     }
 
-    /// Handles one chunk at time `now`.
-    pub fn handle_chunk(&mut self, chunk: Chunk, now: u64) -> Vec<RxEvent> {
-        let mut events = Vec::new();
-        self.handle_chunk_into(chunk, now, &mut events);
-        events
-    }
-
-    /// [`Self::handle_chunk`], appending events into a caller-owned buffer.
+    /// Handles one chunk at time `now`, appending its events to `out`.
     pub fn handle_chunk_into(&mut self, chunk: Chunk, now: u64, out: &mut Vec<RxEvent>) {
         self.handle_wire_into(WireChunk::of(&chunk), now, out);
     }
@@ -910,15 +896,24 @@ impl Receiver {
     /// Builds the current acknowledgment, including the precise missing
     /// element ranges so the sender can retransmit sub-chunks only.
     pub fn make_ack(&self) -> AckInfo {
+        let mut ack = AckInfo::default();
+        self.make_ack_into(&mut ack);
+        ack
+    }
+
+    /// [`Self::make_ack`] into `ack`, whose lists keep their capacity.
+    pub fn make_ack_into(&self, ack: &mut AckInfo) {
         let sacks = self.done.starts_from(self.watermark);
-        let (gaps, need_ed) = ack_parts(self.groups.iter().map(|(s, g)| (s, &g.tpdu)));
-        AckInfo {
-            cumulative: self.watermark,
-            sacks,
-            gaps,
-            need_ed,
-            pressure: self.under_pressure(),
-        }
+        ack.cumulative = self.watermark;
+        ack.sacks.clear();
+        // Exactly sized, as a fresh ack's list is.
+        ack.sacks.reserve_exact(sacks.len());
+        ack.sacks.extend(sacks);
+        ack.gaps.clear();
+        ack.need_ed.clear();
+        let groups = self.groups.iter().map(|(s, g)| (s, &g.tpdu));
+        ack_parts(groups, &mut ack.gaps, &mut ack.need_ed);
+        ack.pressure = self.under_pressure();
     }
 
     /// The typed budget-exhaustion error, once any bytes have been shed.
@@ -1081,6 +1076,20 @@ mod tests {
         Framer::new(params(), layout()).frame_simple(data, 0xF, false)
     }
 
+    /// One chunk's events.
+    fn feed(r: &mut Receiver, c: Chunk, now: u64) -> Vec<RxEvent> {
+        let mut events = Vec::new();
+        r.handle_chunk_into(c, now, &mut events);
+        events
+    }
+
+    /// One packet's events.
+    fn feed_packet(r: &mut Receiver, p: &Packet, now: u64) -> Vec<RxEvent> {
+        let mut events = Vec::new();
+        r.handle_packet_into(p, now, &mut events);
+        events
+    }
+
     #[test]
     fn in_order_delivery_immediate() {
         let mut r = rx(DeliveryMode::Immediate);
@@ -1088,7 +1097,7 @@ mod tests {
         let mut delivered = 0;
         for t in &tpdus {
             for c in t.all_chunks() {
-                for e in r.handle_chunk(c, 0) {
+                for e in feed(&mut r, c, 0) {
                     if matches!(e, RxEvent::TpduDelivered { .. }) {
                         delivered += 1;
                     }
@@ -1114,7 +1123,7 @@ mod tests {
         let (b, c) = split(&rest, 2).unwrap();
         let mut events = Vec::new();
         for chunk in [t.ed.clone(), c, b, a] {
-            events.extend(r.handle_chunk(chunk, 0));
+            events.extend(feed(&mut r, chunk, 0));
         }
         assert!(events.iter().any(|e| matches!(
             e,
@@ -1132,7 +1141,7 @@ mod tests {
         let mut r = rx(DeliveryMode::Reassemble);
         let tpdus = framed(b"abcdefgh");
         for c in tpdus[0].all_chunks() {
-            r.handle_chunk(c, 0);
+            feed(&mut r, c, 0);
         }
         assert_eq!(&r.app_data()[..8], b"abcdefgh");
         assert_eq!(r.stats.data_touches, 16, "buffer write + final copy");
@@ -1145,7 +1154,7 @@ mod tests {
         let mut r = rx(DeliveryMode::Reorder);
         let tpdus = framed(b"abcdefgh");
         for c in tpdus[0].all_chunks() {
-            r.handle_chunk(c, 0);
+            feed(&mut r, c, 0);
         }
         assert_eq!(r.stats.data_touches, 8);
         assert_eq!(&r.app_data()[..8], b"abcdefgh");
@@ -1157,10 +1166,10 @@ mod tests {
         let tpdus = framed(b"abcdefgh");
         let t = &tpdus[0];
         let (a, b) = split(&t.chunks[0], 4).unwrap();
-        r.handle_chunk(b, 10); // out of order: staged
+        feed(&mut r, b, 10); // out of order: staged
         assert_eq!(r.stats.buffered_bytes, 4);
-        r.handle_chunk(a, 20); // fills the gap, drains the queue
-        r.handle_chunk(t.ed.clone(), 30);
+        feed(&mut r, a, 20); // fills the gap, drains the queue
+        feed(&mut r, t.ed.clone(), 30);
         assert_eq!(&r.app_data()[..8], b"abcdefgh");
         assert_eq!(r.stats.buffered_bytes, 0);
         assert_eq!(r.stats.data_touches, 8 + 4, "staged bytes touched twice");
@@ -1176,8 +1185,8 @@ mod tests {
         let mut raw = bad.payload.to_vec();
         raw[2] ^= 0x10;
         bad.payload = raw.into();
-        let mut events = r.handle_chunk(bad, 0);
-        events.extend(r.handle_chunk(t.ed.clone(), 0));
+        let mut events = feed(&mut r, bad, 0);
+        events.extend(feed(&mut r, t.ed.clone(), 0));
         assert!(events.iter().any(|e| matches!(
             e,
             RxEvent::TpduFailed {
@@ -1192,9 +1201,9 @@ mod tests {
         let mut r = rx(DeliveryMode::Immediate);
         let tpdus = framed(b"abcdefgh");
         let t = &tpdus[0];
-        let mut events = r.handle_chunk(t.chunks[0].clone(), 0);
-        events.extend(r.handle_chunk(t.chunks[0].clone(), 0));
-        events.extend(r.handle_chunk(t.ed.clone(), 0));
+        let mut events = feed(&mut r, t.chunks[0].clone(), 0);
+        events.extend(feed(&mut r, t.chunks[0].clone(), 0));
+        events.extend(feed(&mut r, t.ed.clone(), 0));
         assert_eq!(r.stats.duplicate_chunks, 1);
         assert!(
             events
@@ -1213,14 +1222,14 @@ mod tests {
         let mut raw = bad.payload.to_vec();
         raw[0] ^= 1;
         bad.payload = raw.into();
-        r.handle_chunk(bad, 0);
-        r.handle_chunk(t.ed.clone(), 0);
+        feed(&mut r, bad, 0);
+        feed(&mut r, t.ed.clone(), 0);
         assert_eq!(r.failed_starts(), vec![0]);
         // Retransmit with identical identifiers after resetting the group.
         r.reset_group(0);
         let mut events = Vec::new();
         for c in t.all_chunks() {
-            events.extend(r.handle_chunk(c, 1));
+            events.extend(feed(&mut r, c, 1));
         }
         assert!(events
             .iter()
@@ -1236,7 +1245,7 @@ mod tests {
         let packets = pack(chunks, 64).unwrap();
         let mut delivered = 0;
         for p in &packets {
-            for e in r.handle_packet(p, 0) {
+            for e in feed_packet(&mut r, p, 0) {
                 if matches!(e, RxEvent::TpduDelivered { .. }) {
                     delivered += 1;
                 }
@@ -1253,7 +1262,7 @@ mod tests {
                                         // Deliver TPDU 0 and TPDU 2, skip TPDU 1.
         for t in [&tpdus[0], &tpdus[2]] {
             for c in t.all_chunks() {
-                r.handle_chunk(c, 0);
+                feed(&mut r, c, 0);
             }
         }
         let ack = r.make_ack();
@@ -1269,7 +1278,7 @@ mod tests {
         let tpdus = framed(&[7u8; 24]);
         for t in [&tpdus[0], &tpdus[2]] {
             for c in t.all_chunks() {
-                r.handle_chunk(c, 0);
+                feed(&mut r, c, 0);
             }
         }
         r.reset_group(16);
@@ -1305,24 +1314,24 @@ mod tests {
             let (t0, t1) = (&tpdus[0], &tpdus[1]);
             let (a, b) = split(&t1.chunks[0], 3).unwrap();
             for c in [flipped(&b), a, t1.ed.clone()] {
-                r.handle_chunk(c, 0);
+                feed(&mut r, c, 0);
             }
             assert_eq!(r.failed_starts(), [8], "{mode:?}");
             r.reset_group(8);
             assert_eq!(r.stats.buffered_bytes, 0, "{mode:?}: reset frees staging");
 
             for c in [flipped(&t0.chunks[0]), t0.ed.clone()] {
-                r.handle_chunk(c, 1);
+                feed(&mut r, c, 1);
             }
             let (a, b) = split(&t1.chunks[0], 5).unwrap();
             for c in [a, b, t1.ed.clone()] {
-                r.handle_chunk(c, 2);
+                feed(&mut r, c, 2);
             }
             assert_eq!(r.failed_starts(), [0], "{mode:?}");
             r.reset_group(0);
             let (a, b) = split(&t0.chunks[0], 2).unwrap();
             for c in [b, a, t0.ed.clone()] {
-                r.handle_chunk(c, 3);
+                feed(&mut r, c, 3);
             }
 
             assert_eq!(&r.app_data()[..16], data, "{mode:?}");
@@ -1366,7 +1375,7 @@ mod tests {
                 lowered += (r.verified_prefix() < before) as u32;
             } else {
                 for c in t.all_chunks() {
-                    r.handle_chunk(c, 0);
+                    feed(&mut r, c, 0);
                 }
             }
             assert_eq!(r.verified_prefix(), swept_prefix(&r));
@@ -1394,7 +1403,7 @@ mod tests {
             for t in Framer::new(p, layout()).frame_simple(&data, 0xF, false) {
                 let (a, b) = split(&t.chunks[0], 3).unwrap();
                 for c in [t.ed.clone(), b, a] {
-                    r.handle_chunk(c, 0);
+                    feed(&mut r, c, 0);
                 }
                 let (head, tail) = r.readable();
                 let n = (head.len() + tail.len()) as u64;
@@ -1419,7 +1428,7 @@ mod tests {
         let mut r = rx(DeliveryMode::Immediate);
         let tpdus = framed(b"abcdefgh12345678");
         for c in tpdus[0].all_chunks() {
-            r.handle_chunk(c, 0);
+            feed(&mut r, c, 0);
         }
         r.release(3);
         assert_eq!(r.readable(), (&b"defgh"[..], &b""[..]));
@@ -1431,7 +1440,7 @@ mod tests {
         // A quiesced shell starts over at element 0 of the same labels.
         r.quiesce();
         for c in tpdus.iter().flat_map(|t| t.all_chunks()) {
-            r.handle_chunk(c, 1);
+            feed(&mut r, c, 1);
         }
         assert_eq!(r.readable(), (&b"abcdefgh12345678"[..], &b""[..]));
         assert_eq!(r.stats.stale_chunks, 0);
@@ -1443,13 +1452,13 @@ mod tests {
         let tpdus = framed(&[7u8; 16]); // two TPDUs of 8
                                         // Deliver TPDU 0 intact.
         for c in tpdus[0].all_chunks() {
-            r.handle_chunk(c, 0);
+            feed(&mut r, c, 0);
         }
         // TPDU 1's chunk with corrupted C.SN pointing into TPDU 0's range
         // (misaligned, so it is not mistaken for a benign duplicate).
         let mut bad = tpdus[1].chunks[0].clone();
         bad.header.conn.sn = bad.header.conn.sn.wrapping_sub(3);
-        let events = r.handle_chunk(bad, 0);
+        let events = feed(&mut r, bad, 0);
         assert!(events.iter().any(|e| matches!(
             e,
             RxEvent::TpduFailed {
@@ -1466,8 +1475,8 @@ mod tests {
         let t = &tpdus[0];
         let (a, mut b) = split(&t.chunks[0], 4).unwrap();
         b.header.ext.sn = b.header.ext.sn.wrapping_add(3);
-        let mut events = r.handle_chunk(a, 0);
-        events.extend(r.handle_chunk(b, 0));
+        let mut events = feed(&mut r, a, 0);
+        events.extend(feed(&mut r, b, 0));
         assert!(events.iter().any(|e| matches!(
             e,
             RxEvent::TpduFailed {
@@ -1486,9 +1495,9 @@ mod tests {
         // Corrupt T.SN: the chunk claims a different in-TPDU position, so
         // it lands in a ghost group that never completes.
         b.header.tpdu.sn = b.header.tpdu.sn.wrapping_add(2);
-        r.handle_chunk(a, 0);
-        r.handle_chunk(b, 0);
-        r.handle_chunk(t.ed.clone(), 0);
+        feed(&mut r, a, 0);
+        feed(&mut r, b, 0);
+        feed(&mut r, t.ed.clone(), 0);
         let events = r.expire_incomplete();
         assert!(events.iter().any(|e| matches!(
             e,
@@ -1508,8 +1517,8 @@ mod tests {
         let t = &tpdus[0];
         let mut bad = t.chunks[0].clone();
         bad.header.tpdu.id ^= 0x55;
-        let mut events = r.handle_chunk(bad, 0);
-        events.extend(r.handle_chunk(t.ed.clone(), 0));
+        let mut events = feed(&mut r, bad, 0);
+        events.extend(feed(&mut r, t.ed.clone(), 0));
         assert!(events.iter().any(|e| matches!(
             e,
             RxEvent::TpduFailed {
@@ -1525,7 +1534,7 @@ mod tests {
         let tpdus = Framer::new(params(), layout()).frame_simple(b"abcdefgh", 0xF, true);
         let mut events = Vec::new();
         for c in tpdus[0].all_chunks() {
-            events.extend(r.handle_chunk(c, 0));
+            events.extend(feed(&mut r, c, 0));
         }
         assert!(events.contains(&RxEvent::ConnectionClosed));
         assert!(r.is_closed());
@@ -1538,7 +1547,7 @@ mod tests {
         let mut bad = tpdus[0].chunks[0].clone();
         bad.header.size = 2;
         bad.header.len = 4;
-        let events = r.handle_chunk(bad, 0);
+        let events = feed(&mut r, bad, 0);
         assert!(events.iter().any(|e| matches!(
             e,
             RxEvent::TpduFailed {
@@ -1557,7 +1566,7 @@ mod tests {
         let expire = || {
             let mut r = rx(DeliveryMode::Reassemble);
             for i in [3, 0, 4, 1, 2] {
-                r.handle_chunk(split(&tpdus[i].chunks[0], 5).unwrap().0, 0);
+                feed(&mut r, split(&tpdus[i].chunks[0], 5).unwrap().0, 0);
             }
             r.expire_incomplete()
         };

@@ -119,9 +119,9 @@ impl Delivered {
     }
 
     /// The starts at or above `from`, in order.
-    pub(crate) fn starts_from(&self, from: u64) -> Vec<u64> {
+    pub(crate) fn starts_from(&self, from: u64) -> impl ExactSizeIterator<Item = u64> + '_ {
         let at = self.0.partition_point(|&(s, _)| s < from);
-        self.0[at..].iter().map(|&(s, _)| s).collect()
+        self.0[at..].iter().map(|&(s, _)| s)
     }
 
     /// `(start, record)` for every record, in start order.
@@ -314,16 +314,16 @@ impl TpduEngine {
     }
 }
 
-/// The open TPDUs' contribution to an acknowledgment, `(gaps, need_ed)`,
-/// both sorted: a failed TPDU must come again whole, an incomplete one names
+/// The open TPDUs' contribution to an acknowledgment, appended to `gaps`
+/// and `need_ed` and both sorted: a failed TPDU must come again whole, an incomplete one names
 /// its precise missing ranges, a complete one without its digest asks for
 /// the ED chunk alone. Verified TPDUs contribute nothing here (they are
 /// SACKed or cumulative).
 pub(crate) fn ack_parts<'a>(
     groups: impl Iterator<Item = (u64, &'a TpduEngine)>,
-) -> (Vec<(u64, u64)>, Vec<u64>) {
-    let mut gaps = Vec::new();
-    let mut need_ed = Vec::new();
+    gaps: &mut Vec<(u64, u64)>,
+    need_ed: &mut Vec<u64>,
+) {
     for (start, g) in groups {
         match g.verdict {
             Some(Ok(())) => {}
@@ -339,5 +339,4 @@ pub(crate) fn ack_parts<'a>(
     }
     gaps.sort_unstable();
     need_ed.sort_unstable();
-    (gaps, need_ed)
 }

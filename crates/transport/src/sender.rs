@@ -78,7 +78,9 @@ type Piece<'a> = (ChunkHeader, &'a [u8]);
 
 /// The sender's packer: [`pack`](chunks_core::packet::pack)'s greedy
 /// first-fit over borrowed chunks, plus the continuation rule (module docs).
-struct Packer {
+/// A [`Session`](crate::Session) keeps one open across a whole pump.
+#[derive(Debug)]
+pub(crate) struct Packer {
     mtu: usize,
     /// The packet under construction.
     buf: Vec<u8>,
@@ -90,13 +92,52 @@ struct Packer {
 }
 
 impl Packer {
-    fn new(mtu: usize) -> Self {
+    pub(crate) fn new(mtu: usize) -> Self {
         Packer {
             mtu,
             buf: Vec::new(),
             packets: Vec::new(),
             last: None,
         }
+    }
+
+    /// Runs `fill` on a packer for `mtu` and returns its packets.
+    fn run(
+        mtu: usize,
+        fill: impl FnOnce(&mut Packer) -> Result<(), CoreError>,
+    ) -> Result<Vec<Packet>, CoreError> {
+        let mut packer = Packer::new(mtu);
+        fill(&mut packer)?;
+        packer.close_packet();
+        Ok(packer.packets)
+    }
+
+    /// Hands `packets` on as they are, the last one copied into the packet
+    /// under construction so that what follows fills its free room, as
+    /// `pack` would over their chunks.
+    fn hand_on(&mut self, packets: &VecDeque<Packet>) {
+        self.close_packet();
+        let Some(last) = packets.back() else {
+            return;
+        };
+        self.packets
+            .extend(packets.range(..packets.len() - 1).cloned());
+        self.buf.reserve_exact(self.mtu.min(9216));
+        self.buf.extend_from_slice(&last.bytes);
+    }
+
+    /// Drops the packet under construction and every closed packet.
+    pub(crate) fn clear(&mut self) {
+        self.buf.clear();
+        self.packets.clear();
+        self.last = None;
+    }
+
+    /// Closes the packet under construction and moves every closed packet
+    /// to the back of `out`.
+    pub(crate) fn drain_into(&mut self, out: &mut VecDeque<Packet>) {
+        self.close_packet();
+        out.extend(self.packets.drain(..));
     }
 
     fn close_packet(&mut self) {
@@ -174,14 +215,9 @@ impl Packer {
         }
     }
 
-    /// Appends a piece read back off a retained packet.
-    fn put(&mut self, &(header, payload): &Piece<'_>) -> Result<(), CoreError> {
+    /// Appends a piece read back off a retained packet, or any other chunk.
+    pub(crate) fn put(&mut self, &(header, payload): &Piece<'_>) -> Result<(), CoreError> {
         self.push(header, payload, |_, _, _| {})
-    }
-
-    fn finish(mut self) -> Vec<Packet> {
-        self.close_packet();
-        self.packets
     }
 }
 
@@ -316,7 +352,8 @@ impl Sender {
                 }
             });
         // This submit's last packet closes with it.
-        self.packets.extend(packer.finish());
+        packer.close_packet();
+        self.packets.extend(packer.packets);
         self.pending.range(from..).map(|t| t.start).collect()
     }
 
@@ -340,18 +377,38 @@ impl Sender {
         if self.fresh {
             return Ok(self.packets.iter().cloned().collect());
         }
-        self.repack(&self.pending)
+        Packer::run(self.cfg.mtu, |packer| self.pack_pending(packer))
+    }
+
+    /// [`Self::packets_for_pending`] into `packer`: a fresh submit's packets
+    /// go on as they are, the last one left open for what follows.
+    pub(crate) fn pack_pending(&self, packer: &mut Packer) -> Result<(), CoreError> {
+        if self.fresh {
+            packer.hand_on(&self.packets);
+            return Ok(());
+        }
+        self.repack(&self.pending, packer)
     }
 
     /// Packs the TPDUs named by `starts` for retransmission — identical
     /// identifiers, as §3.3 requires.
     pub fn retransmit(&mut self, starts: &[u64]) -> Result<Vec<Packet>, CoreError> {
+        Packer::run(self.cfg.mtu, |packer| self.pack_retransmit(starts, packer))
+    }
+
+    /// [`Self::retransmit`] into `packer`.
+    pub(crate) fn pack_retransmit(
+        &mut self,
+        starts: &[u64],
+        packer: &mut Packer,
+    ) -> Result<(), CoreError> {
         let named = starts
             .iter()
             .filter_map(|&s| self.pending.get(self.find(s)?));
-        let (sent, packets) = (named.clone().count(), self.repack(named)?);
+        let sent = named.clone().count();
+        self.repack(named, packer)?;
         self.retransmissions += sent as u64;
-        Ok(packets)
+        Ok(())
     }
 
     /// Applies an acknowledgment; returns the starts newly confirmed.
@@ -393,34 +450,34 @@ impl Sender {
     /// they exist, so it cannot nack what it never saw) — a full
     /// retransmission. Receiver-side duplicate trimming (Appendix C
     /// extraction) discards any overlap cheaply.
-    pub fn retransmit_for_ack(
-        &mut self,
-        ack: &crate::ack::AckInfo,
-    ) -> Result<Vec<Packet>, CoreError> {
-        self.retransmit_for_ack_parts(ack, usize::MAX)
-            .map(|(packets, _)| packets)
+    pub fn retransmit_for_ack(&mut self, ack: &AckInfo) -> Result<Vec<Packet>, CoreError> {
+        Packer::run(self.cfg.mtu, |packer| {
+            self.pack_repair(ack, usize::MAX, packer, |_| {})
+        })
     }
 
-    /// [`Self::retransmit_for_ack`] with window-limited repair: at most
-    /// `max_tpdus` pending TPDUs (in connection-space order) are repaired
-    /// per call, so a pathological gap report cannot make one call
-    /// retransmit the whole stream in a single burst. The remaining TPDUs
-    /// are picked up by later calls (or by the retransmission timer). Also
-    /// reports which TPDU starts were repaired (so the reliability layer
-    /// can re-arm their retransmission timers).
-    pub fn retransmit_for_ack_parts(
+    /// [`Self::retransmit_for_ack`] into `packer`, with window-limited
+    /// repair: at most `max_tpdus` pending TPDUs (in connection-space order)
+    /// are repaired per call, so a pathological gap report cannot make one
+    /// call retransmit the whole stream in a single burst. The remaining
+    /// TPDUs are picked up by later calls (or by the retransmission timer).
+    /// `repaired` is told each TPDU start repaired (so the reliability layer
+    /// can re-arm its retransmission timer).
+    pub(crate) fn pack_repair(
         &mut self,
-        ack: &crate::ack::AckInfo,
+        ack: &AckInfo,
         max_tpdus: usize,
-    ) -> Result<(Vec<Packet>, Vec<u64>), CoreError> {
-        let mut packer = Packer::new(self.cfg.mtu);
-        let mut repaired: Vec<u64> = Vec::new();
+        packer: &mut Packer,
+        mut repaired: impl FnMut(u64),
+    ) -> Result<(), CoreError> {
+        let mut count = 0;
         // An acknowledged TPDU has nothing to repair.
         let unacked = |t: &&Pending| !ack.acknowledges(t.start, t.start + t.elements as u64);
         let tpdus = self.pending.iter().filter(unacked).take(max_tpdus);
         self.read(tpdus, |t, pieces| {
             let (start, end) = (t.start, t.start + t.elements as u64);
-            repaired.push(start);
+            repaired(start);
+            count += 1;
             let (ed, data) = pieces.split_last().expect("a TPDU ends in its ED");
             if ack.need_ed.contains(&start) {
                 // Data arrived; only the 8-byte digest is missing.
@@ -451,8 +508,8 @@ impl Sender {
             }
             packer.put(ed)
         })?;
-        self.retransmissions += repaired.len() as u64;
-        Ok((packer.finish(), repaired))
+        self.retransmissions += count;
+        Ok(())
     }
 
     /// Loss feedback: halve the TPDU size (multiplicative decrease), so
@@ -472,16 +529,15 @@ impl Sender {
         self.pending.binary_search_by_key(&start, |t| t.start).ok()
     }
 
-    /// Packs `tpdus` whole, read back off the wire, for the path MTU.
+    /// Packs `tpdus` whole, read back off the wire, into `packer`.
     fn repack<'s>(
         &'s self,
         tpdus: impl IntoIterator<Item = &'s Pending>,
-    ) -> Result<Vec<Packet>, CoreError> {
-        let mut packer = Packer::new(self.cfg.mtu);
+        packer: &mut Packer,
+    ) -> Result<(), CoreError> {
         self.read(tpdus, |_, pieces| {
             pieces.iter().try_for_each(|p| packer.put(p))
-        })?;
-        Ok(packer.finish())
+        })
     }
 
     /// Hands `each` each of `tpdus` with its pieces, read back off its
@@ -578,7 +634,9 @@ mod tests {
         assert_eq!(starts, vec![0, 8, 16]);
         let mut delivered = Vec::new();
         for p in s.packets_for_pending().unwrap() {
-            for e in r.handle_packet(&p, 0) {
+            let mut events = Vec::new();
+            r.handle_packet_into(&p, 0, &mut events);
+            for e in events {
                 if let RxEvent::TpduDelivered { start, .. } = e {
                     delivered.push(start);
                 }
@@ -618,14 +676,14 @@ mod tests {
             if i == 1 {
                 continue; // "lost"
             }
-            r.handle_packet(p, 0);
+            r.handle_packet_into(p, 0, &mut Vec::new());
         }
         let ack1 = r.make_ack();
         s.handle_ack(&ack1);
         let missing = s.unacked_starts();
         assert!(!missing.is_empty());
         for p in s.retransmit(&missing).unwrap() {
-            r.handle_packet(&p, 1);
+            r.handle_packet_into(&p, 1, &mut Vec::new());
         }
         let ack2 = r.make_ack();
         assert_eq!(ack2.cumulative, 24);
@@ -665,7 +723,7 @@ mod tests {
         assert_eq!(s1, vec![0]);
         assert_eq!(s2, vec![8]);
         for p in s.packets_for_pending().unwrap() {
-            r.handle_packet(&p, 0);
+            r.handle_packet_into(&p, 0, &mut Vec::new());
         }
         assert_eq!(&r.app_data()[..16], b"aaaaaaaabbbbbbbb");
         assert_eq!(r.make_ack().cumulative, 16);

@@ -35,6 +35,7 @@ fn main() {
     let mut read = 0u64;
     let mut releases = 0u64;
     let mut seed = 1u64;
+    let mut events = Vec::new();
 
     while sent < total {
         // Produce one window's worth of TPDUs (stay inside flow control).
@@ -69,13 +70,13 @@ fn main() {
                 .map(|(i, p)| (i as u64 * 700, p.bytes.to_vec()))
                 .collect();
             for d in path.run(inputs) {
-                rx.handle_packet(
-                    &Packet {
-                        bytes: d.frame.into(),
-                    },
-                    d.time,
-                );
+                let packet = Packet {
+                    bytes: d.frame.into(),
+                };
+                rx.handle_packet_into(&packet, d.time, &mut events);
             }
+            // Only the verified bytes matter here, not the events.
+            events.clear();
             // The application reads the verified bytes where they lie in
             // the ring, then hands the space back.
             let (head, tail) = rx.readable();

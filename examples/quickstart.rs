@@ -39,8 +39,10 @@ fn main() {
     );
 
     // Deliver the packets in reverse order: chunks do not care.
+    let mut events = Vec::new();
     for (i, p) in packets.iter().enumerate().rev() {
-        for event in rx.handle_packet(p, i as u64) {
+        rx.handle_packet_into(p, i as u64, &mut events);
+        for event in events.drain(..) {
             match event {
                 RxEvent::TpduDelivered { start, elements } => {
                     println!("  TPDU @ element {start}: {elements} elements verified")

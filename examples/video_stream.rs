@@ -83,6 +83,7 @@ fn main() {
     // verification events and per-frame element counts.
     let mut frame_fill = [0usize; FRAMES];
     let mut presented = Vec::new();
+    let mut events = Vec::new();
     for d in path.run(inputs) {
         let packet = Packet {
             bytes: d.frame.clone().into(),
@@ -98,7 +99,8 @@ fn main() {
                 }
             }
         }
-        for e in rx.handle_packet(&packet, d.time) {
+        rx.handle_packet_into(&packet, d.time, &mut events);
+        for e in events.drain(..) {
             if let RxEvent::TpduFailed { start, reason } = e {
                 println!("  TPDU @ {start} failed: {reason:?}");
             }

@@ -82,7 +82,9 @@ test-parallel:
 # every mode), the X check against a `HashMap` of first `C.SN − X.SN`
 # deltas per TPDU (one, two and many `X.ID`s, every mode), hostile labels
 # around a released base, the long-stream gate (1000 windows through a
-# 1024-element ring, heap flat once warm), and the virtual-reassembly
+# 1024-element ring, heap flat once warm; its session leg streams 1000
+# windows each way between two `Session`s), a session streaming four
+# times its ring through `release`, and the virtual-reassembly
 # crate's own suite (the interval set's and tracker's unit tests, the
 # interval and tagged-claim properties against per-position models, the
 # doctests).
@@ -90,12 +92,12 @@ test-parallel:
 # properties at ten times the cases).
 test-receiver:
     cargo test -q --test transport_props -- borrowed_walk_equals demux_ingest_equals lifecycle_scripts stream_and_block stream_receiver_window x_check
-    cargo test -q -p chunks-transport --lib -- receiver::
+    cargo test -q -p chunks-transport --lib -- receiver:: session::tests::a_stream
     cargo test -q --test adversarial_input -- hostile_tsn
     cargo test -q --test long_stream_gate
     cargo test -q -p chunks-vreasm
     cargo test -q --release --test transport_props -- borrowed_walk_equals demux_ingest_equals lifecycle_scripts stream_and_block stream_receiver_window x_check
-    cargo test -q --release -p chunks-transport --lib -- receiver::
+    cargo test -q --release -p chunks-transport --lib -- receiver:: session::tests::a_stream
     cargo test -q --release --test adversarial_input -- hostile_tsn
     cargo test -q --release --test long_stream_gate
     cargo test -q --release -p chunks-vreasm
@@ -104,24 +106,29 @@ test-receiver:
 # the framer's uncut chunks after every step of a random submit/ack/
 # abandon/retransmit/repair script), the retention property (after every
 # step it holds exactly the first-transmission packets a pending TPDU has
-# a chunk in), the sender unit tests, the two ack-trim regression tests
-# and the transmit legs of the allocation gate. Debug first, so the
-# packet-range arithmetic runs with overflow checks, then release.
+# a chunk in), the session's placement property (a pump's first
+# transmission, timer pass and ack-driven repair equal `pack` over the
+# uncut chunks plus the ack), the sender and session unit tests, the two
+# ack-trim regression tests and the transmit and session legs of the
+# allocation gate. Debug first, so the packet-range arithmetic runs with
+# overflow checks, then release.
 test-sender:
-    cargo test -q --test transport_props -- sender_packets_equal sender_retains
-    cargo test -q -p chunks-transport --lib -- sender:: ack::tests::an_ack_past session::tests::an_ack_longer
-    cargo test -q --test hotpath_allocs -- transmit
-    cargo test -q --release --test transport_props -- sender_packets_equal sender_retains
-    cargo test -q --release -p chunks-transport --lib -- sender:: ack::tests::an_ack_past session::tests::an_ack_longer
-    cargo test -q --release --test hotpath_allocs -- transmit
+    cargo test -q --test transport_props -- sender_packets_equal sender_retains session_packets_equal
+    cargo test -q -p chunks-transport --lib -- sender:: session:: ack::tests::an_ack_past
+    cargo test -q --test hotpath_allocs -- transmit session
+    cargo test -q --release --test transport_props -- sender_packets_equal sender_retains session_packets_equal
+    cargo test -q --release -p chunks-transport --lib -- sender:: session:: ack::tests::an_ack_past
+    cargo test -q --release --test hotpath_allocs -- transmit session
 
 # Zero-allocation hot-path gate: a counting global allocator with
 # per-thread counters proves the steady-state receive windows (serial and
 # parallel) allocate exactly nothing per chunk — among them every delivery
 # mode on out-of-order arrivals, Immediate's leg loading virtual
-# reassembly alone — and that `reserve` sizes
+# reassembly alone — that `reserve` sizes
 # the reorder queue in Reorder mode alone (Immediate and Reassemble request
-# at least its entries' bytes fewer), release mode.
+# at least its entries' bytes fewer), and that a warm session pumps 256 KiB
+# in at most 64 allocations and its peer ingests it in at most 6, release
+# mode.
 test-hotpath:
     cargo test -q --release --test hotpath_allocs
 

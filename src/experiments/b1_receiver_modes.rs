@@ -123,7 +123,7 @@ fn run_cell(mode: DeliveryMode, loss: f64, message: &[u8], seed: u64) -> B1Row {
             let packet = chunks_core::packet::Packet {
                 bytes: d.frame.clone().into(),
             };
-            rx.handle_packet(&packet, d.time);
+            rx.handle_packet_into(&packet, d.time, &mut Vec::new());
         }
         clock = deliveries.last().map(|d| d.time).unwrap_or(clock) + 1_000_000;
         let ack = rx.make_ack();

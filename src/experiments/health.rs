@@ -170,14 +170,15 @@ fn run_session_leg(seed: u64) -> (LegOutcome, bool) {
     .with_watchdog(WatchdogConfig::default());
     s.send(&payload, 0xA, false);
 
-    let mut events = Vec::new();
+    let (mut events, mut packets) = (Vec::new(), Vec::new());
     let mut aborted = false;
     let mut elapsed = 0;
     for tick in 0..MAX_TICKS {
         let t = tick * TICK_NS;
         elapsed = t;
         // Every packet drops into the blackout: no acks ever return.
-        if s.pump(t).is_err() {
+        packets.clear();
+        if s.pump_into(t, &mut packets).is_err() {
             aborted = true;
             break;
         }

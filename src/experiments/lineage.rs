@@ -170,20 +170,24 @@ pub fn drive(profile: Profile, seed: u64, sink: Arc<dyn ObsSink>) -> TransferSum
 
     let mut to_b: BTreeMap<u64, Vec<Vec<u8>>> = BTreeMap::new();
     let mut to_a: BTreeMap<u64, Vec<Vec<u8>>> = BTreeMap::new();
+    let (mut packets, mut events) = (Vec::new(), Vec::new());
     let mut completed = false;
     let mut elapsed = MAX_TICKS * TICK_NS;
     for tick in 0..MAX_TICKS {
         let t = tick * TICK_NS;
         let mut b_heard = false;
         for f in take_due(&mut to_b, t) {
-            b.handle_packet(&Packet { bytes: f.into() }, t);
+            b.handle_packet_into(&Packet { bytes: f.into() }, t, &mut events);
             b_heard = true;
         }
         for f in take_due(&mut to_a, t) {
-            a.handle_packet(&Packet { bytes: f.into() }, t);
+            a.handle_packet_into(&Packet { bytes: f.into() }, t, &mut events);
         }
-        match a.pump(t) {
-            Ok(packets) => {
+        // The run is judged by its counters, not by its events.
+        events.clear();
+        packets.clear();
+        match a.pump_into(t, &mut packets) {
+            Ok(()) => {
                 for p in packets.iter().filter(|p| soak::carries_payload(p)) {
                     for d in fwd.transmit(t, p.bytes.to_vec()) {
                         to_b.entry(d.time).or_default().push(d.frame);
@@ -202,7 +206,10 @@ pub fn drive(profile: Profile, seed: u64, sink: Arc<dyn ObsSink>) -> TransferSum
         }
         if b_heard {
             let mut arrivals = Vec::new();
-            for p in b.pump(t).expect("pure-ack endpoint has no retry budget") {
+            packets.clear();
+            b.pump_into(t, &mut packets)
+                .expect("pure-ack endpoint has no retry budget");
+            for p in &packets {
                 rev.transmit_into(t, p.bytes.to_vec(), &mut arrivals);
             }
             for (at, frame) in arrivals {

@@ -273,12 +273,10 @@ fn serial_pass(frames: &[Vec<u8>], policy: OverlapPolicy, capped: bool) -> (Trac
         .with_budget(budget_for(capped));
     let mut events = Vec::new();
     for (i, f) in frames.iter().enumerate() {
-        events.extend(rx.handle_packet(
-            &Packet {
-                bytes: f.clone().into(),
-            },
-            i as u64,
-        ));
+        let packet = Packet {
+            bytes: f.clone().into(),
+        };
+        rx.handle_packet_into(&packet, i as u64, &mut events);
     }
     let pressure = rx.make_ack().pressure;
     ((rx.app_data().to_vec(), events, rx.stats), pressure)

@@ -338,20 +338,24 @@ pub fn run_scenario_observed(sc: &SoakScenario, seed: u64, sink: Arc<dyn ObsSink
     // What the links deliver for one tick's frames, moved on to `to_b`/`to_a`.
     let mut arrivals = Vec::new();
 
+    let (mut packets, mut events) = (Vec::new(), Vec::new());
     let mut outcome = None;
     let mut elapsed = MAX_TICKS * TICK_NS;
     for tick in 0..MAX_TICKS {
         let t = tick * TICK_NS;
         let mut b_heard = false;
         for f in take_due(&mut to_b, t) {
-            b.handle_packet(&Packet { bytes: f.into() }, t);
+            b.handle_packet_into(&Packet { bytes: f.into() }, t, &mut events);
             b_heard = true;
         }
         for f in take_due(&mut to_a, t) {
-            a.handle_packet(&Packet { bytes: f.into() }, t);
+            a.handle_packet_into(&Packet { bytes: f.into() }, t, &mut events);
         }
-        match a.pump(t) {
-            Ok(packets) => {
+        // The run is judged by its counters, not by its events.
+        events.clear();
+        packets.clear();
+        match a.pump_into(t, &mut packets) {
+            Ok(()) => {
                 // Pure-ack packets from the sender carry no information on a
                 // one-way transfer; see `carries_payload`.
                 for p in packets.iter().filter(|p| carries_payload(p)) {
@@ -372,7 +376,10 @@ pub fn run_scenario_observed(sc: &SoakScenario, seed: u64, sink: Arc<dyn ObsSink
         // The receiver acks when data arrives — not on an idle tick. (It
         // cannot die: it sends no data, so it arms no timers.)
         if b_heard {
-            for p in b.pump(t).expect("pure-ack endpoint has no retry budget") {
+            packets.clear();
+            b.pump_into(t, &mut packets)
+                .expect("pure-ack endpoint has no retry budget");
+            for p in &packets {
                 for f in byz_rev.ingest_at(t, p.bytes.to_vec()) {
                     rev.transmit_into(t, f, &mut arrivals);
                 }

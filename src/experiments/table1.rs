@@ -144,7 +144,7 @@ fn classify(chunks: Vec<Chunk>) -> Channel {
     let mut rx = Receiver::new(DeliveryMode::Immediate, params(), layout(), 1 << 12);
     let mut events = Vec::new();
     for c in chunks {
-        events.extend(rx.handle_chunk(c, 0));
+        rx.handle_chunk_into(c, 0, &mut events);
     }
     events.extend(rx.expire_incomplete());
     // The corrupted TPDU is the first one (start 0); find its fate.

@@ -48,8 +48,10 @@
 //!
 //! let message = b"data labelled for processing in any order";
 //! tx.submit_simple(message, 7, false);
+//! let mut events = Vec::new();
 //! for packet in tx.packets_for_pending().unwrap() {
-//!     for event in rx.handle_packet(&packet, 0) {
+//!     rx.handle_packet_into(&packet, 0, &mut events);
+//!     for event in events.drain(..) {
 //!         if let RxEvent::TpduDelivered { start, elements } = event {
 //!             println!("TPDU at {start} delivered: {elements} elements");
 //!         }

@@ -37,7 +37,7 @@ proptest! {
     ) {
         let mut rx = Receiver::new(DeliveryMode::Immediate, params(), layout(), 4096);
         for (i, f) in frames.iter().enumerate() {
-            let _ = rx.handle_packet(&Packet { bytes: f.clone().into() }, i as u64);
+            rx.handle_packet_into(&Packet { bytes: f.clone().into() }, i as u64, &mut Vec::new());
         }
     }
 
@@ -64,7 +64,7 @@ proptest! {
                 let at = flip_byte % raw.len();
                 raw[at] ^= 1 << flip_bit;
             }
-            let _ = rx.handle_packet(&Packet { bytes: raw.into() }, i as u64);
+            rx.handle_packet_into(&Packet { bytes: raw.into() }, i as u64, &mut Vec::new());
         }
         let _ = rx.expire_incomplete();
         // Whatever happened, the receiver must not have delivered data that
@@ -100,7 +100,7 @@ proptest! {
             .with_policy(policy);
         for (i, p) in packets.iter().enumerate() {
             let now = i as u64;
-            let _ = rx.handle_packet(p, now);
+            rx.handle_packet_into(p, now, &mut Vec::new());
             for c in unpack(p).unwrap() {
                 if c.header.ty != ChunkType::Data {
                     continue;
@@ -118,13 +118,13 @@ proptest! {
                     let keep = dup.header.len as usize * dup.header.size as usize;
                     dup.payload = dup.payload.slice(0..keep);
                 }
-                let _ = rx.handle_chunk(dup, now);
+                rx.handle_chunk_into(dup, now, &mut Vec::new());
                 // A zero-length span at the same position: LEN = 0, no
                 // payload bytes at all.
                 let mut zero = c.clone();
                 zero.header.len = 0;
                 zero.payload = Vec::new().into();
-                let _ = rx.handle_chunk(zero, now);
+                rx.handle_chunk_into(zero, now, &mut Vec::new());
             }
         }
         let _ = rx.expire_incomplete();
@@ -256,7 +256,7 @@ fn hostile_tsn_past_the_chunks_own_csn_is_refused_without_a_panic() {
 
         let mut rx = Receiver::new(mode, p, layout(), 128);
         for c in tpdus[..4].iter().flat_map(|t| t.all_chunks()) {
-            rx.handle_chunk(c, 0);
+            rx.handle_chunk_into(c, 0, &mut Vec::new());
         }
         rx.release(96);
         let unread = [rx.readable().0, rx.readable().1].concat();
@@ -278,7 +278,7 @@ fn hostile_tsn_past_the_chunks_own_csn_is_refused_without_a_panic() {
         }
         rx.release(32);
         for c in tpdus[4..].iter().flat_map(|t| t.all_chunks()) {
-            rx.handle_chunk(c, 2);
+            rx.handle_chunk_into(c, 2, &mut Vec::new());
         }
         let rest = [rx.readable().0, rx.readable().1].concat();
         assert_eq!(rest, message[128..], "{mode:?}");
@@ -430,7 +430,7 @@ fn zero_copy_path_rejects_every_mid_label_truncation() {
             "cut at {cut}: validate and unpack must agree"
         );
         let mut rx = Receiver::new(DeliveryMode::Immediate, params(), layout(), 4096);
-        let _ = rx.handle_packet(&packet, 0);
+        rx.handle_packet_into(&packet, 0, &mut Vec::new());
         if v.is_err() {
             assert_eq!(rx.stats.bad_packets, 1, "cut at {cut} must count as bad");
             assert_eq!(rx.stats.chunks_accepted, 0, "atomic reject at cut {cut}");

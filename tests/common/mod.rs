@@ -189,24 +189,23 @@ impl Scenario {
             // One control packet up front: an ack for a reverse-direction
             // connection, a teardown signal, and a data chunk for a
             // connection nobody registered.
-            let mut mux = chunks::transport::PacketMux::new(self.mtu);
-            mux.enqueue_ack(
-                0xFEED,
-                &AckInfo {
-                    cumulative: 7,
-                    sacks: vec![11],
-                    gaps: vec![(8, 9)],
-                    need_ed: vec![],
-                    pressure: false,
-                },
-            );
-            mux.enqueue_signal(&Signal::Teardown { conn_id: 0xFEED });
+            let ack = AckInfo {
+                cumulative: 7,
+                sacks: vec![11],
+                gaps: vec![(8, 9)],
+                need_ed: vec![],
+                pressure: false,
+            };
+            let mut control = vec![
+                ack.to_chunk(0xFEED),
+                Signal::Teardown { conn_id: 0xFEED }.to_chunk(),
+            ];
             let mut foreign = self.sender(0xDEAD);
             foreign.submit_simple(&vec![0x55u8; self.elem_size as usize * 4], 1, false);
             for p in foreign.packets_for_pending().unwrap() {
-                mux.enqueue_chunks(chunks_core::packet::unpack(&p).unwrap());
+                control.extend(chunks_core::packet::unpack(&p).unwrap());
             }
-            for p in mux.flush().unwrap() {
+            for p in chunks_core::packet::pack(control, self.mtu).unwrap() {
                 trace.push(TraceOp::Packet {
                     frame: p.bytes.to_vec(),
                     now: clock,

@@ -63,12 +63,10 @@ fn transfer(
             .collect();
         let deliveries = path.run(inputs);
         for d in &deliveries {
-            rx.handle_packet(
-                &Packet {
-                    bytes: d.frame.clone().into(),
-                },
-                d.time,
-            );
+            let packet = Packet {
+                bytes: d.frame.clone().into(),
+            };
+            rx.handle_packet_into(&packet, d.time, &mut Vec::new());
         }
         clock = deliveries.last().map(|d| d.time).unwrap_or(clock) + 1_000_000;
         tx.handle_ack(&rx.make_ack());
@@ -222,7 +220,7 @@ fn connection_close_travels_end_to_end() {
     let mut rx = Receiver::new(DeliveryMode::Immediate, p, layout, 4096);
     tx.submit_simple(&[9u8; 1000], 1, true); // close = C.ST on last element
     for pk in tx.packets_for_pending().unwrap() {
-        rx.handle_packet(&pk, 0);
+        rx.handle_packet_into(&pk, 0, &mut Vec::new());
     }
     assert!(rx.is_closed());
     assert_eq!(rx.verified_prefix(), 1000);

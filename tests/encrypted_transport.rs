@@ -85,7 +85,9 @@ fn encrypted_blocks_cross_a_fragmenting_reordering_network() {
                 clear[at..at + dec.payload.len()].copy_from_slice(&dec.payload);
             }
         }
-        for e in rx.handle_packet(&packet, d.time) {
+        let mut events = Vec::new();
+        rx.handle_packet_into(&packet, d.time, &mut events);
+        for e in events {
             if let RxEvent::TpduDelivered { elements, .. } = e {
                 delivered += elements;
             }

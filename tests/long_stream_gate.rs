@@ -11,6 +11,14 @@
 //! and the receiver's heap must stay flat once warm: the counting
 //! allocator, read around every receiver call, sees no net growth across
 //! the last 900 windows.
+//!
+//! The session leg runs the whole protocol the same way: two [`Session`]s
+//! stream a thousand windows to each other over that path — timers,
+//! piggybacked acks, repair and all — each application reading
+//! `readable()` in place and releasing it. Both streams must arrive
+//! byte-exact, and neither session's heap, read around every call it
+//! makes, may peak higher in the second half than in the first or end
+//! higher than it stood half-way.
 
 mod common;
 
@@ -20,7 +28,7 @@ use chunks::core::label::ChunkType;
 use chunks::core::packet::{unpack, Packet};
 use chunks::experiments::alloc_count::{self, CountingAlloc};
 use chunks::netsim::{LinkConfig, PathBuilder};
-use chunks::transport::{ConnectionParams, DeliveryMode, Receiver, Sender, SenderConfig};
+use chunks::transport::{ConnectionParams, DeliveryMode, Receiver, Sender, SenderConfig, Session};
 use chunks::wsc::InvariantLayout;
 
 #[global_allocator]
@@ -205,4 +213,176 @@ fn a_thousand_windows_through_one_receiver_reorder() {
 #[test]
 fn a_thousand_windows_through_one_receiver_reassemble() {
     stream(DeliveryMode::Reassemble);
+}
+
+/// Windows the session leg streams before its heap is read: half the
+/// stream. A session also holds what its peak bursts grew (the lists a pump
+/// or an ack reuses), so the second half's peak is held to the first's.
+const SESSION_WARM_UP: u64 = WINDOWS / 2;
+
+/// A session's heap account: the bytes its calls took and did not give
+/// back, the peak of that before and after warm-up, and its value when
+/// warm-up ended.
+#[derive(Default)]
+struct Heap {
+    held: i64,
+    peak: [i64; 2],
+    warm: Option<i64>,
+}
+
+impl Heap {
+    /// Notes the end of a round; `warm` once warm-up is over.
+    fn round(&mut self, warm: bool) {
+        if warm && self.warm.is_none() {
+            self.warm = Some(self.held);
+        }
+        let peak = &mut self.peak[self.warm.is_some() as usize];
+        *peak = (*peak).max(self.held);
+    }
+
+    fn check(&self, side: &str) {
+        let warm = self.warm.expect("warmed up");
+        let [before, after] = self.peak;
+        println!(
+            "{side}: {} B held ({warm} B when warm), peak {before} B then {after} B",
+            self.held
+        );
+        assert!(
+            after <= before && self.held <= warm,
+            "session {side}'s heap grew over the last {} windows: peak {before} → {after} B, \
+             held {warm} → {} B",
+            WINDOWS - SESSION_WARM_UP,
+            self.held
+        );
+    }
+}
+
+/// Pumps `s` at `now` under its heap account and hands back the frames to
+/// put on the wire; the packets are dropped under the account too, so a
+/// copy the pump made is charged and given back there.
+fn pump_frames(s: &mut Session, now: u64, heap: &mut Heap) -> Vec<(u64, Vec<u8>)> {
+    let mut out = Vec::new();
+    held_by(&mut heap.held, || s.pump_into(now, &mut out)).expect("the peer is reachable");
+    let frames = out
+        .iter()
+        .enumerate()
+        .map(|(i, p)| (now + i as u64 * 700, p.bytes.to_vec()))
+        .collect();
+    held_by(&mut heap.held, || drop(out));
+    frames
+}
+
+/// One direction of the session leg: what was sent and what was read.
+#[derive(Default)]
+struct Flow {
+    sent: u64,
+    read: u64,
+}
+
+impl Flow {
+    /// Sends the next window once everything before it is acknowledged,
+    /// and so read and released: the application paces the stream, as the
+    /// ack carries no window.
+    fn send(&mut self, s: &mut Session, total: u64, heap: &mut Heap) {
+        if s.outbound_done() && self.sent < total {
+            let data: Vec<u8> = (self.sent..self.sent + WINDOW).map(byte).collect();
+            held_by(&mut heap.held, || s.send(&data, 0xF, false));
+            self.sent += WINDOW;
+        }
+    }
+
+    /// Reads everything readable in place, checks it and releases it.
+    fn read(&mut self, s: &mut Session, side: &str) {
+        self.read = assert_no_alloc!(
+            {
+                let (head, tail) = s.readable();
+                for (k, &b) in head.iter().chain(tail).enumerate() {
+                    let at = self.read + k as u64;
+                    assert_eq!(b, byte(at), "{side} byte {at}");
+                }
+                let n = (head.len() + tail.len()) as u64;
+                s.release(n);
+                self.read + n
+            },
+            "{side} read at {}",
+            self.read
+        );
+    }
+}
+
+#[test]
+fn a_thousand_windows_each_way_through_two_sessions() {
+    let layout = InvariantLayout::with_data_symbols(1024);
+    let session = |local, remote| {
+        let params = |conn_id| ConnectionParams {
+            conn_id,
+            elem_size: 1,
+            initial_csn: u32::MAX - 5000,
+            tpdu_elements: TPDU as u32,
+        };
+        let cfg = SenderConfig {
+            params: params(local),
+            layout,
+            mtu: 300,
+            min_tpdu_elements: 16,
+            max_tpdu_elements: TPDU as u32,
+        };
+        Session::new(cfg, params(remote), layout, DeliveryMode::Immediate, WINDOW)
+    };
+    let (mut a, mut b) = (session(0x20, 0x21), session(0x21, 0x20));
+    let lossy = LinkConfig::clean(1500, 20_000, 0).with_loss(0.02);
+    let mut ab = PathBuilder::new(0x5E55).multipath(4, lossy, 15_000).build();
+    let mut ba = PathBuilder::new(0x5E56).multipath(4, lossy, 15_000).build();
+
+    let total = WINDOWS * WINDOW;
+    let (mut to_b, mut to_a) = (Flow::default(), Flow::default());
+    let (mut heap_a, mut heap_b) = (Heap::default(), Heap::default());
+    let mut events = Vec::with_capacity(64);
+    let (mut now, mut rounds) = (0u64, 0u64);
+    // Until both streams are read and both senders have heard so.
+    while to_b.read.min(to_a.read) < total || !(a.outbound_done() && b.outbound_done()) {
+        rounds += 1;
+        assert!(
+            rounds < 20 * WINDOWS,
+            "stalled at {} / {}",
+            to_b.read,
+            to_a.read
+        );
+        now += 1_000_000;
+        to_b.send(&mut a, total, &mut heap_a);
+        to_a.send(&mut b, total, &mut heap_b);
+        let from_a = pump_frames(&mut a, now, &mut heap_a);
+        let from_b = pump_frames(&mut b, now, &mut heap_b);
+        for (path, frames, peer, heap) in [
+            (&mut ab, from_a, &mut b, &mut heap_b),
+            (&mut ba, from_b, &mut a, &mut heap_a),
+        ] {
+            for d in path.run(frames) {
+                let packet = Packet {
+                    bytes: d.frame.into(),
+                };
+                held_by(&mut heap.held, || {
+                    peer.handle_packet_into(&packet, d.time, &mut events)
+                });
+            }
+        }
+        // The application's events say nothing its bytes do not.
+        events.clear();
+        to_b.read(&mut b, "a→b");
+        to_a.read(&mut a, "b→a");
+        let warm = to_b.read.min(to_a.read) >= SESSION_WARM_UP * WINDOW;
+        heap_a.round(warm);
+        heap_b.round(warm);
+    }
+
+    for (path, side) in [(&ab, "a→b"), (&ba, "b→a")] {
+        assert!(
+            path.hops()[0].link.stats().lost > 0,
+            "{side}: nothing was lost"
+        );
+    }
+    assert_eq!(a.rx_stats().tpdus_failed + b.rx_stats().tpdus_failed, 0);
+    println!("{rounds} rounds");
+    heap_a.check("a");
+    heap_b.check("b");
 }

@@ -19,11 +19,11 @@
 
 use std::collections::BTreeMap;
 
-use chunks::core::packet::Packet;
+use chunks::core::packet::{pack, Packet};
 use chunks::transport::AckInfo;
 use chunks::transport::{
     ConnSpec, ConnectionParams, ControlEvent, DegradePolicy, DeliveryMode, DispatchStats, Engine,
-    PacketMux, ParallelReceiver, ReliabilityStats, RtoConfig, RxEvent, RxStats, Schedule, Sender,
+    ParallelReceiver, ReliabilityStats, RtoConfig, RxEvent, RxStats, Schedule, Sender,
     SenderConfig, Session,
 };
 use chunks::wsc::InvariantLayout;
@@ -156,13 +156,17 @@ fn run_loop(engine: Engine) -> Outcome {
     let mut clock = 0u64;
     let mut ingested = 0u64;
     let mut rounds = 0u32;
+    let mut packets = Vec::new();
 
     for round in 0..MAX_ROUNDS {
         rounds = round + 1;
         clock += ROUND_NS;
         let mut all_done = true;
         for session in sessions.values_mut() {
-            let packets = session.pump(clock).expect("Shed policy never aborts");
+            packets.clear();
+            session
+                .pump_into(clock, &mut packets)
+                .expect("Shed policy never aborts");
             for p in &packets {
                 // ~20% deterministic data loss.
                 if wire.chance(20) {
@@ -199,13 +203,12 @@ fn run_loop(engine: Engine) -> Outcome {
         // batch is lost and only the retransmission timers can recover.
         if round % 3 != 1 {
             for snap in &snapshots {
-                let mut mux = PacketMux::new(MTU);
-                mux.enqueue_ack(snap.conn_id, &snap.ack);
-                for p in mux.flush().expect("ack packs into one MTU") {
+                let ack = snap.ack.to_chunk(snap.conn_id);
+                for p in pack(vec![ack], MTU).expect("ack packs into one MTU") {
                     sessions
                         .get_mut(&snap.conn_id)
                         .expect("snapshot for registered conn")
-                        .handle_packet(&p, clock);
+                        .handle_packet_into(&p, clock, &mut Vec::new());
                 }
             }
         }

@@ -37,7 +37,7 @@ fn gap_ack_names_exact_missing_ranges() {
     // Drop packet 1 (a middle fragment).
     for (i, p) in packets.iter().enumerate() {
         if i != 1 {
-            rx.handle_packet(p, 0);
+            rx.handle_packet_into(p, 0, &mut Vec::new());
         }
     }
     let ack = rx.make_ack();
@@ -65,7 +65,7 @@ fn selective_retransmission_completes_and_saves_bytes() {
     // Drop two packets.
     for (i, p) in packets.iter().enumerate() {
         if i != 1 && i != 4 {
-            rx.handle_packet(p, 0);
+            rx.handle_packet_into(p, 0, &mut Vec::new());
         }
     }
     let ack = rx.make_ack();
@@ -76,8 +76,10 @@ fn selective_retransmission_completes_and_saves_bytes() {
         "repair {repair_bytes} B should be far below full {full_bytes} B"
     );
     let mut delivered = 0;
+    let mut events = Vec::new();
     for p in &repair {
-        for e in rx.handle_packet(p, 1) {
+        rx.handle_packet_into(p, 1, &mut events);
+        for e in events.drain(..) {
             if matches!(e, RxEvent::TpduDelivered { .. }) {
                 delivered += 1;
             }
@@ -99,7 +101,7 @@ fn gap_retransmission_tolerates_repeated_loss() {
     // Deliver only every third packet initially.
     for (i, p) in packets.iter().enumerate() {
         if i % 3 == 0 {
-            rx.handle_packet(p, 0);
+            rx.handle_packet_into(p, 0, &mut Vec::new());
         }
     }
     // Iterate gap repair, losing the first repair packet each round.
@@ -114,7 +116,7 @@ fn gap_retransmission_tolerates_repeated_loss() {
             if round < 2 && i == 0 {
                 continue; // lose it again
             }
-            rx.handle_packet(p, round + 1);
+            rx.handle_packet_into(p, round + 1, &mut Vec::new());
         }
     }
     assert_eq!(rx.verified_prefix(), message.len() as u64);
@@ -130,9 +132,9 @@ fn failed_tpdu_is_renacked_in_full() {
     let mut raw = packets[0].bytes.to_vec();
     let len = raw.len();
     raw[len - 3] ^= 0x80;
-    rx.handle_packet(&Packet { bytes: raw.into() }, 0);
+    rx.handle_packet_into(&Packet { bytes: raw.into() }, 0, &mut Vec::new());
     for p in &packets[1..] {
-        rx.handle_packet(p, 0);
+        rx.handle_packet_into(p, 0, &mut Vec::new());
     }
     let ack = rx.make_ack();
     assert!(
@@ -145,7 +147,7 @@ fn failed_tpdu_is_renacked_in_full() {
         rx.reset_group(s);
     }
     for p in tx.retransmit_for_ack(&ack).unwrap() {
-        rx.handle_packet(&p, 1);
+        rx.handle_packet_into(&p, 1, &mut Vec::new());
     }
     assert_eq!(rx.verified_prefix(), 64);
 }

@@ -292,7 +292,7 @@ proptest! {
             // TPDUs arrive cut one way, then another, then in part.
             for list in packets.into_iter().chain([pending]) {
                 match list {
-                    Ok(list) => list.iter().for_each(|p| drop(rx.handle_packet(p, step))),
+                    Ok(list) => list.iter().for_each(|p| rx.handle_packet_into(p, step, &mut Vec::new())),
                     Err(e) => {
                         prop_assert!(mtu < 40, "{:?} at mtu {}", e, mtu);
                         refused = true;
@@ -311,6 +311,73 @@ proptest! {
                 prop_assert_eq!(&data[span.clone()], &sent[span], "TPDU at {}", start);
             }
         }
+    }
+
+    #[test]
+    fn session_packets_equal_pack_over_the_uncut_chunks(
+        wide in any::<bool>(),
+        elements in 1usize..3000,
+        tpdu_elements in 1u32..600,
+        mtu in 72usize..3000,
+        repair_limit in 1usize..8,
+    ) {
+        // A session sends the sender's frames and places its ack in their
+        // free room, building no chunk; the wire must be `pack`'s next fit
+        // over the uncut chunks it carries, in order, with the ack last: on
+        // the first transmission, on a timer pass that retransmits every
+        // TPDU, and on an ack-driven repair of the TPDUs an ack passes over.
+        let esize = if wide { 4u16 } else { 1 };
+        let (local, remote) = (0x51, 0x52);
+        let p = |conn_id| ConnectionParams {
+            conn_id,
+            elem_size: esize,
+            initial_csn: u32::MAX - 700,
+            tpdu_elements,
+        };
+        let mut s = Session::new(
+            SenderConfig {
+                params: p(local),
+                layout: layout(),
+                mtu,
+                min_tpdu_elements: 1,
+                max_tpdu_elements: 600,
+            },
+            p(remote),
+            layout(),
+            DeliveryMode::Immediate,
+            4096,
+        )
+        .with_burst_limits(usize::MAX, repair_limit);
+        let message: Vec<u8> = (0..elements * esize as usize).map(|i| (i * 7) as u8).collect();
+        s.send(&message, 0xE, false);
+        let tpdus = Framer::new(p(local), layout()).frame_simple(&message, 0xE, false);
+        // The ack of an inbound stream that never started.
+        let idle_ack = AckInfo::default().to_chunk(local);
+        let reference = |tpdus: &[Tpdu]| {
+            let mut chunks: Vec<Chunk> = tpdus.iter().flat_map(|t| t.all_chunks()).collect();
+            chunks.push(idle_ack.clone());
+            pack(chunks, mtu).unwrap()
+        };
+        let mut out = Vec::new();
+        s.pump_into(0, &mut out).unwrap();
+        prop_assert_eq!(&out, &reference(&tpdus), "first transmission");
+        // No ack: every timer fires at once.
+        out.clear();
+        s.pump_into(1_000_000_000, &mut out).unwrap();
+        prop_assert_eq!(&out, &reference(&tpdus), "timer pass");
+        // An ack for the first TPDU names no other: the next pump resends
+        // the following ones whole, as many as the repair limit allows.
+        let ack = AckInfo {
+            cumulative: tpdus[0].elements as u64,
+            ..AckInfo::default()
+        };
+        for packet in pack(vec![ack.to_chunk(local)], mtu).unwrap() {
+            s.handle_packet_into(&packet, 1_000_000_001, &mut Vec::new());
+        }
+        out.clear();
+        s.pump_into(1_000_000_001, &mut out).unwrap();
+        let repaired = &tpdus[1..tpdus.len().min(1 + repair_limit)];
+        prop_assert_eq!(&out, &reference(repaired), "repair pass");
     }
 
     #[test]
@@ -457,7 +524,7 @@ proptest! {
             // Deliver surviving packets in reverse order (reorder stress).
             for p in packets.iter().rev() {
                 if !lose() {
-                    rx.handle_packet(p, rounds as u64);
+                    rx.handle_packet_into(p, rounds as u64, &mut Vec::new());
                 }
             }
         }
@@ -496,13 +563,13 @@ proptest! {
             sent.extend_from_slice(&data);
             for t in framer.frame_simple(&data, 0xF, false) {
                 for c in t.all_chunks() {
-                    rx.handle_chunk(c.clone(), 0);
+                    rx.handle_chunk_into(c.clone(), 0, &mut Vec::new());
                     state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
                     if (state >> 40).is_multiple_of(3) {
                         // Only a duplicate data chunk counts; a repeated ED
                         // is absorbed without a count.
                         duplicates += (c.header.ty == ChunkType::Data) as u64;
-                        rx.handle_chunk(c, 0); // duplicate
+                        rx.handle_chunk_into(c, 0, &mut Vec::new()); // duplicate
                     }
                 }
             }
@@ -610,7 +677,7 @@ proptest! {
                     events.clear();
                     a.handle_chunk_into(c.clone(), 0, &mut events);
                     record(&mut delivered, &events);
-                    b.handle_chunk(c.clone(), 0);
+                    b.handle_chunk_into(c.clone(), 0, &mut Vec::new());
                     let (head, tail) = b.readable();
                     let n = (head.len() + tail.len()) as u64;
                     read.extend_from_slice(head);
@@ -678,7 +745,9 @@ proptest! {
         );
         s.send(&message, 0xE, false);
         let mut originals = Vec::new();
-        for p in s.pump(0).unwrap() {
+        let mut packets = Vec::new();
+        s.pump_into(0, &mut packets).unwrap();
+        for p in packets.drain(..) {
             originals.extend(unpack(&p).unwrap());
         }
         prop_assert!(originals.iter().any(|c| c.header.ty == ChunkType::Data));
@@ -687,7 +756,8 @@ proptest! {
         let mut t = 0u64;
         while retransmitted.is_empty() && t < 20_000_000 {
             t += 500_000;
-            for p in s.pump(t).unwrap() {
+            s.pump_into(t, &mut packets).unwrap();
+            for p in packets.drain(..) {
                 retransmitted.extend(
                     unpack(&p).unwrap().into_iter().filter(|c| {
                         matches!(c.header.ty, ChunkType::Data | ChunkType::ErrorDetection)
