@@ -168,8 +168,14 @@ pub enum RxEvent {
     },
     /// A connection signal arrived.
     Signalled(Signal),
-    /// An acknowledgment arrived (for the data we sent the other way).
-    Acked(AckInfo),
+    /// An acknowledgment arrived for the data sent the other way on
+    /// connection `conn_id`, the ack chunk's `C.ID`.
+    Acked {
+        /// The acknowledged connection.
+        conn_id: u32,
+        /// The acknowledgment.
+        ack: AckInfo,
+    },
     /// The connection was closed by the `C.ST` bit.
     ConnectionClosed,
     /// The resource budget was exhausted and the chunk was dropped before
@@ -585,7 +591,10 @@ impl Receiver {
                 None => self.bad_packet(),
             },
             ChunkType::Ack => match AckInfo::decode(c.payload()) {
-                Some(a) => out.push(RxEvent::Acked(a)),
+                Some(ack) => out.push(RxEvent::Acked {
+                    conn_id: c.header.conn.id,
+                    ack,
+                }),
                 None => self.bad_packet(),
             },
             ChunkType::Padding => {}

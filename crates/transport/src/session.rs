@@ -346,15 +346,11 @@ impl Session {
             // Back-pressure: push due timers forward without consuming
             // retries — deferral, not decay, so the retry budget is intact
             // when the pressure clears.
-            let deferred = self.rto.defer_due(now);
-            if !deferred.is_empty() {
-                self.stats.pressure_deferrals += deferred.len() as u64;
-                if self.obs_on {
-                    self.obs.counter(
-                        "transport.session.pressure_deferrals",
-                        deferred.len() as u64,
-                    );
-                }
+            let deferred = self.rto.defer_due(now).len() as u64;
+            self.stats.pressure_deferrals += deferred;
+            if self.obs_on && deferred > 0 {
+                let name = "transport.session.pressure_deferrals";
+                self.obs.counter(name, deferred);
             }
         } else {
             self.due.clear();
@@ -387,13 +383,8 @@ impl Session {
                             // The repair span runs from the first timer fire
                             // to the ack that finally repairs the TPDU.
                             if self.repairing.insert(start) {
-                                self.obs.span_open(
-                                    now,
-                                    SpanId::new(
-                                        Labels::new(self.local_conn, start as u32, 0),
-                                        Stage::Repair,
-                                    ),
-                                );
+                                let labels = Labels::new(self.local_conn, start as u32, 0);
+                                self.obs.span_open(now, SpanId::new(labels, Stage::Repair));
                             }
                             // `poll` already backed the timer off; record the
                             // RTO the re-armed entry is now running under.
@@ -493,7 +484,7 @@ impl Session {
         self.ack
             .within(room.min(u16::MAX as usize))
             .encode_into(&mut self.ack_bytes);
-        let label = ack::label(self.local_conn, self.ack_bytes.len());
+        let label = ack::label(self.rx.params().conn_id, self.ack_bytes.len());
         self.packer.put(&(label, &self.ack_bytes))?;
 
         // Burst cap: everything queues, at most `max_burst_packets` leave.
@@ -513,34 +504,37 @@ impl Session {
     }
 
     /// Ingests a packet from the peer, appending the application's events
-    /// to `out`: inbound data feeds the receiver, and an ack for the
-    /// outbound connection feeds the sender (disarming timers and, for
+    /// to `out`: inbound data feeds the receiver, and an ack labelled with
+    /// the outbound `C.ID` feeds the sender (disarming timers and, for
     /// never-retransmitted TPDUs, contributing RTT samples).
     pub fn handle_packet_into(&mut self, packet: &Packet, now: u64, out: &mut Vec<RxEvent>) {
         self.clock = self.clock.max(now);
         let mut events = std::mem::take(&mut self.events);
         self.rx.handle_packet_into(packet, now, &mut events);
         for event in events.drain(..) {
-            let RxEvent::Acked(ack) = event else {
-                out.push(event);
-                continue;
-            };
-            let samples_before = self.rto.samples;
-            for start in self.tx.handle_ack(&ack) {
-                if self.obs_on && self.repairing.remove(&start) {
-                    let labels = Labels::new(self.local_conn, start as u32, 0);
-                    self.obs
-                        .span_close(self.clock, SpanId::new(labels, Stage::Repair));
+            match event {
+                RxEvent::Acked { conn_id, ack } if conn_id == self.local_conn => {
+                    let samples_before = self.rto.samples;
+                    for start in self.tx.handle_ack(&ack) {
+                        if self.obs_on && self.repairing.remove(&start) {
+                            let labels = Labels::new(self.local_conn, start as u32, 0);
+                            self.obs
+                                .span_close(self.clock, SpanId::new(labels, Stage::Repair));
+                        }
+                        self.rto.on_ack(start, self.clock);
+                    }
+                    if self.obs_on {
+                        let samples = self.rto.samples - samples_before;
+                        self.obs.counter("transport.rto.rtt_samples", samples);
+                    }
+                    // Remember it for the next repair pass too.
+                    self.peer_pressure = ack.pressure;
+                    self.inbound_ack = Some(ack);
                 }
-                self.rto.on_ack(start, self.clock);
+                // It acknowledges nothing sent here.
+                RxEvent::Acked { .. } => {}
+                other => out.push(other),
             }
-            if self.obs_on {
-                let samples = self.rto.samples - samples_before;
-                self.obs.counter("transport.rto.rtt_samples", samples);
-            }
-            // Remember it for the next repair pass too.
-            self.peer_pressure = ack.pressure;
-            self.inbound_ack = Some(ack);
         }
         self.events = events;
     }
@@ -742,6 +736,50 @@ mod tests {
         }
         assert!(a.outbound_done());
         assert_eq!(readable(&b), message);
+    }
+
+    #[test]
+    fn acks_are_labelled_with_and_applied_for_the_acknowledged_connection() {
+        // A sends 64 B on connection 1, and none of it arrives. An ack
+        // chunk labelled with another connection, claiming everything,
+        // acknowledges nothing here.
+        let mut a = endpoint(1, 2);
+        a.send(&[0x11; 64], 0xA, false);
+        pump(&mut a, 0);
+        let all = AckInfo {
+            cumulative: 1 << 20,
+            ..AckInfo::default()
+        };
+        let ack_packet = |conn_id| {
+            let chunk = all.to_chunk(conn_id);
+            let mut bytes = Vec::new();
+            chunks_core::wire::encode_header(&chunk.header, &mut bytes);
+            bytes.extend_from_slice(&chunk.payload);
+            Packet {
+                bytes: bytes.into(),
+            }
+        };
+        hear(&mut a, &ack_packet(99), 1);
+        assert!(
+            !a.outbound_done(),
+            "an ack for connection 99 cleared connection 1"
+        );
+        hear(&mut a, &ack_packet(2), 1);
+        assert!(
+            !a.outbound_done(),
+            "an ack for connection 2 cleared connection 1"
+        );
+        hear(&mut a, &ack_packet(1), 1);
+        assert!(a.outbound_done());
+        // B, which receives connection 1, labels its acks 1.
+        let mut b = endpoint(2, 1);
+        let labels: Vec<_> = pump(&mut b, 0)
+            .iter()
+            .flat_map(|p| chunk_walk(p).unwrap().map(|c| c.header))
+            .filter(|h| h.ty == ChunkType::Ack)
+            .map(|h| h.conn.id)
+            .collect();
+        assert_eq!(labels, [1]);
     }
 
     #[test]

@@ -351,8 +351,9 @@ proptest! {
         let message: Vec<u8> = (0..elements * esize as usize).map(|i| (i * 7) as u8).collect();
         s.send(&message, 0xE, false);
         let tpdus = Framer::new(p(local), layout()).frame_simple(&message, 0xE, false);
-        // The ack of an inbound stream that never started.
-        let idle_ack = AckInfo::default().to_chunk(local);
+        // The ack of an inbound stream that never started, labelled with
+        // the connection it acknowledges.
+        let idle_ack = AckInfo::default().to_chunk(remote);
         let reference = |tpdus: &[Tpdu]| {
             let mut chunks: Vec<Chunk> = tpdus.iter().flat_map(|t| t.all_chunks()).collect();
             chunks.push(idle_ack.clone());
