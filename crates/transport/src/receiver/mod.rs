@@ -915,7 +915,7 @@ impl Receiver {
         let sacks = self.done.starts_from(self.watermark);
         ack.cumulative = self.watermark;
         ack.sacks.clear();
-        // Exactly sized, as a fresh ack's list is.
+        // Exactly sized when new: callers of `make_ack` keep one per connection.
         ack.sacks.reserve_exact(sacks.len());
         ack.sacks.extend(sacks);
         ack.gaps.clear();
