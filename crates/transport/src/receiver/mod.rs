@@ -173,8 +173,8 @@ pub enum RxEvent {
     Acked {
         /// The acknowledged connection.
         conn_id: u32,
-        /// The acknowledgment.
-        ack: AckInfo,
+        /// The acknowledgment, boxed so that the common events stay small.
+        ack: Box<AckInfo>,
     },
     /// The connection was closed by the `C.ST` bit.
     ConnectionClosed,
@@ -593,7 +593,7 @@ impl Receiver {
             ChunkType::Ack => match AckInfo::decode(c.payload()) {
                 Some(ack) => out.push(RxEvent::Acked {
                     conn_id: c.header.conn.id,
-                    ack,
+                    ack: Box::new(ack),
                 }),
                 None => self.bad_packet(),
             },

@@ -529,7 +529,7 @@ impl Session {
                     }
                     // Remember it for the next repair pass too.
                     self.peer_pressure = ack.pressure;
-                    self.inbound_ack = Some(ack);
+                    self.inbound_ack = Some(*ack);
                 }
                 // It acknowledges nothing sent here.
                 RxEvent::Acked { .. } => {}

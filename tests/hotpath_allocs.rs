@@ -778,8 +778,9 @@ fn a_warm_session_pumps_and_ingests_256_kib_in_a_handful_of_allocations() {
     // a fresh transmission leaves as the packets `submit` built (handles,
     // not copies), only the last one copied to take the ack, and the peer
     // ingests them through the receiver's packet walk into a reused event
-    // list. Both sessions are warm: a first 256 KiB went through, was read
-    // and released, and was acknowledged. The second is measured.
+    // list (the ack riding the last packet is decoded into a box). Both
+    // sessions are warm: a first 256 KiB went through, was read and
+    // released, and was acknowledged. The second is measured.
     const MESSAGE: usize = 256 << 10;
     let session = |local, remote| {
         let p = |conn_id| ConnectionParams {
