@@ -14,7 +14,16 @@
 //!   into `Σ_{k<32} d_k·x^k`, a polynomial of degree ≤ 63, with shifts and
 //!   XORs alone. One-byte elements (`d = b·x²⁴`) compact 32 payload bytes
 //!   into such a word without ever forming a symbol. The gathers are
-//!   portable Rust, one per payload shape.
+//!   portable Rust, one per payload shape, plus one wide gather for
+//!   one-byte elements.
+//! * **Wide one-byte gather** — on x86_64 with AVX-512 (`avx512f` and
+//!   `avx512bw`, detected at runtime) a 64-byte block is one `zmm` load:
+//!   the portable gather's three mask-shift-xor stages run on its eight
+//!   `u64`s at once, a variable shift puts each at `x^(24 + 8q)`, two XOR
+//!   reductions leave the block's two words, and both lane chains stay in
+//!   XMM registers. A partial last block is a masked load that reads no
+//!   byte past the slice. Same words, same chains, same constants, so the
+//!   same bits.
 //! * **Lane fold with lazy reduction** — [`LANES`] independent Horner
 //!   chains, each absorbing one word per block of `B = 32·LANES` symbols.
 //!   An accumulator `A` is kept *unreduced* at ≤ 64 bits; one step is
@@ -29,15 +38,20 @@
 //!   payloads stream from DRAM; one multiply by `α^(B·(blocks−1))` per run
 //!   turns the end-relative sum into `Σ αⁱ·dᵢ`.
 //!
-//! The architecture-specific code is the multiply and the lane step.
-//! Everything here is `unsafe` only because `std::arch` intrinsics demand
-//! a proof that the instruction exists; every entry point below checks
-//! [`is_supported`] (cached CPU feature detection) and falls back to the
-//! portable path, so the module's public surface is safe. Bit-equivalence
-//! with `mul_ref` and the symbol-level oracle is pinned by
-//! `tests/field_axioms.rs` across backends.
+//! The architecture-specific code is the multiply, the lane step and the
+//! wide gather. Everything else is written once in portable Rust: the
+//! packed and odd-`SIZE` gathers everywhere, the one-byte gather on
+//! aarch64 and on x86_64 without AVX-512, the tail padding and the lane
+//! combination. Everything here is `unsafe` only because `std::arch`
+//! intrinsics demand a proof that the instruction exists; every entry
+//! point below checks [`is_supported`] (cached CPU feature detection) and
+//! falls back to the portable path, so the module's public surface is
+//! safe. Bit-equivalence with `mul_ref` and the symbol-level oracle is
+//! pinned by `tests/field_axioms.rs` across backends and both one-byte
+//! gathers.
 #![allow(unsafe_code)] // std::arch intrinsics; every call site is feature-gated
 
+use crate::fold::ByteGather;
 use crate::poly::{const_mul, reduce64, MODULUS, POLY_LOW};
 
 pub(crate) use arch::prefetch;
@@ -158,9 +172,11 @@ pub(crate) fn fold_elements(size: usize, bytes: &[u8]) -> (u32, u32) {
     if !is_supported() {
         return crate::fold::fold_serial_elements(size, bytes);
     }
+    if size == 1 {
+        return fold_bytes(ByteGather::Wide, bytes);
+    }
     let mut parity = 0u64;
-    // SAFETY (all three arms): `is_supported` proved the target features
-    // exist.
+    // SAFETY (both arms): `is_supported` proved the target features exist.
     let h = if size.is_multiple_of(4) {
         // Packed: the payload is one run of big-endian symbols.
         const WORD_BYTES: usize = 4 * WORD_SYMBOLS;
@@ -174,28 +190,6 @@ pub(crate) fn fold_elements(size: usize, bytes: &[u8]) -> (u32, u32) {
             w
         });
         unsafe { fold_blocks(blocks) }
-    } else if size == 1 {
-        // One-byte elements: symbol `i` is `bᵢ·x²⁴`, so a word is
-        // `x²⁴·Σ bᵢ·xⁱ`. Eight bytes compact to `Σ bᵢ·xⁱ` (15 bits) in
-        // three mask-shift-xor stages that each halve the field count.
-        let blocks = fixed_blocks(bytes, |word: &[u8; WORD_SYMBOLS]| {
-            let mut v = 0u64;
-            for (q, eight) in word.chunks_exact(8).enumerate() {
-                let l = u64::from_le_bytes(eight.try_into().expect("chunks_exact(8)"));
-                parity ^= l;
-                let t = (l & 0x00FF_00FF_00FF_00FF) ^ ((l >> 7) & 0x01FE_01FE_01FE_01FE);
-                let t = (t & 0x0000_FFFF_0000_FFFF) ^ ((t >> 14) & 0x0000_07FC_0000_07FC);
-                v ^= ((t ^ (t >> 28)) as u32 as u64) << (8 * q);
-            }
-            v << 24
-        });
-        let h = unsafe { fold_blocks(blocks) };
-        // The bytes' XOR, left-aligned like every one-byte symbol.
-        parity ^= parity >> 32;
-        parity ^= parity >> 16;
-        parity ^= parity >> 8;
-        parity = (parity & 0xFF) << 24;
-        h
     } else {
         // Any other SIZE: walk the zero-padded symbols one by one. Rare
         // shapes; this keeps the contract, not the speed.
@@ -218,6 +212,56 @@ pub(crate) fn fold_elements(size: usize, bytes: &[u8]) -> (u32, u32) {
         unsafe { fold_blocks(blocks) }
     };
     (parity as u32, h)
+}
+
+/// Whether the CPU runs the [`ByteGather::Wide`] arm: carry-less multiply
+/// plus AVX-512 (`avx512f`, `avx512bw`) on x86_64; never elsewhere.
+/// Detection is cached by `std::arch`.
+#[inline]
+pub(crate) fn has_wide_gather() -> bool {
+    is_supported() && arch::has_wide_gather()
+}
+
+/// `(Σ dᵢ, Σ αⁱ·dᵢ)` over one-byte elements with the gather pinned (see
+/// [`crate::fold_byte_elements_with`]). Asking for the wide gather on a CPU
+/// without it runs the portable one, and a CPU without carry-less multiply
+/// folds serially.
+pub(crate) fn fold_bytes(gather: ByteGather, bytes: &[u8]) -> (u32, u32) {
+    if !is_supported() {
+        return crate::fold::fold_serial_elements(1, bytes);
+    }
+    if gather == ByteGather::Wide && arch::has_wide_gather() {
+        // SAFETY: `is_supported` and `has_wide_gather` proved the target
+        // features exist.
+        return unsafe { arch::fold_bytes_wide(bytes) };
+    }
+    // Symbol `i` is `bᵢ·x²⁴`, so a word is `x²⁴·Σ bᵢ·xⁱ`. Eight bytes
+    // compact to `Σ bᵢ·xⁱ` (15 bits) in three mask-shift-xor stages that
+    // each halve the field count.
+    let mut parity = 0u64;
+    let blocks = fixed_blocks(bytes, |word: &[u8; WORD_SYMBOLS]| {
+        let mut v = 0u64;
+        for (q, eight) in word.chunks_exact(8).enumerate() {
+            let l = u64::from_le_bytes(eight.try_into().expect("chunks_exact(8)"));
+            parity ^= l;
+            let t = (l & 0x00FF_00FF_00FF_00FF) ^ ((l >> 7) & 0x01FE_01FE_01FE_01FE);
+            let t = (t & 0x0000_FFFF_0000_FFFF) ^ ((t >> 14) & 0x0000_07FC_0000_07FC);
+            v ^= ((t ^ (t >> 28)) as u32 as u64) << (8 * q);
+        }
+        v << 24
+    });
+    // SAFETY: `is_supported` proved the target features exist.
+    let h = unsafe { fold_blocks(blocks) };
+    (byte_parity(parity), h)
+}
+
+/// The XOR of a payload's bytes from the XOR of its eight-byte pieces,
+/// left-aligned like every one-byte symbol.
+fn byte_parity(mut pieces: u64) -> u32 {
+    pieces ^= pieces >> 32;
+    pieces ^= pieces >> 16;
+    pieces ^= pieces >> 8;
+    ((pieces & 0xFF) as u32) << 24
 }
 
 /// How far ahead of the block being gathered the fold asks for its own
@@ -269,10 +313,8 @@ fn fixed_blocks<'a, T: Copy + Default, const W: usize>(
 ///
 /// Each lane runs the forward chain `A ← A·β^BLOCK_SYMBOLS ⊕ word` with
 /// lazy reduction (two `clmul`s per word, see module docs), so after `n`
-/// blocks lane `j` holds `Σ_k β^(B·(n-1-k))·word_(k,j)`; the lanes combine
-/// by Horner in `α³² = x³²`, and one multiply by `α^(B·(n-1))` turns the
-/// end-relative sum into the start-relative one. A run of one block pays no
-/// multiply at all.
+/// blocks lane `j` holds `Σ_k β^(B·(n-1-k))·word_(k,j)`; [`combine`] turns
+/// the lanes into the sum.
 ///
 /// # Safety
 /// The CPU must support the carry-less multiply features [`is_supported`]
@@ -294,23 +336,77 @@ unsafe fn fold_blocks(mut next_block: impl FnMut() -> Option<[u64; LANES]>) -> u
         }
         blocks += 1;
     }
+    combine(acc, blocks)
+}
+
+/// `Σ αⁱ·dᵢ` from the lane chains after `blocks` blocks: the lanes combine
+/// by Horner in `α³² = x³²`, and one multiply by `α^(B·(blocks-1))` turns
+/// the end-relative sum into the start-relative one. A run of one block
+/// pays no multiply at all.
+///
+/// # Safety
+/// The CPU must support the carry-less multiply features [`is_supported`]
+/// checks.
+#[cfg_attr(
+    target_arch = "x86_64",
+    target_feature(enable = "pclmulqdq", enable = "sse2")
+)]
+#[cfg_attr(
+    target_arch = "aarch64",
+    target_feature(enable = "neon", enable = "aes")
+)]
+unsafe fn combine(acc: [u64; LANES], blocks: u64) -> u32 {
     let mut h = 0u32;
     for &a in acc.iter().rev() {
         h = reduce64(((h as u64) << WORD_SYMBOLS) ^ a);
     }
     if blocks > 1 {
-        let lift = crate::Gf32::alpha_pow((blocks - 1) * BLOCK_SYMBOLS as u64);
-        h = arch::mul_unchecked(h, lift.value());
+        let lift = alpha_pow_unchecked((blocks - 1) * BLOCK_SYMBOLS as u64);
+        h = arch::mul_unchecked(h, lift);
     }
     h
 }
 
+/// `α^e` with the cached power tables' lookups and carry-less multiplies;
+/// falls back to the table path when the instruction is missing.
+#[inline]
+pub(crate) fn alpha_pow(e: u64) -> u32 {
+    if is_supported() {
+        // SAFETY: `is_supported` proved the target features exist.
+        unsafe { alpha_pow_unchecked(e) }
+    } else {
+        crate::tables::alpha_pow_with(e, crate::tables::mul_tables)
+    }
+}
+
+/// [`alpha_pow`] without the feature check.
+///
+/// # Safety
+/// The CPU must support the carry-less multiply features [`is_supported`]
+/// checks.
+#[cfg_attr(
+    target_arch = "x86_64",
+    target_feature(enable = "pclmulqdq", enable = "sse2")
+)]
+#[cfg_attr(
+    target_arch = "aarch64",
+    target_feature(enable = "neon", enable = "aes")
+)]
+unsafe fn alpha_pow_unchecked(e: u64) -> u32 {
+    // SAFETY: the caller proved the target features exist.
+    crate::tables::alpha_pow_with(e, |a, b| unsafe { arch::mul_unchecked(a, b) })
+}
+
 #[cfg(target_arch = "x86_64")]
 mod arch {
-    use super::{BLOCK_FOLD, BLOCK_STEP, MODULUS, MU};
+    use super::{BLOCK_FOLD, BLOCK_STEP, LANES, MODULUS, MU, PREFETCH_AHEAD, WORD_SYMBOLS};
     use std::arch::x86_64::{
-        _mm_clmulepi64_si128, _mm_cvtsi128_si64, _mm_cvtsi64_si128, _mm_prefetch, _mm_set_epi64x,
-        _mm_srli_epi64, _mm_xor_si128, _MM_HINT_T0,
+        __m128i, __m512i, _mm512_and_si512, _mm512_castsi512_si128, _mm512_extracti32x4_epi32,
+        _mm512_loadu_si512, _mm512_maskz_loadu_epi8, _mm512_permutex_epi64, _mm512_set1_epi64,
+        _mm512_set_epi64, _mm512_setzero_si512, _mm512_sllv_epi64, _mm512_srli_epi64,
+        _mm512_xor_si512, _mm_clmulepi64_si128, _mm_cvtsi128_si64, _mm_cvtsi64_si128, _mm_prefetch,
+        _mm_set_epi64x, _mm_setzero_si128, _mm_srli_epi64, _mm_unpacklo_epi32, _mm_xor_si128,
+        _MM_HINT_T0,
     };
 
     /// Asks for the cache line at `at` in every cache level (`PREFETCHT0`).
@@ -352,6 +448,119 @@ mod arch {
         );
         _mm_cvtsi128_si64(prod) as u64 ^ word
     }
+
+    /// Whether the CPU has the AVX-512 subset [`fold_bytes_wide`] needs on
+    /// top of carry-less multiply.
+    #[inline]
+    pub(super) fn has_wide_gather() -> bool {
+        std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512bw")
+    }
+
+    // One 64-byte load is one block: two words of 32 one-byte symbols.
+    const _: () = assert!(LANES == 2 && WORD_SYMBOLS == 32);
+
+    /// The portable one-byte fold's arithmetic with one 512-bit load per
+    /// block: the same three mask-shift-xor stages on all eight `u64`s of
+    /// the block at once, and both lane chains kept in XMM registers. A
+    /// partial last block is a masked load, which reads no byte past the
+    /// slice and zeroes the rest — the stack pad of the portable gather.
+    #[target_feature(
+        enable = "avx512f",
+        enable = "avx512bw",
+        enable = "pclmulqdq",
+        enable = "sse2"
+    )]
+    pub(super) fn fold_bytes_wide(bytes: &[u8]) -> (u32, u32) {
+        let mut chains = [_mm_setzero_si128(); LANES];
+        let mut parity = _mm512_setzero_si512();
+        let mut blocks = 0u64;
+        for block in bytes.chunks(64) {
+            let at = block.as_ptr();
+            let v = if block.len() == 64 {
+                // Named, never read: see `fixed_blocks`.
+                prefetch(at.wrapping_add(PREFETCH_AHEAD));
+                // SAFETY: `block` is 64 readable bytes starting at `at`.
+                unsafe { _mm512_loadu_si512(at.cast()) }
+            } else {
+                // SAFETY: the mask selects `block`'s own bytes; a masked-off
+                // byte is never accessed, so nothing past the slice is read
+                // whatever memory follows it.
+                unsafe { _mm512_maskz_loadu_epi8(u64::MAX >> (64 - block.len()), at.cast()) }
+            };
+            parity = _mm512_xor_si512(parity, v);
+            for (chain, word) in chains.iter_mut().zip(block_words(v)) {
+                *chain = chain_step(*chain, word);
+            }
+            blocks += 1;
+        }
+        let [p0, p1] = sum_quarters(parity);
+        let parity = _mm_cvtsi128_si64(_mm_xor_si128(p0, p1)) as u64;
+        let acc = chains.map(|a| _mm_cvtsi128_si64(a) as u64);
+        // SAFETY: this function's target features include `combine`'s.
+        let h = unsafe { super::combine(acc, blocks) };
+        (super::byte_parity(parity), h)
+    }
+
+    /// The block's two lane words, each in the low `u64` of its register:
+    /// `u64` `q` of word `j` compacts to `Σ bᵢ·xⁱ` and lands at
+    /// `x^(24 + 8q)`, as in the portable gather.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn block_words(v: __m512i) -> [__m128i; LANES] {
+        let stage = |t: __m512i, low: i64, high: i64, t_shifted: __m512i| {
+            _mm512_xor_si512(
+                _mm512_and_si512(t, _mm512_set1_epi64(low)),
+                _mm512_and_si512(t_shifted, _mm512_set1_epi64(high)),
+            )
+        };
+        let t = stage(
+            v,
+            0x00FF_00FF_00FF_00FF,
+            0x01FE_01FE_01FE_01FE,
+            _mm512_srli_epi64::<7>(v),
+        );
+        let t = stage(
+            t,
+            0x0000_FFFF_0000_FFFF,
+            0x0000_07FC_0000_07FC,
+            _mm512_srli_epi64::<14>(t),
+        );
+        let t = stage(t, 0xFFFF_FFFF, 0xFFFF_FFFF, _mm512_srli_epi64::<28>(t));
+        sum_quarters(_mm512_sllv_epi64(
+            t,
+            _mm512_set_epi64(48, 40, 32, 24, 48, 40, 32, 24),
+        ))
+    }
+
+    /// The XOR of `v`'s `u64`s 0–3 and of its `u64`s 4–7, each in the low
+    /// `u64` of its register.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn sum_quarters(v: __m512i) -> [__m128i; 2] {
+        // Within each 256-bit half: swap the 128-bit pairs, then the `u64`s.
+        let v = _mm512_xor_si512(v, _mm512_permutex_epi64::<0b01_00_11_10>(v));
+        let v = _mm512_xor_si512(v, _mm512_permutex_epi64::<0b10_11_00_01>(v));
+        [_mm512_castsi512_si128(v), _mm512_extracti32x4_epi32::<2>(v)]
+    }
+
+    /// [`lane_step`] on the low `u64`s of XMM registers: the accumulator
+    /// never leaves the vector unit. The high `u64`s are ignored.
+    #[inline]
+    #[target_feature(enable = "pclmulqdq", enable = "sse2")]
+    fn chain_step(a: __m128i, word: __m128i) -> __m128i {
+        // CK.low64 = C, CK.high64 = K.
+        let ck = _mm_set_epi64x(BLOCK_FOLD as i64, BLOCK_STEP as i64);
+        // [A & 2³²-1, A≫32] as two `u64`s.
+        let halves = _mm_unpacklo_epi32(a, _mm_setzero_si128());
+        _mm_xor_si128(
+            _mm_xor_si128(
+                _mm_clmulepi64_si128::<0x00>(halves, ck),
+                _mm_clmulepi64_si128::<0x11>(halves, ck),
+            ),
+            word,
+        )
+    }
 }
 
 #[cfg(target_arch = "aarch64")]
@@ -381,6 +590,16 @@ mod arch {
             ^ (vmull_p64(a & 0xFFFF_FFFF, BLOCK_STEP as u64) as u64)
             ^ word
     }
+
+    /// There is no wide gather on this architecture.
+    pub(super) fn has_wide_gather() -> bool {
+        false
+    }
+
+    /// Unreachable: [`has_wide_gather`] is `false`.
+    pub(super) unsafe fn fold_bytes_wide(_bytes: &[u8]) -> (u32, u32) {
+        unreachable!("wide gather dispatched without hardware support")
+    }
 }
 
 #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
@@ -398,6 +617,16 @@ mod arch {
     /// Unreachable on this architecture (see [`mul_unchecked`]).
     pub(super) unsafe fn lane_step(_a: u64, _word: u64) -> u64 {
         unreachable!("clmul backend dispatched without hardware support")
+    }
+
+    /// There is no wide gather on this architecture.
+    pub(super) fn has_wide_gather() -> bool {
+        false
+    }
+
+    /// Unreachable: [`has_wide_gather`] is `false`.
+    pub(super) unsafe fn fold_bytes_wide(_bytes: &[u8]) -> (u32, u32) {
+        unreachable!("wide gather dispatched without hardware support")
     }
 }
 

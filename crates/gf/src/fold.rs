@@ -21,7 +21,9 @@
 //!   (see `clmul.rs`). This is the path TPDU invariant verification rides.
 //!
 //! The `_with` forms pin the backend, so the equivalence tests can reach
-//! the portable path on hardware that has carry-less multiply.
+//! the portable path on hardware that has carry-less multiply;
+//! [`fold_byte_elements_with`] pins the clmul fold's one-byte gather the
+//! same way.
 
 use crate::backend::Backend;
 use crate::Gf32;
@@ -84,6 +86,49 @@ pub fn fold_elements_with(backend: Backend, size: usize, bytes: &[u8]) -> (Gf32,
         Backend::Clmul => crate::clmul::fold_elements(size, bytes),
         Backend::Tables => fold_serial_elements(size, bytes),
     };
+    (Gf32::new(p0), Gf32::new(h))
+}
+
+/// How the clmul fold turns one-byte elements — the shape every ledger
+/// workload sends — into lane words. Both gathers compute the same bits;
+/// [`fold_elements`] on the clmul backend runs the wide one wherever the
+/// CPU has it.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum ByteGather {
+    /// Portable Rust, eight bytes per `u64`: every CPU with carry-less
+    /// multiply, and the only one on aarch64 and on x86_64 without AVX-512.
+    Portable,
+    /// One 512-bit load per 64-byte block (x86_64 with `avx512f` and
+    /// `avx512bw`).
+    Wide,
+}
+
+impl ByteGather {
+    /// Every gather the current CPU can run, portable first.
+    pub fn supported() -> Vec<ByteGather> {
+        let mut v = vec![ByteGather::Portable];
+        if crate::clmul::has_wide_gather() {
+            v.push(ByteGather::Wide);
+        }
+        v
+    }
+}
+
+/// [`fold_elements`]`(1, bytes)` on the clmul backend with the gather
+/// pinned, so the equivalence tests reach the portable gather on a CPU
+/// that has the wide one. A gather the CPU lacks computes the same value
+/// on the portable one, and a CPU without carry-less multiply folds
+/// serially.
+///
+/// ```
+/// use chunks_gf::{fold_byte_elements_with, fold_elements, ByteGather};
+/// let bytes = [0xAB; 100];
+/// for gather in ByteGather::supported() {
+///     assert_eq!(fold_byte_elements_with(gather, &bytes), fold_elements(1, &bytes));
+/// }
+/// ```
+pub fn fold_byte_elements_with(gather: ByteGather, bytes: &[u8]) -> (Gf32, Gf32) {
+    let (p0, h) = crate::clmul::fold_bytes(gather, bytes);
     (Gf32::new(p0), Gf32::new(h))
 }
 

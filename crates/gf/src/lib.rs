@@ -37,7 +37,8 @@
 //!   carry-less multiply (`PCLMULQDQ` on x86_64, `PMULL` on aarch64) with
 //!   Barrett reduction, plus the forward lane fold behind
 //!   [`fold_elements`] and [`fold_symbols`], which reads payload bytes in
-//!   place.
+//!   place — one-byte elements through an AVX-512 gather where the CPU has
+//!   one ([`ByteGather`]).
 //!
 //! The operator impls (`*`, `/`) and everything layered above (WSC-2, the
 //! TPDU invariant, the transport receiver) dispatch through
@@ -54,7 +55,10 @@ mod poly;
 mod tables;
 
 pub use backend::Backend;
-pub use fold::{fold_be_bytes, fold_elements, fold_elements_with, fold_symbols, fold_symbols_with};
+pub use fold::{
+    fold_be_bytes, fold_byte_elements_with, fold_elements, fold_elements_with, fold_symbols,
+    fold_symbols_with, ByteGather,
+};
 pub use poly::{clmul32, reduce64, MODULUS, POLY_LOW};
 
 use std::fmt;
@@ -209,8 +213,9 @@ impl Gf32 {
     }
 
     /// `alpha^i` via cached power tables: at most 4 lookups and 3
-    /// multiplies, independent of `i`. This is how WSC-2 weights symbols at
-    /// arbitrary (disordered) positions without paying for exponentiation.
+    /// multiplies on the active [`Backend`], independent of `i`. This is
+    /// how WSC-2 weights symbols at arbitrary (disordered) positions
+    /// without paying for exponentiation.
     ///
     /// Exponents at or above the group order `2^32 - 1` are folded by
     /// Fermat (`alpha^(2^32-1) = 1`), so the result is correct for every
@@ -224,7 +229,10 @@ impl Gf32 {
     /// ```
     #[inline]
     pub fn alpha_pow(i: u64) -> Gf32 {
-        Gf32(tables::alpha_pow_tables((i % 0xFFFF_FFFF) as u32))
+        Gf32(match Backend::active() {
+            Backend::Clmul => clmul::alpha_pow(i),
+            Backend::Tables => tables::alpha_pow_with(i, tables::mul_tables),
+        })
     }
 
     /// Reference `alpha^i` via the compile-time square table —

@@ -117,21 +117,23 @@ pub(crate) fn mul_tables(a: u32, b: u32) -> u32 {
     lo ^ t.reduce[0][h0] ^ t.reduce[1][h1] ^ t.reduce[2][h2] ^ t.reduce[3][h3]
 }
 
-/// `α^e` for a 32-bit exponent via the cached power tables: at most four
-/// lookups and three multiplies, independent of `e`'s bit pattern.
-#[inline]
-pub(crate) fn alpha_pow_tables(e: u32) -> u32 {
+/// `α^e` via the cached power tables: the exponent folds modulo the group
+/// order `2³² - 1` (Fermat), then at most four lookups and three
+/// multiplies by `mul`, the caller's backend — independent of `e`'s bit
+/// pattern.
+#[inline(always)]
+pub(crate) fn alpha_pow_with(e: u64, mul: impl Fn(u32, u32) -> u32) -> u32 {
     let t = tables();
-    let [e0, e1, e2, e3] = e.to_le_bytes().map(|x| x as usize);
+    let [e0, e1, e2, e3] = ((e % 0xFFFF_FFFF) as u32).to_le_bytes().map(|x| x as usize);
     let mut acc = t.alpha[0][e0];
     if e1 != 0 {
-        acc = mul_tables(acc, t.alpha[1][e1]);
+        acc = mul(acc, t.alpha[1][e1]);
     }
     if e2 != 0 {
-        acc = mul_tables(acc, t.alpha[2][e2]);
+        acc = mul(acc, t.alpha[2][e2]);
     }
     if e3 != 0 {
-        acc = mul_tables(acc, t.alpha[3][e3]);
+        acc = mul(acc, t.alpha[3][e3]);
     }
     acc
 }
@@ -205,7 +207,7 @@ mod tests {
                 base = const_mul(base, base);
                 bits >>= 1;
             }
-            assert_eq!(alpha_pow_tables(e), expect, "e={e}");
+            assert_eq!(alpha_pow_with(e as u64, mul_tables), expect, "e={e}");
         }
     }
 }

@@ -1,6 +1,9 @@
 //! Property-based verification of the GF(2^32) field axioms.
 
-use chunks_gf::{fold_elements_with, fold_symbols_with, Backend, Gf32, ALPHA};
+use chunks_gf::{
+    fold_byte_elements_with, fold_elements_with, fold_symbols_with, Backend, ByteGather, Gf32,
+    ALPHA,
+};
 use proptest::prelude::*;
 
 fn elem() -> impl Strategy<Value = Gf32> {
@@ -54,7 +57,11 @@ proptest! {
 
     #[test]
     fn alpha_pow_consistent(i in 0u64..(1 << 30)) {
-        prop_assert_eq!(Gf32::alpha_pow(i), ALPHA.pow(i));
+        for backend in Backend::supported() {
+            Backend::force(Some(backend));
+            prop_assert_eq!(Gf32::alpha_pow(i), ALPHA.pow(i), "backend={:?}", backend);
+        }
+        Backend::force(None);
     }
 
     #[test]
@@ -78,8 +85,13 @@ proptest! {
     #[test]
     fn alpha_pow_matches_reference(i in any::<u64>()) {
         // Cached power tables (with mod-(2^32 - 1) exponent folding) agree
-        // with the seed square-and-multiply path for every u64 exponent.
-        prop_assert_eq!(Gf32::alpha_pow(i), Gf32::alpha_pow_ref(i));
+        // with the seed square-and-multiply path for every u64 exponent,
+        // whichever backend multiplies the looked-up powers.
+        for backend in Backend::supported() {
+            Backend::force(Some(backend));
+            prop_assert_eq!(Gf32::alpha_pow(i), Gf32::alpha_pow_ref(i), "backend={:?}", backend);
+        }
+        Backend::force(None);
     }
 
     #[test]
@@ -136,6 +148,27 @@ fn padded_symbols(size: usize, bytes: &[u8]) -> Vec<u32> {
     symbols
 }
 
+/// The fold of `bytes` as `size`-byte elements on every path this CPU
+/// runs, named: each backend and, for one-byte elements, each gather of
+/// the clmul fold — the portable one is the only one on aarch64 and on
+/// x86_64 without AVX-512, so it is pinned here where the wide one exists.
+fn every_byte_fold(size: usize, bytes: &[u8]) -> Vec<(&'static str, (Gf32, Gf32))> {
+    let mut folds: Vec<_> = Backend::supported()
+        .into_iter()
+        .map(|backend| (backend.name(), fold_elements_with(backend, size, bytes)))
+        .collect();
+    if size == 1 {
+        for gather in ByteGather::supported() {
+            let name = match gather {
+                ByteGather::Portable => "portable gather",
+                ByteGather::Wide => "wide gather",
+            };
+            folds.push((name, fold_byte_elements_with(gather, bytes)));
+        }
+    }
+    folds
+}
+
 fn payload(n: usize) -> Vec<u8> {
     (0..n as u32)
         .map(|i| (i.wrapping_mul(0x9E37_79B9) >> 13) as u8)
@@ -154,14 +187,13 @@ fn byte_folds_match_the_symbol_oracle_at_every_length_and_misalignment() {
         for elements in 0..=600usize {
             let bytes = &data[..size * elements];
             let expect = fold_symbols_with(Backend::Tables, &padded_symbols(size, bytes));
-            for backend in Backend::supported() {
-                for misalign in 0..16usize {
-                    let at = &mut shifted[misalign..misalign + bytes.len()];
-                    at.copy_from_slice(bytes);
+            for misalign in 0..16usize {
+                let at = &mut shifted[misalign..misalign + bytes.len()];
+                at.copy_from_slice(bytes);
+                for (path, got) in every_byte_fold(size, at) {
                     assert_eq!(
-                        fold_elements_with(backend, size, at),
-                        expect,
-                        "backend={backend:?} size={size} elements={elements} misalign={misalign}"
+                        got, expect,
+                        "path={path} size={size} elements={elements} misalign={misalign}"
                     );
                 }
             }
@@ -178,11 +210,11 @@ fn byte_folds_walk_forward_to_the_same_value_as_fold_symbols() {
         for n in [0, 1, size - 1, size, size + 1, 4 * 1024, data.len()] {
             let bytes = &data[..n.min(data.len())];
             let symbols = padded_symbols(size, bytes);
-            for backend in Backend::supported() {
+            for (path, got) in every_byte_fold(size, bytes) {
                 assert_eq!(
-                    fold_elements_with(backend, size, bytes),
-                    fold_symbols_with(backend, &symbols),
-                    "backend={backend:?} size={size} n={n}"
+                    got,
+                    chunks_gf::fold_symbols(&symbols),
+                    "path={path} size={size} n={n}"
                 );
             }
             assert_eq!(
@@ -228,9 +260,20 @@ fn byte_folds_never_read_past_a_payload_ending_on_a_page_boundary() {
             for n in [1usize, 5, 31, 32, 33, 63, 64, 65, 600, 2048, PAGE] {
                 let bytes = &page[PAGE - n..];
                 let expect = fold_symbols_with(Backend::Tables, &padded_symbols(size, bytes));
-                for backend in Backend::supported() {
-                    let got = fold_elements_with(backend, size, bytes);
-                    assert_eq!(got, expect, "backend={backend:?} size={size} n={n}");
+                for (path, got) in every_byte_fold(size, bytes) {
+                    assert_eq!(got, expect, "path={path} size={size} n={n}");
+                }
+            }
+        }
+        // The wide gather reads a partial last block with one masked
+        // 64-byte load: every tail length, alone and behind full blocks,
+        // ends on the guard page.
+        for tail in 1..64usize {
+            for n in [tail, 64 + tail, 128 + tail] {
+                let bytes = &page[PAGE - n..];
+                let expect = fold_symbols_with(Backend::Tables, &padded_symbols(1, bytes));
+                for (path, got) in every_byte_fold(1, bytes) {
+                    assert_eq!(got, expect, "path={path} tail={tail} n={n}");
                 }
             }
         }
@@ -242,12 +285,8 @@ fn byte_folds_never_read_past_a_payload_ending_on_a_page_boundary() {
                 let bytes = &page[PAGE - short - n..PAGE - short];
                 for size in [1usize, 3, 4, 8] {
                     let expect = fold_symbols_with(Backend::Tables, &padded_symbols(size, bytes));
-                    for backend in Backend::supported() {
-                        let got = fold_elements_with(backend, size, bytes);
-                        assert_eq!(
-                            got, expect,
-                            "backend={backend:?} size={size} n={n} short={short}"
-                        );
+                    for (path, got) in every_byte_fold(size, bytes) {
+                        assert_eq!(got, expect, "path={path} size={size} n={n} short={short}");
                     }
                 }
             }

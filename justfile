@@ -36,9 +36,12 @@ test:
     cargo build --release
     cargo test -q
 
-# Release-mode test suite (the soak assertions also run here, in seconds).
+# Release-mode test suite (the soak assertions also run here, in seconds),
+# plus the GF(2^32) and WSC-2 crates' own suites: the byte kernels' `unsafe`
+# SIMD arms are compiled differently in release than in debug.
 test-release:
     cargo test -q --release
+    cargo test -q --release -p chunks-gf -p chunks-wsc
 
 # Every workspace member's tests, not only the root package's.
 test-workspace:
