@@ -82,16 +82,6 @@ impl ChunkHeader {
         }
     }
 
-    /// Sequence number (at `level`) of the chunk's last element.
-    pub fn last_sn(&self, level: Level) -> u32 {
-        self.tuple(level).sn_at(self.len.wrapping_sub(1))
-    }
-
-    /// Sequence number (at `level`) one past the chunk's last element.
-    pub fn end_sn(&self, level: Level) -> u32 {
-        self.tuple(level).sn_at(self.len)
-    }
-
     /// Checks the structural invariants of a header.
     pub fn validate(&self) -> Result<(), CoreError> {
         if self.size == 0 {
@@ -257,14 +247,6 @@ mod tests {
             v,
             vec![(100, &b"aa"[..]), (101, &b"bb"[..]), (102, &b"cc"[..])]
         );
-    }
-
-    #[test]
-    fn sn_helpers() {
-        let h = hdr(2, 3); // C.SN 100..102
-        assert_eq!(h.last_sn(Level::Connection), 102);
-        assert_eq!(h.end_sn(Level::Connection), 103);
-        assert_eq!(h.last_sn(Level::Tpdu), 2);
     }
 
     #[test]

@@ -73,4 +73,4 @@ pub use error::CoreError;
 pub use frag::{merge, split, split_to_fit, ReassemblyPool};
 pub use label::{ChunkType, FramingTuple, Level};
 pub use packet::{pack, spans, unpack, validate, Packet, PacketBuilder};
-pub use wire::{decode_chunk_at, decode_chunk_ref, ChunkRef, WIRE_HEADER_LEN};
+pub use wire::{decode_chunk_ref, ChunkRef, WIRE_HEADER_LEN};

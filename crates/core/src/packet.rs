@@ -200,7 +200,7 @@ pub fn pack(chunks: Vec<Chunk>, mtu: usize) -> Result<Vec<Packet>, CoreError> {
 /// This is the owned reference decode: the merging router, baselines and
 /// examples use it where chunks must outlive the packet, and the tests
 /// compare the production walk ([`validate`] → [`spans`] →
-/// [`decode_chunk_at`](crate::wire::decode_chunk_at)) against it.
+/// [`decode_chunk_ref`](crate::wire::decode_chunk_ref)) against it.
 pub fn unpack(packet: &Packet) -> Result<Vec<Chunk>, CoreError> {
     let mut chunks = Vec::new();
     let mut rest: &[u8] = &packet.bytes;
@@ -435,14 +435,14 @@ mod tests {
         assert!(pack(vec![], 1500).unwrap().is_empty());
     }
 
-    /// The production walk (`validate` + `spans` + `decode_chunk_at`) and the
+    /// The production walk (`validate` + `spans` + `decode_chunk_ref`) and the
     /// owned reference `unpack` must agree chunk-for-chunk on accepted
     /// packets and error-for-error on rejected ones.
     fn assert_spans_agree(p: &Packet) {
         let spans: Vec<(usize, usize)> = spans(p).collect();
         // Accepted or not, every span the walk yields decodes in place.
         for &(lo, hi) in &spans {
-            let (_, used) = crate::wire::decode_chunk_at(&p.bytes, lo).unwrap();
+            let (_, used) = crate::wire::decode_chunk_ref(&p.bytes[lo..]).unwrap();
             assert_eq!(used, hi - lo);
         }
         match (validate(p), unpack(p)) {
@@ -455,8 +455,8 @@ mod tests {
                     assert_eq!(&decoded, chunk);
                     // The zero-copy decode sees the same chunk, sharing the
                     // packet's buffer instead of copying out of it.
-                    let (zc, _) = crate::wire::decode_chunk_at(&p.bytes, *lo).unwrap();
-                    assert_eq!(&zc, chunk);
+                    let (zc, _) = crate::wire::decode_chunk_ref(&p.bytes[*lo..]).unwrap();
+                    assert_eq!(&zc.to_chunk(), chunk);
                     if !zc.payload.is_empty() {
                         assert!(
                             p.bytes.as_ptr_range().contains(&zc.payload.as_ptr()),

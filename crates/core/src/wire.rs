@@ -163,7 +163,7 @@ fn decode_validated(buf: &[u8]) -> Result<(ChunkHeader, usize), CoreError> {
 /// Decodes one chunk from the front of `buf`, returning it together with the
 /// number of bytes consumed. The payload is **copied** out of the buffer —
 /// this is the owned reference the zero-copy decode is tested against; the
-/// receive path uses [`decode_chunk_at`] instead.
+/// receive path uses [`decode_chunk_ref`] instead.
 pub fn decode_chunk(buf: &[u8]) -> Result<(Chunk, usize), CoreError> {
     let (header, total) = decode_validated(buf)?;
     let payload = Bytes::copy_from_slice(&buf[WIRE_HEADER_LEN..total]);
@@ -181,21 +181,6 @@ pub fn decode_chunk_ref(buf: &[u8]) -> Result<(ChunkRef<'_>, usize), CoreError> 
         },
         total,
     ))
-}
-
-/// Decodes one chunk starting at byte `at` of a packet's [`Bytes`], with the
-/// payload as a zero-copy sub-slice sharing the packet's buffer. No payload
-/// byte is copied and nothing is allocated; the returned [`Chunk`] keeps the
-/// packet buffer alive for as long as it (or any stage it is handed to)
-/// holds the slice. Accept/reject behaviour is identical to running
-/// [`decode_chunk`] on `&bytes[at..]`.
-pub fn decode_chunk_at(bytes: &Bytes, at: usize) -> Result<(Chunk, usize), CoreError> {
-    if at > bytes.len() {
-        return Err(CoreError::Truncated);
-    }
-    let (header, total) = decode_validated(&bytes[at..])?;
-    let payload = bytes.slice(at + WIRE_HEADER_LEN..at + total);
-    Ok((Chunk { header, payload }, total))
 }
 
 #[cfg(test)]

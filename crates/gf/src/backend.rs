@@ -1,13 +1,13 @@
-//! Runtime selection of the GF(2^32) multiplication backend.
+//! The GF(2^32) kernels as a value: what the CPU runs, and a pin for tests.
 //!
 //! Three implementations of the same field exist in this crate, all
 //! bit-identical (pinned by `tests/field_axioms.rs`):
 //!
 //! * **bit-serial reference** (`mul_ref` / `alpha_pow_ref`) — the seed
-//!   oracle; never selected, only compared against;
+//!   oracle; never run for a result, only compared against;
 //! * **[`Backend::Tables`]** — the portable 8-bit-window table path of
-//!   `tables.rs`; works everywhere, needs 136 KiB of L1/L2 resident
-//!   lookup tables;
+//!   `tables.rs` and the serial Horner fold; works everywhere, needs
+//!   136 KiB of L1/L2 resident lookup tables;
 //! * **[`Backend::Clmul`]** — hardware carry-less multiply
 //!   (`PCLMULQDQ` on x86_64, `PMULL` on aarch64) with Barrett reduction;
 //!   no tables, no memory traffic, and the substrate for the forward lane
@@ -15,52 +15,27 @@
 //!   unverified: every build and gate of this workspace has run on x86_64,
 //!   so that arm has never been compiled.
 //!
-//! The active backend is decided **once**, on first use, behind a
-//! [`OnceLock`]: the `CHUNKS_GF_BACKEND` environment variable wins if set
-//! (`tables` forces the portable fallback, `clmul` asks for hardware
-//! carry-less multiply, `auto` or unset detects), then CPU feature
-//! detection picks `Clmul` where the instruction exists and `Tables`
-//! otherwise. Asking for `clmul` on a CPU without it falls back to
-//! `Tables` rather than failing: the backends are interchangeable by
-//! construction.
-//!
-//! Equivalence tests that must run *both* backends in one process use
-//! [`Backend::force`], which overrides the detected choice. Because every
-//! backend returns identical bits, flipping the override at runtime is
-//! safe anywhere.
+//! The CPU picks, and nothing else does: every dispatched operation calls
+//! the clmul entry, which checks the cached CPU features itself and runs
+//! the portable path where the instruction is missing. A test that must
+//! reach the portable path on hardware that has carry-less multiply pins
+//! it with an argument ([`crate::fold_elements_with`],
+//! [`crate::fold_byte_elements_with`], [`crate::Gf32::mul_fast`]); the
+//! kernels cannot differ in value, only in speed.
 
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::OnceLock;
-
-/// A GF(2^32) multiplication backend.
+/// A GF(2^32) kernel family.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Backend {
     /// Portable table-driven path (`tables.rs`): 16 byte-product lookups
-    /// plus 4 reduction lookups per multiply.
+    /// plus 4 reduction lookups per multiply, and the serial Horner fold.
     Tables,
     /// Hardware carry-less multiply with Barrett reduction (`clmul.rs`).
     Clmul,
 }
 
-/// Forced override: 0 = none, 1 = Tables, 2 = Clmul.
-static FORCED: AtomicU8 = AtomicU8::new(0);
-
-/// The once-detected default, honoring `CHUNKS_GF_BACKEND`.
-static DETECTED: OnceLock<Backend> = OnceLock::new();
-
-fn detect() -> Backend {
-    match std::env::var("CHUNKS_GF_BACKEND").as_deref() {
-        Ok("tables") => Backend::Tables,
-        Ok("clmul") if Backend::Clmul.is_supported() => Backend::Clmul,
-        Ok("clmul") => Backend::Tables, // asked for, not available: fall back
-        _ if Backend::Clmul.is_supported() => Backend::Clmul,
-        _ => Backend::Tables,
-    }
-}
-
 impl Backend {
     /// The backend every dispatched operation ([`crate::Gf32::gf_mul`],
-    /// [`crate::fold_symbols`], …) uses right now.
+    /// [`crate::fold_elements`], …) runs on this CPU.
     ///
     /// ```
     /// use chunks_gf::Backend;
@@ -69,28 +44,11 @@ impl Backend {
     /// ```
     #[inline]
     pub fn active() -> Backend {
-        match FORCED.load(Ordering::Relaxed) {
-            1 => Backend::Tables,
-            2 => Backend::Clmul,
-            _ => *DETECTED.get_or_init(detect),
+        if crate::clmul::is_supported() {
+            Backend::Clmul
+        } else {
+            Backend::Tables
         }
-    }
-
-    /// Overrides (or, with `None`, restores) the detected backend.
-    ///
-    /// Intended for backend-equivalence tests that need to exercise both
-    /// paths inside one process. All backends produce bit-identical
-    /// results, so concurrent readers only ever observe a change in
-    /// speed, never in value. Forcing [`Backend::Clmul`] on a
-    /// CPU without carry-less multiply is ignored.
-    pub fn force(backend: Option<Backend>) {
-        let code = match backend {
-            Some(Backend::Tables) => 1,
-            Some(Backend::Clmul) if Backend::Clmul.is_supported() => 2,
-            Some(Backend::Clmul) => 1,
-            None => 0,
-        };
-        FORCED.store(code, Ordering::Relaxed);
     }
 
     /// Whether this backend can run on the current CPU.
@@ -138,18 +96,10 @@ mod tests {
     }
 
     #[test]
-    fn force_round_trips() {
-        let before = Backend::active();
-        Backend::force(Some(Backend::Tables));
-        assert_eq!(Backend::active(), Backend::Tables);
-        Backend::force(None);
-        assert_eq!(Backend::active(), before);
-    }
-
-    #[test]
     fn supported_lists_tables_first() {
         let s = Backend::supported();
         assert_eq!(s[0], Backend::Tables);
         assert!(s.len() <= 2);
+        assert_eq!(s.last(), Some(&Backend::active()));
     }
 }

@@ -4,8 +4,8 @@
 //! loads; this module turns it into one `clmul` instruction plus a
 //! **Barrett reduction** (two more `clmul`s against compile-time
 //! constants), touching no memory at all. On top of the scalar multiply it
-//! provides the forward lane fold behind [`crate::fold_elements`] and
-//! [`crate::fold_symbols`], which loads payload bytes itself:
+//! provides the forward lane fold behind [`crate::fold_elements`], which
+//! loads payload bytes itself:
 //!
 //! * **Scalar multiply** — `R = a ⊗ b` (degree ≤ 62), then
 //!   `R mod p = R ⊕ (⌊⌊R/x³²⌋·μ / x³²⌋ ⊗ p)` with `μ = ⌊x⁶⁴/p⌋`
@@ -13,9 +13,13 @@
 //! * **Pre-combined words** — `α = x`, so 32 consecutive symbols combine
 //!   into `Σ_{k<32} d_k·x^k`, a polynomial of degree ≤ 63, with shifts and
 //!   XORs alone. One-byte elements (`d = b·x²⁴`) compact 32 payload bytes
-//!   into such a word without ever forming a symbol. The gathers are
-//!   portable Rust, one per payload shape, plus one wide gather for
-//!   one-byte elements.
+//!   into such a word without ever forming a symbol. There are gathers for
+//!   the two shapes anything sends — one-byte elements (every workload)
+//!   and packed symbols, `SIZE` a multiple of 4 (`fold_be_bytes`, the
+//!   ledger's `gf.fold` leg) — in portable Rust, plus one wide gather for
+//!   one-byte elements. Every other `SIZE` goes to the serial fold in
+//!   `fold.rs`: no workload sends one, and a gather of its own would be
+//!   code kept bit-identical for a speed nothing measures.
 //! * **Wide one-byte gather** — on x86_64 with AVX-512 (`avx512f` and
 //!   `avx512bw`, detected at runtime) a 64-byte block is one `zmm` load:
 //!   the portable gather's three mask-shift-xor stages run on its eight
@@ -40,15 +44,17 @@
 //!
 //! The architecture-specific code is the multiply, the lane step and the
 //! wide gather. Everything else is written once in portable Rust: the
-//! packed and odd-`SIZE` gathers everywhere, the one-byte gather on
-//! aarch64 and on x86_64 without AVX-512, the tail padding and the lane
-//! combination. Everything here is `unsafe` only because `std::arch`
-//! intrinsics demand a proof that the instruction exists; every entry
-//! point below checks [`is_supported`] (cached CPU feature detection) and
-//! falls back to the portable path, so the module's public surface is
-//! safe. Bit-equivalence with `mul_ref` and the symbol-level oracle is
-//! pinned by `tests/field_axioms.rs` across backends and both one-byte
-//! gathers.
+//! packed gather everywhere, the one-byte gather on aarch64 and on x86_64
+//! without AVX-512, the tail padding and the lane combination.
+//!
+//! This module's feature checks are the crate's only runtime kernel
+//! choice: [`is_supported`] (carry-less multiply) and [`has_wide_gather`]
+//! (AVX-512 on top), both cached by `std::arch`. Every entry point below
+//! checks them and falls back to the portable path, so the module's
+//! public surface is safe on any CPU; `unsafe` is here only because
+//! `std::arch` intrinsics demand a proof that the instruction exists.
+//! Bit-equivalence with `mul_ref` and the symbol-level oracle is pinned by
+//! `tests/field_axioms.rs` across backends and both one-byte gathers.
 #![allow(unsafe_code)] // std::arch intrinsics; every call site is feature-gated
 
 use crate::fold::ByteGather;
@@ -145,72 +151,32 @@ const fn const_pow(base: u32, mut e: u32) -> u32 {
     acc
 }
 
-/// `(Σ dᵢ, Σ αⁱ·dᵢ)` over ready-made symbols; falls back to the portable
-/// serial fold when the instruction is missing.
-pub(crate) fn fold_symbols(data: &[u32]) -> (u32, u32) {
-    if !is_supported() {
-        return crate::fold::fold_serial(data.iter().copied());
+/// `(Σ dᵢ, Σ αⁱ·dᵢ)` over the symbols `bytes` holds as `size`-byte
+/// elements (see [`crate::fold_elements`]), read straight from the payload.
+/// One-byte elements and packed symbols take the lane fold; any other
+/// `SIZE`, and every shape on a CPU without carry-less multiply, the
+/// portable serial fold.
+pub(crate) fn fold_elements(size: usize, bytes: &[u8]) -> (u32, u32) {
+    if size == 1 {
+        return fold_bytes(ByteGather::Wide, bytes);
     }
-    let mut p0 = 0u32;
-    let blocks = fixed_blocks(data, |word: &[u32; WORD_SYMBOLS]| {
+    if !is_supported() || !size.is_multiple_of(4) {
+        return crate::fold::fold_serial_elements(size, bytes);
+    }
+    // Packed: the payload is one run of big-endian symbols.
+    const WORD_BYTES: usize = 4 * WORD_SYMBOLS;
+    let mut parity = 0u64;
+    let blocks = fixed_blocks(bytes, |word: &[u8; WORD_BYTES]| {
         let mut w = 0u64;
-        for (k, &d) in word.iter().enumerate() {
-            p0 ^= d;
-            w ^= (d as u64) << k;
+        for (k, sym) in word.chunks_exact(4).enumerate() {
+            let d = u32::from_be_bytes(sym.try_into().expect("chunks_exact(4)")) as u64;
+            parity ^= d;
+            w ^= d << k;
         }
         w
     });
     // SAFETY: `is_supported` proved the target features exist.
     let h = unsafe { fold_blocks(blocks) };
-    (p0, h)
-}
-
-/// `(Σ dᵢ, Σ αⁱ·dᵢ)` over the symbols `bytes` holds as `size`-byte
-/// elements (see [`crate::fold_elements`]), read straight from the payload;
-/// falls back to the portable serial fold when the instruction is missing.
-pub(crate) fn fold_elements(size: usize, bytes: &[u8]) -> (u32, u32) {
-    if !is_supported() {
-        return crate::fold::fold_serial_elements(size, bytes);
-    }
-    if size == 1 {
-        return fold_bytes(ByteGather::Wide, bytes);
-    }
-    let mut parity = 0u64;
-    // SAFETY (both arms): `is_supported` proved the target features exist.
-    let h = if size.is_multiple_of(4) {
-        // Packed: the payload is one run of big-endian symbols.
-        const WORD_BYTES: usize = 4 * WORD_SYMBOLS;
-        let blocks = fixed_blocks(bytes, |word: &[u8; WORD_BYTES]| {
-            let mut w = 0u64;
-            for (k, sym) in word.chunks_exact(4).enumerate() {
-                let d = u32::from_be_bytes(sym.try_into().expect("chunks_exact(4)")) as u64;
-                parity ^= d;
-                w ^= d << k;
-            }
-            w
-        });
-        unsafe { fold_blocks(blocks) }
-    } else {
-        // Any other SIZE: walk the zero-padded symbols one by one. Rare
-        // shapes; this keeps the contract, not the speed.
-        let (mut rest, mut left) = (bytes, size); // `left` bytes of the element
-        let blocks = || {
-            let mut words = [0u64; LANES];
-            for i in 0..BLOCK_SYMBOLS {
-                if rest.is_empty() {
-                    return (i > 0).then_some(words);
-                }
-                let (sym, tail) = rest.split_at(left.min(4).min(rest.len()));
-                rest = tail;
-                left = if left > 4 { left - 4 } else { size };
-                let d = crate::fold::be_symbol(sym) as u64;
-                parity ^= d;
-                words[i / WORD_SYMBOLS] ^= d << (i % WORD_SYMBOLS);
-            }
-            Some(words)
-        };
-        unsafe { fold_blocks(blocks) }
-    };
     (parity as u32, h)
 }
 
@@ -684,12 +650,15 @@ mod tests {
 
     #[test]
     fn fold_matches_serial_reference() {
-        let data: Vec<u32> = (0..1000u32).map(|i| i.wrapping_mul(0x9E37_79B9)).collect();
-        // Lengths straddle the lane word and the block on both sides.
+        let data: Vec<u8> = (0..4000u32)
+            .map(|i| (i.wrapping_mul(0x9E37_79B9) >> 11) as u8)
+            .collect();
+        // Symbol counts straddle the lane word and the block on both sides.
         for n in [0usize, 1, 2, 31, 32, 33, 63, 64, 65, 127, 128, 129, 1000] {
+            let bytes = &data[..4 * n];
             assert_eq!(
-                fold_symbols(&data[..n]),
-                crate::fold::fold_serial(data[..n].iter().copied()),
+                fold_elements(4, bytes),
+                crate::fold::fold_serial_elements(4, bytes),
                 "n={n}"
             );
         }

@@ -8,28 +8,36 @@
 //! ```
 //!
 //! The symbols are either ready-made ([`fold_symbols`]) or still payload
-//! bytes ([`fold_elements`], [`fold_be_bytes`]), which both backends read in
-//! place. `(p0, H)` is computed two ways, bit-identical:
+//! bytes ([`fold_elements`], [`fold_be_bytes`]), read in place. `(p0, H)`
+//! is computed two ways, bit-identical:
 //!
-//! * **serial Horner** on [`Backend::Tables`], the portable path — back
-//!   to front, `h ← h·α + d`, one [`Gf32::mul_alpha`] shift per symbol. No
-//!   full multiplies, but a latency chain the CPU cannot overlap.
-//! * **forward lane fold over clmul** on [`Backend::Clmul`] — 32
-//!   consecutive symbols pre-combine into one 64-bit word with shifts
-//!   alone, and independent lane chains absorb the words front to back,
-//!   each step two `PCLMULQDQ`/`PMULL` instructions with lazy reduction
-//!   (see `clmul.rs`). This is the path TPDU invariant verification rides.
+//! * **serial Horner**, the portable path — back to front,
+//!   `h ← h·α + d`, one [`Gf32::mul_alpha`] shift per symbol. No full
+//!   multiplies, but a latency chain the CPU cannot overlap.
+//! * **forward lane fold over clmul** — 32 consecutive symbols pre-combine
+//!   into one 64-bit word with shifts alone, and independent lane chains
+//!   absorb the words front to back, each step two `PCLMULQDQ`/`PMULL`
+//!   instructions with lazy reduction (see `clmul.rs`). This is the path
+//!   TPDU invariant verification rides.
 //!
-//! The `_with` forms pin the backend, so the equivalence tests can reach
-//! the portable path on hardware that has carry-less multiply;
-//! [`fold_byte_elements_with`] pins the clmul fold's one-byte gather the
-//! same way.
+//! The lane fold has gathers for the shapes that are sent: one-byte
+//! elements, which every workload carries, and packed symbols (`SIZE` a
+//! multiple of 4), which `fold_be_bytes` and the ledger's `gf.fold` leg
+//! read. Ready-made symbol slices (only tests build them) and any other
+//! `SIZE` fold serially on every CPU: a gather per shape is code to keep
+//! bit-identical for a speed nothing would see.
+//!
+//! The CPU picks the kernel ([`fold_elements`] calls the clmul entry,
+//! which falls back to the serial fold where the instruction is missing);
+//! [`fold_elements_with`] and [`fold_byte_elements_with`] pin one, so the
+//! equivalence tests reach the portable paths on hardware that has the
+//! fast ones.
 
 use crate::backend::Backend;
 use crate::Gf32;
 
-/// `(Σ dᵢ, Σ αⁱ·dᵢ)` over `data` on the active backend: serial Horner
-/// on [`Backend::Tables`], forward clmul lanes on [`Backend::Clmul`].
+/// `(Σ dᵢ, Σ αⁱ·dᵢ)` over `data`, by serial Horner on every CPU: no
+/// workload folds ready-made symbols, so they have no lane gather.
 ///
 /// ```
 /// use chunks_gf::{fold_symbols, Gf32};
@@ -39,27 +47,17 @@ use crate::Gf32;
 /// ```
 #[inline]
 pub fn fold_symbols(data: &[u32]) -> (Gf32, Gf32) {
-    fold_symbols_with(Backend::active(), data)
-}
-
-/// [`fold_symbols`] with the backend pinned and no global state read — the
-/// reference the per-backend equivalence tests compare against. Asking for
-/// the clmul backend on a CPU without carry-less multiply computes the
-/// same value on the portable path.
-#[inline]
-pub fn fold_symbols_with(backend: Backend, data: &[u32]) -> (Gf32, Gf32) {
-    let (p0, h) = match backend {
-        Backend::Clmul => crate::clmul::fold_symbols(data),
-        Backend::Tables => fold_serial(data.iter().copied()),
-    };
+    let (p0, h) = fold_serial(data.iter().copied());
     (Gf32::new(p0), Gf32::new(h))
 }
 
-/// `(Σ dᵢ, Σ αⁱ·dᵢ)` over the symbols of a payload of `size`-byte elements,
-/// on the active backend. Each element is left-aligned in `⌈size/4⌉`
-/// big-endian symbols, zero-padded on the right — the TPDU invariant's data
-/// layout — so a `size` that is a multiple of 4 reads `bytes` as one packed
-/// run of symbols. A trailing partial element is padded the same way.
+/// `(Σ dᵢ, Σ αⁱ·dᵢ)` over the symbols of a payload of `size`-byte elements:
+/// the clmul lane fold where the CPU has carry-less multiply and `size` is
+/// 1 or a multiple of 4, the serial fold otherwise. Each element is
+/// left-aligned in `⌈size/4⌉` big-endian symbols, zero-padded on the
+/// right — the TPDU invariant's data layout — so a `size` that is a
+/// multiple of 4 reads `bytes` as one packed run of symbols. A trailing
+/// partial element is padded the same way.
 ///
 /// The payload is read in place; nothing is copied out of it but a final
 /// partial block.
@@ -76,10 +74,12 @@ pub fn fold_symbols_with(backend: Backend, data: &[u32]) -> (Gf32, Gf32) {
 /// ```
 #[inline]
 pub fn fold_elements(size: usize, bytes: &[u8]) -> (Gf32, Gf32) {
-    fold_elements_with(Backend::active(), size, bytes)
+    fold_elements_with(Backend::Clmul, size, bytes)
 }
 
-/// [`fold_elements`] with the backend pinned (see [`fold_symbols_with`]).
+/// [`fold_elements`] with the backend pinned: [`Backend::Tables`] is the
+/// serial fold on any CPU, [`Backend::Clmul`] what [`fold_elements`] runs
+/// (the serial fold too where the CPU lacks carry-less multiply).
 pub fn fold_elements_with(backend: Backend, size: usize, bytes: &[u8]) -> (Gf32, Gf32) {
     assert!(size > 0, "an element has at least one byte");
     let (p0, h) = match backend {
@@ -134,7 +134,7 @@ pub fn fold_byte_elements_with(gather: ByteGather, bytes: &[u8]) -> (Gf32, Gf32)
 
 /// `(Σ dᵢ, Σ αⁱ·dᵢ)` over raw bytes read as big-endian 32-bit symbols, a
 /// trailing partial symbol zero-padded on the right — the byte-level
-/// convention of `Wsc2::add_bytes`. Runs on the active backend.
+/// convention of `Wsc2::add_bytes`: [`fold_elements`]`(4, bytes)`.
 #[inline]
 pub fn fold_be_bytes(bytes: &[u8]) -> (Gf32, Gf32) {
     fold_elements(4, bytes)
@@ -142,16 +142,13 @@ pub fn fold_be_bytes(bytes: &[u8]) -> (Gf32, Gf32) {
 
 /// The zero-padded symbols of a payload of `size`-byte elements, in
 /// position order.
-pub(crate) fn element_symbols(
-    size: usize,
-    bytes: &[u8],
-) -> impl DoubleEndedIterator<Item = u32> + '_ {
+fn element_symbols(size: usize, bytes: &[u8]) -> impl DoubleEndedIterator<Item = u32> + '_ {
     bytes.chunks(size).flat_map(|e| e.chunks(4)).map(be_symbol)
 }
 
 /// One to four bytes as a big-endian symbol, zero-padded on the right.
 #[inline]
-pub(crate) fn be_symbol(sym: &[u8]) -> u32 {
+fn be_symbol(sym: &[u8]) -> u32 {
     match <[u8; 4]>::try_from(sym) {
         Ok(whole) => u32::from_be_bytes(whole),
         // Byte by byte: a variable-length copy would be a `memcpy` call.
@@ -173,8 +170,7 @@ pub(crate) fn fold_serial_elements(size: usize, bytes: &[u8]) -> (u32, u32) {
 }
 
 /// The portable serial fold: backward Horner, one `mul_alpha` per symbol.
-/// `pub(crate)` so the clmul module can fall back to it.
-pub(crate) fn fold_serial(symbols: impl DoubleEndedIterator<Item = u32>) -> (u32, u32) {
+fn fold_serial(symbols: impl DoubleEndedIterator<Item = u32>) -> (u32, u32) {
     let mut p0 = Gf32::ZERO;
     let mut horner = Gf32::ZERO;
     for d in symbols.rev() {
@@ -213,14 +209,15 @@ mod tests {
         for n in [0usize, 1, 3, 31, 32, 33, 63, 64, 65, 100, 257] {
             let data = sample(n);
             let expect = reference(&data);
+            assert_eq!(fold_symbols(&data), expect, "symbols, n={n}");
+            let bytes: Vec<u8> = data.iter().flat_map(|d| d.to_be_bytes()).collect();
             for backend in Backend::supported() {
                 assert_eq!(
-                    fold_symbols_with(backend, &data),
+                    fold_elements_with(backend, 4, &bytes),
                     expect,
                     "backend={backend:?} n={n}"
                 );
             }
-            assert_eq!(fold_symbols(&data), expect, "active backend, n={n}");
         }
     }
 
@@ -237,8 +234,9 @@ mod tests {
             }
             let expect = reference(&symbols);
             assert_eq!(fold_be_bytes(&bytes), expect, "n={n}");
+            assert_eq!(fold_symbols(&symbols), expect, "n={n}");
             for backend in Backend::supported() {
-                assert_eq!(fold_symbols_with(backend, &symbols), expect, "n={n}");
+                assert_eq!(fold_elements_with(backend, 4, &bytes), expect, "n={n}");
             }
         }
     }

@@ -28,23 +28,25 @@
 //!   windowed shift-and-XOR multiply and square-and-multiply
 //!   exponentiation, dependency-free and `const`-friendly; the oracle the
 //!   property tests and benchmarks compare against;
-//! * the **table-driven path** ([`Gf32::mul_fast`],
-//!   [`Gf32::alpha_pow`]; see `tables.rs` internals) — 8-bit windowed
-//!   carry-less multiply tables, byte-wise reduction tables and cached
-//!   powers of `alpha`, built once behind a `OnceLock`; the portable
-//!   production fallback;
-//! * the **clmul path** ([`Gf32::mul_clmul`]; see `clmul.rs`) — hardware
-//!   carry-less multiply (`PCLMULQDQ` on x86_64, `PMULL` on aarch64) with
-//!   Barrett reduction, plus the forward lane fold behind
-//!   [`fold_elements`] and [`fold_symbols`], which reads payload bytes in
-//!   place — one-byte elements through an AVX-512 gather where the CPU has
-//!   one ([`ByteGather`]).
+//! * the **table-driven path** ([`Gf32::mul_fast`]; see `tables.rs`
+//!   internals) — 8-bit windowed carry-less multiply tables, byte-wise
+//!   reduction tables and cached powers of `alpha`, built once behind a
+//!   `OnceLock`, plus the serial Horner fold; the portable path;
+//! * the **clmul path** (see `clmul.rs`) — hardware carry-less multiply
+//!   (`PCLMULQDQ` on x86_64, `PMULL` on aarch64) with Barrett reduction,
+//!   plus the forward lane fold behind [`fold_elements`], which reads
+//!   payload bytes in place for the two shapes anything sends: one-byte
+//!   elements (through an AVX-512 gather where the CPU has one,
+//!   [`ByteGather`]) and packed 4-byte symbols.
 //!
-//! The operator impls (`*`, `/`) and everything layered above (WSC-2, the
-//! TPDU invariant, the transport receiver) dispatch through
-//! [`Backend::active`], decided once at first use from CPU feature
-//! detection and the `CHUNKS_GF_BACKEND` environment variable (see
-//! [`backend`]).
+//! The CPU is the only switch. The operator impls (`*`, `/`),
+//! [`Gf32::gf_mul`], [`Gf32::alpha_pow`], [`fold_elements`] and
+//! everything layered above (WSC-2, the TPDU invariant, the transport
+//! receiver) call the clmul entry, which runs the portable path where the
+//! CPU lacks the instruction (cached feature detection). Arguments pin a
+//! kernel for the equivalence tests ([`fold_elements_with`],
+//! [`fold_byte_elements_with`]); [`Backend::active`] names the one the CPU
+//! runs (see [`backend`]).
 
 #![deny(missing_docs)]
 
@@ -57,7 +59,7 @@ mod tables;
 pub use backend::Backend;
 pub use fold::{
     fold_be_bytes, fold_byte_elements_with, fold_elements, fold_elements_with, fold_symbols,
-    fold_symbols_with, ByteGather,
+    ByteGather,
 };
 pub use poly::{clmul32, reduce64, MODULUS, POLY_LOW};
 
@@ -123,8 +125,9 @@ impl Gf32 {
         self.0 == 0
     }
 
-    /// Field multiplication on the active [`Backend`]: hardware carry-less
-    /// multiply where the CPU has it, the table-driven path otherwise.
+    /// Field multiplication: hardware carry-less multiply (three `clmul`
+    /// instructions, Barrett reduction, no memory traffic) where the CPU
+    /// has it, the table-driven path otherwise.
     ///
     /// ```
     /// use chunks_gf::Gf32;
@@ -135,10 +138,7 @@ impl Gf32 {
     /// ```
     #[inline]
     pub fn gf_mul(self, rhs: Gf32) -> Gf32 {
-        match Backend::active() {
-            Backend::Clmul => self.mul_clmul(rhs),
-            Backend::Tables => self.mul_fast(rhs),
-        }
+        Gf32(clmul::mul(self.0, rhs.0))
     }
 
     /// Reference multiplication: 4-bit windowed carry-less product reduced
@@ -158,23 +158,6 @@ impl Gf32 {
     #[inline]
     pub fn mul_fast(self, rhs: Gf32) -> Gf32 {
         Gf32(tables::mul_tables(self.0, rhs.0))
-    }
-
-    /// Hardware carry-less multiplication (`PCLMULQDQ`/`PMULL`) with
-    /// Barrett reduction: three `clmul` instructions, no memory traffic.
-    /// Bit-identical to [`Self::mul_ref`]; on CPUs without the
-    /// instruction it silently computes via [`Self::mul_fast`] instead,
-    /// so the call is safe everywhere.
-    ///
-    /// ```
-    /// use chunks_gf::Gf32;
-    /// let a = Gf32::new(0xDEAD_BEEF);
-    /// let b = Gf32::new(0x0BAD_F00D);
-    /// assert_eq!(a.mul_clmul(b), a.mul_ref(b));
-    /// ```
-    #[inline]
-    pub fn mul_clmul(self, rhs: Gf32) -> Gf32 {
-        Gf32(clmul::mul(self.0, rhs.0))
     }
 
     /// Multiplication by the generator `alpha = x`: a single shift plus a
@@ -213,7 +196,7 @@ impl Gf32 {
     }
 
     /// `alpha^i` via cached power tables: at most 4 lookups and 3
-    /// multiplies on the active [`Backend`], independent of `i`. This is
+    /// multiplies (carry-less where the CPU has it), independent of `i`. This is
     /// how WSC-2 weights symbols at arbitrary (disordered) positions
     /// without paying for exponentiation.
     ///
@@ -229,10 +212,7 @@ impl Gf32 {
     /// ```
     #[inline]
     pub fn alpha_pow(i: u64) -> Gf32 {
-        Gf32(match Backend::active() {
-            Backend::Clmul => clmul::alpha_pow(i),
-            Backend::Tables => tables::alpha_pow_with(i, tables::mul_tables),
-        })
+        Gf32(clmul::alpha_pow(i))
     }
 
     /// Reference `alpha^i` via the compile-time square table —

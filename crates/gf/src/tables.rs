@@ -142,6 +142,7 @@ pub(crate) fn alpha_pow_with(e: u64, mul: impl Fn(u32, u32) -> u32) -> u32 {
 mod tests {
     use super::*;
     use crate::poly::{clmul32, const_mul, POLY_LOW};
+    use crate::Gf32;
 
     #[test]
     fn cl8_matches_bit_serial() {
@@ -208,6 +209,31 @@ mod tests {
                 bits >>= 1;
             }
             assert_eq!(alpha_pow_with(e as u64, mul_tables), expect, "e={e}");
+        }
+        // Every byte of the folded exponent, and exponents at and past the
+        // group order 2³² − 1, where the Fermat fold has work to do.
+        let order = u32::MAX as u64;
+        let mut sweep = vec![
+            order - 1,
+            order,
+            order + 1,
+            2 * order,
+            2 * order + 7,
+            u64::MAX,
+        ];
+        let mut x = 0x0123_4567_89AB_CDEFu64;
+        for _ in 0..2_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            sweep.extend([x, x >> 32, x % (4 * order)]);
+        }
+        for e in sweep {
+            assert_eq!(
+                Gf32(alpha_pow_with(e, mul_tables)),
+                Gf32::alpha_pow_ref(e),
+                "e={e}"
+            );
         }
     }
 }

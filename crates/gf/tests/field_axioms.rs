@@ -1,8 +1,7 @@
 //! Property-based verification of the GF(2^32) field axioms.
 
 use chunks_gf::{
-    fold_byte_elements_with, fold_elements_with, fold_symbols_with, Backend, ByteGather, Gf32,
-    ALPHA,
+    fold_byte_elements_with, fold_elements_with, fold_symbols, Backend, ByteGather, Gf32, ALPHA,
 };
 use proptest::prelude::*;
 
@@ -57,11 +56,7 @@ proptest! {
 
     #[test]
     fn alpha_pow_consistent(i in 0u64..(1 << 30)) {
-        for backend in Backend::supported() {
-            Backend::force(Some(backend));
-            prop_assert_eq!(Gf32::alpha_pow(i), ALPHA.pow(i), "backend={:?}", backend);
-        }
-        Backend::force(None);
+        prop_assert_eq!(Gf32::alpha_pow(i), ALPHA.pow(i));
     }
 
     #[test]
@@ -85,28 +80,18 @@ proptest! {
     #[test]
     fn alpha_pow_matches_reference(i in any::<u64>()) {
         // Cached power tables (with mod-(2^32 - 1) exponent folding) agree
-        // with the seed square-and-multiply path for every u64 exponent,
-        // whichever backend multiplies the looked-up powers.
-        for backend in Backend::supported() {
-            Backend::force(Some(backend));
-            prop_assert_eq!(Gf32::alpha_pow(i), Gf32::alpha_pow_ref(i), "backend={:?}", backend);
-        }
-        Backend::force(None);
-    }
-
-    #[test]
-    fn mul_clmul_matches_reference(a in elem(), b in elem()) {
-        // The carry-less-multiply + Barrett-reduction path is bit-identical
-        // to the seed shift-and-XOR oracle. On CPUs without clmul the
-        // wrapper falls back to the table path, which the property above
-        // already pins — so this holds everywhere.
-        prop_assert_eq!(a.mul_clmul(b), a.mul_ref(b));
+        // with the seed square-and-multiply path for every u64 exponent on
+        // the kernel this CPU runs; `tables.rs` pins the table multiply's
+        // own sweep.
+        prop_assert_eq!(Gf32::alpha_pow(i), Gf32::alpha_pow_ref(i));
     }
 
     #[test]
     fn dispatched_mul_matches_reference(a in elem(), b in elem()) {
-        // Whatever backend `Backend::active()` picked, `*` is the oracle.
+        // Carry-less multiply with Barrett reduction where the CPU has it,
+        // the table path otherwise: either way `*` is the oracle.
         prop_assert_eq!(a * b, a.mul_ref(b));
+        prop_assert_eq!(a.gf_mul(b), a.mul_ref(b));
     }
 
     #[test]
@@ -123,14 +108,15 @@ proptest! {
             h += Gf32::alpha_pow_ref(start + k as u64).mul_ref(d);
         }
         let w = Gf32::alpha_pow_ref(start);
+        let bytes: Vec<u8> = data.iter().flat_map(|d| d.to_be_bytes()).collect();
         for backend in Backend::supported() {
-            let (fp0, fh) = fold_symbols_with(backend, &data);
+            let (fp0, fh) = fold_elements_with(backend, 4, &bytes);
             prop_assert_eq!(fp0, p0, "p0: backend={:?}", backend);
             prop_assert_eq!(w.mul_ref(fh), h, "H: backend={:?}", backend);
         }
-        let (ap0, ah) = chunks_gf::fold_symbols(&data);
-        prop_assert_eq!(ap0, p0);
-        prop_assert_eq!(w.mul_ref(ah), h);
+        let (sp0, sh) = fold_symbols(&data);
+        prop_assert_eq!(sp0, p0);
+        prop_assert_eq!(w.mul_ref(sh), h);
     }
 }
 
@@ -186,7 +172,7 @@ fn byte_folds_match_the_symbol_oracle_at_every_length_and_misalignment() {
     for size in 1..=9usize {
         for elements in 0..=600usize {
             let bytes = &data[..size * elements];
-            let expect = fold_symbols_with(Backend::Tables, &padded_symbols(size, bytes));
+            let expect = fold_symbols(&padded_symbols(size, bytes));
             for misalign in 0..16usize {
                 let at = &mut shifted[misalign..misalign + bytes.len()];
                 at.copy_from_slice(bytes);
@@ -211,15 +197,11 @@ fn byte_folds_walk_forward_to_the_same_value_as_fold_symbols() {
             let bytes = &data[..n.min(data.len())];
             let symbols = padded_symbols(size, bytes);
             for (path, got) in every_byte_fold(size, bytes) {
-                assert_eq!(
-                    got,
-                    chunks_gf::fold_symbols(&symbols),
-                    "path={path} size={size} n={n}"
-                );
+                assert_eq!(got, fold_symbols(&symbols), "path={path} size={size} n={n}");
             }
             assert_eq!(
                 chunks_gf::fold_elements(size, bytes),
-                chunks_gf::fold_symbols(&symbols)
+                fold_symbols(&symbols)
             );
         }
     }
@@ -259,7 +241,7 @@ fn byte_folds_never_read_past_a_payload_ending_on_a_page_boundary() {
         for size in 1..=9usize {
             for n in [1usize, 5, 31, 32, 33, 63, 64, 65, 600, 2048, PAGE] {
                 let bytes = &page[PAGE - n..];
-                let expect = fold_symbols_with(Backend::Tables, &padded_symbols(size, bytes));
+                let expect = fold_symbols(&padded_symbols(size, bytes));
                 for (path, got) in every_byte_fold(size, bytes) {
                     assert_eq!(got, expect, "path={path} size={size} n={n}");
                 }
@@ -271,7 +253,7 @@ fn byte_folds_never_read_past_a_payload_ending_on_a_page_boundary() {
         for tail in 1..64usize {
             for n in [tail, 64 + tail, 128 + tail] {
                 let bytes = &page[PAGE - n..];
-                let expect = fold_symbols_with(Backend::Tables, &padded_symbols(1, bytes));
+                let expect = fold_symbols(&padded_symbols(1, bytes));
                 for (path, got) in every_byte_fold(1, bytes) {
                     assert_eq!(got, expect, "path={path} tail={tail} n={n}");
                 }
@@ -284,7 +266,7 @@ fn byte_folds_never_read_past_a_payload_ending_on_a_page_boundary() {
             for n in [64usize, 65, 128, 600, 1095, PAGE - short] {
                 let bytes = &page[PAGE - short - n..PAGE - short];
                 for size in [1usize, 3, 4, 8] {
-                    let expect = fold_symbols_with(Backend::Tables, &padded_symbols(size, bytes));
+                    let expect = fold_symbols(&padded_symbols(size, bytes));
                     for (path, got) in every_byte_fold(size, bytes) {
                         assert_eq!(got, expect, "path={path} size={size} n={n} short={short}");
                     }

@@ -322,11 +322,6 @@ pub const CATALOGUE: &[Spec] = &[
         "connections",
         "ConnTable refused an admission: table full and nothing evictable",
     ),
-    counter(
-        "vreasm.tracker.accepts",
-        "fragments",
-        "PduTracker::offer admitted a consistent, novel fragment",
-    ),
     histogram(
         "vreasm.tracker.fragments",
         "runs",
@@ -341,11 +336,6 @@ pub const CATALOGUE: &[Spec] = &[
         "wsc.verify_fail",
         "tpdus",
         "a completed group's WSC-2 digest did not match its ED chunk",
-    ),
-    counter(
-        "wsc.verify_pass",
-        "tpdus",
-        "a completed group's WSC-2 digest matched its ED chunk",
     ),
 ];
 

@@ -538,7 +538,7 @@ mod tests {
         let m = AtomicMetrics::new();
         m.add("no.such.metric", 7);
         m.add("wsc.runs_per_tpdu", 7); // histogram via counter API
-        m.observe("wsc.verify_pass", 7); // counter via histogram API
+        m.observe("wsc.verify_fail", 7); // counter via histogram API
         let s = m.snapshot();
         assert!(s.nonzero_counters().is_empty());
         assert!(s.histograms.iter().all(|h| h.count == 0));
@@ -559,7 +559,7 @@ mod tests {
         );
         let text = s.render_text();
         assert!(text.contains("core.wire.chunks_decoded"));
-        assert!(!text.contains("wsc.verify_pass"));
+        assert!(!text.contains("wsc.verify_fail"));
         assert_eq!(s.histogram("transport.rx.buffered_bytes").unwrap().count, 2);
     }
 }

@@ -473,7 +473,7 @@ mod tests {
         let s = Recorder::verbose_tier(8);
         assert!(s.enabled() && s.verbose());
         let dyn_sink: Arc<dyn ObsSink> = s.clone();
-        dyn_sink.counter("wsc.verify_pass", 2);
+        dyn_sink.counter("wsc.verify_fail", 2);
         dyn_sink.observe("wsc.runs_per_tpdu", 4);
         dyn_sink.event(
             77,
@@ -483,7 +483,7 @@ mod tests {
             },
         );
         let snap = s.snapshot();
-        assert_eq!(snap.counter("wsc.verify_pass"), 2);
+        assert_eq!(snap.counter("wsc.verify_fail"), 2);
         assert_eq!(snap.histogram("wsc.runs_per_tpdu").unwrap().sum, 4);
         assert_eq!(s.events().len(), 1);
         assert!(s.trace_json_lines().starts_with("{\"t\": 77, "));
@@ -560,9 +560,9 @@ mod tests {
         // it, and the snapshot folds it back in.
         assert_eq!(s.shard_count(), 1);
         assert!(worker.verbose());
-        assert!(worker.hot_counter("wsc.verify_pass").is_resolved());
-        worker.counter("wsc.verify_pass", 1);
-        assert_eq!(s.snapshot().counter("wsc.verify_pass"), 1);
+        assert!(worker.hot_counter("wsc.verify_fail").is_resolved());
+        worker.counter("wsc.verify_fail", 1);
+        assert_eq!(s.snapshot().counter("wsc.verify_fail"), 1);
     }
 
     #[test]

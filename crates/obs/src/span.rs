@@ -238,11 +238,6 @@ impl SpanStore {
         self.orphan_closes
     }
 
-    /// Spans still open (e.g. chunks a lossy link dropped mid-hop).
-    pub fn open_spans(&self) -> usize {
-        self.records.iter().filter(|r| r.close_ns.is_none()).count()
-    }
-
     /// Exports the store as JSON lines, one object per span (open order)
     /// followed by one per link — keys in fixed order, no floats, so a
     /// deterministic workload exports byte-identical strings.
@@ -320,7 +315,6 @@ mod tests {
         s.open(5, id(1, Stage::Hop));
         s.open(6, id(2, Stage::Hop));
         s.close(9, id(2, Stage::Hop));
-        assert_eq!(s.open_spans(), 1);
         assert!(s.to_json_lines().contains("\"close\": null"));
     }
 

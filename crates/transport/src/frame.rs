@@ -144,13 +144,6 @@ impl Framer {
         self.sent_elements
     }
 
-    /// Current `C.SN` (wrapping).
-    pub fn current_csn(&self) -> u32 {
-        self.params
-            .initial_csn
-            .wrapping_add(self.sent_elements as u32)
-    }
-
     /// Frames `data` into TPDUs of at most `params.tpdu_elements` elements,
     /// one owned chunk per label boundary crossed.
     ///
@@ -351,7 +344,6 @@ mod tests {
         assert!(!tpdus[0].chunks[0].header.ext.st);
         assert!(tpdus[2].chunks[0].header.ext.st);
         assert_eq!(f.sent_elements(), 10);
-        assert_eq!(f.current_csn(), 110);
     }
 
     #[test]

@@ -84,7 +84,6 @@ use chunks_wsc::InvariantLayout;
 use crate::ack::AckInfo;
 use crate::budget::ResourceBudget;
 use crate::conn::{ConnectionParams, Signal};
-use crate::rto::TransportError;
 
 mod decode;
 mod deliver;
@@ -297,20 +296,16 @@ pub struct Receiver {
 #[derive(Debug, Clone)]
 struct HotRxCounters {
     chunks_accepted: HotCounter,
-    tracker_accepts: HotCounter,
     data_touches: HotCounter,
     tpdus_delivered: HotCounter,
-    verify_pass: HotCounter,
 }
 
 impl HotRxCounters {
     fn resolve(sink: &dyn ObsSink) -> Self {
         HotRxCounters {
             chunks_accepted: sink.hot_counter("transport.rx.chunks_accepted"),
-            tracker_accepts: sink.hot_counter("vreasm.tracker.accepts"),
             data_touches: sink.hot_counter("transport.rx.data_touches"),
             tpdus_delivered: sink.hot_counter("transport.rx.tpdus_delivered"),
-            verify_pass: sink.hot_counter("wsc.verify_pass"),
         }
     }
 }
@@ -750,7 +745,6 @@ impl Receiver {
         self.stats.chunks_accepted += 1;
         if self.obs_on {
             self.hot.chunks_accepted.add(&*self.obs, 1);
-            self.hot.tracker_accepts.add(&*self.obs, 1);
             // Tracker occupancy is a per-chunk histogram — diagnostics
             // detail, not a health signal, so it rides the verbose tier
             // (the always-on surface reads fragment state at barriers).
@@ -847,7 +841,6 @@ impl Receiver {
         let done = group.tpdu.done();
         let elements = done.elements;
         if self.obs_on {
-            self.hot.verify_pass.add(&*self.obs, 1);
             self.obs
                 .observe("wsc.runs_per_tpdu", group.tpdu.absorbed_runs());
         }
@@ -923,16 +916,6 @@ impl Receiver {
         let groups = self.groups.iter().map(|(s, g)| (s, &g.tpdu));
         ack_parts(groups, &mut ack.gaps, &mut ack.need_ed);
         ack.pressure = self.under_pressure();
-    }
-
-    /// The typed budget-exhaustion error, once any bytes have been shed.
-    pub fn budget_error(&self) -> Option<TransportError> {
-        (self.stats.shed_bytes > 0).then_some(TransportError::BudgetExhausted {
-            conn_id: self.params.conn_id,
-            shed_bytes: self.stats.shed_bytes,
-            evictions: self.stats.evictions,
-            held_bytes: self.stats.buffered_bytes,
-        })
     }
 
     /// Starts of groups that failed verification and need retransmission.

@@ -46,19 +46,6 @@ pub enum TransportError {
         /// Virtual nanoseconds since the TPDU was first sent.
         elapsed_ns: u64,
     },
-    /// The receiver's resource budget ran out and payload bytes were shed —
-    /// degradation was graceful (typed, counted) rather than an allocation
-    /// blow-up, but the caller should know delivery is running partial.
-    BudgetExhausted {
-        /// The connection that shed data.
-        conn_id: u32,
-        /// Payload bytes shed so far.
-        shed_bytes: u64,
-        /// Idle groups evicted to make room before shedding began.
-        evictions: u64,
-        /// Bytes still held in staging buffers at the time of the report.
-        held_bytes: u64,
-    },
 }
 
 impl fmt::Display for TransportError {
@@ -74,16 +61,6 @@ impl fmt::Display for TransportError {
                 f,
                 "peer unreachable on connection {conn_id}: TPDU at {tpdu_start} \
                  unacked after {retries} retransmissions over {elapsed_ns} ns"
-            ),
-            TransportError::BudgetExhausted {
-                conn_id,
-                shed_bytes,
-                evictions,
-                held_bytes,
-            } => write!(
-                f,
-                "resource budget exhausted on connection {conn_id}: shed \
-                 {shed_bytes} bytes after {evictions} evictions ({held_bytes} bytes held)"
             ),
         }
     }
@@ -468,14 +445,6 @@ mod tests {
         assert!(e.to_string().contains("8 retransmissions"));
         let c: TransportError = CoreError::Truncated.into();
         assert!(c.to_string().contains("truncated"));
-        let b = TransportError::BudgetExhausted {
-            conn_id: 3,
-            shed_bytes: 4096,
-            evictions: 2,
-            held_bytes: 512,
-        };
-        assert!(b.to_string().contains("budget exhausted"));
-        assert!(b.to_string().contains("4096 bytes"));
     }
 
     #[test]

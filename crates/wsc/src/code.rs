@@ -68,11 +68,10 @@ impl Wsc2 {
     /// Absorbs a run of symbols at consecutive positions starting at
     /// `start`.
     ///
-    /// Fast path: `Σ α^(start+k)·d_k = α^start · H` where the inner sum `H`
-    /// is a batched Horner fold on the active GF(2^32) backend
-    /// ([`chunks_gf::fold_symbols`] — wide carry-less-multiply lanes where
-    /// the CPU has them, a serial shift-and-fold sweep otherwise), plus a
-    /// single full multiplication by `α^start` at the end.
+    /// `Σ α^(start+k)·d_k = α^start · H` where the inner sum `H` is one
+    /// serial shift-and-fold sweep ([`chunks_gf::fold_symbols`]), plus a
+    /// single full multiplication by `α^start` at the end. Payload bytes
+    /// take [`Self::add_bytes`], which has the carry-less-multiply lanes.
     pub fn add_symbols(&mut self, start: u64, data: &[u32]) {
         debug_assert!(start + data.len() as u64 <= MAX_SYMBOLS);
         let (p0, horner) = chunks_gf::fold_symbols(data);
@@ -82,8 +81,10 @@ impl Wsc2 {
 
     /// Absorbs raw bytes as big-endian 32-bit symbols at consecutive
     /// positions starting at `start`; a trailing partial symbol is
-    /// zero-padded on the right. Same batched fold as
-    /// [`Self::add_symbols`], via [`chunks_gf::fold_be_bytes`].
+    /// zero-padded on the right. The same sum as [`Self::add_symbols`],
+    /// folded in place by [`chunks_gf::fold_be_bytes`]: forward
+    /// carry-less-multiply lanes where the CPU has them, the serial sweep
+    /// otherwise.
     pub fn add_bytes(&mut self, start: u64, bytes: &[u8]) {
         let (p0, horner) = chunks_gf::fold_be_bytes(bytes);
         self.p0 += p0;
@@ -150,14 +151,6 @@ impl Wsc2 {
         out[..4].copy_from_slice(&self.p0.value().to_be_bytes());
         out[4..].copy_from_slice(&self.p1.value().to_be_bytes());
         out
-    }
-
-    /// Parses a wire digest back into an accumulator value.
-    pub fn from_digest(d: [u8; 8]) -> Self {
-        Wsc2 {
-            p0: Gf32::new(u32::from_be_bytes([d[0], d[1], d[2], d[3]])),
-            p1: Gf32::new(u32::from_be_bytes([d[4], d[5], d[6], d[7]])),
-        }
     }
 
     /// True when both parities are zero — used to check a received message
@@ -264,13 +257,6 @@ mod tests {
         right.add_symbols(3, &[4, 5, 6]);
         left.combine(&right);
         assert_eq!(left, whole);
-    }
-
-    #[test]
-    fn digest_roundtrip() {
-        let mut w = Wsc2::new();
-        w.add_symbols(11, &[0x1111, 0x2222]);
-        assert_eq!(Wsc2::from_digest(w.digest()), w);
     }
 
     #[test]

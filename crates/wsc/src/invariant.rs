@@ -374,19 +374,6 @@ impl InvariantState {
     }
 }
 
-/// Computes the invariant digest of a whole, unfragmented TPDU given as
-/// chunks — the sender-side path.
-pub fn tpdu_digest<'a, I>(layout: InvariantLayout, chunks: I) -> Result<[u8; 8], InvariantError>
-where
-    I: IntoIterator<Item = (&'a ChunkHeader, &'a [u8])>,
-{
-    let mut inv = TpduInvariant::new(layout)?;
-    for (h, p) in chunks {
-        inv.absorb_chunk(h, p)?;
-    }
-    Ok(inv.digest())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -717,16 +704,5 @@ mod tests {
         raw[8..16].copy_from_slice(&new);
         let patched = Chunk::new(c.header, raw.into()).unwrap();
         assert_eq!(inv.digest(), digest_of(&[patched]));
-    }
-
-    #[test]
-    fn sender_helper_matches_incremental() {
-        let whole = tpdu_chunk(true, false);
-        let d1 = tpdu_digest(
-            InvariantLayout::default(),
-            [(&whole.header, &whole.payload[..])],
-        )
-        .unwrap();
-        assert_eq!(d1, digest_of(&[whole]));
     }
 }

@@ -6,8 +6,8 @@
 //! positions are usually consecutive. [`Wsc2Stream`] keeps a **cursor** (the
 //! position one past the last symbol absorbed) and a **cached weight**
 //! `alpha^cursor`, so a run that starts exactly at the cursor — the common
-//! case for in-order chunk payloads — costs one batched fold on the active
-//! GF(2^32) backend straight over the payload bytes
+//! case for in-order chunk payloads — costs one batched fold straight over
+//! the payload bytes
 //! ([`chunks_gf::fold_elements`]: forward carry-less multiply lanes where
 //! the CPU has them, a serial shift-and-fold sweep otherwise) plus a single
 //! full multiply, with *no* exponentiation at all.
@@ -144,9 +144,8 @@ impl Wsc2Stream {
     }
 
     /// Absorbs a run of symbols at consecutive positions starting at
-    /// `start`. Batched Horner fold on the active GF(2^32) backend
-    /// ([`chunks_gf::fold_symbols`]), then one multiply by the cursor
-    /// weight.
+    /// `start`. Serial Horner fold ([`chunks_gf::fold_symbols`]), then one
+    /// multiply by the cursor weight.
     pub fn add_symbols(&mut self, start: u64, data: &[u32]) {
         if data.is_empty() {
             return;
@@ -167,8 +166,7 @@ impl Wsc2Stream {
     /// Absorbs a payload of `size`-byte elements as one run starting at
     /// `start`: each element is left-aligned in `⌈size/4⌉` symbols,
     /// zero-padded on the right (the TPDU invariant's data layout). The
-    /// backend folds the payload bytes in place
-    /// ([`chunks_gf::fold_elements`]).
+    /// payload bytes are folded in place ([`chunks_gf::fold_elements`]).
     ///
     /// # Panics
     /// Panics when `size` is zero.

@@ -6,16 +6,8 @@ use bytes::Bytes;
 use chunks_core::chunk::{Chunk, ChunkHeader};
 use chunks_core::frag::split;
 use chunks_core::label::FramingTuple;
-use chunks_gf::Backend;
 use chunks_wsc::{InvariantLayout, TpduInvariant, Wsc2, Wsc2Stream};
 use proptest::prelude::*;
-use std::sync::Mutex;
-
-/// `Backend::force` is process-global and the tests of this binary run
-/// concurrently: a test that forces backends holds this from its first
-/// `force(Some(_))` to its `force(None)`, so "every backend" cannot
-/// silently measure one backend twice.
-static FORCE: Mutex<()> = Mutex::new(());
 
 /// A whole TPDU as a single chunk with randomized labels and ST bits.
 fn whole_tpdu() -> impl Strategy<Value = Chunk> {
@@ -237,41 +229,28 @@ proptest! {
     }
 
     #[test]
-    fn fragmented_digest_identical_on_every_backend(
+    fn fragmented_digest_identical_to_the_whole(
         whole in whole_tpdu(),
         cuts in proptest::collection::vec(any::<u8>(), 0..10),
     ) {
-        // The invariant digest of a fragmented TPDU must not depend on
-        // which GF(2^32) backend absorbed it: force each backend the CPU
-        // supports in turn, absorb the same fragments, and require the
-        // digest to match the whole-TPDU digest byte for byte.
+        // The invariant digest of a fragmented TPDU, its fragments absorbed
+        // one by one, matches the whole-TPDU digest byte for byte.
         let base = digest_of(std::slice::from_ref(&whole));
         let pieces = fragment(whole, &cuts);
-        let mut digests = Vec::new();
-        let forcing = FORCE.lock().expect("a backend-forcing test panicked");
-        for backend in Backend::supported() {
-            Backend::force(Some(backend));
-            assert_eq!(Backend::active(), backend);
-            digests.push((backend, digest_of(&pieces)));
-        }
-        Backend::force(None);
-        drop(forcing);
-        for (backend, d) in digests {
-            prop_assert_eq!(d, base, "backend {:?} diverged", backend);
-        }
+        prop_assert_eq!(digest_of(&pieces), base);
     }
 
     #[test]
-    fn stream_fold_equals_batched_horner_on_every_backend(
+    fn stream_fold_equals_batched_horner(
         data in proptest::collection::vec(any::<u8>(), 1..600),
         cuts in proptest::collection::vec(0.01f64..0.99, 0..6),
         seed in any::<u64>(),
     ) {
         // `Wsc2Stream::fold` over random fragment splits — including the
         // disordered-runs path — equals one batched Horner pass over the
-        // whole run, under every forced backend. The reference value comes
-        // from the seed bit-serial arithmetic, so a backend that is wrong
-        // *and* self-consistent still fails.
+        // whole run. The reference value comes from the seed bit-serial
+        // arithmetic, so a kernel that is wrong *and* self-consistent still
+        // fails.
         let mut oracle = Wsc2::new();
         oracle.add_bytes_ref(0, &data);
 
@@ -285,42 +264,31 @@ proptest! {
         bounds.sort_unstable();
         bounds.dedup();
 
-        let mut outcomes = Vec::new();
-        let forcing = FORCE.lock().expect("a backend-forcing test panicked");
-        for backend in Backend::supported() {
-            Backend::force(Some(backend));
-            assert_eq!(Backend::active(), backend);
-            // One-shot batched Horner over the whole run.
-            let mut batched = Wsc2::new();
-            batched.add_bytes(0, &data);
-            // Streaming: disjoint pieces absorbed in a shuffled (usually
-            // disordered) order into independent streams, then folded.
-            let mut parts: Vec<Wsc2Stream> = bounds
-                .windows(2)
-                .map(|w| {
-                    let (lo, hi) = (w[0] * 4, (w[1] * 4).min(data.len()));
-                    let mut s = Wsc2Stream::new();
-                    s.add_bytes(w[0] as u64, &data[lo..hi]);
-                    s
-                })
-                .collect();
-            let n = parts.len();
-            for i in 0..n {
-                let j = (seed.wrapping_add((i as u64) * 2654435761) % n as u64) as usize;
-                parts.swap(i, j);
-            }
-            let mut acc = Wsc2Stream::new();
-            for p in &parts {
-                acc.fold(p);
-            }
-            outcomes.push((backend, batched, acc.finish()));
+        // One-shot batched Horner over the whole run.
+        let mut batched = Wsc2::new();
+        batched.add_bytes(0, &data);
+        // Streaming: disjoint pieces absorbed in a shuffled (usually
+        // disordered) order into independent streams, then folded.
+        let mut parts: Vec<Wsc2Stream> = bounds
+            .windows(2)
+            .map(|w| {
+                let (lo, hi) = (w[0] * 4, (w[1] * 4).min(data.len()));
+                let mut s = Wsc2Stream::new();
+                s.add_bytes(w[0] as u64, &data[lo..hi]);
+                s
+            })
+            .collect();
+        let n = parts.len();
+        for i in 0..n {
+            let j = (seed.wrapping_add((i as u64) * 2654435761) % n as u64) as usize;
+            parts.swap(i, j);
         }
-        Backend::force(None);
-        drop(forcing);
-        for (backend, batched, folded) in outcomes {
-            prop_assert_eq!(batched, oracle, "batched vs oracle, backend {:?}", backend);
-            prop_assert_eq!(folded, oracle, "stream fold vs oracle, backend {:?}", backend);
+        let mut acc = Wsc2Stream::new();
+        for p in &parts {
+            acc.fold(p);
         }
+        prop_assert_eq!(batched, oracle, "batched vs oracle");
+        prop_assert_eq!(acc.finish(), oracle, "stream fold vs oracle");
     }
 }
 
@@ -352,7 +320,7 @@ fn custom_layout_invariance() {
 }
 
 #[test]
-fn digest_invariant_under_a_split_at_every_element_boundary_on_every_backend() {
+fn digest_invariant_under_a_split_at_every_element_boundary() {
     // The byte kernels fold each fragment's payload where it lies, so the
     // two halves of a split start at every offset and alignment the SIZE
     // allows, and cross the kernels' word and block edges at every phase.
@@ -396,20 +364,14 @@ fn digest_invariant_under_a_split_at_every_element_boundary_on_every_backend() {
             }
         }
 
-        let forcing = FORCE.lock().expect("a backend-forcing test panicked");
-        for backend in Backend::supported() {
-            Backend::force(Some(backend));
-            assert_eq!(digest_of(std::slice::from_ref(&whole)), oracle.digest());
-            for at in 1..len {
-                let (a, b) = split(&whole, at).unwrap();
-                assert_eq!(
-                    digest_of(&[b, a]),
-                    oracle.digest(),
-                    "backend={backend:?} size={size} split at {at}"
-                );
-            }
+        assert_eq!(digest_of(std::slice::from_ref(&whole)), oracle.digest());
+        for at in 1..len {
+            let (a, b) = split(&whole, at).unwrap();
+            assert_eq!(
+                digest_of(&[b, a]),
+                oracle.digest(),
+                "size={size} split at {at}"
+            );
         }
-        Backend::force(None);
-        drop(forcing);
     }
 }

@@ -5,8 +5,7 @@
 # Full lint gate: formatting, clippy, rustdoc — all warnings denied —
 # plus the release-mode test suite, the whole-workspace test suite (the
 # root package's tier-1 run covers no member crate, e.g. chunks-ledger's
-# smoke test), the same suite on the portable GF(2^32) backend, the
-# parallel-equivalence gate, the receiver equivalence gate, the
+# smoke test), the parallel-equivalence gate, the receiver equivalence gate, the
 # zero-allocation hot-path gate, the
 # connection-table scale gate, the network-element gate in the debug
 # profile, the BENCH regression gate, the reliability soak, the
@@ -14,7 +13,7 @@
 # deterministic-trace replay, the health surface, and the seven examples. Telemetry overhead is not a recipe here: it is the ledger's
 # `obs.always_on_overhead_pct` (`cargo run --release -p chunks-ledger -- run`);
 # nor is a speed claim: that is `just ab REF`, on alternating pairs.
-lint: check test-release test-workspace test-tables test-parallel test-receiver test-sender test-hotpath test-scale test-netsim bench-check soak soak-overlap lineage trace health examples
+lint: check test-release test-workspace test-parallel test-receiver test-sender test-hotpath test-scale test-netsim bench-check soak soak-overlap lineage trace health examples
 
 # Static gate only: formatting, clippy, rustdoc.
 check: fmt clippy doc
@@ -46,12 +45,6 @@ test-release:
 # Every workspace member's tests, not only the root package's.
 test-workspace:
     cargo test -q --workspace
-
-# The workspace suite with the table-driven GF(2^32) backend forced: the
-# only path on a CPU without PCLMULQDQ/PMULL, which auto-detection never
-# selects on hardware that has them.
-test-tables:
-    CHUNKS_GF_BACKEND=tables cargo test -q --workspace
 
 # Reliability soak: the full fault matrix under two seeds, deterministic,
 # release mode, well under 60 s. Rewrites BENCH_soak.json at the repo root.

@@ -378,7 +378,7 @@ fn packet_unpack_survives_systematic_mangling() {
             );
             // Even unvalidated, the walk yields only spans that decode.
             for (lo, hi) in spans(&p) {
-                let (_, used) = wire::decode_chunk_at(&p.bytes, lo)
+                let (_, used) = wire::decode_chunk_ref(&p.bytes[lo..])
                     .unwrap_or_else(|e| panic!("byte {at} bit {bit}: span {lo}..{hi}: {e}"));
                 assert_eq!(used, hi - lo, "byte {at} bit {bit}");
             }
@@ -471,7 +471,7 @@ fn spans_stay_inside_the_buffer_and_payloads_borrow_it() {
                 "span ({at}, {end}) exceeds {} bytes",
                 packet.bytes.len()
             );
-            let (chunk, used) = wire::decode_chunk_at(&packet.bytes, at)
+            let (chunk, used) = wire::decode_chunk_ref(&packet.bytes[at..])
                 .expect("validated packet must decode at every span");
             assert_eq!(at + used, end, "span length disagrees with decode");
             if !chunk.payload.is_empty() {

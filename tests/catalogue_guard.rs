@@ -2,7 +2,8 @@
 //! must be declared in the obs crate's [`CATALOGUE`], and every
 //! `as_metrics` adapter must map its stats onto catalogued names. A new
 //! instrumentation site with a typo'd or undeclared name fails here, not in
-//! a dashboard a month later.
+//! a dashboard a month later. The same workspace scan keeps the program
+//! sources free of environment reads.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -88,6 +89,35 @@ fn every_emitted_metric_name_is_catalogued() {
         "metric scan extracted suspiciously few names ({})",
         seen.len()
     );
+}
+
+#[test]
+fn no_program_source_reads_the_environment() {
+    // Behaviour comes from arguments and from the CPU, never from a knob
+    // the process inherits: a kernel, a mode or a size picked by an
+    // environment variable is a path the tests only cover under the right
+    // flags. Test harnesses (`tests/`, `benches/`) may still scale
+    // themselves from the environment.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let program: Vec<_> = workspace_sources()
+        .into_iter()
+        .filter(|file| {
+            let rel = file.strip_prefix(root).expect("scanned under the root");
+            rel.starts_with("src")
+                || (rel.starts_with("crates") && rel.iter().nth(2) == Some("src".as_ref()))
+        })
+        .collect();
+    assert!(program.len() > 40, "program scan found too few sources");
+    for file in &program {
+        let text = std::fs::read_to_string(file).expect("readable source");
+        for needle in ["env::var", "var_os"] {
+            assert!(
+                !text.contains(needle),
+                "{}: reads the environment (`{needle}`)",
+                file.display()
+            );
+        }
+    }
 }
 
 #[test]
