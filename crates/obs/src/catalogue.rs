@@ -213,11 +213,6 @@ pub const CATALOGUE: &[Spec] = &[
         "Session::pump_into abandoned a TPDU after retry exhaustion under DegradePolicy::Shed",
     ),
     counter(
-        "transport.rto.timer_fires",
-        "fires",
-        "RetransmitTimer::poll found an expired entry (retransmit or exhausted)",
-    ),
-    counter(
         "transport.rto.timer_retransmits",
         "tpdus",
         "Session::pump_into repaired a TPDU because its retransmission timer fired",

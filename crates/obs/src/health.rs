@@ -35,8 +35,6 @@ pub struct HealthReport {
     pub held_bytes: u64,
     /// Cumulative bytes shed on budget exhaustion.
     pub shed_bytes: u64,
-    /// Cumulative retransmission-timer fires.
-    pub timer_fires: u64,
     /// Cumulative timer-driven retransmissions.
     pub timer_retransmits: u64,
     /// Current smoothed base RTO in nanoseconds.
@@ -56,7 +54,7 @@ impl HealthReport {
         format!(
             "{{\"t\": {}, \"live_conns\": {}, \"admissions\": {}, \"evictions\": {}, \
              \"refusals\": {}, \"under_pressure\": {}, \"held_bytes\": {}, \"shed_bytes\": {}, \
-             \"timer_fires\": {}, \"timer_retransmits\": {}, \"rto_base_ns\": {}, \
+             \"timer_retransmits\": {}, \"rto_base_ns\": {}, \
              \"queue_depth\": {}, \"tpdus_delivered\": {}, \"tpdus_failed\": {}}}",
             self.at_ns,
             self.live_conns,
@@ -66,7 +64,6 @@ impl HealthReport {
             self.under_pressure,
             self.held_bytes,
             self.shed_bytes,
-            self.timer_fires,
             self.timer_retransmits,
             self.rto_base_ns,
             self.queue_depth,
@@ -82,7 +79,7 @@ pub enum HealthEvent {
     /// Timers kept firing across a whole watchdog window with nothing
     /// delivered — the livelock signature the RTO layer exists to prevent.
     LivelockSuspected {
-        /// Timer fires inside the window.
+        /// Timer-driven retransmissions inside the window.
         fires: u64,
         /// TPDUs delivered inside the window (zero, by construction).
         deliveries: u64,
@@ -154,7 +151,8 @@ impl fmt::Display for HealthEvent {
 pub struct WatchdogConfig {
     /// Virtual nanoseconds between reports.
     pub interval_ns: u64,
-    /// Timer fires (with zero deliveries) in one window that mean livelock.
+    /// Timer-driven retransmissions (with zero deliveries) in one window
+    /// that mean livelock.
     pub livelock_fires: u64,
     /// Evictions in one window that mean a storm.
     pub storm_evictions: u64,
@@ -228,7 +226,9 @@ impl Watchdog {
         let mut events = Vec::new();
         if let Some(prev) = self.prev {
             let window_ns = report.at_ns.saturating_sub(prev.at_ns);
-            let fires = report.timer_fires.saturating_sub(prev.timer_fires);
+            let fires = report
+                .timer_retransmits
+                .saturating_sub(prev.timer_retransmits);
             let deliveries = report.tpdus_delivered.saturating_sub(prev.tpdus_delivered);
             if fires >= self.cfg.livelock_fires && deliveries == 0 {
                 events.push(HealthEvent::LivelockSuspected { fires, deliveries });
@@ -298,12 +298,12 @@ mod tests {
         w.tick(&report(0), &*sink);
         // Fires with deliveries: healthy retransmission, no event.
         let mut r = report(10);
-        r.timer_fires = 5;
+        r.timer_retransmits = 5;
         r.tpdus_delivered = 2;
         assert!(w.tick(&r, &*sink).is_empty());
         // More fires, nothing new delivered: livelock suspicion.
         let mut r2 = report(20);
-        r2.timer_fires = 9;
+        r2.timer_retransmits = 9;
         r2.tpdus_delivered = 2;
         let evs = w.tick(&r2, &*sink);
         assert_eq!(
@@ -374,7 +374,7 @@ mod tests {
     #[test]
     fn report_and_event_json_are_stable() {
         let mut r = report(42);
-        r.timer_fires = 3;
+        r.timer_retransmits = 3;
         assert!(r.to_json().starts_with("{\"t\": 42, \"live_conns\": 1,"));
         assert_eq!(
             HealthEvent::PressureStuck { reports: 3 }.to_json(),

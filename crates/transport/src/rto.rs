@@ -18,11 +18,15 @@
 //!   (graceful degradation: drop the TPDU, keep the window moving) or
 //!   surfaces [`TransportError::PeerUnreachable`] instead of hanging.
 //!
-//! Everything is driven by the caller's clock (`now` in nanoseconds of
-//! virtual time), so every schedule is exactly reproducible — the property
-//! the soak harness (`experiments soak`) leans on.
+//! The armed TPDUs are one start-ordered list, the same order as the
+//! sender's pending list: TPDUs are armed as they go out, which is start
+//! order, and a cumulative ack disarms from the front. A TPDU's retry count
+//! is also its backoff exponent. Everything is driven by the caller's clock
+//! (`now` in nanoseconds of virtual time), so every schedule is exactly
+//! reproducible — the property the soak harness (`experiments soak`) leans
+//! on.
 
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
 
@@ -113,19 +117,29 @@ impl Default for RtoConfig {
     }
 }
 
-/// Per-TPDU timer state.
+impl RtoConfig {
+    /// `base` shifted by a backoff exponent, capped and clamped.
+    fn backed_off(&self, base: u64, exponent: u32) -> u64 {
+        base.saturating_shl(exponent.min(16))
+            .min(self.max_rto_ns)
+            .max(self.min_rto_ns)
+    }
+}
+
+/// One armed TPDU's timer.
 #[derive(Clone, Copy, Debug)]
 struct Entry {
+    /// Connection-space start of the TPDU.
+    start: u64,
     /// When the TPDU (or its latest retransmission) went out.
     sent_at: u64,
     /// When the timer fires.
     expires_at: u64,
     /// When the TPDU was *first* sent (for the verdict's elapsed time).
     first_sent_at: u64,
-    /// Timer-driven retransmissions so far.
+    /// Timer-driven retransmissions so far, which is also the backoff
+    /// exponent (doublings applied on top of the base RTO).
     retries: u32,
-    /// Backoff exponent (doublings applied on top of the base RTO).
-    backoff: u32,
     /// True once the TPDU has been retransmitted (Karn: no RTT sample).
     retransmitted: bool,
 }
@@ -155,10 +169,8 @@ pub struct RetransmitTimer {
     srtt_ns: Option<u64>,
     /// RTT variance estimate.
     rttvar_ns: u64,
-    /// Armed TPDUs by connection-space start.
-    entries: BTreeMap<u64, Entry>,
-    /// Timer fires observed (monotonic counter, for stats).
-    pub fires: u64,
+    /// Armed TPDUs in start order (module docs).
+    entries: VecDeque<Entry>,
     /// RTT samples absorbed.
     pub samples: u64,
 }
@@ -170,8 +182,7 @@ impl RetransmitTimer {
             cfg,
             srtt_ns: None,
             rttvar_ns: 0,
-            entries: BTreeMap::new(),
-            fires: 0,
+            entries: VecDeque::new(),
             samples: 0,
         }
     }
@@ -192,51 +203,53 @@ impl RetransmitTimer {
         }
     }
 
+    /// Where the TPDU at `start` is armed, or where it would go.
+    fn find(&self, start: u64) -> Result<usize, usize> {
+        self.entries.binary_search_by_key(&start, |e| e.start)
+    }
+
     /// The RTO a given TPDU is currently running under (base shifted by its
     /// backoff exponent, capped).
     pub fn rto_for(&self, start: u64) -> Option<u64> {
-        let e = self.entries.get(&start)?;
-        Some(self.backed_off(e.backoff))
-    }
-
-    fn backed_off(&self, exponent: u32) -> u64 {
-        self.base_rto_ns()
-            .saturating_shl(exponent.min(16))
-            .min(self.cfg.max_rto_ns)
-            .max(self.cfg.min_rto_ns)
+        let e = &self.entries[self.find(start).ok()?];
+        Some(self.cfg.backed_off(self.base_rto_ns(), e.retries))
     }
 
     /// Arms (or re-arms) the timer for a TPDU that just went on the wire.
     /// `retransmission` marks timer- or ack-driven re-sends: their acks are
     /// ambiguous and contribute no RTT sample (Karn's rule).
     pub fn on_send(&mut self, start: u64, now: u64, retransmission: bool) {
-        let backoff = self
-            .entries
-            .get(&start)
-            .map(|e| e.backoff)
-            .unwrap_or_default();
-        let rto = self.backed_off(backoff);
-        let entry = self.entries.entry(start).or_insert(Entry {
-            sent_at: now,
-            expires_at: now + rto,
-            first_sent_at: now,
-            retries: 0,
-            backoff,
-            retransmitted: retransmission,
-        });
-        entry.sent_at = now;
-        entry.expires_at = now + rto;
-        entry.retransmitted |= retransmission;
+        let base = self.base_rto_ns();
+        match self.find(start) {
+            Ok(at) => {
+                let e = &mut self.entries[at];
+                e.sent_at = now;
+                e.expires_at = now + self.cfg.backed_off(base, e.retries);
+                e.retransmitted |= retransmission;
+            }
+            // TPDUs go out in start order: this is the back but for a TPDU
+            // first sent by a repair pass after a later one.
+            Err(at) => self.entries.insert(
+                at,
+                Entry {
+                    start,
+                    sent_at: now,
+                    expires_at: now + self.cfg.backed_off(base, 0),
+                    first_sent_at: now,
+                    retries: 0,
+                    retransmitted: retransmission,
+                },
+            ),
+        }
     }
 
     /// Disarms a TPDU's timer on acknowledgment; a never-retransmitted TPDU
     /// yields an RTT sample that updates SRTT/RTTVAR and (by recomputing the
     /// base RTO) implicitly resets the backoff for future sends.
     pub fn on_ack(&mut self, start: u64, now: u64) {
-        if let Some(e) = self.entries.remove(&start) {
-            if !e.retransmitted {
-                self.absorb_sample(now.saturating_sub(e.sent_at));
-            }
+        let acked = self.find(start).ok().and_then(|at| self.entries.remove(at));
+        if let Some(e) = acked.filter(|e| !e.retransmitted) {
+            self.absorb_sample(now.saturating_sub(e.sent_at));
         }
     }
 
@@ -259,22 +272,17 @@ impl RetransmitTimer {
 
     /// Timer-driven retransmissions a given armed TPDU has absorbed so far.
     pub fn retries_for(&self, start: u64) -> Option<u32> {
-        self.entries.get(&start).map(|e| e.retries)
+        Some(self.entries[self.find(start).ok()?].retries)
     }
 
-    /// TPDU starts currently armed.
+    /// TPDU starts currently armed, in order.
     pub fn armed(&self) -> Vec<u64> {
-        self.entries.keys().copied().collect()
-    }
-
-    /// Forgets a TPDU entirely (it was shed or abandoned).
-    pub fn forget(&mut self, start: u64) {
-        self.entries.remove(&start);
+        self.entries.iter().map(|e| e.start).collect()
     }
 
     /// The earliest timer expiry, if any TPDU is armed.
     pub fn next_expiry(&self) -> Option<u64> {
-        self.entries.values().map(|e| e.expires_at).min()
+        self.entries.iter().map(|e| e.expires_at).min()
     }
 
     /// Pushes every due timer forward by one current RTO *without*
@@ -284,55 +292,44 @@ impl RetransmitTimer {
     /// shedder; deferring keeps the retry budget intact for when the
     /// pressure clears. Returns the deferred starts.
     pub fn defer_due(&mut self, now: u64) -> Vec<u64> {
-        let due: Vec<u64> = self
-            .entries
-            .iter()
-            .filter(|(_, e)| e.expires_at <= now)
-            .map(|(&s, _)| s)
-            .collect();
-        for &start in &due {
-            let rto = self.backed_off(self.entries[&start].backoff);
-            let e = self.entries.get_mut(&start).expect("collected above");
-            e.expires_at = now + rto;
+        let base = self.base_rto_ns();
+        let mut due = Vec::new();
+        for e in self.entries.iter_mut().filter(|e| e.expires_at <= now) {
+            e.expires_at = now + self.cfg.backed_off(base, e.retries);
+            due.push(e.start);
         }
         due
     }
 
-    /// Advances the virtual clock and collects every due verdict.
+    /// Advances the virtual clock and collects every due verdict, in start
+    /// order.
     ///
     /// A [`TimerVerdict::Retransmit`] applies the backoff and re-arms the
     /// timer, so a caller that drops the verdict on the floor will simply
     /// see it again one (longer) RTO later. An exhausted TPDU is disarmed —
     /// the caller decides between shedding and the dead-peer error.
     pub fn poll(&mut self, now: u64) -> Vec<TimerVerdict> {
-        let due: Vec<u64> = self
-            .entries
-            .iter()
-            .filter(|(_, e)| e.expires_at <= now)
-            .map(|(&s, _)| s)
-            .collect();
-        let mut verdicts = Vec::with_capacity(due.len());
-        for start in due {
-            let snap = self.entries[&start];
-            if snap.retries >= self.cfg.max_retries {
-                self.entries.remove(&start);
-                verdicts.push(TimerVerdict::Exhausted {
-                    start,
-                    retries: snap.retries,
-                    elapsed_ns: now.saturating_sub(snap.first_sent_at),
-                });
-                continue;
+        let (cfg, base) = (self.cfg, self.base_rto_ns());
+        let mut verdicts = Vec::new();
+        self.entries.retain_mut(|e| {
+            if e.expires_at > now {
+                return true;
             }
-            self.fires += 1;
-            let rto = self.backed_off(snap.backoff + 1);
-            let e = self.entries.get_mut(&start).expect("collected above");
+            if e.retries >= cfg.max_retries {
+                verdicts.push(TimerVerdict::Exhausted {
+                    start: e.start,
+                    retries: e.retries,
+                    elapsed_ns: now.saturating_sub(e.first_sent_at),
+                });
+                return false;
+            }
             e.retries += 1;
-            e.backoff += 1;
             e.retransmitted = true;
             e.sent_at = now;
-            e.expires_at = now + rto;
-            verdicts.push(TimerVerdict::Retransmit(start));
-        }
+            e.expires_at = now + cfg.backed_off(base, e.retries);
+            verdicts.push(TimerVerdict::Retransmit(e.start));
+            true
+        });
         verdicts
     }
 }
@@ -423,14 +420,23 @@ mod tests {
     }
 
     #[test]
-    fn ack_disarms_and_forget_drops() {
+    fn the_list_stays_in_start_order_whatever_the_arm_and_ack_order() {
         let mut t = timer();
+        t.on_send(16, 0, false);
         t.on_send(0, 0, false);
         t.on_send(8, 0, false);
-        t.on_ack(0, 500);
-        t.forget(8);
+        assert_eq!(t.armed(), [0, 8, 16]);
+        t.on_ack(8, 500);
+        assert_eq!(t.armed(), [0, 16]);
+        assert_eq!(
+            t.poll(1000),
+            [TimerVerdict::Retransmit(0), TimerVerdict::Retransmit(16)]
+        );
+        t.on_ack(0, 1500);
+        t.on_ack(16, 1500);
         assert!(t.armed().is_empty());
         assert!(t.poll(10_000).is_empty());
+        assert_eq!(t.samples, 1, "only the never-retransmitted TPDU samples");
     }
 
     #[test]

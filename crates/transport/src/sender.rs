@@ -261,9 +261,6 @@ pub struct Sender {
     tpdu_elements: u32,
     /// TPDUs retransmitted.
     pub retransmissions: u64,
-    /// TPDUs shed by the reliability layer after their retry budget emptied
-    /// (graceful degradation: the window keeps moving without them).
-    pub shed: u64,
 }
 
 impl Sender {
@@ -278,7 +275,6 @@ impl Sender {
             base: 0,
             fresh: false,
             retransmissions: 0,
-            shed: 0,
         }
     }
 
@@ -425,22 +421,21 @@ impl Sender {
 
     /// Starts of TPDUs still awaiting acknowledgment.
     pub fn unacked_starts(&self) -> Vec<u64> {
-        self.pending.iter().map(|t| t.start).collect()
+        self.pending_starts().collect()
     }
 
-    /// True while the TPDU at `start` awaits acknowledgment.
-    pub fn is_pending(&self, start: u64) -> bool {
-        self.find(start).is_some()
+    /// [`Self::unacked_starts`], in order, without collecting them.
+    pub(crate) fn pending_starts(&self) -> impl Iterator<Item = u64> + '_ {
+        self.pending.iter().map(|t| t.start)
     }
 
     /// Abandons an unacked TPDU: the reliability layer's graceful
     /// degradation when a retry budget empties. The TPDU leaves the window
-    /// (so `pending_tpdus` can reach zero and the stream keeps moving) and
-    /// is counted in [`Self::shed`]. Returns true when the TPDU existed.
+    /// (so `pending_tpdus` can reach zero and the stream keeps moving).
+    /// Returns true when the TPDU existed.
     pub fn abandon(&mut self, start: u64) -> bool {
         let left = self.find(start).and_then(|at| self.pending.remove(at));
         self.free(left.as_slice());
-        self.shed += left.is_some() as u64;
         left.is_some()
     }
 

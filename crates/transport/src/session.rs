@@ -18,6 +18,13 @@
 //! piggybacking "without designing piggybacking into the protocol". The
 //! placement is `pack`'s next fit over those chunks in that order, but no
 //! chunk is unpacked or built on the way.
+//!
+//! The send side keeps one ordered view of its TPDUs: the sender's
+//! start-ordered pending list, and the [`RetransmitTimer`] arming the same
+//! TPDUs in the same order once they have gone out. An ack is applied once,
+//! when it arrives: the sender drops what it acknowledges and the timer
+//! disarms the same starts. The pump keeps the last ack only to drive its
+//! repair pass, so the timer never names a TPDU the sender no longer holds.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -91,7 +98,8 @@ pub struct Session {
     rx: Receiver,
     mtu: usize,
     local_conn: u32,
-    /// Last ack received for our outbound stream, pending a repair pass.
+    /// Last ack received for our outbound stream. It was applied when it
+    /// arrived and is kept only to drive the next repair pass.
     inbound_ack: Option<AckInfo>,
     /// Whether the first full transmission already happened.
     transmitted_once: bool,
@@ -209,7 +217,6 @@ impl Session {
             under_pressure: self.peer_pressure,
             held_bytes: rx.buffered_bytes,
             shed_bytes: rx.shed_bytes,
-            timer_fires: self.rto.fires,
             timer_retransmits: self.stats.timer_retransmits,
             rto_base_ns: self.rto.base_rto_ns(),
             queue_depth: self.backlog.len() as u64,
@@ -319,12 +326,13 @@ impl Session {
         if !self.transmitted_once {
             self.transmitted_once = true;
             self.tx.pack_pending(&mut self.packer)?;
-            for s in self.tx.unacked_starts() {
-                // A TPDU that was already armed is going out again.
-                self.sent.push((s, self.rto.rto_for(s).is_some()));
-            }
+            // A TPDU that was already armed is going out again.
+            let rto = &self.rto;
+            let starts = self.tx.pending_starts();
+            self.sent
+                .extend(starts.map(|s| (s, rto.rto_for(s).is_some())));
         } else if let Some(ack) = self.inbound_ack.take() {
-            self.tx.handle_ack(&ack);
+            // The ack was applied when it arrived; here it only drives repair.
             if ack.pressure {
                 // The peer's budget is near exhaustion: a repair pass now
                 // would only feed bytes to the shedder. Defer it; the next
@@ -354,20 +362,9 @@ impl Session {
             }
         } else {
             self.due.clear();
-            let fires_before = self.rto.fires;
-            let verdicts = self.rto.poll(now);
-            if self.obs_on {
-                self.obs
-                    .counter("transport.rto.timer_fires", self.rto.fires - fires_before);
-            }
-            for verdict in verdicts {
+            for verdict in self.rto.poll(now) {
                 match verdict {
                     TimerVerdict::Retransmit(start) => {
-                        if !self.tx.is_pending(start) {
-                            // Acked or shed since the timer was armed.
-                            self.rto.forget(start);
-                            continue;
-                        }
                         self.due.push(start);
                         self.stats.timer_retransmits += 1;
                         if self.obs_on {
@@ -409,6 +406,9 @@ impl Session {
                     } => match self.rto.config().policy {
                         DegradePolicy::Shed => {
                             if self.tx.abandon(start) {
+                                // What this pump already packed of it goes
+                                // out, but is not armed again below.
+                                self.sent.retain(|&(s, _)| s != start);
                                 self.stats.shed_tpdus += 1;
                                 if self.obs_on {
                                     self.obs.counter("transport.rto.shed_tpdus", 1);
@@ -527,7 +527,7 @@ impl Session {
                         let samples = self.rto.samples - samples_before;
                         self.obs.counter("transport.rto.rtt_samples", samples);
                     }
-                    // Remember it for the next repair pass too.
+                    // Kept only to drive the next repair pass.
                     self.peer_pressure = ack.pressure;
                     self.inbound_ack = Some(*ack);
                 }
@@ -545,6 +545,7 @@ mod tests {
     use super::*;
     use crate::receiver::chunk_walk;
     use chunks_core::label::ChunkType;
+    use proptest::prelude::*;
 
     fn params(conn_id: u32) -> ConnectionParams {
         ConnectionParams {
@@ -591,6 +592,25 @@ mod tests {
     fn readable(s: &Session) -> Vec<u8> {
         let (head, tail) = s.readable();
         [head, tail].concat()
+    }
+
+    /// A packet holding `ack` alone, labelled with `conn_id`.
+    fn ack_packet(ack: &AckInfo, conn_id: u32) -> Packet {
+        let chunk = ack.to_chunk(conn_id);
+        let mut bytes = Vec::new();
+        chunks_core::wire::encode_header(&chunk.header, &mut bytes);
+        bytes.extend_from_slice(&chunk.payload);
+        Packet {
+            bytes: bytes.into(),
+        }
+    }
+
+    /// An ack claiming everything up to 1 MiB.
+    fn claims_all() -> AckInfo {
+        AckInfo {
+            cumulative: 1 << 20,
+            ..AckInfo::default()
+        }
     }
 
     /// Runs rounds of alternating exchange with per-packet loss decided by
@@ -746,19 +766,7 @@ mod tests {
         let mut a = endpoint(1, 2);
         a.send(&[0x11; 64], 0xA, false);
         pump(&mut a, 0);
-        let all = AckInfo {
-            cumulative: 1 << 20,
-            ..AckInfo::default()
-        };
-        let ack_packet = |conn_id| {
-            let chunk = all.to_chunk(conn_id);
-            let mut bytes = Vec::new();
-            chunks_core::wire::encode_header(&chunk.header, &mut bytes);
-            bytes.extend_from_slice(&chunk.payload);
-            Packet {
-                bytes: bytes.into(),
-            }
-        };
+        let ack_packet = |conn_id| ack_packet(&claims_all(), conn_id);
         hear(&mut a, &ack_packet(99), 1);
         assert!(
             !a.outbound_done(),
@@ -780,6 +788,138 @@ mod tests {
             .map(|h| h.conn.id)
             .collect();
         assert_eq!(labels, [1]);
+    }
+
+    #[test]
+    fn an_ack_is_applied_once_so_data_sent_after_it_stays_pending_and_armed() {
+        // A hostile ack claims everything A will ever send, then A sends
+        // more. The ack was applied when it arrived; the pumps after it must
+        // not apply it again to the new TPDUs.
+        let mut a = endpoint(1, 2);
+        a.send(&[0x11; 64], 0xA, false);
+        pump(&mut a, 0);
+        hear(&mut a, &ack_packet(&claims_all(), 1), 1);
+        assert!(a.outbound_done());
+        a.send(&[0x22; 64], 0xA, false);
+        pump(&mut a, 2);
+        pump(&mut a, 3);
+        assert_eq!(a.tx.unacked_starts(), [64, 96]);
+        assert_eq!(a.rto.armed(), [64, 96]);
+        // Past each expiry, both TPDUs go out again under their labels: every
+        // fire is a retransmission.
+        for (fires, now) in [(1, 10_000_000), (2, 30_000_000), (3, 70_000_000)] {
+            let resent: Vec<u64> = pump(&mut a, now)
+                .iter()
+                .flat_map(|p| chunk_walk(p).unwrap().map(|c| c.header))
+                .filter(|h| h.ty == ChunkType::ErrorDetection)
+                .map(|h| h.conn.sn as u64 - h.tpdu.sn as u64)
+                .collect();
+            assert_eq!(resent, [64, 96], "fire {fires}");
+            assert_eq!(a.reliability().timer_retransmits, 2 * fires);
+            assert_eq!(a.rto.armed(), [64, 96]);
+        }
+    }
+
+    /// One step of a session script: A sends, pumps to B, or hears B's
+    /// pump or a hostile ack; the clock moves on.
+    #[derive(Clone, Debug)]
+    enum Step {
+        Send(usize),
+        /// A pumps; B hears each packet whose bit in the mask is clear.
+        PumpA(u32),
+        /// B pumps; A hears each packet whose bit in the mask is clear.
+        PumpB(u32),
+        /// An ack for A's connection: a cumulative point, SACKs picked from
+        /// A's pending starts, and the pressure bit.
+        Hostile(u64, Vec<usize>, bool),
+        Tick(u64),
+    }
+
+    fn script() -> impl Strategy<Value = Vec<Step>> {
+        // A quarter of the packets are lost, and a quarter of the hostile
+        // acks signal pressure. B pumps rarely, so timers fire and exhaust.
+        let picks = prop::collection::vec(any::<usize>(), 0..4);
+        let step = (0u8..8, any::<u64>(), picks).prop_map(|(kind, n, picks)| match kind {
+            0 => Step::Send(1 + n as usize % 199),
+            1 | 2 => Step::PumpA(n as u32 & (n >> 32) as u32),
+            3 => Step::PumpB(n as u32 & (n >> 32) as u32),
+            4 => Step::Hostile(n % 1024, picks, n >> 40 & 3 == 0),
+            _ => Step::Tick(n % 8_000_000),
+        });
+        prop::collection::vec(step, 1..120)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 256 } else { 2560 }))]
+
+        #[test]
+        fn the_timer_arms_exactly_the_pending_tpdus_that_went_out(
+            script in script(),
+            shed in any::<bool>(),
+        ) {
+            // A short retry budget, so TPDUs exhaust under both policies.
+            let rto = RtoConfig {
+                initial_rto_ns: 2_000_000,
+                min_rto_ns: 1_000_000,
+                max_rto_ns: 8_000_000,
+                max_retries: 1,
+                policy: if shed { DegradePolicy::Shed } else { DegradePolicy::Abort },
+            };
+            let mut a = endpoint(1, 2).with_rto(rto);
+            let mut b = endpoint(2, 1);
+            // A's pending TPDUs that no pump has sent yet.
+            let mut unsent = Vec::new();
+            let mut now = 0;
+            for step in &script {
+                match step {
+                    &Step::Send(len) => {
+                        let before = a.tx.pending_tpdus();
+                        a.send(&vec![0x5A; len], 0xA, false);
+                        unsent.extend(a.tx.pending_starts().skip(before));
+                    }
+                    &Step::PumpA(lost) => {
+                        let mut out = Vec::new();
+                        if a.pump_into(now, &mut out).is_err() {
+                            // Dead: an exhausted TPDU left the timer but not
+                            // the sender, and no pump runs again.
+                            break;
+                        }
+                        unsent.clear();
+                        for (i, p) in out.iter().enumerate() {
+                            if lost >> (i % 32) & 1 == 0 {
+                                hear(&mut b, p, now);
+                            }
+                        }
+                        let n = b.readable().0.len() + b.readable().1.len();
+                        b.release(n as u64);
+                    }
+                    &Step::PumpB(lost) => {
+                        for (i, p) in pump(&mut b, now).iter().enumerate() {
+                            if lost >> (i % 32) & 1 == 0 {
+                                hear(&mut a, p, now);
+                            }
+                        }
+                    }
+                    Step::Hostile(cumulative, picks, pressure) => {
+                        let pending = a.tx.unacked_starts();
+                        let ack = AckInfo {
+                            cumulative: *cumulative,
+                            sacks: picks
+                                .iter()
+                                .filter(|_| !pending.is_empty())
+                                .map(|&i| pending[i % pending.len()])
+                                .collect(),
+                            pressure: *pressure,
+                            ..AckInfo::default()
+                        };
+                        hear(&mut a, &ack_packet(&ack, 1), now);
+                    }
+                    &Step::Tick(dt) => now += dt,
+                }
+                let sent: Vec<u64> = a.tx.pending_starts().filter(|s| !unsent.contains(s)).collect();
+                prop_assert_eq!(a.rto.armed(), sent, "after {:?}", step);
+            }
+        }
     }
 
     #[test]

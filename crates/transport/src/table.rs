@@ -44,6 +44,11 @@ const EMPTY: u32 = u32::MAX;
 /// shards agree on how `C.ID`s spread.
 const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
 
+/// How many occupied slots the eviction clock hand examines per eviction.
+/// Larger samples approximate true LRU more closely at proportionally more
+/// scan work.
+const LRU_SAMPLE: usize = 8;
+
 /// One index slot: the connection label, where its receiver lives in the
 /// slab, and when it was last touched (virtual clock) for LRU ordering.
 #[derive(Clone, Copy, Debug)]
@@ -69,10 +74,6 @@ pub struct TableConfig {
     /// Maximum live connections; admission beyond this evicts the sampled
     /// LRU connection first. `usize::MAX` = unbounded (the default).
     pub max_live: usize,
-    /// How many occupied slots the eviction clock hand examines per
-    /// eviction. Larger samples approximate true LRU more closely at
-    /// proportionally more scan work.
-    pub lru_sample: usize,
 }
 
 impl Default for TableConfig {
@@ -80,7 +81,6 @@ impl Default for TableConfig {
         TableConfig {
             initial_capacity: 8,
             max_live: usize::MAX,
-            lru_sample: 8,
         }
     }
 }
@@ -407,14 +407,14 @@ impl ConnTable {
     }
 
     /// Evicts the least-recently-touched of a deterministic sample of
-    /// occupied slots (clock hand, `lru_sample` wide; ties break on the
+    /// occupied slots (clock hand, `LRU_SAMPLE` = 8 wide; ties break on the
     /// smaller `C.ID`). Returns the evicted `C.ID`, or `None` on an empty
     /// table.
     pub fn evict_lru(&mut self, now: u64, cause: &'static str) -> Option<u32> {
         if self.live == 0 {
             return None;
         }
-        let want = self.cfg.lru_sample.max(1).min(self.live);
+        let want = LRU_SAMPLE.min(self.live);
         let mut best: Option<(u64, u32, usize)> = None;
         let mut seen = 0usize;
         let mut scanned = 0usize;

@@ -163,9 +163,10 @@ proptest! {
 
 #[test]
 fn full_width_sample_evicts_in_exact_lru_order() {
-    // With `lru_sample` at least the live count, the clock-hand sample
-    // covers every occupied slot and the policy degenerates to true LRU:
-    // a known touch order must be evicted back in exactly that order.
+    // With the eviction sample (8 slots) at least the live count, the
+    // clock-hand sample covers every occupied slot and the policy
+    // degenerates to true LRU: a known touch order must be evicted back in
+    // exactly that order.
     let mut table = ConnTable::new(TableConfig::for_capacity(8).with_max_live(8));
     let mut now = 0u64;
     for k in 0..8u32 {

@@ -104,16 +104,19 @@ test-receiver:
 # step it holds exactly the first-transmission packets a pending TPDU has
 # a chunk in), the session's placement property (a pump's first
 # transmission, timer pass and ack-driven repair equal `pack` over the
-# uncut chunks plus the ack), the sender and session unit tests, the two
-# ack-trim regression tests and the transmit and session legs of the
-# allocation gate. Debug first, so the packet-range arithmetic runs with
-# overflow checks, then release.
+# uncut chunks plus the ack), the sender, session and retransmission-timer
+# unit tests (among them the timer property: after every step of a random
+# send/pump/ack/hostile-ack/clock script the timer arms exactly the pending
+# TPDUs that went out, and an ack is applied once), the backoff property,
+# the two ack-trim regression tests and the transmit and session legs of
+# the allocation gate. Debug first, so the packet-range arithmetic runs
+# with overflow checks, then release.
 test-sender:
-    cargo test -q --test transport_props -- sender_packets_equal sender_retains session_packets_equal
-    cargo test -q -p chunks-transport --lib -- sender:: session:: ack::tests::an_ack_past
+    cargo test -q --test transport_props -- sender_packets_equal sender_retains session_packets_equal backoff_is_monotone
+    cargo test -q -p chunks-transport --lib -- sender:: session:: rto:: ack::tests::an_ack_past
     cargo test -q --test hotpath_allocs -- transmit session
-    cargo test -q --release --test transport_props -- sender_packets_equal sender_retains session_packets_equal
-    cargo test -q --release -p chunks-transport --lib -- sender:: session:: ack::tests::an_ack_past
+    cargo test -q --release --test transport_props -- sender_packets_equal sender_retains session_packets_equal backoff_is_monotone
+    cargo test -q --release -p chunks-transport --lib -- sender:: session:: rto:: ack::tests::an_ack_past
     cargo test -q --release --test hotpath_allocs -- transmit session
 
 # Zero-allocation hot-path gate: a counting global allocator with

@@ -832,7 +832,7 @@ fn a_warm_session_pumps_and_ingests_256_kib_in_a_handful_of_allocations() {
         events.clear();
         println!("pass {pass}: {packets} packets, pump {pump_allocs}, ingest {ingest_allocs} allocations");
         if pass == 1 {
-            assert!(pump_allocs <= 64, "{pump_allocs} allocations in a pump");
+            assert!(pump_allocs <= 8, "{pump_allocs} allocations in a pump");
             assert!(ingest_allocs <= 6, "{ingest_allocs} allocations ingesting");
         }
     }

@@ -13,7 +13,7 @@ use chunks::transport::{
     AckInfo, AlfFrame, ConnSpec, ConnectionDemux, ConnectionParams, ControlKind, DegradePolicy,
     DeliveryMode, DemuxEvent, Engine, FailureReason, Framer, ParallelReceiver, Receiver,
     ResourceBudget, RetransmitTimer, RtoConfig, RxEvent, RxStats, Schedule, Sender, SenderConfig,
-    Session, Signal, Tpdu,
+    Session, Signal, TimerVerdict, Tpdu,
 };
 use chunks::vreasm::OverlapPolicy;
 use chunks::wsc::{InvariantLayout, Wsc2Stream};
@@ -792,14 +792,18 @@ proptest! {
         timer.on_send(0, 0, false);
         // With no acks the per-TPDU RTO never decreases, fire after fire,
         // until the budget empties and the entry is disarmed.
-        let mut prev = 0u64;
+        let (mut prev, mut fires) = (0u64, 0u64);
         while let Some(rto) = timer.rto_for(0) {
             prop_assert!(rto >= prev, "backoff shrank: {rto} < {prev}");
             prev = rto;
             let due = timer.next_expiry().unwrap();
-            timer.poll(due);
+            let verdicts = timer.poll(due);
+            fires += verdicts
+                .iter()
+                .filter(|v| matches!(v, TimerVerdict::Retransmit(_)))
+                .count() as u64;
         }
-        prop_assert_eq!(timer.fires, retries as u64);
+        prop_assert_eq!(fires, retries as u64);
         // A fresh RTT sample (from a never-retransmitted TPDU) recomputes
         // the base and so resets the saturated backoff for future sends.
         let now = 1_000_000_000;
