@@ -14,11 +14,20 @@
 //!   `routed` and decodes acks and signals. Each data/ED span is staged for
 //!   the worker chosen by hashing the chunk's **connection label**
 //!   (`C.ID`), as a zero-copy [`bytes::Bytes`] slice of the arriving packet
-//!   carrying its dispatch stamp; payload bytes are not touched at this
-//!   stage. The dispatcher keeps no connection table: whether a `C.ID` is
-//!   live is decided at the worker, by its shard's [`ConnTable`] — the only
-//!   `C.ID` table — and a miss becomes an `UnknownConnection` control event
-//!   under that stamp.
+//!   carrying its dispatch stamp. A data chunk's payload is read once here:
+//!   the dispatcher computes its position-free WSC-2 fold `(Σ dᵢ, Σ αⁱ·dᵢ)`
+//!   ([`chunks_gf::fold_elements`]), which depends on the bytes alone, and
+//!   the work item carries it, so the worker only weights it by its
+//!   position (`α^pos`, the half that needs connection state) and places
+//!   the bytes — the stateless half of the byte work runs ahead of the
+//!   stateful half, on another core. The fold is of the same immutable
+//!   bytes the worker places, and the worker's receiver decides, as on the
+//!   serial path, whether any of it is absorbed at all: a chunk it rejects
+//!   or cuts into pieces is handled exactly as there (pieces are folded
+//!   again, in place). The dispatcher keeps no connection table: whether a
+//!   `C.ID` is live is decided at the worker, by its shard's [`ConnTable`]
+//!   — the only `C.ID` table — and a miss becomes an `UnknownConnection`
+//!   control event under that stamp.
 //! * **Handoff** — what crosses to a worker is a **batch**, never a lone
 //!   chunk: every entry point (`ingest`, `ingest_batch`, `admit`, `retire`,
 //!   `reset_group`, `reserve`, `sync`) stages its work per shard and, before
@@ -66,9 +75,11 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use bytes::Bytes;
+use chunks_core::label::ChunkType;
 use chunks_core::packet::Packet;
 use chunks_core::wire::decode_chunk_ref;
 use chunks_core::WIRE_HEADER_LEN;
+use chunks_gf::Gf32;
 use chunks_obs::{Event, HotCounter, Labels, ObsSink, ShardSink, SpanId, Stage};
 use chunks_vreasm::OverlapPolicy;
 use chunks_wsc::{InvariantLayout, Wsc2Stream};
@@ -318,11 +329,26 @@ pub struct ParallelOutcome {
 /// for it, in call order.
 type Batch = Vec<Work>;
 
-/// One unit of work in a [`Batch`].
+/// One unit of work in a [`Batch`]: a chunk, or one of the rarer control
+/// items. Kept in two layers so that the control items' tag hides in the
+/// chunk's span (a pointer that is never null), and a queued chunk pays
+/// for no tag of its own.
 enum Work {
     /// A data/ED chunk span, zero-copy slice of the arriving packet, with
-    /// its dispatch stamp.
-    Chunk { raw: Bytes, now: u64, stamp: u64 },
+    /// its dispatch stamp and, for a data chunk, its payload's WSC-2 fold
+    /// (an ED chunk's is zero, and unread).
+    Chunk {
+        raw: Bytes,
+        now: u64,
+        stamp: u64,
+        fold: (Gf32, Gf32),
+    },
+    /// Anything but a chunk.
+    Control(Control),
+}
+
+/// The control items a [`Batch`] carries among its chunks.
+enum Control {
     /// Clear a failed/incomplete group so a retransmission verifies afresh.
     Reset { conn_id: u32, start: u64 },
     /// Pre-size every owned receiver (and the worker's event buffers) for
@@ -415,7 +441,12 @@ impl Shard {
     /// engines differ only in *when* this runs, never in what it does.
     fn process(&mut self, work: Work) {
         match work {
-            Work::Chunk { raw, now, stamp } => {
+            Work::Chunk {
+                raw,
+                now,
+                stamp,
+                fold,
+            } => {
                 // The label is decoded from the dispatched span (itself a
                 // slice of the arriving packet) and the payload is read in
                 // place there.
@@ -448,6 +479,7 @@ impl Shard {
                     header,
                     bytes: &raw,
                     span: WIRE_HEADER_LEN..end,
+                    fold: Some(fold),
                 };
                 rx.handle_wire_into(chunk, now, events);
                 for event in &events[before..] {
@@ -458,12 +490,12 @@ impl Shard {
                     }
                 }
             }
-            Work::Reset { conn_id, start } => {
+            Work::Control(Control::Reset { conn_id, start }) => {
                 if let Some(rx) = self.receivers.get_mut(conn_id) {
                     rx.reset_group(start);
                 }
             }
-            Work::Reserve { tpdus, fragments } => {
+            Work::Control(Control::Reserve { tpdus, fragments }) => {
                 for (id, rx) in self.receivers.iter_mut() {
                     rx.reserve(tpdus, fragments);
                     // Deliveries dominate the event stream: one TpduDelivered
@@ -472,7 +504,7 @@ impl Shard {
                     self.events.entry(id).or_default().reserve(tpdus * 2);
                 }
             }
-            Work::Admit { spec, now } => {
+            Work::Control(Control::Admit { spec, now }) => {
                 let sink = self.obs.clone();
                 self.receivers.admit(
                     spec.params,
@@ -487,10 +519,10 @@ impl Shard {
                     },
                 );
             }
-            Work::Retire { conn_id, now } => {
+            Work::Control(Control::Retire { conn_id, now }) => {
                 self.receivers.retire(conn_id, now);
             }
-            Work::Sync(reply) => {
+            Work::Control(Control::Sync(reply)) => {
                 let snapshots = self.snapshots();
                 // The barrier caller may have hung up; nothing to do then.
                 let _ = reply.send(snapshots);
@@ -806,7 +838,7 @@ impl ParallelReceiver {
     /// queues like any other item, so it is ordered with the data.
     pub fn reserve(&mut self, tpdus: usize, fragments: usize) {
         for worker in 0..self.workers {
-            self.stage(worker, Work::Reserve { tpdus, fragments });
+            self.stage(worker, Work::Control(Control::Reserve { tpdus, fragments }));
         }
         self.flush();
     }
@@ -863,8 +895,25 @@ impl ParallelReceiver {
                 .span_open(now, SpanId::new(labels, Stage::MergeQueue));
             self.merge_open.push(labels);
         }
+        // The stateless half of the chunk's WSC-2 work: the fold depends on
+        // the payload bytes alone, so it is done here, where the walk has
+        // just read the label in front of them.
+        let fold = match chunk.header.ty {
+            ChunkType::Data => {
+                chunks_gf::fold_elements(chunk.header.size as usize, chunk.payload())
+            }
+            _ => Default::default(),
+        };
         let raw = chunk.wire();
-        self.stage(worker, Work::Chunk { raw, now, stamp });
+        self.stage(
+            worker,
+            Work::Chunk {
+                raw,
+                now,
+                stamp,
+                fold,
+            },
+        );
     }
 
     /// Admits a connection mid-stream: queues the admission on the worker
@@ -874,7 +923,7 @@ impl ParallelReceiver {
     pub fn admit(&mut self, spec: ConnSpec, now: u64) {
         let worker = shard_of(spec.params.conn_id, self.workers);
         let spec = Box::new(spec);
-        self.stage(worker, Work::Admit { spec, now });
+        self.stage(worker, Work::Control(Control::Admit { spec, now }));
         self.flush();
     }
 
@@ -885,7 +934,7 @@ impl ParallelReceiver {
     /// `UnknownConnection` control events.
     pub fn retire(&mut self, conn_id: u32, now: u64) {
         let worker = shard_of(conn_id, self.workers);
-        self.stage(worker, Work::Retire { conn_id, now });
+        self.stage(worker, Work::Control(Control::Retire { conn_id, now }));
         self.flush();
     }
 
@@ -895,7 +944,7 @@ impl ParallelReceiver {
     pub fn reset_group(&mut self, conn_id: u32, start: u64) {
         self.stage(
             shard_of(conn_id, self.workers),
-            Work::Reset { conn_id, start },
+            Work::Control(Control::Reset { conn_id, start }),
         );
         self.flush();
     }
@@ -983,7 +1032,7 @@ impl ParallelReceiver {
             let replies: Vec<_> = (0..self.workers)
                 .map(|worker| {
                     let (reply_tx, reply_rx) = mpsc::channel();
-                    self.stage(worker, Work::Sync(reply_tx));
+                    self.stage(worker, Work::Control(Control::Sync(reply_tx)));
                     reply_rx
                 })
                 .collect();
@@ -1274,7 +1323,8 @@ mod tests {
     #[test]
     fn work_item_stays_small() {
         // Every queued chunk pays for the largest variant: a chunk's span,
-        // time and dispatch stamp fit; the connection spec is boxed.
+        // time, dispatch stamp and payload fold fit, with no room for a tag;
+        // the connection spec is boxed.
         assert!(std::mem::size_of::<Work>() <= 48);
     }
 

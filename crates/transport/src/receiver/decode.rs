@@ -4,7 +4,8 @@
 //! and the `ParallelReceiver` dispatcher walk a packet here and route each
 //! chunk through one `TYPE` match (`mux::route`). A parallel worker reads
 //! the label again, in place, from the span it was handed: the work item
-//! carries the span's bytes, not the decoded header, so that it stays small.
+//! carries the span's bytes and the payload's fold, not the decoded header,
+//! so that it stays small.
 //!
 //! The walk borrows. It yields each chunk's label and the byte range of its
 //! payload inside the packet, and the receiver reads the payload there. An
@@ -20,6 +21,7 @@ use chunks_core::error::CoreError;
 use chunks_core::packet::{spans, validate, Packet};
 use chunks_core::wire::decode_header;
 use chunks_core::WIRE_HEADER_LEN;
+use chunks_gf::Gf32;
 use chunks_obs::{Event, Labels, ObsSink};
 
 /// A chunk where it lies: its label, and its payload as the byte range
@@ -30,6 +32,11 @@ pub(crate) struct WireChunk<'a> {
     pub(crate) header: ChunkHeader,
     pub(crate) bytes: &'a Bytes,
     pub(crate) span: Range<usize>,
+    /// The payload's position-free WSC-2 fold, when whoever walked the
+    /// packet already computed it ([`chunks_gf::fold_elements`] of these
+    /// very bytes): the parallel dispatcher does, for its worker. Absent,
+    /// the receiver folds the payload where it lies.
+    pub(crate) fold: Option<(Gf32, Gf32)>,
 }
 
 impl<'a> WireChunk<'a> {
@@ -40,6 +47,7 @@ impl<'a> WireChunk<'a> {
             header: chunk.header,
             bytes: &chunk.payload,
             span,
+            fold: None,
         }
     }
 
@@ -86,6 +94,7 @@ pub(crate) fn chunk_walk(
             header: header.ok()?,
             bytes: &packet.bytes,
             span: at + WIRE_HEADER_LEN..end,
+            fold: None,
         })
     }))
 }

@@ -737,9 +737,13 @@ impl Receiver {
         }
 
         // Stage 2b — verify: X-level consistency, then the incremental
-        // end-to-end error detection.
+        // end-to-end error detection. The payload's fold is the walker's
+        // when it computed one (the parallel dispatcher), else made here.
+        let fold = c
+            .fold
+            .unwrap_or_else(|| chunks_gf::fold_elements(esize, c.payload()));
         let group = &mut self.groups[slot];
-        if let Err(reason) = group.tpdu.absorb(&self.layout, &h, c.payload()) {
+        if let Err(reason) = group.tpdu.absorb(&self.layout, &h, fold) {
             return self.group_failure_into(start, reason, out);
         }
         self.stats.chunks_accepted += 1;

@@ -16,6 +16,7 @@
 use std::collections::HashMap;
 
 use chunks_core::chunk::ChunkHeader;
+use chunks_gf::Gf32;
 use chunks_vreasm::{PduTracker, TrackEvent};
 use chunks_wsc::{InvariantError, InvariantLayout, InvariantState, Wsc2};
 
@@ -222,12 +223,13 @@ impl TpduEngine {
     /// Takes a tracked chunk into the verification state: X-level
     /// consistency (`C.SN − X.SN` constant per external PDU: the first delta
     /// an `X.ID` brought is the one its later chunks must repeat), then the
-    /// incremental end-to-end error detection under `layout`.
+    /// incremental end-to-end error detection under `layout`, which places
+    /// `fold`, the payload's position-free fold.
     pub(crate) fn absorb(
         &mut self,
         layout: &InvariantLayout,
         h: &ChunkHeader,
-        payload: &[u8],
+        fold: (Gf32, Gf32),
     ) -> Result<(), FailureReason> {
         let x_delta = h.conn.sn.wrapping_sub(h.ext.sn);
         let (first_id, first_delta) = *self.x_first.get_or_insert((h.ext.id, x_delta));
@@ -241,7 +243,7 @@ impl TpduEngine {
             return Err(FailureReason::Consistency);
         }
         self.inv
-            .absorb_chunk(layout, h, payload)
+            .absorb_folded(layout, h, fold)
             .map_err(|e| match e {
                 InvariantError::IdMismatch => FailureReason::EdMismatch,
                 _ => FailureReason::BadChunk,

@@ -51,8 +51,10 @@ use chunks_wsc::InvariantLayout;
 /// names — tests and the soak harness read them directly.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct ReliabilityStats {
-    /// TPDUs retransmitted because their timer fired (no ack arrived).
-    /// Registry twin: `transport.rto.timer_retransmits`.
+    /// TPDUs retransmitted because their timer fired (no ack arrived): the
+    /// timer pass's own retransmissions. A due TPDU the same pump already
+    /// packed (the ack-driven repair pass) goes out once and is not
+    /// counted here. Registry twin: `transport.rto.timer_retransmits`.
     pub timer_retransmits: u64,
     /// TPDUs shed after their retry budget emptied (graceful degradation).
     /// Registry twin: `transport.rto.shed_tpdus`.
@@ -364,6 +366,12 @@ impl Session {
             self.due.clear();
             for verdict in self.rto.poll(now) {
                 match verdict {
+                    // This pump already packed the TPDU (the ack-driven
+                    // repair pass, or a first transmission that resends
+                    // it): it goes out once, and the `sent` loop below
+                    // re-arms it. The timer backed off all the same.
+                    TimerVerdict::Retransmit(start)
+                        if self.sent.iter().any(|&(s, _)| s == start) => {}
                     TimerVerdict::Retransmit(start) => {
                         self.due.push(start);
                         self.stats.timer_retransmits += 1;
@@ -818,6 +826,31 @@ mod tests {
             assert_eq!(a.reliability().timer_retransmits, 2 * fires);
             assert_eq!(a.rto.armed(), [64, 96]);
         }
+    }
+
+    #[test]
+    fn a_tpdu_the_repair_pass_packed_is_not_packed_again_by_its_due_timer() {
+        // A's two TPDUs go out at 0. At 20 ms, past their first timeout, an
+        // ack nacks both whole: the pump's repair pass packs both, and then
+        // both timers are due.
+        let mut a = endpoint(1, 2);
+        a.send(&[0x33; 64], 0xA, false);
+        pump(&mut a, 0);
+        let nack = AckInfo {
+            gaps: vec![(0, 64)],
+            ..AckInfo::default()
+        };
+        hear(&mut a, &ack_packet(&nack, 1), 20_000_000);
+        let ed_starts: Vec<u64> = pump(&mut a, 20_000_000)
+            .iter()
+            .flat_map(|p| chunk_walk(p).unwrap().map(|c| c.header))
+            .filter(|h| h.ty == ChunkType::ErrorDetection)
+            .map(|h| h.conn.sn as u64 - h.tpdu.sn as u64)
+            .collect();
+        assert_eq!(ed_starts, [0, 32], "each TPDU is packed once");
+        // Both are re-armed, and the timer pass retransmitted neither.
+        assert_eq!(a.rto.armed(), [0, 32]);
+        assert_eq!(a.reliability().timer_retransmits, 0);
     }
 
     /// One step of a session script: A sends, pumps to B, or hears B's

@@ -25,6 +25,8 @@ use chunks_core::label::ChunkType;
 use std::error::Error;
 use std::fmt;
 
+use chunks_gf::Gf32;
+
 use crate::code::{Wsc2, MAX_SYMBOLS};
 use crate::stream::Wsc2Stream;
 
@@ -164,6 +166,16 @@ impl TpduInvariant {
         self.state.absorb_chunk(&self.layout, header, payload)
     }
 
+    /// Absorbs one data chunk of the TPDU whose payload was already folded
+    /// (see [`InvariantState::absorb_folded`]).
+    pub fn absorb_folded(
+        &mut self,
+        header: &ChunkHeader,
+        fold: (Gf32, Gf32),
+    ) -> Result<(), InvariantError> {
+        self.state.absorb_folded(&self.layout, header, fold)
+    }
+
     /// Replaces already-absorbed data (see
     /// [`InvariantState::patch_elements`]).
     pub fn patch_elements(&mut self, size: u16, first: u64, old: &[u8], new: &[u8]) {
@@ -229,16 +241,36 @@ impl InvariantState {
         *self = InvariantState::default();
     }
 
-    /// Absorbs one data chunk of the TPDU, placed by `layout`.
+    /// Absorbs one data chunk of the TPDU, placed by `layout`: its payload
+    /// (`SIZE × LEN` bytes) folded here, then [`Self::absorb_folded`].
     ///
     /// The caller (the transport's virtual reassembly) is responsible for
     /// rejecting duplicates first; absorbing a chunk twice cancels its
     /// contribution and the final comparison fails — by design (§3.3).
+    ///
+    /// # Panics
+    /// Panics when the header's `SIZE` is zero.
     pub fn absorb_chunk(
         &mut self,
         layout: &InvariantLayout,
         header: &ChunkHeader,
         payload: &[u8],
+    ) -> Result<(), InvariantError> {
+        let fold = chunks_gf::fold_elements(header.size as usize, payload);
+        self.absorb_folded(layout, header, fold)
+    }
+
+    /// Absorbs one data chunk of the TPDU whose payload was already folded:
+    /// `fold` is [`chunks_gf::fold_elements`] of its `SIZE × LEN` payload
+    /// bytes, the position-free half of the chunk's contribution, which
+    /// whoever first reads the bytes can compute. Here the labels place it:
+    /// the run is weighted by `α` to the power of its first element's
+    /// position, and the label symbols are added.
+    pub fn absorb_folded(
+        &mut self,
+        layout: &InvariantLayout,
+        header: &ChunkHeader,
+        fold: (Gf32, Gf32),
     ) -> Result<(), InvariantError> {
         if header.ty != ChunkType::Data {
             return Err(InvariantError::NotData(header.ty));
@@ -289,7 +321,7 @@ impl InvariantState {
         // carried it. Absorbed last so the stream cursor ends at the chunk's
         // final data symbol: the next in-order chunk continues contiguously.
         self.wsc
-            .add_elements(first * spe, header.size as usize, payload);
+            .add_folded(first * spe, header.len as u64 * spe, fold);
         Ok(())
     }
 

@@ -174,11 +174,35 @@ impl Wsc2Stream {
         if bytes.is_empty() {
             return;
         }
-        self.runs += 1;
         let n = symbols_spanned(size, bytes.len());
-        debug_assert!(start + n <= MAX_SYMBOLS);
-        let (p0, horner) = chunks_gf::fold_elements(size, bytes);
-        self.absorb_fold(start, p0, horner, n);
+        self.add_folded(start, n, chunks_gf::fold_elements(size, bytes));
+    }
+
+    /// Absorbs a run of `symbols` symbols starting at `start` whose
+    /// position-free fold `(Σ dᵢ, Σ αⁱ·dᵢ)` was computed elsewhere
+    /// ([`chunks_gf::fold_elements`]): only the weight `α^start` depends on
+    /// where the run lies, so whoever first reads the bytes can fold them
+    /// and the run is placed here. An empty run is a no-op.
+    ///
+    /// ```
+    /// use chunks_wsc::Wsc2Stream;
+    ///
+    /// let mut direct = Wsc2Stream::new();
+    /// direct.add_elements(7, 3, b"abcdef");
+    ///
+    /// // Two 3-byte elements: one symbol each.
+    /// let mut placed = Wsc2Stream::new();
+    /// placed.add_folded(7, 2, chunks_gf::fold_elements(3, b"abcdef"));
+    /// assert_eq!(placed.code(), direct.code());
+    /// ```
+    #[inline]
+    pub fn add_folded(&mut self, start: u64, symbols: u64, (p0, horner): (Gf32, Gf32)) {
+        if symbols == 0 {
+            return;
+        }
+        self.runs += 1;
+        debug_assert!(start + symbols <= MAX_SYMBOLS);
+        self.absorb_fold(start, p0, horner, symbols);
     }
 
     /// Folds in a stream accumulated over a *disjoint* set of positions

@@ -292,6 +292,91 @@ proptest! {
     }
 }
 
+/// A whole TPDU, or its tail, as one chunk: `SIZE` 1..=9, any length, any
+/// first `T.SN`, any labels and ST bits.
+fn tpdu_run() -> impl Strategy<Value = Chunk> {
+    (
+        (1u16..=9, 1u32..=64, 0u32..1024),          // SIZE, LEN, first T.SN
+        (any::<u32>(), any::<u32>(), any::<u32>()), // C.ID, T.ID, X.ID
+        (any::<u32>(), any::<u32>()),               // C.SN, X.SN
+        (any::<bool>(), any::<bool>(), any::<bool>()), // C.ST, T.ST, X.ST
+        proptest::collection::vec(any::<u8>(), 9 * 64),
+    )
+        .prop_map(
+            |((size, len, t_sn), (c_id, t_id, x_id), (c_sn, x_sn), (c_st, t_st, x_st), raw)| {
+                let bytes = size as usize * len as usize;
+                Chunk::new(
+                    ChunkHeader::data(
+                        size,
+                        len,
+                        FramingTuple::new(c_id, c_sn, c_st),
+                        FramingTuple::new(t_id, t_sn, t_st),
+                        FramingTuple::new(x_id, x_sn, x_st),
+                    ),
+                    Bytes::from(raw[..bytes].to_vec()),
+                )
+                .unwrap()
+            },
+        )
+}
+
+proptest! {
+    #[test]
+    fn absorb_folded_equals_absorb_chunk(
+        run in tpdu_run(),
+        cuts in proptest::collection::vec(any::<u8>(), 0..12),
+        shuffle_seed in any::<u64>(),
+    ) {
+        // The position-free fold computed ahead of placement (what a
+        // parallel dispatcher hands its worker) absorbs to the same code as
+        // the chunk itself, for any Appendix C cut in any arrival order.
+        // Both are held to a reference built symbol by symbol on the seed
+        // bit-serial arithmetic, so a placement that is wrong the same way
+        // on both paths fails too.
+        let layout = InvariantLayout::default();
+        let h = run.header;
+        let spe = Wsc2::symbols_for_bytes(h.size as usize);
+        let mut oracle = Wsc2::new();
+        oracle.add_symbol_ref(layout.tid_pos(), h.tpdu.id);
+        oracle.add_symbol_ref(layout.cid_pos(), h.conn.id);
+        if h.conn.st {
+            oracle.add_symbol_ref(layout.cst_pos(), 1);
+        }
+        if h.ext.st || h.tpdu.st {
+            let at = layout.x_pair_pos(h.tpdu.sn + h.len - 1);
+            oracle.add_symbol_ref(at, h.ext.id);
+            oracle.add_symbol_ref(at + 1, h.ext.st as u32);
+        }
+        for (e, element) in run.payload.chunks(h.size as usize).enumerate() {
+            for (k, sym) in element.chunks(4).enumerate() {
+                let mut be = [0u8; 4];
+                be[..sym.len()].copy_from_slice(sym);
+                let at = (h.tpdu.sn as u64 + e as u64) * spe + k as u64;
+                oracle.add_symbol_ref(at, u32::from_be_bytes(be));
+            }
+        }
+
+        let mut pieces = fragment(run, &cuts);
+        let mut chunked = TpduInvariant::new(layout).unwrap();
+        for c in &pieces {
+            chunked.absorb_chunk(&c.header, &c.payload).unwrap();
+        }
+        let n = pieces.len();
+        for i in 0..n {
+            let j = (shuffle_seed.wrapping_mul(6364136223846793005).wrapping_add(i as u64)
+                % n as u64) as usize;
+            pieces.swap(i, j);
+        }
+        let mut folded = TpduInvariant::new(layout).unwrap();
+        for c in &pieces {
+            let fold = chunks_gf::fold_elements(c.header.size as usize, &c.payload);
+            folded.absorb_folded(&c.header, fold).unwrap();
+        }
+        prop_assert_eq!(chunked.code(), oracle, "absorb_chunk vs reference");
+        prop_assert_eq!(folded.code(), oracle, "absorb_folded vs reference");
+    }
+}
+
 #[test]
 fn custom_layout_invariance() {
     // Smaller layouts (cheaper in tests elsewhere) keep the property.

@@ -57,10 +57,15 @@ soak:
 soak-overlap:
     cargo run --release --bin experiments overlap --describe "$(git describe --always --dirty 2>/dev/null || echo unknown)"
 
-# Parallel-equivalence gate: the full 200-scenario differential sweep plus
-# the deterministic-schedule and closure-algebra suites, release mode.
+# Parallel-equivalence gate: the full 200-scenario differential sweep (with
+# its duplicates-and-partial-overlaps trace, where workers discard or cut
+# chunks the dispatcher already folded) plus the deterministic-schedule and
+# closure-algebra suites, and the WSC-2 property that a payload folded
+# ahead of placement (`absorb_folded`, what the dispatcher hands a worker)
+# absorbs exactly as the chunk itself, release mode.
 test-parallel:
     PARALLEL_SCENARIOS=200 cargo test -q --release --test parallel_differential --test parallel_schedules --test chunk_closure_props
+    cargo test -q --release -p chunks-wsc --test invariance absorb_folded_equals_absorb_chunk
 
 # Receiver equivalence gate: the borrowed packet walk against the owned
 # per-chunk entry (`ingest_batch` against `handle_chunk_into` over
@@ -107,7 +112,10 @@ test-receiver:
 # uncut chunks plus the ack), the sender, session and retransmission-timer
 # unit tests (among them the timer property: after every step of a random
 # send/pump/ack/hostile-ack/clock script the timer arms exactly the pending
-# TPDUs that went out, and an ack is applied once), the backoff property,
+# TPDUs that went out, and an ack is applied once; and
+# `a_tpdu_the_repair_pass_packed_is_not_packed_again_by_its_due_timer`: a
+# pump whose ack-driven repair and due timers name the same TPDUs packs
+# each once), the backoff property,
 # the two ack-trim regression tests and the transmit and session legs of
 # the allocation gate. Debug first, so the packet-range arithmetic runs
 # with overflow checks, then release.

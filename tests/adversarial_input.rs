@@ -1,6 +1,6 @@
 //! Adversarial input at the system level: the full receiver, the
-//! demultiplexer, and the baseline decoders survive arbitrary bytes and
-//! truncated/bit-flipped real traffic.
+//! demultiplexer, the parallel dispatcher, and the baseline decoders
+//! survive arbitrary bytes and truncated/bit-flipped real traffic.
 
 use chunks::baseline::aal::{Cell, CellReassembler};
 use chunks::baseline::ip::{IpPacket, IpReassembler};
@@ -192,6 +192,78 @@ proptest! {
         for (payload, eof) in cells {
             let _ = r.push(&Cell { payload, eof });
         }
+    }
+}
+
+#[test]
+fn the_parallel_dispatcher_folds_the_largest_span_validate_accepts() {
+    // The dispatcher folds a data chunk's payload before any worker looks
+    // at its labels, so a chunk the wire format allows at its largest
+    // (`SIZE × LEN` = `MAX_DECODE_PAYLOAD`) is folded whole, whichever
+    // connection it names. Nothing may panic, and what the workers make of
+    // it must be what one serial receiver makes of the same batch.
+    use chunks::core::chunk::{Chunk, ChunkHeader};
+    use chunks::core::label::FramingTuple;
+    use chunks::core::packet::validate;
+    use chunks::core::wire::MAX_DECODE_PAYLOAD;
+    use chunks::transport::{ConnSpec, Engine, ParallelReceiver, Schedule};
+
+    let packet = |size: u16, conn_id: u32| {
+        let len = (MAX_DECODE_PAYLOAD / size as usize) as u32;
+        let header = ChunkHeader::data(
+            size,
+            len,
+            FramingTuple::new(conn_id, 0, false),
+            FramingTuple::new(1, 0, true),
+            FramingTuple::new(2, 0, false),
+        );
+        let payload = vec![0xC3u8; size as usize * len as usize];
+        let mut bytes = Vec::with_capacity(wire::WIRE_HEADER_LEN + payload.len());
+        wire::encode_chunk(
+            &Chunk {
+                header,
+                payload: payload.into(),
+            },
+            &mut bytes,
+        );
+        Packet {
+            bytes: bytes.into(),
+        }
+    };
+    // The connection's own SIZE, past its window; a SIZE it does not use;
+    // an odd SIZE on a connection nobody holds.
+    let batch = [packet(1, 5), packet(256, 5), packet(3, 77)];
+    assert_eq!(
+        batch[0].bytes.len() - wire::WIRE_HEADER_LEN,
+        MAX_DECODE_PAYLOAD
+    );
+    assert_eq!(
+        batch[1].bytes.len() - wire::WIRE_HEADER_LEN,
+        MAX_DECODE_PAYLOAD
+    );
+    assert!(batch.iter().all(|p| validate(p) == Ok(1)));
+
+    let mut rx = Receiver::new(DeliveryMode::Immediate, params(), layout(), 4096);
+    let mut serial = Vec::new();
+    rx.ingest_batch(&batch[..2], 0, &mut serial);
+    for engine in [Engine::Virtual(Schedule::Fair), Engine::Threads] {
+        let mut pr = ParallelReceiver::new(
+            2,
+            engine.clone(),
+            vec![ConnSpec::new(
+                params(),
+                layout(),
+                DeliveryMode::Immediate,
+                4096,
+            )],
+        );
+        pr.ingest_batch(&batch, 0);
+        let out = pr.finish();
+        assert_eq!(out.dispatch.chunks_dispatched, 3, "{engine:?}");
+        assert_eq!(out.dispatch.decode_errors, 0, "{engine:?}");
+        assert_eq!(out.conns[&5].events, serial, "{engine:?}");
+        assert_eq!(out.conns[&5].receiver.stats, rx.stats, "{engine:?}");
+        assert_eq!(out.control.len(), 1, "{engine:?}: conn 77 is unknown");
     }
 }
 

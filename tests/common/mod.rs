@@ -23,6 +23,7 @@ use chunks::transport::{
     RxEvent, RxStats, Sender, SenderConfig, Signal,
 };
 use chunks::transport::{ControlKind, Engine, ParallelReceiver};
+use chunks::vreasm::OverlapPolicy;
 use chunks::wsc::{InvariantLayout, Wsc2Stream};
 use chunks_core::packet::Packet;
 
@@ -70,6 +71,8 @@ pub struct Scenario {
     /// Whether to splice an ack + signal + unknown-connection control packet
     /// into the trace (exercises the dispatcher's control plane).
     pub inject_control: bool,
+    /// What every receiver does with an overlap whose bytes differ.
+    pub policy: OverlapPolicy,
 }
 
 impl Scenario {
@@ -128,7 +131,8 @@ impl Scenario {
         (self.message_len as u64 / self.elem_size as u64) + self.tpdu_elements as u64 + 64
     }
 
-    fn sender(&self, conn_id: u32) -> Sender {
+    /// The connection's sender, nothing submitted yet.
+    pub fn sender(&self, conn_id: u32) -> Sender {
         Sender::new(SenderConfig {
             params: self.params(conn_id),
             layout: self.layout(),
@@ -145,6 +149,7 @@ impl Scenario {
             self.layout(),
             self.capacity_elements(),
         )
+        .with_policy(self.policy)
     }
 
     /// [`ConnSpec`]s for the parallel pipeline — same parameters as the
@@ -159,6 +164,7 @@ impl Scenario {
                     self.mode,
                     self.capacity_elements(),
                 )
+                .with_policy(self.policy)
             })
             .collect()
     }
@@ -531,6 +537,7 @@ pub fn scenarios(count: usize) -> Vec<Scenario> {
                 tpdu_elements,
                 mtu,
                 inject_control: i % 4 == 0,
+                policy: OverlapPolicy::default(),
             }
         })
         .collect()
