@@ -101,7 +101,7 @@ impl Receiver {
             return true;
         }
         // Interval-table occupancy: the hardware analogue caps tracked runs.
-        while self.claimed.fragments() >= self.budget.max_fragments {
+        while self.fragments >= self.budget.max_fragments {
             if !self.evict_idle(start, "fragments", now) {
                 self.shed_into(start, bytes, out);
                 return true;
@@ -165,7 +165,7 @@ impl Receiver {
             return false;
         };
         let slot = self.groups.find(s).expect("chosen from the table");
-        self.claimed.release(s);
+        self.drop_claims(slot, s);
         let freed = self.free_staged(slot, s);
         self.stats.evictions += 1;
         if self.obs_on {
@@ -230,7 +230,7 @@ impl Receiver {
             || (b.max_open_groups != usize::MAX
                 && self.open_groups() >= b.max_open_groups - b.max_open_groups / 4)
             || (b.max_fragments != usize::MAX
-                && self.claimed.fragments() >= b.max_fragments - b.max_fragments / 4)
+                && self.fragments >= b.max_fragments - b.max_fragments / 4)
             || b.global
                 .as_ref()
                 .is_some_and(|g| hot(g.held_bytes(), g.cap_bytes()))

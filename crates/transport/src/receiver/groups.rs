@@ -132,6 +132,17 @@ impl<T> Groups<T> {
             .map(|&(start, slot)| (start, &self.slots[slot]))
     }
 
+    /// `(start, group)` for the live groups with `from ≤ start < to`, in
+    /// start order.
+    pub(super) fn starting_in(&self, from: u64, to: u64) -> impl Iterator<Item = (u64, &T)> {
+        let live = &self.index[..self.live];
+        let at = live.partition_point(|&(s, _)| s < from);
+        live[at..]
+            .iter()
+            .take_while(move |&&(s, _)| s < to)
+            .map(|&(start, slot)| (start, &self.slots[slot]))
+    }
+
     /// Removes every live group, handing each shell to `clear` in start
     /// order.
     pub(super) fn drain(&mut self, mut clear: impl FnMut(&mut T)) {

@@ -37,7 +37,8 @@
 //!   and a last-hit cursor.
 //!
 //! This file is the glue: per-connection state, the entry points, TPDU
-//! grouping by `C.SN − T.SN`, the cross-group claim check, and reporting.
+//! grouping by `C.SN − T.SN`, the cross-group collision check, and
+//! reporting.
 //! Every entry ends in one borrowed form, a `WireChunk` whose payload is
 //! read where it lies, and resolves the chunk's TPDU once (`entered`).
 //!
@@ -52,9 +53,9 @@
 //! **watermark**: the verified prefix held as a field, advanced when a
 //! delivery lands on it and lowered when a delivered TPDU below it is reset.
 //! SACKs are the delivered starts at or above it (SCTP's cumulative ack
-//! point plus gap blocks). A release drops the delivered records, and their
-//! claims, that lie wholly below the new `base`, so receive state is bounded
-//! by the window, not by history. Never released, the ring is the linear
+//! point plus gap blocks). A release drops the delivered records that lie
+//! wholly below the new `base`, so receive state is bounded by the window,
+//! not by history. Never released, the ring is the linear
 //! space of a bounded transfer, element `e` at `e * elem_size`.
 //!
 //! With `rel = (C.SN − T.SN) − base_csn` (wrapping 32-bit; `C.SN −
@@ -70,6 +71,31 @@
 //! * data past `base + window` fails its group as [`FailureReason::BadChunk`]
 //!   (Table 1's `C.SN` rows): a sender that overruns the window gets a
 //!   failed group, which the reliability loop resets and resends.
+//!
+//! # Who owns an element
+//!
+//! An element is *claimed* by the TPDU whose accepted chunk carried it
+//! first. The receiver keeps no separate record of that: the claims are
+//! each delivered record's extent `[start, start + elements)` and each open
+//! or failed group's tracked runs, `T.SN` `t` at element `start + t`. A
+//! chunk landing on claimed elements was moved there by a corrupted `C.SN`
+//! (Table 1's consistency check) and condemns its own group, whatever the
+//! overlap policy. Dropping a group or a delivered record is what frees its
+//! claims.
+//!
+//! Two kinds of tracked span are kept aside as *strays*, and only hostile
+//! labels make them: a chunk that collided claims nothing; and a chunk
+//! whose `T.SN` exceeds its `C.SN`'s offset from the base names a start
+//! that wraps above its own elements, which it claims where its `C.SN`
+//! puts them. Neither kind delivers: a collision condemns its group, and a
+//! start that lies above one of its chunks also lies far enough above the
+//! base that a `T.SN` the invariant's layout holds cannot reach back into
+//! the window.
+//!
+//! A high-water mark of claimed elements decides every in-order piece with
+//! one comparison. Below it, the check reads the delivered records and the
+//! open groups whose starts lie within the farthest reach any claim has
+//! had, both sorted by start, and allocates nothing.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -78,7 +104,7 @@ use chunks_core::chunk::{Chunk, ChunkHeader};
 use chunks_core::label::ChunkType;
 use chunks_core::packet::Packet;
 use chunks_obs::{Event, HotCounter, Labels, ObsSink, SpanId, Stage};
-use chunks_vreasm::{OverlapPolicy, Reassembly};
+use chunks_vreasm::OverlapPolicy;
 use chunks_wsc::InvariantLayout;
 
 use crate::ack::AckInfo;
@@ -88,6 +114,8 @@ use crate::conn::{ConnectionParams, Signal};
 mod decode;
 mod deliver;
 mod groups;
+#[cfg(test)]
+mod ownership;
 mod verify;
 
 pub(crate) use decode::{chunk_walk, labels_of, observe_decoded, WireChunk};
@@ -223,6 +251,28 @@ pub struct RxStats {
     pub stale_chunks: u64,
 }
 
+/// A span `[sn, end)` (`T.SN` space) that the group at `start` tracked but
+/// whose elements are not `start + sn..`: a chunk's labels put them at `at`
+/// when its `T.SN` exceeded its `C.SN`'s offset from the base, wrapping the
+/// group's start above them; `at` is `None` when another TPDU claimed part
+/// of them first, so the group claims none of them.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+struct Stray {
+    start: u64,
+    sn: u64,
+    end: u64,
+    at: Option<u64>,
+}
+
+impl Stray {
+    /// The part of elements `[lo, hi)` it claims, if any.
+    fn claim_in(&self, lo: u64, hi: u64) -> Option<(u64, u64)> {
+        let at = self.at?;
+        let (a, b) = (at.max(lo), (at + self.end - self.sn).min(hi));
+        (a < b).then_some((a, b))
+    }
+}
+
 /// The chunk receiver for one connection.
 #[derive(Debug)]
 pub struct Receiver {
@@ -243,10 +293,22 @@ pub struct Receiver {
     /// The verified prefix: every element below it belongs to a delivered
     /// TPDU.
     watermark: u64,
-    /// Which connection-space elements have been claimed, tagged by the
-    /// owning group's start — so a cross-group collision can name the
-    /// owner and the exact contested byte range in its diagnostic.
-    claimed: Reassembly,
+    /// One past the highest element any TPDU has claimed (module docs),
+    /// never lowered until [`Self::quiesce`]: a chunk starting at or above
+    /// it collides with nothing.
+    claims_end: u64,
+    /// How far past its start any TPDU's claims have reached, never lowered
+    /// until [`Self::quiesce`]: only a group starting less than this below
+    /// a span can claim part of it.
+    claims_reach: u64,
+    /// The maximal same-TPDU runs of claimed elements, what
+    /// [`ResourceBudget::max_fragments`] caps: one per delivered record,
+    /// plus each open or failed group's claimed runs.
+    fragments: usize,
+    /// The tracked spans whose elements are not where their group's start
+    /// puts them, sorted (module docs, "Who owns an element"). Empty, and
+    /// unallocated, on uncorrupted input.
+    strays: Vec<Stray>,
     /// How differing-byte overlaps within a group are resolved.
     policy: OverlapPolicy,
     /// Caps on held bytes, open groups and tracked fragments (unlimited by
@@ -329,7 +391,10 @@ impl Receiver {
             base_csn: params.initial_csn,
             base_at: 0,
             watermark: 0,
-            claimed: Reassembly::new(OverlapPolicy::default()),
+            claims_end: 0,
+            claims_reach: 0,
+            fragments: 0,
+            strays: Vec::new(),
             policy: OverlapPolicy::default(),
             budget: ResourceBudget::default(),
             in_order: 0,
@@ -405,12 +470,12 @@ impl Receiver {
     /// steady-state window stays allocation-free (amortised `Vec`/map
     /// doubling alone cannot promise a zero-allocation *window* — an
     /// explicit reserve can). Only the points the delivery mode grows are
-    /// sized: the reorder queue in Reorder mode alone, the one mode that
-    /// stages by element. `tests/hotpath_allocs.rs` pins both halves.
+    /// sized: `tpdus` sizes the group table and the delivered records, and
+    /// `fragments` the reorder queue, in Reorder mode alone, the one mode
+    /// that stages by element. `tests/hotpath_allocs.rs` pins both halves.
     pub fn reserve(&mut self, tpdus: usize, fragments: usize) {
         self.groups.reserve(tpdus);
         self.done.reserve(tpdus);
-        self.claimed.reserve(fragments);
         if self.mode == DeliveryMode::Reorder {
             self.reorder_q.reserve(fragments);
         }
@@ -436,7 +501,7 @@ impl Receiver {
 
     /// Hands the first `elements` readable elements back: the window slides
     /// past them, and the records of delivered TPDUs that now lie wholly
-    /// below it go, with their claims. Releases at most what
+    /// below it go, and their claims with them. Releases at most what
     /// [`Self::readable`] holds.
     pub fn release(&mut self, elements: u64) {
         let n = elements.min(self.watermark - self.base);
@@ -449,10 +514,7 @@ impl Receiver {
         if self.base_at >= self.app.len() {
             self.base_at -= self.app.len();
         }
-        let claimed = &mut self.claimed;
-        self.done.release(self.base, |start| {
-            claimed.release(start);
-        });
+        self.fragments -= self.done.release(self.base);
     }
 
     /// Elements `[from, to)` of the window, `base ≤ from ≤ to ≤ base +
@@ -540,9 +602,9 @@ impl Receiver {
 
     /// Handles a batch of packets arriving at the same virtual time. The
     /// per-call bookkeeping — the `now` stamp, the caller's event buffer —
-    /// is paid once per batch instead of once per packet, and the deferred
-    /// WSC folds inside each group's `Wsc2Stream` amortise across the whole
-    /// batch of absorbed chunks.
+    /// is paid once per batch instead of once per packet. Each chunk is
+    /// still folded and absorbed as it is walked, exactly as
+    /// [`Self::handle_packet_into`] would.
     pub fn ingest_batch(&mut self, packets: &[Packet], now: u64, out: &mut Vec<RxEvent>) {
         self.last_now = now;
         for packet in packets {
@@ -598,11 +660,10 @@ impl Receiver {
 
     /// Asks for the cache lines handling `c` will touch, changing nothing:
     /// this receiver's own, the cursor group's slot and its entry in the
-    /// group index, the claims tail, and for
-    /// a data chunk its payload where it lies and its destination in the
-    /// ring. A demultiplexer issues these for every chunk of a packet before
-    /// it handles the first, so the misses overlap instead of each waiting
-    /// for the one before it.
+    /// group index, and for a data chunk its payload where it lies and its
+    /// destination in the ring. A demultiplexer issues these for every
+    /// chunk of a packet before it handles the first, so the misses overlap
+    /// instead of each waiting for the one before it.
     pub(crate) fn prefetch(&self, c: &WireChunk<'_>) {
         prefetch_lines((self as *const Self).cast(), std::mem::size_of::<Self>());
         if let Some(group) = self.groups.cursor_group() {
@@ -610,10 +671,6 @@ impl Receiver {
         }
         if let Some(entry) = self.groups.cursor_entry() {
             chunks_gf::prefetch((entry as *const (u64, usize)).cast());
-        }
-        if let Some(tail) = self.claimed.tail() {
-            // The last range and the slot an append writes after it.
-            prefetch_lines((tail as *const (u64, u64, u64)).cast(), 48);
         }
         if c.header.ty != ChunkType::Data {
             return;
@@ -685,6 +742,7 @@ impl Receiver {
         // pieces it extracts, and must find its own runs untouched.
         let mut uncovered = std::mem::take(&mut self.uncovered);
         let group = &mut self.groups[slot];
+        let runs_before = group.tpdu.fragments();
         let tracked = group.tpdu.track(sn, len, h.tpdu.st, &mut uncovered);
         if let Track::Overlap = tracked {
             self.overlapped_into(&c.to_chunk(), slot, start, &uncovered, now, out);
@@ -702,39 +760,15 @@ impl Receiver {
         // TPDU's data — a corrupted C.SN moved this chunk (Table 1:
         // consistency check). The overlap policy does not soften this
         // channel: the colliding *identity* is itself the corruption, so
-        // every policy condemns; the diagnostic names the owning group and
-        // the exact contested byte range instead of discarding silently.
-        // The clean (overwhelmingly common) case is decided by the
-        // allocation-free `overlap` probe; only a contested span pays for
-        // the conflict-describing `Claim`.
-        if self.claimed.overlap(first, first + len) > 0 {
-            let probe = self.claimed.probe(first, first + len);
-            if !probe.is_clean() {
-                self.stats.overlap_conflicts += probe.conflicts.len() as u64;
-                if self.obs_on {
-                    self.obs.counter(
-                        "transport.rx.overlap_conflicts",
-                        probe.conflicts.len() as u64,
-                    );
-                    for c in &probe.conflicts {
-                        self.obs.event(
-                            now,
-                            Event::OverlapConflict {
-                                labels: labels_of(&h),
-                                policy: self.policy.as_str(),
-                                start: (c.start * esize as u64) as u32,
-                                bytes: (c.len() * esize as u64) as u32,
-                                owner: c.tag as u32,
-                            },
-                        );
-                    }
-                }
-                return self.group_failure_into(start, FailureReason::Consistency, out);
-            }
-            self.claimed.claim(first, first + len, start);
-        } else {
-            self.claimed.claim_uncontested(first, first + len, start);
+        // every policy condemns (module docs, "Who owns an element").
+        let mut contested = false;
+        self.claims_in((start, (sn, sn + len)), first, first + len, |_, _, _| {
+            contested = true
+        });
+        if contested {
+            return self.collision_into(&h, start, first, now, out);
         }
+        self.claim(slot, start, &h, first, runs_before);
 
         // Stage 2b — verify: X-level consistency, then the incremental
         // end-to-end error detection. The payload's fold is the walker's
@@ -787,6 +821,199 @@ impl Receiver {
         };
         self.groups[slot].tpdu.set_ed(digest);
         self.try_complete_into(slot, start, now, out)
+    }
+
+    /// Visits `(first, end, owner)` for each claimed piece of elements
+    /// `[lo, hi)`, clipped to them: the delivered records', the groups'
+    /// tracked runs (the group at `own.0` less `own.1`, the `T.SN` span it
+    /// just tracked) and the strays' (module docs, "Who owns an element").
+    /// One owner's pieces may touch, and then lie in one claimed run.
+    fn claims_in(
+        &self,
+        own: (u64, (u64, u64)),
+        lo: u64,
+        hi: u64,
+        mut visit: impl FnMut(u64, u64, u64),
+    ) {
+        if lo >= self.claims_end {
+            return;
+        }
+        for (s, d) in self.done.meeting(lo, hi) {
+            visit(s.max(lo), (s + d.elements).min(hi), s);
+        }
+        for (s, g) in self
+            .groups
+            .starting_in(lo.saturating_sub(self.claims_reach), hi)
+        {
+            let except = if s == own.0 { own.1 } else { (0, 0) };
+            self.tracked_claims(s, g, except, lo, hi, |a, b| visit(a, b, s));
+        }
+        for x in &self.strays {
+            if let Some((a, b)) = x.claim_in(lo, hi) {
+                visit(a, b, x.start);
+            }
+        }
+    }
+
+    /// Visits `(first, end)` for each run of elements `[lo, hi)` the group
+    /// `g` at `start` claims at `start + T.SN`, in order: its tracked runs
+    /// less its strays and `except` (`T.SN` space).
+    fn tracked_claims(
+        &self,
+        start: u64,
+        g: &Group,
+        except: (u64, u64),
+        lo: u64,
+        hi: u64,
+        mut visit: impl FnMut(u64, u64),
+    ) {
+        let strays = self.strays_of(start);
+        let cut = strays.partition_point(|x| x.sn < except.0);
+        let skip = strays[..cut].iter().map(|x| (x.sn, x.end)).chain([except]);
+        let skip = skip.chain(strays[cut..].iter().map(|x| (x.sn, x.end)));
+        let runs = g.tpdu.runs();
+        let (a, b) = (lo.saturating_sub(start), hi.saturating_sub(start));
+        for &(rs, re) in &runs[runs.partition_point(|&(_, e)| e <= a)..] {
+            if rs >= b {
+                break;
+            }
+            let (mut from, to) = (rs.max(a), re.min(b));
+            let first = from;
+            for (ss, se) in skip.clone().filter(|&(ss, se)| ss < to && se > first) {
+                if ss > from {
+                    visit(start + from, start + ss);
+                }
+                from = se;
+            }
+            if from < to {
+                visit(start + from, start + to);
+            }
+        }
+    }
+
+    /// The strays of the group at `start`, in `T.SN` order.
+    fn strays_of(&self, start: u64) -> &[Stray] {
+        let from = self.strays.partition_point(|x| x.start < start);
+        let to = self.strays.partition_point(|x| x.start <= start);
+        &self.strays[from..to]
+    }
+
+    /// How many claimed runs the group `g` at `start` holds: its tracked
+    /// runs, unless it has strays.
+    fn claimed_runs(&self, start: u64, g: &Group) -> usize {
+        if self.strays_of(start).is_empty() {
+            return g.tpdu.fragments();
+        }
+        let mut pieces = Vec::new();
+        self.tracked_claims(start, g, (0, 0), 0, u64::MAX, |a, b| pieces.push((a, b)));
+        pieces.extend(
+            self.strays_of(start)
+                .iter()
+                .filter_map(|x| x.claim_in(0, u64::MAX)),
+        );
+        pieces.sort_unstable();
+        pieces.len() - pieces.windows(2).filter(|w| w[0].1 == w[1].0).count()
+    }
+
+    /// Makes the span of `h`, elements `[first, first + LEN)`, which the
+    /// group in `slot` at `start` just tracked clean, that group's claim:
+    /// the marks move on, and the run count grows by one less the group's
+    /// claimed runs the span joined (it had `runs_before` tracked runs).
+    fn claim(&mut self, slot: usize, start: u64, h: &ChunkHeader, first: u64, runs_before: usize) {
+        let (sn, end) = (h.tpdu.sn as u64, first + h.len as u64);
+        self.claims_end = self.claims_end.max(end);
+        if first < start {
+            let x = Stray {
+                start,
+                sn,
+                end: sn + h.len as u64,
+                at: Some(first),
+            };
+            self.strays
+                .insert(self.strays.partition_point(|y| *y < x), x);
+        } else {
+            self.claims_reach = self.claims_reach.max(end - start);
+        }
+        let g = &self.groups[slot];
+        let joined = if self.strays.is_empty() {
+            // Every tracked run is claimed at `start + T.SN`: the span
+            // joined the runs the tracker merged it with.
+            runs_before + 1 - g.tpdu.fragments()
+        } else {
+            let claimed = |e: u64| {
+                let mut hit = false;
+                self.tracked_claims(start, g, (0, 0), e, e + 1, |_, _| hit = true);
+                hit || self
+                    .strays_of(start)
+                    .iter()
+                    .any(|x| x.claim_in(e, e + 1).is_some())
+            };
+            (first > 0 && claimed(first - 1)) as usize + claimed(end) as usize
+        };
+        self.fragments = self.fragments + 1 - joined;
+    }
+
+    /// The cold half of the collision check: the elements `[first, first +
+    /// LEN)` of `h`, just tracked by the group at `start`, meet claimed
+    /// ones. Each contested run is counted and traced in element order,
+    /// naming its owner and its byte range; the span becomes a stray that
+    /// claims nothing; and the group is condemned.
+    fn collision_into(
+        &mut self,
+        h: &ChunkHeader,
+        start: u64,
+        first: u64,
+        now: u64,
+        out: &mut Vec<RxEvent>,
+    ) {
+        let (sn, len) = (h.tpdu.sn as u64, h.len as u64);
+        let mut contested: Vec<(u64, u64, u64)> = Vec::new();
+        self.claims_in((start, (sn, sn + len)), first, first + len, |a, b, o| {
+            contested.push((a, b, o))
+        });
+        contested.sort_unstable();
+        // One owner's touching pieces lie in one claimed run: one conflict.
+        contested.dedup_by(|next, prev| {
+            let joins = next.2 == prev.2 && next.0 == prev.1;
+            if joins {
+                prev.1 = next.1;
+            }
+            joins
+        });
+        self.stats.overlap_conflicts += contested.len() as u64;
+        if self.obs_on {
+            let esize = self.params.elem_size as u64;
+            self.obs
+                .counter("transport.rx.overlap_conflicts", contested.len() as u64);
+            for &(a, b, owner) in &contested {
+                self.obs.event(
+                    now,
+                    Event::OverlapConflict {
+                        labels: labels_of(h),
+                        policy: self.policy.as_str(),
+                        start: (a * esize) as u32,
+                        bytes: ((b - a) * esize) as u32,
+                        owner: owner as u32,
+                    },
+                );
+            }
+        }
+        let x = Stray {
+            start,
+            sn,
+            end: sn + len,
+            at: None,
+        };
+        self.strays
+            .insert(self.strays.partition_point(|y| *y < x), x);
+        self.group_failure_into(start, FailureReason::Consistency, out);
+    }
+
+    /// Takes the group in `slot` at `start`, which is going, out of the
+    /// claimed-run count, with its strays.
+    fn drop_claims(&mut self, slot: usize, start: u64) {
+        self.fragments -= self.claimed_runs(start, &self.groups[slot]);
+        self.strays.retain(|x| x.start != start);
     }
 
     /// Marks a group failed and reports it (once).
@@ -850,6 +1077,7 @@ impl Receiver {
         }
         self.release_held(slot, now);
         self.groups.remove(start).recycle();
+        debug_assert!(self.strays_of(start).is_empty(), "a stray span delivered");
         self.stats.tpdus_delivered += 1;
         if self.obs_on {
             self.hot.tpdus_delivered.add(&*self.obs, 1);
@@ -937,25 +1165,26 @@ impl Receiver {
     /// release it.
     pub fn reset_group(&mut self, start: u64) {
         if let Some(slot) = self.groups.find(start) {
-            // Release exactly this group's claims so retransmitted data may
-            // land (tagged claims free without arithmetic on the span).
-            self.claimed.release(start);
+            // Dropping the group frees its claims, so retransmitted data
+            // may land.
+            self.drop_claims(slot, start);
             self.free_staged(slot, start);
             self.groups.remove(start).recycle();
         } else if start >= self.base && self.done.remove(start) {
-            // A delivered group: its heavy state is long recycled; drop the
-            // verdict record and free the claims so the TPDU can be received
-            // again. Everything below it is still delivered, so the
-            // verified prefix now ends at its start at the latest.
-            self.claimed.release(start);
+            // A delivered group: its heavy state is long recycled; dropping
+            // the verdict record frees its one claimed run, so the TPDU can
+            // be received again. Everything below it is still delivered, so
+            // the verified prefix now ends at its start at the latest.
+            self.fragments -= 1;
             self.watermark = self.watermark.min(start);
         }
     }
 
     /// Quiesces the receiver into a reusable shell: every staged byte is
     /// released (per-connection and global budget), every open group's
-    /// shell is cleared in its slot, and all per-connection progress (claims,
-    /// delivery records, statistics, close bit) is cleared — while every
+    /// shell is cleared in its slot, and all per-connection progress
+    /// (delivery records and the claims they hold, statistics, close bit)
+    /// is cleared — while every
     /// container keeps its capacity. A quiesced shell re-arms for a new
     /// connection via [`Self::rearm`] without touching the allocator; the
     /// connection table's admission pool is built on exactly this.
@@ -967,7 +1196,10 @@ impl Receiver {
         self.groups.drain(Group::recycle);
         self.reorder_q.clear();
         self.done.clear();
-        self.claimed.clear();
+        self.claims_end = 0;
+        self.claims_reach = 0;
+        self.fragments = 0;
+        self.strays.clear();
         self.base = 0;
         self.base_csn = self.params.initial_csn;
         self.base_at = 0;
@@ -1414,7 +1646,7 @@ mod tests {
                 [160, 160 + 5 * 20, 320][mode as usize]
             );
             assert!(r.delivered_digests().is_empty(), "released records go");
-            assert_eq!(r.claimed.fragments(), 0, "and their claims");
+            assert_eq!(r.fragments, 0, "and their claims");
             assert!(r.make_ack().sacks.is_empty());
         }
     }

@@ -55,8 +55,8 @@ pub(crate) struct Done {
 /// order, so a delivery appends and a lookup past the newest record is one
 /// comparison; anything else is a binary search, and an out-of-order
 /// delivery or a reset moves the records above it. Delivered TPDUs own
-/// disjoint element ranges (their claims never overlap), so the records'
-/// ends ascend with their starts.
+/// disjoint element ranges (a chunk landing on another TPDU's elements
+/// condemns its own), so the records' ends ascend with their starts.
 #[derive(Debug, Default)]
 pub(crate) struct Delivered(Vec<(u64, Done)>);
 
@@ -106,17 +106,27 @@ impl Delivered {
     }
 
     /// Drops the records that lie wholly below `base` — a prefix, since
-    /// their ends ascend — handing each one's start to `gone`.
-    pub(crate) fn release(&mut self, base: u64, mut gone: impl FnMut(u64)) {
+    /// their ends ascend — and returns how many went.
+    pub(crate) fn release(&mut self, base: u64) -> usize {
         let n = self
             .0
             .iter()
             .take_while(|(s, d)| s + d.elements <= base)
             .count();
-        for (start, _) in self.0.drain(..n) {
-            gone(start);
-        }
+        self.0.drain(..n);
         debug_assert!(self.0.iter().all(|(s, d)| s + d.elements > base));
+        n
+    }
+
+    /// `(start, record)` for the records whose elements `[start, start +
+    /// elements)` meet `[lo, hi)`, in start order: a binary search on the
+    /// ascending ends, then a scan while the starts lie below `hi`.
+    pub(crate) fn meeting(&self, lo: u64, hi: u64) -> impl Iterator<Item = (u64, &Done)> {
+        let at = self.0.partition_point(|(s, d)| s + d.elements <= lo);
+        self.0[at..]
+            .iter()
+            .take_while(move |&&(s, _)| s < hi)
+            .map(|(s, d)| (*s, d))
     }
 
     /// The starts at or above `from`, in order.
@@ -308,6 +318,11 @@ impl TpduEngine {
     /// Disjoint received runs (tracker occupancy).
     pub(crate) fn fragments(&self) -> usize {
         self.tracker.fragments()
+    }
+
+    /// The tracked runs, `T.SN` space: disjoint, non-adjacent and sorted.
+    pub(crate) fn runs(&self) -> &[(u64, u64)] {
+        self.tracker.runs()
     }
 
     /// Contiguous runs the invariant absorbed.

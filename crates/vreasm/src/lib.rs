@@ -17,9 +17,11 @@
 //!   checksum is not corrupted, §3.3), and inconsistency flags;
 //! * [`bounded::BoundedTracker`] — a VLSI-shaped tracker with a fixed gap
 //!   budget, modelling the hardware units of STER 92 / MCAU 93b;
-//! * [`reassembly::Reassembly`] — tagged intervals with an explicit
-//!   [`reassembly::OverlapPolicy`], the hardened layer the transport uses
-//!   to make attacker-controlled overlapping fragments well-defined.
+//! * [`reassembly::OverlapPolicy`] — which copy of an overlapped position
+//!   a receiver keeps when the bytes differ, the hardened layer the
+//!   transport uses to make attacker-controlled overlapping fragments
+//!   well-defined. Which PDU owns an element is not kept here: a receiver
+//!   reads it off its trackers' runs and its delivered PDUs' extents.
 //!
 //! Completion falls out of coverage plus the stop bit — fragments may
 //! arrive in any order:
@@ -44,5 +46,5 @@ pub mod tracker;
 
 pub use bounded::{BoundedEvent, BoundedTracker};
 pub use interval::IntervalSet;
-pub use reassembly::{Claim, Conflict, OverlapPolicy, Reassembly, Resolution};
+pub use reassembly::{OverlapPolicy, Resolution};
 pub use tracker::{PduTracker, TrackEvent};

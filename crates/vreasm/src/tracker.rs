@@ -100,6 +100,11 @@ impl PduTracker {
         self.received.fragments()
     }
 
+    /// The received runs `[sn, end)`: disjoint, non-adjacent and sorted.
+    pub fn runs(&self) -> &[(u64, u64)] {
+        self.received.ranges()
+    }
+
     /// Count of duplicate fragments rejected.
     pub fn duplicates(&self) -> u64 {
         self.duplicates

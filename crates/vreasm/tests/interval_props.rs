@@ -1,6 +1,6 @@
 //! Property tests for interval tracking against a naive bitmap model.
 
-use chunks_vreasm::{IntervalSet, OverlapPolicy, PduTracker, Reassembly, TrackEvent};
+use chunks_vreasm::{IntervalSet, PduTracker, TrackEvent};
 use proptest::prelude::*;
 
 const UNIVERSE: u64 = 256;
@@ -109,71 +109,6 @@ proptest! {
         // Self-overlap over each own range is total coverage.
         let self_ov: u64 = sa.ranges().iter().map(|&(s, e)| sa.overlap(s, e)).sum();
         prop_assert_eq!(self_ov, sa.covered());
-    }
-
-    #[test]
-    fn reassembly_claims_match_untagged_coverage(
-        claims in proptest::collection::vec((0u64..UNIVERSE, 1u64..32, 0u64..4), 1..24),
-    ) {
-        // A Reassembly's coverage and conflict accounting must agree with
-        // the plain IntervalSet it extends: fresh + conflicts partition
-        // every claim, and a position is owned exactly when the untagged
-        // set holds it.
-        let mut r = Reassembly::new(OverlapPolicy::FirstWins);
-        let mut s = IntervalSet::new();
-        for &(start, len, tag) in &claims {
-            let end = start + len;
-            let c = r.claim(start, end, tag);
-            let dup = s.insert(start, end);
-            prop_assert_eq!(c.conflict_len(), dup);
-            let fresh: u64 = c.fresh.iter().map(|(a, b)| b - a).sum();
-            prop_assert_eq!(fresh + dup, len);
-        }
-        prop_assert_eq!(r.covered(), s.covered());
-        for p in 0..UNIVERSE + 32 {
-            prop_assert_eq!(r.owner_of(p).is_some(), s.contains(p, p + 1));
-        }
-    }
-
-    #[test]
-    fn reassembly_ranges_are_the_maximal_runs_of_a_per_position_owner_model(
-        claims in proptest::collection::vec((0u64..UNIVERSE, 1u64..32, 0u64..3, 0u32..4), 1..40),
-    ) {
-        // Claims arrive mostly in order — at or past the last range, the
-        // tail-append path — and now and then anywhere, through `claim` or,
-        // on a clean span, `claim_uncontested`, with a tag released now and
-        // then. The tagged ranges must always be exactly the maximal
-        // same-owner runs of a per-position model, whichever path built them.
-        let mut r = Reassembly::new(OverlapPolicy::FirstWins);
-        let mut owner: Vec<Option<u64>> = vec![None; 2048];
-        let mut tail = 0u64;
-        for &(at, len, tag, how) in &claims {
-            let start = if how == 0 { at } else { tail + at % 3 };
-            let end = start + len;
-            tail = end;
-            if how == 3 {
-                r.release(tag);
-                owner.iter_mut().filter(|o| **o == Some(tag)).for_each(|o| *o = None);
-            }
-            if r.overlap(start, end) == 0 && how != 1 {
-                r.claim_uncontested(start, end, tag);
-            } else {
-                r.claim(start, end, tag);
-            }
-            for o in &mut owner[start as usize..end as usize] {
-                o.get_or_insert(tag);
-            }
-            let mut runs = Vec::new();
-            let mut p = 0;
-            while p < owner.len() {
-                let q = p + owner[p..].iter().take_while(|&&o| o == owner[p]).count();
-                if let Some(t) = owner[p] {
-                    runs.push(format!("[{p},{q})#{t}"));
-                }
-                p = q;
-            }
-            prop_assert_eq!(r.to_string(), format!("{{{}}}", runs.join(", ")));
-        }
     }
 
     #[test]

@@ -285,12 +285,16 @@ impl InvariantState {
             });
         }
 
-        // T.ID and C.ID: constant across the TPDU, encoded exactly once.
+        // The label symbols are added at their own weights, leaving the
+        // stream's cursor where the last data run left it.
+        // T.ID and C.ID: constant across the TPDU, encoded exactly once, at
+        // adjacent positions.
+        debug_assert_eq!(layout.cid_pos(), layout.tid_pos() + 1);
         match self.ids {
             None => {
                 self.ids = Some((header.tpdu.id, header.conn.id));
-                self.wsc.add_symbol(layout.tid_pos(), header.tpdu.id);
-                self.wsc.add_symbol(layout.cid_pos(), header.conn.id);
+                self.wsc
+                    .add_label_symbols(layout.tid_pos(), &[header.tpdu.id, header.conn.id]);
             }
             Some(ids) => {
                 if ids != (header.tpdu.id, header.conn.id) {
@@ -301,7 +305,7 @@ impl InvariantState {
 
         // C.ST: set at most once per TPDU, encoded as symbol value 1.
         if header.conn.st {
-            self.wsc.add_symbol(layout.cst_pos(), 1);
+            self.wsc.add_label_symbols(layout.cst_pos(), &[1]);
         }
 
         // (X.ID, X.ST) pair: triggered by the chunk's last element when it
@@ -309,17 +313,18 @@ impl InvariantState {
         // the last element, whose T.SN survives fragmentation.
         if header.ext.st || header.tpdu.st {
             let t_sn_last = header.tpdu.sn.wrapping_add(header.len - 1);
-            let base = layout.x_pair_pos(t_sn_last);
-            self.wsc.add_symbol(base, header.ext.id);
-            self.wsc.add_symbol(base + 1, header.ext.st as u32);
+            self.wsc.add_label_symbols(
+                layout.x_pair_pos(t_sn_last),
+                &[header.ext.id, header.ext.st as u32],
+            );
         }
 
         // Data symbols at element-determined positions: order-independent
         // and unchanged by any Appendix C split. Each SIZE-byte element maps
         // to its own `spe` symbol positions (zero-padded), so the position of
         // a byte depends only on its element's T.SN — never on which chunk
-        // carried it. Absorbed last so the stream cursor ends at the chunk's
-        // final data symbol: the next in-order chunk continues contiguously.
+        // carried it. The stream cursor ends at the chunk's final data
+        // symbol: the next in-order chunk continues contiguously.
         self.wsc
             .add_folded(first * spe, header.len as u64 * spe, fold);
         Ok(())

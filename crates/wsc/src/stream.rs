@@ -10,8 +10,10 @@
 //! the payload bytes
 //! ([`chunks_gf::fold_elements`]: forward carry-less multiply lanes where
 //! the CPU has them, a serial shift-and-fold sweep otherwise) plus a single
-//! full multiply, with *no* exponentiation at all.
-//! Disordered arrivals just reseat the cursor with one table-driven
+//! full multiply, with no exponentiation to *start* it. Moving the cursor
+//! past the run is free for a run of up to 16 symbols (one `mul_alpha`
+//! shift per symbol) and costs one table-driven [`Gf32::alpha_pow`] for a
+//! longer one. Disordered arrivals reseat the cursor with one
 //! [`Gf32::alpha_pow`] and continue.
 //!
 //! Because the parities are sums, independently accumulated streams over
@@ -130,6 +132,38 @@ impl Wsc2Stream {
         self.acc.p0 += d;
         self.acc.p1 += w * d;
         self.advance(1);
+    }
+
+    /// Absorbs `symbols` at consecutive positions from `pos`, each at its
+    /// own weight (`α^pos`, then one `mul_alpha` per further symbol),
+    /// leaving the cursor where it was: a chunk's label symbols lie far
+    /// from its data, and the next data run continues from the cursor
+    /// without seeking back. Counts one run per symbol, as
+    /// [`Self::add_symbol`] does.
+    ///
+    /// ```
+    /// use chunks_wsc::Wsc2Stream;
+    ///
+    /// let mut seeking = Wsc2Stream::new();
+    /// seeking.add_symbol(900, 7);
+    /// seeking.add_symbol(901, 1);
+    ///
+    /// let mut aside = Wsc2Stream::new();
+    /// aside.add_label_symbols(900, &[7, 1]);
+    /// assert_eq!(aside.code(), seeking.code());
+    /// assert_eq!(aside.position(), 0);
+    /// assert_eq!(aside.runs(), seeking.runs());
+    /// ```
+    pub fn add_label_symbols(&mut self, pos: u64, symbols: &[u32]) {
+        debug_assert!(pos + symbols.len() as u64 <= MAX_SYMBOLS);
+        let mut w = Gf32::alpha_pow(pos);
+        for &d in symbols {
+            let d = Gf32::new(d);
+            self.acc.p0 += d;
+            self.acc.p1 += w * d;
+            w = w.mul_alpha();
+        }
+        self.runs += symbols.len() as u64;
     }
 
     /// Seeks to `start`, adds the folded run `(p0, horner)` of `n` symbols,

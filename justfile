@@ -80,14 +80,19 @@ test-parallel:
 # and its resend placed behind the cursor), one receiver across window
 # sizes (never released against released after every chunk, with the
 # watermark against the sort-and-sweep oracle, delivered bytes checked in
-# every mode), the X check against a `HashMap` of first `C.SN − X.SN`
+# every mode), the ownership oracle (`receiver::ownership`: a per-element
+# claims map beside the receiver over hostile traces — corrupted `C.SN`,
+# reorder, duplicates, `LastWins` patches, evicting budgets, resets,
+# releases across a `C.SN` wrap — in every mode and policy; same
+# collisions, `OverlapConflict` owners and ranges, and budgeted run
+# count; under the `receiver::` filter), the X check against a `HashMap` of first `C.SN − X.SN`
 # deltas per TPDU (one, two and many `X.ID`s, every mode), hostile labels
 # around a released base, the long-stream gate (1000 windows through a
 # 1024-element ring, heap flat once warm; its session leg streams 1000
 # windows each way between two `Session`s), a session streaming four
 # times its ring through `release`, and the virtual-reassembly
-# crate's own suite (the interval set's and tracker's unit tests, the
-# interval and tagged-claim properties against per-position models, the
+# crate's own suite (the interval set's, tracker's and overlap policy's
+# unit tests, the interval properties against per-position models, the
 # doctests).
 # Debug first, so overflow checks are live, then release (the walk
 # properties at ten times the cases).
