@@ -8,9 +8,8 @@
 //! With no argument (or `all`) every experiment runs. Output is the content
 //! EXPERIMENTS.md records. `--describe` stamps regenerated `BENCH_*.json`
 //! files with a source revision (the justfile passes `git describe`); the
-//! experiments themselves never shell out. `b4`, `b6` and `scale` read the
-//! wall clock for the rates they print; everything else rides the virtual
-//! clock.
+//! experiments themselves never shell out. `b4` and `b6` read the wall
+//! clock for the rates they print; everything else rides the virtual clock.
 //! `trace` takes an optional soak-scenario name (`--help` lists the valid
 //! ones; an unknown name does too) and `--json` switches the output to the
 //! machine-readable JSON-lines export — the same shape the flight recorder

@@ -1,12 +1,13 @@
 //! The bench regression gate: committed `BENCH_*.json` summaries must
 //! match what the code regenerates.
 //!
-//! Every gated file ([`GATED_FILES`]) rides the virtual clock, so the
-//! check regenerates it with the committed `meta.describe` and diffs byte
-//! for byte. Tolerance is zero: any drift means either the code's
+//! Every committed snapshot ([`GATED_FILES`]) rides the virtual clock, so
+//! the check regenerates it with the committed `meta.describe` and diffs
+//! byte for byte. Tolerance is zero: any drift means either the code's
 //! behaviour changed (commit the regenerated file deliberately) or
-//! determinism broke (fix it). `BENCH_scale.json` carries host wall-clock
-//! rates and cannot be diffed; `tests/bench_schema.rs` pins its shape.
+//! determinism broke (fix it). `BENCH_scale.json`'s allocation figures
+//! need the `experiments` binary's counting allocator, so the gate runs
+//! there.
 //!
 //! `just bench-check` runs this inside `just lint`, so a PR that changes
 //! observable behaviour without regenerating the summaries fails CI.
@@ -14,13 +15,15 @@
 use std::fmt;
 
 use super::benchjson::{parse, Value};
-use super::{lineage, overlap, soak, SEED, SEED2};
+use super::{lineage, overlap, scale, soak, SEED, SEED2};
 
-/// The committed summaries [`run`] regenerates and diffs.
-pub const GATED_FILES: [&str; 3] = [
+/// The committed summaries [`run`] regenerates and diffs: every
+/// `BENCH_*.json` at the repo root.
+pub const GATED_FILES: [&str; 4] = [
     "BENCH_lineage.json",
     "BENCH_soak.json",
     "BENCH_overlap.json",
+    "BENCH_scale.json",
 ];
 
 /// How one file fared.
@@ -173,7 +176,7 @@ fn check_file(file: &'static str, regen: impl FnOnce(&str) -> String) -> FileChe
 /// directory. Each is regenerated with its committed `meta.describe`, so a
 /// clean tree round-trips byte for byte.
 pub fn run() -> BenchCheckResult {
-    let [lineage_file, soak_file, overlap_file] = GATED_FILES;
+    let [lineage_file, soak_file, overlap_file, scale_file] = GATED_FILES;
     BenchCheckResult {
         checks: vec![
             check_file(lineage_file, |describe| {
@@ -185,6 +188,9 @@ pub fn run() -> BenchCheckResult {
             }),
             check_file(overlap_file, |describe| {
                 overlap::bench_json(&overlap::run(SEED), describe)
+            }),
+            check_file(scale_file, |describe| {
+                scale::bench_json(&scale::run(SEED), describe)
             }),
         ],
     }

@@ -25,24 +25,15 @@
 //! `bench-check` gate to diff against a fresh regeneration with zero
 //! tolerance.
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
-use chunks_core::packet::Packet;
 use chunks_netsim::{Link, LinkConfig, Profile};
 use chunks_obs::{ObsSink, Recorder};
-use chunks_transport::{
-    ConnectionParams, DegradePolicy, DeliveryMode, RtoConfig, SenderConfig, Session,
-};
-use chunks_wsc::InvariantLayout;
+use chunks_transport::DegradePolicy;
 
 use super::soak;
 
-/// Virtual time between pump calls.
-pub const TICK_NS: u64 = 200_000; // 0.2 ms
-/// Livelock bound for one transfer.
-pub const MAX_TICKS: u64 = 3_000;
 /// Bytes transferred per profile.
 pub const PAYLOAD_BYTES: usize = 2_048;
 /// Sender MTU. Large TPDU chunks against this MTU guarantee the
@@ -116,50 +107,16 @@ pub struct LineageResult {
     pub rows: Vec<LineageRow>,
 }
 
-fn endpoint(local: u32, remote: u32) -> Session {
-    let params = |conn_id| ConnectionParams {
-        conn_id,
-        elem_size: 1,
-        initial_csn: 0,
-        // 256-element TPDUs produce data chunks wider than the fragmenting
-        // profile's narrow MTU, forcing mid-path splits.
-        tpdu_elements: 256,
-    };
-    let layout = InvariantLayout::with_data_symbols(2048);
-    Session::new(
-        SenderConfig {
-            params: params(local),
-            layout,
-            mtu: MTU,
-            min_tpdu_elements: 4,
-            max_tpdu_elements: 256,
-        },
-        params(remote),
-        layout,
-        DeliveryMode::Immediate,
-        1 << 14,
-    )
-    .with_rto(RtoConfig {
-        policy: DegradePolicy::Abort,
-        ..RtoConfig::default()
-    })
-    .with_burst_limits(4, 8)
-}
-
-fn take_due(q: &mut BTreeMap<u64, Vec<Vec<u8>>>, t: u64) -> Vec<Vec<u8>> {
-    let mut later = q.split_off(&(t + 1));
-    std::mem::swap(q, &mut later);
-    later.into_values().flatten().collect()
-}
-
 /// Drives one complete transfer through `profile` under `seed` with `sink`
 /// attached to both endpoints and every forward hop. The fault stream
 /// never depends on the sink — a NullSink run returns the identical
 /// summary (pinned by `tests/obs_determinism.rs`).
 pub fn drive(profile: Profile, seed: u64, sink: Arc<dyn ObsSink>) -> TransferSummary {
     let payload: Vec<u8> = (0..PAYLOAD_BYTES).map(|i| (i * 7 + 3) as u8).collect();
-    let mut a = endpoint(1, 2).with_obs(sink.clone());
-    let mut b = endpoint(2, 1).with_obs(sink.clone());
+    // 256-element TPDUs produce data chunks wider than the fragmenting
+    // profile's narrow MTU, forcing mid-path splits.
+    let mut a = soak::endpoint(1, 2, MTU, 256, DegradePolicy::Abort).with_obs(sink.clone());
+    let mut b = soak::endpoint(2, 1, MTU, 256, DegradePolicy::Abort).with_obs(sink.clone());
     a.send(&payload, 0xA, false);
 
     // Forward: the profile's path, observed. Reverse: a clean ack link
@@ -168,65 +125,32 @@ pub fn drive(profile: Profile, seed: u64, sink: Arc<dyn ObsSink>) -> TransferSum
     let mut rev = Link::new(LinkConfig::clean(MTU, 100_000, 0), seed ^ 0x0FF);
     rev.set_obs(sink);
 
-    let mut to_b: BTreeMap<u64, Vec<Vec<u8>>> = BTreeMap::new();
-    let mut to_a: BTreeMap<u64, Vec<Vec<u8>>> = BTreeMap::new();
-    let (mut packets, mut events) = (Vec::new(), Vec::new());
-    let mut completed = false;
-    let mut elapsed = MAX_TICKS * TICK_NS;
-    for tick in 0..MAX_TICKS {
-        let t = tick * TICK_NS;
-        let mut b_heard = false;
-        for f in take_due(&mut to_b, t) {
-            b.handle_packet_into(&Packet { bytes: f.into() }, t, &mut events);
-            b_heard = true;
-        }
-        for f in take_due(&mut to_a, t) {
-            a.handle_packet_into(&Packet { bytes: f.into() }, t, &mut events);
-        }
-        // The run is judged by its counters, not by its events.
-        events.clear();
-        packets.clear();
-        match a.pump_into(t, &mut packets) {
-            Ok(()) => {
-                for p in packets.iter().filter(|p| soak::carries_payload(p)) {
-                    for d in fwd.transmit(t, p.bytes.to_vec()) {
-                        to_b.entry(d.time).or_default().push(d.frame);
-                    }
+    let (ending, elapsed) = soak::transfer(
+        &mut a,
+        &mut b,
+        |t, packets, arrivals| {
+            for p in packets {
+                for d in fwd.transmit(t, p.bytes.to_vec()) {
+                    arrivals.push((d.time, d.frame));
                 }
             }
-            Err(_) => {
-                elapsed = t;
-                break;
+            // Flush router batching windows every tick so a held tail
+            // chunk cannot stall the transfer.
+            for d in fwd.flush(t) {
+                arrivals.push((d.time, d.frame));
             }
-        }
-        // Flush router batching windows every tick so a held tail chunk
-        // cannot stall the transfer.
-        for d in fwd.flush(t) {
-            to_b.entry(d.time).or_default().push(d.frame);
-        }
-        if b_heard {
-            let mut arrivals = Vec::new();
-            packets.clear();
-            b.pump_into(t, &mut packets)
-                .expect("pure-ack endpoint has no retry budget");
-            for p in &packets {
-                rev.transmit_into(t, p.bytes.to_vec(), &mut arrivals);
+        },
+        |t, packets, arrivals| {
+            for p in packets {
+                rev.transmit_into(t, p.bytes.to_vec(), arrivals);
             }
-            for (at, frame) in arrivals {
-                to_a.entry(at).or_default().push(frame);
-            }
-        }
-        if a.outbound_done() {
-            completed = true;
-            elapsed = t;
-            break;
-        }
-    }
+        },
+    );
     TransferSummary {
         delivered_bytes: b.received_elements(),
         total_bytes: PAYLOAD_BYTES as u64,
         elapsed_ns: elapsed,
-        completed,
+        completed: ending == soak::Ending::Drained,
         timer_retransmits: a.reliability().timer_retransmits,
     }
 }
@@ -376,7 +300,9 @@ pub fn bench_json(r: &LineageResult, describe: &str) -> String {
     let _ = writeln!(
         out,
         "  \"workload\": \"{} bytes per profile, mtu {}, virtual clock, tick {} ns; each profile replayed twice and byte-compared\",",
-        PAYLOAD_BYTES, MTU, TICK_NS
+        PAYLOAD_BYTES,
+        MTU,
+        soak::TICK_NS
     );
     let _ = writeln!(out, "  \"seed\": \"{:#x}\",", r.seed);
     out.push_str("  \"results\": [\n");

@@ -3,8 +3,9 @@
 //! numbers behind `BENCH_scale.json` and the quantitative half of
 //! `docs/SCALE.md`.
 //!
-//! Six cells, each deterministic under its seed (every cell runs twice and
-//! must reproduce its non-timing columns byte for byte):
+//! Six cells, each run once on the virtual clock and deterministic under
+//! its seed: `bench-check` regenerates the whole file and diffs it byte for
+//! byte, so a replay that drifts fails there.
 //!
 //! * **capacity-lru** — 4× more admissions than `max_live`: the sampled-LRU
 //!   clock hand must keep occupancy exactly at the bound, refuse nothing,
@@ -26,7 +27,8 @@
 //!   through the serial demux, then a 64 Ki-connection churn phase that
 //!   must run allocation-free (pooled shells only) under the counting
 //!   allocator. Memory per connection is the counting allocator's
-//!   live-byte delta across the ramp.
+//!   live-byte delta across the ramp. Both figures are reported once, on
+//!   [`ScaleResult`], as is zipf-faults' p99 verify delay.
 //! * **million-parallel** — the same 2^20-connection soak through the
 //!   8-worker virtual-engine pipeline with a churn tail, merged and
 //!   byte-verified at `finish`.
@@ -44,7 +46,6 @@
 //! real per-connection sender would emit.
 
 use std::fmt;
-use std::time::Instant;
 
 use chunks_core::packet::{pack, spans, unpack, validate, Packet};
 use chunks_core::{ChunkHeader, ChunkType, FramingTuple, WIRE_HEADER_LEN};
@@ -268,10 +269,8 @@ impl Tally {
     }
 }
 
-/// One cell's measurements. Timing columns (`wall_ns` and the rates) are
-/// host-dependent; everything else is deterministic under the seed and is
-/// what the double-run compares.
-#[derive(Clone, PartialEq, Debug)]
+/// One cell's measurements, every column deterministic under the seed.
+#[derive(Clone, PartialEq, Debug, Default)]
 pub struct Row {
     /// Cell name.
     pub cell: &'static str,
@@ -283,14 +282,6 @@ pub struct Row {
     pub chunks: u64,
     /// Wire bytes ingested.
     pub wire_bytes: u64,
-    /// Wall time over the timed ingest loops, ns.
-    pub wall_ns: u64,
-    /// Admissions per second over the timed loops.
-    pub conns_per_s: f64,
-    /// Chunks per second over the timed loops.
-    pub chunks_per_s: f64,
-    /// Wire MiB per second over the timed loops.
-    pub mib_s: f64,
     /// Application bytes delivered and WSC-2-verified.
     pub delivered_bytes: u64,
     /// TPDUs that failed verification (fault cells).
@@ -311,19 +302,9 @@ pub struct Row {
     pub peak_live: u64,
     /// Longest robin-hood probe sequence any insert walked.
     pub max_probe: u64,
-    /// Heap bytes per connection across the ramp (counting allocator);
-    /// -1 when counting is not installed or the cell does not measure it.
-    pub mem_per_conn: i64,
-    /// Heap allocations across the steady churn phase; -1 when not measured.
-    pub steady_allocs: i64,
-    /// p99 of `span.delay.verify_ns` (virtual ns); -1 when the cell runs
-    /// without an observability sink.
-    pub p99_verify_ns: i64,
     /// Serial and parallel replays of the same schedule delivered identical
     /// digests (true for cells with nothing to compare).
     pub digests_match: bool,
-    /// The replay reproduced every deterministic column byte for byte.
-    pub deterministic: bool,
     /// The cell's own acceptance gate.
     pub ok: bool,
 }
@@ -332,63 +313,9 @@ impl Row {
     fn base(cell: &'static str) -> Row {
         Row {
             cell,
-            conns: 0,
-            packets: 0,
-            chunks: 0,
-            wire_bytes: 0,
-            wall_ns: 0,
-            conns_per_s: 0.0,
-            chunks_per_s: 0.0,
-            mib_s: 0.0,
-            delivered_bytes: 0,
-            failed_tpdus: 0,
-            shed_chunks: 0,
-            unknown_conns: 0,
-            admissions: 0,
-            pooled: 0,
-            evictions: 0,
-            refusals: 0,
-            peak_live: 0,
-            max_probe: 0,
-            mem_per_conn: -1,
-            steady_allocs: -1,
-            p99_verify_ns: -1,
             digests_match: true,
-            deterministic: false,
-            ok: false,
+            ..Row::default()
         }
-    }
-
-    fn finish_rates(&mut self) {
-        let secs = self.wall_ns.max(1) as f64 / 1e9;
-        self.conns_per_s = self.admissions as f64 / secs;
-        self.chunks_per_s = self.chunks as f64 / secs;
-        self.mib_s = self.wire_bytes as f64 / (1024.0 * 1024.0) / secs;
-    }
-
-    /// The deterministic columns the double-run must reproduce exactly.
-    fn fingerprint(&self) -> ([u64; 14], i64, bool, bool) {
-        (
-            [
-                self.conns,
-                self.packets,
-                self.chunks,
-                self.wire_bytes,
-                self.delivered_bytes,
-                self.failed_tpdus,
-                self.shed_chunks,
-                self.unknown_conns,
-                self.admissions,
-                self.pooled,
-                self.evictions,
-                self.refusals,
-                self.peak_live,
-                self.max_probe,
-            ],
-            self.p99_verify_ns,
-            self.digests_match,
-            self.ok,
-        )
     }
 
     fn take_table_stats(&mut self, stats: &chunks_transport::TableStats) {
@@ -409,33 +336,32 @@ pub struct ScaleResult {
     /// Concurrent connections the big cells were asked to hold
     /// ([`MILLION_CONNS`] on the full run, smaller under [`run_quick`]).
     pub target_conns: u64,
-    /// Whether the counting allocator was active.
-    pub alloc_counting: bool,
+    /// million-serial's heap bytes per connection across the ramp; `None`
+    /// when the counting allocator is not installed.
+    pub mem_per_conn: Option<u64>,
+    /// million-serial's heap allocations across its steady churn phase;
+    /// `None` when the counting allocator is not installed.
+    pub steady_allocs: Option<u64>,
+    /// zipf-faults' p99 of `span.delay.verify_ns` (virtual ns); `None` when
+    /// nothing verified.
+    pub p99_verify_ns: Option<u64>,
     /// One row per cell.
     pub rows: Vec<Row>,
-    /// Every cell reproduced its deterministic columns on replay.
-    pub deterministic: bool,
 }
 
 impl ScaleResult {
-    /// Acceptance: every cell's own gate holds, every cell replays byte for
-    /// byte, both big cells actually held the targeted concurrent
-    /// connections (2^20 on the full run), and — when the counting
-    /// allocator is installed — the serial churn phase ran allocation-free.
+    /// Acceptance: every cell's own gate holds, both big cells actually held
+    /// the targeted concurrent connections (2^20 on the full run), and —
+    /// when the counting allocator is installed — the serial churn phase
+    /// ran allocation-free.
     pub fn passes(&self) -> bool {
-        let cells_ok = self.rows.iter().all(|r| r.ok && r.deterministic);
+        let cells_ok = self.rows.iter().all(|r| r.ok);
         let million = ["million-serial", "million-parallel"].iter().all(|name| {
             self.rows
                 .iter()
                 .any(|r| r.cell == *name && r.conns >= self.target_conns)
         });
-        let lean = !self.alloc_counting
-            || self
-                .rows
-                .iter()
-                .find(|r| r.cell == "million-serial")
-                .is_some_and(|r| r.steady_allocs == 0);
-        cells_ok && million && lean && self.deterministic
+        cells_ok && million && self.steady_allocs.is_none_or(|a| a == 0)
     }
 }
 
@@ -452,7 +378,6 @@ fn cell_capacity_lru(seed: u64) -> Row {
     let mut tally = Tally::default();
     let mut events = Vec::with_capacity(8);
     let mut now = 0u64;
-    let begin = Instant::now();
     for id in 0..TOTAL {
         now += TICK_NS;
         demux.table_mut().admit(
@@ -464,7 +389,6 @@ fn cell_capacity_lru(seed: u64) -> Row {
         demux.ingest(&tpl.packet_for(id), now, &mut events);
         tally.absorb(&mut events);
     }
-    row.wall_ns = begin.elapsed().as_nanos() as u64;
     row.conns = MAX_LIVE as u64;
     row.packets = TOTAL as u64;
     row.chunks = TOTAL as u64 * tpl.chunks;
@@ -481,7 +405,6 @@ fn cell_capacity_lru(seed: u64) -> Row {
         && row.delivered_bytes == TOTAL as u64 * MSG_BYTES as u64
         && snap.counter("transport.table.evictions") == row.evictions
         && snap.counter("transport.table.admissions") == row.admissions;
-    row.finish_rates();
     row
 }
 
@@ -531,7 +454,6 @@ fn cell_churn_equiv(seed: u64) -> Row {
     let mut tally = Tally::default();
     let mut events = Vec::with_capacity(8);
     let mut now = 0u64;
-    let begin = Instant::now();
     for op in &ops {
         now += TICK_NS;
         match *op {
@@ -552,7 +474,6 @@ fn cell_churn_equiv(seed: u64) -> Row {
             }
         }
     }
-    let serial_wall = begin.elapsed().as_nanos() as u64;
     let mut serial: Vec<ConnFingerprint> = demux
         .table()
         .iter()
@@ -564,7 +485,6 @@ fn cell_churn_equiv(seed: u64) -> Row {
     // Parallel replay of the identical schedule.
     let mut pr = ParallelReceiver::new(WORKERS, Engine::Virtual(Schedule::Fair), Vec::new());
     let mut now = 0u64;
-    let begin = Instant::now();
     for op in &ops {
         now += TICK_NS;
         match *op {
@@ -575,7 +495,6 @@ fn cell_churn_equiv(seed: u64) -> Row {
     }
     pr.drain();
     let outcome = pr.finish();
-    let par_wall = begin.elapsed().as_nanos() as u64;
     let parallel: Vec<ConnFingerprint> = outcome
         .conns
         .iter()
@@ -589,7 +508,6 @@ fn cell_churn_equiv(seed: u64) -> Row {
         .collect();
 
     row.digests_match = serial == parallel;
-    row.wall_ns = serial_wall + par_wall;
     row.conns = 2048;
     row.packets = total_msgs;
     row.chunks = total_msgs * tpl.chunks;
@@ -603,7 +521,6 @@ fn cell_churn_equiv(seed: u64) -> Row {
         && survivor_bytes == 2048 * MSG_BYTES as u64
         && row.pooled == row.admissions - 2048
         && row.refusals == 0;
-    row.finish_rates();
     row
 }
 
@@ -619,7 +536,6 @@ fn cell_budget_bound(seed: u64) -> Row {
     let mut events = Vec::with_capacity(8);
     let mut now = 0u64;
     let mut max_held = 0u64;
-    let begin = Instant::now();
     for id in 0..CONNS {
         now += TICK_NS;
         let budget = ResourceBudget::with_caps(4096, 8, 32).with_global(global.clone());
@@ -642,7 +558,6 @@ fn cell_budget_bound(seed: u64) -> Row {
         now += TICK_NS;
         demux.table_mut().retire(id, now);
     }
-    row.wall_ns = begin.elapsed().as_nanos() as u64;
     row.conns = CONNS as u64;
     row.packets = CONNS as u64;
     row.chunks = CONNS as u64 * tpl.chunks;
@@ -655,13 +570,13 @@ fn cell_budget_bound(seed: u64) -> Row {
         && global.held_bytes() == 0
         && row.delivered_bytes == 0
         && row.evictions == CONNS as u64;
-    row.finish_rates();
     row
 }
 
 /// zipf-faults: a Zipf(1) traffic mix over `conns` connections with the
-/// Byzantine fault matrix spliced into every eighth event.
-fn cell_zipf_faults(seed: u64, conns: u32, events_n: usize) -> Row {
+/// Byzantine fault matrix spliced into every eighth event. Also returns the
+/// p99 of `span.delay.verify_ns`.
+fn cell_zipf_faults(seed: u64, conns: u32, events_n: usize) -> (Row, Option<u64>) {
     let mut row = Row::base("zipf-faults");
     let tpls: Vec<Template> = (0..MSGS_PER_CONN).map(|m| template(m, seed)).collect();
     let sink = Recorder::verbose_tier(1 << 15);
@@ -698,7 +613,6 @@ fn cell_zipf_faults(seed: u64, conns: u32, events_n: usize) -> Row {
     let mut events = Vec::with_capacity(8);
     let mut rng = seed | 1;
     let mut now = 0u64;
-    let begin = Instant::now();
     for ev in 0..events_n {
         now += TICK_NS;
         rng = rng
@@ -731,120 +645,80 @@ fn cell_zipf_faults(seed: u64, conns: u32, events_n: usize) -> Row {
             tally.absorb(&mut events);
         }
     }
-    row.wall_ns = begin.elapsed().as_nanos() as u64;
     row.conns = conns as u64;
     row.delivered_bytes = tally.delivered_elements;
     row.failed_tpdus = tally.failed;
     row.unknown_conns = tally.unknown;
     row.take_table_stats(&demux.table().stats);
-    row.p99_verify_ns = sink
+    let p99_verify_ns = sink
         .snapshot()
         .histogram("span.delay.verify_ns")
-        .map(|h| h.p99() as i64)
-        .unwrap_or(-1);
+        .map(|h| h.p99());
     row.ok = row.delivered_bytes > 0
         && row.unknown_conns > 0
         && row.refusals == 0
         && demux.table().len() == conns as usize
-        && row.p99_verify_ns >= 0;
-    row.finish_rates();
-    row
+        && p99_verify_ns.is_some();
+    (row, p99_verify_ns)
 }
 
 /// million-serial: ramp to `conns` live connections, then an
-/// allocation-free churn phase over pooled shells.
-fn cell_million_serial(seed: u64, conns: u32, churn: u32, counting: bool) -> Row {
-    const WAVE: usize = 1 << 14;
+/// allocation-free churn phase over pooled shells. When the counting
+/// allocator is installed, also returns the ramp's heap bytes per
+/// connection and the churn phase's allocation count.
+fn cell_million_serial(seed: u64, conns: u32, churn: u32) -> (Row, Option<(u64, u64)>) {
     const WARMUP: u32 = 64;
+    let counting = alloc_count::active();
     let mut row = Row::base("million-serial");
     let tpl = template(0, seed);
     let mut demux = ConnectionDemux::with_table(TableConfig::for_capacity(conns as usize));
     let mut tally = Tally::default();
     let mut events = Vec::with_capacity(8);
     let mut now = 0u64;
-    let mut wall = 0u64;
-    let mem_before = alloc_count::live_bytes();
+    let mut admit_and_send = |demux: &mut ConnectionDemux, id: u32, pkt: &Packet, now: u64| {
+        demux.table_mut().admit(
+            params_for(id, 0),
+            now,
+            || fresh_rx(id, DeliveryMode::Immediate),
+            |_| {},
+        );
+        demux.ingest(pkt, now, &mut events);
+        tally.absorb(&mut events);
+    };
 
-    // Ramp: waves of pre-generated packets; only admission + ingest timed.
-    let mut wave_pkts: Vec<Packet> = Vec::with_capacity(WAVE);
-    let mut wave_start = 0u32;
-    while wave_start < conns {
-        let wave_end = (wave_start + WAVE as u32).min(conns);
-        wave_pkts.clear();
-        for id in wave_start..wave_end {
-            wave_pkts.push(tpl.packet_for(id));
-        }
-        let t = Instant::now();
-        for (i, pkt) in wave_pkts.iter().enumerate() {
-            let id = wave_start + i as u32;
-            now += TICK_NS;
-            demux.table_mut().admit(
-                params_for(id, 0),
-                now,
-                || fresh_rx(id, DeliveryMode::Immediate),
-                |_| {},
-            );
-            demux.ingest(pkt, now, &mut events);
-            tally.absorb(&mut events);
-        }
-        wall += t.elapsed().as_nanos() as u64;
-        wave_start = wave_end;
+    let mem_before = alloc_count::live_bytes();
+    for id in 0..conns {
+        now += TICK_NS;
+        admit_and_send(&mut demux, id, &tpl.packet_for(id), now);
     }
     let mem_after = alloc_count::live_bytes();
 
     // Warm the shell pool and the free-list capacity outside the window.
-    let warm_pkts: Vec<Packet> = (0..WARMUP)
-        .map(|w| tpl.packet_for(conns + churn + w))
-        .collect();
-    for (w, pkt) in warm_pkts.iter().enumerate() {
+    for w in 0..WARMUP {
         now += TICK_NS;
-        demux.table_mut().retire(conns - WARMUP + w as u32, now);
-        let id = conns + churn + w as u32;
-        demux.table_mut().admit(
-            params_for(id, 0),
-            now,
-            || fresh_rx(id, DeliveryMode::Immediate),
-            |_| {},
-        );
-        demux.ingest(pkt, now, &mut events);
-        tally.absorb(&mut events);
+        demux.table_mut().retire(conns - WARMUP + w, now);
+        let id = conns + churn + w;
+        admit_and_send(&mut demux, id, &tpl.packet_for(id), now);
     }
 
     // Steady churn: retire + pooled re-admission + delivery, zero
-    // allocations expected.
+    // allocations expected. The packets are built before the window.
     let churn_pkts: Vec<Packet> = (0..churn).map(|i| tpl.packet_for(conns + i)).collect();
     let allocs_before = alloc_count::allocs();
-    let t = Instant::now();
-    for (i, pkt) in churn_pkts.iter().enumerate() {
+    for (i, pkt) in (0..churn).zip(&churn_pkts) {
         now += TICK_NS;
-        demux.table_mut().retire(i as u32, now);
-        let id = conns + i as u32;
-        demux.table_mut().admit(
-            params_for(id, 0),
-            now,
-            || fresh_rx(id, DeliveryMode::Immediate),
-            |_| {},
-        );
-        demux.ingest(pkt, now, &mut events);
-        tally.absorb(&mut events);
+        demux.table_mut().retire(i, now);
+        admit_and_send(&mut demux, conns + i, pkt, now);
     }
-    wall += t.elapsed().as_nanos() as u64;
     let churn_allocs = alloc_count::allocs() - allocs_before;
 
     let total_msgs = conns as u64 + WARMUP as u64 + churn as u64;
-    row.wall_ns = wall;
     row.conns = conns as u64;
     row.packets = total_msgs;
     row.chunks = total_msgs * tpl.chunks;
     row.wire_bytes = total_msgs * tpl.wire();
     row.delivered_bytes = tally.delivered_elements;
     row.take_table_stats(&demux.table().stats);
-    row.mem_per_conn = if counting {
-        (mem_after.saturating_sub(mem_before) / conns as u64) as i64
-    } else {
-        -1
-    };
-    row.steady_allocs = if counting { churn_allocs as i64 } else { -1 };
     row.ok = row.delivered_bytes == total_msgs * MSG_BYTES as u64
         && row.peak_live == conns as u64
         && demux.table().len() == conns as usize
@@ -852,52 +726,42 @@ fn cell_million_serial(seed: u64, conns: u32, churn: u32, counting: bool) -> Row
         && row.evictions == WARMUP as u64 + churn as u64
         && row.refusals == 0
         && (!counting || churn_allocs == 0);
-    row.finish_rates();
-    row
+    let heap = counting.then(|| {
+        (
+            mem_after.saturating_sub(mem_before) / conns as u64,
+            churn_allocs,
+        )
+    });
+    (row, heap)
 }
 
 /// million-parallel: the same soak through the 8-worker virtual-engine
 /// pipeline, with a churn tail, merged and verified at `finish`.
 fn cell_million_parallel(seed: u64, conns: u32, churn: u32) -> Row {
-    const WAVE: usize = 1 << 14;
+    const WAVE: u32 = 1 << 14;
     let mut row = Row::base("million-parallel");
     let tpl = template(0, seed);
     let mut pr = ParallelReceiver::new(WORKERS, Engine::Virtual(Schedule::Fair), Vec::new());
     let mut now = 0u64;
-    let mut wall = 0u64;
 
-    let mut wave_pkts: Vec<Packet> = Vec::with_capacity(WAVE);
-    let mut wave_start = 0u32;
-    while wave_start < conns {
-        let wave_end = (wave_start + WAVE as u32).min(conns);
-        wave_pkts.clear();
-        for id in wave_start..wave_end {
-            wave_pkts.push(tpl.packet_for(id));
+    for id in 0..conns {
+        now += TICK_NS;
+        pr.admit(spec_for(id, DeliveryMode::Immediate), now);
+        pr.ingest(&tpl.packet_for(id), now);
+        if (id + 1) % WAVE == 0 || id + 1 == conns {
+            pr.drain();
         }
-        let t = Instant::now();
-        for (i, pkt) in wave_pkts.iter().enumerate() {
-            let id = wave_start + i as u32;
-            now += TICK_NS;
-            pr.admit(spec_for(id, DeliveryMode::Immediate), now);
-            pr.ingest(pkt, now);
-        }
-        pr.drain();
-        wall += t.elapsed().as_nanos() as u64;
-        wave_start = wave_end;
     }
 
     // Churn tail: retire the first `churn` connections, admit replacements
     // through the same per-worker FIFOs, and deliver to them.
-    let churn_pkts: Vec<Packet> = (0..churn).map(|i| tpl.packet_for(conns + i)).collect();
-    let t = Instant::now();
-    for (i, pkt) in churn_pkts.iter().enumerate() {
+    for i in 0..churn {
         now += TICK_NS;
-        pr.retire(i as u32, now);
-        pr.admit(spec_for(conns + i as u32, DeliveryMode::Immediate), now);
-        pr.ingest(pkt, now);
+        pr.retire(i, now);
+        pr.admit(spec_for(conns + i, DeliveryMode::Immediate), now);
+        pr.ingest(&tpl.packet_for(conns + i), now);
     }
     pr.drain();
-    wall += t.elapsed().as_nanos() as u64;
 
     let outcome = pr.finish();
     let live = outcome.conns.len() as u64;
@@ -907,7 +771,6 @@ fn cell_million_parallel(seed: u64, conns: u32, churn: u32) -> Row {
         .map(|r| r.receiver.verified_prefix())
         .sum();
     let total_msgs = conns as u64 + churn as u64;
-    row.wall_ns = wall;
     row.conns = conns as u64;
     row.packets = total_msgs;
     row.chunks = total_msgs * tpl.chunks;
@@ -923,20 +786,7 @@ fn cell_million_parallel(seed: u64, conns: u32, churn: u32) -> Row {
         && delivered == conns as u64 * MSG_BYTES as u64
         && outcome.dispatch.bad_packets == 0
         && outcome.dispatch.decode_errors == 0;
-    row.finish_rates();
     row
-}
-
-fn run_cells(seed: u64, conns: u32, churn: u32, zipf_conns: u32, zipf_events: usize) -> Vec<Row> {
-    let counting = alloc_count::active();
-    vec![
-        cell_capacity_lru(seed),
-        cell_churn_equiv(seed),
-        cell_budget_bound(seed),
-        cell_zipf_faults(seed, zipf_conns, zipf_events),
-        cell_million_serial(seed, conns, churn, counting),
-        cell_million_parallel(seed, conns, churn),
-    ]
 }
 
 fn run_sized(
@@ -946,34 +796,37 @@ fn run_sized(
     zipf_conns: u32,
     zipf_events: usize,
 ) -> ScaleResult {
-    let first = run_cells(seed, conns, churn, zipf_conns, zipf_events);
-    let second = run_cells(seed, conns, churn, zipf_conns, zipf_events);
-    let mut rows = first;
-    let mut deterministic = true;
-    for (a, b) in rows.iter_mut().zip(&second) {
-        a.deterministic = a.fingerprint() == b.fingerprint();
-        deterministic &= a.deterministic;
-    }
+    let capacity = cell_capacity_lru(seed);
+    let churn_equiv = cell_churn_equiv(seed);
+    let budget = cell_budget_bound(seed);
+    let (zipf, p99_verify_ns) = cell_zipf_faults(seed, zipf_conns, zipf_events);
+    let (serial, heap) = cell_million_serial(seed, conns, churn);
+    let parallel = cell_million_parallel(seed, conns, churn);
     ScaleResult {
         seed,
         target_conns: conns as u64,
-        alloc_counting: alloc_count::active(),
-        rows,
-        deterministic,
+        mem_per_conn: heap.map(|(mem, _)| mem),
+        steady_allocs: heap.map(|(_, allocs)| allocs),
+        p99_verify_ns,
+        rows: vec![capacity, churn_equiv, budget, zipf, serial, parallel],
     }
 }
 
-/// Runs the full sweep: every cell twice (the replay is the determinism
-/// proof), million cells at 2^20 concurrent connections.
+/// Runs the full sweep, million cells at 2^20 concurrent connections.
 pub fn run(seed: u64) -> ScaleResult {
     run_sized(seed, MILLION_CONNS, CHURN_CONNS, ZIPF_CONNS, ZIPF_EVENTS)
 }
 
 /// The same sweep shrunk for test suites: identical cells and gates, with
 /// the big cells at 2^14 connections. `tests/scale_determinism.rs` runs
-/// this in tier-1 time; set `SCALE_FULL=1` there to run [`run`] instead.
+/// this twice in tier-1 time; `bench-check` runs [`run`].
 pub fn run_quick(seed: u64) -> ScaleResult {
     run_sized(seed, 1 << 14, 1 << 10, 1 << 10, 1 << 12)
+}
+
+/// An optional figure as JSON: the number, or `null`.
+fn json_opt(v: Option<u64>) -> String {
+    v.map_or_else(|| "null".into(), |v| v.to_string())
 }
 
 impl fmt::Display for ScaleResult {
@@ -983,47 +836,50 @@ impl fmt::Display for ScaleResult {
             "=== scale — million-connection demux soak (seed {:#x}) ===",
             self.seed
         )?;
+        let heap = match (self.mem_per_conn, self.steady_allocs) {
+            (Some(mem), Some(allocs)) => {
+                format!("million-serial {mem} B/conn, {allocs} churn allocations")
+            }
+            _ => "alloc counting off".into(),
+        };
         writeln!(
             f,
-            "  {} B messages, {} B MTU; alloc counting {}; replay deterministic: {}",
+            "  {} B messages, {} B MTU; {heap}; zipf-faults p99 verify {} ns",
             MSG_BYTES,
             MTU,
-            if self.alloc_counting { "on" } else { "off" },
-            self.deterministic,
+            json_opt(self.p99_verify_ns),
         )?;
         writeln!(
             f,
-            "  {:<17} {:>9} {:>9} {:>10} {:>11} {:>8} {:>8} {:>7} {:>8} {:>9} {:>8} {:>4} {:>3}",
+            "  {:<17} {:>9} {:>9} {:>9} {:>10} {:>7} {:>5} {:>7} {:>8} {:>7} {:>5} {:>3}",
             "cell",
             "conns",
             "packets",
-            "wall",
-            "conns/s",
-            "MiB/s",
+            "chunks",
+            "delivered",
+            "failed",
+            "shed",
+            "unknown",
             "evict",
             "pooled",
-            "mem/conn",
-            "allocs",
-            "p99-vfy",
-            "det",
+            "probe",
             "ok",
         )?;
         for r in &self.rows {
             writeln!(
                 f,
-                "  {:<17} {:>9} {:>9} {:>8.1}ms {:>11.0} {:>8.1} {:>8} {:>7} {:>8} {:>9} {:>8} {:>4} {:>3}",
+                "  {:<17} {:>9} {:>9} {:>9} {:>10} {:>7} {:>5} {:>7} {:>8} {:>7} {:>5} {:>3}",
                 r.cell,
                 r.conns,
                 r.packets,
-                r.wall_ns as f64 / 1e6,
-                r.conns_per_s,
-                r.mib_s,
+                r.chunks,
+                r.delivered_bytes,
+                r.failed_tpdus,
+                r.shed_chunks,
+                r.unknown_conns,
                 r.evictions,
                 r.pooled,
-                r.mem_per_conn,
-                r.steady_allocs,
-                r.p99_verify_ns,
-                if r.deterministic { "yes" } else { "NO" },
+                r.max_probe,
                 if r.ok { "yes" } else { "NO" },
             )?;
         }
@@ -1031,9 +887,9 @@ impl fmt::Display for ScaleResult {
     }
 }
 
-/// Renders the sweep as the `BENCH_scale.json` record. Wall-clock rates are
-/// host-dependent, so the file is never diffed; `tests/bench_schema.rs`
-/// pins its shape.
+/// Renders the sweep as the `BENCH_scale.json` record. Every figure rides
+/// the virtual clock or counts allocations, so the file is exact: the
+/// `bench-check` gate diffs a regeneration byte for byte.
 pub fn bench_json(r: &ScaleResult, describe: &str) -> String {
     use super::benchjson::meta_json;
     let mut out = String::from("{\n");
@@ -1047,28 +903,34 @@ pub fn bench_json(r: &ScaleResult, describe: &str) -> String {
         MSG_BYTES, WORKERS,
     ));
     out.push_str(
-        "  \"method\": \"every cell runs twice and must reproduce its deterministic columns byte for byte; churn allocations counted by the binary's counting global allocator; memory per connection is the live-byte delta across the ramp; p99 verify delay from the span.delay.verify_ns histogram (virtual clock)\",\n",
+        "  \"method\": \"every cell runs once on the virtual clock; bench-check regenerates this file and diffs it byte for byte; mem_per_conn and steady_allocs are million-serial's, counted by the binary's counting global allocator (live-byte delta across the ramp per connection; allocations across the steady churn phase); p99_verify_ns is zipf-faults' p99 of the span.delay.verify_ns histogram\",\n",
     );
     out.push_str(&format!("  \"seed\": {},\n", r.seed));
     out.push_str(&format!("  \"target_conns\": {},\n", r.target_conns));
-    out.push_str(&format!("  \"alloc_counting\": {},\n", r.alloc_counting));
-    out.push_str(&format!("  \"deterministic\": {},\n", r.deterministic));
+    out.push_str(&format!(
+        "  \"mem_per_conn\": {},\n",
+        json_opt(r.mem_per_conn)
+    ));
+    out.push_str(&format!(
+        "  \"steady_allocs\": {},\n",
+        json_opt(r.steady_allocs)
+    ));
+    out.push_str(&format!(
+        "  \"p99_verify_ns\": {},\n",
+        json_opt(r.p99_verify_ns)
+    ));
     out.push_str("  \"results\": [\n");
     let rows: Vec<String> = r
         .rows
         .iter()
         .map(|l| {
             format!(
-                "    {{\"cell\": \"{}\", \"conns\": {}, \"packets\": {}, \"chunks\": {}, \"wire_bytes\": {}, \"wall_ms\": {:.3}, \"conns_per_s\": {:.0}, \"chunks_per_s\": {:.0}, \"mib_s\": {:.2}, \"delivered_bytes\": {}, \"failed_tpdus\": {}, \"shed_chunks\": {}, \"unknown_conns\": {}, \"admissions\": {}, \"pooled\": {}, \"evictions\": {}, \"refusals\": {}, \"peak_live\": {}, \"max_probe\": {}, \"mem_per_conn\": {}, \"steady_allocs\": {}, \"p99_verify_ns\": {}, \"digests_match\": {}, \"deterministic\": {}, \"ok\": {}}}",
+                "    {{\"cell\": \"{}\", \"conns\": {}, \"packets\": {}, \"chunks\": {}, \"wire_bytes\": {}, \"delivered_bytes\": {}, \"failed_tpdus\": {}, \"shed_chunks\": {}, \"unknown_conns\": {}, \"admissions\": {}, \"pooled\": {}, \"evictions\": {}, \"refusals\": {}, \"peak_live\": {}, \"max_probe\": {}, \"digests_match\": {}, \"ok\": {}}}",
                 l.cell,
                 l.conns,
                 l.packets,
                 l.chunks,
                 l.wire_bytes,
-                l.wall_ns as f64 / 1e6,
-                l.conns_per_s,
-                l.chunks_per_s,
-                l.mib_s,
                 l.delivered_bytes,
                 l.failed_tpdus,
                 l.shed_chunks,
@@ -1079,11 +941,7 @@ pub fn bench_json(r: &ScaleResult, describe: &str) -> String {
                 l.refusals,
                 l.peak_live,
                 l.max_probe,
-                l.mem_per_conn,
-                l.steady_allocs,
-                l.p99_verify_ns,
                 l.digests_match,
-                l.deterministic,
                 l.ok,
             )
         })
@@ -1149,8 +1007,8 @@ mod tests {
     fn zipf_fault_mix_survives_and_replays() {
         let a = cell_zipf_faults(0x5CA1E, 1 << 10, 1 << 12);
         let b = cell_zipf_faults(0x5CA1E, 1 << 10, 1 << 12);
-        assert!(a.ok, "{a:?}");
-        assert_eq!(a.fingerprint(), b.fingerprint());
+        assert!(a.0.ok, "{a:?}");
+        assert_eq!(a, b);
     }
 
     #[test]

@@ -248,19 +248,27 @@ impl fmt::Display for SoakResult {
     }
 }
 
-fn endpoint(local: u32, remote: u32, policy: DegradePolicy) -> Session {
+/// One end of a closed-loop transfer: 1-byte elements from `C.SN` 0,
+/// immediate delivery, and the retry budget's `policy`.
+pub(crate) fn endpoint(
+    local: u32,
+    remote: u32,
+    mtu: usize,
+    tpdu_elements: u32,
+    policy: DegradePolicy,
+) -> Session {
     let params = |conn_id| ConnectionParams {
         conn_id,
         elem_size: 1,
         initial_csn: 0,
-        tpdu_elements: 64,
+        tpdu_elements,
     };
     let layout = InvariantLayout::with_data_symbols(2048);
     Session::new(
         SenderConfig {
             params: params(local),
             layout,
-            mtu: 512,
+            mtu,
             min_tpdu_elements: 4,
             max_tpdu_elements: 256,
         },
@@ -276,10 +284,81 @@ fn endpoint(local: u32, remote: u32, policy: DegradePolicy) -> Session {
     .with_burst_limits(4, 8)
 }
 
-fn take_due(q: &mut BTreeMap<u64, Vec<Vec<u8>>>, t: u64) -> Vec<Vec<u8>> {
+/// Frames in flight towards one endpoint, by arrival time.
+type InFlight = BTreeMap<u64, Vec<Vec<u8>>>;
+
+fn take_due(q: &mut InFlight, t: u64) -> Vec<Vec<u8>> {
     let mut later = q.split_off(&(t + 1));
     std::mem::swap(q, &mut later);
     later.into_values().flatten().collect()
+}
+
+fn put_in_flight(q: &mut InFlight, arrivals: &mut Vec<(u64, Vec<u8>)>) {
+    for (at, frame) in arrivals.drain(..) {
+        q.entry(at).or_default().push(frame);
+    }
+}
+
+/// How [`transfer`] ended.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum Ending {
+    /// The sender's window drained.
+    Drained,
+    /// The sender's pump returned the dead-peer error.
+    DeadPeer,
+    /// [`MAX_TICKS`] passed with neither: a livelock.
+    Hung,
+}
+
+/// Runs a one-way transfer from `a` to `b` on the virtual clock, one pump
+/// of each endpoint per [`TICK_NS`]. Each tick hands both endpoints the
+/// frames due, gives `a`'s payload-carrying packets to `forward`, and —
+/// only when `b` heard something — gives `b`'s acks to `reverse`. The two
+/// closures are the network: they push `(arrival ns, frame)` pairs. Returns
+/// how the transfer ended and when.
+pub(crate) fn transfer(
+    a: &mut Session,
+    b: &mut Session,
+    mut forward: impl FnMut(u64, &[Packet], &mut Vec<(u64, Vec<u8>)>),
+    mut reverse: impl FnMut(u64, &[Packet], &mut Vec<(u64, Vec<u8>)>),
+) -> (Ending, u64) {
+    let (mut to_b, mut to_a) = (InFlight::new(), InFlight::new());
+    let (mut packets, mut events, mut arrivals) = (Vec::new(), Vec::new(), Vec::new());
+    for tick in 0..MAX_TICKS {
+        let t = tick * TICK_NS;
+        let mut b_heard = false;
+        for f in take_due(&mut to_b, t) {
+            b.handle_packet_into(&Packet { bytes: f.into() }, t, &mut events);
+            b_heard = true;
+        }
+        for f in take_due(&mut to_a, t) {
+            a.handle_packet_into(&Packet { bytes: f.into() }, t, &mut events);
+        }
+        // The run is judged by its counters, not by its events.
+        events.clear();
+        packets.clear();
+        if a.pump_into(t, &mut packets).is_err() {
+            return (Ending::DeadPeer, t);
+        }
+        // Pure-ack packets from the sender carry no information on a
+        // one-way transfer; see `carries_payload`.
+        packets.retain(carries_payload);
+        forward(t, &packets, &mut arrivals);
+        put_in_flight(&mut to_b, &mut arrivals);
+        // The receiver acks when data arrives — not on an idle tick. (It
+        // cannot die: it sends no data, so it arms no timers.)
+        if b_heard {
+            packets.clear();
+            b.pump_into(t, &mut packets)
+                .expect("pure-ack endpoint has no retry budget");
+            reverse(t, &packets, &mut arrivals);
+            put_in_flight(&mut to_a, &mut arrivals);
+        }
+        if a.outbound_done() {
+            return (Ending::Drained, t);
+        }
+    }
+    (Ending::Hung, MAX_TICKS * TICK_NS)
 }
 
 /// True when the packet carries anything beyond acknowledgment chunks. The
@@ -312,8 +391,8 @@ pub fn run_scenario_observed(sc: &SoakScenario, seed: u64, sink: Arc<dyn ObsSink
         h.wrapping_mul(0x100000001B3).wrapping_add(b as u64)
     });
     let payload: Vec<u8> = (0..PAYLOAD_BYTES).map(|i| (i * 7 + 3) as u8).collect();
-    let mut a = endpoint(1, 2, sc.policy).with_obs(sink.clone());
-    let mut b = endpoint(2, 1, sc.policy).with_obs(sink.clone());
+    let mut a = endpoint(1, 2, 512, 64, sc.policy).with_obs(sink.clone());
+    let mut b = endpoint(2, 1, 512, 64, sc.policy).with_obs(sink.clone());
     a.send(&payload, 0xA, false);
 
     // Forward: Byzantine middlebox, then a 4-stripe multipath bundle. The
@@ -333,71 +412,30 @@ pub fn run_scenario_observed(sc: &SoakScenario, seed: u64, sink: Arc<dyn ObsSink
     let mut rev = chunks_netsim::Link::new(LinkConfig::clean(512, 100_000, 0), mix ^ 0x0FF);
     rev.set_obs(sink);
 
-    let mut to_b: BTreeMap<u64, Vec<Vec<u8>>> = BTreeMap::new();
-    let mut to_a: BTreeMap<u64, Vec<Vec<u8>>> = BTreeMap::new();
-    // What the links deliver for one tick's frames, moved on to `to_b`/`to_a`.
-    let mut arrivals = Vec::new();
-
-    let (mut packets, mut events) = (Vec::new(), Vec::new());
-    let mut outcome = None;
-    let mut elapsed = MAX_TICKS * TICK_NS;
-    for tick in 0..MAX_TICKS {
-        let t = tick * TICK_NS;
-        let mut b_heard = false;
-        for f in take_due(&mut to_b, t) {
-            b.handle_packet_into(&Packet { bytes: f.into() }, t, &mut events);
-            b_heard = true;
-        }
-        for f in take_due(&mut to_a, t) {
-            a.handle_packet_into(&Packet { bytes: f.into() }, t, &mut events);
-        }
-        // The run is judged by its counters, not by its events.
-        events.clear();
-        packets.clear();
-        match a.pump_into(t, &mut packets) {
-            Ok(()) => {
-                // Pure-ack packets from the sender carry no information on a
-                // one-way transfer; see `carries_payload`.
-                for p in packets.iter().filter(|p| carries_payload(p)) {
-                    for f in byz_fwd.ingest_at(t, p.bytes.to_vec()) {
-                        fwd.transmit_into(t, f, &mut arrivals);
-                    }
-                }
-                for (at, frame) in arrivals.drain(..) {
-                    to_b.entry(at).or_default().push(frame);
+    let (ending, elapsed) = transfer(
+        &mut a,
+        &mut b,
+        |t, packets, arrivals| {
+            for p in packets {
+                for f in byz_fwd.ingest_at(t, p.bytes.to_vec()) {
+                    fwd.transmit_into(t, f, arrivals);
                 }
             }
-            Err(_) => {
-                outcome = Some(Outcome::Aborted);
-                elapsed = t;
-                break;
-            }
-        }
-        // The receiver acks when data arrives — not on an idle tick. (It
-        // cannot die: it sends no data, so it arms no timers.)
-        if b_heard {
-            packets.clear();
-            b.pump_into(t, &mut packets)
-                .expect("pure-ack endpoint has no retry budget");
-            for p in &packets {
+        },
+        |t, packets, arrivals| {
+            for p in packets {
                 for f in byz_rev.ingest_at(t, p.bytes.to_vec()) {
-                    rev.transmit_into(t, f, &mut arrivals);
+                    rev.transmit_into(t, f, arrivals);
                 }
             }
-            for (at, frame) in arrivals.drain(..) {
-                to_a.entry(at).or_default().push(frame);
-            }
-        }
-        if a.outbound_done() {
-            outcome = Some(if a.reliability().shed_tpdus > 0 {
-                Outcome::Shed
-            } else {
-                Outcome::Delivered
-            });
-            elapsed = t;
-            break;
-        }
-    }
+        },
+    );
+    let outcome = match ending {
+        Ending::DeadPeer => Some(Outcome::Aborted),
+        Ending::Drained if a.reliability().shed_tpdus > 0 => Some(Outcome::Shed),
+        Ending::Drained => Some(Outcome::Delivered),
+        Ending::Hung => None,
+    };
 
     let stats = a.reliability();
     let delivered = b.received_elements();

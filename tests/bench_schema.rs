@@ -1,17 +1,11 @@
-//! Every committed `BENCH_*.json` summary must parse and open with a
-//! complete `meta` block: the bench name, the exact regenerate command, and
-//! the source revision it was generated from. The `bench-check` gate (and
-//! any human reading the file a year later) depends on those three fields.
+//! Every committed `BENCH_*.json` summary must be gated by `bench-check`,
+//! parse, and open with a complete `meta` block: the bench name, the exact
+//! regenerate command, and the source revision it was generated from. The
+//! `bench-check` gate (and any human reading the file a year later) depends
+//! on those three fields.
 
 use chunks::experiments::bench_check::GATED_FILES;
 use chunks::experiments::benchjson::{parse, Value};
-
-const BENCH_FILES: [&str; 4] = [
-    "BENCH_lineage.json",
-    "BENCH_soak.json",
-    "BENCH_overlap.json",
-    "BENCH_scale.json",
-];
 
 fn load(file: &str) -> Value {
     let path = format!("{}/{}", env!("CARGO_MANIFEST_DIR"), file);
@@ -21,31 +15,25 @@ fn load(file: &str) -> Value {
 
 #[test]
 fn bench_inventory_matches_the_tree_and_covers_the_gate() {
-    // A retired or new snapshot must not sit at the repo root outside the
-    // schema checks, and `bench-check` must not gate a file they skip.
+    // There is one kind of snapshot: a retired or new one must not sit at
+    // the repo root outside the byte-for-byte gate.
     let mut on_disk: Vec<String> = std::fs::read_dir(env!("CARGO_MANIFEST_DIR"))
         .unwrap()
         .map(|entry| entry.unwrap().file_name().into_string().unwrap())
         .filter(|name| name.starts_with("BENCH_") && name.ends_with(".json"))
         .collect();
     on_disk.sort();
-    let mut listed = BENCH_FILES.to_vec();
-    listed.sort();
+    let mut gated = GATED_FILES.to_vec();
+    gated.sort();
     assert_eq!(
-        on_disk, listed,
-        "BENCH_*.json at the repo root vs BENCH_FILES"
+        on_disk, gated,
+        "BENCH_*.json at the repo root vs bench-check's GATED_FILES"
     );
-    for file in GATED_FILES {
-        assert!(
-            BENCH_FILES.contains(&file),
-            "bench-check gates {file}, which BENCH_FILES does not list"
-        );
-    }
 }
 
 #[test]
 fn every_bench_file_has_a_complete_meta_block() {
-    for file in BENCH_FILES {
+    for file in GATED_FILES {
         let v = load(file);
         let meta = v
             .get("meta")
@@ -69,7 +57,7 @@ fn every_bench_file_has_a_complete_meta_block() {
 
 #[test]
 fn every_bench_file_carries_nonempty_results() {
-    for file in BENCH_FILES {
+    for file in GATED_FILES {
         let v = load(file);
         let results = v
             .get("results")
@@ -130,21 +118,26 @@ fn overlap_rows_pin_the_full_cell_coordinates_and_the_two_proofs() {
 fn scale_rows_pin_all_six_cells_and_the_accounting_columns() {
     // The scale snapshot must carry every cell of the sweep, and every row
     // must say how many connections it held, what it delivered, and how the
-    // table accounted for admissions, pool reuse, evictions and memory —
-    // the accounting columns are what the file exists to witness. Rates are
-    // host wall-clock, so only shapes are pinned; the million-connection
-    // and zero-allocation bars are enforced by the experiment's own
-    // passes() when the file is regenerated.
+    // table accounted for admissions, pool reuse and evictions — the
+    // accounting columns are what the file exists to witness. Memory per
+    // connection, churn allocations and p99 verify delay are each reported
+    // once, by the cell that measures them. `bench-check` pins the values.
     let v = load("BENCH_scale.json");
-    for key in ["seed", "target_conns"] {
+    for key in [
+        "seed",
+        "target_conns",
+        "mem_per_conn",
+        "steady_allocs",
+        "p99_verify_ns",
+    ] {
         v.get(key)
             .and_then(Value::as_f64)
             .unwrap_or_else(|| panic!("scale: no numeric `{key}`"));
     }
     assert_eq!(
-        v.get("deterministic"),
-        Some(&Value::Bool(true)),
-        "committed scale snapshot must replay byte-identically"
+        v.get("steady_allocs").and_then(Value::as_f64),
+        Some(0.0),
+        "committed scale snapshot must show an allocation-free churn phase"
     );
     let results = v.get("results").and_then(Value::as_arr).unwrap();
     let mut cells: Vec<&str> = Vec::new();
@@ -159,8 +152,6 @@ fn scale_rows_pin_all_six_cells_and_the_accounting_columns() {
             "packets",
             "chunks",
             "wire_bytes",
-            "conns_per_s",
-            "mib_s",
             "delivered_bytes",
             "admissions",
             "pooled",
@@ -168,15 +159,12 @@ fn scale_rows_pin_all_six_cells_and_the_accounting_columns() {
             "refusals",
             "peak_live",
             "max_probe",
-            "mem_per_conn",
-            "steady_allocs",
-            "p99_verify_ns",
         ] {
             row.get(key)
                 .and_then(Value::as_f64)
                 .unwrap_or_else(|| panic!("{cell}: no numeric `{key}`"));
         }
-        for key in ["digests_match", "deterministic", "ok"] {
+        for key in ["digests_match", "ok"] {
             assert_eq!(
                 row.get(key),
                 Some(&Value::Bool(true)),
@@ -184,16 +172,18 @@ fn scale_rows_pin_all_six_cells_and_the_accounting_columns() {
             );
         }
     }
-    for want in [
-        "capacity-lru",
-        "churn-equiv",
-        "budget-bound",
-        "zipf-faults",
-        "million-serial",
-        "million-parallel",
-    ] {
-        assert!(cells.contains(&want), "missing scale cell {want:?}");
-    }
+    assert_eq!(
+        cells,
+        [
+            "capacity-lru",
+            "churn-equiv",
+            "budget-bound",
+            "zipf-faults",
+            "million-serial",
+            "million-parallel",
+        ],
+        "scale cells"
+    );
 }
 
 #[test]
