@@ -124,20 +124,17 @@ impl IpRouter {
 }
 
 impl PacketTransform for IpRouter {
-    fn ingest(&mut self, frame: Vec<u8>) -> Vec<Vec<u8>> {
+    fn ingest(&mut self, _now: u64, frame: Bytes, out: &mut Vec<Bytes>) {
         let Some(p) = IpPacket::decode(&frame) else {
             self.drops += 1;
-            return Vec::new();
+            return;
         };
         match fragment(&p, self.egress_mtu) {
             Some(frags) => {
                 self.splits += frags.len().saturating_sub(1) as u64;
-                frags.iter().map(IpPacket::encode).collect()
+                out.extend(frags.iter().map(|f| Bytes::from(f.encode())));
             }
-            None => {
-                self.drops += 1;
-                Vec::new()
-            }
+            None => self.drops += 1,
         }
     }
 }
@@ -361,13 +358,17 @@ mod tests {
     fn router_fragments_and_never_combines() {
         let p = IpPacket::datagram(5, payload(100));
         let mut router = IpRouter::new(IP_HEADER_LEN + 48);
-        let out = router.ingest(p.encode());
+        let mut out = Vec::new();
+        router.ingest(0, p.encode().into(), &mut out);
         assert_eq!(out.len(), 3);
         assert_eq!(router.splits, 2);
         // Feeding small fragments through a large-MTU router: they stay
         // separate (IP cannot combine).
         let mut wide = IpRouter::new(64 * 1024);
-        let reout: Vec<_> = out.iter().flat_map(|f| wide.ingest(f.clone())).collect();
+        let mut reout = Vec::new();
+        for f in out {
+            wide.ingest(0, f, &mut reout);
+        }
         assert_eq!(reout.len(), 3);
         assert_eq!(wide.splits, 0);
     }
@@ -375,7 +376,9 @@ mod tests {
     #[test]
     fn router_drops_garbage() {
         let mut router = IpRouter::new(1500);
-        assert!(router.ingest(vec![1, 2, 3]).is_empty());
+        let mut out = Vec::new();
+        router.ingest(0, Bytes::from_static(&[1, 2, 3]), &mut out);
+        assert!(out.is_empty());
         assert_eq!(router.drops, 1);
     }
 }

@@ -3,6 +3,7 @@
 //! F4 bench: the three Figure 4 methods for moving chunks from small
 //! packets into large packets, end to end.
 
+use bytes::Bytes;
 use chunks_bench::chunk_of;
 use chunks_core::packet::pack;
 use chunks_core::wire::WIRE_HEADER_LEN;
@@ -13,13 +14,13 @@ fn bench_methods(c: &mut Criterion) {
     // 4 KiB TPDU arriving as 64-byte-payload packets.
     let small = WIRE_HEADER_LEN + 64;
     let big = 8 * small;
-    let frames: Vec<Vec<u8>> = pack(
+    let frames: Vec<Bytes> = pack(
         chunks_core::frag::split_to_fit(chunk_of(4096), small).unwrap(),
         small,
     )
     .unwrap()
     .into_iter()
-    .map(|p| p.bytes.to_vec())
+    .map(|p| p.bytes)
     .collect();
 
     let mut g = c.benchmark_group("figure4");
@@ -38,9 +39,11 @@ fn bench_methods(c: &mut Criterion) {
             |b, frames| {
                 b.iter(|| {
                     let mut r = ChunkRouter::new(big, policy);
-                    let mut out: Vec<Vec<u8>> =
-                        frames.iter().flat_map(|f| r.ingest(f.clone())).collect();
-                    out.extend(r.flush());
+                    let mut out = Vec::new();
+                    for f in frames {
+                        r.ingest(0, f.clone(), &mut out);
+                    }
+                    r.flush(0, &mut out);
                     out.len()
                 })
             },

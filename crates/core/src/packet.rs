@@ -34,34 +34,73 @@ impl Packet {
     }
 }
 
-/// Incrementally fills a packet with chunks up to an MTU.
+impl From<Packet> for Bytes {
+    /// The packet's bytes: the same handle, no copy.
+    fn from(packet: Packet) -> Bytes {
+        packet.bytes
+    }
+}
+
+/// Incrementally fills packets with chunks up to an MTU.
 ///
-/// The buffer is allocated by the first chunk written, so a builder that is
-/// never written to — and one handed back by [`take_bytes`](Self::take_bytes)
-/// — costs nothing.
+/// A builder from [`new`](Self::new) writes each packet into a buffer of its
+/// own, allocated by the first chunk written, so a builder that is never
+/// written to — and one handed back by [`take_bytes`](Self::take_bytes) —
+/// costs nothing. One from [`with_buffer`](Self::with_buffer) writes packet
+/// after packet into the buffer it was given, each [`close`](Self::close)
+/// ending one where it stands; one from [`measuring`](Self::measuring) makes
+/// the same placement decisions and writes nothing, so a dry run over the
+/// labels tells such a buffer's exact size beforehand.
 #[derive(Debug)]
 pub struct PacketBuilder {
     mtu: usize,
+    /// The bytes written: closed packets, then from `open` the packet under
+    /// construction.
     buf: Vec<u8>,
+    /// Where the packet under construction starts.
+    open: usize,
+    /// Bytes placed so far: `buf.len()`, or on a measuring builder their
+    /// count alone.
+    len: usize,
+    measuring: bool,
 }
 
 impl PacketBuilder {
     /// Creates a builder for packets of at most `mtu` bytes.
     pub fn new(mtu: usize) -> Self {
+        PacketBuilder::with_buffer(mtu, Vec::new())
+    }
+
+    /// Creates a builder that writes its packets back to back after what
+    /// `buf` holds. Give it the capacity they need and it never
+    /// reallocates.
+    pub fn with_buffer(mtu: usize, buf: Vec<u8>) -> Self {
         PacketBuilder {
             mtu,
-            buf: Vec::new(),
+            open: buf.len(),
+            len: buf.len(),
+            buf,
+            measuring: false,
+        }
+    }
+
+    /// Creates a builder that places chunks without writing them: its
+    /// [`close`](Self::close) reports where each packet would end.
+    pub fn measuring(mtu: usize) -> Self {
+        PacketBuilder {
+            measuring: true,
+            ..PacketBuilder::new(mtu)
         }
     }
 
     /// Bytes still available in the packet under construction.
     pub fn remaining(&self) -> usize {
-        self.mtu - self.buf.len()
+        self.mtu - (self.len - self.open)
     }
 
-    /// True if no chunk has been added yet.
+    /// True if no chunk has been added to the packet under construction.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.len == self.open
     }
 
     /// How many data elements of a chunk with element size `size` would
@@ -75,6 +114,10 @@ impl PacketBuilder {
     }
 
     fn write(&mut self, header: &ChunkHeader, payload: &[u8]) {
+        self.len += WIRE_HEADER_LEN + payload.len();
+        if self.measuring {
+            return;
+        }
         if self.buf.capacity() == 0 {
             self.buf.reserve_exact(self.mtu.min(9216));
         }
@@ -121,16 +164,17 @@ impl PacketBuilder {
     }
 
     /// Places one borrowed chunk greedily: what fits goes into the packet
-    /// under construction, each packet that fills is handed to `emit` as the
-    /// buffer it was written into, and the chunk's last piece stays in the
-    /// builder for the next chunk to share. Fails, with the pieces already
-    /// emitted standing, when an element (or control chunk) exceeds even an
-    /// empty packet.
+    /// under construction, `emit` is called on the builder whenever that
+    /// packet is full (to [`take_bytes`](Self::take_bytes) or
+    /// [`close`](Self::close) it), and the chunk's last piece stays open for
+    /// the next chunk to share. Fails, with the pieces already emitted
+    /// standing, when an element (or control chunk) exceeds even an empty
+    /// packet.
     pub fn place(
         &mut self,
         header: ChunkHeader,
         payload: &[u8],
-        mut emit: impl FnMut(Vec<u8>),
+        mut emit: impl FnMut(&mut Self),
     ) -> Result<(), CoreError> {
         let mut left = self.push_fitting(header, payload);
         while let Some((header, payload)) = left {
@@ -140,15 +184,24 @@ impl PacketBuilder {
                     mtu: self.mtu,
                 });
             }
-            emit(self.take_bytes());
+            emit(self);
             left = self.push_fitting(header, payload);
         }
         Ok(())
     }
 
+    /// Ends the packet under construction where it stands and opens the
+    /// next one there; returns that offset, the packet's end in the buffer
+    /// (counted alike on a measuring builder).
+    pub fn close(&mut self) -> usize {
+        self.open = self.len;
+        self.len
+    }
+
     /// Hands back the bytes written so far and leaves the builder empty,
     /// ready for the next packet of the same MTU.
     pub fn take_bytes(&mut self) -> Vec<u8> {
+        (self.open, self.len) = (0, 0);
         std::mem::take(&mut self.buf)
     }
 
@@ -165,7 +218,7 @@ impl PacketBuilder {
     /// the padding doubles as the terminator when at least a header's worth
     /// of space remains.
     pub fn finish_padded(mut self) -> Packet {
-        self.buf.resize(self.mtu, 0);
+        self.buf.resize(self.open + self.mtu, 0);
         Packet {
             bytes: self.buf.into(),
         }
@@ -179,9 +232,9 @@ pub fn pack(chunks: Vec<Chunk>, mtu: usize) -> Result<Vec<Packet>, CoreError> {
     let mut packets = Vec::new();
     let mut builder = PacketBuilder::new(mtu);
     for chunk in &chunks {
-        builder.place(chunk.header, &chunk.payload, |bytes| {
+        builder.place(chunk.header, &chunk.payload, |b| {
             packets.push(Packet {
-                bytes: bytes.into(),
+                bytes: b.take_bytes().into(),
             })
         })?;
     }
@@ -574,7 +627,35 @@ mod tests {
                 .collect();
             let packed = pack(chunks.clone(), mtu)
                 .map(|packets| packets.iter().map(|p| p.bytes.to_vec()).collect::<Vec<_>>());
-            prop_assert_eq!(packed, pack_by_owned_splits(chunks, mtu));
+            prop_assert_eq!(&packed, &pack_by_owned_splits(chunks.clone(), mtu));
+
+            // A dry run places alike: the packets written back to back into
+            // one buffer of the size it measured are `pack`'s, and the
+            // buffer never grew.
+            let place_all = |b: &mut PacketBuilder, ends: &mut Vec<usize>| {
+                for c in &chunks {
+                    b.place(c.header, &c.payload, |b| ends.push(b.close()))?;
+                }
+                if !b.is_empty() {
+                    ends.push(b.close());
+                }
+                Ok::<_, CoreError>(())
+            };
+            let mut measured = Vec::new();
+            let dry = place_all(&mut PacketBuilder::measuring(mtu), &mut measured);
+            prop_assert_eq!(dry.is_ok(), packed.is_ok());
+            let Ok(packets) = packed else { return Ok(()) };
+            let total = measured.last().copied().unwrap_or(0);
+            let mut builder = PacketBuilder::with_buffer(mtu, Vec::with_capacity(total));
+            let mut ends = Vec::new();
+            place_all(&mut builder, &mut ends).unwrap();
+            prop_assert_eq!(&ends, &measured);
+            let buf = builder.take_bytes();
+            prop_assert_eq!(buf.capacity(), total);
+            let starts = std::iter::once(0).chain(ends.iter().copied());
+            let written: Vec<Vec<u8>> =
+                starts.zip(&ends).map(|(lo, &hi)| buf[lo..hi].to_vec()).collect();
+            prop_assert_eq!(written, packets);
         }
     }
 }

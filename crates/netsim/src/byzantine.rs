@@ -30,6 +30,7 @@
 
 use std::sync::Arc;
 
+use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -310,16 +311,16 @@ impl ByzantineRouter {
 }
 
 impl PacketTransform for ByzantineRouter {
-    fn ingest(&mut self, frame: Vec<u8>) -> Vec<Vec<u8>> {
+    fn ingest(&mut self, now: u64, frame: Bytes, out: &mut Vec<Bytes>) {
+        self.now = now;
         let mtu = frame.len().max(MIN_REPACK_MTU);
-        let packet = Packet {
-            bytes: frame.into(),
-        };
+        let packet = Packet { bytes: frame };
         let Ok(chunks) = unpack(&packet) else {
             // Already mangled beyond chunk syntax: forward it untouched and
             // let the endpoint's decoder prove it copes.
             self.stats.unparsed += 1;
-            return vec![packet.bytes.to_vec()];
+            out.push(packet.bytes);
+            return;
         };
         let mut keep = Vec::with_capacity(chunks.len() + 1);
         for c in chunks {
@@ -341,24 +342,18 @@ impl PacketTransform for ByzantineRouter {
             }
         }
         if keep.is_empty() {
-            return Vec::new();
+            return;
         }
         let Ok(packets) = pack(keep, mtu) else {
-            return Vec::new();
+            return;
         };
-        packets
-            .into_iter()
-            .map(|p| {
-                let mut f = p.bytes.to_vec();
-                self.flip_labels(&mut f);
-                f
-            })
-            .collect()
-    }
-
-    fn ingest_at(&mut self, now: u64, frame: Vec<u8>) -> Vec<Vec<u8>> {
-        self.now = now;
-        self.ingest(frame)
+        for p in packets {
+            // The packet `pack` just built is its buffer's only handle, so
+            // this takes the buffer back rather than copying it.
+            let mut f = Vec::from(p.bytes);
+            self.flip_labels(&mut f);
+            out.push(f.into());
+        }
     }
 
     fn set_obs(&mut self, sink: Arc<dyn ObsSink>) {
@@ -370,6 +365,7 @@ impl PacketTransform for ByzantineRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Calls;
     use bytes::Bytes;
     use chunks_core::chunk::{byte_chunk, Chunk, ChunkHeader};
     use chunks_core::label::FramingTuple;
@@ -411,20 +407,20 @@ mod tests {
         .unwrap()
     }
 
-    fn one_frame(chunks: Vec<Chunk>) -> Vec<u8> {
+    fn one_frame(chunks: Vec<Chunk>) -> Bytes {
         let packets = pack(chunks, 4096).unwrap();
         assert_eq!(packets.len(), 1);
-        packets[0].bytes.to_vec()
+        packets[0].bytes.clone()
     }
 
     #[test]
     fn ack_dropper_deletes_only_acks() {
         let mut r = ByzantineRouter::new(ByzantineConfig::ack_dropper(1.0), 1);
         let frame = one_frame(vec![data_chunk(0, 0, &[1; 8]), ack_chunk()]);
-        let out = r.ingest(frame);
+        let out = r.ingest_one(frame);
         assert_eq!(r.stats.acks_dropped, 1);
         let survivors = unpack(&Packet {
-            bytes: out[0].clone().into(),
+            bytes: out[0].clone(),
         })
         .unwrap();
         assert_eq!(survivors.len(), 1);
@@ -438,15 +434,10 @@ mod tests {
             ..Default::default()
         };
         let mut r = ByzantineRouter::new(cfg, 2);
-        let out = r.ingest(one_frame(vec![data_chunk(0, 0, &[1; 8]), ed_chunk()]));
+        let out = r.ingest_one(one_frame(vec![data_chunk(0, 0, &[1; 8]), ed_chunk()]));
         let chunks: Vec<Chunk> = out
             .iter()
-            .flat_map(|f| {
-                unpack(&Packet {
-                    bytes: f.clone().into(),
-                })
-                .unwrap()
-            })
+            .flat_map(|f| unpack(&Packet { bytes: f.clone() }).unwrap())
             .collect();
         let eds = chunks
             .iter()
@@ -464,7 +455,7 @@ mod tests {
         };
         let mut r = ByzantineRouter::new(cfg, 3);
         let original = one_frame(vec![data_chunk(4, 4, &[9; 8])]);
-        let out = r.ingest(original.clone());
+        let out = r.ingest_one(original.clone());
         assert_eq!(out.len(), 1);
         assert_eq!(r.stats.tsn_flips, 1);
         let diff: u32 = original
@@ -489,12 +480,12 @@ mod tests {
             ..Default::default()
         };
         let mut r = ByzantineRouter::new(cfg, 4);
-        let out = r.ingest(one_frame(vec![data_chunk(0, 0, &[3; 16])]));
+        let out = r.ingest_one(one_frame(vec![data_chunk(0, 0, &[3; 16])]));
         assert_eq!(r.stats.len_flips, 1);
         // The emitted frame's LEN no longer matches its payload: the
         // receiver's decoder must reject it without panicking.
         let _ = unpack(&Packet {
-            bytes: out[0].clone().into(),
+            bytes: out[0].clone(),
         });
     }
 
@@ -502,7 +493,7 @@ mod tests {
     fn unparsed_frames_pass_through() {
         let mut r = ByzantineRouter::new(ByzantineConfig::ack_dropper(1.0), 5);
         let junk = vec![0xEEu8; 48];
-        let out = r.ingest(junk.clone());
+        let out = r.ingest_one(junk.clone());
         assert_eq!(out, vec![junk]);
         assert_eq!(r.stats.unparsed, 1);
     }
@@ -510,16 +501,11 @@ mod tests {
     #[test]
     fn shifted_duplicate_keeps_the_group_key() {
         let mut r = ByzantineRouter::new(ByzantineConfig::shifted_duplicator(1.0), 6);
-        let out = r.ingest(one_frame(vec![data_chunk(16, 4, &[9; 8])]));
+        let out = r.ingest_one(one_frame(vec![data_chunk(16, 4, &[9; 8])]));
         assert_eq!(r.stats.shifted_dups, 1);
         let chunks: Vec<Chunk> = out
             .iter()
-            .flat_map(|f| {
-                unpack(&Packet {
-                    bytes: f.clone().into(),
-                })
-                .unwrap()
-            })
+            .flat_map(|f| unpack(&Packet { bytes: f.clone() }).unwrap())
             .collect();
         assert_eq!(chunks.len(), 2);
         let (orig, dup) = (&chunks[0], &chunks[1]);
@@ -536,16 +522,11 @@ mod tests {
     #[test]
     fn rewrite_overlap_flips_every_payload_bit() {
         let mut r = ByzantineRouter::new(ByzantineConfig::rewriter(1.0), 7);
-        let out = r.ingest(one_frame(vec![data_chunk(0, 0, &[0xA5; 8])]));
+        let out = r.ingest_one(one_frame(vec![data_chunk(0, 0, &[0xA5; 8])]));
         assert_eq!(r.stats.rewrites, 1);
         let chunks: Vec<Chunk> = out
             .iter()
-            .flat_map(|f| {
-                unpack(&Packet {
-                    bytes: f.clone().into(),
-                })
-                .unwrap()
-            })
+            .flat_map(|f| unpack(&Packet { bytes: f.clone() }).unwrap())
             .collect();
         assert_eq!(chunks.len(), 2);
         assert_eq!(chunks[0].header, chunks[1].header, "labels identical");
@@ -555,18 +536,13 @@ mod tests {
     #[test]
     fn tiny_flood_opens_disjoint_far_ahead_groups() {
         let mut r = ByzantineRouter::new(ByzantineConfig::tiny_flooder(1.0, 4, 1000), 8);
-        let frames: Vec<Vec<u8>> = (0..2)
-            .flat_map(|i| r.ingest(one_frame(vec![data_chunk(i * 8, 0, &[1; 8])])))
+        let frames: Vec<Bytes> = (0..2)
+            .flat_map(|i| r.ingest_one(one_frame(vec![data_chunk(i * 8, 0, &[1; 8])])))
             .collect();
         assert_eq!(r.stats.tiny_fragments, 8);
         let frags: Vec<Chunk> = frames
             .iter()
-            .flat_map(|f| {
-                unpack(&Packet {
-                    bytes: f.clone().into(),
-                })
-                .unwrap()
-            })
+            .flat_map(|f| unpack(&Packet { bytes: f.clone() }).unwrap())
             .filter(|c| c.header.len == 1)
             .collect();
         assert_eq!(frags.len(), 8);
@@ -594,7 +570,7 @@ mod tests {
             let mut r = ByzantineRouter::new(cfg, seed);
             (0..50u32)
                 .flat_map(|i| {
-                    r.ingest(one_frame(vec![
+                    r.ingest_one(one_frame(vec![
                         data_chunk(i * 8, 0, &[i as u8; 8]),
                         ed_chunk(),
                         ack_chunk(),

@@ -39,3 +39,29 @@ pub use obs::{frame_chunks, frame_labels, FrameChunk};
 pub use path::{Hop, Path, PathBuilder};
 pub use profiles::Profile;
 pub use router::{ChunkRouter, PacketTransform, Passthrough, RefragPolicy, TurnerDropper};
+
+/// One transform call's frames in a list of their own, for tests that look
+/// at a call at a time.
+#[cfg(test)]
+pub(crate) trait Calls {
+    fn ingest_at_one(&mut self, now: u64, frame: impl Into<bytes::Bytes>) -> Vec<bytes::Bytes>;
+    fn ingest_one(&mut self, frame: impl Into<bytes::Bytes>) -> Vec<bytes::Bytes> {
+        self.ingest_at_one(0, frame)
+    }
+    fn flush_all(&mut self) -> Vec<bytes::Bytes>;
+}
+
+#[cfg(test)]
+impl<T: PacketTransform + ?Sized> Calls for T {
+    fn ingest_at_one(&mut self, now: u64, frame: impl Into<bytes::Bytes>) -> Vec<bytes::Bytes> {
+        let mut out = Vec::new();
+        self.ingest(now, frame.into(), &mut out);
+        out
+    }
+
+    fn flush_all(&mut self) -> Vec<bytes::Bytes> {
+        let mut out = Vec::new();
+        self.flush(0, &mut out);
+        out
+    }
+}

@@ -1,13 +1,19 @@
 //! Point-to-point links with faults, and multipath bundles that reorder.
 //!
-//! A link *moves* frames: `transmit_into` appends `(arrival, frame)` to a
-//! list its caller owns and the frame offered is the frame delivered — the
-//! only copy a link ever makes is a duplicate's extra one. Every fault is
-//! drawn from the link's own seeded RNG in a fixed order (loss; duplicate;
-//! then per copy: corrupt, its position and bit, jitter), so a seed names
-//! one run.
+//! A link *moves* frames: a frame is a [`Bytes`] handle, `transmit_into`
+//! appends `(arrival, frame)` to a list its caller owns, and the handle
+//! offered is the handle delivered. A duplicate is a second handle on the
+//! same bytes. The only copy a link ever makes is a corrupted one: the bit
+//! is flipped in a frame of its own (copy-on-write; no copy at all when the
+//! link holds the only handle), so the twin of a corrupted copy, a sibling
+//! sharing its buffer and the sender's retained packet all keep the bytes
+//! that were offered. Every fault is drawn from the link's own seeded RNG in
+//! a fixed order (loss; duplicate; then per copy: corrupt, its position and
+//! bit, jitter), so a seed names one run.
 
 use std::sync::Arc;
+
+use bytes::Bytes;
 
 use chunks_obs::{Event, ObsSink, SpanId, Stage};
 use rand::rngs::StdRng;
@@ -142,9 +148,10 @@ impl Link {
     }
 
     /// Offers a frame at time `now` and appends its `(arrival, frame)`
-    /// deliveries at the far end to `out`. The frame is *moved* into its
-    /// delivery; only a duplicate's extra copy is cloned.
-    pub fn transmit_into(&mut self, now: u64, frame: Vec<u8>, out: &mut Vec<(u64, Vec<u8>)>) {
+    /// deliveries at the far end to `out`. The handle is *moved* into its
+    /// delivery; a duplicate is a clone of the handle, and a corrupted copy
+    /// the only one whose bytes are copied.
+    pub fn transmit_into(&mut self, now: u64, frame: Bytes, out: &mut Vec<(u64, Bytes)>) {
         self.stats.offered += 1;
         let labels = if self.obs_on {
             frame_labels(&frame)
@@ -183,7 +190,9 @@ impl Link {
                 let at = self.rng.random_range(0..f.len());
                 // Flip one nonzero bit so corruption is always a change.
                 let bit = 1u8 << self.rng.random_range(0..8);
-                f[at] ^= bit;
+                let mut own = Vec::from(f);
+                own[at] ^= bit;
+                f = own.into();
                 self.stats.corrupted += 1;
             }
             let jitter = if self.cfg.jitter_ns == 0 {
@@ -276,7 +285,7 @@ impl MultipathLink {
 
     /// Stripes a frame onto the next sub-link, appending its deliveries to
     /// `out`.
-    pub fn transmit_into(&mut self, now: u64, frame: Vec<u8>, out: &mut Vec<(u64, Vec<u8>)>) {
+    pub fn transmit_into(&mut self, now: u64, frame: Bytes, out: &mut Vec<(u64, Bytes)>) {
         let i = self.next;
         self.next = (self.next + 1) % self.paths.len();
         let offered = match self.stalls[i] {
@@ -321,7 +330,7 @@ impl MultipathLink {
 mod tests {
     use super::*;
 
-    fn frame(n: usize) -> Vec<u8> {
+    fn frame(n: usize) -> Bytes {
         (0..n).map(|i| i as u8).collect()
     }
 
@@ -387,6 +396,57 @@ mod tests {
     }
 
     #[test]
+    fn the_twin_of_a_corrupted_copy_is_the_frame_offered() {
+        // Every copy duplicated and corrupted: the bit is flipped in a copy
+        // of its own, so the twin, and the handle the sender kept, still
+        // read what was offered — whichever of the two was corrupted first.
+        let mut l = Link::new(
+            LinkConfig::clean(1500, 0, 0)
+                .with_duplicate(1.0)
+                .with_corrupt(1.0),
+            11,
+        );
+        for n in 0..32 {
+            let offered = frame(64 + n);
+            let kept = offered.clone();
+            let mut d = Vec::new();
+            l.transmit_into(0, offered, &mut d);
+            assert_eq!(d.len(), 2);
+            for (_, f) in &d {
+                let diff: u32 = kept.iter().zip(f).map(|(a, b)| (a ^ b).count_ones()).sum();
+                assert_eq!(diff, 1, "each copy carries its own flipped bit");
+                assert_ne!(f.as_ptr(), kept.as_ptr(), "a corrupted copy owns its bytes");
+            }
+            assert_eq!(kept, frame(64 + n), "the offered bytes are untouched");
+        }
+        // Half the copies corrupted: where one twin was hit, the other is
+        // byte for byte the frame offered.
+        let mut l = Link::new(
+            LinkConfig::clean(1500, 0, 0)
+                .with_duplicate(1.0)
+                .with_corrupt(0.5),
+            12,
+        );
+        let mut one_hit = 0;
+        for _ in 0..64 {
+            let offered = frame(100);
+            let mut d = Vec::new();
+            l.transmit_into(0, offered.clone(), &mut d);
+            let clean: Vec<bool> = d.iter().map(|(_, f)| *f == offered).collect();
+            if clean == [true, false] || clean == [false, true] {
+                one_hit += 1;
+            }
+        }
+        assert!(one_hit > 16, "{one_hit} pairs with one twin corrupted");
+        // Duplicated only: the twin is a second handle on the same bytes.
+        let mut l = Link::new(LinkConfig::clean(1500, 0, 0).with_duplicate(1.0), 11);
+        let offered = frame(64);
+        let mut d = Vec::new();
+        l.transmit_into(0, offered.clone(), &mut d);
+        assert!(d.iter().all(|(_, f)| f.as_ptr() == offered.as_ptr()));
+    }
+
+    #[test]
     fn duplication_delivers_two_copies() {
         let mut l = Link::new(LinkConfig::clean(1500, 0, 0).with_duplicate(1.0), 9);
         let mut d = Vec::new();
@@ -422,7 +482,7 @@ mod tests {
         let mut mp = MultipathLink::skewed(2, base, 10_000, 3);
         let mut arrivals = Vec::new();
         for i in 0..4u8 {
-            mp.transmit_into(i as u64, vec![i], &mut arrivals);
+            mp.transmit_into(i as u64, vec![i].into(), &mut arrivals);
         }
         arrivals.sort();
         let order: Vec<u8> = arrivals.iter().map(|(_, f)| f[0]).collect();
@@ -436,13 +496,13 @@ mod tests {
         mp.stall_path(1, 0, 50_000);
         // Frame 0 takes path 0 (clear), frame 1 takes stalled path 1.
         let mut d = Vec::new();
-        mp.transmit_into(10, vec![0], &mut d);
-        mp.transmit_into(20, vec![1], &mut d);
+        mp.transmit_into(10, vec![0].into(), &mut d);
+        mp.transmit_into(20, vec![1].into(), &mut d);
         assert_eq!(d[0].0, 1_010);
         assert_eq!(d[1].0, 51_000, "held until the stall clears");
         // After the window the path behaves normally again.
-        mp.transmit_into(60_000, vec![2], &mut d);
-        mp.transmit_into(60_000, vec![3], &mut d);
+        mp.transmit_into(60_000, vec![2].into(), &mut d);
+        mp.transmit_into(60_000, vec![3].into(), &mut d);
         assert_eq!(d[3].0, 61_000);
     }
 
@@ -493,7 +553,7 @@ impl RouteChangeLink {
 
     /// Offers a frame on the route in force at `now`, appending its
     /// deliveries to `out`.
-    pub fn transmit_into(&mut self, now: u64, frame: Vec<u8>, out: &mut Vec<(u64, Vec<u8>)>) {
+    pub fn transmit_into(&mut self, now: u64, frame: Bytes, out: &mut Vec<(u64, Bytes)>) {
         if now < self.switch_at_ns {
             self.old.transmit_into(now, frame, out)
         } else {
@@ -531,7 +591,7 @@ mod route_change_tests {
         );
         let mut arrivals = Vec::new();
         for (t, id) in [(0u64, 0u8), (500, 1), (1_200, 2), (1_500, 3)] {
-            l.transmit_into(t, vec![id], &mut arrivals);
+            l.transmit_into(t, vec![id].into(), &mut arrivals);
         }
         arrivals.sort();
         let order: Vec<u8> = arrivals.iter().map(|(_, f)| f[0]).collect();
@@ -550,7 +610,7 @@ mod route_change_tests {
         );
         let mut arrivals = Vec::new();
         for (t, id) in [(0u64, 0u8), (1_500, 1)] {
-            l.transmit_into(t, vec![id], &mut arrivals);
+            l.transmit_into(t, vec![id].into(), &mut arrivals);
         }
         arrivals.sort();
         assert_eq!(arrivals[0].1, [0]);

@@ -17,9 +17,20 @@
 //! So one routine (`propagate`, under [`Path::run`], [`Path::transmit`] and
 //! [`Path::flush`]) carries a whole list of frames through one hop at a
 //! time: sort (a linear scan on FIFO links, whose departures are already in
-//! order), feed the hop, and hand its departures to the next. Frames are
-//! moved, never copied; the test module keeps the heap as the oracle this is
-//! compared against.
+//! order), feed the hop, and hand its departures to the next. The test
+//! module keeps the heap as the oracle this is compared against.
+//!
+//! # Frames are handles
+//!
+//! A frame is a [`Bytes`] handle from the moment it is injected to its
+//! [`Delivery`]: links move it, routers append what they emit to one list the
+//! path keeps for every hop, and no hop copies a payload byte except the
+//! ones whose job is to write new frames (a refragmenting router, one buffer
+//! per emission) or to damage one (a corrupting link, copy-on-write). A
+//! routerless path therefore allocates nothing per frame. [`Path::run`] and
+//! [`Path::transmit`] take anything that converts into `Bytes` — a packet's
+//! handle as it is, or an owned `Vec<u8>`, whose buffer becomes the handle's
+//! without a copy.
 //!
 //! With a recording sink attached the *record* order follows the processing
 //! order. A single injected frame ([`Path::transmit`]) or a flush on a path
@@ -31,6 +42,8 @@
 
 use std::sync::Arc;
 
+use bytes::Bytes;
+use chunks_core::packet::Packet;
 use chunks_obs::ObsSink;
 
 use crate::link::{Link, LinkConfig, LinkStats, MultipathLink, RouteChangeLink};
@@ -48,7 +61,7 @@ pub enum AnyLink {
 }
 
 /// Frames in flight between two hops: `(time, frame)`.
-type Frames = Vec<(u64, Vec<u8>)>;
+type Frames = Vec<(u64, Bytes)>;
 
 /// Orders frames by time, equal times keeping their emission order. FIFO
 /// links emit in time order already, which one scan confirms.
@@ -59,7 +72,7 @@ fn sort_by_time(frames: &mut Frames) {
 }
 
 impl AnyLink {
-    fn transmit_into(&mut self, now: u64, frame: Vec<u8>, out: &mut Frames) {
+    fn transmit_into(&mut self, now: u64, frame: Bytes, out: &mut Frames) {
         match self {
             AnyLink::Single(l) => l.transmit_into(now, frame, out),
             AnyLink::Multi(m) => m.transmit_into(now, frame, out),
@@ -116,6 +129,9 @@ impl std::fmt::Debug for Hop {
 #[derive(Debug, Default)]
 pub struct Path {
     hops: Vec<Hop>,
+    /// What a router emitted for the frame in hand, on its way to the
+    /// router's link; kept so that its allocation serves every hop.
+    emitted: Vec<Bytes>,
 }
 
 /// Builder for [`Path`].
@@ -186,7 +202,10 @@ impl PathBuilder {
 
     /// Finishes the path.
     pub fn build(self) -> Path {
-        Path { hops: self.hops }
+        Path {
+            hops: self.hops,
+            emitted: Vec::new(),
+        }
     }
 }
 
@@ -195,8 +214,9 @@ impl PathBuilder {
 pub struct Delivery {
     /// Arrival time at the far end, in nanoseconds.
     pub time: u64,
-    /// The delivered frame.
-    pub frame: Vec<u8>,
+    /// The delivered frame, as the packet the far end receives: the handle
+    /// the last hop delivered, not a copy.
+    pub frame: Packet,
 }
 
 impl Path {
@@ -222,13 +242,15 @@ impl Path {
     /// returns the far-end deliveries in arrival-time order (equal times in
     /// the last hop's emission order).
     fn propagate(&mut self, first_hop: usize, mut arrivals: Frames) -> Vec<Delivery> {
+        let emitted = &mut self.emitted;
         for hop in &mut self.hops[first_hop..] {
             sort_by_time(&mut arrivals);
             let mut departures = Vec::with_capacity(arrivals.len());
             for (now, frame) in arrivals {
                 match &mut hop.router {
                     Some(r) => {
-                        for f in r.ingest_at(now, frame) {
+                        r.ingest(now, frame, emitted);
+                        for f in emitted.drain(..) {
                             hop.link.transmit_into(now, f, &mut departures);
                         }
                     }
@@ -241,7 +263,10 @@ impl Path {
         // Same layout, so the list is converted where it lies.
         arrivals
             .into_iter()
-            .map(|(time, frame)| Delivery { time, frame })
+            .map(|(time, bytes)| Delivery {
+                time,
+                frame: Packet { bytes },
+            })
             .collect()
     }
 
@@ -250,8 +275,8 @@ impl Path {
     /// incremental: callers interleave injections with their own clock (a
     /// closed-loop transfer with acks and retransmissions). Frames a router
     /// holds back for batching stay queued until [`flush`](Self::flush).
-    pub fn transmit(&mut self, now: u64, frame: Vec<u8>) -> Vec<Delivery> {
-        self.propagate(0, vec![(now, frame)])
+    pub fn transmit(&mut self, now: u64, frame: impl Into<Bytes>) -> Vec<Delivery> {
+        self.propagate(0, vec![(now, frame.into())])
     }
 
     /// Drains router batching windows hop by hop at virtual time `now`;
@@ -261,15 +286,14 @@ impl Path {
         let mut out = Vec::new();
         for i in 0..self.hops.len() {
             let hop = &mut self.hops[i];
-            let flushed = match &mut hop.router {
-                Some(r) => r.flush_at(now),
-                None => Vec::new(),
-            };
-            if flushed.is_empty() {
+            if let Some(r) = &mut hop.router {
+                r.flush(now, &mut self.emitted);
+            }
+            if self.emitted.is_empty() {
                 continue;
             }
-            let mut departures = Vec::with_capacity(flushed.len());
-            for f in flushed {
+            let mut departures = Vec::with_capacity(self.emitted.len());
+            for f in self.emitted.drain(..) {
                 hop.link.transmit_into(now, f, &mut departures);
             }
             out.extend(self.propagate(i + 1, departures));
@@ -280,7 +304,9 @@ impl Path {
 
     /// Runs frames through the path; `inputs` are `(inject_time, frame)`
     /// pairs. Returns deliveries at the far end sorted by arrival time.
-    pub fn run(&mut self, inputs: Vec<(u64, Vec<u8>)>) -> Vec<Delivery> {
+    pub fn run<F: Into<Bytes>>(&mut self, inputs: Vec<(u64, F)>) -> Vec<Delivery> {
+        // Same layout either way, so the list is converted where it lies.
+        let inputs = inputs.into_iter().map(|(t, f)| (t, f.into())).collect();
         let mut out = self.propagate(0, inputs);
         // Drain router windows (reassembly policies) hop by hop: flushed
         // frames traverse the remaining hops at the max observed time.
@@ -301,7 +327,7 @@ mod tests {
     use chunks_core::chunk::byte_chunk;
     use chunks_core::frag::ReassemblyPool;
     use chunks_core::label::FramingTuple;
-    use chunks_core::packet::{pack, unpack, Packet};
+    use chunks_core::packet::{pack, unpack};
     use chunks_core::wire::WIRE_HEADER_LEN;
 
     #[test]
@@ -313,7 +339,7 @@ mod tests {
         let out = p.run(vec![(0, vec![1, 2, 3])]);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].time, 3000);
-        assert_eq!(out[0].frame, vec![1, 2, 3]);
+        assert_eq!(out[0].frame.bytes, vec![1, 2, 3]);
     }
 
     #[test]
@@ -322,7 +348,7 @@ mod tests {
         let mut p = PathBuilder::new(1).multipath(2, base, 50_000).build();
         let inputs: Vec<(u64, Vec<u8>)> = (0..4u8).map(|i| (i as u64, vec![i])).collect();
         let out = p.run(inputs);
-        let ids: Vec<u8> = out.iter().map(|d| d.frame[0]).collect();
+        let ids: Vec<u8> = out.iter().map(|d| d.frame.bytes[0]).collect();
         assert_eq!(ids, vec![0, 2, 1, 3]);
     }
 
@@ -346,19 +372,12 @@ mod tests {
                 LinkConfig::clean(narrow, 1000, 0),
             )
             .build();
-        let inputs = packets
-            .into_iter()
-            .map(|p| (0u64, p.bytes.to_vec()))
-            .collect();
+        let inputs = packets.into_iter().map(|p| (0u64, p.bytes)).collect();
         let out = p.run(inputs);
         assert!(out.len() >= 2, "fragmented into several frames");
         let mut pool = ReassemblyPool::new();
         for d in out {
-            for c in unpack(&Packet {
-                bytes: d.frame.into(),
-            })
-            .unwrap()
-            {
+            for c in unpack(&d.frame).unwrap() {
                 pool.insert(c);
             }
         }
@@ -399,19 +418,23 @@ mod tests {
     /// The parent commit's `Path`, kept as the oracle: one discrete-event
     /// heap of `(arrival time, FIFO tiebreak, next hop index, frame)` that
     /// interleaves every hop by time.
-    type EventHeap = BinaryHeap<Reverse<(u64, u64, usize, Vec<u8>)>>;
+    type EventHeap = BinaryHeap<Reverse<(u64, u64, usize, Bytes)>>;
 
     fn pump(path: &mut Path, heap: &mut EventHeap, seq: &mut u64, out: &mut Vec<Delivery>) {
         while let Some(Reverse((now, _, hop_idx, frame))) = heap.pop() {
             if hop_idx == path.hops.len() {
-                out.push(Delivery { time: now, frame });
+                out.push(Delivery {
+                    time: now,
+                    frame: Packet { bytes: frame },
+                });
                 continue;
             }
             let hop = &mut path.hops[hop_idx];
-            let frames = match &mut hop.router {
-                Some(r) => r.ingest_at(now, frame),
-                None => vec![frame],
-            };
+            let mut frames = Vec::new();
+            match &mut hop.router {
+                Some(r) => r.ingest(now, frame, &mut frames),
+                None => frames.push(frame),
+            }
             for f in frames {
                 let mut deliveries = Vec::new();
                 hop.link.transmit_into(now, f, &mut deliveries);
@@ -423,7 +446,7 @@ mod tests {
         }
     }
 
-    fn heap_transmit(path: &mut Path, now: u64, frame: Vec<u8>) -> Vec<Delivery> {
+    fn heap_transmit(path: &mut Path, now: u64, frame: Bytes) -> Vec<Delivery> {
         let mut heap: EventHeap = BinaryHeap::new();
         let mut seq = 1u64;
         heap.push(Reverse((now, 0, 0, frame)));
@@ -436,10 +459,10 @@ mod tests {
         let mut out = Vec::new();
         let mut seq = 0u64;
         for i in 0..path.hops.len() {
-            let flushed = match &mut path.hops[i].router {
-                Some(r) => r.flush_at(now),
-                None => Vec::new(),
-            };
+            let mut flushed = Vec::new();
+            if let Some(r) = &mut path.hops[i].router {
+                r.flush(now, &mut flushed);
+            }
             let mut heap: EventHeap = BinaryHeap::new();
             for f in flushed {
                 let mut deliveries = Vec::new();
@@ -455,7 +478,7 @@ mod tests {
         out
     }
 
-    fn heap_run(path: &mut Path, inputs: Vec<(u64, Vec<u8>)>) -> Vec<Delivery> {
+    fn heap_run(path: &mut Path, inputs: Vec<(u64, Bytes)>) -> Vec<Delivery> {
         let mut heap: EventHeap = BinaryHeap::new();
         let mut seq = 0u64;
         for (t, f) in inputs {
@@ -471,8 +494,11 @@ mod tests {
     }
 
     /// `(time, frame)` of every delivery, in order.
-    fn timeline(deliveries: Vec<Delivery>) -> Vec<(u64, Vec<u8>)> {
-        deliveries.into_iter().map(|d| (d.time, d.frame)).collect()
+    fn timeline(deliveries: Vec<Delivery>) -> Vec<(u64, Bytes)> {
+        deliveries
+            .into_iter()
+            .map(|d| (d.time, d.frame.bytes))
+            .collect()
     }
 
     fn link_stats(path: &Path) -> Vec<LinkStats> {
@@ -481,7 +507,7 @@ mod tests {
 
     /// A seeded transfer's frames: `count` data chunks of up to `mtu` wire
     /// bytes, two in every ten cut short so the frame sizes vary.
-    fn seeded_frames(seed: u64, count: usize, mtu: usize) -> Vec<Vec<u8>> {
+    fn seeded_frames(seed: u64, count: usize, mtu: usize) -> Vec<Bytes> {
         let mut rng = proptest::TestRng::deterministic(&format!("frames-{seed}"));
         (0..count)
             .map(|i| {
@@ -498,7 +524,7 @@ mod tests {
                     FramingTuple::new(3, sn, false),
                     &payload,
                 );
-                pack(vec![chunk], mtu).unwrap()[0].bytes.to_vec()
+                pack(vec![chunk], mtu).unwrap()[0].bytes.clone()
             })
             .collect()
     }
@@ -560,7 +586,7 @@ mod tests {
             count in 1usize..80,
         ) {
             for profile in Profile::ALL {
-                let inputs: Vec<(u64, Vec<u8>)> = inject_times(spacing, seed, count)
+                let inputs: Vec<(u64, Bytes)> = inject_times(spacing, seed, count)
                     .into_iter()
                     .zip(seeded_frames(seed, count, 576))
                     .collect();
@@ -585,7 +611,7 @@ mod tests {
             count in 1usize..60,
             window in 1usize..12,
         ) {
-            let inputs: Vec<(u64, Vec<u8>)> = inject_times(spacing, seed, count)
+            let inputs: Vec<(u64, Bytes)> = inject_times(spacing, seed, count)
                 .into_iter()
                 .zip(seeded_frames(seed, count, 576))
                 .collect();

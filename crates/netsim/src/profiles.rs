@@ -145,7 +145,7 @@ mod tests {
             let b = profile.build(1500, 0xBEE5).run(inputs);
             let sig = |d: &[crate::path::Delivery]| {
                 d.iter()
-                    .map(|x| (x.time, x.frame.clone()))
+                    .map(|x| (x.time, x.frame.bytes.clone()))
                     .collect::<Vec<_>>()
             };
             assert_eq!(sig(&a), sig(&b), "{} not reproducible", profile.name());
@@ -157,7 +157,7 @@ mod tests {
         let inputs: Vec<(u64, Vec<u8>)> = (0..64u8).map(|i| (i as u64 * 500, vec![i])).collect();
         let out = Profile::Reorder.build(1500, 7).run(inputs);
         assert_eq!(out.len(), 64, "reorder never drops");
-        let ids: Vec<u8> = out.iter().map(|d| d.frame[0]).collect();
+        let ids: Vec<u8> = out.iter().map(|d| d.frame.bytes[0]).collect();
         assert!(
             ids.windows(2).any(|w| w[0] > w[1]),
             "skewed stripe must disorder"

@@ -13,20 +13,37 @@
 //! A split adjusts `SN`, `LEN` and the `ST` bits and nothing else
 //! (Appendix C), so [`ChunkRouter`] under [`RefragPolicy::Repack`] and
 //! [`RefragPolicy::OnePerPacket`] never builds a chunk. It runs the
-//! receiver's production walk over the ingress frame — [`validate`], then
-//! [`spans`], then [`decode_header`] — and writes each payload byte once,
-//! from the frame it arrived in straight into the smaller envelope, through
-//! the greedy first-fit [`pack`] itself is built on
-//! ([`PacketBuilder::place`]: [`split_header`](chunks_core::frag::split_header)
-//! plus a sub-slice). The `Repack` batching window is therefore the
+//! receiver's production walk over each ingress frame once, on arrival —
+//! [`validate`], then [`spans`] and [`decode_header`] — and keeps the labels
+//! beside the frame's handle. The `Repack` batching window is therefore the
 //! validated ingress *frames*, not decoded chunks. Only
 //! [`RefragPolicy::Reassemble`], which must sort and merge, decodes to owned
-//! chunks. The frames emitted are, for any ingress sequence, byte for byte
-//! what [`unpack`] → window → [`pack`] produces — the property test at the
-//! bottom of this file keeps that reference.
+//! chunks.
+//!
+//! # One buffer per emission
+//!
+//! An emission places its chunks twice with the greedy first-fit [`pack`]
+//! itself is built on ([`PacketBuilder::place`]:
+//! [`split_header`](chunks_core::frag::split_header) plus a sub-slice).
+//! The first pass is a dry run over the labels alone
+//! ([`PacketBuilder::measuring`]): it says where every egress frame ends,
+//! and refuses a batch before anything is allocated. The second writes
+//! every egress frame back to back into one buffer of exactly that size,
+//! each payload byte once, from the frame it arrived in; the frames go out
+//! as slices of it. An emission therefore costs two allocations however
+//! many frames it makes (the buffer and its shared owner), and the buffer
+//! is freed when the last of its frames is. The frames emitted are, for any
+//! ingress sequence, byte for byte what [`unpack`] → window → [`pack`]
+//! produces — the property test at the bottom of this file keeps that
+//! reference.
+//!
+//! A transform that forwards a frame unchanged forwards its handle
+//! ([`Passthrough`], `DropOversize`, an unparsable frame through the
+//! [`ByzantineRouter`](crate::ByzantineRouter)).
 
 use std::sync::Arc;
 
+use bytes::Bytes;
 use chunks_core::chunk::ChunkHeader;
 use chunks_core::frag::merge;
 use chunks_core::packet::{pack, spans, unpack, validate, Packet, PacketBuilder};
@@ -38,27 +55,15 @@ use crate::obs::{frame_chunks, FrameChunk};
 
 /// A stateful frame transformer placed between two links of a path.
 pub trait PacketTransform {
-    /// Converts one ingress frame into zero or more egress frames.
-    fn ingest(&mut self, frame: Vec<u8>) -> Vec<Vec<u8>>;
+    /// Converts one ingress frame, arriving at virtual time `now`, into zero
+    /// or more egress frames appended to `out`. The clock only stamps what a
+    /// transform records; no conversion depends on it.
+    fn ingest(&mut self, now: u64, frame: Bytes, out: &mut Vec<Bytes>);
 
-    /// Flushes any frames the transform is still holding (e.g. a reassembly
-    /// window) at the end of a run.
-    fn flush(&mut self) -> Vec<Vec<u8>> {
-        Vec::new()
-    }
-
-    /// Clocked variant of [`ingest`](Self::ingest): transforms that record
-    /// observability (span links, mutation events) override this to learn
-    /// the virtual time of the conversion. The default ignores the clock.
-    fn ingest_at(&mut self, now: u64, frame: Vec<u8>) -> Vec<Vec<u8>> {
-        let _ = now;
-        self.ingest(frame)
-    }
-
-    /// Clocked variant of [`flush`](Self::flush).
-    fn flush_at(&mut self, now: u64) -> Vec<Vec<u8>> {
-        let _ = now;
-        self.flush()
+    /// Appends any frames the transform is still holding (e.g. a reassembly
+    /// window) to `out`.
+    fn flush(&mut self, now: u64, out: &mut Vec<Bytes>) {
+        let _ = (now, out);
     }
 
     /// Attaches an observability sink. The default discards it — only
@@ -68,13 +73,13 @@ pub trait PacketTransform {
     }
 }
 
-/// The identity transform.
+/// The identity transform: every frame's handle goes on as it came.
 #[derive(Debug, Default)]
 pub struct Passthrough;
 
 impl PacketTransform for Passthrough {
-    fn ingest(&mut self, frame: Vec<u8>) -> Vec<Vec<u8>> {
-        vec![frame]
+    fn ingest(&mut self, _now: u64, frame: Bytes, out: &mut Vec<Bytes>) {
+        out.push(frame);
     }
 }
 
@@ -112,11 +117,18 @@ pub struct ChunkRouter {
     pub policy: RefragPolicy,
     /// Decoded chunks held for merging (Reassemble).
     window: Vec<Chunk>,
-    /// Validated ingress frames held for batching (Repack).
+    /// Validated ingress frames held for batching (Repack), or the one
+    /// being converted (OnePerPacket).
     frames: Vec<Packet>,
+    /// The chunks of `frames` in placement order: the frame's index, the
+    /// label decoded on arrival and where the payload lies in the frame.
+    held: Vec<(usize, ChunkHeader, usize, usize)>,
     /// Wire bytes of the chunks in `frames` (end marker and padding
     /// excluded).
     window_wire: usize,
+    /// Where each egress frame of the emission under way ends in its
+    /// buffer, as the dry run placed it.
+    ends: Vec<usize>,
     /// Chunks split by this router.
     pub splits: u64,
     /// Chunks merged by this router.
@@ -130,15 +142,39 @@ pub struct ChunkRouter {
     pending: Vec<FrameChunk>,
 }
 
-/// The chunks of frames [`validate`] accepted, borrowed in placement order:
-/// the label decoded, the payload left where it arrived.
-fn borrowed_chunks(frames: &[Packet]) -> impl Iterator<Item = (ChunkHeader, &[u8])> {
-    frames.iter().flat_map(|p| {
-        spans(p).map(move |(lo, hi)| {
-            let header = decode_header(&p.bytes[lo..hi]).expect("span of a validated frame");
-            (header, &p.bytes[lo + WIRE_HEADER_LEN..hi])
-        })
-    })
+/// Figure 4's placement of `chunks` on `builder`, each egress frame ended
+/// by `close`: method 1 (`one_per_packet`) closes after every piece and
+/// drops a chunk whose element no frame holds; method 2 fills frames
+/// greedily and refuses the whole batch (`None`) over such an element.
+/// Returns the splits and drops it made. It decides alike on a measuring
+/// builder and on a writing one.
+fn place<'a>(
+    one_per_packet: bool,
+    builder: &mut PacketBuilder,
+    chunks: impl Iterator<Item = (ChunkHeader, &'a [u8])>,
+    mut close: impl FnMut(&mut PacketBuilder),
+) -> Option<(u64, u64)> {
+    let (mut splits, mut drops) = (0, 0);
+    for (header, payload) in chunks {
+        if !one_per_packet {
+            builder.place(header, payload, &mut close).ok()?;
+            continue;
+        }
+        let mut left = Some((header, payload));
+        while let Some((header, payload)) = left {
+            left = builder.push_fitting(header, payload);
+            if builder.is_empty() {
+                drops += 1;
+                break;
+            }
+            splits += u64::from(left.is_some());
+            close(builder);
+        }
+    }
+    if !builder.is_empty() {
+        close(builder);
+    }
+    Some((splits, drops))
 }
 
 impl ChunkRouter {
@@ -149,7 +185,9 @@ impl ChunkRouter {
             policy,
             window: Vec::new(),
             frames: Vec::new(),
+            held: Vec::new(),
             window_wire: 0,
+            ends: Vec::new(),
             splits: 0,
             merges: 0,
             drops: 0,
@@ -164,7 +202,7 @@ impl ChunkRouter {
     /// exactly equal was split or merged in-network, so the router records
     /// a parent→child span link (the Appendix C/D label closure made
     /// visible) plus a `fragment` marker span on the child.
-    fn note_outputs(&mut self, now: u64, outs: &[Vec<u8>], splits0: u64, merges0: u64) {
+    fn note_outputs(&mut self, now: u64, outs: &[Bytes], splits0: u64, merges0: u64) {
         if self.splits > splits0 {
             self.obs
                 .counter("netsim.router.splits", self.splits - splits0);
@@ -199,63 +237,63 @@ impl ChunkRouter {
         }
     }
 
-    /// Figure 4 method 1: every piece gets an envelope of its own. A chunk
-    /// whose element exceeds the MTU is dropped and the rest go on.
-    fn one_per_packet<'a>(
-        &mut self,
-        chunks: impl Iterator<Item = (ChunkHeader, &'a [u8])>,
-    ) -> Vec<Vec<u8>> {
-        let mut out = Vec::new();
-        let mut builder = PacketBuilder::new(self.egress_mtu);
-        for chunk in chunks {
-            let mut left = Some(chunk);
-            while let Some((header, payload)) = left {
-                left = builder.push_fitting(header, payload);
-                if builder.is_empty() {
-                    self.drops += 1;
-                    break;
-                }
-                self.splits += u64::from(left.is_some());
-                out.push(builder.take_bytes());
-            }
+    /// Places `chunks` under the policy into one buffer sized by a dry run,
+    /// and appends the egress frames to `out` as slices of it (module
+    /// docs). A batch the dry run refuses costs a drop and no allocation.
+    fn emit<'a, I>(&mut self, chunks: impl Fn() -> I, out: &mut Vec<Bytes>)
+    where
+        I: Iterator<Item = (ChunkHeader, &'a [u8])>,
+    {
+        let one_per_packet = self.policy == RefragPolicy::OnePerPacket;
+        let mut ends = std::mem::take(&mut self.ends);
+        ends.clear();
+        let mut dry = PacketBuilder::measuring(self.egress_mtu);
+        let Some((splits, drops)) =
+            place(one_per_packet, &mut dry, chunks(), |b| ends.push(b.close()))
+        else {
+            self.drops += 1;
+            self.ends = ends;
+            return;
+        };
+        (self.splits, self.drops) = (self.splits + splits, self.drops + drops);
+        let size = ends.last().copied().unwrap_or(0);
+        let mut builder = PacketBuilder::with_buffer(self.egress_mtu, Vec::with_capacity(size));
+        place(one_per_packet, &mut builder, chunks(), |b| {
+            b.close();
+        });
+        let buf = Bytes::from(builder.take_bytes());
+        debug_assert_eq!(buf.len(), size, "the dry run sized the emission");
+        let mut from = 0;
+        for &end in &ends {
+            out.push(buf.slice(from..end));
+            from = end;
         }
-        out
+        self.ends = ends;
     }
 
-    /// Empties borrowed chunks into as few egress envelopes as greedy
-    /// first-fit needs, one payload copy. An element (or control chunk) no
-    /// egress packet can hold refuses the batch whole.
-    fn repack<'a>(
-        &mut self,
-        chunks: impl Iterator<Item = (ChunkHeader, &'a [u8])>,
-    ) -> Vec<Vec<u8>> {
-        let mut out = Vec::new();
-        let mut builder = PacketBuilder::new(self.egress_mtu);
-        for (header, payload) in chunks {
-            if builder.place(header, payload, |f| out.push(f)).is_err() {
-                self.drops += 1;
-                return Vec::new();
-            }
-        }
-        if !builder.is_empty() {
-            out.push(builder.take_bytes());
-        }
-        out
-    }
-
-    /// Emits the Repack window: the held frames' chunks, wire to wire.
-    fn emit_frames(&mut self) -> Vec<Vec<u8>> {
+    /// Emits the held frames' chunks, wire to wire, and empties the window
+    /// (its lists' allocations serve the next batch).
+    fn emit_frames(&mut self, out: &mut Vec<Bytes>) {
         self.window_wire = 0;
-        let mut frames = std::mem::take(&mut self.frames);
-        let out = self.repack(borrowed_chunks(&frames));
-        // The list's allocation serves the next batch.
+        let (mut frames, mut held) = (
+            std::mem::take(&mut self.frames),
+            std::mem::take(&mut self.held),
+        );
+        let held_frames = &frames;
+        self.emit(
+            || {
+                held.iter()
+                    .map(move |&(i, header, lo, hi)| (header, &held_frames[i].bytes[lo..hi]))
+            },
+            out,
+        );
         frames.clear();
-        self.frames = frames;
-        out
+        held.clear();
+        (self.frames, self.held) = (frames, held);
     }
 
     /// Merges and emits the Reassemble window.
-    fn emit_merged(&mut self) -> Vec<Vec<u8>> {
+    fn emit_merged(&mut self, out: &mut Vec<Bytes>) {
         // Greedy adjacent merging within the window, order-insensitive.
         let mut chunks = std::mem::take(&mut self.window);
         chunks.sort_by_key(|c| (c.header.tpdu.id, c.header.tpdu.sn));
@@ -270,91 +308,84 @@ impl ChunkRouter {
             }
             merged.push(c);
         }
-        self.repack(merged.iter().map(|c| (c.header, &c.payload[..])))
+        self.emit(|| merged.iter().map(|c| (c.header, &c.payload[..])), out);
     }
-}
 
-impl PacketTransform for ChunkRouter {
-    fn ingest(&mut self, frame: Vec<u8>) -> Vec<Vec<u8>> {
+    /// The conversion itself, recording nothing.
+    fn convert(&mut self, frame: Bytes, out: &mut Vec<Bytes>) {
         if self.policy == RefragPolicy::DropOversize {
-            return if frame.len() <= self.egress_mtu {
-                vec![frame]
+            if frame.len() <= self.egress_mtu {
+                out.push(frame);
             } else {
                 self.drops += 1;
-                Vec::new()
-            };
+            }
+            return;
         }
-        let packet = Packet {
-            bytes: frame.into(),
-        };
+        let packet = Packet { bytes: frame };
         if let RefragPolicy::Reassemble { window } = self.policy {
             let Ok(chunks) = unpack(&packet) else {
                 self.drops += 1;
-                return Vec::new();
+                return;
             };
             self.window.extend(chunks);
-            if self.window.len() < window {
-                return Vec::new();
+            if self.window.len() >= window {
+                self.emit_merged(out);
             }
-            return self.emit_merged();
+            return;
         }
         // A malformed chunk refuses the whole frame, as at the receiver.
         if validate(&packet).is_err() {
             self.drops += 1;
-            return Vec::new();
+            return;
         }
-        if self.policy == RefragPolicy::OnePerPacket {
-            return self.one_per_packet(borrowed_chunks(std::slice::from_ref(&packet)));
+        let at = self.frames.len();
+        for (lo, hi) in spans(&packet) {
+            let header = decode_header(&packet.bytes[lo..hi]).expect("span of a validated frame");
+            self.held.push((at, header, lo + WIRE_HEADER_LEN, hi));
+            self.window_wire += hi - lo;
         }
-        // Repack: batch frames until an egress envelope can be filled; this
-        // is what lets small-network chunks combine into large packets
-        // (Figure 4 method 2).
-        self.window_wire += spans(&packet).map(|(lo, hi)| hi - lo).sum::<usize>();
         self.frames.push(packet);
-        if self.window_wire < self.egress_mtu {
-            return Vec::new();
-        }
-        self.emit_frames()
-    }
-
-    fn flush(&mut self) -> Vec<Vec<u8>> {
-        if !self.frames.is_empty() {
-            self.emit_frames()
-        } else if !self.window.is_empty() {
-            self.emit_merged()
-        } else {
-            Vec::new()
+        // Repack batches frames until an egress envelope can be filled;
+        // this is what lets small-network chunks combine into large packets
+        // (Figure 4 method 2).
+        if self.policy == RefragPolicy::OnePerPacket || self.window_wire >= self.egress_mtu {
+            self.emit_frames(out);
         }
     }
+}
 
-    fn ingest_at(&mut self, now: u64, frame: Vec<u8>) -> Vec<Vec<u8>> {
+impl PacketTransform for ChunkRouter {
+    fn ingest(&mut self, now: u64, frame: Bytes, out: &mut Vec<Bytes>) {
         if !self.obs_on {
-            return self.ingest(frame);
+            return self.convert(frame, out);
         }
         let held = self.pending.len();
         self.pending
             .extend(frame_chunks(&frame).into_iter().filter(FrameChunk::is_data));
         let (splits0, merges0, drops0) = (self.splits, self.merges, self.drops);
-        let outs = self.ingest(frame);
-        if outs.is_empty() && self.drops > drops0 {
+        let first = out.len();
+        self.convert(frame, out);
+        if out.len() == first && self.drops > drops0 {
             // Refused, not batching: forget the labels that will never
             // leave — this frame's, or the whole window's when the batch
             // went with it.
             let batching = !self.frames.is_empty() || !self.window.is_empty();
             self.pending.truncate(if batching { held } else { 0 });
         }
-        self.note_outputs(now, &outs, splits0, merges0);
-        outs
+        self.note_outputs(now, &out[first..], splits0, merges0);
     }
 
-    fn flush_at(&mut self, now: u64) -> Vec<Vec<u8>> {
-        if !self.obs_on {
-            return self.flush();
-        }
+    fn flush(&mut self, now: u64, out: &mut Vec<Bytes>) {
         let (splits0, merges0) = (self.splits, self.merges);
-        let outs = self.flush();
-        self.note_outputs(now, &outs, splits0, merges0);
-        outs
+        let first = out.len();
+        if !self.frames.is_empty() {
+            self.emit_frames(out);
+        } else if !self.window.is_empty() {
+            self.emit_merged(out);
+        }
+        if self.obs_on {
+            self.note_outputs(now, &out[first..], splits0, merges0);
+        }
     }
 
     fn set_obs(&mut self, sink: Arc<dyn ObsSink>) {
@@ -403,12 +434,10 @@ impl TurnerDropper {
 }
 
 impl PacketTransform for TurnerDropper {
-    fn ingest(&mut self, frame: Vec<u8>) -> Vec<Vec<u8>> {
-        let packet = Packet {
-            bytes: frame.into(),
-        };
+    fn ingest(&mut self, _now: u64, frame: Bytes, out: &mut Vec<Bytes>) {
+        let packet = Packet { bytes: frame };
         let Ok(chunks) = unpack(&packet) else {
-            return Vec::new();
+            return;
         };
         let mut keep = Vec::new();
         for c in chunks {
@@ -428,11 +457,10 @@ impl PacketTransform for TurnerDropper {
             keep.push(c);
         }
         if keep.is_empty() {
-            return Vec::new();
+            return;
         }
-        match pack(keep, packet.bytes.len().max(crate::link::MIN_REPACK_MTU)) {
-            Ok(packets) => packets.into_iter().map(|p| p.bytes.to_vec()).collect(),
-            Err(_) => Vec::new(),
+        if let Ok(packets) = pack(keep, packet.bytes.len().max(crate::link::MIN_REPACK_MTU)) {
+            out.extend(packets.into_iter().map(|p| p.bytes));
         }
     }
 }
@@ -440,6 +468,7 @@ impl PacketTransform for TurnerDropper {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Calls;
     use chunks_core::chunk::byte_chunk;
     use chunks_core::frag::ReassemblyPool;
     use chunks_core::label::FramingTuple;
@@ -455,16 +484,16 @@ mod tests {
         )
     }
 
-    fn frame_of(chunks: Vec<Chunk>, mtu: usize) -> Vec<u8> {
+    fn frame_of(chunks: Vec<Chunk>, mtu: usize) -> Bytes {
         let packets = pack(chunks, mtu).unwrap();
         assert_eq!(packets.len(), 1);
-        packets[0].bytes.to_vec()
+        packets[0].bytes.clone()
     }
 
-    fn reassemble(frames: Vec<Vec<u8>>) -> Vec<Chunk> {
+    fn reassemble(frames: Vec<Bytes>) -> Vec<Chunk> {
         let mut pool = ReassemblyPool::new();
-        for f in frames {
-            for c in unpack(&Packet { bytes: f.into() }).unwrap() {
+        for bytes in frames {
+            for c in unpack(&Packet { bytes }).unwrap() {
                 pool.insert(c);
             }
         }
@@ -477,7 +506,7 @@ mod tests {
         let frame = frame_of(vec![c.clone()], 10_000);
         let small = WIRE_HEADER_LEN + 40;
         let mut r = ChunkRouter::new(small, RefragPolicy::Repack);
-        let out = r.ingest(frame);
+        let out = r.ingest_one(frame);
         assert!(out.len() >= 3);
         for f in &out {
             assert!(f.len() <= small);
@@ -502,25 +531,28 @@ mod tests {
         let small = WIRE_HEADER_LEN + 10;
         // Arrive as six small packets, egress MTU large.
         let big = 10 * (WIRE_HEADER_LEN + 10);
-        let frames: Vec<Vec<u8>> = chunks
+        let frames: Vec<Bytes> = chunks
             .iter()
             .map(|c| frame_of(vec![c.clone()], small))
             .collect();
 
         let mut one = ChunkRouter::new(big, RefragPolicy::OnePerPacket);
         let mut repack = ChunkRouter::new(big, RefragPolicy::Reassemble { window: 6 });
-        let out_one: Vec<_> = frames.iter().flat_map(|f| one.ingest(f.clone())).collect();
+        let out_one: Vec<_> = frames
+            .iter()
+            .flat_map(|f| one.ingest_one(f.clone()))
+            .collect();
         let mut out_re: Vec<_> = frames
             .iter()
-            .flat_map(|f| repack.ingest(f.clone()))
+            .flat_map(|f| repack.ingest_one(f.clone()))
             .collect();
-        out_re.extend(repack.flush());
+        out_re.extend(repack.flush_all());
         assert_eq!(out_one.len(), 6, "method 1: one chunk per packet");
         assert_eq!(out_re.len(), 1, "method 3: merged into one envelope");
         assert!(repack.merges > 0);
         // Bytes on the wire shrink with reassembly (fewer headers).
-        let b1: usize = out_one.iter().map(Vec::len).sum();
-        let b3: usize = out_re.iter().map(Vec::len).sum();
+        let b1: usize = out_one.iter().map(Bytes::len).sum();
+        let b3: usize = out_re.iter().map(Bytes::len).sum();
         assert!(b3 < b1);
     }
 
@@ -529,16 +561,16 @@ mod tests {
         let c = big_chunk(20);
         let frame = frame_of(vec![c.clone()], 10_000);
         let mut r = ChunkRouter::new(10_000, RefragPolicy::Reassemble { window: 8 });
-        assert!(r.ingest(frame).is_empty(), "held in window");
-        let out = r.flush();
+        assert!(r.ingest_one(frame).is_empty(), "held in window");
+        let out = r.flush_all();
         assert_eq!(reassemble(out), vec![c]);
     }
 
     #[test]
     fn drop_oversize_policy() {
         let mut r = ChunkRouter::new(100, RefragPolicy::DropOversize);
-        assert_eq!(r.ingest(vec![0u8; 100]).len(), 1);
-        assert!(r.ingest(vec![0u8; 101]).is_empty());
+        assert_eq!(r.ingest_one(vec![0u8; 100]).len(), 1);
+        assert!(r.ingest_one(vec![0u8; 101]).is_empty());
         assert_eq!(r.drops, 1);
     }
 
@@ -547,7 +579,7 @@ mod tests {
         let mut r = ChunkRouter::new(1000, RefragPolicy::Repack);
         let mut junk = vec![0xFFu8; 64];
         junk[0] = 0x09; // invalid type
-        assert!(r.ingest(junk).is_empty());
+        assert!(r.ingest_one(junk).is_empty());
         assert_eq!(r.drops, 1);
     }
 
@@ -561,8 +593,8 @@ mod tests {
         let mut r3 = ChunkRouter::new(h + 30, RefragPolicy::Repack);
         let mut frames = vec![frame_of(vec![c.clone()], 10_000)];
         for r in [&mut r1 as &mut dyn PacketTransform, &mut r2, &mut r3] {
-            let mut next: Vec<Vec<u8>> = frames.drain(..).flat_map(|f| r.ingest(f)).collect();
-            next.extend(r.flush());
+            let mut next: Vec<Bytes> = frames.drain(..).flat_map(|f| r.ingest_one(f)).collect();
+            next.extend(r.flush_all());
             frames = next;
         }
         let seg = reassemble(frames);
@@ -590,15 +622,9 @@ mod tests {
         let mut survivors = 0;
         for f in frames {
             survivors += dropper
-                .ingest(f)
+                .ingest_one(f)
                 .iter()
-                .map(|f| {
-                    unpack(&Packet {
-                        bytes: f.clone().into(),
-                    })
-                    .unwrap()
-                    .len()
-                })
+                .map(|f| unpack(&Packet { bytes: f.clone() }).unwrap().len())
                 .sum::<usize>();
         }
         // The 5th non-condemned data chunk is TPDU 1's first chunk; the
@@ -622,9 +648,67 @@ mod tests {
         )
         .unwrap();
         let mut dropper = TurnerDropper::new(1); // drop every data chunk
-        let out = dropper.ingest(frame_of(vec![ed], 1500));
+        let out = dropper.ingest_one(frame_of(vec![ed], 1500));
         assert_eq!(out.len(), 1, "control chunks are never victims");
         assert_eq!(dropper.victims, 0);
+    }
+
+    /// One emission is one buffer: its frames lie back to back in it, and
+    /// a link that corrupts one copies that one first, so its siblings —
+    /// and the buffer — keep the bytes the router wrote.
+    #[test]
+    fn one_emissions_frames_share_a_buffer_and_a_corrupted_one_leaves_the_rest() {
+        use crate::link::{Link, LinkConfig};
+        let mut r = ChunkRouter::new(WIRE_HEADER_LEN + 40, RefragPolicy::Repack);
+        let out = r.ingest_one(frame_of(vec![big_chunk(200)], 10_000));
+        assert_eq!(out.len(), 5);
+        for pair in out.windows(2) {
+            assert_eq!(
+                pair[0].as_ptr_range().end,
+                pair[1].as_ptr(),
+                "written back to back into one buffer"
+            );
+        }
+        let written: Vec<Vec<u8>> = out.iter().map(|f| f.to_vec()).collect();
+        let mut link = Link::new(LinkConfig::clean(1500, 0, 0).with_corrupt(1.0), 3);
+        let mut delivered = Vec::new();
+        link.transmit_into(0, out[2].clone(), &mut delivered);
+        assert_ne!(
+            delivered[0].1, written[2],
+            "the copy on the wire is corrupted"
+        );
+        assert_eq!(
+            out.iter().map(|f| f.to_vec()).collect::<Vec<_>>(),
+            written,
+            "every frame of the emission, the corrupted one's original included, is intact"
+        );
+    }
+
+    /// A transform that forwards a frame unchanged forwards its handle.
+    #[test]
+    fn unchanged_frames_go_on_as_the_same_handle() {
+        use crate::byzantine::{ByzantineConfig, ByzantineRouter};
+        let frame = frame_of(vec![big_chunk(60)], 10_000);
+        let mut junk = vec![0xFFu8; 64];
+        junk[0] = 0x09; // invalid type
+        let junk = Bytes::from(junk);
+        let cases: [(&mut dyn PacketTransform, &Bytes); 3] = [
+            (&mut Passthrough, &frame),
+            (
+                &mut ChunkRouter::new(frame.len(), RefragPolicy::DropOversize),
+                &frame,
+            ),
+            (
+                &mut ByzantineRouter::new(ByzantineConfig::ack_dropper(1.0), 1),
+                &junk,
+            ),
+        ];
+        for (transform, offered) in cases {
+            let out = transform.ingest_one(offered.clone());
+            assert_eq!(out.len(), 1);
+            assert_eq!(out[0].as_ptr(), offered.as_ptr());
+            assert_eq!(out[0].len(), offered.len());
+        }
     }
 
     /// A frame the router refuses must take its labels with it: a truncated
@@ -633,16 +717,15 @@ mod tests {
     #[test]
     fn dropped_frame_leaves_no_labels_behind() {
         let intact = frame_of(vec![big_chunk(100)], 10_000);
-        let mut truncated = intact.clone();
-        truncated.truncate(intact.len() - 7);
+        let truncated = intact.slice(..intact.len() - 7);
 
-        let links_of = |frames: &[&Vec<u8>]| {
+        let links_of = |frames: &[&Bytes]| {
             let rec = chunks_obs::Recorder::verbose_tier(1 << 12);
             let mut r = ChunkRouter::new(WIRE_HEADER_LEN + 40, RefragPolicy::Repack);
             r.set_obs(rec.clone());
             let mut emitted = 0;
             for (t, f) in frames.iter().enumerate() {
-                emitted += r.ingest_at(t as u64, (*f).clone()).len();
+                emitted += r.ingest_at_one(t as u64, (*f).clone()).len();
             }
             (rec.span_links(), emitted, r.drops)
         };
@@ -816,24 +899,28 @@ mod tests {
             };
             let packets = pack(chunks, ingress).unwrap();
             for (p, how) in packets.iter().zip(&finish) {
-                let mut frame = p.bytes.to_vec();
-                match how {
-                    0 => frame.truncate(frame.len() - 1),
-                    1..=3 => frame.resize(ingress, 0), // `finish_padded`
-                    _ => {}
-                }
-                prop_assert_eq!(router.ingest(frame.clone()), model.ingest(&frame));
+                let frame = match how {
+                    0 => p.bytes.slice(..p.len() - 1),
+                    1..=3 => {
+                        // `finish_padded`
+                        let mut padded = p.bytes.to_vec();
+                        padded.resize(ingress, 0);
+                        padded.into()
+                    }
+                    _ => p.bytes.clone(),
+                };
+                prop_assert_eq!(router.ingest_one(frame.clone()), model.ingest(&frame));
                 prop_assert_eq!(
                     (router.splits, router.merges, router.drops),
                     (model.splits, model.merges, model.drops)
                 );
             }
-            prop_assert_eq!(router.flush(), model.flush());
+            prop_assert_eq!(router.flush_all(), model.flush());
             prop_assert_eq!(
                 (router.splits, router.merges, router.drops),
                 (model.splits, model.merges, model.drops)
             );
-            prop_assert!(router.flush().is_empty(), "a flushed router holds nothing");
+            prop_assert!(router.flush_all().is_empty(), "a flushed router holds nothing");
         }
 
         /// big → small → in-network reassembly → smaller: the receiver's
@@ -864,18 +951,18 @@ mod tests {
                 sn = sn.wrapping_add(len + 1);
             }
             let h = WIRE_HEADER_LEN + size as usize;
-            let mut frames: Vec<Vec<u8>> = pack(original.clone(), 10_000)
+            let mut frames: Vec<Bytes> = pack(original.clone(), 10_000)
                 .unwrap()
-                .iter()
-                .map(|p| p.bytes.to_vec())
+                .into_iter()
+                .map(|p| p.bytes)
                 .collect();
             for mut r in [
                 ChunkRouter::new(h + narrow, RefragPolicy::Repack),
                 ChunkRouter::new(h + 200, RefragPolicy::Reassemble { window }),
                 ChunkRouter::new(h + narrower, RefragPolicy::Repack),
             ] {
-                let mut next: Vec<Vec<u8>> = frames.drain(..).flat_map(|f| r.ingest(f)).collect();
-                next.extend(r.flush());
+                let mut next: Vec<Bytes> = frames.drain(..).flat_map(|f| r.ingest_one(f)).collect();
+                next.extend(r.flush_all());
                 prop_assert_eq!(r.drops, 0);
                 frames = next;
             }

@@ -102,7 +102,7 @@ pub(crate) enum Label {
 }
 
 /// Stateful framer for one connection's send direction.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct Framer {
     params: ConnectionParams,
     layout: InvariantLayout,

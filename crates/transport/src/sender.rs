@@ -22,13 +22,34 @@
 //! and closes packets greedily at the MTU exactly as
 //! [`pack`](chunks_core::packet::pack) would.
 //!
+//! # One buffer per submit
+//!
+//! All of a submit's packets are written back to back into one buffer, and
+//! leave as [`Bytes`] slices of it. A dry run of the same walk over the
+//! labels alone (no byte written) counts the packets and their bytes first,
+//! so the buffer is allocated at exactly that size and never grows: a
+//! reallocation would copy the payload a second time. A submit thus costs
+//! the same few allocations whatever its packet count — the buffer, its
+//! shared owner, and exactly sized lists.
+//!
 //! **The retransmission store is the wire image**: those packets, and per
 //! pending TPDU the range of them from its first piece to its ED chunk. A
 //! piece (an uncut chunk cut wherever a packet ended) is a valid chunk
 //! (Appendix C), so a repair reads a TPDU's pieces back off its packets with
 //! the label walk, keeping those whose `T.ID` and `C.SN − T.SN` name it. A
-//! packet goes when the last pending TPDU with a byte in it does; while the
-//! pending set is one submit's TPDUs, they are handed out again as they are.
+//! packet's handle goes when the last pending TPDU with a byte in it does;
+//! while the pending set is one submit's TPDUs, they are handed out again
+//! as they are.
+//!
+//! **Retention.** A submit's memory is returned when its last packet is:
+//! the sender's handles go as their TPDUs are acknowledged or abandoned, and
+//! a handle handed out (to a path, a peer, a retransmission list) keeps the
+//! whole buffer for as long as it lives. One exception makes a warm sender
+//! allocate nothing for its packets: the sender keeps a handle on its
+//! latest submit's buffer, and when the next submit finds that handle the
+//! only one ([`Bytes::is_unique`]) and the buffer no more than a quarter
+//! larger than it needs, it takes the buffer back (`Vec::from`, no copy)
+//! and writes into it. A buffer any packet still shares is never written.
 //!
 //! Every other path re-packs pieces, and must put the same bytes on the
 //! wire as packing the *uncut* chunks would — whatever was acknowledged,
@@ -79,25 +100,80 @@ type Piece<'a> = (ChunkHeader, &'a [u8]);
 /// The sender's packer: [`pack`](chunks_core::packet::pack)'s greedy
 /// first-fit over borrowed chunks, plus the continuation rule (module docs).
 /// A [`Session`](crate::Session) keeps one open across a whole pump.
+///
+/// A packer from [`Packer::new`] gives each packet a buffer of its own,
+/// trimmed when it closes: repairs and timer passes, whose packets go out
+/// and are dropped. One from [`Packer::one_buffer`] writes its packets back
+/// to back into one buffer reserved beforehand, and
+/// [`Packer::finish_into`] hands them out as slices of it: `submit`'s. A
+/// measuring packer writes nothing and only counts: `submit`'s dry run.
 #[derive(Debug)]
 pub(crate) struct Packer {
     mtu: usize,
-    /// The packet under construction.
+    kind: Kind,
+    /// The bytes written: closed packets not yet handed out (one-buffer
+    /// packers only), then from `open` the packet under construction.
     buf: Vec<u8>,
-    /// Closed packets, in send order.
+    /// Where the packet under construction starts in `buf`.
+    open: usize,
+    /// Bytes placed: `buf.len()`, or on a measuring packer their count.
+    len: usize,
+    /// Where each closed packet still in `buf` ends.
+    ends: Vec<usize>,
+    /// Packets closed or handed on so far: the number the packet under
+    /// construction will have among them.
+    closed: usize,
+    /// Closed packets handed out, in send order.
     packets: Vec<Packet>,
     /// The chunk last written into `buf` — where its header starts, and the
     /// header as it now stands — unless a run was broken after it.
     last: Option<(usize, ChunkHeader)>,
 }
 
+/// Where a [`Packer`] writes.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Kind {
+    /// A buffer per packet.
+    PerPacket,
+    /// Every packet into the one buffer it was given.
+    OneBuffer,
+    /// Nowhere: placement decided, bytes counted.
+    Measuring,
+}
+
 impl Packer {
     pub(crate) fn new(mtu: usize) -> Self {
         Packer {
             mtu,
+            kind: Kind::PerPacket,
             buf: Vec::new(),
+            open: 0,
+            len: 0,
+            ends: Vec::new(),
+            closed: 0,
             packets: Vec::new(),
             last: None,
+        }
+    }
+
+    /// A packer that writes nothing and counts the packets and bytes its
+    /// placement makes.
+    fn measuring(mtu: usize) -> Self {
+        Packer {
+            kind: Kind::Measuring,
+            ..Packer::new(mtu)
+        }
+    }
+
+    /// A packer that writes its `packets` packets into `buf`, which must
+    /// hold all of their bytes: it never grows, so no payload byte is
+    /// copied twice.
+    fn one_buffer(mtu: usize, buf: Vec<u8>, packets: usize) -> Self {
+        Packer {
+            kind: Kind::OneBuffer,
+            buf,
+            ends: Vec::with_capacity(packets),
+            ..Packer::new(mtu)
         }
     }
 
@@ -116,46 +192,80 @@ impl Packer {
     /// under construction so that what follows fills its free room, as
     /// `pack` would over their chunks.
     fn hand_on(&mut self, packets: &VecDeque<Packet>) {
+        debug_assert_eq!(self.kind, Kind::PerPacket);
         self.close_packet();
         let Some(last) = packets.back() else {
             return;
         };
         self.packets
             .extend(packets.range(..packets.len() - 1).cloned());
+        self.closed += packets.len() - 1;
         self.buf.reserve_exact(self.mtu.min(9216));
         self.buf.extend_from_slice(&last.bytes);
+        self.len = self.buf.len();
     }
 
     /// Drops the packet under construction and every closed packet.
     pub(crate) fn clear(&mut self) {
         self.buf.clear();
+        self.ends.clear();
         self.packets.clear();
+        (self.open, self.len, self.closed) = (0, 0, 0);
         self.last = None;
     }
 
     /// Closes the packet under construction and moves every closed packet
     /// to the back of `out`.
     pub(crate) fn drain_into(&mut self, out: &mut VecDeque<Packet>) {
+        debug_assert_eq!(self.kind, Kind::PerPacket);
         self.close_packet();
         out.extend(self.packets.drain(..));
     }
 
+    /// Closes a one-buffer packer's last packet, hands its packets to the
+    /// back of `out` as slices of the buffer, and returns a handle on the
+    /// whole buffer.
+    fn finish_into(mut self, out: &mut VecDeque<Packet>) -> Bytes {
+        debug_assert_eq!(self.kind, Kind::OneBuffer);
+        self.close_packet();
+        let whole = Bytes::from(self.buf);
+        let mut from = 0;
+        for end in self.ends {
+            out.push_back(Packet {
+                bytes: whole.slice(from..end),
+            });
+            from = end;
+        }
+        whole
+    }
+
     fn close_packet(&mut self) {
         self.last = None;
-        if !self.buf.is_empty() {
-            let mut buf = std::mem::take(&mut self.buf);
-            // A packet that closed short of the MTU gives the slack back:
-            // the buffer is retained for as long as the TPDUs in it.
-            buf.shrink_to_fit();
-            self.packets.push(Packet { bytes: buf.into() });
+        if self.len == self.open {
+            return;
+        }
+        self.open = self.len;
+        self.closed += 1;
+        match self.kind {
+            Kind::Measuring => {}
+            Kind::OneBuffer => self.ends.push(self.len),
+            Kind::PerPacket => {
+                let mut buf = std::mem::take(&mut self.buf);
+                // A packet that closed short of the MTU gives the slack back:
+                // the buffer is retained for as long as the TPDUs in it.
+                buf.shrink_to_fit();
+                self.packets.push(Packet { bytes: buf.into() });
+                (self.open, self.len) = (0, 0);
+            }
         }
     }
 
     /// Appends one chunk: whole when it fits, else as many elements as fill
     /// the packet, the rest opening the next one. `placed` is told of every
-    /// extent written — the packet's index, the extent's own label (a valid
+    /// extent written — the packet's number, the extent's own label (a valid
     /// chunk header whether or not it got a wire header of its own), and
-    /// the payload as it now lies in the packet buffer.
+    /// the payload as it now lies in the packet buffer (nothing, on a
+    /// measuring packer).
     fn push(
         &mut self,
         mut header: ChunkHeader,
@@ -163,18 +273,19 @@ impl Packer {
         mut placed: impl FnMut(usize, &ChunkHeader, &[u8]),
     ) -> Result<(), CoreError> {
         let size = header.size as usize;
+        let writes = self.kind != Kind::Measuring;
         loop {
-            if self.buf.capacity() == 0 {
+            if self.buf.capacity() == 0 && self.kind == Kind::PerPacket {
                 self.buf.reserve_exact(self.mtu.min(9216));
             }
             let joined = self.last.filter(|(_, prev)| can_merge(prev, &header));
             let overhead = if joined.is_some() { 0 } else { WIRE_HEADER_LEN };
-            let room = (self.mtu - self.buf.len()).saturating_sub(overhead) / size;
+            let room = (self.mtu - (self.len - self.open)).saturating_sub(overhead) / size;
             let take = (header.len as usize).min(room) as u32;
             if take == 0 {
                 // No room for one element (a control chunk is one
                 // indivisible element): start a new packet.
-                if self.buf.is_empty() {
+                if self.len == self.open {
                     return Err(CoreError::ElementExceedsMtu {
                         size: header.size,
                         mtu: self.mtu,
@@ -192,18 +303,26 @@ impl Packer {
             match joined {
                 Some((at, prev)) => {
                     let merged = merge_header(&prev, &now)?;
-                    self.buf[at..at + WIRE_HEADER_LEN].copy_from_slice(&header_bytes(&merged));
+                    if writes {
+                        self.buf[at..at + WIRE_HEADER_LEN].copy_from_slice(&header_bytes(&merged));
+                    }
                     self.last = Some((at, merged));
                 }
                 None => {
-                    self.last = Some((self.buf.len(), now));
-                    encode_header(&now, &mut self.buf);
+                    self.last = Some((self.len, now));
+                    self.len += WIRE_HEADER_LEN;
+                    if writes {
+                        encode_header(&now, &mut self.buf);
+                    }
                 }
             }
             let (bytes, rest) = payload.split_at(take as usize * size);
-            let at = self.buf.len();
-            self.buf.extend_from_slice(bytes);
-            placed(self.packets.len(), &now, &self.buf[at..]);
+            let at = self.len;
+            self.len += bytes.len();
+            if writes {
+                self.buf.extend_from_slice(bytes);
+            }
+            placed(self.closed, &now, self.buf.get(at..).unwrap_or_default());
             match later {
                 None => return Ok(()),
                 Some(tail) => {
@@ -259,6 +378,9 @@ pub struct Sender {
     fresh: bool,
     /// Current adaptive TPDU size in elements.
     tpdu_elements: u32,
+    /// The last submit's whole buffer, kept for the next submit to write
+    /// into once every packet of it is gone (module docs).
+    spare: Bytes,
     /// TPDUs retransmitted.
     pub retransmissions: u64,
 }
@@ -274,6 +396,7 @@ impl Sender {
             packets: VecDeque::new(),
             base: 0,
             fresh: false,
+            spare: Bytes::new(),
             retransmissions: 0,
         }
     }
@@ -306,13 +429,32 @@ impl Sender {
         let cut_mtu = self.cfg.mtu.max(WIRE_HEADER_LEN + element);
         self.fresh = self.pending.is_empty() && cut_mtu == self.cfg.mtu;
 
+        // A dry run over the labels: how many packets of how many bytes
+        // this submit writes, so that one buffer of exactly that size holds
+        // them all.
+        let mut dry = Packer::measuring(cut_mtu);
+        self.framer.clone().walk(data.len(), alf, close, |label| {
+            let (header, payload) = match label {
+                Label::Data { header, bytes } => (header, &data[bytes]),
+                Label::Close { ed, .. } => (ed, &[0; ED_LEN][..]),
+            };
+            dry.push(header, payload, |_, _, _| {})
+                .expect("the cut MTU holds one element and an ED chunk");
+        });
+        dry.close_packet();
+        let buf = match dry.len {
+            0 => Vec::new(),
+            size => self.buffer_for(size),
+        };
+
         let from = self.pending.len();
         let elements = data.len() / self.cfg.params.elem_size as usize;
         self.pending
             .reserve(elements.div_ceil(self.tpdu_elements as usize));
+        self.packets.reserve(dry.closed);
         // This submit's packets are numbered on from the ones held.
         let offset = self.base.wrapping_add(self.packets.len() as u32);
-        let mut packer = Packer::new(cut_mtu);
+        let mut packer = Packer::one_buffer(cut_mtu, buf, dry.closed);
         let mut inv = TpduInvariant::new(self.cfg.layout).expect("layout fits");
         // The packet the open TPDU's first piece went into.
         let mut opened = None;
@@ -348,9 +490,26 @@ impl Sender {
                 }
             });
         // This submit's last packet closes with it.
-        packer.close_packet();
-        self.packets.extend(packer.packets);
+        let whole = packer.finish_into(&mut self.packets);
+        if !whole.is_empty() {
+            self.spare = whole;
+        }
         self.pending.range(from..).map(|t| t.start).collect()
+    }
+
+    /// A buffer with room for exactly `size` bytes: the last submit's, when
+    /// the sender holds the only handle on it and it is no more than a
+    /// quarter larger, else a fresh one.
+    fn buffer_for(&mut self, size: usize) -> Vec<u8> {
+        let spare = std::mem::take(&mut self.spare);
+        if spare.is_unique() {
+            let mut buf = Vec::from(spare);
+            if (size..=size + size / 4).contains(&buf.capacity()) {
+                buf.clear();
+                return buf;
+            }
+        }
+        Vec::with_capacity(size)
     }
 
     /// Convenience: queue data as one external frame.

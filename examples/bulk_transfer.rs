@@ -10,7 +10,6 @@
 //! cargo run --example bulk_transfer
 //! ```
 
-use chunks::core::packet::Packet;
 use chunks::netsim::{LinkConfig, PathBuilder};
 use chunks::transport::{ConnectionParams, DeliveryMode, Receiver, Sender, SenderConfig};
 use chunks::wsc::InvariantLayout;
@@ -71,7 +70,7 @@ fn main() {
         let inputs = packets
             .into_iter()
             .enumerate()
-            .map(|(i, p)| (clock + i as u64 * 800, p.bytes.to_vec()))
+            .map(|(i, p)| (clock + i as u64 * 800, p.bytes))
             .collect();
         let deliveries = path.run(inputs);
         let stats = path.hops()[0].link.stats();
@@ -80,9 +79,7 @@ fn main() {
             stats.offered, stats.delivered, stats.lost
         );
         for d in &deliveries {
-            let packet = Packet {
-                bytes: d.frame.clone().into(),
-            };
+            let packet = d.frame.clone();
             rx.handle_packet_into(&packet, d.time, &mut events);
         }
         // The ack below reports what verified; the events are not needed.

@@ -7,6 +7,7 @@
 //! cargo run --example internetwork
 //! ```
 
+use bytes::Bytes;
 use chunks::core::frag::ReassemblyPool;
 use chunks::core::packet::{pack, unpack, Packet};
 use chunks::core::wire::WIRE_HEADER_LEN;
@@ -51,27 +52,35 @@ fn main() {
         ),
     ] {
         // First hop: sender packs for the ATM network.
-        let mut frames: Vec<Vec<u8>> = pack(vec![whole.clone()], hops[0])
+        let frames: Vec<Bytes> = pack(vec![whole.clone()], hops[0])
             .unwrap()
             .into_iter()
-            .map(|p| p.bytes.to_vec())
+            .map(|p| p.bytes)
             .collect();
         print!("{name}: {} ATM frames", frames.len());
 
         // Router into the small network always splits/repacks.
+        // Frames travel as handles; each router writes its emission into
+        // one buffer and hands the frames on as slices of it.
         let mut shrink = ChunkRouter::new(hops[1], RefragPolicy::Repack);
-        frames = frames.drain(..).flat_map(|f| shrink.ingest(f)).collect();
+        let mut small = Vec::new();
+        for f in frames {
+            shrink.ingest(0, f, &mut small);
+        }
         print!(
             " -> {} small frames (router split {} chunks)",
-            frames.len(),
+            small.len(),
             shrink.splits
         );
 
         // Router back into the large network applies the chosen method.
         let mut grow = ChunkRouter::new(hops[2], regrow_policy);
-        let mut out: Vec<Vec<u8>> = frames.drain(..).flat_map(|f| grow.ingest(f)).collect();
-        out.extend(grow.flush());
-        let bytes: usize = out.iter().map(Vec::len).sum();
+        let mut out = Vec::new();
+        for f in small {
+            grow.ingest(0, f, &mut out);
+        }
+        grow.flush(0, &mut out);
+        let bytes: usize = out.iter().map(Bytes::len).sum();
         println!(
             " -> {} FDDI frames, {} wire bytes (header overhead {} B, merges {})",
             out.len(),
@@ -83,8 +92,8 @@ fn main() {
         // The receiver's job is identical in all three cases: one-step
         // reassembly of self-describing chunks.
         let mut pool = ReassemblyPool::new();
-        for f in out {
-            for c in unpack(&Packet { bytes: f.into() }).unwrap() {
+        for bytes in out {
+            for c in unpack(&Packet { bytes }).unwrap() {
                 pool.insert(c);
             }
         }

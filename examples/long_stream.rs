@@ -11,7 +11,6 @@
 //! cargo run --release --example long_stream
 //! ```
 
-use chunks::core::packet::Packet;
 use chunks::netsim::{LinkConfig, PathBuilder};
 use chunks::transport::{ConnectionParams, DeliveryMode, Framer, Receiver};
 use chunks::wsc::InvariantLayout;
@@ -67,12 +66,10 @@ fn main() {
             let inputs = packets
                 .iter()
                 .enumerate()
-                .map(|(i, p)| (i as u64 * 700, p.bytes.to_vec()))
+                .map(|(i, p)| (i as u64 * 700, p.bytes.clone()))
                 .collect();
             for d in path.run(inputs) {
-                let packet = Packet {
-                    bytes: d.frame.into(),
-                };
+                let packet = d.frame;
                 rx.handle_packet_into(&packet, d.time, &mut events);
             }
             // Only the verified bytes matter here, not the events.

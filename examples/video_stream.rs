@@ -11,7 +11,6 @@
 //! cargo run --example video_stream
 //! ```
 
-use chunks::core::packet::Packet;
 use chunks::netsim::{LinkConfig, PathBuilder};
 use chunks::transport::{
     AlfFrame, ConnectionParams, DeliveryMode, Receiver, RxEvent, Sender, SenderConfig,
@@ -75,7 +74,7 @@ fn main() {
     let inputs = packets
         .into_iter()
         .enumerate()
-        .map(|(i, p)| (i as u64 * 500, p.bytes.to_vec()))
+        .map(|(i, p)| (i as u64 * 500, p.bytes))
         .collect();
 
     // Frame completion is tracked with the X-level labels: a frame is
@@ -85,9 +84,7 @@ fn main() {
     let mut presented = Vec::new();
     let mut events = Vec::new();
     for d in path.run(inputs) {
-        let packet = Packet {
-            bytes: d.frame.clone().into(),
-        };
+        let packet = d.frame.clone();
         // Peek at the chunks to observe per-frame placement (the receiver
         // itself places them into the connection address space).
         for c in chunks::core::packet::unpack(&packet).unwrap() {

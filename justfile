@@ -154,11 +154,16 @@ test-scale:
 # Network-element gate, debug profile on purpose: the router's label
 # arithmetic (`SN` advance, `SIZE * LEN`, MTU remainders) runs with overflow
 # checks on. The netsim crate's own tests (router-vs-reference oracle,
-# hop-by-hop-vs-event-heap equivalence) plus the root tests that drive a
-# `Path`.
+# hop-by-hop-vs-event-heap equivalence, the handle-aliasing tests) plus the
+# root tests that drive a `Path`; then the crate's tests again as they
+# ship, in release, and the network's allocation and copy gates (frames are
+# handles: a routerless path allocates nothing per frame, a refragmenting
+# router at most three times per ingress frame).
 test-netsim:
     cargo test -q -p chunks-netsim
     cargo test -q --test adversarial_input --test e2e_lossy_network --test session_over_network
+    cargo test -q --release -p chunks-netsim
+    cargo test -q --release --test hotpath_allocs -- network
 
 # Regenerate the BENCH_scale.json million-connection soak at the repo
 # root: admit ≥ 1 Mi concurrent connections on the open-addressed table,
@@ -226,7 +231,13 @@ ab REF WORKLOAD='bulk-clean':
 # always prints) and exits non-zero only when one of them regressed. REF is
 # checked out into a git worktree under target/ and both ledgers are
 # built; SEED replaces the ledger's default seed (a gain must hold at a
-# second one).
+# second one). The reading is exact to within the run's own sample lists:
+# the ledger keeps each pass's `pipeline`/`receive` timing samples in
+# `Vec<f64>`s that stay live inside the peak window, and those grow with
+# the pass count (15 passes hold capacity 16, 20 passes capacity 32), so
+# two runs that made a different number of passes differ by 2 × 128 B —
+# the 0.000244 MiB seen on `bulk-clean` (docs/PERFORMANCE.md, "What a pass
+# allocates").
 heap REF SEED='':
     git worktree remove --force target/heap-ref 2>/dev/null || true
     git worktree add --detach target/heap-ref {{REF}}

@@ -116,13 +116,11 @@ fn run_cell(mode: DeliveryMode, loss: f64, message: &[u8], seed: u64) -> B1Row {
         let inputs = packets
             .into_iter()
             .enumerate()
-            .map(|(i, p)| (clock + i as u64 * 1_000, p.bytes.to_vec()))
+            .map(|(i, p)| (clock + i as u64 * 1_000, p.bytes))
             .collect();
         let deliveries = path.run(inputs);
         for d in &deliveries {
-            let packet = chunks_core::packet::Packet {
-                bytes: d.frame.clone().into(),
-            };
+            let packet = d.frame.clone();
             rx.handle_packet_into(&packet, d.time, &mut Vec::new());
         }
         clock = deliveries.last().map(|d| d.time).unwrap_or(clock) + 1_000_000;

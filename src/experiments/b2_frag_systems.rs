@@ -89,28 +89,27 @@ fn chunk_system(message: &[u8], mtus: &[usize]) -> SystemRow {
         FramingTuple::new(3, 0, false),
         message,
     );
-    let mut frames: Vec<Vec<u8>> = pack(vec![whole.clone()], mtus[0])
+    let mut frames: Vec<Bytes> = pack(vec![whole.clone()], mtus[0])
         .unwrap()
         .into_iter()
-        .map(|p| p.bytes.to_vec())
+        .map(|p| p.bytes)
         .collect();
     for &mtu in &mtus[1..] {
         let mut router = ChunkRouter::new(mtu, RefragPolicy::Repack);
-        let mut next: Vec<Vec<u8>> = frames.drain(..).flat_map(|f| router.ingest(f)).collect();
-        next.extend(router.flush());
+        let mut next = Vec::new();
+        for f in frames.drain(..) {
+            router.ingest(0, f, &mut next);
+        }
+        router.flush(0, &mut next);
         frames = next;
     }
-    let wire_bytes: usize = frames.iter().map(Vec::len).sum();
+    let wire_bytes: usize = frames.iter().map(Bytes::len).sum();
     // Receiver: chunks are processed on arrival; the single-step pool only
     // tracks merge bookkeeping, no payload buffering is required (immediate
     // placement) — buffer peak is zero by construction.
     let mut pool = ReassemblyPool::new();
     for f in &frames {
-        for c in unpack(&Packet {
-            bytes: f.clone().into(),
-        })
-        .unwrap()
-        {
+        for c in unpack(&Packet { bytes: f.clone() }).unwrap() {
             pool.insert(c);
         }
     }

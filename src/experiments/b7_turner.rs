@@ -11,6 +11,7 @@
 
 use std::fmt;
 
+use bytes::Bytes;
 use chunks_core::chunk::Chunk;
 use chunks_core::packet::{pack, unpack, Packet};
 use chunks_netsim::{PacketTransform, TurnerDropper};
@@ -73,12 +74,9 @@ struct NaiveDropper {
 }
 
 impl PacketTransform for NaiveDropper {
-    fn ingest(&mut self, frame: Vec<u8>) -> Vec<Vec<u8>> {
-        let packet = Packet {
-            bytes: frame.into(),
-        };
-        let Ok(chunks) = unpack(&packet) else {
-            return Vec::new();
+    fn ingest(&mut self, _now: u64, frame: Bytes, out: &mut Vec<Bytes>) {
+        let Ok(chunks) = unpack(&Packet { bytes: frame }) else {
+            return;
         };
         let mut keep = Vec::new();
         for c in chunks {
@@ -92,33 +90,28 @@ impl PacketTransform for NaiveDropper {
             keep.push(c);
         }
         if keep.is_empty() {
-            return Vec::new();
+            return;
         }
-        match pack(keep, 1 << 16) {
-            Ok(ps) => ps.into_iter().map(|p| p.bytes.to_vec()).collect(),
-            Err(_) => Vec::new(),
+        if let Ok(ps) = pack(keep, 1 << 16) {
+            out.extend(ps.into_iter().map(|p| p.bytes));
         }
     }
 }
 
-fn measure(frames: &[Vec<u8>], transform: &mut dyn PacketTransform, policy: &'static str) -> B7Row {
-    let mut out: Vec<Vec<u8>> = frames
-        .iter()
-        .flat_map(|f| transform.ingest(f.clone()))
-        .collect();
-    out.extend(transform.flush());
+fn measure(frames: &[Bytes], transform: &mut dyn PacketTransform, policy: &'static str) -> B7Row {
+    let mut out = Vec::new();
+    for f in frames {
+        transform.ingest(0, f.clone(), &mut out);
+    }
+    transform.flush(0, &mut out);
 
     // Account downstream chunks per TPDU (keyed by implicit T.ID).
     let mut per_tpdu: std::collections::HashMap<(u32, u32), (u64, u64)> =
         std::collections::HashMap::new(); // key -> (bytes seen, elements seen)
     let mut downstream_bytes = 0u64;
     let mut chunks_down: Vec<Chunk> = Vec::new();
-    for f in &out {
-        for c in unpack(&Packet {
-            bytes: f.clone().into(),
-        })
-        .unwrap()
-        {
+    for bytes in out {
+        for c in unpack(&Packet { bytes }).unwrap() {
             if c.header.ty.is_control() {
                 continue;
             }
@@ -142,12 +135,7 @@ fn measure(frames: &[Vec<u8>], transform: &mut dyn PacketTransform, policy: &'st
         .sum();
     let total_sent: u64 = frames
         .iter()
-        .flat_map(|f| {
-            unpack(&Packet {
-                bytes: f.clone().into(),
-            })
-            .unwrap()
-        })
+        .flat_map(|f| unpack(&Packet { bytes: f.clone() }).unwrap())
         .filter(|c| !c.header.ty.is_control())
         .map(|c| c.payload.len() as u64)
         .sum();
@@ -179,10 +167,10 @@ pub fn run(tpdus: u64) -> B7Result {
         .collect();
     let framed = framer.frame_stream(&data, &alf, false);
     // One packet per chunk, as a congested queue would see them.
-    let frames: Vec<Vec<u8>> = framed
+    let frames: Vec<Bytes> = framed
         .iter()
         .flat_map(|t| t.chunks.iter())
-        .map(|c| pack(vec![c.clone()], 1 << 12).unwrap()[0].bytes.to_vec())
+        .map(|c| pack(vec![c.clone()], 1 << 12).unwrap()[0].bytes.clone())
         .collect();
 
     let mut naive = NaiveDropper {

@@ -10,7 +10,7 @@
 use std::fmt;
 
 use chunks_core::frag::split_to_fit;
-use chunks_core::packet::{pack, unpack, Packet};
+use chunks_core::packet::{pack, unpack};
 use chunks_core::wire::WIRE_HEADER_LEN;
 use chunks_netsim::{LinkConfig, PathBuilder};
 use chunks_transport::{ConnectionParams, Framer};
@@ -99,11 +99,7 @@ fn run_cell(paths: usize, budget: usize, seed: u64) -> B8Row {
     let mut refusals = 0;
     let mut offered = 0;
     for d in &deliveries {
-        for c in unpack(&Packet {
-            bytes: d.frame.clone().into(),
-        })
-        .unwrap()
-        {
+        for c in unpack(&d.frame.clone()).unwrap() {
             if c.header.ty.is_control() {
                 continue;
             }

@@ -290,12 +290,11 @@ pub fn figure4() -> FigureResult {
     let small_mtu = WIRE_HEADER_LEN + 60;
     let big_mtu = 4 * (WIRE_HEADER_LEN + 60);
     // Fragmented: squeeze through the small network.
-    let small_frames: Vec<Vec<u8>> =
-        pack(split_to_fit(whole.clone(), small_mtu).unwrap(), small_mtu)
-            .unwrap()
-            .into_iter()
-            .map(|p| p.bytes.to_vec())
-            .collect();
+    let small_frames: Vec<Bytes> = pack(split_to_fit(whole.clone(), small_mtu).unwrap(), small_mtu)
+        .unwrap()
+        .into_iter()
+        .map(|p| p.bytes)
+        .collect();
 
     let mut text = format!(
         "TPDU of 360 elements; small network MTU {small_mtu} -> {} packets\n",
@@ -317,21 +316,17 @@ pub fn figure4() -> FigureResult {
         ),
     ] {
         let mut router = ChunkRouter::new(big_mtu, policy);
-        let mut out: Vec<Vec<u8>> = small_frames
-            .iter()
-            .flat_map(|f| router.ingest(f.clone()))
-            .collect();
-        out.extend(router.flush());
-        let bytes: usize = out.iter().map(Vec::len).sum();
+        let mut out = Vec::new();
+        for f in &small_frames {
+            router.ingest(0, f.clone(), &mut out);
+        }
+        router.flush(0, &mut out);
+        let bytes: usize = out.iter().map(Bytes::len).sum();
         let headers = bytes - payload.len();
         // Receiver: always the same single-step reassembly.
         let mut pool = ReassemblyPool::new();
         for f in &out {
-            for c in unpack(&chunks_core::packet::Packet {
-                bytes: f.clone().into(),
-            })
-            .unwrap()
-            {
+            for c in unpack(&chunks_core::packet::Packet { bytes: f.clone() }).unwrap() {
                 pool.insert(c);
             }
         }

@@ -130,19 +130,19 @@ pub fn drive(profile: Profile, seed: u64, sink: Arc<dyn ObsSink>) -> TransferSum
         &mut b,
         |t, packets, arrivals| {
             for p in packets {
-                for d in fwd.transmit(t, p.bytes.to_vec()) {
-                    arrivals.push((d.time, d.frame));
+                for d in fwd.transmit(t, p.bytes.clone()) {
+                    arrivals.push((d.time, d.frame.bytes));
                 }
             }
             // Flush router batching windows every tick so a held tail
             // chunk cannot stall the transfer.
             for d in fwd.flush(t) {
-                arrivals.push((d.time, d.frame));
+                arrivals.push((d.time, d.frame.bytes));
             }
         },
         |t, packets, arrivals| {
             for p in packets {
-                rev.transmit_into(t, p.bytes.to_vec(), arrivals);
+                rev.transmit_into(t, p.bytes.clone(), arrivals);
             }
         },
     );

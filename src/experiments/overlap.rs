@@ -240,7 +240,7 @@ fn budget_for(capped: bool) -> ResourceBudget {
 /// The post-attack frame stream of one attack under one seed. The budget
 /// column never perturbs this: capped and unlimited cells of one attack see
 /// the identical byte stream.
-fn attacked_frames(attack: Attack, seed: u64) -> (Vec<Vec<u8>>, u64) {
+fn attacked_frames(attack: Attack, seed: u64) -> (Vec<Packet>, u64) {
     let mix = attack.name().bytes().fold(seed, |h, b| {
         h.wrapping_mul(0x100000001B3).wrapping_add(b as u64)
     });
@@ -253,13 +253,16 @@ fn attacked_frames(attack: Attack, seed: u64) -> (Vec<Vec<u8>>, u64) {
     });
     tx.submit_simple(&payload(), 0xA, false);
     let mut byz = ByzantineRouter::new(attack.config(), mix);
-    let frames: Vec<Vec<u8>> = tx
+    let mut frames = Vec::new();
+    for (i, p) in tx
         .packets_for_pending()
         .expect("payload fits the window")
-        .iter()
+        .into_iter()
         .enumerate()
-        .flat_map(|(i, p)| byz.ingest_at(i as u64, p.bytes.to_vec()))
-        .collect();
+    {
+        byz.ingest(i as u64, p.bytes, &mut frames);
+    }
+    let frames = frames.into_iter().map(|bytes| Packet { bytes }).collect();
     let injected = byz.stats.shifted_dups + byz.stats.rewrites + byz.stats.tiny_fragments;
     (frames, injected)
 }
@@ -267,33 +270,25 @@ fn attacked_frames(attack: Attack, seed: u64) -> (Vec<Vec<u8>>, u64) {
 /// Everything observable about one receive pass, for the equivalence check.
 type Trace = (Vec<u8>, Vec<RxEvent>, RxStats);
 
-fn serial_pass(frames: &[Vec<u8>], policy: OverlapPolicy, capped: bool) -> (Trace, bool) {
+fn serial_pass(frames: &[Packet], policy: OverlapPolicy, capped: bool) -> (Trace, bool) {
     let mut rx = Receiver::new(DeliveryMode::Reassemble, params(), layout(), CAPACITY)
         .with_policy(policy)
         .with_budget(budget_for(capped));
     let mut events = Vec::new();
-    for (i, f) in frames.iter().enumerate() {
-        let packet = Packet {
-            bytes: f.clone().into(),
-        };
-        rx.handle_packet_into(&packet, i as u64, &mut events);
+    for (i, packet) in frames.iter().enumerate() {
+        rx.handle_packet_into(packet, i as u64, &mut events);
     }
     let pressure = rx.make_ack().pressure;
     ((rx.app_data().to_vec(), events, rx.stats), pressure)
 }
 
-fn parallel_pass(frames: &[Vec<u8>], policy: OverlapPolicy, capped: bool, workers: usize) -> Trace {
+fn parallel_pass(frames: &[Packet], policy: OverlapPolicy, capped: bool, workers: usize) -> Trace {
     let spec = ConnSpec::new(params(), layout(), DeliveryMode::Reassemble, CAPACITY)
         .with_policy(policy)
         .with_budget(budget_for(capped));
     let mut pr = ParallelReceiver::new(workers, Engine::Virtual(Schedule::Fair), vec![spec]);
-    for (i, f) in frames.iter().enumerate() {
-        pr.ingest(
-            &Packet {
-                bytes: f.clone().into(),
-            },
-            i as u64,
-        );
+    for (i, packet) in frames.iter().enumerate() {
+        pr.ingest(packet, i as u64);
     }
     let mut out = pr.finish();
     let report = out

@@ -611,6 +611,7 @@ fn cell_zipf_faults(seed: u64, conns: u32, events_n: usize) -> (Row, Option<u64>
     let mut cursors = vec![0u8; conns as usize];
     let mut tally = Tally::default();
     let mut events = Vec::with_capacity(8);
+    let mut frames = Vec::new();
     let mut rng = seed | 1;
     let mut now = 0u64;
     for ev in 0..events_n {
@@ -633,11 +634,9 @@ fn cell_zipf_faults(seed: u64, conns: u32, events_n: usize) -> (Row, Option<u64>
         row.wire_bytes += tpls[m].wire();
         if ev % 8 == 7 {
             let router = &mut routers[(ev / 8) % 4];
-            for frame in router.ingest_at(now, pkt.bytes.to_vec()) {
-                let mutated = Packet {
-                    bytes: frame.into(),
-                };
-                demux.ingest(&mutated, now, &mut events);
+            router.ingest(now, pkt.bytes, &mut frames);
+            for bytes in frames.drain(..) {
+                demux.ingest(&Packet { bytes }, now, &mut events);
                 tally.absorb(&mut events);
             }
         } else {

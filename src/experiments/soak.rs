@@ -20,6 +20,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
+use bytes::Bytes;
 use chunks_core::packet::Packet;
 use chunks_netsim::{ByzantineConfig, ByzantineRouter, LinkConfig, MultipathLink, PacketTransform};
 use chunks_obs::{ObsSink, Recorder, DEFAULT_TRACE_CAPACITY};
@@ -285,15 +286,15 @@ pub(crate) fn endpoint(
 }
 
 /// Frames in flight towards one endpoint, by arrival time.
-type InFlight = BTreeMap<u64, Vec<Vec<u8>>>;
+type InFlight = BTreeMap<u64, Vec<Bytes>>;
 
-fn take_due(q: &mut InFlight, t: u64) -> Vec<Vec<u8>> {
+fn take_due(q: &mut InFlight, t: u64) -> Vec<Bytes> {
     let mut later = q.split_off(&(t + 1));
     std::mem::swap(q, &mut later);
     later.into_values().flatten().collect()
 }
 
-fn put_in_flight(q: &mut InFlight, arrivals: &mut Vec<(u64, Vec<u8>)>) {
+fn put_in_flight(q: &mut InFlight, arrivals: &mut Vec<(u64, Bytes)>) {
     for (at, frame) in arrivals.drain(..) {
         q.entry(at).or_default().push(frame);
     }
@@ -319,20 +320,20 @@ pub(crate) enum Ending {
 pub(crate) fn transfer(
     a: &mut Session,
     b: &mut Session,
-    mut forward: impl FnMut(u64, &[Packet], &mut Vec<(u64, Vec<u8>)>),
-    mut reverse: impl FnMut(u64, &[Packet], &mut Vec<(u64, Vec<u8>)>),
+    mut forward: impl FnMut(u64, &[Packet], &mut Vec<(u64, Bytes)>),
+    mut reverse: impl FnMut(u64, &[Packet], &mut Vec<(u64, Bytes)>),
 ) -> (Ending, u64) {
     let (mut to_b, mut to_a) = (InFlight::new(), InFlight::new());
     let (mut packets, mut events, mut arrivals) = (Vec::new(), Vec::new(), Vec::new());
     for tick in 0..MAX_TICKS {
         let t = tick * TICK_NS;
         let mut b_heard = false;
-        for f in take_due(&mut to_b, t) {
-            b.handle_packet_into(&Packet { bytes: f.into() }, t, &mut events);
+        for bytes in take_due(&mut to_b, t) {
+            b.handle_packet_into(&Packet { bytes }, t, &mut events);
             b_heard = true;
         }
-        for f in take_due(&mut to_a, t) {
-            a.handle_packet_into(&Packet { bytes: f.into() }, t, &mut events);
+        for bytes in take_due(&mut to_a, t) {
+            a.handle_packet_into(&Packet { bytes }, t, &mut events);
         }
         // The run is judged by its counters, not by its events.
         events.clear();
@@ -416,15 +417,19 @@ pub fn run_scenario_observed(sc: &SoakScenario, seed: u64, sink: Arc<dyn ObsSink
         &mut a,
         &mut b,
         |t, packets, arrivals| {
+            let mut frames = Vec::new();
             for p in packets {
-                for f in byz_fwd.ingest_at(t, p.bytes.to_vec()) {
+                byz_fwd.ingest(t, p.bytes.clone(), &mut frames);
+                for f in frames.drain(..) {
                     fwd.transmit_into(t, f, arrivals);
                 }
             }
         },
         |t, packets, arrivals| {
+            let mut frames = Vec::new();
             for p in packets {
-                for f in byz_rev.ingest_at(t, p.bytes.to_vec()) {
+                byz_rev.ingest(t, p.bytes.clone(), &mut frames);
+                for f in frames.drain(..) {
                     rev.transmit_into(t, f, arrivals);
                 }
             }

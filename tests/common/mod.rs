@@ -17,6 +17,7 @@ pub mod alloc_counter;
 
 use std::collections::BTreeMap;
 
+use bytes::Bytes;
 use chunks::netsim::Profile;
 use chunks::transport::{
     AckInfo, ConnSpec, ConnectionDemux, ConnectionParams, DeliveryMode, DemuxEvent, Receiver,
@@ -33,7 +34,7 @@ pub enum TraceOp {
     /// A frame arrived at virtual time `now`.
     Packet {
         /// The on-the-wire bytes.
-        frame: Vec<u8>,
+        frame: Bytes,
         /// Arrival time.
         now: u64,
     },
@@ -213,7 +214,7 @@ impl Scenario {
             }
             for p in chunks_core::packet::pack(control, self.mtu).unwrap() {
                 trace.push(TraceOp::Packet {
-                    frame: p.bytes.to_vec(),
+                    frame: p.bytes.clone(),
                     now: clock,
                 });
                 demux.ingest(&p, clock, &mut events);
@@ -224,7 +225,7 @@ impl Scenario {
 
         let max_rounds = 64;
         for round in 0..max_rounds {
-            let mut inputs: Vec<(u64, Vec<u8>)> = Vec::new();
+            let mut inputs: Vec<(u64, Bytes)> = Vec::new();
             for &id in &ids {
                 let packets = if round == 0 {
                     senders[&id].packets_for_pending().unwrap()
@@ -246,7 +247,7 @@ impl Scenario {
                     }
                 };
                 for p in packets {
-                    inputs.push((clock + inputs.len() as u64 * 500, p.bytes.to_vec()));
+                    inputs.push((clock + inputs.len() as u64 * 500, p.bytes));
                 }
             }
             if inputs.is_empty() {
@@ -257,11 +258,9 @@ impl Scenario {
                 .build(self.mtu, self.seed.wrapping_add(round as u64));
             let deliveries = path.run(inputs);
             for d in &deliveries {
-                let packet = Packet {
-                    bytes: d.frame.clone().into(),
-                };
+                let packet = d.frame.clone();
                 trace.push(TraceOp::Packet {
-                    frame: d.frame.clone(),
+                    frame: d.frame.bytes.clone(),
                     now: d.time,
                 });
                 demux.ingest(&packet, d.time, &mut events);
@@ -351,7 +350,7 @@ pub fn replay_serial(scenario: &Scenario, trace: &[TraceOp]) -> SerialReplay {
         match op {
             TraceOp::Packet { frame, now } => {
                 let packet = Packet {
-                    bytes: frame.clone().into(),
+                    bytes: frame.clone(),
                 };
                 demux.ingest(&packet, *now, &mut events);
                 for event in events.drain(..) {
@@ -410,7 +409,7 @@ pub fn replay_parallel(
         match op {
             TraceOp::Packet { frame, now } => {
                 let packet = Packet {
-                    bytes: frame.clone().into(),
+                    bytes: frame.clone(),
                 };
                 pr.ingest(&packet, *now);
             }
@@ -473,7 +472,7 @@ pub fn replay_parallel_batched(
                     group_now = *now;
                 }
                 group.push(Packet {
-                    bytes: frame.clone().into(),
+                    bytes: frame.clone(),
                 });
             }
             TraceOp::Reset { conn_id, start } => {

@@ -2,7 +2,6 @@
 //! loss, duplication, corruption, multipath reordering, and in-network
 //! refragmentation, all at once.
 
-use chunks::core::packet::Packet;
 use chunks::core::wire::WIRE_HEADER_LEN;
 use chunks::netsim::{ChunkRouter, LinkConfig, PathBuilder, RefragPolicy};
 use chunks::transport::{ConnectionParams, DeliveryMode, Receiver, Sender, SenderConfig};
@@ -59,13 +58,11 @@ fn transfer(
         let inputs = packets
             .into_iter()
             .enumerate()
-            .map(|(i, pk)| (clock + i as u64 * 500, pk.bytes.to_vec()))
+            .map(|(i, pk)| (clock + i as u64 * 500, pk.bytes))
             .collect();
         let deliveries = path.run(inputs);
         for d in &deliveries {
-            let packet = Packet {
-                bytes: d.frame.clone().into(),
-            };
+            let packet = d.frame.clone();
             rx.handle_packet_into(&packet, d.time, &mut Vec::new());
         }
         clock = deliveries.last().map(|d| d.time).unwrap_or(clock) + 1_000_000;

@@ -6,7 +6,7 @@
 
 use chunks::cipher::{decrypt_chunk, encrypt_chunk, PositionCipher, BLOCK_BYTES};
 use chunks::core::frag::split_to_fit;
-use chunks::core::packet::{pack, unpack, Packet};
+use chunks::core::packet::{pack, unpack};
 use chunks::core::wire::WIRE_HEADER_LEN;
 use chunks::netsim::{LinkConfig, PathBuilder};
 use chunks::transport::{ConnectionParams, DeliveryMode, Framer, Receiver, RxEvent};
@@ -64,7 +64,7 @@ fn encrypted_blocks_cross_a_fragmenting_reordering_network() {
     let inputs = packets
         .into_iter()
         .enumerate()
-        .map(|(i, p)| (i as u64 * 900, p.bytes.to_vec()))
+        .map(|(i, p)| (i as u64 * 900, p.bytes))
         .collect();
 
     // Receiver: verify ciphertext TPDUs on arrival; decrypt each chunk
@@ -73,9 +73,7 @@ fn encrypted_blocks_cross_a_fragmenting_reordering_network() {
     let mut clear = vec![0u8; plaintext.len()];
     let mut delivered = 0u64;
     for d in path.run(inputs) {
-        let packet = Packet {
-            bytes: d.frame.into(),
-        };
+        let packet = d.frame;
         // Decrypt-on-arrival into the plaintext buffer, independent of the
         // receiver's ciphertext verification.
         for c in unpack(&packet).unwrap() {

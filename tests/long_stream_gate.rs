@@ -22,13 +22,16 @@
 
 mod common;
 
+use bytes::Bytes;
 use chunks::core::chunk::Chunk;
 use chunks::core::frag::extract;
 use chunks::core::label::ChunkType;
 use chunks::core::packet::{unpack, Packet};
 use chunks::experiments::alloc_count::{self, CountingAlloc};
-use chunks::netsim::{LinkConfig, PathBuilder};
-use chunks::transport::{ConnectionParams, DeliveryMode, Receiver, Sender, SenderConfig, Session};
+use chunks::netsim::{LinkConfig, Path, PathBuilder};
+use chunks::transport::{
+    ConnectionParams, DeliveryMode, Receiver, RxEvent, Sender, SenderConfig, Session,
+};
 use chunks::wsc::InvariantLayout;
 
 #[global_allocator]
@@ -134,18 +137,16 @@ fn stream(mode: DeliveryMode) {
         let packets = tx.retransmit_for_ack(&ack).expect("packs");
         held_by(&mut held, || drop(ack));
         let inputs = packets
-            .iter()
+            .into_iter()
             .enumerate()
-            .map(|(i, p)| (now + i as u64 * 700, p.bytes.to_vec()))
+            .map(|(i, p)| (now + i as u64 * 700, p.bytes))
             .collect();
         let arrived: Vec<Packet> = path
             .run(inputs)
             .into_iter()
             .map(|d| {
                 now = now.max(d.time);
-                Packet {
-                    bytes: d.frame.into(),
-                }
+                d.frame
             })
             .collect();
         now += 1_000_000;
@@ -258,18 +259,40 @@ impl Heap {
 }
 
 /// Pumps `s` at `now` under its heap account and hands back the frames to
-/// put on the wire; the packets are dropped under the account too, so a
-/// copy the pump made is charged and given back there.
-fn pump_frames(s: &mut Session, now: u64, heap: &mut Heap) -> Vec<(u64, Vec<u8>)> {
-    let mut out = Vec::new();
-    held_by(&mut heap.held, || s.pump_into(now, &mut out)).expect("the peer is reachable");
-    let frames = out
-        .iter()
-        .enumerate()
-        .map(|(i, p)| (now + i as u64 * 700, p.bytes.to_vec()))
-        .collect();
-    held_by(&mut heap.held, || drop(out));
-    frames
+/// put on the wire: handles on the sender's submit buffer and on the copy
+/// its pump made, which [`ship`] gives back on the same account.
+fn pump_frames(s: &mut Session, now: u64, heap: &mut Heap) -> Vec<(u64, Bytes)> {
+    held_by(&mut heap.held, || {
+        let mut out = Vec::new();
+        s.pump_into(now, &mut out).expect("the peer is reachable");
+        out.into_iter()
+            .enumerate()
+            .map(|(i, p)| (now + i as u64 * 700, p.bytes))
+            .collect()
+    })
+}
+
+/// Carries a sender's `frames` across `path` to `peer`. What the frames
+/// hold is the sender's memory, so the run — where a lost frame is dropped
+/// — and each delivered frame's release after the peer handled it are on
+/// the sender's account; the peer's holds its own call alone.
+fn ship(
+    path: &mut Path,
+    frames: Vec<(u64, Bytes)>,
+    sender: &mut Heap,
+    peer: &mut Session,
+    peer_heap: &mut Heap,
+    events: &mut Vec<RxEvent>,
+) {
+    let deliveries = held_by(&mut sender.held, || path.run(frames));
+    for d in &deliveries {
+        let packet = d.frame.clone();
+        held_by(&mut peer_heap.held, || {
+            peer.handle_packet_into(&packet, d.time, events)
+        });
+        held_by(&mut sender.held, || drop(packet));
+    }
+    held_by(&mut sender.held, || drop(deliveries));
 }
 
 /// One direction of the session leg: what was sent and what was read.
@@ -353,19 +376,22 @@ fn a_thousand_windows_each_way_through_two_sessions() {
         to_a.send(&mut b, total, &mut heap_b);
         let from_a = pump_frames(&mut a, now, &mut heap_a);
         let from_b = pump_frames(&mut b, now, &mut heap_b);
-        for (path, frames, peer, heap) in [
-            (&mut ab, from_a, &mut b, &mut heap_b),
-            (&mut ba, from_b, &mut a, &mut heap_a),
-        ] {
-            for d in path.run(frames) {
-                let packet = Packet {
-                    bytes: d.frame.into(),
-                };
-                held_by(&mut heap.held, || {
-                    peer.handle_packet_into(&packet, d.time, &mut events)
-                });
-            }
-        }
+        ship(
+            &mut ab,
+            from_a,
+            &mut heap_a,
+            &mut b,
+            &mut heap_b,
+            &mut events,
+        );
+        ship(
+            &mut ba,
+            from_b,
+            &mut heap_b,
+            &mut a,
+            &mut heap_a,
+            &mut events,
+        );
         // The application's events say nothing its bytes do not.
         events.clear();
         to_b.read(&mut b, "a→b");

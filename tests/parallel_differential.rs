@@ -192,7 +192,7 @@ fn overlap_trace(scenario: &common::Scenario) -> Vec<TraceOp> {
             for c in tpdus.get(k).into_iter().flatten() {
                 for p in pack(vec![c.clone()], scenario.mtu).unwrap() {
                     trace.push(TraceOp::Packet {
-                        frame: p.bytes.to_vec(),
+                        frame: p.bytes,
                         now: trace.len() as u64,
                     });
                 }

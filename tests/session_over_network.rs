@@ -2,7 +2,6 @@
 //! route change — all three §1 disordering sources against the complete
 //! protocol stack.
 
-use chunks::core::packet::Packet;
 use chunks::netsim::{LinkConfig, Path, PathBuilder};
 use chunks::transport::{ConnectionParams, DeliveryMode, SenderConfig, Session};
 use chunks::wsc::InvariantLayout;
@@ -37,13 +36,11 @@ fn ship(path: &mut Path, from: &mut Session, peer: &mut Session) {
     let inputs = batch
         .into_iter()
         .enumerate()
-        .map(|(i, p)| (i as u64 * 600, p.bytes.to_vec()))
+        .map(|(i, p)| (i as u64 * 600, p.bytes))
         .collect();
     let mut events = Vec::new();
     for d in path.run(inputs) {
-        let packet = Packet {
-            bytes: d.frame.into(),
-        };
+        let packet = d.frame;
         peer.handle_packet_into(&packet, d.time, &mut events);
     }
 }
