@@ -1,11 +1,12 @@
 //! Shared workload builders for the Criterion benchmark suite.
 //!
 //! One bench target exists per paper comparison in DESIGN.md §4:
-//! `codes` (B4), `frag_reasm` (F3), `frag_systems` (B2), `compress` (B5),
-//! `internetwork` (F4), `cipher` (§1). The TPDU invariant's absorb speed
-//! (F5/F6), the wire codec and the receiver's delivery modes (B1) are the
-//! throughput ledger's `gf.fold` / `wsc.absorb`, `core.*` and
-//! `transport.receiver.*` legs.
+//! `codes` (B4), `frag_reasm` (F3), `frag_systems` (B2), `internetwork`
+//! (F4), `cipher` (§1). The TPDU invariant's absorb speed (F5/F6), the wire
+//! codec and the receiver's delivery modes (B1) are the throughput ledger's
+//! `gf.fold` / `wsc.absorb`, `core.*` and `transport.receiver.*` legs. B5's
+//! Appendix A header forms are judged by their byte counts and
+//! invertibility (`experiments b5`), not their speed: no traffic sends them.
 
 #![deny(missing_docs)]
 

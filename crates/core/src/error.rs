@@ -57,7 +57,9 @@ pub enum CoreError {
     /// Non-zero trailing bytes after the last chunk of a packet.
     TrailingGarbage,
     /// A compressed header referenced signalled state (for instance a
-    /// per-type `SIZE`) that the decompression context does not hold.
+    /// per-type `SIZE`) that the decompression context does not hold. Only
+    /// the Appendix A codecs of experiment B5 (the root package's
+    /// `experiments::compress`) raise it.
     MissingContext(ChunkType),
 }
 

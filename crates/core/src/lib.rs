@@ -27,9 +27,12 @@
 //! * [`frag`] — the fragmentation algorithm of Appendix C and the single-step
 //!   reassembly algorithm of Appendix D;
 //! * [`packet`] — packets as *envelopes* that carry integral numbers of
-//!   chunks (§2, Figure 3);
-//! * [`compress`] — the invertible header-compression transforms of
-//!   Appendix A (implicit `T.ID`, `SIZE` elision, intra-packet deltas).
+//!   chunks (§2, Figure 3).
+//!
+//! This is the one header format the sender, the routers and the receivers
+//! put on the wire. Appendix A's invertible compressed forms are optional
+//! per link and no traffic here uses them; the root package's
+//! `experiments::compress` holds them for experiment B5.
 //!
 //! A chunk survives a wire round trip unchanged — the self-description is
 //! entirely in the fixed 32-byte header:
@@ -61,7 +64,6 @@
 #![deny(missing_docs)]
 
 pub mod chunk;
-pub mod compress;
 pub mod error;
 pub mod frag;
 pub mod label;

@@ -13,9 +13,6 @@
 //! 16..20  T.ID  20..24 T.SN
 //! 24..28  X.ID  28..32 X.SN
 //! ```
-//!
-//! Compressed variants that elide redundant fields live in
-//! [`crate::compress`].
 
 use bytes::Bytes;
 

@@ -3,10 +3,6 @@
 //! controlled; §4 is about corruption *detection*, but the parsers must
 //! first survive it.)
 
-use chunks_core::compress::{
-    decode_header_form, decode_packet_delta, HeaderForm, SignalledContext, SnRegenDecoder,
-};
-use chunks_core::label::ChunkType;
 use chunks_core::packet::{unpack, Packet};
 use chunks_core::wire::{decode_chunk, decode_header};
 use proptest::prelude::*;
@@ -28,39 +24,6 @@ proptest! {
     fn unpack_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..2048)) {
         let packet = Packet { bytes: bytes.into() };
         let _ = unpack(&packet);
-    }
-
-    #[test]
-    fn header_forms_never_panic(
-        bytes in proptest::collection::vec(any::<u8>(), 0..64),
-        form_idx in 0usize..4,
-    ) {
-        let form = [
-            HeaderForm::Full,
-            HeaderForm::ImplicitTid,
-            HeaderForm::SizeElided,
-            HeaderForm::Compact,
-        ][form_idx];
-        let mut ctx = SignalledContext::new();
-        ctx.signal_size(ChunkType::Data, 4);
-        let _ = decode_header_form(&bytes, form, &ctx);
-    }
-
-    #[test]
-    fn delta_decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..1024)) {
-        let _ = decode_packet_delta(&bytes);
-    }
-
-    #[test]
-    fn sn_regen_decode_never_panics(
-        frames in proptest::collection::vec(
-            proptest::collection::vec(any::<u8>(), 0..64), 0..8),
-    ) {
-        // Stateful decoder survives arbitrary byte streams.
-        let mut dec = SnRegenDecoder::new();
-        for f in &frames {
-            let _ = dec.decode(f);
-        }
     }
 
     #[test]

@@ -3,12 +3,8 @@
 
 use bytes::Bytes;
 use chunks_core::chunk::{Chunk, ChunkHeader};
-use chunks_core::compress::{
-    decode_header_form, decode_packet_delta, encode_header_form, encode_packet_delta, implicit_tid,
-    HeaderForm, SignalledContext,
-};
 use chunks_core::frag::{merge, split, split_to_fit, ReassemblyPool};
-use chunks_core::label::{ChunkType, FramingTuple};
+use chunks_core::label::FramingTuple;
 use chunks_core::packet::{pack, unpack};
 use chunks_core::wire::{decode_chunk, encode_chunk, WIRE_HEADER_LEN};
 use proptest::prelude::*;
@@ -65,10 +61,6 @@ proptest! {
         let delta = |h: &ChunkHeader| h.conn.sn.wrapping_sub(h.tpdu.sn);
         prop_assert_eq!(delta(&a.header), delta(&c.header));
         prop_assert_eq!(delta(&b.header), delta(&c.header));
-        prop_assert_eq!(
-            implicit_tid(b.header.conn.sn, b.header.tpdu.sn),
-            implicit_tid(c.header.conn.sn, c.header.tpdu.sn)
-        );
     }
 
     #[test]
@@ -116,26 +108,5 @@ proptest! {
             prop_assert_eq!(acc, original);
         }
         prop_assert!(it.next().is_none());
-    }
-
-    #[test]
-    fn header_forms_roundtrip(c in chunk_strategy()) {
-        // Relabel so the implicit form applies, as a conforming sender would.
-        let mut c = c;
-        c.header.tpdu.id = implicit_tid(c.header.conn.sn, c.header.tpdu.sn);
-        let mut ctx = SignalledContext::new();
-        ctx.signal_size(ChunkType::Data, c.header.size);
-        for form in [HeaderForm::Full, HeaderForm::ImplicitTid, HeaderForm::SizeElided, HeaderForm::Compact] {
-            let mut buf = Vec::new();
-            encode_header_form(&c.header, form, &ctx, &mut buf).unwrap();
-            let (h, _) = decode_header_form(&buf, form, &ctx).unwrap();
-            prop_assert_eq!(h, c.header);
-        }
-    }
-
-    #[test]
-    fn delta_packet_roundtrip(cs in proptest::collection::vec(chunk_strategy(), 1..6)) {
-        let buf = encode_packet_delta(&cs);
-        prop_assert_eq!(decode_packet_delta(&buf).unwrap(), cs);
     }
 }

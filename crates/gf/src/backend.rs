@@ -9,11 +9,11 @@
 //!   `tables.rs` and the serial Horner fold; works everywhere, needs
 //!   136 KiB of L1/L2 resident lookup tables;
 //! * **[`Backend::Clmul`]** — hardware carry-less multiply
-//!   (`PCLMULQDQ` on x86_64, `PMULL` on aarch64) with Barrett reduction;
-//!   no tables, no memory traffic, and the substrate for the forward lane
-//!   fold over payload bytes behind `fold.rs`. The aarch64 `PMULL` arm is
-//!   unverified: every build and gate of this workspace has run on x86_64,
-//!   so that arm has never been compiled.
+//!   (`PCLMULQDQ` on x86_64) with Barrett reduction; no tables, no memory
+//!   traffic, and the substrate for the forward lane fold over payload
+//!   bytes behind `fold.rs`. On every other architecture the CPU has no
+//!   clmul arm here and every operation takes the tables path, the one the
+//!   tests pin with `Backend::Tables`.
 //!
 //! The CPU picks, and nothing else does: every dispatched operation calls
 //! the clmul entry, which checks the cached CPU features itself and runs
@@ -54,7 +54,7 @@ impl Backend {
     /// Whether this backend can run on the current CPU.
     ///
     /// [`Backend::Tables`] always can; [`Backend::Clmul`] requires
-    /// `PCLMULQDQ` (x86_64) or `PMULL` (aarch64).
+    /// `PCLMULQDQ` on x86_64; elsewhere the tables run.
     pub fn is_supported(self) -> bool {
         match self {
             Backend::Tables => true,

@@ -1,4 +1,4 @@
-//! Hardware carry-less multiply backend (`PCLMULQDQ` / `PMULL`).
+//! Hardware carry-less multiply backend (`PCLMULQDQ` on x86_64).
 //!
 //! The table path in `tables.rs` turns a field multiply into 20 dependent
 //! loads; this module turns it into one `clmul` instruction plus a
@@ -44,8 +44,9 @@
 //!
 //! The architecture-specific code is the multiply, the lane step and the
 //! wide gather. Everything else is written once in portable Rust: the
-//! packed gather everywhere, the one-byte gather on aarch64 and on x86_64
-//! without AVX-512, the tail padding and the lane combination.
+//! packed gather, the one-byte gather on x86_64 without AVX-512, the tail
+//! padding and the lane combination. Elsewhere [`is_supported`] is false
+//! and every operation takes the tables path.
 //!
 //! This module's feature checks are the crate's only runtime kernel
 //! choice: [`is_supported`] (carry-less multiply) and [`has_wide_gather`]
@@ -81,8 +82,8 @@ const fn barrett_mu() -> u64 {
 }
 
 /// Whether the current CPU has a carry-less multiply instruction
-/// (`PCLMULQDQ` on x86_64, `PMULL` on aarch64). Detection is cached by
-/// `std::arch`.
+/// (`PCLMULQDQ` on x86_64; elsewhere never, so every operation takes the
+/// tables path). Detection is cached by `std::arch`.
 #[inline]
 pub(crate) fn is_supported() -> bool {
     #[cfg(target_arch = "x86_64")]
@@ -90,12 +91,7 @@ pub(crate) fn is_supported() -> bool {
         std::arch::is_x86_feature_detected!("pclmulqdq")
             && std::arch::is_x86_feature_detected!("sse2")
     }
-    #[cfg(target_arch = "aarch64")]
-    {
-        std::arch::is_aarch64_feature_detected!("pmull")
-            && std::arch::is_aarch64_feature_detected!("aes")
-    }
-    #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
+    #[cfg(not(target_arch = "x86_64"))]
     {
         false
     }
@@ -289,10 +285,6 @@ fn fixed_blocks<'a, T: Copy + Default, const W: usize>(
     target_arch = "x86_64",
     target_feature(enable = "pclmulqdq", enable = "sse2")
 )]
-#[cfg_attr(
-    target_arch = "aarch64",
-    target_feature(enable = "neon", enable = "aes")
-)]
 unsafe fn fold_blocks(mut next_block: impl FnMut() -> Option<[u64; LANES]>) -> u32 {
     let mut acc = [0u64; LANES];
     let mut blocks = 0u64;
@@ -316,10 +308,6 @@ unsafe fn fold_blocks(mut next_block: impl FnMut() -> Option<[u64; LANES]>) -> u
 #[cfg_attr(
     target_arch = "x86_64",
     target_feature(enable = "pclmulqdq", enable = "sse2")
-)]
-#[cfg_attr(
-    target_arch = "aarch64",
-    target_feature(enable = "neon", enable = "aes")
 )]
 unsafe fn combine(acc: [u64; LANES], blocks: u64) -> u32 {
     let mut h = 0u32;
@@ -353,10 +341,6 @@ pub(crate) fn alpha_pow(e: u64) -> u32 {
 #[cfg_attr(
     target_arch = "x86_64",
     target_feature(enable = "pclmulqdq", enable = "sse2")
-)]
-#[cfg_attr(
-    target_arch = "aarch64",
-    target_feature(enable = "neon", enable = "aes")
 )]
 unsafe fn alpha_pow_unchecked(e: u64) -> u32 {
     // SAFETY: the caller proved the target features exist.
@@ -529,46 +513,7 @@ mod arch {
     }
 }
 
-#[cfg(target_arch = "aarch64")]
-mod arch {
-    use super::{BLOCK_FOLD, BLOCK_STEP, MODULUS, MU};
-    use std::arch::aarch64::vmull_p64;
-
-    /// No software prefetch on this architecture.
-    #[inline(always)]
-    pub(crate) fn prefetch(_at: *const u8) {}
-
-    /// Barrett-reduced field multiply via `PMULL`.
-    #[target_feature(enable = "neon", enable = "aes")]
-    pub(super) unsafe fn mul_unchecked(a: u32, b: u32) -> u32 {
-        let r = vmull_p64(a as u64, b as u64) as u64;
-        let t2 = (vmull_p64(r >> 32, MU) as u64) >> 32;
-        let t3 = vmull_p64(t2, MODULUS) as u64;
-        (r ^ t3) as u32
-    }
-
-    /// One lazy-reduction chain step on an unreduced 64-bit accumulator:
-    /// `(A≫32) ⊗ K  ⊕  (A & 2³²-1) ⊗ C  ⊕  word`.
-    #[inline]
-    #[target_feature(enable = "neon", enable = "aes")]
-    pub(super) unsafe fn lane_step(a: u64, word: u64) -> u64 {
-        (vmull_p64(a >> 32, BLOCK_FOLD as u64) as u64)
-            ^ (vmull_p64(a & 0xFFFF_FFFF, BLOCK_STEP as u64) as u64)
-            ^ word
-    }
-
-    /// There is no wide gather on this architecture.
-    pub(super) fn has_wide_gather() -> bool {
-        false
-    }
-
-    /// Unreachable: [`has_wide_gather`] is `false`.
-    pub(super) unsafe fn fold_bytes_wide(_bytes: &[u8]) -> (u32, u32) {
-        unreachable!("wide gather dispatched without hardware support")
-    }
-}
-
-#[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
+#[cfg(not(target_arch = "x86_64"))]
 mod arch {
     /// No software prefetch on this architecture.
     #[inline(always)]

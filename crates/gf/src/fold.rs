@@ -16,7 +16,7 @@
 //!   multiplies, but a latency chain the CPU cannot overlap.
 //! * **forward lane fold over clmul** — 32 consecutive symbols pre-combine
 //!   into one 64-bit word with shifts alone, and independent lane chains
-//!   absorb the words front to back, each step two `PCLMULQDQ`/`PMULL`
+//!   absorb the words front to back, each step two `PCLMULQDQ`
 //!   instructions with lazy reduction (see `clmul.rs`). This is the path
 //!   TPDU invariant verification rides.
 //!
@@ -96,7 +96,7 @@ pub fn fold_elements_with(backend: Backend, size: usize, bytes: &[u8]) -> (Gf32,
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ByteGather {
     /// Portable Rust, eight bytes per `u64`: every CPU with carry-less
-    /// multiply, and the only one on aarch64 and on x86_64 without AVX-512.
+    /// multiply, and the only one on x86_64 without AVX-512.
     Portable,
     /// One 512-bit load per 64-byte block (x86_64 with `avx512f` and
     /// `avx512bw`).

@@ -33,7 +33,7 @@
 //!   reduction tables and cached powers of `alpha`, built once behind a
 //!   `OnceLock`, plus the serial Horner fold; the portable path;
 //! * the **clmul path** (see `clmul.rs`) — hardware carry-less multiply
-//!   (`PCLMULQDQ` on x86_64, `PMULL` on aarch64) with Barrett reduction,
+//!   (`PCLMULQDQ` on x86_64; elsewhere the tables) with Barrett reduction,
 //!   plus the forward lane fold behind [`fold_elements`], which reads
 //!   payload bytes in place for the two shapes anything sends: one-byte
 //!   elements (through an AVX-512 gather where the CPU has one,
@@ -367,9 +367,7 @@ impl From<Gf32> for u32 {
 /// read: `PREFETCHT0` on x86_64, the hint the clmul fold issues ahead of
 /// its own stream. A hint only — it never faults and never reads
 /// architecturally, whatever `at` names, so an address past the end of a
-/// buffer is as safe to pass as any other. Elsewhere it is a no-op. The
-/// aarch64 arm is one too, and nothing that builds for x86_64 compiles it:
-/// no test covers that arm.
+/// buffer is as safe to pass as any other. Elsewhere it is a no-op.
 #[inline(always)]
 pub fn prefetch(at: *const u8) {
     clmul::prefetch(at)

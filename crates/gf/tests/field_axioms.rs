@@ -136,8 +136,8 @@ fn padded_symbols(size: usize, bytes: &[u8]) -> Vec<u32> {
 
 /// The fold of `bytes` as `size`-byte elements on every path this CPU
 /// runs, named: each backend and, for one-byte elements, each gather of
-/// the clmul fold — the portable one is the only one on aarch64 and on
-/// x86_64 without AVX-512, so it is pinned here where the wide one exists.
+/// the clmul fold — the portable one is the only one on x86_64 without
+/// AVX-512, so it is pinned here where the wide one exists.
 fn every_byte_fold(size: usize, bytes: &[u8]) -> Vec<(&'static str, (Gf32, Gf32))> {
     let mut folds: Vec<_> = Backend::supported()
         .into_iter()

@@ -76,7 +76,6 @@ pub mod ack;
 pub mod budget;
 pub mod conn;
 pub mod frame;
-pub mod mtu;
 pub mod mux;
 pub mod parallel;
 pub mod receiver;
@@ -89,7 +88,6 @@ pub use ack::AckInfo;
 pub use budget::{GlobalBudget, ResourceBudget};
 pub use conn::{ConnectionParams, Signal};
 pub use frame::{AlfFrame, Framer, Tpdu};
-pub use mtu::MtuProbe;
 pub use mux::{ConnectionDemux, DemuxEvent};
 pub use parallel::{
     shard_of, ConnSpec, ControlEvent, ControlKind, DispatchStats, Engine, ParallelOutcome,

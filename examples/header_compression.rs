@@ -9,14 +9,14 @@
 //! cargo run --example header_compression
 //! ```
 
-use chunks::core::compress::{
-    decode_header_form, decode_packet_delta, encode_header_form, encode_packet_delta, implicit_tid,
-    HeaderForm, SignalledContext,
-};
 use chunks::core::frag::split;
 use chunks::core::label::ChunkType;
 use chunks::core::wire::WIRE_HEADER_LEN;
 use chunks::core::{Chunk, ChunkHeader, FramingTuple};
+use chunks::experiments::compress::{
+    decode_header_form, decode_packet_delta, encode_header_form, encode_packet_delta, implicit_tid,
+    HeaderForm, SignalledContext,
+};
 
 fn conforming_chunk(c_sn: u32, t_sn: u32, len: u32) -> Chunk {
     let payload: Vec<u8> = (0..len).map(|i| i as u8).collect();

@@ -9,8 +9,9 @@
 # zero-allocation hot-path gate, the
 # connection-table scale gate, the network-element gate in the debug
 # profile, the BENCH regression gate, the reliability soak, the
-# adversarial overlap sweep, the lineage sweep, the
-# deterministic-trace replay, the health surface, and the seven examples. Telemetry overhead is not a recipe here: it is the ledger's
+# adversarial overlap sweep, the lineage sweep, the deterministic-trace
+# replay of every soak cell and the health surface (each compared across
+# two processes), and the seven examples. Telemetry overhead is not a recipe here: it is the ledger's
 # `obs.always_on_overhead_pct` (`cargo run --release -p chunks-ledger -- run`);
 # nor is a speed claim: that is `just ab REF`, on alternating pairs.
 lint: check test-release test-workspace test-parallel test-receiver test-sender test-hotpath test-scale test-netsim bench-check soak soak-overlap lineage trace health examples
@@ -46,8 +47,9 @@ test-release:
 test-workspace:
     cargo test -q --workspace
 
-# Reliability soak: the full fault matrix under two seeds, deterministic,
-# release mode, well under 60 s. Rewrites BENCH_soak.json at the repo root.
+# Reliability soak: the full fault matrix under two seeds, release mode,
+# well under 60 s. Rewrites BENCH_soak.json at the repo root; `bench-check`
+# and `tests/soak_reliability.rs` hold it deterministic.
 soak:
     cargo run --release --bin experiments soak --describe "$(git describe --always --dirty 2>/dev/null || echo unknown)"
 
@@ -175,8 +177,8 @@ scale:
     cargo run --release --bin experiments scale --describe "$(git describe --always --dirty 2>/dev/null || echo unknown)"
 
 # Label-keyed lifecycle spans: drive one transfer through every netsim
-# profile, prove the span trees byte-identical across replays, and rewrite
-# BENCH_lineage.json at the repo root.
+# profile and rewrite BENCH_lineage.json at the repo root (`bench-check`
+# and `tests/obs_determinism.rs` hold the span trees byte-identical).
 lineage:
     cargo run --release --bin experiments lineage --describe "$(git describe --always --dirty 2>/dev/null || echo unknown)"
 
@@ -186,17 +188,29 @@ lineage:
 bench-check:
     cargo run --release --bin experiments bench-check
 
-# Replay a soak cell twice with a verbose-tier recorder, prove the two traces
-# byte-identical, and print the metrics + event timeline.
+# Deterministic-trace replay across processes: every soak cell that
+# `experiments trace --help` lists is exported (`--json`, a verbose-tier
+# recorder) by two separate processes and the exports must match byte for
+# byte; then the default cell's metrics and event timeline are printed.
 trace:
-    cargo run --release --bin experiments trace
+    mkdir -p target
+    for s in $(cargo run --release --quiet --bin experiments trace --help | sed -n 's/^available scenarios: //p' | tr -d ','); do \
+        cargo run --release --quiet --bin experiments trace "$s" --json > target/trace-1.jsonl || exit 1; \
+        cargo run --release --quiet --bin experiments trace "$s" --json > target/trace-2.jsonl || exit 1; \
+        cmp target/trace-1.jsonl target/trace-2.jsonl || exit 1; \
+    done
+    cargo run --release --quiet --bin experiments trace
 
 # Health surface gate: drive degradation scenarios through the watchdog,
 # assert each expected verdict (LivelockSuspected, EvictionStorm,
-# PressureStuck) fires, and prove the flight recorder dumps exactly once
-# per connection on first degradation with byte-stable output.
+# PressureStuck) fires and the flight recorder dumps on first degradation,
+# and prove the whole surface byte-stable: two processes' output must match.
 health:
-    cargo run --release --bin experiments health
+    mkdir -p target
+    cargo run --release --quiet --bin experiments health > target/health-1.txt
+    cargo run --release --quiet --bin experiments health > target/health-2.txt
+    cmp target/health-1.txt target/health-2.txt
+    cat target/health-1.txt
 
 # A/B the working tree against REF on the wall clock: REF is checked out
 # into a git worktree under target/ and both ledgers are built, then

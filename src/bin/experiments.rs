@@ -106,25 +106,21 @@ fn run_one(job: &Job, describe: &str) -> bool {
             let (r1, r2) = (soak::run(SEED), soak::run(SEED2));
             println!("{r1}");
             println!("{r2}");
-            // Same seed, same rows — the whole matrix is reproducible.
-            let deterministic = soak::run(SEED) == r1;
             if let Err(e) =
                 std::fs::write("BENCH_soak.json", soak::bench_json(&[&r1, &r2], describe))
             {
                 eprintln!("could not write BENCH_soak.json: {e}");
             }
-            deterministic && r1.passes() && r2.passes()
+            r1.passes() && r2.passes()
         }
         "overlap" => {
             let r = overlap::run(SEED);
             println!("{r}");
-            // Same seed, same rows — every cell is reproducible.
-            let deterministic = overlap::run(SEED) == r;
             if let Err(e) = std::fs::write("BENCH_overlap.json", overlap::bench_json(&r, describe))
             {
                 eprintln!("could not write BENCH_overlap.json: {e}");
             }
-            deterministic && r.passes()
+            r.passes()
         }
         "scale" => {
             let r = scale::run(SEED);

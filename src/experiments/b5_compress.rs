@@ -9,14 +9,15 @@
 use std::fmt;
 
 use chunks_core::chunk::Chunk;
-use chunks_core::compress::{
-    decode_header_form, decode_packet_delta, encode_header_form, encode_packet_delta, implicit_tid,
-    HeaderForm, SignalledContext, SnRegenDecoder, SnRegenEncoder,
-};
 use chunks_core::label::ChunkType;
 use chunks_core::wire::WIRE_HEADER_LEN;
 use chunks_transport::{AlfFrame, ConnectionParams, Framer};
 use chunks_wsc::InvariantLayout;
+
+use super::compress::{
+    decode_header_form, decode_packet_delta, encode_header_form, encode_packet_delta, implicit_tid,
+    HeaderForm, SignalledContext, SnRegenDecoder, SnRegenEncoder,
+};
 
 /// Result row for one header form.
 #[derive(Clone, Debug)]

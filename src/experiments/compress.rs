@@ -17,14 +17,20 @@
 //!    packet are related (e.g. the ED chunk that follows the last data chunk
 //!    of a TPDU), later headers encode only the fields that differ from a
 //!    *continuation prediction* of the previous header.
+//!
+//! No sender, router or receiver in this workspace sends these forms:
+//! `chunks-core` holds only the fixed-field format that goes on the wire.
+//! The codecs live here beside experiment B5 ([`super::b5_compress`]),
+//! which counts the header bytes each form saves and checks that it
+//! inverts.
 
 use std::collections::HashMap;
 
 use bytes::Bytes;
 
-use crate::chunk::{Chunk, ChunkHeader};
-use crate::error::CoreError;
-use crate::label::{ChunkType, FramingTuple};
+use chunks_core::chunk::{Chunk, ChunkHeader};
+use chunks_core::error::CoreError;
+use chunks_core::label::{ChunkType, FramingTuple};
 
 /// Derives the implicit TPDU identifier from a chunk's sequence numbers
 /// (Appendix A, Figure 7): `T.ID = C.SN − T.SN` (wrapping).
@@ -63,7 +69,7 @@ impl SignalledContext {
 /// Which header form a link uses.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum HeaderForm {
-    /// The 32-byte fixed-field form of [`crate::wire`].
+    /// The 32-byte fixed-field form of [`chunks_core::wire`].
     Full,
     /// `T.ID` elided (28 bytes): recovered as `C.SN − T.SN`.
     ImplicitTid,
@@ -523,8 +529,8 @@ fn zero_header() -> ChunkHeader {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chunk::byte_chunk;
-    use crate::frag::split;
+    use chunks_core::chunk::byte_chunk;
+    use chunks_core::frag::split;
 
     fn sample() -> Chunk {
         byte_chunk(
@@ -648,12 +654,12 @@ mod tests {
 #[cfg(test)]
 mod sn_regen_tests {
     use super::*;
-    use crate::chunk::byte_chunk;
-    use crate::label::FramingTuple;
+    use chunks_core::chunk::byte_chunk;
+    use chunks_core::label::FramingTuple;
 
     /// A stream of chunks: two TPDUs of three chunks each, one external
     /// frame spanning everything, contiguous C.SNs.
-    fn stream() -> Vec<crate::chunk::Chunk> {
+    fn stream() -> Vec<chunks_core::chunk::Chunk> {
         let mut out = Vec::new();
         let mut c_sn = 100u32;
         let mut x_sn = 0u32;
@@ -763,5 +769,98 @@ mod sn_regen_tests {
         buf[0] = ChunkType::Data.to_u8();
         buf[1] = SN_EXPLICIT;
         assert_eq!(dec.decode(&buf).unwrap_err(), CoreError::Truncated);
+    }
+}
+
+#[cfg(test)]
+mod props {
+    use super::*;
+    use proptest::prelude::*;
+
+    fn tuple_strategy() -> impl Strategy<Value = FramingTuple> {
+        (any::<u32>(), any::<u32>(), any::<bool>())
+            .prop_map(|(id, sn, st)| FramingTuple::new(id, sn, st))
+    }
+
+    /// Arbitrary data chunks with small element sizes and lengths.
+    fn chunk_strategy() -> impl Strategy<Value = Chunk> {
+        (
+            1u16..=8,
+            1u32..=64,
+            tuple_strategy(),
+            tuple_strategy(),
+            tuple_strategy(),
+        )
+            .prop_map(|(size, len, conn, tpdu, ext)| {
+                let payload: Vec<u8> = (0..(size as usize * len as usize))
+                    .map(|i| (i * 31 + 7) as u8)
+                    .collect();
+                Chunk::new(
+                    ChunkHeader::data(size, len, conn, tpdu, ext),
+                    Bytes::from(payload),
+                )
+                .unwrap()
+            })
+    }
+
+    proptest! {
+        #[test]
+        fn header_forms_roundtrip(c in chunk_strategy()) {
+            // Relabel so the implicit form applies, as a conforming sender would.
+            let mut c = c;
+            c.header.tpdu.id = implicit_tid(c.header.conn.sn, c.header.tpdu.sn);
+            let mut ctx = SignalledContext::new();
+            ctx.signal_size(ChunkType::Data, c.header.size);
+            for form in [HeaderForm::Full, HeaderForm::ImplicitTid, HeaderForm::SizeElided, HeaderForm::Compact] {
+                let mut buf = Vec::new();
+                encode_header_form(&c.header, form, &ctx, &mut buf).unwrap();
+                let (h, _) = decode_header_form(&buf, form, &ctx).unwrap();
+                prop_assert_eq!(h, c.header);
+            }
+        }
+
+        #[test]
+        fn delta_packet_roundtrip(cs in proptest::collection::vec(chunk_strategy(), 1..6)) {
+            let buf = encode_packet_delta(&cs);
+            prop_assert_eq!(decode_packet_delta(&buf).unwrap(), cs);
+        }
+    }
+
+    // Every decoder returns an error, never panics, on arbitrary bytes.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn header_forms_never_panic(
+            bytes in proptest::collection::vec(any::<u8>(), 0..64),
+            form_idx in 0usize..4,
+        ) {
+            let form = [
+                HeaderForm::Full,
+                HeaderForm::ImplicitTid,
+                HeaderForm::SizeElided,
+                HeaderForm::Compact,
+            ][form_idx];
+            let mut ctx = SignalledContext::new();
+            ctx.signal_size(ChunkType::Data, 4);
+            let _ = decode_header_form(&bytes, form, &ctx);
+        }
+
+        #[test]
+        fn delta_decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..1024)) {
+            let _ = decode_packet_delta(&bytes);
+        }
+
+        #[test]
+        fn sn_regen_decode_never_panics(
+            frames in proptest::collection::vec(
+                proptest::collection::vec(any::<u8>(), 0..64), 0..8),
+        ) {
+            // Stateful decoder survives arbitrary byte streams.
+            let mut dec = SnRegenDecoder::new();
+            for f in &frames {
+                let _ = dec.decode(f);
+            }
+        }
     }
 }

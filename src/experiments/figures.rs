@@ -4,7 +4,6 @@ use std::fmt;
 
 use bytes::Bytes;
 use chunks_core::chunk::{byte_chunk, Chunk, ChunkHeader};
-use chunks_core::compress::implicit_tid;
 use chunks_core::frag::{split, split_to_fit, ReassemblyPool};
 use chunks_core::label::{ChunkType, FramingTuple};
 use chunks_core::packet::{pack, unpack};
@@ -12,6 +11,8 @@ use chunks_core::wire::WIRE_HEADER_LEN;
 use chunks_netsim::{ChunkRouter, PacketTransform, RefragPolicy};
 use chunks_transport::{AlfFrame, ConnectionParams, Framer};
 use chunks_wsc::{InvariantLayout, TpduInvariant};
+
+use super::compress::implicit_tid;
 
 /// A rendered text reproduction plus machine-checkable facts.
 pub struct FigureResult {

@@ -1,8 +1,9 @@
 //! Health surface under induced degradation: the watchdog sees the failure
 //! before the caller does, and the flight recorder explains it afterwards.
 //!
-//! Two legs, both on the virtual clock and both run twice to prove the
-//! whole surface — reports, events, flight dump — is byte-deterministic:
+//! Two legs, both on the virtual clock, so the whole surface — reports,
+//! events, flight dump — is byte-deterministic (`just health` compares two
+//! processes' output; the unit tests compare two runs):
 //!
 //! * **session leg** — a sender pushes a transfer into a total ack
 //!   blackout under `DegradePolicy::Abort`. The in-session watchdog's
@@ -70,7 +71,7 @@ impl LegOutcome {
     }
 }
 
-/// Both legs plus the determinism verdict from the second run.
+/// Both legs of one run.
 #[derive(Clone, PartialEq, Debug)]
 pub struct HealthResult {
     /// Seed of the run.
@@ -81,16 +82,12 @@ pub struct HealthResult {
     pub session_aborted: bool,
     /// The connection-table churn leg.
     pub table: LegOutcome,
-    /// True when a full re-run reproduced both legs byte-for-byte
-    /// (events, reports, and dumps).
-    pub deterministic: bool,
 }
 
 impl HealthResult {
     /// Acceptance: the session leg aborts with a livelock warning first and
     /// a `peer-unreachable` dump after; the table leg raises both the storm
-    /// and the stuck-pressure verdicts with an armed dump; and the whole
-    /// surface replays byte-identically.
+    /// and the stuck-pressure verdicts with an armed dump.
     pub fn passes(&self) -> bool {
         self.session_aborted
             && self.session.raised("LivelockSuspected")
@@ -98,7 +95,6 @@ impl HealthResult {
             && self.table.raised("EvictionStorm")
             && self.table.raised("PressureStuck")
             && self.table.dump.is_some()
-            && self.deterministic
     }
 }
 
@@ -123,12 +119,7 @@ impl fmt::Display for HealthResult {
                 writeln!(f, "    event: {}", e.to_json())?;
             }
         }
-        writeln!(
-            f,
-            "  session aborted: {}; deterministic replay: {}",
-            self.session_aborted, self.deterministic
-        )?;
-        Ok(())
+        writeln!(f, "  session aborted: {}", self.session_aborted)
     }
 }
 
@@ -249,23 +240,14 @@ fn run_table_leg(seed: u64) -> LegOutcome {
     }
 }
 
-fn run_once(seed: u64) -> (LegOutcome, bool, LegOutcome) {
-    let (session, aborted) = run_session_leg(seed);
-    let table = run_table_leg(seed);
-    (session, aborted, table)
-}
-
-/// Runs both legs twice under one seed and compares the replays.
+/// Runs both legs once under one seed.
 pub fn run(seed: u64) -> HealthResult {
-    let (session, session_aborted, table) = run_once(seed);
-    let (session2, aborted2, table2) = run_once(seed);
-    let deterministic = session == session2 && table == table2 && session_aborted == aborted2;
+    let (session, session_aborted) = run_session_leg(seed);
     HealthResult {
         seed,
         session,
         session_aborted,
-        table,
-        deterministic,
+        table: run_table_leg(seed),
     }
 }
 
@@ -296,7 +278,7 @@ mod tests {
     #[test]
     fn whole_surface_is_deterministic_and_passes() {
         let r = run(0xA5EED);
-        assert!(r.deterministic);
+        assert_eq!(r, run(0xA5EED), "a second run diverged");
         assert!(r.passes());
     }
 }

@@ -19,11 +19,10 @@
 //! * **visible drops**: unclosed hop spans are exactly the frames the
 //!   lossy profiles destroyed.
 //!
-//! Everything rides the virtual clock, so each profile is replayed twice
-//! and the JSON exports must be byte-identical — `experiments lineage`
-//! fails otherwise, and `BENCH_lineage.json` is exact enough for the
-//! `bench-check` gate to diff against a fresh regeneration with zero
-//! tolerance.
+//! Everything rides the virtual clock, so `BENCH_lineage.json` is exact
+//! enough for the `bench-check` gate to diff against a fresh regeneration
+//! with zero tolerance, and `tests/obs_determinism.rs` replays each
+//! profile and compares the exports byte for byte.
 
 use std::fmt;
 use std::sync::Arc;
@@ -85,9 +84,6 @@ pub struct LineageRow {
     pub unclosed: usize,
     /// Closes that matched no open span (must stay zero).
     pub orphan_closes: u64,
-    /// True when two replays exported byte-identical lineage JSON and
-    /// identical metric snapshots.
-    pub deterministic: bool,
     /// `(delay metric, total ns, closed spans)` in lifecycle order.
     pub budget: Vec<(&'static str, u64, u64)>,
     /// `(delay metric, p50, p90, p99)` bucket-bound quantiles in ns.
@@ -155,20 +151,10 @@ pub fn drive(profile: Profile, seed: u64, sink: Arc<dyn ObsSink>) -> TransferSum
     }
 }
 
-fn observed(profile: Profile, seed: u64) -> (TransferSummary, Arc<Recorder>) {
+fn row(profile: Profile, seed: u64) -> LineageRow {
     let sink = Recorder::verbose_tier(1 << 16);
     let summary = drive(profile, seed, sink.clone());
-    (summary, sink)
-}
-
-fn row(profile: Profile, seed: u64) -> LineageRow {
-    let (summary, sink) = observed(profile, seed);
-    let (_, sink2) = observed(profile, seed);
     let lineage = sink.lineage();
-    let json = lineage.to_json();
-    let deterministic = json == sink2.lineage().to_json()
-        && sink.span_json_lines() == sink2.span_json_lines()
-        && sink.snapshot() == sink2.snapshot();
     let snap = sink.snapshot();
     let quantiles = DELAY_METRICS
         .iter()
@@ -186,16 +172,14 @@ fn row(profile: Profile, seed: u64) -> LineageRow {
         links: sink.span_links().len(),
         unclosed: records.iter().filter(|r| r.close_ns.is_none()).count(),
         orphan_closes: sink.span_orphan_closes(),
-        deterministic,
         budget: lineage.delay_budget(),
         quantiles,
-        json,
+        json: lineage.to_json(),
         text: lineage.render_text(),
     }
 }
 
-/// Runs the whole profile sweep under one seed, each profile replayed
-/// twice for the byte-identity check.
+/// Runs the whole profile sweep under one seed, each profile once.
 pub fn run(seed: u64) -> LineageResult {
     LineageResult {
         seed,
@@ -211,15 +195,13 @@ impl LineageRow {
 }
 
 impl LineageResult {
-    /// Acceptance: every profile replayed byte-identically with no orphan
-    /// closes and delivered every byte; every profile recorded spans; the
-    /// clean profile dropped nothing; the fragmenting profile recorded
-    /// parent→child split links; and at least one lossy profile shows
-    /// dropped chunks as unclosed spans.
+    /// Acceptance: every profile ran with no orphan closes, delivered
+    /// every byte and recorded spans; the clean profile dropped nothing;
+    /// the fragmenting profile recorded parent→child split links; and at
+    /// least one lossy profile shows dropped chunks as unclosed spans.
     pub fn passes(&self) -> bool {
         self.rows.iter().all(|r| {
-            r.deterministic
-                && r.orphan_closes == 0
+            r.orphan_closes == 0
                 && r.spans > 0
                 && r.summary.completed
                 && r.summary.delivered_bytes == r.summary.total_bytes
@@ -244,13 +226,13 @@ impl fmt::Display for LineageResult {
         )?;
         writeln!(
             f,
-            "  {:<16} {:>7} {:>7} {:>6} {:>9} {:>8} {:>12} {:>9}",
-            "profile", "chunks", "spans", "links", "unclosed", "rto-rtx", "attrib ms", "replay"
+            "  {:<16} {:>7} {:>7} {:>6} {:>9} {:>8} {:>12}",
+            "profile", "chunks", "spans", "links", "unclosed", "rto-rtx", "attrib ms"
         )?;
         for r in &self.rows {
             writeln!(
                 f,
-                "  {:<16} {:>7} {:>7} {:>6} {:>9} {:>8} {:>12.3} {:>9}",
+                "  {:<16} {:>7} {:>7} {:>6} {:>9} {:>8} {:>12.3}",
                 r.profile,
                 r.chunks,
                 r.spans,
@@ -258,11 +240,6 @@ impl fmt::Display for LineageResult {
                 r.unclosed,
                 r.summary.timer_retransmits,
                 r.attributed_ns() as f64 / 1e6,
-                if r.deterministic {
-                    "identical"
-                } else {
-                    "DIVERGED"
-                },
             )?;
         }
         writeln!(f, "--- delay budget (clean profile) ---")?;
@@ -299,7 +276,7 @@ pub fn bench_json(r: &LineageResult, describe: &str) -> String {
     ));
     let _ = writeln!(
         out,
-        "  \"workload\": \"{} bytes per profile, mtu {}, virtual clock, tick {} ns; each profile replayed twice and byte-compared\",",
+        "  \"workload\": \"{} bytes per profile, mtu {}, virtual clock, tick {} ns\",",
         PAYLOAD_BYTES,
         MTU,
         soak::TICK_NS
@@ -311,7 +288,7 @@ pub fn bench_json(r: &LineageResult, describe: &str) -> String {
         .iter()
         .map(|row| {
             let mut s = format!(
-                "    {{\"profile\": \"{}\", \"delivered_bytes\": {}, \"elapsed_ns\": {}, \"chunks\": {}, \"spans\": {}, \"links\": {}, \"unclosed\": {}, \"orphan_closes\": {}, \"timer_retransmits\": {}, \"deterministic\": {}, \"budget\": {{",
+                "    {{\"profile\": \"{}\", \"delivered_bytes\": {}, \"elapsed_ns\": {}, \"chunks\": {}, \"spans\": {}, \"links\": {}, \"unclosed\": {}, \"orphan_closes\": {}, \"timer_retransmits\": {}, \"budget\": {{",
                 row.profile,
                 row.summary.delivered_bytes,
                 row.summary.elapsed_ns,
@@ -321,7 +298,6 @@ pub fn bench_json(r: &LineageResult, describe: &str) -> String {
                 row.unclosed,
                 row.orphan_closes,
                 row.summary.timer_retransmits,
-                row.deterministic,
             );
             for (i, (metric, total, count)) in row.budget.iter().enumerate() {
                 if i > 0 {
@@ -352,7 +328,11 @@ mod tests {
     #[test]
     fn clean_profile_lineage_is_deterministic_and_fully_attributed() {
         let r = row(Profile::Clean, 0xC0451);
-        assert!(r.deterministic, "clean profile replay diverged");
+        assert_eq!(
+            r,
+            row(Profile::Clean, 0xC0451),
+            "clean profile replay diverged"
+        );
         assert_eq!(r.orphan_closes, 0);
         assert_eq!(r.unclosed, 0, "clean profile cannot drop chunks");
         assert_eq!(r.summary.delivered_bytes, PAYLOAD_BYTES as u64);

@@ -23,6 +23,7 @@ pub mod b7_turner;
 pub mod b8_gap_budget;
 pub mod bench_check;
 pub mod benchjson;
+pub mod compress;
 pub mod figures;
 pub mod health;
 pub mod lineage;

@@ -7,9 +7,10 @@
 //! replays one cell of the soak matrix (any of them: `experiments trace
 //! <scenario>` picks; the default `label-flips` mixes Byzantine label
 //! mutations with 10% ack loss, exercising decode rejects, WSC-2
-//! verification failures, timer-driven retransmission and backoff) twice
-//! with recording sinks and checks the exports byte for byte, then
-//! pretty-prints the timeline a human would read to diagnose the run.
+//! verification failures, timer-driven retransmission and backoff) with a
+//! recording sink and pretty-prints the timeline a human would read to
+//! diagnose the run. `just trace` runs every scenario's `--json` export in
+//! two processes and compares them byte for byte.
 
 use std::fmt;
 
@@ -24,15 +25,12 @@ pub const DEFAULT_SCENARIO: &str = "label-flips";
 pub const TRACE_EVENTS: usize = 1 << 16;
 
 /// Result of the trace replay.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct TraceResult {
     /// Scenario replayed.
     pub scenario: &'static str,
     /// Seed of the run.
     pub seed: u64,
-    /// True when two runs exported byte-identical JSON lines *and*
-    /// identical metric snapshots.
-    pub deterministic: bool,
     /// Events recorded (after which the ring was not full: `dropped == 0`).
     pub events: usize,
     /// Events evicted from the ring (must be zero at [`TRACE_EVENTS`]).
@@ -48,10 +46,10 @@ pub struct TraceResult {
 }
 
 impl TraceResult {
-    /// Acceptance: the export is reproducible, non-empty, complete (no
-    /// eviction), and the run itself terminated cleanly.
+    /// Acceptance: the export is non-empty, complete (no eviction), and
+    /// the run itself terminated cleanly.
     pub fn passes(&self) -> bool {
-        self.deterministic && self.events > 0 && self.dropped == 0 && self.row.terminated_cleanly()
+        self.events > 0 && self.dropped == 0 && self.row.terminated_cleanly()
     }
 }
 
@@ -64,17 +62,12 @@ impl fmt::Display for TraceResult {
         )?;
         writeln!(
             f,
-            "  outcome {} ({}/{} bytes), {} events, {} dropped, replay {}",
+            "  outcome {} ({}/{} bytes), {} events, {} dropped",
             self.row.outcome,
             self.row.delivered_bytes,
             self.row.total_bytes,
             self.events,
             self.dropped,
-            if self.deterministic {
-                "byte-identical"
-            } else {
-                "DIVERGED"
-            },
         )?;
         writeln!(f, "--- metrics ---")?;
         write!(f, "{}", self.metrics_text)?;
@@ -108,14 +101,8 @@ pub fn scenario_names() -> Vec<&'static str> {
     soak::fault_matrix().iter().map(|sc| sc.name).collect()
 }
 
-fn observed_run(sc: &soak::SoakScenario, seed: u64) -> (soak::SoakRow, std::sync::Arc<Recorder>) {
-    let sink = Recorder::verbose_tier(TRACE_EVENTS);
-    let row = soak::run_scenario_observed(sc, seed, sink.clone());
-    (row, sink)
-}
-
-/// Replays `scenario` twice under `seed` and compares the exports. An
-/// unknown scenario name returns the list of valid ones instead.
+/// Runs `scenario` once under `seed` with a recording sink. An unknown
+/// scenario name returns the list of valid ones instead.
 pub fn run(seed: u64, scenario: &str) -> Result<TraceResult, Vec<&'static str>> {
     let Some(sc) = soak::fault_matrix()
         .into_iter()
@@ -123,18 +110,14 @@ pub fn run(seed: u64, scenario: &str) -> Result<TraceResult, Vec<&'static str>> 
     else {
         return Err(scenario_names());
     };
-    let (row, sink) = observed_run(&sc, seed);
-    let (_, sink2) = observed_run(&sc, seed);
-    let json_lines = sink.trace_json_lines();
-    let deterministic =
-        json_lines == sink2.trace_json_lines() && sink.snapshot() == sink2.snapshot();
+    let sink = Recorder::verbose_tier(TRACE_EVENTS);
+    let row = soak::run_scenario_observed(&sc, seed, sink.clone());
     Ok(TraceResult {
         scenario: sc.name,
         seed,
-        deterministic,
         events: sink.events().len(),
         dropped: sink.trace_dropped(),
-        json_lines,
+        json_lines: sink.trace_json_lines(),
         text: sink.trace_text(),
         metrics_text: sink.snapshot().render_text(),
         row,
@@ -149,6 +132,11 @@ mod tests {
     fn trace_replay_is_deterministic_and_complete() {
         let r = run(0xC0451, DEFAULT_SCENARIO).expect("default scenario exists");
         assert!(r.passes(), "trace replay failed: {r}");
+        assert_eq!(
+            r,
+            run(0xC0451, DEFAULT_SCENARIO).unwrap(),
+            "replay diverged"
+        );
         // The scenario's faults must actually appear in the trace.
         assert!(r.json_lines.contains("\"ev\": \"ChunkRejected\""));
         assert!(r.json_lines.contains("\"ev\": \"RetransmitFired\""));

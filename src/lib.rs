@@ -24,10 +24,10 @@
 //! |---|---|---|
 //! | [`gf`] | `chunks-gf` | GF(2^32) arithmetic |
 //! | [`wsc`] | `chunks-wsc` | WSC-2 code, TPDU invariant, CRC-32/Internet-checksum comparators |
-//! | [`core`] | `chunks-core` | chunk model, wire codec, Appendix C/D algorithms, packets, Appendix A header compression |
+//! | [`core`] | `chunks-core` | chunk model, the fixed-field wire codec, Appendix C/D algorithms, packets |
 //! | [`vreasm`] | `chunks-vreasm` | virtual reassembly, reassembly-buffer lock-up model |
 //! | [`netsim`] | `chunks-netsim` | deterministic lossy/reordering network simulator, Figure 4 routers |
-//! | [`baseline`] | `chunks-baseline` | IP-style, XTP-style and AAL5-style comparators |
+//! | [`baseline`] | `chunks-baseline` | the Appendix B comparison systems (IP, XTP, AAL5, AAL4, HDLC, URP, VMTP, Delta-t) and the comparison table |
 //! | [`transport`] | `chunks-transport` | framer, sender, the three §3.3 receivers, acks, signalling |
 //!
 //! ## Quickstart
@@ -71,8 +71,9 @@ pub use chunks_gf as gf;
 /// comparator codes.
 pub use chunks_wsc as wsc;
 
-/// The chunk data model: labels, wire format, fragmentation/reassembly,
-/// packets-as-envelopes, header compression.
+/// The chunk data model: labels, the fixed-field wire format,
+/// fragmentation/reassembly, packets-as-envelopes. Appendix A's compressed
+/// header forms are [`experiments::compress`]: no traffic sends them.
 pub use chunks_core as core;
 
 /// Virtual reassembly and the physical reassembly-buffer (lock-up) model.
@@ -82,7 +83,8 @@ pub use chunks_vreasm as vreasm;
 /// routers.
 pub use chunks_netsim as netsim;
 
-/// Baseline fragmentation systems (IP, XTP, AAL5 styles).
+/// The Appendix B comparison systems (IP, XTP, AAL5, AAL4, HDLC, URP,
+/// VMTP, Delta-t) and the qualitative comparison table.
 pub use chunks_baseline as baseline;
 
 /// The end-to-end chunk transport.

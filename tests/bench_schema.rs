@@ -204,10 +204,5 @@ fn lineage_rows_expose_budget_and_quantiles_for_every_delay_metric() {
                 "{profile}: {section} must cover every delay metric in lifecycle order"
             );
         }
-        assert_eq!(
-            row.get("deterministic"),
-            Some(&Value::Bool(true)),
-            "{profile}: committed lineage row must be deterministic"
-        );
     }
 }

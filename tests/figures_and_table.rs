@@ -1,7 +1,8 @@
 //! Integration tests asserting the paper reproductions: every figure check
-//! passes and Table 1's measured detection channels match the paper.
+//! passes, Table 1's measured detection channels match the paper, and B5's
+//! Appendix A header forms invert at the header byte counts B5 prints.
 
-use chunks::experiments::{figures, table1};
+use chunks::experiments::{b5_compress, figures, table1};
 
 #[test]
 fn all_figures_reproduce() {
@@ -46,4 +47,26 @@ fn figure2_chunk_matches_paper_values() {
         (36, 0, 24)
     );
     assert_eq!(c.header.len, 7);
+}
+
+#[test]
+fn b5_header_forms_are_invertible_and_save_the_pinned_bytes() {
+    let r = b5_compress::run();
+    assert_eq!((r.chunks, r.payload_bytes), (80, 16512));
+    let rows: Vec<(&str, usize, bool)> = r
+        .rows
+        .iter()
+        .map(|row| (row.form, row.header_bytes, row.invertible))
+        .collect();
+    assert_eq!(
+        rows,
+        [
+            ("full fixed-field", 2560, true),
+            ("implicit T.ID", 2240, true),
+            ("signalled SIZE", 2400, true),
+            ("compact (both)", 2080, true),
+            ("intra-packet delta", 1542, true),
+            ("SN regeneration", 1984, true),
+        ]
+    );
 }
