@@ -1,8 +1,7 @@
 #![allow(missing_docs)] // criterion_main! generates an undocumented fn main
 
 //! B2 bench: per-packet conversion cost at a router — chunk refragmentation
-//! (three-level labels) versus IP fragmentation (one level), and the demux
-//! cost of mixed arrivals (B6 micro).
+//! (three-level labels) versus IP fragmentation (one level).
 
 use bytes::Bytes;
 use chunks_baseline::ip::{IpPacket, IpRouter};

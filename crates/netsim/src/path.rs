@@ -27,10 +27,11 @@
 //! path keeps for every hop, and no hop copies a payload byte except the
 //! ones whose job is to write new frames (a refragmenting router, one buffer
 //! per emission) or to damage one (a corrupting link, copy-on-write). A
-//! routerless path therefore allocates nothing per frame. [`Path::run`] and
-//! [`Path::transmit`] take anything that converts into `Bytes` — a packet's
-//! handle as it is, or an owned `Vec<u8>`, whose buffer becomes the handle's
-//! without a copy.
+//! routerless path therefore allocates nothing per frame: a run asks for its
+//! hop lists and its output, plus the sort's scratch only on a hop that
+//! disorders. [`Path::run`] and [`Path::transmit`] take anything that
+//! converts into `Bytes` — a packet's handle as it is, or an owned
+//! `Vec<u8>`, whose buffer becomes the handle's without a copy.
 //!
 //! With a recording sink attached the *record* order follows the processing
 //! order. A single injected frame ([`Path::transmit`]) or a flush on a path
@@ -63,11 +64,11 @@ pub enum AnyLink {
 /// Frames in flight between two hops: `(time, frame)`.
 type Frames = Vec<(u64, Bytes)>;
 
-/// Orders frames by time, equal times keeping their emission order. FIFO
-/// links emit in time order already, which one scan confirms.
-fn sort_by_time(frames: &mut Frames) {
-    if !frames.is_sorted_by_key(|f| f.0) {
-        frames.sort_by_key(|f| f.0);
+/// Orders a list by `time`, equal times keeping their order. A list already
+/// in order costs one scan: only a disordered one gets the sort's scratch.
+fn sort_by_time<T>(list: &mut [T], time: impl Fn(&T) -> u64) {
+    if !list.is_sorted_by_key(&time) {
+        list.sort_by_key(time);
     }
 }
 
@@ -77,15 +78,6 @@ impl AnyLink {
             AnyLink::Single(l) => l.transmit_into(now, frame, out),
             AnyLink::Multi(m) => m.transmit_into(now, frame, out),
             AnyLink::RouteChange(r) => r.transmit_into(now, frame, out),
-        }
-    }
-
-    /// The link's (minimum) MTU.
-    pub fn mtu(&self) -> usize {
-        match self {
-            AnyLink::Single(l) => l.cfg.mtu,
-            AnyLink::Multi(m) => m.mtu(),
-            AnyLink::RouteChange(_) => usize::MAX,
         }
     }
 
@@ -244,7 +236,7 @@ impl Path {
     fn propagate(&mut self, first_hop: usize, mut arrivals: Frames) -> Vec<Delivery> {
         let emitted = &mut self.emitted;
         for hop in &mut self.hops[first_hop..] {
-            sort_by_time(&mut arrivals);
+            sort_by_time(&mut arrivals, |f| f.0);
             let mut departures = Vec::with_capacity(arrivals.len());
             for (now, frame) in arrivals {
                 match &mut hop.router {
@@ -259,7 +251,7 @@ impl Path {
             }
             arrivals = departures;
         }
-        sort_by_time(&mut arrivals);
+        sort_by_time(&mut arrivals, |f| f.0);
         // Same layout, so the list is converted where it lies.
         arrivals
             .into_iter()
@@ -298,7 +290,7 @@ impl Path {
             }
             out.extend(self.propagate(i + 1, departures));
         }
-        out.sort_by_key(|d| d.time);
+        sort_by_time(&mut out, |d| d.time);
         out
     }
 
@@ -308,13 +300,13 @@ impl Path {
         // Same layout either way, so the list is converted where it lies.
         let inputs = inputs.into_iter().map(|(t, f)| (t, f.into())).collect();
         let mut out = self.propagate(0, inputs);
-        // Drain router windows (reassembly policies) hop by hop: flushed
-        // frames traverse the remaining hops at the max observed time.
+        // Drain router windows hop by hop at the last delivery's time; no link
+        // delivers before a frame is offered, so the merge is one scan.
         let flush_time = out.last().map(|d| d.time).unwrap_or(0);
         let flushed = self.flush(flush_time);
         if !flushed.is_empty() {
             out.extend(flushed);
-            out.sort_by_key(|d| d.time);
+            sort_by_time(&mut out, |d| d.time);
         }
         out
     }
@@ -573,6 +565,21 @@ mod tests {
             .build()
     }
 
+    /// A Repack router between links with no latency and no serialization
+    /// time: a frame narrower than the router's egress waits for the flush,
+    /// which `run` makes at the last delivery's time, and lands at that very
+    /// time — a tie the merge must settle with the run's deliveries first.
+    fn zero_latency_routed_path(seed: u64) -> Path {
+        let narrow = WIRE_HEADER_LEN + 120;
+        PathBuilder::new(seed)
+            .link(LinkConfig::clean(576, 0, 0))
+            .routed_link(
+                Box::new(ChunkRouter::new(narrow, RefragPolicy::Repack)),
+                LinkConfig::clean(narrow, 0, 0),
+            )
+            .build()
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -617,6 +624,29 @@ mod tests {
                 .collect();
             let mut by_hop = three_router_path(seed, window);
             let mut by_heap = three_router_path(seed, window);
+            prop_assert_eq!(
+                timeline(by_hop.run(inputs.clone())),
+                timeline(heap_run(&mut by_heap, inputs))
+            );
+            prop_assert_eq!(link_stats(&by_hop), link_stats(&by_heap));
+        }
+
+        /// The same where the flushed tail ties with the last delivery: the
+        /// inputs end with a short frame, injected last, that the router
+        /// holds.
+        #[test]
+        fn run_equals_the_event_heap_when_the_flush_ties(
+            seed in any::<u64>(),
+            spacing in 0u8..4,
+            count in 1usize..60,
+        ) {
+            let mut times = inject_times(spacing, seed, count);
+            times.push(times.iter().copied().max().unwrap_or(0));
+            let mut frames = seeded_frames(seed, count, 576);
+            frames.extend(seeded_frames(seed, 1, WIRE_HEADER_LEN + 16));
+            let inputs: Vec<(u64, Bytes)> = times.into_iter().zip(frames).collect();
+            let mut by_hop = zero_latency_routed_path(seed);
+            let mut by_heap = zero_latency_routed_path(seed);
             prop_assert_eq!(
                 timeline(by_hop.run(inputs.clone())),
                 timeline(heap_run(&mut by_heap, inputs))

@@ -160,7 +160,10 @@ test-scale:
 # root tests that drive a `Path`; then the crate's tests again as they
 # ship, in release, and the network's allocation and copy gates (frames are
 # handles: a routerless path allocates nothing per frame, a refragmenting
-# router at most three times per ingress frame).
+# router at most three times per ingress frame) with the high-water gate
+# `network_runs_keep_no_scratch_copy_of_an_ordered_list` (a run's heap
+# peaks at most one list of handles above where it ends, two on a path that
+# disorders: an ordered list is never copied to be sorted).
 test-netsim:
     cargo test -q -p chunks-netsim
     cargo test -q --test adversarial_input --test e2e_lossy_network --test session_over_network

@@ -774,7 +774,9 @@ fn a_warm_sender_transmits_its_next_submit_from_the_buffer_its_last_one_freed() 
 const NET_MTU: usize = 576;
 
 /// `count` sender-built frames of at most [`NET_MTU`] bytes, a microsecond
-/// apart: handles on the sender's one buffer.
+/// apart: handles on the sender's one buffer. The first `count - 1` are
+/// full; the last is the message's short last packet, which a refragmenting
+/// router holds until the run flushes it.
 fn network_inputs(count: usize) -> Vec<(u64, Bytes)> {
     let mut tx = Sender::new(SenderConfig {
         params: ConnectionParams {
@@ -790,28 +792,32 @@ fn network_inputs(count: usize) -> Vec<(u64, Bytes)> {
         .map(|i| (i * 13 + 5) as u8)
         .collect();
     tx.submit_simple(&message, 1, false);
-    let packets = tx.packets_for_pending().expect("clean stream packs");
+    let mut packets = tx.packets_for_pending().expect("clean stream packs");
     assert!(packets.len() >= count);
+    let last = packets.pop().expect("a packet");
+    packets.truncate(count - 1);
+    packets.push(last);
     packets
         .into_iter()
-        .take(count)
         .enumerate()
         .map(|(i, p)| (i as u64 * 1_000, p.bytes))
         .collect()
 }
 
-/// Allocations made and bytes requested by one `Path::run`, with what it
-/// delivered.
+/// Allocations made and bytes requested by one `Path::run`, how far the
+/// thread's heap rose above where the run left it, and what it delivered.
 fn measured_run(
     profile: chunks::netsim::Profile,
     inputs: Vec<(u64, Bytes)>,
-) -> (u64, u64, Vec<chunks::netsim::path::Delivery>) {
+) -> (u64, u64, i64, Vec<chunks::netsim::path::Delivery>) {
     let mut path = profile.build(NET_MTU, 0xA110C);
     let (allocs, requested) = (alloc_count::allocs(), alloc_count::requested_bytes());
+    alloc_count::reset_high_water();
     let deliveries = path.run(inputs);
     (
         alloc_count::allocs() - allocs,
         alloc_count::requested_bytes() - requested,
+        alloc_count::high_water_bytes() - alloc_count::held_bytes(),
         deliveries,
     )
 }
@@ -825,14 +831,16 @@ fn network_copies_each_byte_once_and_links_move_frames() {
     let twice = network_inputs(2 * FRAMES);
     let wire = |inputs: &[(u64, Bytes)]| inputs.iter().map(|f| f.1.len() as u64).sum::<u64>();
 
-    // (a) Through the refragmenting router, 576 -> 176 bytes. Per ingress
-    // frame one emission of four egress frames: one buffer of exactly
-    // their bytes — the single copy of the payload — and the shared owner
-    // that makes it `Bytes`. Per run: the router's window lists, one
-    // departure list a hop, and the narrow hop's list doubling twice.
-    let (allocs, requested, deliveries) = measured_run(Profile::Fragmenting, inputs.clone());
+    // (a) Through the refragmenting router, 576 -> 176 bytes. Per full
+    // ingress frame one emission of four egress frames: one buffer of
+    // exactly their bytes — the single copy of the payload — and the shared
+    // owner that makes it `Bytes`. The short last packet waits in the
+    // router until the run flushes it, as one more emission of one frame.
+    // Per run: the router's window lists, one departure list a hop, the
+    // narrow hop's list doubling twice, and the flush's lists.
+    let (allocs, requested, _, deliveries) = measured_run(Profile::Fragmenting, inputs.clone());
     let egress = deliveries.len() as u64;
-    assert_eq!(egress, 4 * FRAMES as u64);
+    assert_eq!(egress, 4 * (FRAMES as u64 - 1) + 1);
     println!(
         "fragmenting: {allocs} allocations, {requested} B requested for {} B in",
         wire(&inputs)
@@ -846,7 +854,9 @@ fn network_copies_each_byte_once_and_links_move_frames() {
     // in: every piece gets its own 32-byte label). The rest is each
     // emission's 40-byte shared owner and lists of 32-byte handles: the
     // first hop's departures, then the narrow hop's, doubling from the
-    // frames in to four times that (1 + 2 + 4).
+    // frames in to four times that (1 + 2 + 4), and the flush's lists of
+    // one handle. The flushed frame lands after the rest, so merging it
+    // copies no list (a stable sort's scratch would be four lists more).
     let wire_out: u64 = deliveries.iter().map(|d| d.frame.len() as u64).sum();
     let handles = (8 * 32 + 40) * FRAMES as u64 + 4096;
     assert!(
@@ -875,8 +885,8 @@ fn network_copies_each_byte_once_and_links_move_frames() {
         let offered = inputs.clone();
         let buffers: std::collections::BTreeSet<*const u8> =
             offered.iter().map(|f| f.1.as_ptr()).collect();
-        let (allocs, requested, deliveries) = measured_run(profile, offered);
-        let (allocs_twice, _, _) = measured_run(profile, twice.clone());
+        let (allocs, requested, _, deliveries) = measured_run(profile, offered);
+        let (allocs_twice, _, _, _) = measured_run(profile, twice.clone());
         assert_eq!(allocs, lists, "{}", profile.name());
         assert_eq!(
             allocs_twice,
@@ -893,6 +903,42 @@ fn network_copies_each_byte_once_and_links_move_frames() {
         assert!(deliveries
             .iter()
             .all(|d| buffers.contains(&d.frame.bytes.as_ptr())));
+    }
+}
+
+/// A network run's heap rises above where the run ends by at most the list
+/// of handles it is consuming: an ordered list is never copied to be sorted,
+/// not at a hop, not in `flush`, not where `run` merges the flushed tail.
+/// Only a disordering hop's stable sort may add a second list.
+#[test]
+fn network_runs_keep_no_scratch_copy_of_an_ordered_list() {
+    use chunks::netsim::Profile;
+
+    const FRAMES: usize = 2048;
+    let inputs = network_inputs(FRAMES);
+    // The router holds the short last packet until the run flushes it.
+    let mut path = Profile::Fragmenting.build(NET_MTU, 0xA110C);
+    for (t, f) in inputs.clone() {
+        path.transmit(t, f);
+    }
+    assert!(
+        !path.flush(FRAMES as u64 * 1_000).is_empty(),
+        "no tail held"
+    );
+
+    let list = 32 * FRAMES as i64;
+    for (profile, lists) in [
+        (Profile::Fragmenting, 1),
+        (Profile::Clean, 1),
+        (Profile::Reorder, 2),
+        (Profile::MultipathLossy, 2),
+    ] {
+        let (_, _, rise, _) = measured_run(profile, inputs.clone());
+        assert!(
+            rise <= lists * list + 4096,
+            "{}: the heap peaked {rise} B above the run's end, more than {lists} list(s) of handles",
+            profile.name()
+        );
     }
 }
 
