@@ -832,10 +832,11 @@ impl ParallelReceiver {
         }
     }
 
-    /// Pre-sizes every worker's receivers and event buffers for an expected
-    /// load of `tpdus` TPDU groups and `fragments` tracked fragment runs, so
-    /// the steady state that follows stays allocation-free. Travels the work
-    /// queues like any other item, so it is ordered with the data.
+    /// Pre-sizes every worker's receivers ([`Receiver::reserve`]) and event
+    /// buffers for an expected load of `tpdus` TPDUs and `fragments` tracked
+    /// fragment runs; open-group tables grow to their connections' open
+    /// high-water instead. Travels the work queues like any other item, so
+    /// it is ordered with the data.
     pub fn reserve(&mut self, tpdus: usize, fragments: usize) {
         for worker in 0..self.workers {
             self.stage(worker, Work::Control(Control::Reserve { tpdus, fragments }));

@@ -3,9 +3,10 @@
 //! slot)` — checked at a last-hit cursor first (every chunk of a TPDU after
 //! the first, the common case under fragmentation), then at the tail (a TPDU
 //! opening in order), then by binary search. The free slots sit in the
-//! list's unused tail, so it needs no room beyond one entry per slot. A
+//! list's unused tail, so it needs no room beyond one entry per slot, and
+//! both grow only when more groups are open at once than ever before. A
 //! removed group's slot keeps its cleared shell for the next TPDU, so a
-//! reserved table opens and closes groups without touching the allocator.
+//! warm table opens and closes groups without touching the allocator.
 //! `start` is `C.SN − T.SN`, read off the wire: a sorted list cannot be
 //! flooded into collisions, and its worst case, an out-of-order insert, is
 //! a move of the open groups the budget already bounds.
@@ -150,13 +151,6 @@ impl<T> Groups<T> {
             clear(&mut self.slots[slot]);
         }
         self.live = 0;
-    }
-
-    /// Room for `additional` more groups, so that any inserts and removes
-    /// that keep that many open allocate nothing beyond their shells.
-    pub(super) fn reserve(&mut self, additional: usize) {
-        self.slots.reserve(additional);
-        self.index.reserve(additional);
     }
 }
 

@@ -465,16 +465,15 @@ impl Receiver {
         self.mode
     }
 
-    /// Pre-sizes every growth point on the receive path for `tpdus` more
-    /// TPDUs fragmenting into at most `fragments` disjoint runs, so a
-    /// steady-state window stays allocation-free (amortised `Vec`/map
-    /// doubling alone cannot promise a zero-allocation *window* — an
-    /// explicit reserve can). Only the points the delivery mode grows are
-    /// sized: `tpdus` sizes the group table and the delivered records, and
-    /// `fragments` the reorder queue, in Reorder mode alone, the one mode
-    /// that stages by element. `tests/hotpath_allocs.rs` pins both halves.
+    /// Pre-sizes what grows with the TPDU count for `tpdus` more TPDUs
+    /// fragmenting into at most `fragments` disjoint runs: `tpdus` sizes the
+    /// delivered records, and `fragments` the reorder queue, in Reorder mode
+    /// alone, the one mode that stages by element. The open-group table is
+    /// not sized: it grows to the most groups ever open at once, which only
+    /// arrivals tell, and keeps its shells, so a receiver allocates for a
+    /// new open high-water once and, warm, opens and closes groups without
+    /// the allocator. `tests/hotpath_allocs.rs` pins all three.
     pub fn reserve(&mut self, tpdus: usize, fragments: usize) {
-        self.groups.reserve(tpdus);
         self.done.reserve(tpdus);
         if self.mode == DeliveryMode::Reorder {
             self.reorder_q.reserve(fragments);
@@ -1812,8 +1811,9 @@ mod tests {
 
     #[test]
     fn a_group_slot_is_at_most_160_bytes() {
-        // Every reserved TPDU costs a slot, reserved or not in use; what is
-        // the same for the whole connection lives in the receiver instead.
+        // Every group open at the high-water costs a slot, open or not now;
+        // what is the same for the whole connection lives in the receiver
+        // instead.
         let slot = std::mem::size_of::<Group>();
         assert!(slot <= 160, "a group slot is {slot} B");
     }

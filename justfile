@@ -76,8 +76,12 @@ test-parallel:
 # demux front-ends against each other over scripts that admit and retire
 # connections mid-stream (`ParallelReceiver` at 1, 2 and 4 workers on both
 # engines), the open-group slot table against a `HashMap` model (random,
-# descending and middle-out starts) and the delivered records against one
-# (random, descending and interleaved reset/release orders; both run under
+# descending and middle-out starts), its warm-table property
+# (`a_warm_slot_table_cycles_without_allocating`: filled to its open
+# high-water once, it opens and removes as many groups again without its
+# slots or its start-ordered list moving or growing; nothing reserves it
+# ahead) and the delivered records against one
+# (random, descending and interleaved reset/release orders; all three run under
 # the `receiver::` filter), the receiver unit tests (among them a reset Reorder group freeing its staging
 # and its resend placed behind the cursor), one receiver across window
 # sizes (never released against released after every chunk, with the
@@ -140,7 +144,14 @@ test-sender:
 # mode on out-of-order arrivals, Immediate's leg loading virtual
 # reassembly alone — that `reserve` sizes
 # the reorder queue in Reorder mode alone (Immediate and Reassemble request
-# at least its entries' bytes fewer), and that a warm session pumps 256 KiB
+# at least its entries' bytes fewer), that a reserved connection requests
+# its ring and at most 400 B more (the delivered records and the
+# observability handle: `reserve` sets no group slot aside;
+# `a_reserved_connection_requests_its_ring_and_at_most_400_bytes_more`),
+# that the worst disorder — every TPDU open at once — allocates for its
+# open high-water once, within a bound, and not at all when replayed warm
+# (`the_worst_disorder_allocates_its_open_high_water_once_and_never_when_warm`),
+# and that a warm session pumps 256 KiB
 # in at most 64 allocations and its peer ingests it in at most 6, release
 # mode.
 test-hotpath:

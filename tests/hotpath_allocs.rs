@@ -2,13 +2,18 @@
 //! heap allocations per chunk in steady state — serial and parallel.
 //!
 //! Methodology: a warm-up phase feeds a prefix of the packet stream so every
-//! pool, slab, map and buffer reaches working size (plus an explicit
-//! `reserve` for the load that follows), then the measured phase replays the
-//! rest of the stream under [`assert_no_alloc!`]. The counting allocator
-//! wraps `System` and counts per thread, so the binary's tests may run
-//! concurrently; the parallel legs run the *virtual* engine so the workers'
-//! work happens on the measuring thread, and one more leg measures the
-//! *threads* engine's dispatch side, which is what its caller's thread pays.
+//! pool, slab, map and buffer reaches working size, then the measured phase
+//! replays the rest of the stream under [`assert_no_alloc!`]. An explicit
+//! `reserve` sizes what grows with the TPDU count (the delivered records,
+//! and the reorder queue in Reorder mode); the open-group table is sized by
+//! the warm-up itself, which must open as many groups at once as the
+//! measured phase does. The worst case, every TPDU open at once, has its
+//! own leg: its first pass is bounded, its replay allocation-free. The
+//! counting allocator wraps `System` and counts per thread, so the binary's
+//! tests may run concurrently; the parallel legs run the *virtual* engine
+//! so the workers' work happens on the measuring thread, and one more leg
+//! measures the *threads* engine's dispatch side, which is what its
+//! caller's thread pays.
 
 mod common;
 
@@ -85,7 +90,8 @@ fn serial_receive_steady_state_is_allocation_free() {
         layout(),
         capacity_elements(),
     );
-    // Working size for everything the stream will need, ahead of time.
+    // The delivered records for the whole stream, ahead of time; the
+    // warm-up opens as many groups at once as the stream ever holds.
     rx.reserve(total_tpdus + 8, total_tpdus * 4 + 64);
     let mut out = Vec::with_capacity(total_tpdus * 4 + 64);
 
@@ -317,22 +323,95 @@ fn reserve_sizes_the_reorder_queue_in_reorder_mode_alone() {
 }
 
 #[test]
-fn a_reserved_connection_requests_its_ring_and_at_most_3_216_bytes_more() {
+fn a_reserved_connection_requests_its_ring_and_at_most_400_bytes_more() {
     // The ledger's `many-flows-lossy` connection: an Immediate receiver of
     // 8 KiB plus four 1 KiB TPDUs of application space, reserved for 16
-    // TPDUs in 96 runs. Past its ring it may request 16 group slots of at
-    // most 160 B, 16 entries of the start-ordered group index (16 B) and of
-    // the delivered records (24 B) and the 16 B of its observability
-    // handle: 3 216 B. Which TPDU owns an element is read off those
-    // records, so the runs size nothing in Immediate mode.
+    // TPDUs in 96 runs. Past its ring it may request 16 delivered records
+    // (24 B) and the 16 B of its observability handle: 400 B. The
+    // open-group table grows with the groups that arrivals open, so
+    // `reserve` sets no slot aside; which TPDU owns an element is read off
+    // the records, so the runs size nothing in Immediate mode.
     let capacity = 12_288;
     let held = || alloc_count::requested_bytes() - alloc_count::released_bytes();
     let before = held();
     let mut rx = Receiver::new(DeliveryMode::Immediate, params(1), layout(), capacity);
     rx.reserve(16, 96);
     let extra = held() - before - capacity;
-    assert!(extra <= 3_216, "{extra} B past the ring");
+    assert!(extra <= 400, "{extra} B past the ring");
     drop(rx);
+}
+
+#[test]
+fn the_worst_disorder_allocates_its_open_high_water_once_and_never_when_warm() {
+    // Every TPDU's second half arrives before any first half, so all of the
+    // message's TPDUs are open at once before the first completes: the most
+    // groups a stream can hold open. The first pass may allocate for that
+    // high-water and nothing else: for `n` open groups, `n` shells (each
+    // interval set's first run) and fewer than ⌈log₂ n⌉ doublings each of
+    // the slot table and its start-ordered list, `n + 2⌈log₂ n⌉` in all
+    // (530 for the 512 TPDUs here). A quiesced receiver keeps all of it, so
+    // the same stream replayed must not allocate at all.
+    use chunks::transport::{Framer, RxEvent};
+    use chunks_core::frag::split;
+
+    let message: Vec<u8> = (0..MESSAGE_LEN).map(|i| (i * 11 + 1) as u8).collect();
+    let tpdus = Framer::new(params(1), layout()).frame_simple(&message, 1, false);
+    let n = tpdus.len();
+    let (mut tails, mut heads) = (Vec::new(), Vec::new());
+    for t in &tpdus {
+        let [whole] = &t.chunks[..] else {
+            panic!("one data chunk per TPDU");
+        };
+        let (head, tail) = split(whole, whole.header.len / 2).unwrap();
+        tails.push(tail);
+        heads.extend([head, t.ed.clone()]);
+    }
+
+    let mut rx = Receiver::new(
+        DeliveryMode::Immediate,
+        params(1),
+        layout(),
+        capacity_elements(),
+    );
+    rx.reserve(n, 0);
+    let mut out = Vec::with_capacity(4 * n);
+    let (first_tails, first_heads) = (tails.clone(), heads.clone());
+    let before = alloc_count::allocs();
+    for (i, chunk) in first_tails.into_iter().enumerate() {
+        rx.handle_chunk_into(chunk, i as u64, &mut out);
+    }
+    let mut first_pass = alloc_count::allocs() - before;
+    // Every TPDU is open, each missing its first half, and none delivered.
+    let ack = rx.make_ack();
+    assert_eq!((ack.cumulative, ack.gaps.len()), (0, n), "all {n} open");
+    assert!(out.is_empty(), "{out:?}");
+    let before = alloc_count::allocs();
+    for (i, chunk) in first_heads.into_iter().enumerate() {
+        rx.handle_chunk_into(chunk, (n + i) as u64, &mut out);
+    }
+    first_pass += alloc_count::allocs() - before;
+    let delivered = |out: &[RxEvent]| {
+        out.iter()
+            .filter(|e| matches!(e, RxEvent::TpduDelivered { .. }))
+            .count()
+    };
+    assert_eq!(delivered(&out), n);
+    assert_eq!(rx.verified_prefix(), MESSAGE_LEN as u64);
+    let bound = n as u64 + 2 * u64::from(n.next_power_of_two().trailing_zeros());
+    assert!(first_pass <= bound, "first pass: {first_pass} > {bound}");
+
+    rx.quiesce();
+    out.clear();
+    for (i, chunk) in tails.iter().chain(&heads).enumerate() {
+        let chunk = chunk.clone();
+        assert_no_alloc!(
+            rx.handle_chunk_into(chunk, i as u64, &mut out),
+            "warm arrival {i}"
+        );
+    }
+    assert_eq!(delivered(&out), n);
+    assert_eq!(rx.verified_prefix(), MESSAGE_LEN as u64);
+    assert_eq!(&rx.app_data()[..MESSAGE_LEN], &message[..]);
 }
 
 #[test]
