@@ -9,7 +9,8 @@
 //! sharing its buffer and the sender's retained packet all keep the bytes
 //! that were offered. Every fault is drawn from the link's own seeded RNG in
 //! a fixed order (loss; duplicate; then per copy: corrupt, its position and
-//! bit, jitter), so a seed names one run.
+//! bit, jitter), so a seed names one run. A link that cannot fault (no loss,
+//! duplication, corruption or jitter) draws nothing: no outcome is read.
 
 use std::sync::Arc;
 
@@ -171,7 +172,9 @@ impl Link {
         let ser = self.cfg.serialize_ns(frame.len());
         self.next_free_ns = start + ser;
 
-        if self.rng.random::<f64>() < self.cfg.loss {
+        let c = &self.cfg;
+        let draws = c.loss > 0.0 || c.duplicate > 0.0 || c.corrupt > 0.0 || c.jitter_ns > 0;
+        if draws && self.rng.random::<f64>() < self.cfg.loss {
             self.stats.lost += 1;
             for l in &labels {
                 self.obs.span_open(now, SpanId::new(*l, Stage::Hop));
@@ -179,14 +182,14 @@ impl Link {
             return;
         }
 
-        let extra = if self.rng.random::<f64>() < self.cfg.duplicate {
+        let extra = if draws && self.rng.random::<f64>() < self.cfg.duplicate {
             self.stats.duplicated += 1;
             Some(frame.clone())
         } else {
             None
         };
         for mut f in extra.into_iter().chain(std::iter::once(frame)) {
-            if self.rng.random::<f64>() < self.cfg.corrupt && !f.is_empty() {
+            if draws && self.rng.random::<f64>() < self.cfg.corrupt && !f.is_empty() {
                 let at = self.rng.random_range(0..f.len());
                 // Flip one nonzero bit so corruption is always a change.
                 let bit = 1u8 << self.rng.random_range(0..8);

@@ -23,15 +23,15 @@
 //! # Frames are handles
 //!
 //! A frame is a [`Bytes`] handle from the moment it is injected to its
-//! [`Delivery`]: links move it, routers append what they emit to one list the
-//! path keeps for every hop, and no hop copies a payload byte except the
-//! ones whose job is to write new frames (a refragmenting router, one buffer
-//! per emission) or to damage one (a corrupting link, copy-on-write). A
-//! routerless path therefore allocates nothing per frame: a run asks for its
-//! hop lists and its output, plus the sort's scratch only on a hop that
-//! disorders. [`Path::run`] and [`Path::transmit`] take anything that
-//! converts into `Bytes` — a packet's handle as it is, or an owned
-//! `Vec<u8>`, whose buffer becomes the handle's without a copy.
+//! [`Delivery`]: links move it, a router hands what it emits straight to its
+//! link ([`PacketTransform::ingest_batch`]), and no hop copies a payload
+//! byte except the ones whose job is to write new frames (a refragmenting
+//! router, one buffer per window) or to damage one (a corrupting link,
+//! copy-on-write). A routerless path therefore allocates nothing per frame:
+//! a run asks for its hop lists and its output, plus the sort's scratch only
+//! on a hop that disorders. [`Path::run`] and [`Path::transmit`] take
+//! anything that converts into `Bytes` — a packet's handle as it is, or an
+//! owned `Vec<u8>`, whose buffer becomes the handle's without a copy.
 //!
 //! With a recording sink attached the *record* order follows the processing
 //! order. A single injected frame ([`Path::transmit`]) or a flush on a path
@@ -121,9 +121,6 @@ impl std::fmt::Debug for Hop {
 #[derive(Debug, Default)]
 pub struct Path {
     hops: Vec<Hop>,
-    /// What a router emitted for the frame in hand, on its way to the
-    /// router's link; kept so that its allocation serves every hop.
-    emitted: Vec<Bytes>,
 }
 
 /// Builder for [`Path`].
@@ -194,10 +191,7 @@ impl PathBuilder {
 
     /// Finishes the path.
     pub fn build(self) -> Path {
-        Path {
-            hops: self.hops,
-            emitted: Vec::new(),
-        }
+        Path { hops: self.hops }
     }
 }
 
@@ -234,20 +228,13 @@ impl Path {
     /// returns the far-end deliveries in arrival-time order (equal times in
     /// the last hop's emission order).
     fn propagate(&mut self, first_hop: usize, mut arrivals: Frames) -> Vec<Delivery> {
-        let emitted = &mut self.emitted;
-        for hop in &mut self.hops[first_hop..] {
+        for Hop { router, link } in &mut self.hops[first_hop..] {
             sort_by_time(&mut arrivals, |f| f.0);
             let mut departures = Vec::with_capacity(arrivals.len());
-            for (now, frame) in arrivals {
-                match &mut hop.router {
-                    Some(r) => {
-                        r.ingest(now, frame, emitted);
-                        for f in emitted.drain(..) {
-                            hop.link.transmit_into(now, f, &mut departures);
-                        }
-                    }
-                    None => hop.link.transmit_into(now, frame, &mut departures),
-                }
+            let mut depart = |now, f| link.transmit_into(now, f, &mut departures);
+            match router {
+                Some(r) => r.ingest_batch(&mut arrivals.into_iter(), &mut depart),
+                None => arrivals.into_iter().for_each(|(now, f)| depart(now, f)),
             }
             arrivals = departures;
         }
@@ -275,17 +262,17 @@ impl Path {
     /// flushed frames traverse the remaining hops. Returns any resulting
     /// far-end deliveries sorted by arrival time.
     pub fn flush(&mut self, now: u64) -> Vec<Delivery> {
-        let mut out = Vec::new();
+        let (mut out, mut emitted) = (Vec::new(), Vec::new());
         for i in 0..self.hops.len() {
             let hop = &mut self.hops[i];
             if let Some(r) = &mut hop.router {
-                r.flush(now, &mut self.emitted);
+                r.flush(now, &mut emitted);
             }
-            if self.emitted.is_empty() {
+            if emitted.is_empty() {
                 continue;
             }
-            let mut departures = Vec::with_capacity(self.emitted.len());
-            for f in self.emitted.drain(..) {
+            let mut departures = Vec::with_capacity(emitted.len());
+            for f in emitted.drain(..) {
                 hop.link.transmit_into(now, f, &mut departures);
             }
             out.extend(self.propagate(i + 1, departures));
@@ -424,7 +411,9 @@ mod tests {
             let hop = &mut path.hops[hop_idx];
             let mut frames = Vec::new();
             match &mut hop.router {
-                Some(r) => r.ingest(now, frame, &mut frames),
+                Some(r) => r.ingest_batch(&mut std::iter::once((now, frame)), &mut |_, f| {
+                    frames.push(f)
+                }),
                 None => frames.push(frame),
             }
             for f in frames {

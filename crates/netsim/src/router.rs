@@ -20,22 +20,27 @@
 //! [`RefragPolicy::Reassemble`], which must sort and merge, decodes to owned
 //! chunks.
 //!
-//! # One buffer per emission
+//! # One buffer per window
 //!
-//! An emission places its chunks twice with the greedy first-fit [`pack`]
-//! itself is built on ([`PacketBuilder::place`]:
+//! An emission is placed twice with the greedy first-fit [`pack`] is built
+//! on ([`PacketBuilder::place`]:
 //! [`split_header`](chunks_core::frag::split_header) plus a sub-slice).
-//! The first pass is a dry run over the labels alone
-//! ([`PacketBuilder::measuring`]): it says where every egress frame ends,
-//! and refuses a batch before anything is allocated. The second writes
-//! every egress frame back to back into one buffer of exactly that size,
-//! each payload byte once, from the frame it arrived in; the frames go out
-//! as slices of it. An emission therefore costs two allocations however
-//! many frames it makes (the buffer and its shared owner), and the buffer
-//! is freed when the last of its frames is. The frames emitted are, for any
-//! ingress sequence, byte for byte what [`unpack`] → window → [`pack`]
-//! produces — the property test at the bottom of this file keeps that
-//! reference.
+//! When it is due, a dry run over the labels alone
+//! ([`PacketBuilder::measuring`]) says where every egress frame will end,
+//! and refuses a batch before anything is allocated. The writes wait: fed a
+//! batch ([`PacketTransform::ingest_batch`]), the router measures emissions
+//! up to 64 KiB of egress (a window), then writes the window's frames back
+//! to back into one buffer of exactly that size, each payload byte once,
+//! from the frame it arrived in, and hands them on as slices of it, each
+//! stamped with the time of the ingress frame that emitted it. A window
+//! costs two allocations however many frames it makes (the buffer and its
+//! shared owner); the buffer is freed with its last frame. A window ends
+//! with its batch (a single frame is a batch of one), so the frames and
+//! their times do not depend on the batching, and a router with a
+//! recording sink writes after every frame, so that its records follow the
+//! frames. The frames are, for any ingress sequence, byte for byte what
+//! [`unpack`] → window → [`pack`] produces; the property tests below keep
+//! that reference and the batching's equivalence.
 //!
 //! A transform that forwards a frame unchanged forwards its handle
 //! ([`Passthrough`], `DropOversize`, an unparsable frame through the
@@ -59,6 +64,23 @@ pub trait PacketTransform {
     /// or more egress frames appended to `out`. The clock only stamps what a
     /// transform records; no conversion depends on it.
     fn ingest(&mut self, now: u64, frame: Bytes, out: &mut Vec<Bytes>);
+
+    /// The batch entry: converts `arrivals`, ingress frames each with the
+    /// virtual time it arrived at, and hands every egress frame to `out`
+    /// with the time of the ingress frame that emitted it, in emission
+    /// order. The default converts a frame at a time with
+    /// [`ingest`](Self::ingest).
+    fn ingest_batch(
+        &mut self,
+        arrivals: &mut dyn Iterator<Item = (u64, Bytes)>,
+        out: &mut dyn FnMut(u64, Bytes),
+    ) {
+        let mut emitted = Vec::new();
+        for (now, frame) in arrivals {
+            self.ingest(now, frame, &mut emitted);
+            emitted.drain(..).for_each(|f| out(now, f));
+        }
+    }
 
     /// Appends any frames the transform is still holding (e.g. a reassembly
     /// window) to `out`.
@@ -107,6 +129,9 @@ pub enum RefragPolicy {
     DropOversize,
 }
 
+/// Egress bytes a router measures before it writes them (module docs).
+const WINDOW_BYTES: usize = 64 << 10;
+
 /// A router that understands chunk syntax (but, per §3.2, none of the
 /// semantics behind the framing levels).
 #[derive(Debug)]
@@ -117,18 +142,19 @@ pub struct ChunkRouter {
     pub policy: RefragPolicy,
     /// Decoded chunks held for merging (Reassemble).
     window: Vec<Chunk>,
-    /// Validated ingress frames held for batching (Repack), or the one
-    /// being converted (OnePerPacket).
-    frames: Vec<Packet>,
-    /// The chunks of `frames` in placement order: the frame's index, the
-    /// label decoded on arrival and where the payload lies in the frame.
-    held: Vec<(usize, ChunkHeader, usize, usize)>,
-    /// Wire bytes of the chunks in `frames` (end marker and padding
-    /// excluded).
+    /// What the held chunks' payloads lie in: validated ingress frames, or
+    /// merged chunks' payloads; from `gathered` on, the frames Repack holds.
+    sources: Vec<Bytes>,
+    gathered: usize,
+    /// The chunks held, in placement order: their source, the label decoded
+    /// on arrival and where the payload lies in the source.
+    held: Vec<(u32, ChunkHeader, u32, u32)>,
+    /// Wire bytes of the chunks of the frames Repack holds.
     window_wire: usize,
-    /// Where each egress frame of the emission under way ends in its
-    /// buffer, as the dry run placed it.
-    ends: Vec<usize>,
+    /// Where the chunks of each emission measured, not yet written, end.
+    emissions: Vec<usize>,
+    /// Where each frame measured ends in the buffer to write, and its time.
+    ends: Vec<(usize, u64)>,
     /// Chunks split by this router.
     pub splits: u64,
     /// Chunks merged by this router.
@@ -142,21 +168,21 @@ pub struct ChunkRouter {
     pending: Vec<FrameChunk>,
 }
 
-/// Figure 4's placement of `chunks` on `builder`, each egress frame ended
-/// by `close`: method 1 (`one_per_packet`) closes after every piece and
-/// drops a chunk whose element no frame holds; method 2 fills frames
-/// greedily and refuses the whole batch (`None`) over such an element.
-/// Returns the splits and drops it made. It decides alike on a measuring
-/// builder and on a writing one.
+/// Figure 4's placement of `chunks` on `builder` under `policy`, each
+/// egress frame ended by `close`: method 1 (`OnePerPacket`) closes after
+/// every piece and drops a chunk whose element no frame holds; method 2
+/// fills frames greedily and refuses the whole batch (`None`) over such an
+/// element. Returns the splits and drops it made. It decides alike on a
+/// measuring builder and on a writing one.
 fn place<'a>(
-    one_per_packet: bool,
+    policy: RefragPolicy,
     builder: &mut PacketBuilder,
     chunks: impl Iterator<Item = (ChunkHeader, &'a [u8])>,
     mut close: impl FnMut(&mut PacketBuilder),
 ) -> Option<(u64, u64)> {
     let (mut splits, mut drops) = (0, 0);
     for (header, payload) in chunks {
-        if !one_per_packet {
+        if policy != RefragPolicy::OnePerPacket {
             builder.place(header, payload, &mut close).ok()?;
             continue;
         }
@@ -177,6 +203,15 @@ fn place<'a>(
     Some((splits, drops))
 }
 
+/// The chunks `held` names, where they lie in `sources`.
+fn pieces<'a>(
+    sources: &'a [Bytes],
+    held: &'a [(u32, ChunkHeader, u32, u32)],
+) -> impl Iterator<Item = (ChunkHeader, &'a [u8])> {
+    held.iter()
+        .map(|&(i, header, lo, hi)| (header, &sources[i as usize][lo as usize..hi as usize]))
+}
+
 impl ChunkRouter {
     /// Creates a router with the given egress MTU and policy.
     pub fn new(egress_mtu: usize, policy: RefragPolicy) -> Self {
@@ -184,9 +219,11 @@ impl ChunkRouter {
             egress_mtu,
             policy,
             window: Vec::new(),
-            frames: Vec::new(),
+            sources: Vec::new(),
+            gathered: 0,
             held: Vec::new(),
             window_wire: 0,
+            emissions: Vec::new(),
             ends: Vec::new(),
             splits: 0,
             merges: 0,
@@ -197,23 +234,23 @@ impl ChunkRouter {
         }
     }
 
+    /// Records the splits and merges made since `splits0` and `merges0`.
+    fn note_counts(&self, splits0: u64, merges0: u64) {
+        let obs = &self.obs;
+        if self.splits > splits0 {
+            obs.counter("netsim.router.splits", self.splits - splits0);
+        }
+        if self.merges > merges0 {
+            obs.counter("netsim.router.repacks", self.merges - merges0);
+        }
+    }
+
     /// Ties this conversion's output chunks back to the inputs they came
     /// from: any output whose `X.SN` extent overlaps an input it does not
     /// exactly equal was split or merged in-network, so the router records
     /// a parent→child span link (the Appendix C/D label closure made
     /// visible) plus a `fragment` marker span on the child.
-    fn note_outputs(&mut self, now: u64, outs: &[Bytes], splits0: u64, merges0: u64) {
-        if self.splits > splits0 {
-            self.obs
-                .counter("netsim.router.splits", self.splits - splits0);
-        }
-        if self.merges > merges0 {
-            self.obs
-                .counter("netsim.router.repacks", self.merges - merges0);
-        }
-        if outs.is_empty() {
-            return; // still batching — inputs stay pending
-        }
+    fn note_outputs<'a>(&mut self, now: u64, outs: impl Iterator<Item = &'a [u8]>) {
         let inputs = std::mem::take(&mut self.pending);
         for f in outs {
             for oc in frame_chunks(f).into_iter().filter(FrameChunk::is_data) {
@@ -237,63 +274,66 @@ impl ChunkRouter {
         }
     }
 
-    /// Places `chunks` under the policy into one buffer sized by a dry run,
-    /// and appends the egress frames to `out` as slices of it (module
-    /// docs). A batch the dry run refuses costs a drop and no allocation.
-    fn emit<'a, I>(&mut self, chunks: impl Fn() -> I, out: &mut Vec<Bytes>)
-    where
-        I: Iterator<Item = (ChunkHeader, &'a [u8])>,
-    {
-        let one_per_packet = self.policy == RefragPolicy::OnePerPacket;
-        let mut ends = std::mem::take(&mut self.ends);
-        ends.clear();
+    /// Measures the chunks held since the last emission as one emission made
+    /// at `now`; a batch the dry run refuses costs a drop and no bytes.
+    fn emit(&mut self, now: u64) {
+        let from = self.emissions.last().copied().unwrap_or(0);
+        let (frames, base) = (self.ends.len(), self.ends.last().map_or(0, |e| e.0));
         let mut dry = PacketBuilder::measuring(self.egress_mtu);
-        let Some((splits, drops)) =
-            place(one_per_packet, &mut dry, chunks(), |b| ends.push(b.close()))
-        else {
-            self.drops += 1;
-            self.ends = ends;
-            return;
-        };
-        (self.splits, self.drops) = (self.splits + splits, self.drops + drops);
-        let size = ends.last().copied().unwrap_or(0);
-        let mut builder = PacketBuilder::with_buffer(self.egress_mtu, Vec::with_capacity(size));
-        place(one_per_packet, &mut builder, chunks(), |b| {
-            b.close();
-        });
-        let buf = Bytes::from(builder.take_bytes());
-        debug_assert_eq!(buf.len(), size, "the dry run sized the emission");
-        let mut from = 0;
-        for &end in &ends {
-            out.push(buf.slice(from..end));
-            from = end;
+        let chunks = pieces(&self.sources, &self.held[from..]);
+        let close = |b: &mut PacketBuilder| self.ends.push((base + b.close(), now));
+        match place(self.policy, &mut dry, chunks, close) {
+            Some((splits, drops)) => {
+                (self.splits, self.drops) = (self.splits + splits, self.drops + drops);
+                self.emissions.push(self.held.len());
+            }
+            None => {
+                self.drops += 1;
+                self.ends.truncate(frames);
+                self.held.truncate(from);
+            }
         }
+        (self.gathered, self.window_wire) = (self.sources.len(), 0);
+    }
+
+    /// Writes the emissions measured into one buffer of exactly their size,
+    /// hands their frames to `out` as slices of it and lets go of the rest.
+    fn write(&mut self, out: &mut dyn FnMut(u64, Bytes)) {
+        let size = self.ends.last().map_or(0, |e| e.0);
+        let mut builder = PacketBuilder::with_buffer(self.egress_mtu, Vec::with_capacity(size));
+        let mut from = 0;
+        for &to in &self.emissions {
+            let chunks = pieces(&self.sources, &self.held[from..to]);
+            place(self.policy, &mut builder, chunks, |b| _ = b.close());
+            from = to;
+        }
+        let buf = Bytes::from(builder.take_bytes());
+        debug_assert_eq!(buf.len(), size, "the dry runs sized the window");
+        let ends = std::mem::take(&mut self.ends);
+        let frame = |i: usize| {
+            (
+                ends[i].1,
+                i.checked_sub(1).map_or(0, |j| ends[j].0)..ends[i].0,
+            )
+        };
+        if self.obs_on && !ends.is_empty() {
+            self.note_outputs(ends[0].1, (0..ends.len()).map(|i| &buf[frame(i).1]));
+        }
+        for (now, at) in (0..ends.len()).map(frame) {
+            out(now, buf.slice(at));
+        }
+        // The frames Repack is batching stay, renumbered.
+        let gathered = std::mem::take(&mut self.gathered);
+        self.sources.drain(..gathered);
+        self.held.drain(..from);
+        self.held.iter_mut().for_each(|h| h.0 -= gathered as u32);
+        self.emissions.clear();
         self.ends = ends;
+        self.ends.clear();
     }
 
-    /// Emits the held frames' chunks, wire to wire, and empties the window
-    /// (its lists' allocations serve the next batch).
-    fn emit_frames(&mut self, out: &mut Vec<Bytes>) {
-        self.window_wire = 0;
-        let (mut frames, mut held) = (
-            std::mem::take(&mut self.frames),
-            std::mem::take(&mut self.held),
-        );
-        let held_frames = &frames;
-        self.emit(
-            || {
-                held.iter()
-                    .map(move |&(i, header, lo, hi)| (header, &held_frames[i].bytes[lo..hi]))
-            },
-            out,
-        );
-        frames.clear();
-        held.clear();
-        (self.frames, self.held) = (frames, held);
-    }
-
-    /// Merges and emits the Reassemble window.
-    fn emit_merged(&mut self, out: &mut Vec<Bytes>) {
+    /// Merges the Reassemble window and measures it as one emission.
+    fn emit_merged(&mut self, now: u64) {
         // Greedy adjacent merging within the window, order-insensitive.
         let mut chunks = std::mem::take(&mut self.window);
         chunks.sort_by_key(|c| (c.header.tpdu.id, c.header.tpdu.sn));
@@ -308,14 +348,20 @@ impl ChunkRouter {
             }
             merged.push(c);
         }
-        self.emit(|| merged.iter().map(|c| (c.header, &c.payload[..])), out);
+        for c in merged {
+            let (at, len) = (self.sources.len() as u32, c.payload.len() as u32);
+            self.held.push((at, c.header, 0, len));
+            self.sources.push(c.payload);
+        }
+        self.emit(now);
     }
 
-    /// The conversion itself, recording nothing.
-    fn convert(&mut self, frame: Bytes, out: &mut Vec<Bytes>) {
+    /// The conversion of one frame, arriving at `now`, recording nothing:
+    /// it measures what it emits (a frame kept whole goes to `out`).
+    fn convert(&mut self, now: u64, frame: Bytes, out: &mut dyn FnMut(u64, Bytes)) {
         if self.policy == RefragPolicy::DropOversize {
             if frame.len() <= self.egress_mtu {
-                out.push(frame);
+                out(now, frame);
             } else {
                 self.drops += 1;
             }
@@ -329,7 +375,7 @@ impl ChunkRouter {
             };
             self.window.extend(chunks);
             if self.window.len() >= window {
-                self.emit_merged(out);
+                self.emit_merged(now);
             }
             return;
         }
@@ -338,54 +384,77 @@ impl ChunkRouter {
             self.drops += 1;
             return;
         }
-        let at = self.frames.len();
+        let at = self.sources.len() as u32;
         for (lo, hi) in spans(&packet) {
             let header = decode_header(&packet.bytes[lo..hi]).expect("span of a validated frame");
-            self.held.push((at, header, lo + WIRE_HEADER_LEN, hi));
+            self.held
+                .push((at, header, (lo + WIRE_HEADER_LEN) as u32, hi as u32));
             self.window_wire += hi - lo;
         }
-        self.frames.push(packet);
+        self.sources.push(packet.bytes);
         // Repack batches frames until an egress envelope can be filled;
         // this is what lets small-network chunks combine into large packets
         // (Figure 4 method 2).
         if self.policy == RefragPolicy::OnePerPacket || self.window_wire >= self.egress_mtu {
-            self.emit_frames(out);
+            self.emit(now);
         }
     }
-}
 
-impl PacketTransform for ChunkRouter {
-    fn ingest(&mut self, now: u64, frame: Bytes, out: &mut Vec<Bytes>) {
-        if !self.obs_on {
-            return self.convert(frame, out);
+    /// One frame through a router with a recording sink: converted and
+    /// written at once, its labels kept until the frames made of them leave.
+    fn convert_observed(&mut self, now: u64, frame: Bytes, out: &mut dyn FnMut(u64, Bytes)) {
+        if self.policy == RefragPolicy::DropOversize {
+            return self.convert(now, frame, out); // Nothing waits; no label changes.
         }
         let held = self.pending.len();
         self.pending
             .extend(frame_chunks(&frame).into_iter().filter(FrameChunk::is_data));
         let (splits0, merges0, drops0) = (self.splits, self.merges, self.drops);
-        let first = out.len();
-        self.convert(frame, out);
-        if out.len() == first && self.drops > drops0 {
+        self.convert(now, frame, out);
+        if self.ends.is_empty() && self.drops > drops0 {
             // Refused, not batching: forget the labels that will never
             // leave — this frame's, or the whole window's when the batch
             // went with it.
-            let batching = !self.frames.is_empty() || !self.window.is_empty();
+            let batching = self.sources.len() > self.gathered || !self.window.is_empty();
             self.pending.truncate(if batching { held } else { 0 });
         }
-        self.note_outputs(now, &out[first..], splits0, merges0);
+        self.note_counts(splits0, merges0);
+        self.write(out);
+    }
+}
+
+impl PacketTransform for ChunkRouter {
+    fn ingest(&mut self, now: u64, frame: Bytes, out: &mut Vec<Bytes>) {
+        self.ingest_batch(&mut std::iter::once((now, frame)), &mut |_, f| out.push(f));
+    }
+
+    fn ingest_batch(
+        &mut self,
+        arrivals: &mut dyn Iterator<Item = (u64, Bytes)>,
+        out: &mut dyn FnMut(u64, Bytes),
+    ) {
+        for (now, frame) in arrivals {
+            if self.obs_on {
+                self.convert_observed(now, frame, out);
+            } else {
+                self.convert(now, frame, out);
+                if self.ends.last().is_some_and(|e| e.0 >= WINDOW_BYTES) {
+                    self.write(out);
+                }
+            }
+        }
+        self.write(out);
     }
 
     fn flush(&mut self, now: u64, out: &mut Vec<Bytes>) {
         let (splits0, merges0) = (self.splits, self.merges);
-        let first = out.len();
-        if !self.frames.is_empty() {
-            self.emit_frames(out);
+        if self.sources.len() > self.gathered {
+            self.emit(now);
         } else if !self.window.is_empty() {
-            self.emit_merged(out);
+            self.emit_merged(now);
         }
-        if self.obs_on {
-            self.note_outputs(now, &out[first..], splits0, merges0);
-        }
+        self.note_counts(splits0, merges0);
+        self.write(&mut |_, f| out.push(f));
     }
 
     fn set_obs(&mut self, sink: Arc<dyn ObsSink>) {
@@ -873,6 +942,68 @@ mod tests {
         })
     }
 
+    /// What a router made of `arrivals` fed as batches of `sizes` (the rest
+    /// in one last batch), then flushed: every frame with its time, the
+    /// counters, and with `observed` the recorder's span and trace lines.
+    type Made = (Vec<(u64, Bytes)>, (u64, u64, u64), Option<(String, String)>);
+
+    fn batched(
+        policy: RefragPolicy,
+        egress: usize,
+        arrivals: &[(u64, Bytes)],
+        sizes: impl Iterator<Item = usize>,
+        observed: bool,
+    ) -> Made {
+        let mut r = ChunkRouter::new(egress, policy);
+        let rec = observed.then(|| chunks_obs::Recorder::verbose_tier(1 << 14));
+        if let Some(rec) = &rec {
+            r.set_obs(rec.clone());
+        }
+        let mut out = Vec::new();
+        let mut left = arrivals.iter().cloned();
+        for n in sizes.chain(std::iter::once(usize::MAX)) {
+            r.ingest_batch(&mut left.by_ref().take(n), &mut |t, f| out.push((t, f)));
+            if left.len() == 0 {
+                break;
+            }
+        }
+        let end = arrivals.last().map_or(0, |a| a.0 + 1);
+        out.extend(r.flush_all().into_iter().map(|f| (end, f)));
+        let lines = rec.map(|rec| (rec.span_json_lines(), rec.trace_json_lines()));
+        (out, (r.splits, r.merges, r.drops), lines)
+    }
+
+    /// A window ends mid-batch once it holds 64 KiB, and a new one starts:
+    /// the frames are still the ones a frame at a time makes.
+    #[test]
+    fn a_window_that_fills_mid_batch_changes_no_frame() {
+        let frame = frame_of(vec![big_chunk(540)], 576);
+        let arrivals: Vec<(u64, Bytes)> = (0..400).map(|t| (t, frame.clone())).collect();
+        let egress = WIRE_HEADER_LEN + 144;
+        let whole = batched(
+            RefragPolicy::Repack,
+            egress,
+            &arrivals,
+            std::iter::empty(),
+            false,
+        );
+        let single = batched(
+            RefragPolicy::Repack,
+            egress,
+            &arrivals,
+            std::iter::repeat(1),
+            false,
+        );
+        assert_eq!(whole, single);
+        let buffers = 1 + whole
+            .0
+            .windows(2)
+            .filter(|p| p[0].1.as_ptr_range().end != p[1].1.as_ptr())
+            .count();
+        let wire: usize = whole.0.iter().map(|(_, f)| f.len()).sum();
+        assert_eq!(buffers, wire.div_ceil(WINDOW_BYTES), "one buffer a window");
+    }
+
     proptest! {
         /// Whatever arrives, the router's frames and counters are the
         /// reference's: ingress MTU above and below the egress MTU (so
@@ -921,6 +1052,47 @@ mod tests {
                 (model.splits, model.merges, model.drops)
             );
             prop_assert!(router.flush_all().is_empty(), "a flushed router holds nothing");
+        }
+
+        /// A batch of `n` frames equals `n` batches of one, and any other
+        /// cut of it: the same frames at the same times, the same counters
+        /// and, with a recording sink, the same span and trace lines —
+        /// every policy, with truncated, padded and unparsable frames and
+        /// frames over the egress MTU among the arrivals, tied times too.
+        #[test]
+        fn a_batch_equals_its_frames_one_at_a_time(
+            chunks in proptest::collection::vec(arb_chunk(), 1..24),
+            ingress in WIRE_HEADER_LEN + 12..WIRE_HEADER_LEN + 150,
+            egress in WIRE_HEADER_LEN + 1..WIRE_HEADER_LEN + 170,
+            policy in arb_policy(),
+            finish in proptest::collection::vec(0u8..10, 24 * 12),
+            cuts in proptest::collection::vec(1usize..6, 0..8),
+            observed in any::<bool>(),
+        ) {
+            let packets = pack(chunks, ingress).unwrap();
+            let arrivals: Vec<(u64, Bytes)> = packets
+                .iter()
+                .zip(&finish)
+                .enumerate()
+                .map(|(i, (p, how))| {
+                    let frame = match how {
+                        0 => p.bytes.slice(..p.len() - 1),
+                        1 => Bytes::from_static(&[0x09, 0xFF, 0xFF, 0xFF]),
+                        2 | 3 => {
+                            let mut padded = p.bytes.to_vec();
+                            padded.resize(ingress, 0);
+                            padded.into()
+                        }
+                        _ => p.bytes.clone(),
+                    };
+                    (i as u64 / 2 * 1_000, frame)
+                })
+                .collect();
+            let whole = batched(policy, egress, &arrivals, std::iter::empty(), observed);
+            let single = batched(policy, egress, &arrivals, std::iter::repeat(1), observed);
+            let cut = batched(policy, egress, &arrivals, cuts.into_iter(), observed);
+            prop_assert_eq!(&whole, &single);
+            prop_assert_eq!(&whole, &cut);
         }
 
         /// big → small → in-network reassembly → smaller: the receiver's

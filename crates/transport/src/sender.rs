@@ -22,34 +22,28 @@
 //! and closes packets greedily at the MTU exactly as
 //! [`pack`](chunks_core::packet::pack) would.
 //!
-//! # One buffer per submit
+//! # One buffer per call
 //!
-//! All of a submit's packets are written back to back into one buffer, and
-//! leave as [`Bytes`] slices of it. A dry run of the same walk over the
-//! labels alone (no byte written) counts the packets and their bytes first,
-//! so the buffer is allocated at exactly that size and never grows: a
-//! reallocation would copy the payload a second time. A submit thus costs
-//! the same few allocations whatever its packet count — the buffer, its
-//! shared owner, and exactly sized lists.
+//! A submit writes all of its packets back to back into one buffer, sized
+//! beforehand by a dry run of the same walk over the labels alone, so it
+//! never grows (a reallocation would copy the payload a second time); the
+//! packets leave as [`Bytes`] slices of it. [`Sender::packets_for_pending`],
+//! [`Sender::retransmit`] and [`Sender::retransmit_for_ack`] do the same
+//! with the repair walk, at a few allocations whatever the packet count.
 //!
-//! **The retransmission store is the wire image**: those packets, and per
-//! pending TPDU the range of them from its first piece to its ED chunk. A
-//! piece (an uncut chunk cut wherever a packet ended) is a valid chunk
-//! (Appendix C), so a repair reads a TPDU's pieces back off its packets with
-//! the label walk, keeping those whose `T.ID` and `C.SN − T.SN` name it. A
-//! packet's handle goes when the last pending TPDU with a byte in it does;
-//! while the pending set is one submit's TPDUs, they are handed out again
-//! as they are.
+//! **The retransmission store is the wire image**: the submits' buffers, a
+//! `u32` end per packet, and per pending TPDU the range of packets from its
+//! first piece to its ED chunk. A piece (an uncut chunk cut wherever a
+//! packet ended) is a valid chunk (Appendix C), so a repair slices a TPDU's
+//! packets out of their buffer and reads its pieces back off them with the
+//! label walk, keeping those whose `T.ID` and `C.SN − T.SN` name it.
 //!
-//! **Retention.** A submit's memory is returned when its last packet is:
-//! the sender's handles go as their TPDUs are acknowledged or abandoned, and
-//! a handle handed out (to a path, a peer, a retransmission list) keeps the
-//! whole buffer for as long as it lives. One exception makes a warm sender
-//! allocate nothing for its packets: the sender keeps a handle on its
-//! latest submit's buffer, and when the next submit finds that handle the
-//! only one ([`Bytes::is_unique`]) and the buffer no more than a quarter
-//! larger than it needs, it takes the buffer back (`Vec::from`, no copy)
-//! and writes into it. A buffer any packet still shares is never written.
+//! **Retention.** The sender lets go of a buffer when no pending TPDU has a
+//! byte in it; a packet handed out keeps its whole buffer for as long as it
+//! lives. The sender also keeps a handle on its latest submit's buffer: when
+//! the next submit finds that handle the only one ([`Bytes::is_unique`]) and
+//! the buffer no more than a quarter larger than it needs, it writes into
+//! it, so a warm sender allocates nothing for its packets.
 //!
 //! Every other path re-packs pieces, and must put the same bytes on the
 //! wire as packing the *uncut* chunks would — whatever was acknowledged,
@@ -98,111 +92,67 @@ pub struct SenderConfig {
 type Piece<'a> = (ChunkHeader, &'a [u8]);
 
 /// The sender's packer: [`pack`](chunks_core::packet::pack)'s greedy
-/// first-fit over borrowed chunks, plus the continuation rule (module docs).
-/// A [`Session`](crate::Session) keeps one open across a whole pump.
-///
-/// A packer from [`Packer::new`] gives each packet a buffer of its own,
-/// trimmed when it closes: repairs and timer passes, whose packets go out
-/// and are dropped. One from [`Packer::one_buffer`] writes its packets back
-/// to back into one buffer reserved beforehand, and
-/// [`Packer::finish_into`] hands them out as slices of it: `submit`'s. A
-/// measuring packer writes nothing and only counts: `submit`'s dry run.
-#[derive(Debug)]
+/// first-fit over borrowed chunks, plus the continuation rule (module docs),
+/// writing packets back to back into one buffer: sized by a measuring
+/// packer's dry run (a submit's, a repair's), or growing (a session pump's).
+#[derive(Debug, Default)]
 pub(crate) struct Packer {
     mtu: usize,
-    kind: Kind,
-    /// The bytes written: closed packets not yet handed out (one-buffer
-    /// packers only), then from `open` the packet under construction.
+    measuring: bool,
+    /// The bytes written: closed packets, then from `open` the packet under
+    /// construction.
     buf: Vec<u8>,
     /// Where the packet under construction starts in `buf`.
     open: usize,
     /// Bytes placed: `buf.len()`, or on a measuring packer their count.
     len: usize,
-    /// Where each closed packet still in `buf` ends.
-    ends: Vec<usize>,
+    /// Where each closed packet in `buf` ends.
+    ends: Vec<u32>,
     /// Packets closed or handed on so far: the number the packet under
     /// construction will have among them.
     closed: usize,
-    /// Closed packets handed out, in send order.
+    /// Packets handed on as they are, ahead of those in `buf`.
     packets: Vec<Packet>,
     /// The chunk last written into `buf` — where its header starts, and the
     /// header as it now stands — unless a run was broken after it.
     last: Option<(usize, ChunkHeader)>,
 }
 
-/// Where a [`Packer`] writes.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Kind {
-    /// A buffer per packet.
-    PerPacket,
-    /// Every packet into the one buffer it was given.
-    OneBuffer,
-    /// Nowhere: placement decided, bytes counted.
-    Measuring,
-}
-
 impl Packer {
-    pub(crate) fn new(mtu: usize) -> Self {
-        Packer {
-            mtu,
-            kind: Kind::PerPacket,
-            buf: Vec::new(),
-            open: 0,
-            len: 0,
-            ends: Vec::new(),
-            closed: 0,
-            packets: Vec::new(),
-            last: None,
-        }
-    }
-
     /// A packer that writes nothing and counts the packets and bytes its
     /// placement makes.
     fn measuring(mtu: usize) -> Self {
         Packer {
-            kind: Kind::Measuring,
-            ..Packer::new(mtu)
+            mtu,
+            measuring: true,
+            ..Packer::default()
         }
     }
 
-    /// A packer that writes its `packets` packets into `buf`, which must
-    /// hold all of their bytes: it never grows, so no payload byte is
-    /// copied twice.
-    fn one_buffer(mtu: usize, buf: Vec<u8>, packets: usize) -> Self {
+    /// A packer that writes its packets into `buf` (given the room for all
+    /// of them, it never grows, so no payload byte is copied twice), and
+    /// appends where each ends in it to `ends`.
+    pub(crate) fn one_buffer(mtu: usize, buf: Vec<u8>, ends: Vec<u32>) -> Self {
         Packer {
-            kind: Kind::OneBuffer,
+            mtu,
             buf,
-            ends: Vec::with_capacity(packets),
-            ..Packer::new(mtu)
+            ends,
+            ..Packer::default()
         }
     }
 
-    /// Runs `fill` on a packer for `mtu` and returns its packets.
-    fn run(
-        mtu: usize,
-        fill: impl FnOnce(&mut Packer) -> Result<(), CoreError>,
-    ) -> Result<Vec<Packet>, CoreError> {
-        let mut packer = Packer::new(mtu);
-        fill(&mut packer)?;
-        packer.close_packet();
-        Ok(packer.packets)
-    }
-
-    /// Hands `packets` on as they are, the last one copied into the packet
-    /// under construction so that what follows fills its free room, as
-    /// `pack` would over their chunks.
-    fn hand_on(&mut self, packets: &VecDeque<Packet>) {
-        debug_assert_eq!(self.kind, Kind::PerPacket);
-        self.close_packet();
-        let Some(last) = packets.back() else {
-            return;
-        };
-        self.packets
-            .extend(packets.range(..packets.len() - 1).cloned());
-        self.closed += packets.len() - 1;
-        self.buf.reserve_exact(self.mtu.min(9216));
-        self.buf.extend_from_slice(&last.bytes);
-        self.len = self.buf.len();
+    /// Hands `packets` on as they are, ahead of anything written, the last
+    /// one copied into the packet under construction so that what follows
+    /// fills its free room, as `pack` would over their chunks.
+    fn hand_on(&mut self, packets: impl Iterator<Item = Packet>) {
+        debug_assert_eq!(self.len, 0, "handed on first");
+        self.packets.extend(packets);
+        if let Some(last) = self.packets.pop() {
+            self.closed = self.packets.len();
+            self.buf.reserve_exact(self.mtu.min(9216));
+            self.buf.extend_from_slice(&last.bytes);
+            self.len = self.buf.len();
+        }
     }
 
     /// Drops the packet under construction and every closed packet.
@@ -214,29 +164,20 @@ impl Packer {
         self.last = None;
     }
 
-    /// Closes the packet under construction and moves every closed packet
-    /// to the back of `out`.
+    /// Closes the packet under construction and moves every packet to the
+    /// back of `out`, those written as slices of one buffer.
     pub(crate) fn drain_into(&mut self, out: &mut VecDeque<Packet>) {
-        debug_assert_eq!(self.kind, Kind::PerPacket);
         self.close_packet();
         out.extend(self.packets.drain(..));
+        let whole = Bytes::from(std::mem::take(&mut self.buf));
+        out.extend(slices(whole, &self.ends));
+        self.clear();
     }
 
-    /// Closes a one-buffer packer's last packet, hands its packets to the
-    /// back of `out` as slices of the buffer, and returns a handle on the
-    /// whole buffer.
-    fn finish_into(mut self, out: &mut VecDeque<Packet>) -> Bytes {
-        debug_assert_eq!(self.kind, Kind::OneBuffer);
+    /// Closes the last packet and hands over the buffer and the ends.
+    fn finish(mut self) -> (Bytes, Vec<u32>) {
         self.close_packet();
-        let whole = Bytes::from(self.buf);
-        let mut from = 0;
-        for end in self.ends {
-            out.push_back(Packet {
-                bytes: whole.slice(from..end),
-            });
-            from = end;
-        }
-        whole
+        (Bytes::from(self.buf), self.ends)
     }
 
     fn close_packet(&mut self) {
@@ -246,17 +187,9 @@ impl Packer {
         }
         self.open = self.len;
         self.closed += 1;
-        match self.kind {
-            Kind::Measuring => {}
-            Kind::OneBuffer => self.ends.push(self.len),
-            Kind::PerPacket => {
-                let mut buf = std::mem::take(&mut self.buf);
-                // A packet that closed short of the MTU gives the slack back:
-                // the buffer is retained for as long as the TPDUs in it.
-                buf.shrink_to_fit();
-                self.packets.push(Packet { bytes: buf.into() });
-                (self.open, self.len) = (0, 0);
-            }
+        if !self.measuring {
+            let end = u32::try_from(self.len).expect("a buffer under 4 GiB");
+            self.ends.push(end);
         }
     }
 
@@ -273,9 +206,9 @@ impl Packer {
         mut placed: impl FnMut(usize, &ChunkHeader, &[u8]),
     ) -> Result<(), CoreError> {
         let size = header.size as usize;
-        let writes = self.kind != Kind::Measuring;
+        let writes = !self.measuring;
         loop {
-            if self.buf.capacity() == 0 && self.kind == Kind::PerPacket {
+            if self.buf.capacity() == 0 && writes {
                 self.buf.reserve_exact(self.mtu.min(9216));
             }
             let joined = self.last.filter(|(_, prev)| can_merge(prev, &header));
@@ -350,6 +283,14 @@ fn cut((header, payload): Piece<'_>, off: u32, len: u32) -> Piece<'_> {
     (head, &payload[off as usize * size..][..len as usize * size])
 }
 
+/// `whole` cut into packets at `ends`.
+fn slices(whole: Bytes, ends: &[u32]) -> impl ExactSizeIterator<Item = Packet> + '_ {
+    let mut from = 0;
+    ends.iter().map(move |&end| Packet {
+        bytes: whole.slice(std::mem::replace(&mut from, end as usize)..end as usize),
+    })
+}
+
 /// A pending TPDU: its labels, and the numbers of the packets holding its
 /// first piece and its ED chunk.
 #[derive(Clone, Copy, Debug)]
@@ -368,13 +309,12 @@ pub struct Sender {
     framer: Framer,
     /// Unacknowledged TPDUs, in start order (which is send order).
     pending: VecDeque<Pending>,
-    /// First-transmission packets, in send order, from the first pending
-    /// TPDU's first; those no pending TPDU has a byte in are emptied.
-    packets: VecDeque<Packet>,
-    /// The number of `packets[0]` (packets are numbered in send order).
-    base: u32,
+    /// The submits' buffers in send order, each with the number of its
+    /// first packet and where each of its packets ends in it; one no pending
+    /// TPDU has a byte in is let go (left empty, or popped in front).
+    buffers: VecDeque<(u32, Bytes, Vec<u32>)>,
     /// True while `pending` is exactly the last submit's TPDUs, cut for the
-    /// path MTU: `packets` is then that submit's packets, every one whole.
+    /// path MTU: the store is then that submit's packets, every one whole.
     fresh: bool,
     /// Current adaptive TPDU size in elements.
     tpdu_elements: u32,
@@ -393,8 +333,7 @@ impl Sender {
             framer: Framer::new(cfg.params, cfg.layout),
             cfg,
             pending: VecDeque::new(),
-            packets: VecDeque::new(),
-            base: 0,
+            buffers: VecDeque::new(),
             fresh: false,
             spare: Bytes::new(),
             retransmissions: 0,
@@ -411,9 +350,14 @@ impl Sender {
         self.pending.len()
     }
 
-    /// Bytes of first-transmission packets held: those a pending TPDU is in.
+    /// Bytes of first-transmission packets held: those a pending TPDU is in,
+    /// in the buffers the sender holds.
     pub fn retained_wire_bytes(&self) -> usize {
-        self.packets.iter().map(Packet::len).sum()
+        let base = self.buffers.front().map_or(0, |b| b.0);
+        let numbers = (0..self.at(self.next()) as u32).map(|k| base.wrapping_add(k));
+        let held = numbers.filter(|&n| self.holds(n, n));
+        let packets = held.map(|n| self.packet(n));
+        packets.filter(|p| !p.0.is_empty()).map(|p| p.1.len()).sum()
     }
 
     /// Queues application data (covered by `alf` frames) for transmission:
@@ -451,10 +395,9 @@ impl Sender {
         let elements = data.len() / self.cfg.params.elem_size as usize;
         self.pending
             .reserve(elements.div_ceil(self.tpdu_elements as usize));
-        self.packets.reserve(dry.closed);
         // This submit's packets are numbered on from the ones held.
-        let offset = self.base.wrapping_add(self.packets.len() as u32);
-        let mut packer = Packer::one_buffer(cut_mtu, buf, dry.closed);
+        let offset = self.next();
+        let mut packer = Packer::one_buffer(cut_mtu, buf, Vec::with_capacity(dry.closed));
         let mut inv = TpduInvariant::new(self.cfg.layout).expect("layout fits");
         // The packet the open TPDU's first piece went into.
         let mut opened = None;
@@ -490,8 +433,12 @@ impl Sender {
                 }
             });
         // This submit's last packet closes with it.
-        let whole = packer.finish_into(&mut self.packets);
+        let (whole, ends) = packer.finish();
         if !whole.is_empty() {
+            // Most senders hold one buffer at a time: room for one, not four.
+            let one = usize::from(self.buffers.is_empty());
+            self.buffers.reserve_exact(one);
+            self.buffers.push_back((offset, whole.clone(), ends));
             self.spare = whole;
         }
         self.pending.range(from..).map(|t| t.start).collect()
@@ -514,56 +461,71 @@ impl Sender {
 
     /// Convenience: queue data as one external frame.
     pub fn submit_simple(&mut self, data: &[u8], x_id: u32, close: bool) -> Vec<u64> {
-        let elements = (data.len() / self.cfg.params.elem_size as usize) as u32;
-        self.submit(
-            data,
-            &[AlfFrame {
-                id: x_id,
-                len_elements: elements,
-            }],
-            close,
-        )
+        let len_elements = (data.len() / self.cfg.params.elem_size as usize) as u32;
+        let frame = AlfFrame {
+            id: x_id,
+            len_elements,
+        };
+        self.submit(data, &[frame], close)
     }
 
     /// Packs every pending TPDU into packets for the path MTU (the initial
     /// transmission or a full retransmission pass). While the pending set is
     /// one submit's TPDUs these are that submit's packets, handed out again.
     pub fn packets_for_pending(&self) -> Result<Vec<Packet>, CoreError> {
-        if self.fresh {
-            return Ok(self.packets.iter().cloned().collect());
+        if let Some((_, whole, ends)) = self.buffers.front().filter(|_| self.fresh) {
+            return Ok(slices(whole.clone(), ends).collect());
         }
-        Packer::run(self.cfg.mtu, |packer| self.pack_pending(packer))
+        let (packets, _) = self.one_buffer(|packer| self.repack(&self.pending, packer))?;
+        Ok(packets)
     }
 
     /// [`Self::packets_for_pending`] into `packer`: a fresh submit's packets
     /// go on as they are, the last one left open for what follows.
     pub(crate) fn pack_pending(&self, packer: &mut Packer) -> Result<(), CoreError> {
-        if self.fresh {
-            packer.hand_on(&self.packets);
+        if let Some((_, whole, ends)) = self.buffers.front().filter(|_| self.fresh) {
+            packer.hand_on(slices(whole.clone(), ends));
             return Ok(());
         }
-        self.repack(&self.pending, packer)
+        self.repack(&self.pending, packer).map(drop)
+    }
+
+    /// Runs `fill` on a measuring packer, then on one that writes every
+    /// packet into one buffer of exactly the size the first run counted;
+    /// returns the packets and what `fill` returned.
+    fn one_buffer(
+        &self,
+        fill: impl Fn(&mut Packer) -> Result<u64, CoreError>,
+    ) -> Result<(Vec<Packet>, u64), CoreError> {
+        let mut dry = Packer::measuring(self.cfg.mtu);
+        fill(&mut dry)?;
+        dry.close_packet();
+        let (buf, ends) = (Vec::with_capacity(dry.len), Vec::with_capacity(dry.closed));
+        let mut packer = Packer::one_buffer(self.cfg.mtu, buf, ends);
+        let count = fill(&mut packer)?;
+        let (whole, ends) = packer.finish();
+        Ok((slices(whole, &ends).collect(), count))
     }
 
     /// Packs the TPDUs named by `starts` for retransmission — identical
     /// identifiers, as §3.3 requires.
     pub fn retransmit(&mut self, starts: &[u64]) -> Result<Vec<Packet>, CoreError> {
-        Packer::run(self.cfg.mtu, |packer| self.pack_retransmit(starts, packer))
+        let (packets, sent) = self.one_buffer(|packer| self.pack_retransmit(starts, packer))?;
+        self.retransmissions += sent;
+        Ok(packets)
     }
 
-    /// [`Self::retransmit`] into `packer`.
+    /// [`Self::retransmit`] into `packer`, counting nothing: returns how
+    /// many TPDUs it packed.
     pub(crate) fn pack_retransmit(
-        &mut self,
+        &self,
         starts: &[u64],
         packer: &mut Packer,
-    ) -> Result<(), CoreError> {
+    ) -> Result<u64, CoreError> {
         let named = starts
             .iter()
             .filter_map(|&s| self.pending.get(self.find(s)?));
-        let sent = named.clone().count();
-        self.repack(named, packer)?;
-        self.retransmissions += sent as u64;
-        Ok(())
+        self.repack(named, packer)
     }
 
     /// Applies an acknowledgment; returns the starts newly confirmed.
@@ -605,33 +567,31 @@ impl Sender {
     /// retransmission. Receiver-side duplicate trimming (Appendix C
     /// extraction) discards any overlap cheaply.
     pub fn retransmit_for_ack(&mut self, ack: &AckInfo) -> Result<Vec<Packet>, CoreError> {
-        Packer::run(self.cfg.mtu, |packer| {
-            self.pack_repair(ack, usize::MAX, packer, |_| {})
-        })
+        let (packets, count) =
+            self.one_buffer(|packer| self.pack_repair(ack, usize::MAX, packer, |_| {}))?;
+        self.retransmissions += count;
+        Ok(packets)
     }
 
     /// [`Self::retransmit_for_ack`] into `packer`, with window-limited
     /// repair: at most `max_tpdus` pending TPDUs (in connection-space order)
     /// are repaired per call, so a pathological gap report cannot make one
-    /// call retransmit the whole stream in a single burst. The remaining
-    /// TPDUs are picked up by later calls (or by the retransmission timer).
-    /// `repaired` is told each TPDU start repaired (so the reliability layer
-    /// can re-arm its retransmission timer).
+    /// call retransmit the whole stream in a single burst; later calls (or
+    /// the timer) pick up the rest. `repaired` is told each TPDU start
+    /// repaired; the count is returned, not kept.
     pub(crate) fn pack_repair(
-        &mut self,
+        &self,
         ack: &AckInfo,
         max_tpdus: usize,
         packer: &mut Packer,
         mut repaired: impl FnMut(u64),
-    ) -> Result<(), CoreError> {
-        let mut count = 0;
+    ) -> Result<u64, CoreError> {
         // An acknowledged TPDU has nothing to repair.
         let unacked = |t: &&Pending| !ack.acknowledges(t.start, t.start + t.elements as u64);
         let tpdus = self.pending.iter().filter(unacked).take(max_tpdus);
         self.read(tpdus, |t, pieces| {
             let (start, end) = (t.start, t.start + t.elements as u64);
             repaired(start);
-            count += 1;
             let (ed, data) = pieces.split_last().expect("a TPDU ends in its ED");
             if ack.need_ed.contains(&start) {
                 // Data arrived; only the 8-byte digest is missing.
@@ -661,9 +621,7 @@ impl Sender {
                 }
             }
             packer.put(ed)
-        })?;
-        self.retransmissions += count;
-        Ok(())
+        })
     }
 
     /// Loss feedback: halve the TPDU size (multiplicative decrease), so
@@ -683,12 +641,13 @@ impl Sender {
         self.pending.binary_search_by_key(&start, |t| t.start).ok()
     }
 
-    /// Packs `tpdus` whole, read back off the wire, into `packer`.
+    /// Packs `tpdus` whole, read back off the wire, into `packer`; returns
+    /// how many.
     fn repack<'s>(
         &'s self,
         tpdus: impl IntoIterator<Item = &'s Pending>,
         packer: &mut Packer,
-    ) -> Result<(), CoreError> {
+    ) -> Result<u64, CoreError> {
         self.read(tpdus, |_, pieces| {
             pieces.iter().try_for_each(|p| packer.put(p))
         })
@@ -696,23 +655,28 @@ impl Sender {
 
     /// Hands `each` each of `tpdus` with its pieces, read back off its
     /// packets by the label walk: data pieces in order, then the ED chunk.
+    /// Returns how many TPDUs it read.
     fn read<'s>(
         &'s self,
         tpdus: impl IntoIterator<Item = &'s Pending>,
         mut each: impl FnMut(&Pending, &[Piece<'s>]) -> Result<(), CoreError>,
-    ) -> Result<(), CoreError> {
-        let mut pieces = Vec::new();
+    ) -> Result<u64, CoreError> {
+        let (mut pieces, mut count) = (Vec::new(), 0);
         // The chunks of the packet walked last past the last TPDU read there.
         let (mut unread, mut walked) = (VecDeque::new(), None);
         for t in tpdus {
             let csn = self.cfg.params.initial_csn.wrapping_add(t.start as u32);
             pieces.clear();
-            for n in self.at(t.first)..=self.at(t.last) {
+            for k in 0..=t.last.wrapping_sub(t.first) {
+                let n = t.first.wrapping_add(k);
                 // A packet walked for an earlier TPDU reads on where it stopped.
                 if walked.is_none_or(|(w, s)| w != n || s >= t.start) {
                     unread.clear();
-                    let chunks = chunk_walk(&self.packets[n])?;
-                    unread.extend(chunks.map(|c| (c.header, c.payload())));
+                    let (buf, at) = self.packet(n);
+                    let bytes = buf.slice(at.clone());
+                    let packet = Packet { bytes };
+                    unread
+                        .extend(chunk_walk(&packet)?.map(|c| (c.header, &buf[at.start..][c.span])));
                 }
                 walked = Some((n, t.start));
                 // Its pieces in a packet are consecutive, the ED chunk last.
@@ -726,32 +690,65 @@ impl Sender {
                 }
             }
             each(t, &pieces)?;
+            count += 1;
         }
-        Ok(())
+        Ok(count)
     }
 
-    /// Empties each packet of the ranges of the TPDUs that `left` that no
-    /// pending TPDU has a byte in, then drops the emptied packets in front.
+    /// Lets go of each buffer a TPDU that `left` had a byte in when no
+    /// pending TPDU has one, then pops the empty buffers in front.
     fn free(&mut self, left: &[Pending]) {
         self.fresh &= left.is_empty();
         for t in left {
-            for n in self.at(t.first)..=self.at(t.last) {
-                // Held, if at all, by the first pending TPDU ending at or after it.
-                let k = self.pending.partition_point(|t| self.at(t.last) < n);
-                if self.pending.get(k).is_none_or(|t| self.at(t.first) > n) {
-                    self.packets[n].bytes = Bytes::new();
-                }
+            let b = self.buffer_of(t.first);
+            let (first, _, ref ends) = self.buffers[b];
+            if !self.holds(first, first.wrapping_add(ends.len() as u32 - 1)) {
+                self.buffers[b].1 = Bytes::new();
             }
         }
-        while self.packets.front().is_some_and(|p| p.bytes.is_empty()) {
-            self.packets.pop_front();
-            self.base = self.base.wrapping_add(1);
+        while self
+            .buffers
+            .front()
+            .is_some_and(|(_, buf, _)| buf.is_empty())
+        {
+            self.buffers.pop_front();
         }
     }
 
-    /// Where in `packets` the packet numbered `n` lies.
+    /// True when a pending TPDU has a byte in a packet numbered `lo..=hi`:
+    /// the first pending TPDU ending at or after `lo` starts by `hi`.
+    fn holds(&self, lo: u32, hi: u32) -> bool {
+        let k = self
+            .pending
+            .partition_point(|t| self.at(t.last) < self.at(lo));
+        self.pending
+            .get(k)
+            .is_some_and(|t| self.at(t.first) <= self.at(hi))
+    }
+
+    /// Which buffer holds the packet numbered `n`.
+    fn buffer_of(&self, n: u32) -> usize {
+        self.buffers.partition_point(|b| self.at(b.0) <= self.at(n)) - 1
+    }
+
+    /// The packet numbered `n`: its buffer and where it lies in it.
+    fn packet(&self, n: u32) -> (&Bytes, std::ops::Range<usize>) {
+        let (first, ref buf, ref ends) = self.buffers[self.buffer_of(n)];
+        let i = n.wrapping_sub(first) as usize;
+        let from = i.checked_sub(1).map_or(0, |j| ends[j]);
+        (buf, from as usize..ends[i] as usize)
+    }
+
+    /// How many packets were sent from the first one held to the one `n`.
     fn at(&self, n: u32) -> usize {
-        n.wrapping_sub(self.base) as usize
+        n.wrapping_sub(self.buffers.front().map_or(0, |b| b.0)) as usize
+    }
+
+    /// The number of the next packet written (from 0 when none is held).
+    fn next(&self) -> u32 {
+        self.buffers
+            .back()
+            .map_or(0, |b| b.0.wrapping_add(b.2.len() as u32))
     }
 }
 
@@ -890,13 +887,12 @@ mod tests {
         let mut s = Sender::new(c);
         s.submit_simple(&[9u8; 200], 0xF, false);
         let packets = s.packets_for_pending().unwrap();
-        // The retained packets are the handed-out buffers.
-        assert_eq!(s.packets.len(), packets.len());
-        assert!(s
-            .packets
-            .iter()
+        // The retained packets are the handed-out ones: one buffer, sliced.
+        assert_eq!((s.buffers.len(), s.buffers[0].2.len()), (1, packets.len()));
+        let (_, whole, ends) = &s.buffers[0];
+        assert!(slices(whole.clone(), ends)
             .zip(&packets)
-            .all(|(a, b)| a.bytes.as_ptr() == b.bytes.as_ptr()));
+            .all(|(a, b)| a.bytes.as_ptr_range() == b.bytes.as_ptr_range()));
         // Each TPDU's pieces, read back from them, cover its elements once,
         // in order, and end in its ED chunk.
         let mut straddles = false;

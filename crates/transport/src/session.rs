@@ -13,7 +13,7 @@
 //! A session sends the sender's own frames. A fresh first transmission goes
 //! out as the packets `submit` built, with no copy. Repairs and timer
 //! retransmissions go through the sender's packer, which stays open for the
-//! whole pump. The ack for the inbound stream goes in last: into the open
+//! whole pump and writes what it packs into one buffer. The ack for the inbound stream goes in last: into the open
 //! packet's free room, or into a packet of its own. That is Appendix A's
 //! piggybacking "without designing piggybacking into the protocol". The
 //! placement is `pack`'s next fit over those chunks in that order, but no
@@ -167,7 +167,7 @@ impl Session {
             transmitted_once: false,
             rto: RetransmitTimer::new(RtoConfig::default()),
             clock: 0,
-            packer: Packer::new(local.mtu),
+            packer: Packer::one_buffer(local.mtu, Vec::new(), Vec::new()),
             backlog: VecDeque::new(),
             max_burst_packets: 256,
             repair_limit_tpdus: 64,
@@ -345,10 +345,10 @@ impl Session {
                 }
             } else {
                 let sent = &mut self.sent;
-                self.tx
-                    .pack_repair(&ack, self.repair_limit_tpdus, &mut self.packer, |s| {
-                        sent.push((s, true))
-                    })?;
+                let limit = self.repair_limit_tpdus;
+                self.tx.retransmissions +=
+                    self.tx
+                        .pack_repair(&ack, limit, &mut self.packer, |s| sent.push((s, true)))?;
             }
         }
 
@@ -461,7 +461,7 @@ impl Session {
                 }
             }
             // Every due TPDU is retransmitted in one pass.
-            self.tx.pack_retransmit(&self.due, &mut self.packer)?;
+            self.tx.retransmissions += self.tx.pack_retransmit(&self.due, &mut self.packer)?;
         }
 
         // Arm (or re-arm) the timer for everything this call sent. This runs

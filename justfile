@@ -128,8 +128,12 @@ test-receiver:
 # pump whose ack-driven repair and due timers name the same TPDUs packs
 # each once), the backoff property,
 # the two ack-trim regression tests and the transmit and session legs of
-# the allocation gate. Debug first, so the packet-range arithmetic runs
-# with overflow checks, then release.
+# the allocation gate (a submit's six allocations with at most 8 B of
+# bookkeeping a packet, the store keeping a 4-byte end per packet and no
+# handle; `a_repair_transmits_its_packets_from_one_buffer_whatever_their_count`:
+# a `retransmit_for_ack` of 110 packets and one of 220 make the same eight
+# allocations). Debug first, so the packet-range arithmetic runs with
+# overflow checks, then release.
 test-sender:
     cargo test -q --test transport_props -- sender_packets_equal sender_retains session_packets_equal backoff_is_monotone
     cargo test -q -p chunks-transport --lib -- sender:: session:: rto:: ack::tests::an_ack_past
@@ -151,9 +155,12 @@ test-sender:
 # that the worst disorder — every TPDU open at once — allocates for its
 # open high-water once, within a bound, and not at all when replayed warm
 # (`the_worst_disorder_allocates_its_open_high_water_once_and_never_when_warm`),
-# and that a warm session pumps 256 KiB
-# in at most 64 allocations and its peer ingests it in at most 6, release
-# mode.
+# that a warm session pumps 256 KiB
+# in at most 8 allocations and its peer ingests it in at most 6, that a
+# submit keeps at most 8 B of bookkeeping a packet and a repair writes one
+# buffer whatever its packet count (eight allocations), and the network
+# legs of `test-netsim` (a refragmenting path's exact 79 allocations:
+# two per 64 KiB window), release mode.
 test-hotpath:
     cargo test -q --release --test hotpath_allocs
 
@@ -171,7 +178,11 @@ test-scale:
 # root tests that drive a `Path`; then the crate's tests again as they
 # ship, in release, and the network's allocation and copy gates (frames are
 # handles: a routerless path allocates nothing per frame, a refragmenting
-# router at most three times per ingress frame) with the high-water gate
+# router twice per 64 KiB window of emissions, 79 allocations in all for
+# 2048 frames in, its frames back to back in one buffer a window) with the
+# router's batch property (`a_batch_equals_its_frames_one_at_a_time`: a
+# batch of n frames makes what n batches of one make, frames, times,
+# counters and records) among the crate's tests, and the high-water gate
 # `network_runs_keep_no_scratch_copy_of_an_ordered_list` (a run's heap
 # peaks at most one list of handles above where it ends, two on a path that
 # disorders: an ordered list is never copied to be sorted).

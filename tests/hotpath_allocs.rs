@@ -641,11 +641,12 @@ fn parallel_receive_with_always_on_obs_is_allocation_free() {
 fn transmit_side_touches_the_heap_once_per_submit_and_retains_the_wire_image() {
     // The transmit side of the one-pass claim: `submit` writes every packet
     // it builds back to back into one buffer, sized beforehand by a dry run
-    // over the labels, and keeps them, with a 24-byte record per TPDU, as
-    // the retransmission store. So it asks the heap for the same handful
-    // of things however many packets it makes, the only payload-sized
-    // memory is that one buffer, the sender holds the wire image once, and
-    // handing the packets out is a list of handles. Two shapes: 8 KiB
+    // over the labels, and keeps that buffer, a 4-byte end per packet and a
+    // 24-byte record per TPDU as the retransmission store. So it asks the
+    // heap for the same handful of things however many packets it makes,
+    // the only payload-sized memory is that one buffer, the sender holds
+    // the wire image once, and handing the packets out is a list of
+    // handles. Two shapes: 8 KiB
     // TPDUs at MTU 9000 (`bulk-clean`'s) and 512-element TPDUs at MTU 576
     // (`small-frag`'s), each at two message sizes. At the first only the
     // last packet closes short, so every packet boundary cuts one chunk in
@@ -659,7 +660,7 @@ fn transmit_side_touches_the_heap_once_per_submit_and_retains_the_wire_image() {
         allocs.clone().collect::<Vec<_>>()
     );
     // Six: the buffer and its shared owner, and exactly sized lists of the
-    // store's handles, the packets' ends in the buffer, the records and
+    // store's buffers, the packets' ends in the buffer, the records and
     // the starts.
     assert!(
         allocs.clone().all(|n| n == bulk[0].allocs),
@@ -724,16 +725,16 @@ fn transmit_leg(tpdu: u32, mtu: usize, bound: f64, message: usize) -> TransmitLe
     }
 
     // (b) No second copy of the payload, however briefly: beyond the one
-    // buffer, exactly the wire bytes, `submit` asks for labels and handles
-    // only — per packet a handle in the store and its end in the buffer,
-    // per TPDU a 24-byte record and an 8-byte start, and a few hundred
-    // bytes of fixed state.
+    // buffer, exactly the wire bytes, `submit` asks for labels only — per
+    // packet its 4-byte end in the buffer (no handle: a packet is sliced
+    // out when it is read), per TPDU a 24-byte record and an 8-byte start,
+    // and a few hundred bytes of fixed state.
     println!(
         "{tpdus} TPDUs, {} packets ({short} short), {submit_allocs} allocations",
         packets.len()
     );
     let bookkeeping = submit_requested - wire as u64;
-    let labels = 32 * packets.len() as u64 + 32 * tpdus + 1024;
+    let labels = 8 * packets.len() as u64 + 32 * tpdus + 1024;
     println!("{bookkeeping} B requested beyond the packet buffer, {labels} B allowed");
     assert!(
         bookkeeping < labels,
@@ -741,7 +742,8 @@ fn transmit_leg(tpdu: u32, mtu: usize, bound: f64, message: usize) -> TransmitLe
     );
 
     // (c) Sender and handed-out packets together hold the wire image once,
-    // plus per packet two 24-byte handles and per TPDU a 24-byte record.
+    // plus per packet a 24-byte handle in the list handed out and a 4-byte
+    // end in the store, and per TPDU a 24-byte record.
     let held = alloc_count::requested_bytes() - alloc_count::released_bytes() - held_before;
     println!(
         "{held} B held for {wire} B on the wire: {:.4}",
@@ -849,6 +851,75 @@ fn a_warm_sender_transmits_its_next_submit_from_the_buffer_its_last_one_freed() 
     assert_eq!(kept.bytes, sent, "the held packet changed");
 }
 
+#[test]
+fn a_repair_transmits_its_packets_from_one_buffer_whatever_their_count() {
+    // `retransmit_for_ack` runs the repair walk twice: on a measuring
+    // packer, which counts the packets and their bytes, then into one
+    // buffer of exactly that size, as `submit` does. So a repair of about
+    // 100 packets and one of about 200 ask the heap for the same things:
+    // the buffer and its shared owner, the list of the packets' ends in it,
+    // the list of packets handed out, and each run's two scratch lists of
+    // the pieces read back off the wire.
+    let repair = |message: usize| {
+        let cfg = SenderConfig {
+            params: ConnectionParams {
+                tpdu_elements: 512,
+                ..params(1)
+            },
+            layout: layout(),
+            mtu: NET_MTU,
+            min_tpdu_elements: 64,
+            max_tpdu_elements: 512,
+        };
+        let mut tx = Sender::new(cfg);
+        let mut rx = Receiver::new(
+            DeliveryMode::Immediate,
+            cfg.params,
+            layout(),
+            message as u64 + 4096,
+        );
+        let data: Vec<u8> = (0..message).map(|i| (i * 17 + 1) as u8).collect();
+        tx.submit_simple(&data, 1, false);
+        // Every third packet is lost: every TPDU reports a gap, some the
+        // missing ED chunk too.
+        let mut events = Vec::new();
+        let sent = tx.packets_for_pending().expect("clean stream packs");
+        for p in sent.iter().skip(1).step_by(3) {
+            rx.handle_packet_into(p, 0, &mut events);
+        }
+        for p in sent.iter().step_by(3) {
+            rx.handle_packet_into(p, 0, &mut events);
+        }
+        let ack = rx.make_ack();
+        assert!(!ack.gaps.is_empty());
+        let before = alloc_count::allocs();
+        let packets = tx.retransmit_for_ack(&ack).expect("repairs pack");
+        let allocs = alloc_count::allocs() - before;
+        for pair in packets.windows(2) {
+            assert_eq!(
+                pair[0].bytes.as_ptr_range().end,
+                pair[1].bytes.as_ptr(),
+                "written back to back into one buffer"
+            );
+        }
+        (packets.len(), allocs)
+    };
+    let (small, large) = (repair(96 << 10), repair(192 << 10));
+    println!(
+        "repairs of {} and {} packets: {} and {} allocations",
+        small.0, large.0, small.1, large.1
+    );
+    assert!(
+        small.0 >= 64 && large.0 >= 2 * small.0 - 2,
+        "{small:?} {large:?}"
+    );
+    assert_eq!(
+        small.1, large.1,
+        "a repair's allocations depend on its packet count"
+    );
+    assert_eq!(small.1, 8, "allocations in a repair");
+}
+
 /// MTU of the network legs: the ledger's `small-frag` shape.
 const NET_MTU: usize = 576;
 
@@ -911,12 +982,15 @@ fn network_copies_each_byte_once_and_links_move_frames() {
     let wire = |inputs: &[(u64, Bytes)]| inputs.iter().map(|f| f.1.len() as u64).sum::<u64>();
 
     // (a) Through the refragmenting router, 576 -> 176 bytes. Per full
-    // ingress frame one emission of four egress frames: one buffer of
-    // exactly their bytes — the single copy of the payload — and the shared
-    // owner that makes it `Bytes`. The short last packet waits in the
-    // router until the run flushes it, as one more emission of one frame.
-    // Per run: the router's window lists, one departure list a hop, the
-    // narrow hop's list doubling twice, and the flush's lists.
+    // ingress frame one emission of four egress frames, 672 bytes; the
+    // router measures emissions until they reach 64 KiB (98 of them), then
+    // writes that window into one buffer of exactly its bytes — the single
+    // copy of the payload — with the shared owner that makes it `Bytes`.
+    // The 2047 full frames make 21 windows; the short last packet waits in
+    // the router until the run flushes it, as a 22nd window of one frame.
+    // Per run besides: the router's lists, grown to a window's frames,
+    // chunks and ends (27), one departure list a hop, the narrow hop's
+    // doubling twice, and the flush's three lists (8).
     let (allocs, requested, _, deliveries) = measured_run(Profile::Fragmenting, inputs.clone());
     let egress = deliveries.len() as u64;
     assert_eq!(egress, 4 * (FRAMES as u64 - 1) + 1);
@@ -924,33 +998,33 @@ fn network_copies_each_byte_once_and_links_move_frames() {
         "fragmenting: {allocs} allocations, {requested} B requested for {} B in",
         wire(&inputs)
     );
-    assert!(
-        (2 * FRAMES as u64..=2 * FRAMES as u64 + 16).contains(&allocs),
+    const WINDOWS: u64 = 22;
+    assert_eq!(
+        allocs,
+        2 * WINDOWS + 27 + 8,
         "{allocs} allocations for {FRAMES} frames in, {egress} out"
     );
-    assert!(allocs <= 3 * FRAMES as u64);
     // Egress buffers hold exactly the wire bytes out (1.15 x the wire bytes
-    // in: every piece gets its own 32-byte label). The rest is each
-    // emission's 40-byte shared owner and lists of 32-byte handles: the
-    // first hop's departures, then the narrow hop's, doubling from the
-    // frames in to four times that (1 + 2 + 4), and the flush's lists of
-    // one handle. The flushed frame lands after the rest, so merging it
-    // copies no list (a stable sort's scratch would be four lists more).
+    // in: every piece gets its own 32-byte label). The rest is lists of
+    // 32-byte handles: the first hop's departures, then the narrow hop's,
+    // doubling from the frames in to four times that (1 + 2 + 4), and the
+    // flush's lists of one handle; the router's lists of a window; and a
+    // 40-byte shared owner a window. The flushed frame lands after the
+    // rest, so merging it copies no list (a stable sort's scratch would be
+    // four lists more).
     let wire_out: u64 = deliveries.iter().map(|d| d.frame.len() as u64).sum();
-    let handles = (8 * 32 + 40) * FRAMES as u64 + 4096;
+    let handles = 8 * 32 * FRAMES as u64 + 84 * 1024;
     assert!(
         requested >= wire_out && requested - wire_out < handles,
         "{requested} B requested for {wire_out} B of wire out"
     );
-    // Frames of one emission lie back to back in its buffer.
-    for four in deliveries.chunks(4) {
-        for pair in four.windows(2) {
-            assert_eq!(
-                pair[0].frame.bytes.as_ptr_range().end,
-                pair[1].frame.bytes.as_ptr()
-            );
-        }
-    }
+    // The frames of a window lie back to back in its buffer: the run of
+    // deliveries breaks only where one window's buffer ends.
+    let breaks = deliveries
+        .windows(2)
+        .filter(|pair| pair[0].frame.bytes.as_ptr_range().end != pair[1].frame.bytes.as_ptr())
+        .count() as u64;
+    assert_eq!(breaks, WINDOWS - 1, "frames of one window in one buffer");
 
     // (b) A link moves frames: no per-frame allocation, no payload byte
     // requested. What a run asks for is one departure list of handles, and
