@@ -41,7 +41,8 @@ impl From<Packet> for Bytes {
     }
 }
 
-/// Incrementally fills packets with chunks up to an MTU.
+/// Incrementally fills packets with chunks up to an MTU: the one placement
+/// engine, under [`pack`], the routers and the sender.
 ///
 /// A builder from [`new`](Self::new) writes each packet into a buffer of its
 /// own, allocated by the first chunk written, so a builder that is never
@@ -105,7 +106,7 @@ impl PacketBuilder {
 
     /// How many data elements of a chunk with element size `size` would
     /// still fit (including the chunk's header).
-    pub fn fit_elements(&self, size: u16) -> u32 {
+    fn fit_elements(&self, size: u16) -> u32 {
         let rem = self.remaining();
         if rem <= WIRE_HEADER_LEN {
             return 0;
@@ -113,81 +114,89 @@ impl PacketBuilder {
         ((rem - WIRE_HEADER_LEN) / size as usize) as u32
     }
 
-    fn write(&mut self, header: &ChunkHeader, payload: &[u8]) {
-        self.len += WIRE_HEADER_LEN + payload.len();
-        if self.measuring {
-            return;
-        }
-        if self.buf.capacity() == 0 {
-            self.buf.reserve_exact(self.mtu.min(9216));
-        }
-        encode_header(header, &mut self.buf);
-        self.buf.extend_from_slice(payload);
-    }
-
     /// Adds a whole chunk. Returns the chunk back when it does not fit.
     pub fn push(&mut self, chunk: Chunk) -> Result<(), Chunk> {
         if chunk.wire_len() > self.remaining() {
             return Err(chunk);
         }
-        self.write(&chunk.header, &chunk.payload);
-        Ok(())
+        // It fits whole: placed without a split, so nothing is emitted.
+        self.place(chunk.header, &chunk.payload, |_| {})
+            .map_err(|_| chunk)
     }
 
-    /// Writes as many leading elements of a borrowed chunk as fit — the
-    /// whole chunk, or the head of an Appendix C split ([`split_header`] and
-    /// a sub-slice; no [`Chunk`] is built) — and returns what is left over:
-    /// `None` when the whole chunk went in, the chunk itself when nothing
-    /// did (no room for one element, or a control chunk, which is
-    /// indivisible). This is the one step of the greedy first-fit.
-    pub fn push_fitting<'a>(
-        &mut self,
-        header: ChunkHeader,
-        payload: &'a [u8],
-    ) -> Option<(ChunkHeader, &'a [u8])> {
-        if WIRE_HEADER_LEN + payload.len() <= self.remaining() {
-            self.write(&header, payload);
-            return None;
-        }
-        let fit = self.fit_elements(header.size);
-        if fit == 0 || header.ty.is_control() {
-            return Some((header, payload));
-        }
-        // `fit < LEN` whenever the payload is the `SIZE * LEN` bytes the
-        // header claims; a chunk built otherwise is left to the caller.
-        let Ok((head, tail)) = split_header(&header, fit) else {
-            return Some((header, payload));
-        };
-        let (taken, rest) = payload.split_at(head.payload_len());
-        self.write(&head, taken);
-        Some((tail, rest))
-    }
-
-    /// Places one borrowed chunk greedily: what fits goes into the packet
-    /// under construction, `emit` is called on the builder whenever that
-    /// packet is full (to [`take_bytes`](Self::take_bytes) or
-    /// [`close`](Self::close) it), and the chunk's last piece stays open for
-    /// the next chunk to share. Fails, with the pieces already emitted
-    /// standing, when an element (or control chunk) exceeds even an empty
-    /// packet.
+    /// Places one borrowed chunk greedily: a run of one slice
+    /// ([`place_run`](Self::place_run)).
     pub fn place(
         &mut self,
         header: ChunkHeader,
         payload: &[u8],
-        mut emit: impl FnMut(&mut Self),
+        emit: impl FnMut(&mut Self),
     ) -> Result<(), CoreError> {
-        let mut left = self.push_fitting(header, payload);
-        while let Some((header, payload)) = left {
-            if self.is_empty() {
-                return Err(CoreError::ElementExceedsMtu {
-                    size: header.size,
-                    mtu: self.mtu,
-                });
+        self.place_run(header, [payload], emit, |_, _| {})
+    }
+
+    /// Places one chunk greedily whose payload is `payload`'s slices in
+    /// order (a run of adjacent pieces that lie apart, Appendix D): what
+    /// fits goes into the packet under construction, whole or as the head
+    /// of an Appendix C split that may fall inside any slice; `emit` is
+    /// called whenever that packet is full (to [`take_bytes`](Self::take_bytes)
+    /// or [`close`](Self::close) it); the last extent stays open for the next
+    /// chunk. `placed` is told of each extent: its label and its payload as
+    /// written (nothing, on a measuring builder). Fails, with the extents
+    /// emitted standing, when an element (or a control chunk, indivisible)
+    /// exceeds even an empty packet.
+    pub fn place_run<'a>(
+        &mut self,
+        header: ChunkHeader,
+        payload: impl IntoIterator<Item = &'a [u8]>,
+        mut emit: impl FnMut(&mut Self),
+        mut placed: impl FnMut(&ChunkHeader, &[u8]),
+    ) -> Result<(), CoreError> {
+        let (mut slice, mut rest): (&[u8], _) = (&[], payload.into_iter());
+        let mut left = header;
+        loop {
+            let (now, later) = if WIRE_HEADER_LEN + left.payload_len() <= self.remaining() {
+                (left, None)
+            } else {
+                let fit = match left.ty.is_control() {
+                    true => 0,
+                    false => self.fit_elements(left.size),
+                };
+                if fit == 0 {
+                    if self.is_empty() {
+                        return Err(CoreError::ElementExceedsMtu {
+                            size: left.size,
+                            mtu: self.mtu,
+                        });
+                    }
+                    emit(self);
+                    continue;
+                }
+                // The chunk does not fit whole, so `fit < LEN`.
+                let (head, tail) = split_header(&left, fit)?;
+                (head, Some(tail))
+            };
+            let (at, mut need) = (self.len + WIRE_HEADER_LEN, now.payload_len());
+            self.len = at + need;
+            if !self.measuring {
+                if self.buf.capacity() == 0 {
+                    self.buf.reserve_exact(self.mtu.min(9216));
+                }
+                encode_header(&now, &mut self.buf);
+                while need > 0 {
+                    if slice.is_empty() {
+                        slice = rest.next().expect("the slices hold what the label claims");
+                    }
+                    let (bytes, after) = slice.split_at(need.min(slice.len()));
+                    self.buf.extend_from_slice(bytes);
+                    (slice, need) = (after, need - bytes.len());
+                }
             }
+            placed(&now, self.buf.get(at..).unwrap_or_default());
+            let Some(tail) = later else { return Ok(()) };
             emit(self);
-            left = self.push_fitting(header, payload);
+            left = tail;
         }
-        Ok(())
     }
 
     /// Ends the packet under construction where it stands and opens the
@@ -208,17 +217,6 @@ impl PacketBuilder {
     /// Finishes the packet exactly as filled (no padding). The parser stops
     /// at end-of-bytes.
     pub fn finish(self) -> Packet {
-        Packet {
-            bytes: self.buf.into(),
-        }
-    }
-
-    /// Finishes the packet padded with zeros to the full MTU — the fixed
-    /// cell case (e.g. ATM). A zero header is the `LEN = 0` end marker, so
-    /// the padding doubles as the terminator when at least a header's worth
-    /// of space remains.
-    pub fn finish_padded(mut self) -> Packet {
-        self.buf.resize(self.open + self.mtu, 0);
         Packet {
             bytes: self.buf.into(),
         }
@@ -356,7 +354,7 @@ impl Iterator for Spans<'_> {
 mod tests {
     use super::*;
     use crate::chunk::{byte_chunk, Chunk, ChunkHeader};
-    use crate::frag::ReassemblyPool;
+    use crate::frag::{merge_header, ReassemblyPool};
     use crate::label::{ChunkType, FramingTuple};
     use crate::wire::encode_chunk;
 
@@ -368,6 +366,19 @@ mod tests {
             FramingTuple::new(3, 0, false),
             &payload,
         )
+    }
+
+    /// `chunk` alone in a packet padded with zeros to the full `mtu` — the
+    /// fixed cell case (e.g. ATM). A zero header is the `LEN = 0` end
+    /// marker, so the padding doubles as the terminator when at least a
+    /// header's worth of space remains.
+    fn padded(chunk: Chunk, mtu: usize) -> Packet {
+        let mut bytes = Vec::new();
+        encode_chunk(&chunk, &mut bytes);
+        bytes.resize(mtu, 0);
+        Packet {
+            bytes: bytes.into(),
+        }
     }
 
     fn ed_chunk() -> Chunk {
@@ -428,9 +439,7 @@ mod tests {
 
     #[test]
     fn padded_packet_parses_with_end_marker() {
-        let mut b = PacketBuilder::new(200);
-        b.push(data_chunk(5)).unwrap();
-        let p = b.finish_padded();
+        let p = padded(data_chunk(5), 200);
         assert_eq!(p.len(), 200);
         let chunks = unpack(&p).unwrap();
         assert_eq!(chunks.len(), 1);
@@ -440,17 +449,13 @@ mod tests {
     #[test]
     fn padding_smaller_than_header_accepted() {
         let mtu = WIRE_HEADER_LEN + 5 + 10; // 10 bytes of sub-header padding
-        let mut b = PacketBuilder::new(mtu);
-        b.push(data_chunk(5)).unwrap();
-        let p = b.finish_padded();
+        let p = padded(data_chunk(5), mtu);
         assert_eq!(unpack(&p).unwrap().len(), 1);
     }
 
     #[test]
     fn garbage_after_end_marker_rejected() {
-        let mut b = PacketBuilder::new(200);
-        b.push(data_chunk(5)).unwrap();
-        let p = b.finish_padded();
+        let p = padded(data_chunk(5), 200);
         let mut raw = p.bytes.to_vec();
         *raw.last_mut().unwrap() = 0xFF;
         let bad = Packet { bytes: raw.into() };
@@ -529,9 +534,7 @@ mod tests {
         for p in pack(chunks, 120).unwrap() {
             assert_spans_agree(&p);
         }
-        let mut b = PacketBuilder::new(200);
-        b.push(data_chunk(5)).unwrap();
-        assert_spans_agree(&b.finish_padded());
+        assert_spans_agree(&padded(data_chunk(5), 200));
         assert_spans_agree(&Packet {
             bytes: Bytes::new(),
         });
@@ -545,9 +548,7 @@ mod tests {
         raw.truncate(raw.len() - 3);
         assert_spans_agree(&Packet { bytes: raw.into() });
         // Garbage after the end marker.
-        let mut b = PacketBuilder::new(120);
-        b.push(data_chunk(5)).unwrap();
-        let mut raw = b.finish_padded().bytes.to_vec();
+        let mut raw = padded(data_chunk(5), 120).bytes.to_vec();
         *raw.last_mut().unwrap() = 0x42;
         assert_spans_agree(&Packet { bytes: raw.into() });
         // Unknown TYPE byte.
@@ -609,6 +610,7 @@ mod tests {
         fn pack_equals_the_owned_split_loop(
             shapes in proptest::collection::vec((0u8..6, 1u16..=9, 1u32..=50, 0u8..8, any::<u32>()), 0..12),
             mtu in WIRE_HEADER_LEN..WIRE_HEADER_LEN + 120,
+            cuts in proptest::collection::vec(proptest::collection::vec(1u32..50, 0..4), 12),
         ) {
             let chunks: Vec<Chunk> = shapes
                 .into_iter()
@@ -629,33 +631,78 @@ mod tests {
                 .map(|packets| packets.iter().map(|p| p.bytes.to_vec()).collect::<Vec<_>>());
             prop_assert_eq!(&packed, &pack_by_owned_splits(chunks.clone(), mtu));
 
+            // Each chunk cut into adjacent pieces at its cut points (Appendix
+            // C): a control chunk, one indivisible element, stays whole.
+            let pieces: Vec<Vec<(ChunkHeader, &[u8])>> = chunks
+                .iter()
+                .zip(&cuts)
+                .map(|(c, at)| {
+                    let mut points: Vec<u32> = at.iter().map(|a| a % c.header.len).collect();
+                    points.sort_unstable();
+                    points.dedup();
+                    let (mut left, mut payload, mut done) = (c.header, &c.payload[..], 0);
+                    let mut pieces = Vec::new();
+                    for p in points.into_iter().filter(|&p| p > 0) {
+                        let (head, tail) = split_header(&left, p - done).unwrap();
+                        let (bytes, rest) = payload.split_at(head.payload_len());
+                        pieces.push((head, bytes));
+                        (left, payload, done) = (tail, rest, p);
+                    }
+                    pieces.push((left, payload));
+                    pieces
+                })
+                .collect();
+
             // A dry run places alike: the packets written back to back into
             // one buffer of the size it measured are `pack`'s, and the
-            // buffer never grew.
-            let place_all = |b: &mut PacketBuilder, ends: &mut Vec<usize>| {
-                for c in &chunks {
-                    b.place(c.header, &c.payload, |b| ends.push(b.close()))?;
+            // buffer never grew. So does each chunk's pieces placed as one
+            // run (their labels merged, Appendix D; their payloads apart),
+            // and the extents reported are the bytes written.
+            let place_all = |b: &mut PacketBuilder,
+                             ends: &mut Vec<usize>,
+                             cut: bool,
+                             extents: &mut Vec<u8>| {
+                let mut close = |b: &mut PacketBuilder| ends.push(b.close());
+                for (c, pieces) in chunks.iter().zip(&pieces) {
+                    let mut placed = |h: &ChunkHeader, bytes: &[u8]| {
+                        encode_header(h, extents);
+                        extents.extend_from_slice(bytes);
+                    };
+                    if cut {
+                        let (first, rest) = pieces.split_first().unwrap();
+                        let run = rest
+                            .iter()
+                            .fold(first.0, |run, p| merge_header(&run, &p.0).unwrap());
+                        let slices = pieces.iter().map(|p| p.1);
+                        b.place_run(run, slices, &mut close, &mut placed)?;
+                    } else {
+                        b.place_run(c.header, [&c.payload[..]], &mut close, &mut placed)?;
+                    }
                 }
                 if !b.is_empty() {
-                    ends.push(b.close());
+                    close(b);
                 }
                 Ok::<_, CoreError>(())
             };
-            let mut measured = Vec::new();
-            let dry = place_all(&mut PacketBuilder::measuring(mtu), &mut measured);
-            prop_assert_eq!(dry.is_ok(), packed.is_ok());
-            let Ok(packets) = packed else { return Ok(()) };
-            let total = measured.last().copied().unwrap_or(0);
-            let mut builder = PacketBuilder::with_buffer(mtu, Vec::with_capacity(total));
-            let mut ends = Vec::new();
-            place_all(&mut builder, &mut ends).unwrap();
-            prop_assert_eq!(&ends, &measured);
-            let buf = builder.take_bytes();
-            prop_assert_eq!(buf.capacity(), total);
-            let starts = std::iter::once(0).chain(ends.iter().copied());
-            let written: Vec<Vec<u8>> =
-                starts.zip(&ends).map(|(lo, &hi)| buf[lo..hi].to_vec()).collect();
-            prop_assert_eq!(written, packets);
+            for cut in [false, true] {
+                let mut measured = Vec::new();
+                let mut dry = PacketBuilder::measuring(mtu);
+                let dry = place_all(&mut dry, &mut measured, cut, &mut Vec::new());
+                prop_assert_eq!(dry.is_ok(), packed.is_ok());
+                let Ok(packets) = &packed else { return Ok(()) };
+                let total = measured.last().copied().unwrap_or(0);
+                let mut builder = PacketBuilder::with_buffer(mtu, Vec::with_capacity(total));
+                let (mut ends, mut extents) = (Vec::new(), Vec::new());
+                place_all(&mut builder, &mut ends, cut, &mut extents).unwrap();
+                prop_assert_eq!(&ends, &measured);
+                let buf = builder.take_bytes();
+                prop_assert_eq!(buf.capacity(), total);
+                prop_assert_eq!(&extents, &buf);
+                let starts = std::iter::once(0).chain(ends.iter().copied());
+                let written: Vec<Vec<u8>> =
+                    starts.zip(&ends).map(|(lo, &hi)| buf[lo..hi].to_vec()).collect();
+                prop_assert_eq!(&written, packets);
+            }
         }
     }
 }

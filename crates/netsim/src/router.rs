@@ -186,15 +186,15 @@ fn place<'a>(
             builder.place(header, payload, &mut close).ok()?;
             continue;
         }
-        let mut left = Some((header, payload));
-        while let Some((header, payload)) = left {
-            left = builder.push_fitting(header, payload);
-            if builder.is_empty() {
-                drops += 1;
-                break;
-            }
-            splits += u64::from(left.is_some());
-            close(builder);
+        // Each piece closes its frame; a chunk the empty frame cannot take
+        // an element of is refused before any piece goes out.
+        let split = |b: &mut PacketBuilder| {
+            splits += 1;
+            close(b);
+        };
+        match builder.place(header, payload, split) {
+            Ok(()) => close(builder),
+            Err(_) => drops += 1,
         }
     }
     if !builder.is_empty() {
@@ -1033,7 +1033,7 @@ mod tests {
                 let frame = match how {
                     0 => p.bytes.slice(..p.len() - 1),
                     1..=3 => {
-                        // `finish_padded`
+                        // Zero-padded to the MTU, as a fixed cell.
                         let mut padded = p.bytes.to_vec();
                         padded.resize(ingress, 0);
                         padded.into()

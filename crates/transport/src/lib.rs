@@ -10,8 +10,8 @@
 //! * [`sender`] — frames, folds and packetizes submitted data in one pass
 //!   over it, keeps the packets it built as the retransmission store (a
 //!   packet range per TPDU; a repair reads the pieces back off the wire by
-//!   their labels and re-packs them through a private packer whose
-//!   continuation rule makes the wire bytes independent of the cut),
+//!   their labels, coalesces them into runs and places those through the
+//!   one placement engine, so the wire bytes are independent of the cut),
 //!   retransmits *with identical identifiers* (§3.3), and adapts the TPDU
 //!   size to observed loss (the paper's answer to Kent–Mogul);
 //! * [`receiver`] — the three §3.3 strategies (immediate processing /

@@ -45,18 +45,21 @@
 //! the buffer no more than a quarter larger than it needs, it writes into
 //! it, so a warm sender allocates nothing for its packets.
 //!
-//! Every other path re-packs pieces, and must put the same bytes on the
+//! # One placement engine
+//!
+//! Every other path re-places pieces, and must put the same bytes on the
 //! wire as packing the *uncut* chunks would — whatever was acknowledged,
-//! abandoned or submitted in between. The sender's private packer is
-//! therefore `pack` plus one **continuation rule**: a chunk that continues
-//! the previous chunk *in the same packet* (the Appendix D `can_merge`
-//! predicate) opens no header of its own; it extends that header's `LEN`
-//! and hands it its `ST` bits. Two pieces of one uncut chunk thus come out
-//! as the one chunk (or the one head fragment) `pack` would have written,
-//! and the output is independent of where the pieces were cut.
-//! `pack` itself must not have the rule: it is also the netsim `Repack`
-//! router's packer, whose policy is "no in-network reassembly".
+//! abandoned or submitted in between. So the sender coalesces: each run of
+//! a TPDU's pieces that continue one another (the Appendix D `can_merge`
+//! predicate; a run never crosses a TPDU or the edge of a gap) goes to the
+//! one engine, [`PacketBuilder::place_run`], as the chunk it continues, and
+//! comes out as the chunk (or head fragment) `pack` writes, wherever the
+//! pieces were cut. The engine merges nothing itself: it is also `pack`'s
+//! and the routers', whose policy is "no in-network reassembly". A submit
+//! places its labels one at a time: the framer emits one label per ALF
+//! frame per TPDU, so no two of them continue each other.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 
 use bytes::Bytes;
@@ -64,8 +67,8 @@ use chunks_core::chunk::ChunkHeader;
 use chunks_core::error::CoreError;
 use chunks_core::frag::{can_merge, merge_header, split_header};
 use chunks_core::label::ChunkType;
-use chunks_core::packet::Packet;
-use chunks_core::wire::{encode_header, header_bytes, WIRE_HEADER_LEN};
+use chunks_core::packet::{Packet, PacketBuilder};
+use chunks_core::wire::WIRE_HEADER_LEN;
 
 use crate::ack::AckInfo;
 use crate::conn::ConnectionParams;
@@ -91,186 +94,37 @@ pub struct SenderConfig {
 /// A chunk where it lies in a retained packet: its label and its payload.
 type Piece<'a> = (ChunkHeader, &'a [u8]);
 
-/// The sender's packer: [`pack`](chunks_core::packet::pack)'s greedy
-/// first-fit over borrowed chunks, plus the continuation rule (module docs),
-/// writing packets back to back into one buffer: sized by a measuring
-/// packer's dry run (a submit's, a repair's), or growing (a session pump's).
-#[derive(Debug, Default)]
-pub(crate) struct Packer {
-    mtu: usize,
-    measuring: bool,
-    /// The bytes written: closed packets, then from `open` the packet under
-    /// construction.
-    buf: Vec<u8>,
-    /// Where the packet under construction starts in `buf`.
-    open: usize,
-    /// Bytes placed: `buf.len()`, or on a measuring packer their count.
-    len: usize,
-    /// Where each closed packet in `buf` ends.
-    ends: Vec<u32>,
-    /// Packets closed or handed on so far: the number the packet under
-    /// construction will have among them.
-    closed: usize,
-    /// Packets handed on as they are, ahead of those in `buf`.
-    packets: Vec<Packet>,
-    /// The chunk last written into `buf` — where its header starts, and the
-    /// header as it now stands — unless a run was broken after it.
-    last: Option<(usize, ChunkHeader)>,
+/// What a placement calls on the engine when a packet is full.
+pub(crate) type Emit<'e> = dyn FnMut(&mut PacketBuilder) + 'e;
+
+/// Closes the packet under construction, if it holds a chunk, noting its end.
+pub(crate) fn end_packet(b: &mut PacketBuilder, ends: &mut Vec<u32>) {
+    if !b.is_empty() {
+        ends.push(u32::try_from(b.close()).expect("a buffer under 4 GiB"));
+    }
 }
 
-impl Packer {
-    /// A packer that writes nothing and counts the packets and bytes its
-    /// placement makes.
-    fn measuring(mtu: usize) -> Self {
-        Packer {
-            mtu,
-            measuring: true,
-            ..Packer::default()
+/// The lists a repair walk reads a TPDU's pieces and a packet's chunks
+/// into, shared by a repair's dry run and its writes.
+pub(crate) type Scratch<'s> = (Vec<Piece<'s>>, VecDeque<Piece<'s>>);
+
+/// Places `pieces` in order, each run of them that continues one another
+/// as the one chunk it is (module docs).
+fn place_runs<'s>(
+    b: &mut PacketBuilder,
+    emit: &mut Emit<'_>,
+    pieces: impl Iterator<Item = Piece<'s>> + Clone,
+) -> Result<(), CoreError> {
+    let mut left = pieces.peekable();
+    while let Some((mut header, _)) = left.peek().copied() {
+        let (run, mut count) = (left.clone(), 1);
+        left.next();
+        while let Some((next, _)) = left.next_if(|p| can_merge(&header, &p.0)) {
+            (header, count) = (merge_header(&header, &next)?, count + 1);
         }
+        b.place_run(header, run.take(count).map(|p| p.1), &mut *emit, |_, _| {})?;
     }
-
-    /// A packer that writes its packets into `buf` (given the room for all
-    /// of them, it never grows, so no payload byte is copied twice), and
-    /// appends where each ends in it to `ends`.
-    pub(crate) fn one_buffer(mtu: usize, buf: Vec<u8>, ends: Vec<u32>) -> Self {
-        Packer {
-            mtu,
-            buf,
-            ends,
-            ..Packer::default()
-        }
-    }
-
-    /// Hands `packets` on as they are, ahead of anything written, the last
-    /// one copied into the packet under construction so that what follows
-    /// fills its free room, as `pack` would over their chunks.
-    fn hand_on(&mut self, packets: impl Iterator<Item = Packet>) {
-        debug_assert_eq!(self.len, 0, "handed on first");
-        self.packets.extend(packets);
-        if let Some(last) = self.packets.pop() {
-            self.closed = self.packets.len();
-            self.buf.reserve_exact(self.mtu.min(9216));
-            self.buf.extend_from_slice(&last.bytes);
-            self.len = self.buf.len();
-        }
-    }
-
-    /// Drops the packet under construction and every closed packet.
-    pub(crate) fn clear(&mut self) {
-        self.buf.clear();
-        self.ends.clear();
-        self.packets.clear();
-        (self.open, self.len, self.closed) = (0, 0, 0);
-        self.last = None;
-    }
-
-    /// Closes the packet under construction and moves every packet to the
-    /// back of `out`, those written as slices of one buffer.
-    pub(crate) fn drain_into(&mut self, out: &mut VecDeque<Packet>) {
-        self.close_packet();
-        out.extend(self.packets.drain(..));
-        let whole = Bytes::from(std::mem::take(&mut self.buf));
-        out.extend(slices(whole, &self.ends));
-        self.clear();
-    }
-
-    /// Closes the last packet and hands over the buffer and the ends.
-    fn finish(mut self) -> (Bytes, Vec<u32>) {
-        self.close_packet();
-        (Bytes::from(self.buf), self.ends)
-    }
-
-    fn close_packet(&mut self) {
-        self.last = None;
-        if self.len == self.open {
-            return;
-        }
-        self.open = self.len;
-        self.closed += 1;
-        if !self.measuring {
-            let end = u32::try_from(self.len).expect("a buffer under 4 GiB");
-            self.ends.push(end);
-        }
-    }
-
-    /// Appends one chunk: whole when it fits, else as many elements as fill
-    /// the packet, the rest opening the next one. `placed` is told of every
-    /// extent written — the packet's number, the extent's own label (a valid
-    /// chunk header whether or not it got a wire header of its own), and
-    /// the payload as it now lies in the packet buffer (nothing, on a
-    /// measuring packer).
-    fn push(
-        &mut self,
-        mut header: ChunkHeader,
-        mut payload: &[u8],
-        mut placed: impl FnMut(usize, &ChunkHeader, &[u8]),
-    ) -> Result<(), CoreError> {
-        let size = header.size as usize;
-        let writes = !self.measuring;
-        loop {
-            if self.buf.capacity() == 0 && writes {
-                self.buf.reserve_exact(self.mtu.min(9216));
-            }
-            let joined = self.last.filter(|(_, prev)| can_merge(prev, &header));
-            let overhead = if joined.is_some() { 0 } else { WIRE_HEADER_LEN };
-            let room = (self.mtu - (self.len - self.open)).saturating_sub(overhead) / size;
-            let take = (header.len as usize).min(room) as u32;
-            if take == 0 {
-                // No room for one element (a control chunk is one
-                // indivisible element): start a new packet.
-                if self.len == self.open {
-                    return Err(CoreError::ElementExceedsMtu {
-                        size: header.size,
-                        mtu: self.mtu,
-                    });
-                }
-                self.close_packet();
-                continue;
-            }
-            let (now, later) = if take < header.len {
-                let (head, tail) = split_header(&header, take)?;
-                (head, Some(tail))
-            } else {
-                (header, None)
-            };
-            match joined {
-                Some((at, prev)) => {
-                    let merged = merge_header(&prev, &now)?;
-                    if writes {
-                        self.buf[at..at + WIRE_HEADER_LEN].copy_from_slice(&header_bytes(&merged));
-                    }
-                    self.last = Some((at, merged));
-                }
-                None => {
-                    self.last = Some((self.len, now));
-                    self.len += WIRE_HEADER_LEN;
-                    if writes {
-                        encode_header(&now, &mut self.buf);
-                    }
-                }
-            }
-            let (bytes, rest) = payload.split_at(take as usize * size);
-            let at = self.len;
-            self.len += bytes.len();
-            if writes {
-                self.buf.extend_from_slice(bytes);
-            }
-            placed(self.closed, &now, self.buf.get(at..).unwrap_or_default());
-            match later {
-                None => return Ok(()),
-                Some(tail) => {
-                    self.close_packet();
-                    header = tail;
-                    payload = rest;
-                }
-            }
-        }
-    }
-
-    /// Appends a piece read back off a retained packet, or any other chunk.
-    pub(crate) fn put(&mut self, &(header, payload): &Piece<'_>) -> Result<(), CoreError> {
-        self.push(header, payload, |_, _, _| {})
-    }
+    Ok(())
 }
 
 /// Elements `[off, off + len)` of a piece, which it must have: its label cut
@@ -284,7 +138,7 @@ fn cut((header, payload): Piece<'_>, off: u32, len: u32) -> Piece<'_> {
 }
 
 /// `whole` cut into packets at `ends`.
-fn slices(whole: Bytes, ends: &[u32]) -> impl ExactSizeIterator<Item = Packet> + '_ {
+pub(crate) fn slices(whole: Bytes, ends: &[u32]) -> impl ExactSizeIterator<Item = Packet> + '_ {
     let mut from = 0;
     ends.iter().map(move |&end| Packet {
         bytes: whole.slice(std::mem::replace(&mut from, end as usize)..end as usize),
@@ -376,17 +230,21 @@ impl Sender {
         // A dry run over the labels: how many packets of how many bytes
         // this submit writes, so that one buffer of exactly that size holds
         // them all.
-        let mut dry = Packer::measuring(cut_mtu);
+        let (mut dry, mut packets) = (PacketBuilder::measuring(cut_mtu), 0);
+        let mut count = |b: &mut PacketBuilder| {
+            packets += usize::from(!b.is_empty());
+            b.close();
+        };
         self.framer.clone().walk(data.len(), alf, close, |label| {
             let (header, payload) = match label {
                 Label::Data { header, bytes } => (header, &data[bytes]),
                 Label::Close { ed, .. } => (ed, &[0; ED_LEN][..]),
             };
-            dry.push(header, payload, |_, _, _| {})
+            dry.place(header, payload, &mut count)
                 .expect("the cut MTU holds one element and an ED chunk");
         });
-        dry.close_packet();
-        let buf = match dry.len {
+        count(&mut dry);
+        let buf = match dry.close() {
             0 => Vec::new(),
             size => self.buffer_for(size),
         };
@@ -397,18 +255,25 @@ impl Sender {
             .reserve(elements.div_ceil(self.tpdu_elements as usize));
         // This submit's packets are numbered on from the ones held.
         let offset = self.next();
-        let mut packer = Packer::one_buffer(cut_mtu, buf, Vec::with_capacity(dry.closed));
+        let mut builder = PacketBuilder::with_buffer(cut_mtu, buf);
+        let mut ends = Vec::with_capacity(packets);
+        // The number of the packet under construction, among this submit's.
+        let open = Cell::new(0u32);
+        let mut emit = |b: &mut PacketBuilder| {
+            end_packet(b, &mut ends);
+            open.set(open.get() + 1);
+        };
         let mut inv = TpduInvariant::new(self.cfg.layout).expect("layout fits");
         // The packet the open TPDU's first piece went into.
         let mut opened = None;
         self.framer
             .walk(data.len(), alf, close, |label| match label {
-                Label::Data { header, bytes } => packer
-                    .push(header, &data[bytes], |packet, piece, written| {
+                Label::Data { header, bytes } => builder
+                    .place_run(header, [&data[bytes]], &mut emit, |piece, written| {
                         // Folded where it was just written, in L1.
                         inv.absorb_chunk(piece, written)
                             .expect("framer stays inside the layout");
-                        opened.get_or_insert(packet);
+                        opened.get_or_insert(open.get());
                     })
                     .expect("the cut MTU holds one element"),
                 Label::Close {
@@ -417,9 +282,8 @@ impl Sender {
                     elements,
                     ed,
                 } => {
-                    let mut last = 0;
-                    packer
-                        .push(ed, &inv.digest(), |packet, _, _| last = packet)
+                    builder
+                        .place(ed, &inv.digest(), &mut emit)
                         .expect("the cut MTU holds an ED chunk");
                     inv.reset();
                     let first = opened.take().expect("a TPDU has data");
@@ -427,13 +291,14 @@ impl Sender {
                         start,
                         t_id,
                         elements,
-                        first: offset.wrapping_add(first as u32),
-                        last: offset.wrapping_add(last as u32),
+                        first: offset.wrapping_add(first),
+                        last: offset.wrapping_add(open.get()),
                     });
                 }
             });
         // This submit's last packet closes with it.
-        let (whole, ends) = packer.finish();
+        end_packet(&mut builder, &mut ends);
+        let whole = Bytes::from(builder.take_bytes());
         if !whole.is_empty() {
             // Most senders hold one buffer at a time: room for one, not four.
             let one = usize::from(self.buffers.is_empty());
@@ -476,56 +341,74 @@ impl Sender {
         if let Some((_, whole, ends)) = self.buffers.front().filter(|_| self.fresh) {
             return Ok(slices(whole.clone(), ends).collect());
         }
-        let (packets, _) = self.one_buffer(|packer| self.repack(&self.pending, packer))?;
-        Ok(packets)
+        self.one_buffer(|b, emit, scratch| self.repack(&self.pending, b, emit, scratch))
+            .map(|(packets, _)| packets)
     }
 
-    /// [`Self::packets_for_pending`] into `packer`: a fresh submit's packets
-    /// go on as they are, the last one left open for what follows.
-    pub(crate) fn pack_pending(&self, packer: &mut Packer) -> Result<(), CoreError> {
-        if let Some((_, whole, ends)) = self.buffers.front().filter(|_| self.fresh) {
-            packer.hand_on(slices(whole.clone(), ends));
-            return Ok(());
-        }
-        self.repack(&self.pending, packer).map(drop)
-    }
-
-    /// Runs `fill` on a measuring packer, then on one that writes every
-    /// packet into one buffer of exactly the size the first run counted;
-    /// returns the packets and what `fill` returned.
-    fn one_buffer(
+    /// [`Self::packets_for_pending`] through `b`: a fresh submit's packets
+    /// go to `out` as they are but the last, whose chunks are read back and
+    /// placed anew, so that what follows fills its free room.
+    pub(crate) fn pack_pending(
         &self,
-        fill: impl Fn(&mut Packer) -> Result<u64, CoreError>,
+        b: &mut PacketBuilder,
+        emit: &mut Emit<'_>,
+        out: &mut VecDeque<Packet>,
+    ) -> Result<(), CoreError> {
+        let Some((_, whole, ends)) = self.buffers.front().filter(|_| self.fresh) else {
+            let scratch = &mut Scratch::default();
+            return self.repack(&self.pending, b, emit, scratch).map(drop);
+        };
+        out.extend(slices(whole.clone(), ends));
+        let last = out.pop_back().expect("a buffer holds a packet");
+        let mut chunks = chunk_walk(&last)?;
+        chunks.try_for_each(|c| b.place(c.header, &last.bytes[c.span], &mut *emit))
+    }
+
+    /// Runs `fill` on a measuring builder, then on one writing every packet
+    /// into one buffer of exactly the size the first run counted, both runs
+    /// reading into one [`Scratch`]; returns the packets and `fill`'s count.
+    fn one_buffer<'s>(
+        &'s self,
+        fill: impl Fn(&mut PacketBuilder, &mut Emit<'_>, &mut Scratch<'s>) -> Result<u64, CoreError>,
     ) -> Result<(Vec<Packet>, u64), CoreError> {
-        let mut dry = Packer::measuring(self.cfg.mtu);
-        fill(&mut dry)?;
-        dry.close_packet();
-        let (buf, ends) = (Vec::with_capacity(dry.len), Vec::with_capacity(dry.closed));
-        let mut packer = Packer::one_buffer(self.cfg.mtu, buf, ends);
-        let count = fill(&mut packer)?;
-        let (whole, ends) = packer.finish();
-        Ok((slices(whole, &ends).collect(), count))
+        let (mut scratch, mut packets) = (Scratch::default(), 0);
+        let mut dry = PacketBuilder::measuring(self.cfg.mtu);
+        let mut count = |b: &mut PacketBuilder| {
+            packets += usize::from(!b.is_empty());
+            b.close();
+        };
+        fill(&mut dry, &mut count, &mut scratch)?;
+        count(&mut dry);
+        let mut b = PacketBuilder::with_buffer(self.cfg.mtu, Vec::with_capacity(dry.close()));
+        let mut ends = Vec::with_capacity(packets);
+        let mut emit = |b: &mut PacketBuilder| end_packet(b, &mut ends);
+        let placed = fill(&mut b, &mut emit, &mut scratch)?;
+        emit(&mut b);
+        Ok((slices(b.take_bytes().into(), &ends).collect(), placed))
     }
 
     /// Packs the TPDUs named by `starts` for retransmission — identical
     /// identifiers, as §3.3 requires.
     pub fn retransmit(&mut self, starts: &[u64]) -> Result<Vec<Packet>, CoreError> {
-        let (packets, sent) = self.one_buffer(|packer| self.pack_retransmit(starts, packer))?;
+        let (packets, sent) =
+            self.one_buffer(|b, emit, scratch| self.pack_retransmit(starts, b, emit, scratch))?;
         self.retransmissions += sent;
         Ok(packets)
     }
 
-    /// [`Self::retransmit`] into `packer`, counting nothing: returns how
+    /// [`Self::retransmit`] through `b`, counting nothing: returns how
     /// many TPDUs it packed.
-    pub(crate) fn pack_retransmit(
-        &self,
+    pub(crate) fn pack_retransmit<'s>(
+        &'s self,
         starts: &[u64],
-        packer: &mut Packer,
+        b: &mut PacketBuilder,
+        emit: &mut Emit<'_>,
+        scratch: &mut Scratch<'s>,
     ) -> Result<u64, CoreError> {
         let named = starts
             .iter()
             .filter_map(|&s| self.pending.get(self.find(s)?));
-        self.repack(named, packer)
+        self.repack(named, b, emit, scratch)
     }
 
     /// Applies an acknowledgment; returns the starts newly confirmed.
@@ -567,60 +450,61 @@ impl Sender {
     /// retransmission. Receiver-side duplicate trimming (Appendix C
     /// extraction) discards any overlap cheaply.
     pub fn retransmit_for_ack(&mut self, ack: &AckInfo) -> Result<Vec<Packet>, CoreError> {
-        let (packets, count) =
-            self.one_buffer(|packer| self.pack_repair(ack, usize::MAX, packer, |_| {}))?;
+        let (packets, count) = self.one_buffer(|b, emit, scratch| {
+            self.pack_repair(ack, usize::MAX, b, emit, scratch, |_| {})
+        })?;
         self.retransmissions += count;
         Ok(packets)
     }
 
-    /// [`Self::retransmit_for_ack`] into `packer`, with window-limited
+    /// [`Self::retransmit_for_ack`] through `b`, with window-limited
     /// repair: at most `max_tpdus` pending TPDUs (in connection-space order)
     /// are repaired per call, so a pathological gap report cannot make one
     /// call retransmit the whole stream in a single burst; later calls (or
     /// the timer) pick up the rest. `repaired` is told each TPDU start
     /// repaired; the count is returned, not kept.
-    pub(crate) fn pack_repair(
-        &self,
+    pub(crate) fn pack_repair<'s>(
+        &'s self,
         ack: &AckInfo,
         max_tpdus: usize,
-        packer: &mut Packer,
+        b: &mut PacketBuilder,
+        emit: &mut Emit<'_>,
+        scratch: &mut Scratch<'s>,
         mut repaired: impl FnMut(u64),
     ) -> Result<u64, CoreError> {
         // An acknowledged TPDU has nothing to repair.
         let unacked = |t: &&Pending| !ack.acknowledges(t.start, t.start + t.elements as u64);
         let tpdus = self.pending.iter().filter(unacked).take(max_tpdus);
-        self.read(tpdus, |t, pieces| {
+        self.read(tpdus, scratch, |t, pieces| {
             let (start, end) = (t.start, t.start + t.elements as u64);
             repaired(start);
-            let (ed, data) = pieces.split_last().expect("a TPDU ends in its ED");
+            let (&(ed, digest), data) = pieces.split_last().expect("a TPDU ends in its ED");
             if ack.need_ed.contains(&start) {
                 // Data arrived; only the 8-byte digest is missing.
-                return packer.put(ed);
+                return b.place(ed, digest, &mut *emit);
             }
             let overlapping = ack.gaps.iter().filter(|&&(lo, hi)| lo < end && start < hi);
             if overlapping.clone().next().is_none() {
                 // The report does not mention this TPDU at all: its packets
                 // vanished before the receiver learned they exist, so it
                 // cannot nack what it never saw. Full retransmission.
-                return pieces.iter().try_for_each(|p| packer.put(p));
+                return place_runs(b, emit, pieces.iter().copied());
             }
             // Precise sub-chunk repair (Appendix C extraction); the ED chunk
             // rides along so a receiver that lost it can still verify.
             for &(lo, hi) in overlapping {
                 // The gap in TPDU space (empty if the report is malformed).
                 let (lo, hi) = ((lo.max(start) - start) as u32, (hi.min(end) - start) as u32);
-                // Each gap's repair is its own chunk(s) even when two gaps
-                // abut (no run goes on into it); within a gap, pieces do.
-                packer.last = None;
-                for &(h, payload) in data {
+                // Each gap's repair is its own run(s) even when two gaps
+                // abut; within a gap, pieces run on.
+                let within = data.iter().filter_map(move |&(h, payload)| {
                     // The piece's elements in the gap, in TPDU space.
                     let (from, to) = (lo.max(h.tpdu.sn), hi.min(h.tpdu.sn + h.len));
-                    if from < to {
-                        packer.put(&cut((h, payload), from - h.tpdu.sn, to - from))?;
-                    }
-                }
+                    (from < to).then(|| cut((h, payload), from - h.tpdu.sn, to - from))
+                });
+                place_runs(b, emit, within)?;
             }
-            packer.put(ed)
+            b.place(ed, digest, &mut *emit)
         })
     }
 
@@ -641,29 +525,31 @@ impl Sender {
         self.pending.binary_search_by_key(&start, |t| t.start).ok()
     }
 
-    /// Packs `tpdus` whole, read back off the wire, into `packer`; returns
+    /// Packs `tpdus` whole, read back off the wire, through `b`; returns
     /// how many.
     fn repack<'s>(
         &'s self,
         tpdus: impl IntoIterator<Item = &'s Pending>,
-        packer: &mut Packer,
+        b: &mut PacketBuilder,
+        emit: &mut Emit<'_>,
+        scratch: &mut Scratch<'s>,
     ) -> Result<u64, CoreError> {
-        self.read(tpdus, |_, pieces| {
-            pieces.iter().try_for_each(|p| packer.put(p))
+        self.read(tpdus, scratch, |_, pieces| {
+            place_runs(b, emit, pieces.iter().copied())
         })
     }
 
     /// Hands `each` each of `tpdus` with its pieces, read back off its
-    /// packets by the label walk: data pieces in order, then the ED chunk.
-    /// Returns how many TPDUs it read.
+    /// packets by the label walk into `scratch`: data pieces in order, then
+    /// the ED chunk. Returns how many TPDUs it read.
     fn read<'s>(
         &'s self,
         tpdus: impl IntoIterator<Item = &'s Pending>,
+        scratch: &mut Scratch<'s>,
         mut each: impl FnMut(&Pending, &[Piece<'s>]) -> Result<(), CoreError>,
     ) -> Result<u64, CoreError> {
-        let (mut pieces, mut count) = (Vec::new(), 0);
-        // The chunks of the packet walked last past the last TPDU read there.
-        let (mut unread, mut walked) = (VecDeque::new(), None);
+        let (pieces, unread) = scratch;
+        let (mut count, mut walked) = (0, None);
         for t in tpdus {
             let csn = self.cfg.params.initial_csn.wrapping_add(t.start as u32);
             pieces.clear();
@@ -689,7 +575,7 @@ impl Sender {
                     }
                 }
             }
-            each(t, &pieces)?;
+            each(t, pieces)?;
             count += 1;
         }
         Ok(count)
@@ -896,7 +782,7 @@ mod tests {
         // Each TPDU's pieces, read back from them, cover its elements once,
         // in order, and end in its ED chunk.
         let mut straddles = false;
-        s.read(&s.pending, |t, pieces| {
+        s.read(&s.pending, &mut Scratch::default(), |t, pieces| {
             let (ed, data) = pieces.split_last().unwrap();
             assert_eq!((ed.0.ty, ed.0.tpdu.id), (ChunkType::ErrorDetection, t.t_id));
             straddles |= data.len() > 1;

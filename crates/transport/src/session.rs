@@ -11,13 +11,13 @@
 //! through its receive ring.
 //!
 //! A session sends the sender's own frames. A fresh first transmission goes
-//! out as the packets `submit` built, with no copy. Repairs and timer
-//! retransmissions go through the sender's packer, which stays open for the
-//! whole pump and writes what it packs into one buffer. The ack for the inbound stream goes in last: into the open
-//! packet's free room, or into a packet of its own. That is Appendix A's
-//! piggybacking "without designing piggybacking into the protocol". The
-//! placement is `pack`'s next fit over those chunks in that order, but no
-//! chunk is unpacked or built on the way.
+//! out as the packets `submit` built, no copy, but the last, whose chunks
+//! are placed anew through the pump's `PacketBuilder` (one buffer, open for
+//! the whole pump); so are the runs the sender coalesces for repairs and
+//! timer retransmissions, and last the inbound stream's ack, into the open
+//! packet's free room or a packet of its own: Appendix A's piggybacking
+//! "without designing piggybacking into the protocol". The placement is
+//! `pack`'s next fit over those chunks in that order.
 //!
 //! The send side keeps one ordered view of its TPDUs: the sender's
 //! start-ordered pending list, and the [`RetransmitTimer`] arming the same
@@ -29,7 +29,7 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use chunks_core::packet::Packet;
+use chunks_core::packet::{Packet, PacketBuilder};
 use chunks_core::wire::WIRE_HEADER_LEN;
 use chunks_obs::{
     Event, HealthEvent, HealthReport, Labels, ObsSink, SpanId, Stage, Watchdog, WatchdogConfig,
@@ -39,7 +39,7 @@ use crate::ack::{self, AckInfo};
 use crate::conn::ConnectionParams;
 use crate::receiver::{DeliveryMode, Receiver, RxEvent};
 use crate::rto::{DegradePolicy, RetransmitTimer, RtoConfig, TimerVerdict, TransportError};
-use crate::sender::{Packer, Sender, SenderConfig};
+use crate::sender::{end_packet, slices, Scratch, Sender, SenderConfig};
 use chunks_wsc::InvariantLayout;
 
 /// Counters kept by the session's reliability layer.
@@ -110,8 +110,10 @@ pub struct Session {
     /// The session's virtual clock, advanced by [`Self::pump_into`] and
     /// [`Self::handle_packet_into`] (monotonic).
     clock: u64,
-    /// The packer a pump fills, open from its first packet to its ack.
-    packer: Packer,
+    /// The engine a pump places through: one buffer, open to the pump's ack.
+    builder: PacketBuilder,
+    /// Where each packet the pump closed ends in that buffer.
+    ends: Vec<u32>,
     /// Packets built but withheld by the per-pump burst cap.
     backlog: VecDeque<Packet>,
     /// Maximum packets emitted per [`Self::pump_into`] call.
@@ -167,7 +169,8 @@ impl Session {
             transmitted_once: false,
             rto: RetransmitTimer::new(RtoConfig::default()),
             clock: 0,
-            packer: Packer::one_buffer(local.mtu, Vec::new(), Vec::new()),
+            builder: PacketBuilder::new(local.mtu),
+            ends: Vec::new(),
             backlog: VecDeque::new(),
             max_burst_packets: 256,
             repair_limit_tpdus: 64,
@@ -321,13 +324,37 @@ impl Session {
                 self.health_events.extend(wd.tick(&report, &*obs));
             }
         }
-        let now = self.clock;
-        // A pump that fails sends nothing of what it packed.
-        self.packer.clear();
+        let queued = self.backlog.len();
+        let packed = self.pack_pump(self.clock);
+        // Burst cap: everything queues, at most `max_burst_packets` leave. A
+        // pump that fails sends nothing of what it packed.
+        let whole = self.builder.take_bytes().into();
+        self.backlog.extend(slices(whole, &self.ends));
+        self.ends.clear();
+        packed.inspect_err(|_| self.backlog.truncate(queued))?;
+        let take = self.backlog.len().min(self.max_burst_packets);
+        out.extend(self.backlog.drain(..take));
+        self.stats.burst_deferrals += self.backlog.len() as u64;
+        if self.obs_on {
+            self.obs
+                .counter("transport.session.packets_emitted", take as u64);
+            self.obs.counter(
+                "transport.session.burst_deferrals",
+                self.backlog.len() as u64,
+            );
+        }
+        Ok(())
+    }
+
+    /// What a pump at `now` sends, placed through the pump's engine or (a
+    /// fresh submit's packets but its last) queued as they are.
+    fn pack_pump(&mut self, now: u64) -> Result<(), TransportError> {
         self.sent.clear();
         if !self.transmitted_once {
             self.transmitted_once = true;
-            self.tx.pack_pending(&mut self.packer)?;
+            let emit = &mut |b: &mut PacketBuilder| end_packet(b, &mut self.ends);
+            self.tx
+                .pack_pending(&mut self.builder, emit, &mut self.backlog)?;
             // A TPDU that was already armed is going out again.
             let rto = &self.rto;
             let starts = self.tx.pending_starts();
@@ -344,11 +371,13 @@ impl Session {
                     self.obs.counter("transport.session.pressure_deferrals", 1);
                 }
             } else {
-                let sent = &mut self.sent;
-                let limit = self.repair_limit_tpdus;
-                self.tx.retransmissions +=
-                    self.tx
-                        .pack_repair(&ack, limit, &mut self.packer, |s| sent.push((s, true)))?;
+                let (sent, b) = (&mut self.sent, &mut self.builder);
+                let emit = &mut |b: &mut PacketBuilder| end_packet(b, &mut self.ends);
+                let (limit, scratch) = (self.repair_limit_tpdus, &mut Scratch::default());
+                let repaired = |s| sent.push((s, true));
+                self.tx.retransmissions += self
+                    .tx
+                    .pack_repair(&ack, limit, b, emit, scratch, repaired)?;
             }
         }
 
@@ -461,7 +490,10 @@ impl Session {
                 }
             }
             // Every due TPDU is retransmitted in one pass.
-            self.tx.retransmissions += self.tx.pack_retransmit(&self.due, &mut self.packer)?;
+            let (b, scratch) = (&mut self.builder, &mut Scratch::default());
+            let emit = &mut |b: &mut PacketBuilder| end_packet(b, &mut self.ends);
+            let retransmitted = self.tx.pack_retransmit(&self.due, b, emit, scratch)?;
+            self.tx.retransmissions += retransmitted;
         }
 
         // Arm (or re-arm) the timer for everything this call sent. This runs
@@ -493,21 +525,9 @@ impl Session {
             .within(room.min(u16::MAX as usize))
             .encode_into(&mut self.ack_bytes);
         let label = ack::label(self.rx.params().conn_id, self.ack_bytes.len());
-        self.packer.put(&(label, &self.ack_bytes))?;
-
-        // Burst cap: everything queues, at most `max_burst_packets` leave.
-        self.packer.drain_into(&mut self.backlog);
-        let take = self.backlog.len().min(self.max_burst_packets);
-        out.extend(self.backlog.drain(..take));
-        self.stats.burst_deferrals += self.backlog.len() as u64;
-        if self.obs_on {
-            self.obs
-                .counter("transport.session.packets_emitted", take as u64);
-            self.obs.counter(
-                "transport.session.burst_deferrals",
-                self.backlog.len() as u64,
-            );
-        }
+        let emit = |b: &mut PacketBuilder| end_packet(b, &mut self.ends);
+        self.builder.place(label, &self.ack_bytes, emit)?;
+        end_packet(&mut self.builder, &mut self.ends);
         Ok(())
     }
 

@@ -131,15 +131,20 @@ test-receiver:
 # the allocation gate (a submit's six allocations with at most 8 B of
 # bookkeeping a packet, the store keeping a 4-byte end per packet and no
 # handle; `a_repair_transmits_its_packets_from_one_buffer_whatever_their_count`:
-# a `retransmit_for_ack` of 110 packets and one of 220 make the same eight
-# allocations). Debug first, so the packet-range arithmetic runs with
-# overflow checks, then release.
+# a `retransmit_for_ack` of 110 packets and one of 220 make the same six
+# allocations), and the placement engine's unit tests in chunks-core, where
+# the sender's placement lives (among them `pack_equals_the_owned_split_loop`:
+# chunks cut at random points and each placed as one run equal `pack` over
+# the uncut chunks, measured and written). Debug first, so the packet-range
+# arithmetic runs with overflow checks, then release.
 test-sender:
     cargo test -q --test transport_props -- sender_packets_equal sender_retains session_packets_equal backoff_is_monotone
     cargo test -q -p chunks-transport --lib -- sender:: session:: rto:: ack::tests::an_ack_past
+    cargo test -q -p chunks-core --lib -- packet::
     cargo test -q --test hotpath_allocs -- transmit session
     cargo test -q --release --test transport_props -- sender_packets_equal sender_retains session_packets_equal backoff_is_monotone
     cargo test -q --release -p chunks-transport --lib -- sender:: session:: rto:: ack::tests::an_ack_past
+    cargo test -q --release -p chunks-core --lib -- packet::
     cargo test -q --release --test hotpath_allocs -- transmit session
 
 # Zero-allocation hot-path gate: a counting global allocator with
@@ -158,7 +163,7 @@ test-sender:
 # that a warm session pumps 256 KiB
 # in at most 8 allocations and its peer ingests it in at most 6, that a
 # submit keeps at most 8 B of bookkeeping a packet and a repair writes one
-# buffer whatever its packet count (eight allocations), and the network
+# buffer whatever its packet count (six allocations), and the network
 # legs of `test-netsim` (a refragmenting path's exact 79 allocations:
 # two per 64 KiB window), release mode.
 test-hotpath:

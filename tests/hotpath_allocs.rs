@@ -854,12 +854,12 @@ fn a_warm_sender_transmits_its_next_submit_from_the_buffer_its_last_one_freed() 
 #[test]
 fn a_repair_transmits_its_packets_from_one_buffer_whatever_their_count() {
     // `retransmit_for_ack` runs the repair walk twice: on a measuring
-    // packer, which counts the packets and their bytes, then into one
+    // builder, which counts the packets and their bytes, then into one
     // buffer of exactly that size, as `submit` does. So a repair of about
     // 100 packets and one of about 200 ask the heap for the same things:
     // the buffer and its shared owner, the list of the packets' ends in it,
-    // the list of packets handed out, and each run's two scratch lists of
-    // the pieces read back off the wire.
+    // the list of packets handed out, and the two scratch lists of the
+    // pieces read back off the wire, which both runs share.
     let repair = |message: usize| {
         let cfg = SenderConfig {
             params: ConnectionParams {
@@ -917,7 +917,7 @@ fn a_repair_transmits_its_packets_from_one_buffer_whatever_their_count() {
         small.1, large.1,
         "a repair's allocations depend on its packet count"
     );
-    assert_eq!(small.1, 8, "allocations in a repair");
+    assert_eq!(small.1, 6, "allocations in a repair");
 }
 
 /// MTU of the network legs: the ledger's `small-frag` shape.
